@@ -5,9 +5,9 @@
 //!
 //! 1. **`drb_map`** — one Algorithm 2/3 mapping on an idle Minsky machine;
 //! 2. **`arrival`** — a full TOPO-AWARE `decide` on a 64-machine
-//!    mostly-idle cluster, sequential reference vs the memoized+parallel
-//!    engine (the ISSUE 2 acceptance measurement), plus a 256-machine
-//!    cold-engine vs warm cross-event-cache arrival (DESIGN.md §9);
+//!    mostly-idle cluster, sequential reference vs the memoized engine,
+//!    plus a 256-machine cold-engine vs warm cross-event-cache arrival
+//!    (DESIGN.md §9);
 //! 3. **`sim`** — a whole small fig10-style simulation under both paths;
 //! 4. **`sim/large_*`** — a large-cluster simulation (256 machines, 2 048
 //!    jobs, arrivals dense enough that many jobs run concurrently):
@@ -98,7 +98,8 @@ pub struct PhaseShares {
 /// without re-running the whole suite.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BenchReport {
-    /// Worker threads the engine ran with (`GTS_EVAL_THREADS`).
+    /// The `GTS_EVAL_THREADS` value of the run (`1` = the sequential
+    /// reference; the engine itself always runs on one thread).
     pub threads: u64,
     /// True when run with `--smoke` (tiny sample counts; numbers are only
     /// good for checking the harness, not for comparison).
@@ -350,9 +351,10 @@ pub fn run(smoke: bool) -> BenchReport {
         loop_stats.eval_cache_hits as f64 / lookups as f64
     };
 
-    // 5. The datacenter-scale trio: the single-shard reference, the serial
-    // sharded two-level scheduler (shard fan-out and bound pruning pinned
-    // off — the PR 6 A/B baseline) and the parallel+pruned shard path, on
+    // 5. The datacenter-scale trio: the single-shard reference, the
+    // sharded two-level scheduler with bound pruning and replay pinned off
+    // (the A/B baseline) and the full sharded path (`huge_par`, a label
+    // kept from when it also fanned shards out across threads), on
     // a rack-partitioned cluster under a sustained Poisson stream dense
     // enough to keep the cluster saturated. Each variant runs SAMPLES
     // independent sims (distinct Poisson seeds over the same regime) and
@@ -370,15 +372,13 @@ pub fn run(smoke: bool) -> BenchReport {
             poisson_trace(huge_machines, (huge_jobs / HUGE_SAMPLES).max(1), 3003 + i as u64)
         })
         .collect();
-    // `serial_eval` is the PR 6 A/B baseline: fan-out, bound pruning AND
-    // decision replay pinned off, regardless of ambient knobs. `par_eval`
-    // is the full engine with replay on.
+    // `serial_eval` is the A/B baseline: bound pruning AND decision replay
+    // pinned off, regardless of ambient knobs. `full_eval` is the full
+    // engine with both on.
     let serial_eval = EvalParams::from_env()
-        .with_shard_par(false)
         .with_shard_bound(false)
         .with_decision_replay(false);
-    let par_eval = EvalParams::from_env()
-        .with_shard_par(true)
+    let full_eval = EvalParams::from_env()
         .with_shard_bound(true)
         .with_decision_replay(true);
 
@@ -398,7 +398,7 @@ pub fn run(smoke: bool) -> BenchReport {
     for (label, shards, eval) in [
         ("huge_single", 1, serial_eval),
         ("huge_sharded", huge_racks, serial_eval),
-        ("huge_par", huge_racks, par_eval),
+        ("huge_par", huge_racks, full_eval),
     ] {
         let runs: Vec<SimRun> = huge_traces
             .iter()

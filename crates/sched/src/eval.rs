@@ -1,5 +1,5 @@
-//! The placement evaluation engine: memoized + parallel candidate scoring
-//! for the `TOPO-AWARE(-P)` policies.
+//! The placement evaluation engine: memoized candidate scoring for the
+//! `TOPO-AWARE(-P)` policies.
 //!
 //! The naive Algorithm 1 arrival cost is one full Algorithm 2/3 DRB
 //! mapping per feasible machine — linear in cluster size. Two observations
@@ -11,12 +11,11 @@
 //!    Eq. 2–5. On a mostly-idle homogeneous cluster almost every machine
 //!    collapses into a handful of classes, so the engine runs one DRB
 //!    mapping per *class* and fans the result out to every member.
-//! 2. **Parallel representatives.** The per-class evaluations are
-//!    independent, so they run on a scoped worker pool. Results return to
-//!    indexed slots, making the reduction deterministic regardless of
-//!    thread interleaving; together with the oracle's canonical co-runner
-//!    order this keeps every utility bit-identical to the sequential
-//!    reference (`GTS_EVAL_THREADS=1`).
+//! 2. **One thread, candidate order.** Representatives are evaluated on
+//!    the caller's thread in first-seen order. Together with the oracle's
+//!    canonical co-runner order this keeps every utility bit-identical to
+//!    the sequential reference (`GTS_EVAL_THREADS=1`), and every cache
+//!    counter repeats exactly between identical runs.
 //!
 //! The engine never changes *which* candidate wins: the policy's
 //! tie-breaking (`FRAG_TIE_EPS` + Eq. 5) runs sequentially over the
@@ -40,22 +39,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Spawning threads for a couple of representatives costs more than the
-/// evaluations; below this many distinct classes the engine stays on the
-/// caller's thread (memoization still applies).
-const MIN_PARALLEL_CLASSES: usize = 4;
-
 /// Evaluation-engine parameters, threaded from the drivers down to
 /// [`crate::Policy::decide_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalParams {
-    /// Worker threads for candidate evaluation. `1` selects the sequential
-    /// reference path: every candidate is evaluated in order with no
-    /// memoization, exactly as the pre-engine scheduler did.
+    /// `1` selects the sequential reference path: every candidate is
+    /// evaluated in order with no memoization, exactly as the pre-engine
+    /// scheduler did. Any other value selects the memoized engine, which
+    /// always runs on the caller's thread; the scheduler never reads this
+    /// as a worker count. The value still sizes the `gts-bench` experiment
+    /// sweeps.
     pub threads: usize,
-    /// Fan memo-miss shards out across the worker pool as one batch
-    /// (`GTS_SHARD_PAR`, default on). Off selects the serial shard loop —
-    /// the PR 6 reference path. Results are bit-identical either way.
+    /// Always `false`: memo-miss shards evaluate on the caller's thread.
+    /// The field stays so that callers reporting the knob keep compiling.
     pub shard_par: bool,
     /// Prune memo-miss shards whose admissible utility bound proves them
     /// uncompetitive (`GTS_SHARD_BOUND`, default on). Exact
@@ -70,21 +66,22 @@ pub struct EvalParams {
 
 impl EvalParams {
     /// The sequential reference: candidates evaluated one by one, no
-    /// memoization, no worker pool.
+    /// memoization.
     pub fn sequential() -> Self {
         Self {
             threads: 1,
-            shard_par: shard_par_env(),
+            shard_par: false,
             shard_bound: shard_bound_env(),
             decision_replay: decision_replay_env(),
         }
     }
 
-    /// The engine with an explicit worker count (`≥ 2`; clamped up).
+    /// The memoized engine with an explicit `threads` value (`≥ 2`; clamped
+    /// up). The engine itself is single-threaded; see [`EvalParams::threads`].
     pub fn parallel(threads: usize) -> Self {
         Self {
             threads: threads.max(2),
-            shard_par: shard_par_env(),
+            shard_par: false,
             shard_bound: shard_bound_env(),
             decision_replay: decision_replay_env(),
         }
@@ -93,7 +90,7 @@ impl EvalParams {
     /// Reads `GTS_EVAL_THREADS` (cached after the first read). Unset or
     /// unparsable values default to the host's available parallelism, with
     /// a floor of 2 so the memoized engine stays on even on single-core
-    /// hosts — the memoization wins are independent of thread count.
+    /// hosts.
     pub fn from_env() -> Self {
         static CACHED: OnceLock<usize> = OnceLock::new();
         let threads = *CACHED.get_or_init(|| {
@@ -107,7 +104,7 @@ impl EvalParams {
         });
         Self {
             threads,
-            shard_par: shard_par_env(),
+            shard_par: false,
             shard_bound: shard_bound_env(),
             decision_replay: decision_replay_env(),
         }
@@ -116,12 +113,6 @@ impl EvalParams {
     /// True when this selects the sequential reference path.
     pub fn is_sequential(&self) -> bool {
         self.threads <= 1
-    }
-
-    /// Overrides the shard fan-out knob (for in-process A/B testing).
-    pub fn with_shard_par(mut self, on: bool) -> Self {
-        self.shard_par = on;
-        self
     }
 
     /// Overrides the shard bound-pruning knob (for in-process A/B testing).
@@ -135,13 +126,6 @@ impl EvalParams {
         self.decision_replay = on;
         self
     }
-}
-
-/// `GTS_SHARD_PAR` (cached): `0`/`off`/`false` disable the parallel shard
-/// fan-out; anything else (including unset) leaves it on.
-fn shard_par_env() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| parse_on_by_default(std::env::var("GTS_SHARD_PAR").ok().as_deref()))
 }
 
 /// `GTS_SHARD_BOUND` (cached): `0`/`off`/`false` disable bound pruning;
@@ -281,9 +265,10 @@ impl Hash for CacheKey {
 /// `GTS_EVAL_CACHE` is unset or just "1"/"on".
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Shards in the cross-event cache. Lookups are grouped per arrival (one
-/// per equivalence class), so contention is light; 8 shards keeps the
-/// parallel evaluation path from serializing on one mutex.
+/// Shards in the cross-event cache. Each shard is its own LRU with an
+/// equal share of the capacity, so the shard count decides which entries
+/// get evicted — and with it the cache counters — but never the bits a
+/// lookup returns.
 const N_SHARDS: usize = 8;
 
 /// Parses `GTS_EVAL_CACHE` once: `None` = disabled (`0`/`off`/`false`,
@@ -664,20 +649,16 @@ impl EvalCache {
         Self::with_capacity(cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY))
     }
 
-    /// The cache vector for the two-level decision path: one cache shared
-    /// by every shard, with the per-shard `GTS_EVAL_CACHE` capacity scaled
-    /// by the shard count (the same total budget a cache-per-shard split
-    /// would claim). Sharing matters because machine-class keys recur
-    /// across shards — an idle machine's key is the same in every rack —
-    /// and per-shard caches made every shard learn every (machine class,
-    /// job class) pair independently, multiplying first-touch DRB
-    /// evaluations by the shard count. Keys are pure functions of state,
-    /// so cache placement never affects the bits a lookup returns; the
-    /// internal 8-way mutex sharding keeps parallel evaluators from
-    /// serializing on it.
-    pub fn from_env_per_shard(n_shards: usize) -> Vec<Self> {
+    /// The cache for a state split into `n_shards` shards: one cache shared
+    /// by every shard, with the `GTS_EVAL_CACHE` capacity granted per
+    /// shard (the same total budget a cache-per-shard split would claim).
+    /// Sharing matters because machine-class keys recur across shards — an
+    /// idle machine's key is the same in every rack — so one cache learns
+    /// each (machine class, job class) pair once rather than once per
+    /// shard.
+    pub fn from_env_per_shard(n_shards: usize) -> Self {
         let capacity = cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY);
-        vec![Self::with_capacity(capacity.saturating_mul(n_shards.max(1)))]
+        Self::with_capacity(capacity.saturating_mul(n_shards.max(1)))
     }
 
     /// Whether `GTS_EVAL_CACHE` leaves the cache enabled (anything but
@@ -835,8 +816,7 @@ fn debug_assert_hit_matches(
 /// Evaluates every candidate machine, returning outcomes in candidate
 /// order. `params.threads == 1` is the sequential reference; otherwise
 /// candidates are deduplicated into equivalence classes via the state's
-/// precomputed keys and one representative per class is evaluated (in
-/// parallel when there are enough classes to pay for the threads). With a
+/// precomputed keys and one representative per class is evaluated. With a
 /// `cache`, class results are first looked up in — and misses fill — the
 /// cross-event cache.
 pub(crate) fn evaluate_topo_candidates(
@@ -857,7 +837,7 @@ pub(crate) fn evaluate_topo_candidates(
             .map(|&m| evaluate_one(state, job, graph, weights, m))
             .collect();
     }
-    let classed = evaluate_topo_classes(state, job, graph, weights, candidates, params, cache);
+    let classed = evaluate_topo_classes(state, job, graph, weights, candidates, cache);
     // Fan each class result out to its members, preserving candidate order.
     classed
         .class_of
@@ -881,17 +861,16 @@ pub(crate) struct ClassedOutcomes {
 
 /// The engine's class-level core: groups `candidates` into equivalence
 /// classes via the state's precomputed keys, answers what it can from the
-/// cross-event `cache`, and evaluates the remaining representatives (in
-/// parallel when there are enough of them). Outcomes are bit-identical to
-/// evaluating each candidate individually, by the class-key purity
-/// argument (DESIGN.md §7, §9).
+/// cross-event `cache`, and evaluates the remaining representatives in
+/// first-seen order. Outcomes are bit-identical to evaluating each
+/// candidate individually, by the class-key purity argument (DESIGN.md §7,
+/// §9).
 pub(crate) fn evaluate_topo_classes(
     state: &ClusterState,
     job: &JobSpec,
     graph: &JobGraph,
     weights: UtilityWeights,
     candidates: &[MachineId],
-    params: EvalParams,
     cache: Option<&EvalCache>,
 ) -> ClassedOutcomes {
     // Group candidates into equivalence classes; the first member of each
@@ -917,6 +896,8 @@ pub(crate) fn evaluate_topo_classes(
     }
 
     // Serve whatever the cross-event cache already knows; evaluate the rest.
+    // Every class is looked up before any is inserted: an insert can evict
+    // a later class's entry, so this order decides the hit/miss counts.
     let job_class = cache.and_then(|_| JobClassKey::of(job, weights));
     let cache = if job_class.is_some() { cache } else { None };
     let mut rep_outcomes: Vec<Option<CandidateOutcome>> = vec![None; reps.len()];
@@ -937,19 +918,8 @@ pub(crate) fn evaluate_topo_classes(
         pending.extend(0..reps.len());
     }
 
-    let fresh: Vec<CandidateOutcome> =
-        if pending.len() >= MIN_PARALLEL_CLASSES && params.threads > 1 {
-            let machines: Vec<MachineId> = pending.iter().map(|&i| reps[i]).collect();
-            run_indexed(machines.len(), params.threads, |i| {
-                evaluate_one(state, job, graph, weights, machines[i])
-            })
-        } else {
-            pending
-                .iter()
-                .map(|&i| evaluate_one(state, job, graph, weights, reps[i]))
-                .collect()
-        };
-    for (&i, outcome) in pending.iter().zip(fresh) {
+    for i in pending {
+        let outcome = evaluate_one(state, job, graph, weights, reps[i]);
         if let (Some(cache), Some(jc)) = (cache, &job_class) {
             cache.insert(
                 CacheKey::new(rep_keys[i].clone(), jc.clone(), jc.bits()),
@@ -965,73 +935,6 @@ pub(crate) fn evaluate_topo_classes(
             .map(|o| o.expect("every class evaluated"))
             .collect(),
     }
-}
-
-
-/// Runs `f(0)..f(n-1)` on a scoped pool of up to `threads` workers,
-/// returning results in index order regardless of thread interleaving.
-///
-/// If a worker panics, its actual panic payload is re-raised on the
-/// caller's thread. The work queue is a bounded channel fed *inside* the
-/// scope: when every worker has died the feed send fails and the feeder
-/// simply stops, so the join below surfaces the worker's own panic instead
-/// of the feeder masking it with a closed-channel panic of its own.
-pub(crate) fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let n_workers = threads.min(n).max(1);
-    let (tx_work, rx_work) = crossbeam::channel::bounded::<usize>(n_workers);
-    let (tx_out, rx_out) = crossbeam::channel::unbounded::<(usize, T)>();
-    let panic_payload = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let rx_work = rx_work.clone();
-                let tx_out = tx_out.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    while let Ok(i) = rx_work.recv() {
-                        let out = f(i);
-                        if tx_out.send((i, out)).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        // Drop the feeder-side receiver clone source so a fully-dead pool
-        // closes the channel (send fails) instead of blocking forever.
-        drop(rx_work);
-        drop(tx_out);
-        for i in 0..n {
-            if tx_work.send(i).is_err() {
-                break;
-            }
-        }
-        drop(tx_work);
-        let mut payload = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
-            }
-        }
-        payload
-    });
-    if let Some(p) = panic_payload {
-        std::panic::resume_unwind(p);
-    }
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx_out.try_iter() {
-        slots[i] = Some(out);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every work item evaluated"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1097,11 +1000,11 @@ mod tests {
         );
         let j = job(0, 2);
         let seq = outcomes(&s, &j, EvalParams::sequential());
-        let par = outcomes(&s, &j, EvalParams::parallel(4));
+        let engine = outcomes(&s, &j, EvalParams::parallel(4));
         assert_eq!(seq.len(), 12);
-        assert_eq!(seq, par);
+        assert_eq!(seq, engine);
         // Bit-exact utilities, not just PartialEq-equal.
-        for (a, b) in seq.iter().zip(&par) {
+        for (a, b) in seq.iter().zip(&engine) {
             if let (
                 CandidateOutcome::Feasible { utility: ua, frag_after: fa, .. },
                 CandidateOutcome::Feasible { utility: ub, frag_after: fb, .. },
@@ -1223,36 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_returns_results_in_index_order() {
-        let out = run_indexed(257, 4, |i| i * 3);
-        assert_eq!(out.len(), 257);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
-        assert_eq!(run_indexed(1, 8, |i| i), vec![0]);
-        assert!(run_indexed(0, 4, |i: usize| i).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn worker_death_propagates_the_real_panic_not_a_closed_channel() {
-        // Every item panics, so the whole pool dies while the feeder still
-        // has work queued — exactly the shape that used to panic with
-        // "work queue open" on the feeding side, masking the worker's
-        // payload. The fix must surface the worker's own message.
-        run_indexed(64, 4, |_: usize| -> usize { panic!("worker boom") });
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn single_worker_death_among_healthy_ones_still_propagates() {
-        run_indexed(64, 4, |i| {
-            if i == 37 {
-                panic!("worker boom");
-            }
-            i
-        });
-    }
-
-    #[test]
     fn lru_evicts_and_counts() {
         // Single-slot-per-shard cache: filling it with distinct job widths
         // must evict. (8 shards × 1 entry; 9+ distinct keys guarantee at
@@ -1278,15 +1151,7 @@ mod tests {
         let cache = EvalCache::with_capacity(16);
         let candidates: Vec<MachineId> = s.machines_with_capacity(2);
         let graph = JobGraph::from_spec(&j);
-        let classed = evaluate_topo_classes(
-            &s,
-            &j,
-            &graph,
-            weights,
-            &candidates,
-            EvalParams::sequential(),
-            None,
-        );
+        let classed = evaluate_topo_classes(&s, &j, &graph, weights, &candidates, None);
         let stamps: Vec<u64> = candidates.iter().map(|&m| s.key_stamp(m)).collect();
         let entry = Arc::new(ShardClassed {
             candidates,

@@ -6,9 +6,9 @@
 //!   running jobs and their §4.2 profiles);
 //! * [`oracle`] — the [`gts_map::PlacementOracle`] backed by that state:
 //!   Eq. 4 interference prediction and Eq. 5 fragmentation;
-//! * [`eval`] — the memoized + parallel candidate-evaluation engine behind
-//!   `TOPO-AWARE(-P)`: equivalence-class deduplication, a scoped worker
-//!   pool, and the `GTS_EVAL_THREADS` knob;
+//! * [`eval`] — the memoized candidate-evaluation engine behind
+//!   `TOPO-AWARE(-P)`: equivalence-class deduplication on the caller's
+//!   thread, the cross-event cache, and the `GTS_EVAL_THREADS` knob;
 //! * [`policy`] — the four evaluated policies: `TOPO-AWARE`,
 //!   `TOPO-AWARE-P` (postponing), `FCFS` and Best-Fit (`BF`);
 //! * [`shard`] — machine-partition sharding for datacenter scale: the

@@ -15,9 +15,9 @@
 
 use crate::bound::ShardBoundCtx;
 use crate::eval::{
-    evaluate_topo_candidates, evaluate_topo_classes, resolve_candidate_outcome, run_indexed,
-    CandidateOutcome, ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow,
-    ShardClassed, ShardSlot, SnapState,
+    evaluate_topo_candidates, evaluate_topo_classes, resolve_candidate_outcome, CandidateOutcome,
+    ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow, ShardClassed, ShardSlot,
+    SnapState,
 };
 use crate::oracle::{placement_components, placement_utility, StateOracle};
 use crate::shard::ShardIndex;
@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which placement strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -122,8 +122,10 @@ impl Policy {
 
     /// [`Policy::decide_with`] backed by a cross-event [`EvalCache`]: class
     /// evaluations already cached from earlier arrivals are replayed
-    /// instead of re-running DRB. Pass the scheduler-owned cache here on
-    /// every arrival; the sequential reference path ignores it.
+    /// instead of re-running DRB, and on a sharded state the cache also
+    /// holds the shard memo and decision snapshots. Pass the
+    /// scheduler-owned cache here on every arrival; the sequential
+    /// reference path ignores it.
     pub fn decide_with_cache(
         &self,
         state: &ClusterState,
@@ -131,22 +133,7 @@ impl Policy {
         params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, cache.map(std::slice::from_ref))
-    }
-
-    /// [`Policy::decide_with_cache`] with one cache per shard: the
-    /// two-level decision path (engaged when the state holds more than one
-    /// shard) looks shard `s` up in `caches[s % caches.len()]`, keeping
-    /// cache working sets shard-local. Cache keys are pure functions of
-    /// state, so the cache-to-shard assignment never changes the decision.
-    pub fn decide_with_caches(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        params: EvalParams,
-        caches: Option<&[EvalCache]>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, caches)
+        self.decide_impl(state, job, None, params, cache)
     }
 
     /// Like [`Policy::decide`], but records every candidate machine the
@@ -174,6 +161,8 @@ impl Policy {
     }
 
     /// [`Policy::decide_traced_with`] backed by a cross-event [`EvalCache`].
+    /// Tracing always takes the flat reference path (per-candidate records
+    /// need per-candidate components), so only the class cache is used.
     pub fn decide_traced_with_cache(
         &self,
         state: &ClusterState,
@@ -182,21 +171,7 @@ impl Policy {
         params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, cache.map(std::slice::from_ref))
-    }
-
-    /// [`Policy::decide_with_caches`] recording per-candidate evaluations.
-    /// Tracing always takes the flat reference path (per-candidate records
-    /// need per-candidate components), so only `caches[0]` is consulted.
-    pub fn decide_traced_with_caches(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-        params: EvalParams,
-        caches: Option<&[EvalCache]>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, caches)
+        self.decide_impl(state, job, Some(evals), params, cache)
     }
 
     fn record_eval(
@@ -239,7 +214,7 @@ impl Policy {
         job: &JobSpec,
         mut trace: Option<&mut Vec<CandidateEval>>,
         params: EvalParams,
-        caches: Option<&[EvalCache]>,
+        cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         if job.constraints.anti_collocate && job.n_gpus > 1 {
             let decision = self.decide_anti_collocated(state, job);
@@ -268,7 +243,7 @@ impl Policy {
             && !params.is_sequential()
             && state.shards().n_shards() > 1
         {
-            return self.decide_topo_sharded(state, job, params, caches);
+            return self.decide_topo_sharded(state, job, params, cache);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -347,7 +322,7 @@ impl Policy {
                     self.weights,
                     &candidates,
                     params,
-                    caches.and_then(|cs| cs.first()),
+                    cache,
                 );
                 let mut feasible: Vec<(Decision, f64, usize)> = Vec::new();
                 for (&machine, outcome) in candidates.iter().zip(outcomes) {
@@ -398,7 +373,8 @@ impl Policy {
         }
     }
 
-    /// The two-level sharded decision for `TOPO-AWARE(-P)`:
+    /// The two-level sharded decision for `TOPO-AWARE(-P)`, run entirely
+    /// on the caller's thread:
     ///
     /// 1. **Admission** — consult every shard's aggregates and drop shards
     ///    with no machine wide enough for the job (O(shards), counters on
@@ -407,18 +383,15 @@ impl Policy {
     ///    unchanged since the last decision for this job class replay their
     ///    stored candidates/outcomes/u_max in O(1), establishing the
     ///    branch-and-bound floor without touching a machine;
-    /// 3. **Bound pruning** (`GTS_SHARD_BOUND`) — the remaining memo-miss
-    ///    shards are sorted by descending admissible utility bound
-    ///    ([`ShardBoundCtx`]); any shard whose bound proves it cannot enter
-    ///    the selection window is skipped outright. Exact, not heuristic:
-    ///    see [`bound_prunes`] and DESIGN.md §11 (debug builds
-    ///    shadow-evaluate every pruned shard and assert the bound held);
-    /// 4. **Fan-out** (`GTS_SHARD_PAR`) — surviving miss shards are
-    ///    evaluated as *one* batch across the worker pool, one task per
-    ///    shard, results written into index slots keyed by admitted-shard
-    ///    position. Memo puts happen after the join, on the caller's
-    ///    thread, in deterministic order;
-    /// 5. **Selection** — the reference `select_candidate` scan streams
+    /// 3. **Branch and bound** — the remaining memo-miss shards are
+    ///    repaired or evaluated one by one ([`Policy::eval_miss_shards`]),
+    ///    best admissible utility bound ([`ShardBoundCtx`]) first, and any
+    ///    shard whose bound proves it cannot enter the selection window is
+    ///    skipped outright (`GTS_SHARD_BOUND`). Exact, not heuristic: see
+    ///    [`bound_prunes`] and DESIGN.md §11 (debug builds shadow-evaluate
+    ///    every pruned shard and assert the bound held). Memo puts follow
+    ///    in ascending shard order;
+    /// 4. **Selection** — the reference `select_candidate` scan streams
     ///    over the class outcomes in ascending shard order (contiguous
     ///    ascending ranges concatenate to the flat candidate order), with
     ///    whole entries skipped when even their `u_max` fails the window —
@@ -431,7 +404,7 @@ impl Policy {
         state: &ClusterState,
         job: &JobSpec,
         params: EvalParams,
-        caches: Option<&[EvalCache]>,
+        cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         let n = job.n_gpus as usize;
         let shards = state.shards();
@@ -445,8 +418,8 @@ impl Policy {
         // whose version stamps moved since the last decision for this job
         // class; `None` falls through to the full path below.
         if params.decision_replay {
-            if let (Some(cs), Some(k)) = (caches, job_key.as_ref()) {
-                if let Some(replayed) = self.try_replay(state, job, &graph, n, params, cs, k) {
+            if let (Some(cache), Some(k)) = (cache, job_key.as_ref()) {
+                if let Some(replayed) = self.try_replay(state, job, &graph, n, params, cache, k) {
                     return replayed;
                 }
             }
@@ -467,23 +440,20 @@ impl Policy {
             // candidate-order fold (max is associative; NEG_INFINITY is its
             // identity), so the selection floor comes out identical. The
             // replayed maxima double as the pruning floor for the misses.
-            // Hits are only *marked* here — the selection scan reads them
-            // in place under the same lock later, so a decision's dozens of
-            // replays cost zero `Arc` clone/drop pairs.
-            let mut hit: Vec<bool> = vec![false; admitted.len()];
-            let mut misses: Vec<usize> = Vec::new();
-            // Out-of-date memo entries for the misses: a changed shard
-            // usually changed on one or two machines, so its old entry
+            // Hits only raise the floor here — the selection scan reads
+            // them in place under the same lock later, so a decision's
+            // dozens of replays cost zero `Arc` clone/drop pairs. Each miss
+            // carries its out-of-date memo entry, if any: a changed shard
+            // usually changed on one or two machines, so the old entry
             // seeds a repair ([`repair_shard`]) instead of a from-scratch
-            // evaluation. Indexed like `hit`.
-            let mut stale: Vec<Option<Arc<ShardClassed>>> = vec![None; admitted.len()];
+            // evaluation. One memo lock and one row probe serve the whole
+            // decision; each admitted shard then costs a plain indexed
+            // `(epoch, version)` compare against its slot.
+            let mut misses: Vec<(usize, Option<Arc<ShardClassed>>)> = Vec::new();
             let mut u_floor = f64::NEG_INFINITY;
-            // One memo lock and one row probe for the whole decision; each
-            // admitted shard then costs a plain indexed `(epoch, version)`
-            // compare against its slot.
-            if let (Some(cs), Some(k)) = (caches, job_key.as_ref()) {
-                cs[0].with_memo_row(k, shards.n_shards(), |row| {
-                    for (i, &s) in admitted.iter().enumerate() {
+            if let (Some(cache), Some(k)) = (cache, job_key.as_ref()) {
+                cache.with_memo_row(k, shards.n_shards(), |row| {
+                    for &s in admitted.iter() {
                         let slot = &row.slots[s];
                         match &slot.value {
                             Some(v)
@@ -491,136 +461,40 @@ impl Policy {
                                     && slot.version == shards.version(s) =>
                             {
                                 u_floor = u_floor.max(v.u_max);
-                                hit[i] = true;
                             }
-                            Some(v) => {
-                                stale[i] = Some(Arc::clone(v));
-                                misses.push(i);
-                            }
-                            None => misses.push(i),
+                            stale => misses.push((s, stale.clone())),
                         }
                     }
                 });
             } else {
-                misses.extend(0..admitted.len());
+                misses.extend(admitted.iter().map(|&s| (s, None)));
             }
 
-            // Level 2b: bound-prune and evaluate the misses. `fresh`
-            // collects `(admitted index, entry)` so memo puts and slot
-            // assignment stay on the caller's thread in deterministic
-            // order regardless of how the evaluations ran.
-            let use_par = params.shard_par && params.threads > 1;
-            let mut fresh: Vec<(usize, Arc<ShardClassed>)> = Vec::with_capacity(misses.len());
-            let mut pruned: Vec<(usize, f64)> = Vec::new();
-            if !misses.is_empty() {
-                if params.shard_bound {
-                    let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
-                    let mut bounded: Vec<(usize, f64)> = misses
-                        .iter()
-                        .map(|&i| (i, ctx.shard_bound(shards, admitted[i])))
-                        .collect();
-                    // Best bound first so the serial loop tightens its
-                    // floor as early as possible; ties break on ascending
-                    // shard position to stay deterministic.
-                    bounded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    if use_par {
-                        // The floor is static across the batch (the memo
-                        // replays), so pruning partitions up front and the
-                        // survivors fan out together.
-                        let (survivors, cut): (Vec<_>, Vec<_>) = bounded
-                            .into_iter()
-                            .partition(|&(_, b)| !bound_prunes(b, u_floor, job.min_utility));
-                        pruned = cut;
-                        fresh = eval_shard_batch(
-                            state, job, &graph, self.weights, shards, admitted, &survivors,
-                            n, params, caches, job_key.as_ref(), &stale,
-                        );
-                    } else {
-                        // Serial branch-and-bound: every evaluated shard
-                        // raises the floor for the ones still queued.
-                        let mut u_so_far = u_floor;
-                        for (i, bound) in bounded {
-                            if bound_prunes(bound, u_so_far, job.min_utility) {
-                                pruned.push((i, bound));
-                                continue;
-                            }
-                            let s = admitted[i];
-                            let entry = eval_or_repair(
-                                state, job, &graph, self.weights, shards, s, n, params,
-                                caches.map(|cs| &cs[s % cs.len()]),
-                                job_key.as_ref(),
-                                stale[i].as_ref(),
-                            );
-                            u_so_far = u_so_far.max(entry.u_max);
-                            fresh.push((i, entry));
-                        }
-                    }
-                    shards.note_bound(misses.len() as u64, pruned.len() as u64);
-                } else if use_par {
-                    let all: Vec<(usize, f64)> = misses.iter().map(|&i| (i, 0.0)).collect();
-                    fresh = eval_shard_batch(
-                        state, job, &graph, self.weights, shards, admitted, &all, n, params,
-                        caches, job_key.as_ref(), &stale,
-                    );
-                } else {
-                    // The PR 6 serial reference loop, ascending shards.
-                    for &i in &misses {
-                        let s = admitted[i];
-                        let entry = eval_or_repair(
-                            state, job, &graph, self.weights, shards, s, n, params,
-                            caches.map(|cs| &cs[s % cs.len()]),
-                            job_key.as_ref(),
-                            stale[i].as_ref(),
-                        );
-                        fresh.push((i, entry));
-                    }
-                }
-            }
+            // Level 2b: branch-and-bound over the misses.
+            let (mut fresh, mut pruned) = self.eval_miss_shards(
+                state, job, &graph, n, params, cache, job_key.as_ref(), &misses, &mut u_floor,
+            );
+            // The repairs are done with their seeds; releasing them lets
+            // the entries they replace be recycled below.
+            drop(misses);
+            fresh.sort_unstable_by_key(|&(s, _)| s);
+            pruned.sort_unstable_by_key(|&(s, _)| s);
 
             // Publish the fresh entries and run the fold + selection scan
             // in one lock scope, reading replayed hits in place — ascending
             // shard order throughout, exactly the flat scan's visit order.
-            let mut retired: Vec<Arc<ShardClassed>> = Vec::with_capacity(fresh.len());
-            let decision = if let (Some(cs), Some(k)) = (caches, job_key.as_ref()) {
-                cs[0].with_memo_row(k, shards.n_shards(), |row| {
-                    for (i, entry) in &fresh {
-                        let s = admitted[*i];
-                        let prev = std::mem::replace(
-                            &mut row.slots[s],
-                            ShardSlot {
-                                epoch: shards.epoch(),
-                                version: shards.version(s),
-                                value: Some(Arc::clone(entry)),
-                            },
-                        );
-                        if let Some(old) = prev.value {
-                            retired.push(old);
-                        }
-                        hit[*i] = true;
-                    }
-                    #[cfg(debug_assertions)]
-                    for (i, &s) in admitted.iter().enumerate() {
-                        if hit[i] {
-                            let entry =
-                                row.slots[s].value.as_deref().expect("hit slots hold entries");
-                            debug_assert_shard_memo_matches(
-                                state, job, &graph, self.weights, s, n, params, entry,
-                            );
-                        }
-                    }
-                    let decision = {
-                        let entries: Vec<&ShardClassed> = admitted
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| hit[i])
-                            .map(|(_, &s)| {
-                                row.slots[s].value.as_deref().expect("hit slots hold entries")
-                            })
-                            .collect();
-                        self.finish_sharded(
-                            state, job, &graph, n, params, admitted, &entries, &pruned,
-                        )
-                    };
+            // Every admitted shard is now either a live memo slot or pruned.
+            if let (Some(cache), Some(k)) = (cache, job_key.as_ref()) {
+                let mut retired = Vec::new();
+                let decision = cache.with_memo_row(k, shards.n_shards(), |row| {
+                    retired = publish_entries(row, shards, &fresh);
+                    let mut cut = pruned.iter().map(|&(s, _)| s).peekable();
+                    let used: Vec<usize> = admitted
+                        .iter()
+                        .copied()
+                        .filter(|&s| cut.next_if_eq(&s).is_none())
+                        .collect();
+                    let decision = self.finish_memoized(state, job, &graph, n, row, &used, &pruned);
                     // Snapshot the whole decision for the replay path: how
                     // every shard resolved, under which version vector, and
                     // what came out (DESIGN.md §12).
@@ -629,49 +503,103 @@ impl Policy {
                             row,
                             shards,
                             job,
-                            admitted
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, _)| hit[i])
-                                .map(|(_, &s)| s),
-                            pruned.iter().map(|&(i, b)| (admitted[i], b)),
+                            used.into_iter(),
+                            pruned.iter().copied(),
                             decision.as_ref(),
                         );
                     }
                     decision
-                })
-            } else {
-                // No memo available: every admitted shard was freshly
-                // evaluated — reassemble in ascending shard order.
-                let mut by_i: Vec<Option<&Arc<ShardClassed>>> = vec![None; admitted.len()];
-                for (i, entry) in &fresh {
-                    by_i[*i] = Some(entry);
-                }
-                let entries: Vec<&ShardClassed> =
-                    by_i.iter().filter_map(|e| e.map(Arc::as_ref)).collect();
-                self.finish_sharded(state, job, &graph, n, params, admitted, &entries, &pruned)
-            };
-            // Reclaim the retired entries' buffers for the next decision's
-            // repairs. `stale` held the repairs' borrows of these — with it
-            // gone, a genuinely replaced entry is sole-owned here and
-            // unwraps; a fast-path re-register (old == new) stays shared
-            // and is simply dropped.
-            drop(stale);
-            if !retired.is_empty() {
-                ENTRY_POOL.with(|p| {
-                    let mut pool = p.borrow_mut();
-                    for a in retired {
-                        if pool.len() >= ENTRY_POOL_CAP {
-                            break;
-                        }
-                        if let Ok(e) = Arc::try_unwrap(a) {
-                            pool.push(e);
-                        }
-                    }
                 });
+                recycle_entries(retired);
+                decision
+            } else {
+                // No memo available: every unpruned admitted shard was
+                // freshly evaluated.
+                let entries: Vec<&ShardClassed> = fresh.iter().map(|(_, e)| e.as_ref()).collect();
+                self.finish_sharded(state, job, &graph, n, &entries, &pruned)
             }
-            decision
         })
+    }
+
+    /// Branch and bound over memo-miss shards, on the caller's thread.
+    /// `misses` pairs each shard (ascending) with its out-of-date memo
+    /// entry, if any, which seeds a repair ([`eval_or_repair`]).
+    ///
+    /// With bound pruning on, shards go best admissible bound first (ties
+    /// on ascending shard), every evaluation raises `u_floor` for the
+    /// shards still queued, and a shard whose bound [`bound_prunes`]
+    /// against the running floor is skipped. Off, every shard evaluates in
+    /// ascending order. Returns the fresh `(shard, entry)` pairs in
+    /// evaluation order and the pruned `(shard, bound)` pairs.
+    #[allow(clippy::too_many_arguments)]
+    fn eval_miss_shards(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        graph: &JobGraph,
+        n: usize,
+        params: EvalParams,
+        cache: Option<&EvalCache>,
+        job_key: Option<&JobClassKey>,
+        misses: &[(usize, Option<Arc<ShardClassed>>)],
+        u_floor: &mut f64,
+    ) -> (FreshEntries, Vec<(usize, f64)>) {
+        let shards = state.shards();
+        let mut fresh = Vec::with_capacity(misses.len());
+        let mut pruned = Vec::new();
+        if misses.is_empty() {
+            return (fresh, pruned);
+        }
+        let mut order: Vec<(usize, f64)> = (0..misses.len()).map(|k| (k, f64::INFINITY)).collect();
+        if params.shard_bound {
+            let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
+            for (k, bound) in &mut order {
+                *bound = ctx.shard_bound(shards, misses[*k].0);
+            }
+            order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        }
+        for (k, bound) in order {
+            let (s, stale) = &misses[k];
+            if params.shard_bound && bound_prunes(bound, *u_floor, job.min_utility) {
+                pruned.push((*s, bound));
+                continue;
+            }
+            let entry = eval_or_repair(
+                state, job, graph, self.weights, shards, *s, n, cache, job_key, stale.as_ref(),
+            );
+            *u_floor = u_floor.max(entry.u_max);
+            fresh.push((*s, entry));
+        }
+        if params.shard_bound {
+            shards.note_bound(misses.len() as u64, pruned.len() as u64);
+        }
+        (fresh, pruned)
+    }
+
+    /// The selection tail over memoized entries: `used` lists the shards
+    /// (ascending) whose live entries sit in `row`, `pruned` the shards the
+    /// bound skipped. Debug builds first re-check every used entry against
+    /// a fresh evaluation.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_memoized(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        graph: &JobGraph,
+        n: usize,
+        row: &MemoRow,
+        used: &[usize],
+        pruned: &[(usize, f64)],
+    ) -> Option<Decision> {
+        let entries: Vec<&ShardClassed> = used
+            .iter()
+            .map(|&s| row.slots[s].value.as_deref().expect("used slots hold entries"))
+            .collect();
+        #[cfg(debug_assertions)]
+        for (&s, entry) in used.iter().zip(&entries) {
+            debug_assert_shard_memo_matches(state, job, graph, self.weights, s, n, entry);
+        }
+        self.finish_sharded(state, job, graph, n, &entries, pruned)
     }
 
     /// Cross-event decision replay (DESIGN.md §12): answers a queue-drain
@@ -710,7 +638,7 @@ impl Policy {
         graph: &JobGraph,
         n: usize,
         params: EvalParams,
-        caches: &[EvalCache],
+        cache: &EvalCache,
         job_key: &JobClassKey,
     ) -> Option<Option<Decision>> {
         let shards = state.shards();
@@ -737,7 +665,7 @@ impl Policy {
 
         // Phase A (one lock): diff the live version vector against the
         // snapshot and classify every shard.
-        let probe = caches[0].with_memo_row(job_key, shards.n_shards(), |row| {
+        let probe = cache.with_memo_row(job_key, shards.n_shards(), |row| {
             let Some(snap) = row.snap.as_ref() else {
                 return Probe::Miss;
             };
@@ -758,7 +686,7 @@ impl Policy {
             let mut u_floor = f64::NEG_INFINITY;
             for (s, &snap_v) in snap.versions.iter().enumerate() {
                 if snap_v != live[s] {
-                    mutated.push((s, row.slots[s].value.as_ref().map(Arc::clone)));
+                    mutated.push((s, row.slots[s].value.clone()));
                     continue;
                 }
                 match snap.states[s] {
@@ -776,11 +704,11 @@ impl Policy {
                             // Defensive: the slot no longer carries the
                             // snapshotted entry (shouldn't happen — slot
                             // and snapshot update together) — re-evaluate.
-                            other => mutated.push((s, other.as_ref().map(Arc::clone))),
+                            other => mutated.push((s, other.clone())),
                         }
                     }
                     SnapState::Pruned { bound } => {
-                        pruned.push((s, bound, row.slots[s].value.as_ref().map(Arc::clone)));
+                        pruned.push((s, bound, row.slots[s].value.clone()));
                     }
                 }
             }
@@ -790,11 +718,11 @@ impl Policy {
         let (mut mutated, kept, pruned_snap, mut u_floor) = match probe {
             Probe::Miss => return None,
             Probe::Fallback => {
-                caches[0].note_replay_fallback();
+                cache.note_replay_fallback();
                 return None;
             }
             Probe::Full(stored) => {
-                caches[0].note_replay_hit();
+                cache.note_replay_hit();
                 let decision =
                     stored.map(|(gpus, utility)| Decision { gpus, utility });
                 #[cfg(debug_assertions)]
@@ -809,128 +737,45 @@ impl Policy {
         // Phase B (no lock): re-run admission for the mutated shards only
         // (an unmutated shard's aggregates are pinned by its version, so
         // its snapshot admission outcome is still live), then evaluate the
-        // survivors through the full path's bound/repair/fan-out machinery.
+        // survivors through the full path's branch and bound and repair.
+        // A mutated shard pruned here is snapshotted as pruned, like any
+        // other, so a later replay re-tests it once the floor moves.
         let total_mutated = mutated.len() as u64;
         mutated.retain(|&(s, _)| shards.has_capacity(s, n));
         shards.note_admission(total_mutated, total_mutated - mutated.len() as u64);
-        let (admitted_m, stale_m): (Vec<usize>, Vec<Option<Arc<ShardClassed>>>) =
-            mutated.into_iter().unzip();
-
-        let use_par = params.shard_par && params.threads > 1;
-        // Fresh evaluations keyed by *shard id* (not admitted position).
-        let mut fresh: Vec<(usize, Arc<ShardClassed>)> = Vec::with_capacity(admitted_m.len());
-        let mut cut: Vec<(usize, f64)> = Vec::new();
-        if !admitted_m.is_empty() {
-            if params.shard_bound {
-                let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
-                let mut bounded: Vec<(usize, f64)> = (0..admitted_m.len())
-                    .map(|i| (i, ctx.shard_bound(shards, admitted_m[i])))
-                    .collect();
-                bounded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                if use_par {
-                    let (survivors, dropped): (Vec<_>, Vec<_>) = bounded
-                        .into_iter()
-                        .partition(|&(_, b)| !bound_prunes(b, u_floor, job.min_utility));
-                    cut = dropped.into_iter().map(|(i, b)| (admitted_m[i], b)).collect();
-                    fresh = eval_shard_batch(
-                        state, job, graph, self.weights, shards, &admitted_m, &survivors,
-                        n, params, Some(caches), Some(job_key), &stale_m,
-                    )
-                    .into_iter()
-                    .map(|(i, e)| (admitted_m[i], e))
-                    .collect();
-                    for (_, e) in &fresh {
-                        u_floor = u_floor.max(e.u_max);
-                    }
-                } else {
-                    for (i, bound) in bounded {
-                        if bound_prunes(bound, u_floor, job.min_utility) {
-                            cut.push((admitted_m[i], bound));
-                            continue;
-                        }
-                        let s = admitted_m[i];
-                        let entry = eval_or_repair(
-                            state, job, graph, self.weights, shards, s, n, params,
-                            Some(&caches[s % caches.len()]),
-                            Some(job_key),
-                            stale_m[i].as_ref(),
-                        );
-                        u_floor = u_floor.max(entry.u_max);
-                        fresh.push((s, entry));
-                    }
-                }
-                shards.note_bound(admitted_m.len() as u64, cut.len() as u64);
-            } else if use_par {
-                let all: Vec<(usize, f64)> =
-                    (0..admitted_m.len()).map(|i| (i, 0.0)).collect();
-                fresh = eval_shard_batch(
-                    state, job, graph, self.weights, shards, &admitted_m, &all, n, params,
-                    Some(caches), Some(job_key), &stale_m,
-                )
-                .into_iter()
-                .map(|(i, e)| (admitted_m[i], e))
-                .collect();
-                for (_, e) in &fresh {
-                    u_floor = u_floor.max(e.u_max);
-                }
-            } else {
-                for (i, &s) in admitted_m.iter().enumerate() {
-                    let entry = eval_or_repair(
-                        state, job, graph, self.weights, shards, s, n, params,
-                        Some(&caches[s % caches.len()]),
-                        Some(job_key),
-                        stale_m[i].as_ref(),
-                    );
-                    u_floor = u_floor.max(entry.u_max);
-                    fresh.push((s, entry));
-                }
-            }
-        }
+        let (mut fresh, mut pruned) = self.eval_miss_shards(
+            state, job, graph, n, params, Some(cache), Some(job_key), &mutated, &mut u_floor,
+        );
 
         // Re-test the snapshot-pruned shards against the current floor.
         // One pass is exact: [`bound_prunes`] is monotone in the floor and
         // the floor only rises from here, so a shard pruned now stays
         // prunable at the final floor; one that fails re-evaluates (and
         // may itself raise the floor — harmless, see above).
-        let mut still_pruned: Vec<(usize, f64)> = Vec::with_capacity(pruned_snap.len());
         for (s, bound, seed) in pruned_snap {
             if params.shard_bound && bound_prunes(bound, u_floor, job.min_utility) {
-                still_pruned.push((s, bound));
+                pruned.push((s, bound));
                 continue;
             }
             let entry = eval_or_repair(
-                state, job, graph, self.weights, shards, s, n, params,
-                Some(&caches[s % caches.len()]),
-                Some(job_key),
+                state, job, graph, self.weights, shards, s, n, Some(cache), Some(job_key),
                 seed.as_ref(),
             );
             u_floor = u_floor.max(entry.u_max);
             fresh.push((s, entry));
         }
 
-        caches[0].note_replay_hit();
-        caches[0].note_replay_reeval(fresh.len() as u64);
-        drop(stale_m);
+        cache.note_replay_hit();
+        cache.note_replay_reeval(fresh.len() as u64);
+        drop(mutated);
 
         // Phase C (one lock): publish the fresh entries, reassemble the
         // ascending-shard entry list from kept ∪ fresh, run the reference
         // selection tail, and refresh the snapshot in place.
         fresh.sort_unstable_by_key(|&(s, _)| s);
-        let mut retired: Vec<Arc<ShardClassed>> = Vec::with_capacity(fresh.len());
-        let decision = caches[0].with_memo_row(job_key, shards.n_shards(), |row| {
-            for (s, entry) in &fresh {
-                let prev = std::mem::replace(
-                    &mut row.slots[*s],
-                    ShardSlot {
-                        epoch: shards.epoch(),
-                        version: shards.version(*s),
-                        value: Some(Arc::clone(entry)),
-                    },
-                );
-                if let Some(old) = prev.value {
-                    retired.push(old);
-                }
-            }
+        let mut retired = Vec::new();
+        let decision = cache.with_memo_row(job_key, shards.n_shards(), |row| {
+            retired = publish_entries(row, shards, &fresh);
             // `kept` ascends (Phase A walks shards in order) and `fresh`
             // is small (the mutated handful), so sorting just `fresh` and
             // merging beats sorting the full union; the two sets are
@@ -949,69 +794,19 @@ impl Policy {
                     }
                 }
             }
-            #[cfg(debug_assertions)]
-            for &s in &used {
-                let entry = row.slots[s].value.as_deref().expect("used slots hold entries");
-                debug_assert_shard_memo_matches(
-                    state, job, graph, self.weights, s, n, params, entry,
-                );
-            }
-            // `finish_sharded` wants the admitted-shard list (used ∪
-            // pruned, ascending) with pruned as positions into it — the
-            // same shape the full path hands it. `still_pruned` ascends
-            // (Phase A pushed shards in order and the re-test preserved
-            // it) and is disjoint from `used`, so one merge pass builds
-            // both the list and the pruned positions.
-            let mut admitted: Vec<usize> = Vec::with_capacity(used.len() + still_pruned.len());
-            let mut pruned_ix: Vec<(usize, f64)> = Vec::with_capacity(still_pruned.len());
-            {
-                let (mut i, mut j) = (0, 0);
-                while i < used.len() || j < still_pruned.len() {
-                    if j >= still_pruned.len()
-                        || (i < used.len() && used[i] < still_pruned[j].0)
-                    {
-                        admitted.push(used[i]);
-                        i += 1;
-                    } else {
-                        pruned_ix.push((admitted.len(), still_pruned[j].1));
-                        admitted.push(still_pruned[j].0);
-                        j += 1;
-                    }
-                }
-            }
-            let decision = {
-                let entries: Vec<&ShardClassed> = used
-                    .iter()
-                    .map(|&s| row.slots[s].value.as_deref().expect("used slots hold entries"))
-                    .collect();
-                self.finish_sharded(
-                    state, job, graph, n, params, &admitted, &entries, &pruned_ix,
-                )
-            };
+            let decision = self.finish_memoized(state, job, graph, n, row, &used, &pruned);
             store_decision_snap(
                 row,
                 shards,
                 job,
-                used.iter().copied(),
-                still_pruned.iter().copied(),
+                used.into_iter(),
+                pruned.iter().copied(),
                 decision.as_ref(),
             );
             decision
         });
         drop(fresh);
-        if !retired.is_empty() {
-            ENTRY_POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                for a in retired {
-                    if pool.len() >= ENTRY_POOL_CAP {
-                        break;
-                    }
-                    if let Ok(e) = Arc::try_unwrap(a) {
-                        pool.push(e);
-                    }
-                }
-            });
-        }
+        recycle_entries(retired);
         #[cfg(debug_assertions)]
         self.debug_assert_replay_matches(state, job, params, &decision);
         Some(decision)
@@ -1053,7 +848,7 @@ impl Policy {
     /// Entries arrive as plain references so the memoized path can lend
     /// them straight out of the locked slot row — replay costs no `Arc`
     /// traffic — while the memo-less path lends its freshly built ones.
-    #[allow(clippy::too_many_arguments)]
+    /// `pruned` holds the `(shard, bound)` pairs the bound skipped.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn finish_sharded(
         &self,
@@ -1061,8 +856,6 @@ impl Policy {
         job: &JobSpec,
         graph: &JobGraph,
         n: usize,
-        params: EvalParams,
-        admitted: &[usize],
         entries: &[&ShardClassed],
         pruned: &[(usize, f64)],
     ) -> Option<Decision> {
@@ -1098,9 +891,8 @@ impl Policy {
         // window (exactness). Debug builds only — the release path
         // trusts the proof in DESIGN.md §11.
         #[cfg(debug_assertions)]
-        for &(i, bound) in pruned {
-            let s = admitted[i];
-            let shard_u_max = fresh_shard_u_max(state, job, graph, self.weights, s, n, params);
+        for &(s, bound) in pruned {
+            let shard_u_max = fresh_shard_u_max(state, job, graph, self.weights, s, n);
             assert!(
                 shard_u_max <= bound,
                 "shard {s} bound {bound} below its true u_max {shard_u_max}"
@@ -1253,11 +1045,6 @@ impl Policy {
 /// preferring a machine for a sub-percent utility edge is noise-chasing.
 const FRAG_TIE_EPS: f64 = 0.01;
 
-/// Below this many memo-miss shards the per-batch thread spawn costs more
-/// than the shard evaluations; the batch stays on the caller's thread
-/// (results are identical either way — this is purely a latency heuristic).
-const MIN_PARALLEL_SHARDS: usize = 4;
-
 thread_local! {
     /// Reusable per-decision admitted-shard list (hoisted allocation — the
     /// sharded path runs tens of thousands of decisions per simulation).
@@ -1276,6 +1063,9 @@ thread_local! {
     /// allocate five `Vec`s per rebuilt shard, every decision.
     static ENTRY_POOL: RefCell<Vec<ShardClassed>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Freshly evaluated `(shard, entry)` pairs of one decision.
+type FreshEntries = Vec<(usize, Arc<ShardClassed>)>;
 
 /// Upper bound on pooled entries — comfortably above the memo-miss shards
 /// of one decision, small enough that an idle pool pins only a few KB.
@@ -1309,6 +1099,51 @@ fn store_decision_snap(
     snap.min_utility_bits = job.min_utility.to_bits();
     snap.single_node = job.constraints.single_node;
     snap.decision = decision.map(|d| (d.gpus.clone(), d.utility));
+}
+
+/// Publishes freshly evaluated `(shard, entry)` pairs into `row` under the
+/// live `(epoch, version)` stamps, returning the entries they replaced.
+fn publish_entries(
+    row: &mut MemoRow,
+    shards: &ShardIndex,
+    fresh: &[(usize, Arc<ShardClassed>)],
+) -> Vec<Arc<ShardClassed>> {
+    let mut retired = Vec::with_capacity(fresh.len());
+    for (s, entry) in fresh {
+        let prev = std::mem::replace(
+            &mut row.slots[*s],
+            ShardSlot {
+                epoch: shards.epoch(),
+                version: shards.version(*s),
+                value: Some(Arc::clone(entry)),
+            },
+        );
+        if let Some(old) = prev.value {
+            retired.push(old);
+        }
+    }
+    retired
+}
+
+/// Reclaims replaced memo entries' buffers for the next decision's repairs.
+/// Callers drop the repairs' seeds first, so a genuinely replaced entry is
+/// sole-owned here and unwraps; a fast-path re-register (old == new) stays
+/// shared and is simply dropped.
+fn recycle_entries(retired: Vec<Arc<ShardClassed>>) {
+    if retired.is_empty() {
+        return;
+    }
+    ENTRY_POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        for a in retired {
+            if pool.len() >= ENTRY_POOL_CAP {
+                break;
+            }
+            if let Ok(e) = Arc::try_unwrap(a) {
+                pool.push(e);
+            }
+        }
+    });
 }
 
 /// The exact branch-and-bound prune test: `true` only when *no* candidate
@@ -1395,21 +1230,6 @@ fn cached_bound_ctx(
     })
 }
 
-/// Whether the batch fan-out can pay at all: the scoped pool spawns OS
-/// threads per batch, which only buys wall time when the host has more
-/// than one core (the `threads ≥ 2` engine floor exists for memoization,
-/// not parallelism). Debug builds always engage, so the bit-identity
-/// property suite exercises the batch path on any host.
-fn fan_out_pays() -> bool {
-    if cfg!(debug_assertions) {
-        return true;
-    }
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }) > 1
-}
-
 /// The per-shard contender window: indices of the feasible candidates
 /// whose utility survives the floor test at the *tightest* floor the shard
 /// can ever face (`u_max − FRAG_TIE_EPS`, its own maximum), with
@@ -1461,14 +1281,13 @@ fn evaluate_shard(
     shards: &ShardIndex,
     s: usize,
     n: usize,
-    params: EvalParams,
     cache: Option<&EvalCache>,
 ) -> Arc<ShardClassed> {
     CANDIDATE_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         buf.clear();
         buf.extend(shards.machines(s).iter().copied().filter(|&m| state.free_count(m) >= n));
-        let classed = evaluate_topo_classes(state, job, graph, weights, &buf, params, cache);
+        let classed = evaluate_topo_classes(state, job, graph, weights, &buf, cache);
         let stamps: Vec<u64> = buf.iter().map(|&m| state.key_stamp(m)).collect();
         let mut u_max = f64::NEG_INFINITY;
         for &c in &classed.class_of {
@@ -1683,7 +1502,6 @@ fn eval_or_repair(
     shards: &ShardIndex,
     s: usize,
     n: usize,
-    params: EvalParams,
     cache: Option<&EvalCache>,
     job_key: Option<&JobClassKey>,
     stale: Option<&Arc<ShardClassed>>,
@@ -1692,73 +1510,7 @@ fn eval_or_repair(
         Some(old) => {
             repair_shard(state, job, graph, weights, shards, s, n, cache, job_key, old)
         }
-        None => evaluate_shard(state, job, graph, weights, shards, s, n, params, cache),
-    }
-}
-
-/// Evaluates the surviving memo-miss shards as one batch: one task per
-/// shard across the worker pool (each task evaluates its shard's classes on
-/// its own thread — `threads: 1` inside — so the pool is fed `|shards|`
-/// coarse tasks instead of being entered once per shard). Results come back
-/// in input order via the index-slot reduction in [`run_indexed`]; the
-/// caller re-establishes ascending shard order, so the fan-out is invisible
-/// to the selection scan. Small batches stay on the caller's thread.
-#[allow(clippy::too_many_arguments)]
-fn eval_shard_batch(
-    state: &ClusterState,
-    job: &JobSpec,
-    graph: &JobGraph,
-    weights: UtilityWeights,
-    shards: &ShardIndex,
-    admitted: &[usize],
-    survivors: &[(usize, f64)],
-    n: usize,
-    params: EvalParams,
-    caches: Option<&[EvalCache]>,
-    job_key: Option<&JobClassKey>,
-    stale: &[Option<Arc<ShardClassed>>],
-) -> Vec<(usize, Arc<ShardClassed>)> {
-    if survivors.len() >= MIN_PARALLEL_SHARDS && fan_out_pays() {
-        let inner = EvalParams { threads: 1, ..params };
-        let results = run_indexed(survivors.len(), params.threads, |k| {
-            let i = survivors[k].0;
-            let s = admitted[i];
-            eval_or_repair(
-                state,
-                job,
-                graph,
-                weights,
-                shards,
-                s,
-                n,
-                inner,
-                caches.map(|cs| &cs[s % cs.len()]),
-                job_key,
-                stale[i].as_ref(),
-            )
-        });
-        survivors.iter().map(|&(i, _)| i).zip(results).collect()
-    } else {
-        survivors
-            .iter()
-            .map(|&(i, _)| {
-                let s = admitted[i];
-                let entry = eval_or_repair(
-                    state,
-                    job,
-                    graph,
-                    weights,
-                    shards,
-                    s,
-                    n,
-                    params,
-                    caches.map(|cs| &cs[s % cs.len()]),
-                    job_key,
-                    stale[i].as_ref(),
-                );
-                (i, entry)
-            })
-            .collect()
+        None => evaluate_shard(state, job, graph, weights, shards, s, n, cache),
     }
 }
 
@@ -1772,7 +1524,6 @@ fn fresh_shard_u_max(
     weights: UtilityWeights,
     shard: usize,
     n: usize,
-    params: EvalParams,
 ) -> f64 {
     let candidates: Vec<MachineId> = state
         .shards()
@@ -1781,7 +1532,7 @@ fn fresh_shard_u_max(
         .copied()
         .filter(|&m| state.free_count(m) >= n)
         .collect();
-    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, params, None);
+    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, None);
     let mut u_max = f64::NEG_INFINITY;
     for &c in &fresh.class_of {
         if let CandidateOutcome::Feasible { utility, .. } = fresh.outcomes[c] {
@@ -1814,7 +1565,6 @@ fn debug_assert_shard_memo_matches(
     weights: UtilityWeights,
     shard: usize,
     n: usize,
-    params: EvalParams,
     entry: &ShardClassed,
 ) {
     let candidates: Vec<MachineId> = state
@@ -1824,7 +1574,7 @@ fn debug_assert_shard_memo_matches(
         .copied()
         .filter(|&m| state.free_count(m) >= n)
         .collect();
-    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, params, None);
+    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, None);
     assert_eq!(entry.candidates, candidates, "shard {shard} memo: stale candidate set");
     for (i, &m) in candidates.iter().enumerate() {
         assert_eq!(

@@ -97,11 +97,11 @@ pub enum CancelOutcome {
 pub struct Scheduler {
     policy: Policy,
     eval: EvalParams,
-    /// The cross-event placement caches, alive for the whole run — one per
-    /// shard of the cluster state, each with the full `GTS_EVAL_CACHE`
-    /// capacity (a single cache on unsharded states). `None` when disabled
-    /// by config/knob.
-    eval_cache: Option<Vec<EvalCache>>,
+    /// The cross-event placement cache, alive for the whole run and shared
+    /// by every shard of the cluster state, with the `GTS_EVAL_CACHE`
+    /// capacity granted per shard. It also holds the shard memo and the
+    /// decision snapshots. `None` when disabled by config/knob.
+    eval_cache: Option<EvalCache>,
     state: ClusterState,
     queue: WaitQueue,
     stats: DecisionStats,
@@ -133,26 +133,15 @@ impl Scheduler {
         }
     }
 
-    /// Counters of the cross-event cache (summed over the per-shard
-    /// caches), or `None` when it is disabled.
+    /// Counters of the cross-event cache, or `None` when it is disabled.
     pub fn eval_cache_stats(&self) -> Option<EvalCacheStats> {
-        self.eval_cache.as_ref().map(|caches| {
-            caches.iter().map(EvalCache::stats).fold(
-                EvalCacheStats::default(),
-                |acc, s| EvalCacheStats {
-                    hits: acc.hits + s.hits,
-                    misses: acc.misses + s.misses,
-                    evictions: acc.evictions + s.evictions,
-                },
-            )
-        })
+        self.eval_cache.as_ref().map(EvalCache::stats)
     }
 
     /// Counters of the cross-event decision-replay path, or `None` when
     /// the eval cache is disabled (the snapshot lives in its shard memo).
-    /// Only `caches[0]` hosts the memo/snapshot rows, so no fold is needed.
     pub fn decision_replay_stats(&self) -> Option<DecisionReplayStats> {
-        self.eval_cache.as_ref().and_then(|cs| cs.first()).map(EvalCache::replay_stats)
+        self.eval_cache.as_ref().map(EvalCache::replay_stats)
     }
 
     /// Turns the decision-trace stream on or off. Off by default — tracing
@@ -290,15 +279,15 @@ impl Scheduler {
             let job = self.queue.pop().expect("queue checked non-empty");
 
             let started = Instant::now();
-            let caches = self.eval_cache.as_deref();
+            let cache = self.eval_cache.as_ref();
             let decision = if self.tracing {
                 let mut evals = Vec::new();
-                let d = self.policy.decide_traced_with_caches(
+                let d = self.policy.decide_traced_with_cache(
                     &self.state,
                     &job,
                     &mut evals,
                     self.eval,
-                    caches,
+                    cache,
                 );
                 if !evals.is_empty() {
                     self.trace.push(TraceEvent::Evaluated {
@@ -309,7 +298,7 @@ impl Scheduler {
                 }
                 d
             } else {
-                self.policy.decide_with_caches(&self.state, &job, self.eval, caches)
+                self.policy.decide_with_cache(&self.state, &job, self.eval, cache)
             };
             self.stats.record(started.elapsed());
 

@@ -1,11 +1,12 @@
 //! Snapshot-invalidation edges of the cross-event decision-replay path
 //! (`GTS_DECISION_REPLAY`, DESIGN.md §12).
 //!
-//! Each test drives the *public* `Scheduler` surface through an event
+//! Most tests drive the *public* `Scheduler` surface through an event
 //! script twice — replay on vs replay off — and asserts the iteration
 //! outcomes (placements, GPUs, utility bits) and final cluster occupancy
 //! are identical, while the replay-on run actually exercised its
-//! snapshots. The scripts target the edges where a stale snapshot would
+//! snapshots. One drives `Policy` decisions directly, to pin a bound prune
+//! inside a partial replay. The scripts target the edges where a stale snapshot would
 //! be most tempting to trust: a machine failing and recovering while the
 //! queue is blocked, a cancel landing on a job whose class is
 //! snapshotted, and a multi-node teardown bumping several shard versions
@@ -14,10 +15,10 @@
 use gts_job::{BatchClass, Constraints, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    CancelOutcome, ClusterState, DecisionReplayStats, EvalParams, PlacementOutcome, Policy,
-    PolicyKind, Scheduler, SchedulerConfig,
+    CancelOutcome, ClusterState, DecisionReplayStats, EvalCache, EvalParams, PlacementOutcome,
+    Policy, PolicyKind, Scheduler, SchedulerConfig,
 };
-use gts_topo::{power8_minsky, ClusterTopology, MachineId};
+use gts_topo::{power8_minsky, ClusterTopology, GlobalGpuId, GpuId, MachineId};
 use std::sync::Arc;
 
 /// What a scripted cancel must have found (the `Stopped` allocation
@@ -247,4 +248,45 @@ fn multi_node_teardown_bumps_several_shards_between_retries() {
         stats.shards_reeval > 0,
         "mutated shards must be re-evaluated, not trusted: {stats:?}"
     );
+}
+
+/// A shard that mutates and is then bound-pruned *during* a partial replay
+/// must be snapshotted as pruned, not as never admitted: once the shards
+/// that set the floor lose their idle machines, the next replay has to
+/// re-test it. Scenario: three one-machine racks and a job whose
+/// `min_utility` only an idle machine meets. A light co-runner on machine
+/// 2 drops its shard's bound below the gate while idle machines 0 and 1
+/// hold the floor at 1.0, so the first replay prunes shard 2; heavy
+/// co-runners then land on machines 0 and 1, which leaves machine 2 the
+/// best host.
+#[test]
+fn a_shard_pruned_inside_a_partial_replay_is_retested_later() {
+    let mut state = racked_state(3, 1);
+    let policy = Policy::new(PolicyKind::TopoAware);
+    let params = EvalParams::parallel(2);
+    let cache = EvalCache::with_capacity(64);
+    let probe = JobSpec::new(100, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.9999);
+    let gpu = |m: u32, g: u32| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) };
+
+    // Cold decision: every shard is evaluated and snapshotted.
+    policy.decide_with_cache(&state, &probe, params, Some(&cache));
+    state.place(JobSpec::new(1, NnModel::GoogLeNet, BatchClass::Big, 1), vec![gpu(2, 0)], 1.0);
+    // Partial replay: shard 2 mutated, and its bound fails the gate.
+    policy.decide_with_cache(&state, &probe, params, Some(&cache));
+    let first = cache.replay_stats();
+    assert_eq!((first.hits, first.shards_reeval), (1, 0), "shard 2 must be pruned on replay");
+    for (id, m) in [(2, 0), (3, 1)] {
+        let noisy = JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, 2);
+        state.place(noisy, vec![gpu(m, 0), gpu(m, 1)], 1.0);
+    }
+
+    let replayed = policy.decide_with_cache(&state, &probe, params, Some(&cache));
+    let fresh =
+        policy.decide_with_cache(&state, &probe, params.with_decision_replay(false), None);
+    let bits = |d: &Option<gts_sched::policy::Decision>| {
+        d.as_ref().map(|d| (d.gpus.clone(), d.utility.to_bits()))
+    };
+    assert_eq!(bits(&replayed), bits(&fresh), "the replay skipped the pruned shard");
+    assert_eq!(fresh.expect("machines are free").gpus[0].machine, MachineId(2));
+    assert_eq!(cache.replay_stats().hits, 2, "both retries must replay");
 }

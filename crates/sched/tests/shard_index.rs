@@ -124,7 +124,7 @@ fn admission_pass_skips_saturated_shards() {
     let params = EvalParams::parallel(2);
     let job = JobSpec::new(100, NnModel::AlexNet, BatchClass::Small, 2);
     let decision = policy
-        .decide_with_caches(&state, &job, params, None)
+        .decide_with_cache(&state, &job, params, None)
         .expect("rack 1 has room");
     assert!(
         decision.gpus.iter().all(|g| g.machine.0 >= 2),
@@ -138,7 +138,7 @@ fn admission_pass_skips_saturated_shards() {
     // The single-shard reference path never counts.
     let flat = state.clone().with_shards(ShardSpec::Count(1));
     let same = policy
-        .decide_with_caches(&flat, &job, params, None)
+        .decide_with_cache(&flat, &job, params, None)
         .expect("still placeable");
     assert_eq!(flat.shards().admission_stats(), (0, 0));
     assert_eq!(decision.gpus, same.gpus);
@@ -165,8 +165,8 @@ fn sharded_decisions_match_single_shard_reference() {
                 for n_gpus in 1..=4u32 {
                     let job = JobSpec::new(id, model, batch, n_gpus);
                     id += 1;
-                    let a = policy.decide_with_caches(&sharded, &job, params, None);
-                    let b = policy.decide_with_caches(&flat, &job, params, None);
+                    let a = policy.decide_with_cache(&sharded, &job, params, None);
+                    let b = policy.decide_with_cache(&flat, &job, params, None);
                     assert_eq!(
                         a.as_ref().map(|d| (&d.gpus, d.utility.to_bits())),
                         b.as_ref().map(|d| (&d.gpus, d.utility.to_bits())),

@@ -315,8 +315,8 @@ fn simulate_with_shards(
     simulate_with_shards_eval(seed, n_racks, kind, shards, EvalParams::parallel(4))
 }
 
-/// [`simulate_with_shards`] with explicit [`EvalParams`] so the shard
-/// fan-out / bound-pruning knobs can be pinned per run, independent of the
+/// [`simulate_with_shards`] with explicit [`EvalParams`] so the
+/// bound-pruning and replay knobs can be pinned per run, independent of the
 /// process environment.
 fn simulate_with_shards_eval(
     seed: u64,
@@ -380,32 +380,72 @@ fn sharded_scheduler_is_bit_identical_to_single_shard() {
     }
 }
 
-/// The parallel shard fan-out and the branch-and-bound shard pruning (both
-/// individually and combined) must be bit-identical to the single-shard
-/// reference: same records, same events, same metrics, for every policy
-/// across many seeds, including machine-failure and jitter runs. Uses 4+
-/// racks so cold decisions clear the fan-out's minimum batch size, and
-/// pins the knobs through [`EvalParams`] so the matrix is exercised
-/// in-process regardless of `GTS_SHARD_PAR`/`GTS_SHARD_BOUND` in the
-/// environment. Debug builds additionally shadow-evaluate every pruned
-/// shard inside the decision path and assert the bound held.
+/// The branch-and-bound shard pruning, on and off, must be bit-identical
+/// to the single-shard reference: same records, same events, same metrics,
+/// for every policy across many seeds, including machine-failure and
+/// jitter runs. Uses 4+ racks so cold decisions walk several memo-miss
+/// shards, and pins the knob through [`EvalParams`] so both sides run
+/// in-process regardless of `GTS_SHARD_BOUND` in the environment. Debug
+/// builds additionally shadow-evaluate every pruned shard inside the
+/// decision path and assert the bound held.
 #[test]
-fn parallel_pruned_shards_are_bit_identical_to_single_shard() {
+fn pruned_shards_are_bit_identical_to_single_shard() {
     for kind in PolicyKind::ALL {
         for seed in 0..8u64 {
             let n_racks = 4 + (seed as usize % 3);
             let single = simulate_with_shards(seed, n_racks, kind, 1);
-            for par in [false, true] {
-                for bound in [false, true] {
-                    let eval =
-                        EvalParams::parallel(4).with_shard_par(par).with_shard_bound(bound);
-                    let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                    let ctx = format!(
-                        "{kind:?} seed {seed} ({n_racks} racks, par={par}, bound={bound})"
-                    );
-                    assert_runs_identical(&ctx, &single, &run);
-                }
+            for bound in [false, true] {
+                let eval = EvalParams::parallel(4).with_shard_bound(bound);
+                let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
+                let ctx = format!("{kind:?} seed {seed} ({n_racks} racks, bound={bound})");
+                assert_runs_identical(&ctx, &single, &run);
             }
+        }
+    }
+}
+
+/// Every [`SimLoopStats`] counter must repeat exactly between two runs of
+/// the same sharded trace: the decision path runs on the caller's thread,
+/// so the eval-cache, replay, admission and bound counters are as
+/// deterministic as the results. Only the wall-clock meters (`phase_*_ns`,
+/// `decision_p99_ns`) may differ. Eight or more racks make cold decisions
+/// re-evaluate at least four shards at once, and every run scripts a
+/// machine failure and recovery.
+#[test]
+fn sharded_run_counters_repeat_exactly() {
+    let counters = |s: SimLoopStats| SimLoopStats {
+        phase_decision_ns: 0,
+        decision_p99_ns: 0,
+        phase_refresh_ns: 0,
+        phase_heap_ns: 0,
+        phase_drain_ns: 0,
+        ..s
+    };
+    for kind in [PolicyKind::TopoAware, PolicyKind::TopoAwareP] {
+        for seed in 0..4u64 {
+            let n_racks = 8 + (seed as usize % 3);
+            let run = || {
+                let machine = power8_minsky();
+                let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
+                let cluster =
+                    Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2));
+                let trace = WorkloadGenerator::with_defaults(seed).generate(60);
+                let config = SimConfig::new(Policy::new(kind))
+                    .with_eval(EvalParams::parallel(4))
+                    .with_eval_cache(true)
+                    .with_shards(n_racks)
+                    .with_phase_timing(true)
+                    .with_machine_failures(vec![(30.0, MachineId(3))])
+                    .with_machine_recoveries(vec![(300.0, MachineId(3))]);
+                Simulation::new(cluster, profiles, config).run_with_stats(trace)
+            };
+            let (first_res, first) = run();
+            let (second_res, second) = run();
+            let ctx = format!("{kind:?} seed {seed} ({n_racks} racks)");
+            assert_runs_identical(&ctx, &first_res, &second_res);
+            assert!(first.shard_admission_checked > 0, "{ctx}: the sharded path never ran");
+            assert!(first.eval_cache_misses > 0, "{ctx}: the eval cache never ran");
+            assert_eq!(counters(first), counters(second), "{ctx}: counters drifted");
         }
     }
 }
@@ -413,13 +453,13 @@ fn parallel_pruned_shards_are_bit_identical_to_single_shard() {
 /// Cross-event decision replay (`GTS_DECISION_REPLAY`, DESIGN.md §12) must
 /// be bit-identical to full re-evaluation: same records, same events, same
 /// metrics, for every policy across many seeds — including machine-failure/
-/// recovery and jitter runs, where snapshots go stale mid-queue — and
-/// under every combination of the shard fan-out and bound-pruning knobs
-/// (the cached per-shard floor seeds the bound prune, so the interaction
-/// matters). The knobs are pinned through [`EvalParams`] so the matrix is
-/// exercised in-process regardless of the environment; debug builds
-/// additionally shadow every replayed retry with a from-scratch decision
-/// inside the decision path and assert GPU-for-GPU, bit-for-bit equality.
+/// recovery and jitter runs, where snapshots go stale mid-queue — with
+/// bound pruning both on and off (the cached per-shard floor seeds the
+/// bound prune, so the interaction matters). The knobs are pinned through
+/// [`EvalParams`] so the matrix is exercised in-process regardless of the
+/// environment; debug builds additionally shadow every replayed retry with
+/// a from-scratch decision inside the decision path and assert
+/// GPU-for-GPU, bit-for-bit equality.
 #[test]
 fn decision_replay_is_bit_identical_to_full_reeval() {
     for kind in PolicyKind::ALL {
@@ -427,19 +467,15 @@ fn decision_replay_is_bit_identical_to_full_reeval() {
             let n_racks = 4 + (seed as usize % 3);
             let single = simulate_with_shards(seed, n_racks, kind, 1);
             for replay in [false, true] {
-                for par in [false, true] {
-                    for bound in [false, true] {
-                        let eval = EvalParams::parallel(4)
-                            .with_shard_par(par)
-                            .with_shard_bound(bound)
-                            .with_decision_replay(replay);
-                        let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                        let ctx = format!(
-                            "{kind:?} seed {seed} ({n_racks} racks, replay={replay}, \
-                             par={par}, bound={bound})"
-                        );
-                        assert_runs_identical(&ctx, &single, &run);
-                    }
+                for bound in [false, true] {
+                    let eval = EvalParams::parallel(4)
+                        .with_shard_bound(bound)
+                        .with_decision_replay(replay);
+                    let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
+                    let ctx = format!(
+                        "{kind:?} seed {seed} ({n_racks} racks, replay={replay}, bound={bound})"
+                    );
+                    assert_runs_identical(&ctx, &single, &run);
                 }
             }
         }
