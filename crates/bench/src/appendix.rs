@@ -182,8 +182,13 @@ impl SysConfig {
     fn workload(&self) -> Result<Vec<JobSpec>, ConfigError> {
         match &self.workload {
             WorkloadSource::TraceFile { path } => {
-                let trace = Trace::load(Path::new(path))
-                    .map_err(|e| ConfigError::Io(format!("{path}: {e}")))?;
+                let trace = Trace::load(Path::new(path)).map_err(|e| {
+                    let msg = format!("{path}: {e}");
+                    match e.kind() {
+                        std::io::ErrorKind::InvalidData => ConfigError::Invalid(msg),
+                        _ => ConfigError::Io(msg),
+                    }
+                })?;
                 Ok(trace.jobs)
             }
             WorkloadSource::Generate { jobs, seed } => {
@@ -448,6 +453,31 @@ mod tests {
         cfg.machines = 1;
         cfg.algorithms.clear();
         assert!(matches!(cfg.run(), Err(ConfigError::Invalid(_))));
+    }
+
+    /// A trace file with an invalid job is a config error, not a panic
+    /// deep in the simulator (zero GPUs, a comm graph whose task count
+    /// disagrees with the GPU request) or a silently unplaceable job
+    /// (`min_utility` above 1).
+    #[test]
+    fn invalid_trace_jobs_are_config_errors() {
+        let dir = std::env::temp_dir().join("gts-appendix-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let job = |id, n_gpus| JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, n_gpus);
+        let cases = [
+            ("zero-gpus", job(0, 0)),
+            ("bad-graph", job(1, 2).with_comm_graph(JobGraph::pipeline(3, 4.0))),
+            ("bad-utility", job(2, 2).with_min_utility(7.0)),
+        ];
+        for (name, job) in cases {
+            let path = dir.join(format!("{name}.json"));
+            Trace::new(name, vec![job]).save(&path).unwrap();
+            let mut cfg = SysConfig::sample();
+            cfg.workload = WorkloadSource::TraceFile { path: path.display().to_string() };
+            let err = cfg.run().expect_err(name);
+            assert!(matches!(err, ConfigError::Invalid(_)), "{name}: {err}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -130,20 +130,15 @@ fn run_bench(args: &[String]) -> ExitCode {
         if smoke { "  [smoke — not comparable]" } else { "" },
     );
     println!(
-        "sim/large event-loop speedup (reference/incremental): {:.2}x{}",
+        "sim/large event-loop speedup (reference/incremental): {:.2}x, \
+         placement-cache hit rate {:.3}{}",
         report.sim_loop_speedup,
+        report.eval_cache_hit_rate,
         if smoke { "  [smoke — not comparable]" } else { "" },
     );
     println!(
         "arrival/topo256 warm-cache speedup (cold/warm): {:.2}x{}",
         report.warm_arrival_speedup,
-        if smoke { "  [smoke — not comparable]" } else { "" },
-    );
-    println!(
-        "sim/large placement-cache speedup (incremental/cached): {:.2}x, \
-         hit rate {:.3}{}",
-        report.sim_cache_speedup,
-        report.eval_cache_hit_rate,
         if smoke { "  [smoke — not comparable]" } else { "" },
     );
     println!(

@@ -11,11 +11,12 @@
 //! 3. **`sim`** — a whole small fig10-style simulation under both paths;
 //! 4. **`sim/large_*`** — a large-cluster simulation (256 machines, 2 048
 //!    jobs, arrivals dense enough that many jobs run concurrently):
-//!    recompute-everything reference vs incremental event loop (the
-//!    ISSUE 4 acceptance measurement) vs incremental + cross-event
-//!    placement cache (the ISSUE 5 acceptance measurement). The hit rate
-//!    of the cached run is measured separately via `run_with_stats` and
-//!    reported as `eval_cache_hit_rate`.
+//!    recompute-everything reference event loop vs the production
+//!    incremental loop, both with the cross-event placement cache. The
+//!    hit rate of the production run is measured separately via
+//!    `run_with_stats` and reported as `eval_cache_hit_rate`;
+//! 5. **`sim/huge_*`, `decision/huge_*`** — a 4 096-machine racked cluster,
+//!    single-shard (flat) vs the rack-sharded production path.
 
 use crate::experiments::minsky_cluster;
 use criterion::{black_box, Criterion};
@@ -65,7 +66,7 @@ pub struct ScalePoint {
     #[serde(default)]
     pub wall_ns: u64,
     /// Queue-drain retries answered from a decision snapshot during the
-    /// run (`GTS_DECISION_REPLAY`, DESIGN.md §12).
+    /// run (DESIGN.md §12).
     #[serde(default)]
     pub replay_hits: u64,
     /// Shards re-evaluated by partial replays during the run.
@@ -109,22 +110,18 @@ pub struct BenchReport {
     pub arrival_speedup: f64,
     /// Reference event-loop mean over incremental event-loop mean for the
     /// large-cluster simulation (`sim/large_reference` /
-    /// `sim/large_incremental`).
+    /// `sim/large_cached`; both keep the placement cache).
     pub sim_loop_speedup: f64,
     /// Cold-engine mean over warm-cache mean for the 256-machine arrival
     /// (`arrival/topo256_cold` / `arrival/topo256_warm`) — what a
     /// steady-state arrival saves when its classes are already cached.
     pub warm_arrival_speedup: f64,
-    /// Incremental mean over incremental+cache mean for the large-cluster
-    /// simulation (`sim/large_incremental` / `sim/large_cached`) — the
-    /// cross-event cache's end-to-end win on top of the incremental loop.
-    pub sim_cache_speedup: f64,
     /// hits / (hits + misses) of the placement cache over one full
     /// `sim/large_cached`-shaped run (0 when the cache saw no lookups).
     pub eval_cache_hit_rate: f64,
     /// Single-shard mean decision latency over sharded mean decision
     /// latency for the datacenter-scale simulation
-    /// (`decision/huge_single` / `decision/huge_sharded`) — the two-level
+    /// (`decision/huge_single` / `decision/huge_par`) — the two-level
     /// scheduler's headline win.
     #[serde(default)]
     pub huge_decision_speedup: f64,
@@ -290,7 +287,7 @@ pub fn run(smoke: bool) -> BenchReport {
         });
     }
 
-    // 4. The large-cluster simulation: incremental vs reference event loop.
+    // 4. The large-cluster simulation: reference vs incremental event loop.
     // Arrivals at 90 jobs/min over machine-filling-sized requests keep a
     // large running set alive, so the reference loop's O(J²)-per-event
     // refresh dominates; smoke shrinks the cluster and trace but keeps the
@@ -304,20 +301,12 @@ pub fn run(smoke: bool) -> BenchReport {
     };
     let (cluster, profiles) = minsky_cluster(large_machines);
     let trace = WorkloadGenerator::new(gen, 2002).generate(large_jobs);
-    // The cache is toggled explicitly so `large_incremental` keeps meaning
-    // what it meant before the cache existed (A/B against committed
-    // baselines), regardless of the ambient `GTS_EVAL_CACHE`.
-    for (label, incremental, cached) in [
-        ("large_reference", false, false),
-        ("large_incremental", true, false),
-        ("large_cached", true, true),
-    ] {
+    for (label, incremental) in [("large_reference", false), ("large_cached", true)] {
         c_large.bench_function(&format!("sim/{label}"), |b| {
             b.iter(|| {
                 let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
                     .with_eval(engine)
-                    .with_incremental(incremental)
-                    .with_eval_cache(cached);
+                    .with_incremental(incremental);
                 black_box(
                     Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
                         .run(trace.clone()),
@@ -326,13 +315,11 @@ pub fn run(smoke: bool) -> BenchReport {
         });
     }
 
-    // One instrumented cached run for the hit rate and the phase-time
+    // One instrumented production run for the hit rate and the phase-time
     // breakdown (not timed by criterion; its own wall clock normalizes
     // the shares).
     let stats_config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
         .with_eval(engine)
-        .with_incremental(true)
-        .with_eval_cache(true)
         .with_phase_timing(true);
     let stats_started = std::time::Instant::now();
     let (_, loop_stats) = Simulation::new(cluster, profiles, stats_config)
@@ -351,12 +338,11 @@ pub fn run(smoke: bool) -> BenchReport {
         loop_stats.eval_cache_hits as f64 / lookups as f64
     };
 
-    // 5. The datacenter-scale trio: the single-shard reference, the
-    // sharded two-level scheduler with bound pruning and replay pinned off
-    // (the A/B baseline) and the full sharded path (`huge_par`, a label
-    // kept from when it also fanned shards out across threads), on
-    // a rack-partitioned cluster under a sustained Poisson stream dense
-    // enough to keep the cluster saturated. Each variant runs SAMPLES
+    // 5. The datacenter-scale pair: the single-shard (flat) path and the
+    // sharded production path (`huge_par`, a label kept from when it also
+    // fanned shards out across threads), on a rack-partitioned cluster
+    // under a sustained Poisson stream dense enough to keep the cluster
+    // saturated. Each variant runs SAMPLES
     // independent sims (distinct Poisson seeds over the same regime) and
     // the entries carry the mean/min across them, so the derived speedups
     // average over warm decision distributions instead of trusting one
@@ -372,15 +358,6 @@ pub fn run(smoke: bool) -> BenchReport {
             poisson_trace(huge_machines, (huge_jobs / HUGE_SAMPLES).max(1), 3003 + i as u64)
         })
         .collect();
-    // `serial_eval` is the A/B baseline: bound pruning AND decision replay
-    // pinned off, regardless of ambient knobs. `full_eval` is the full
-    // engine with both on.
-    let serial_eval = EvalParams::from_env()
-        .with_shard_bound(false)
-        .with_decision_replay(false);
-    let full_eval = EvalParams::from_env()
-        .with_shard_bound(true)
-        .with_decision_replay(true);
 
     let mut results: Vec<BenchEntry> = c
         .take_records()
@@ -395,14 +372,10 @@ pub fn run(smoke: bool) -> BenchReport {
             p99_ns: 0,
         })
         .collect();
-    for (label, shards, eval) in [
-        ("huge_single", 1, serial_eval),
-        ("huge_sharded", huge_racks, serial_eval),
-        ("huge_par", huge_racks, full_eval),
-    ] {
+    for (label, shards) in [("huge_single", 1), ("huge_par", huge_racks)] {
         let runs: Vec<SimRun> = huge_traces
             .iter()
-            .map(|t| sharded_sim(&huge_cluster, &huge_profiles, t, shards, eval))
+            .map(|t| sharded_sim(&huge_cluster, &huge_profiles, t, shards))
             .collect();
         let stat = |pick: fn(&SimRun) -> u64| {
             let vals: Vec<u64> = runs.iter().map(pick).collect();
@@ -439,7 +412,6 @@ pub fn run(smoke: bool) -> BenchReport {
         arrival_speedup: 0.0,
         sim_loop_speedup: 0.0,
         warm_arrival_speedup: 0.0,
-        sim_cache_speedup: 0.0,
         eval_cache_hit_rate,
         huge_decision_speedup: 0.0,
         phase_shares,
@@ -451,15 +423,13 @@ pub fn run(smoke: bool) -> BenchReport {
         _ => 0.0,
     };
     let arrival_speedup = ratio("arrival/topo64_sequential", "arrival/topo64_engine");
-    let sim_loop_speedup = ratio("sim/large_reference", "sim/large_incremental");
+    let sim_loop_speedup = ratio("sim/large_reference", "sim/large_cached");
     let warm_arrival_speedup = ratio("arrival/topo256_cold", "arrival/topo256_warm");
-    let sim_cache_speedup = ratio("sim/large_incremental", "sim/large_cached");
-    let huge_decision_speedup = ratio("decision/huge_single", "decision/huge_sharded");
+    let huge_decision_speedup = ratio("decision/huge_single", "decision/huge_par");
     BenchReport {
         arrival_speedup,
         sim_loop_speedup,
         warm_arrival_speedup,
-        sim_cache_speedup,
         huge_decision_speedup,
         ..report
     }
@@ -501,20 +471,15 @@ struct SimRun {
     stats: SimLoopStats,
 }
 
-/// One full simulation with an explicit shard count and evaluation
-/// parameters, instrumented.
+/// One full production simulation with an explicit shard count,
+/// instrumented.
 fn sharded_sim(
     cluster: &Arc<ClusterTopology>,
     profiles: &Arc<ProfileLibrary>,
     trace: &[JobSpec],
     shards: usize,
-    eval: EvalParams,
 ) -> SimRun {
-    let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
-        .with_eval(eval)
-        .with_incremental(true)
-        .with_eval_cache(true)
-        .with_shards(shards);
+    let config = SimConfig::new(Policy::new(PolicyKind::TopoAware)).with_shards(shards);
     let started = std::time::Instant::now();
     let (result, stats) = Simulation::new(Arc::clone(cluster), Arc::clone(profiles), config)
         .run_with_stats(trace.to_vec());
@@ -546,8 +511,7 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
             let (cluster, profiles) = racked_minsky_cluster(n_racks, per_rack);
             let jobs = machines * jobs_per_machine;
             let trace = poisson_trace(machines, jobs, 3003);
-            let run =
-                sharded_sim(&cluster, &profiles, &trace, n_racks, EvalParams::from_env());
+            let run = sharded_sim(&cluster, &profiles, &trace, n_racks);
             ScalePoint {
                 machines: machines as u64,
                 shards: n_racks as u64,
@@ -581,13 +545,10 @@ mod tests {
             "sim/fig10_slice_sequential",
             "sim/fig10_slice_engine",
             "sim/large_reference",
-            "sim/large_incremental",
             "sim/large_cached",
             "sim/huge_single",
-            "sim/huge_sharded",
             "sim/huge_par",
             "decision/huge_single",
-            "decision/huge_sharded",
             "decision/huge_par",
         ] {
             assert!(
@@ -598,7 +559,7 @@ mod tests {
         // The huge decision latencies feed huge_decision_speedup — they
         // must aggregate several independent runs, not trust one sample,
         // and carry the per-decision tail alongside the mean.
-        for label in ["decision/huge_single", "decision/huge_sharded", "decision/huge_par"] {
+        for label in ["decision/huge_single", "decision/huge_par"] {
             let entry = report.results.iter().find(|e| e.label == label).unwrap();
             assert!(entry.samples >= 5, "{label} ran {} samples, need ≥ 5", entry.samples);
             assert!(entry.min_ns <= entry.mean_ns, "{label} min above mean");
@@ -618,7 +579,6 @@ mod tests {
         assert!(report.arrival_speedup > 0.0);
         assert!(report.sim_loop_speedup > 0.0);
         assert!(report.warm_arrival_speedup > 0.0);
-        assert!(report.sim_cache_speedup > 0.0);
         assert!(report.huge_decision_speedup > 0.0);
         assert!(
             (0.0..=1.0).contains(&report.eval_cache_hit_rate),
@@ -629,10 +589,9 @@ mod tests {
         assert!(json.contains("arrival_speedup"));
         assert!(json.contains("sim_loop_speedup"));
         assert!(json.contains("warm_arrival_speedup"));
-        assert!(json.contains("sim_cache_speedup"));
         assert!(json.contains("eval_cache_hit_rate"));
         assert!(json.contains("topo64_engine"));
-        assert!(json.contains("large_incremental"));
+        assert!(json.contains("large_reference"));
         assert!(json.contains("large_cached"));
         assert!(json.contains("huge_decision_speedup"));
         // The merge path `gts bench scale-curve` relies on: reports round-
@@ -673,14 +632,11 @@ mod tests {
             assert_eq!(p.wall_ms, p.wall_ns / 1_000_000, "wall_ms must floor wall_ns");
         }
         // The saturated curve regime drains queues across completions, so
-        // decision replay must actually fire somewhere in the sweep
-        // (ambient GTS_DECISION_REPLAY=0 legs pin it off and skip this).
-        if EvalParams::from_env().decision_replay {
-            assert!(
-                points.iter().any(|p| p.replay_hits > 0),
-                "no scale-curve point saw a replay hit"
-            );
-        }
+        // decision replay must actually fire somewhere in the sweep.
+        assert!(
+            points.iter().any(|p| p.replay_hits > 0),
+            "no scale-curve point saw a replay hit"
+        );
     }
 
     #[test]

@@ -32,10 +32,13 @@ impl JobManifest {
         serde_json::to_string_pretty(self).expect("manifest serialization cannot fail")
     }
 
-    /// Loads a manifest file.
+    /// Loads and validates a manifest file: malformed JSON and invalid
+    /// jobs are both `InvalidData` errors.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = fs::read_to_string(path)?;
-        Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let manifest = Self::from_json(&text).map_err(invalid_data)?;
+        manifest.validate().map_err(invalid_data)?;
+        Ok(manifest)
     }
 
     /// Writes a manifest file.
@@ -55,6 +58,10 @@ impl JobManifest {
     }
 }
 
+fn invalid_data(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
 /// A replayable workload trace: the bridge between prototype logs and the
 /// trace-driven simulator (§5.3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,12 +75,7 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace, sorting jobs by arrival time for replay.
     pub fn new(source: impl Into<String>, mut jobs: Vec<JobSpec>) -> Self {
-        jobs.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .expect("arrival times are finite")
-                .then(a.id.cmp(&b.id))
-        });
+        jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         Self { source: source.into(), jobs }
     }
 
@@ -87,10 +89,19 @@ impl Trace {
         serde_json::to_string_pretty(self).expect("trace serialization cannot fail")
     }
 
-    /// Loads a trace file.
+    /// Loads and validates a trace file: malformed JSON and invalid jobs
+    /// are both `InvalidData` errors.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = fs::read_to_string(path)?;
-        Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let trace = Self::from_json(&text).map_err(invalid_data)?;
+        trace.validate().map_err(invalid_data)?;
+        Ok(trace)
+    }
+
+    /// Validates every job ([`JobSpec::validate`]). An empty trace is
+    /// valid.
+    pub fn validate(&self) -> Result<(), String> {
+        self.jobs.iter().try_for_each(JobSpec::validate)
     }
 
     /// Writes a trace file.
@@ -169,6 +180,23 @@ mod tests {
         t.save(&path).unwrap();
         let back = Trace::load(&path).unwrap();
         assert_eq!(t, back);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn loading_rejects_invalid_jobs() {
+        let dir = std::env::temp_dir().join("gts-job-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("invalid-trace.json");
+        let mut jobs = sample_jobs();
+        jobs[1].n_gpus = 0;
+        Trace::new("zero-gpu", jobs.clone()).save(&path).unwrap();
+        let err = Trace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("zero GPUs"), "{err}");
+        JobManifest { jobs }.save(&path).unwrap();
+        let err = JobManifest::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

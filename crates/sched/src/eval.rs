@@ -14,8 +14,8 @@
 //! 2. **One thread, candidate order.** Representatives are evaluated on
 //!    the caller's thread in first-seen order. Together with the oracle's
 //!    canonical co-runner order this keeps every utility bit-identical to
-//!    the sequential reference (`GTS_EVAL_THREADS=1`), and every cache
-//!    counter repeats exactly between identical runs.
+//!    the sequential reference ([`EvalParams::sequential`]), and every
+//!    cache counter repeats exactly between identical runs.
 //!
 //! The engine never changes *which* candidate wins: the policy's
 //! tie-breaking (`FRAG_TIE_EPS` + Eq. 5) runs sequentially over the
@@ -25,19 +25,19 @@
 //!    machine state and the job-side inputs reduce to a small *job class*,
 //!    a `(machine class, job class) → outcome` entry never goes stale —
 //!    only cold. [`EvalCache`] therefore persists across arrivals for the
-//!    whole scheduler/simulation run (a sharded LRU, `GTS_EVAL_CACHE`
-//!    knob), so steady-state arrivals that revisit known keys skip the DRB
-//!    mapping entirely (DESIGN.md §9).
+//!    whole scheduler/simulation run (one LRU, owned by the
+//!    [`crate::Scheduler`]), so steady-state arrivals that revisit known
+//!    keys skip the DRB mapping entirely (DESIGN.md §9).
 
 use crate::oracle::{placement_utility, StateOracle};
 use crate::state::{ClusterState, MachineClassKey};
 use gts_job::{BatchClass, JobGraph, JobSpec, NnModel};
 use gts_map::{drb_map, PlacementOracle as _, UtilityWeights};
 use gts_topo::{GlobalGpuId, GpuId, MachineId};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Evaluation-engine parameters, threaded from the drivers down to
 /// [`crate::Policy::decide_with`].
@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct EvalParams {
     /// `1` selects the sequential reference path: every candidate is
     /// evaluated in order with no memoization, exactly as the pre-engine
-    /// scheduler did. Any other value selects the memoized engine, which
+    /// scheduler did. Any other value selects the production path, which
     /// always runs on the caller's thread; the scheduler never reads this
     /// as a worker count. The value still sizes the `gts-bench` experiment
     /// sweeps.
@@ -53,14 +53,14 @@ pub struct EvalParams {
     /// Always `false`: memo-miss shards evaluate on the caller's thread.
     /// The field stays so that callers reporting the knob keep compiling.
     pub shard_par: bool,
-    /// Prune memo-miss shards whose admissible utility bound proves them
-    /// uncompetitive (`GTS_SHARD_BOUND`, default on). Exact
-    /// branch-and-bound: results are bit-identical either way.
+    /// Always `true`: the production path always prunes memo-miss shards
+    /// whose admissible utility bound proves them uncompetitive (exact
+    /// branch-and-bound, DESIGN.md §11). The field stays so that callers
+    /// reporting it keep compiling.
     pub shard_bound: bool,
-    /// Replay whole decisions across events from the per-job-class decision
-    /// snapshot, re-evaluating only the shards whose version stamps moved
-    /// (`GTS_DECISION_REPLAY`, default on; DESIGN.md §12). Off restores the
-    /// PR 7 per-decision path. Results are bit-identical either way.
+    /// Always `true`: the production path always replays queue retries
+    /// from the per-job-class decision snapshot (DESIGN.md §12). The field
+    /// stays so that callers reporting it keep compiling.
     pub decision_replay: bool,
 }
 
@@ -68,32 +68,23 @@ impl EvalParams {
     /// The sequential reference: candidates evaluated one by one, no
     /// memoization.
     pub fn sequential() -> Self {
-        Self {
-            threads: 1,
-            shard_par: false,
-            shard_bound: shard_bound_env(),
-            decision_replay: decision_replay_env(),
-        }
+        Self::with_threads(1)
     }
 
-    /// The memoized engine with an explicit `threads` value (`≥ 2`; clamped
-    /// up). The engine itself is single-threaded; see [`EvalParams::threads`].
+    /// The production path with an explicit `threads` value (`≥ 2`;
+    /// clamped up). The engine itself is single-threaded; see
+    /// [`EvalParams::threads`].
     pub fn parallel(threads: usize) -> Self {
-        Self {
-            threads: threads.max(2),
-            shard_par: false,
-            shard_bound: shard_bound_env(),
-            decision_replay: decision_replay_env(),
-        }
+        Self::with_threads(threads.max(2))
     }
 
     /// Reads `GTS_EVAL_THREADS` (cached after the first read). Unset or
     /// unparsable values default to the host's available parallelism, with
-    /// a floor of 2 so the memoized engine stays on even on single-core
+    /// a floor of 2 so the production path stays on even on single-core
     /// hosts.
     pub fn from_env() -> Self {
         static CACHED: OnceLock<usize> = OnceLock::new();
-        let threads = *CACHED.get_or_init(|| {
+        Self::with_threads(*CACHED.get_or_init(|| {
             match std::env::var("GTS_EVAL_THREADS") {
                 Ok(v) => match v.trim().parse::<usize>() {
                     Ok(n) if n >= 1 => n,
@@ -101,50 +92,17 @@ impl EvalParams {
                 },
                 Err(_) => default_threads(),
             }
-        });
-        Self {
-            threads,
-            shard_par: false,
-            shard_bound: shard_bound_env(),
-            decision_replay: decision_replay_env(),
-        }
+        }))
+    }
+
+    fn with_threads(threads: usize) -> Self {
+        Self { threads, shard_par: false, shard_bound: true, decision_replay: true }
     }
 
     /// True when this selects the sequential reference path.
     pub fn is_sequential(&self) -> bool {
         self.threads <= 1
     }
-
-    /// Overrides the shard bound-pruning knob (for in-process A/B testing).
-    pub fn with_shard_bound(mut self, on: bool) -> Self {
-        self.shard_bound = on;
-        self
-    }
-
-    /// Overrides the decision-replay knob (for in-process A/B testing).
-    pub fn with_decision_replay(mut self, on: bool) -> Self {
-        self.decision_replay = on;
-        self
-    }
-}
-
-/// `GTS_SHARD_BOUND` (cached): `0`/`off`/`false` disable bound pruning;
-/// anything else (including unset) leaves it on.
-fn shard_bound_env() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| parse_on_by_default(std::env::var("GTS_SHARD_BOUND").ok().as_deref()))
-}
-
-/// `GTS_DECISION_REPLAY` (cached): `0`/`off`/`false` disable cross-event
-/// decision replay; anything else (including unset) leaves it on.
-fn decision_replay_env() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED
-        .get_or_init(|| parse_on_by_default(std::env::var("GTS_DECISION_REPLAY").ok().as_deref()))
-}
-
-fn parse_on_by_default(raw: Option<&str>) -> bool {
-    !matches!(raw.map(str::trim), Some("0" | "off" | "false"))
 }
 
 impl Default for EvalParams {
@@ -248,11 +206,6 @@ impl CacheKey {
         let bits = machine.hash_bits().rotate_left(32) ^ job_bits;
         Self { machine, job, bits }
     }
-
-    /// 64-bit hash used for both shard selection and the per-shard map.
-    fn hash_bits(&self) -> u64 {
-        self.bits
-    }
 }
 
 impl Hash for CacheKey {
@@ -261,34 +214,9 @@ impl Hash for CacheKey {
     }
 }
 
-/// Default total cache capacity (entries across all shards) when
-/// `GTS_EVAL_CACHE` is unset or just "1"/"on".
-const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Shards in the cross-event cache. Each shard is its own LRU with an
-/// equal share of the capacity, so the shard count decides which entries
-/// get evicted — and with it the cache counters — but never the bits a
-/// lookup returns.
-const N_SHARDS: usize = 8;
-
-/// Parses `GTS_EVAL_CACHE` once: `None` = disabled (`0`/`off`/`false`,
-/// restoring the pre-cache behavior), otherwise the total entry capacity
-/// (`1`/`on`/`true`/unset → the default, any other positive integer → that
-/// capacity).
-fn cache_env() -> Option<usize> {
-    static CACHED: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("GTS_EVAL_CACHE") {
-        Ok(v) => match v.trim() {
-            "0" | "off" | "false" => None,
-            "1" | "on" | "true" | "" => Some(DEFAULT_CACHE_CAPACITY),
-            other => match other.parse::<usize>() {
-                Ok(n) if n > 0 => Some(n),
-                _ => Some(DEFAULT_CACHE_CAPACITY),
-            },
-        },
-        Err(_) => Some(DEFAULT_CACHE_CAPACITY),
-    })
-}
+/// Cache entries granted per state shard: a cluster split into `n`
+/// shards gets one [`EvalCache`] of `n ×` this capacity.
+const CAPACITY_PER_SHARD: usize = 4096;
 
 /// Hit/miss/eviction counters of an [`EvalCache`], read at any point of a
 /// run. One lookup is counted per *equivalence class* per arrival (the
@@ -316,9 +244,8 @@ impl EvalCacheStats {
     }
 }
 
-/// Cross-event decision-replay counters (`GTS_DECISION_REPLAY`,
-/// DESIGN.md §12), read at any point of a run via
-/// [`crate::Scheduler::decision_replay_stats`].
+/// Cross-event decision-replay counters (DESIGN.md §12), read at any point
+/// of a run via [`crate::Scheduler::decision_replay_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionReplayStats {
     /// Retries answered from a snapshot (full or partial replay).
@@ -332,10 +259,10 @@ pub struct DecisionReplayStats {
 
 const NIL: usize = usize::MAX;
 
-/// One shard: a hash map into a slab threaded with an intrusive
-/// doubly-linked LRU list (`head` = most recent, `tail` = eviction
-/// victim). All operations are O(1).
-struct Shard {
+/// The LRU: a hash map into a slab threaded with an intrusive doubly-linked
+/// list (`head` = most recent, `tail` = eviction victim). All operations
+/// are O(1).
+struct Lru {
     map: HashMap<CacheKey, usize, std::hash::BuildHasherDefault<FnvHasher>>,
     slab: Vec<Entry>,
     head: usize,
@@ -350,7 +277,7 @@ struct Entry {
     next: usize,
 }
 
-impl Shard {
+impl Lru {
     fn new(capacity: usize) -> Self {
         Self { map: HashMap::default(), slab: Vec::new(), head: NIL, tail: NIL, capacity }
     }
@@ -413,34 +340,35 @@ impl Shard {
     }
 }
 
-/// The cross-event placement cache: a sharded, capacity-bounded LRU from
-/// `(machine class, job class)` to the evaluated candidate outcome,
-/// owned by a [`crate::Scheduler`] for the whole run.
+/// The cross-event placement cache: a capacity-bounded LRU from
+/// `(machine class, job class)` to the evaluated candidate outcome, owned
+/// by a [`crate::Scheduler`] for the whole run.
 ///
 /// Both key halves are pure functions of state (DESIGN.md §9), so entries
 /// never go stale — a machine whose occupancy changes simply stops
-/// producing the old key. Disabled (`GTS_EVAL_CACHE=0`) the engine behaves
-/// exactly as the per-arrival memoizer did; enabled, results are still
-/// bit-identical because a hit replays the bits a miss would have computed
-/// (debug builds re-run the evaluation on every hit and assert exactly
-/// that).
+/// producing the old key. Results are bit-identical with or without the
+/// cache because a hit replays the bits a miss would have computed (debug
+/// builds re-run the evaluation on every hit and assert exactly that).
+///
+/// The whole decision path runs on the caller's thread, so the cache is
+/// plain single-threaded state: `RefCell`s and `Cell` counters, no locks.
 pub struct EvalCache {
-    shards: Vec<Mutex<Shard>>,
+    lru: RefCell<Lru>,
     /// Cross-decision memo of whole-shard evaluations for the two-level
     /// sharded path, keyed by (state shard, job class) and guarded by the
     /// shard index's `(epoch, version)` pair — see [`ShardClassed`].
-    shard_memo: Mutex<ShardMemoMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    shard_memo: RefCell<ShardMemoMap>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
     /// Queue-drain retries answered wholesale from a decision snapshot
     /// (nothing moved anywhere — O(1) replay, zero shards touched).
-    replay_hits: AtomicU64,
+    replay_hits: Cell<u64>,
     /// Shards re-evaluated by partial replays (everything else reused).
-    replay_shards_reeval: AtomicU64,
+    replay_shards_reeval: Cell<u64>,
     /// Snapshots present but unusable (epoch or guard mismatch), falling
     /// back to the full decision path.
-    replay_full_fallbacks: AtomicU64,
+    replay_full_fallbacks: Cell<u64>,
 }
 
 /// One state-shard's fully grouped evaluation for one job class: the
@@ -498,7 +426,7 @@ pub(crate) struct ShardSlot {
 
 /// How the last snapshotted decision for a job class resolved one shard.
 /// `Evaluated` carries no entry of its own: the per-shard [`ShardSlot`] in
-/// the same row holds it (stored and guarded together, under one lock).
+/// the same row holds it (stored and guarded together).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) enum SnapState {
     /// The shard failed admission (no machine wide enough for the job).
@@ -548,7 +476,7 @@ pub(crate) struct DecisionSnap {
 }
 
 /// One job class's row in the shard memo: the per-shard slots plus the
-/// whole-decision snapshot, guarded together under the memo lock.
+/// whole-decision snapshot, guarded together.
 #[derive(Default)]
 pub(crate) struct MemoRow {
     /// Per state-shard memo slots, indexed by shard.
@@ -557,11 +485,11 @@ pub(crate) struct MemoRow {
     pub snap: Option<DecisionSnap>,
 }
 
-/// FNV-1a for the scheduler-internal hash maps (the shard memo and the
-/// per-shard LRU maps). Their keys are hashed on the per-decision hot
-/// path, where the default SipHash's DoS resistance buys nothing (keys
-/// are small, fixed-shape and entirely trusted) but costs a measurable
-/// slice of steady-state decision latency.
+/// FNV-1a for the scheduler-internal hash maps (the shard memo and the LRU
+/// map). Their keys are hashed on the per-decision hot path, where the
+/// default SipHash's DoS resistance buys nothing (keys are small,
+/// fixed-shape and entirely trusted) but costs a measurable slice of
+/// steady-state decision latency.
 pub(crate) struct FnvHasher(u64);
 
 impl Default for FnvHasher {
@@ -586,9 +514,9 @@ impl std::hash::Hasher for FnvHasher {
 
 /// The shard memo, inverted: one row of per-shard slots (plus the decision
 /// snapshot) per job class. A decision probes every admitted shard with the
-/// *same* job class, so this layout pays one lock and one key hash per
-/// decision and then a plain indexed version compare per shard, instead of
-/// a keyed map probe (lock + hash + equality) per shard.
+/// *same* job class, so this layout pays one key hash per decision and then
+/// a plain indexed version compare per shard, instead of a keyed map probe
+/// (hash + equality) per shard.
 type ShardMemoMap = HashMap<JobClassKey, MemoRow, std::hash::BuildHasherDefault<FnvHasher>>;
 
 /// Safety valve on distinct job-class rows in the memo. Real traces carry
@@ -602,36 +530,44 @@ impl std::fmt::Debug for EvalCache {
 }
 
 impl EvalCache {
-    /// A cache bounded at `capacity` total entries (spread over the
-    /// shards; floor of one entry per shard).
+    /// A cache bounded at `capacity` total entries (floor of one).
     pub fn with_capacity(capacity: usize) -> Self {
-        let per_shard = capacity.div_ceil(N_SHARDS).max(1);
         Self {
-            shards: (0..N_SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
-            shard_memo: Mutex::new(ShardMemoMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            replay_hits: AtomicU64::new(0),
-            replay_shards_reeval: AtomicU64::new(0),
-            replay_full_fallbacks: AtomicU64::new(0),
+            lru: RefCell::new(Lru::new(capacity.max(1))),
+            shard_memo: RefCell::new(ShardMemoMap::default()),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+            evictions: Cell::new(0),
+            replay_hits: Cell::new(0),
+            replay_shards_reeval: Cell::new(0),
+            replay_full_fallbacks: Cell::new(0),
         }
     }
 
+    /// The cache for a state split into `n_shards` shards: one cache shared
+    /// by every shard, with a fixed capacity granted per shard (the same
+    /// total budget a cache-per-shard split would claim). Sharing matters
+    /// because machine-class keys recur across shards — an idle machine's
+    /// key is the same in every rack — so one cache learns each (machine
+    /// class, job class) pair once rather than once per shard.
+    pub fn per_shard(n_shards: usize) -> Self {
+        Self::with_capacity(CAPACITY_PER_SHARD.saturating_mul(n_shards.max(1)))
+    }
+
     /// Runs `f` over the memo row (per-shard slots + decision snapshot) for
-    /// `job`, creating (or re-sizing) the row on first touch — one lock and
-    /// one key hash per call no matter how many shards the caller then
+    /// `job`, creating (or re-sizing) the row on first touch — one borrow
+    /// and one key hash per call no matter how many shards the caller then
     /// reads or writes. Past [`SHARD_MEMO_CAP`] distinct job classes the
     /// memo is cleared wholesale; a row whose slot count disagrees with
     /// `n_shards` (the shard layout changed, which also advances the epoch)
-    /// is reset empty, snapshot included.
+    /// is reset empty, snapshot included. `f` must not re-enter the memo.
     pub(crate) fn with_memo_row<R>(
         &self,
         job: &JobClassKey,
         n_shards: usize,
         f: impl FnOnce(&mut MemoRow) -> R,
     ) -> R {
-        let mut memo = self.shard_memo.lock().expect("shard memo poisoned");
+        let mut memo = self.shard_memo.borrow_mut();
         if memo.get(job).is_none_or(|row| row.slots.len() != n_shards) {
             if memo.len() >= SHARD_MEMO_CAP {
                 memo.clear();
@@ -642,89 +578,54 @@ impl EvalCache {
         f(memo.get_mut(job).expect("row ensured above"))
     }
 
-    /// A cache sized by `GTS_EVAL_CACHE` (default capacity when the knob
-    /// only toggles). Note this ignores the knob's *off* position — use
-    /// [`EvalCache::enabled_by_env`] to honor it.
-    pub fn from_env() -> Self {
-        Self::with_capacity(cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY))
-    }
-
-    /// The cache for a state split into `n_shards` shards: one cache shared
-    /// by every shard, with the `GTS_EVAL_CACHE` capacity granted per
-    /// shard (the same total budget a cache-per-shard split would claim).
-    /// Sharing matters because machine-class keys recur across shards — an
-    /// idle machine's key is the same in every rack — so one cache learns
-    /// each (machine class, job class) pair once rather than once per
-    /// shard.
-    pub fn from_env_per_shard(n_shards: usize) -> Self {
-        let capacity = cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY);
-        Self::with_capacity(capacity.saturating_mul(n_shards.max(1)))
-    }
-
-    /// Whether `GTS_EVAL_CACHE` leaves the cache enabled (anything but
-    /// `0`/`off`/`false`; cached after the first read).
-    pub fn enabled_by_env() -> bool {
-        cache_env().is_some()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> EvalCacheStats {
         EvalCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
         }
     }
 
     /// Decision-replay counters so far.
     pub fn replay_stats(&self) -> DecisionReplayStats {
         DecisionReplayStats {
-            hits: self.replay_hits.load(Ordering::Relaxed),
-            shards_reeval: self.replay_shards_reeval.load(Ordering::Relaxed),
-            full_fallbacks: self.replay_full_fallbacks.load(Ordering::Relaxed),
+            hits: self.replay_hits.get(),
+            shards_reeval: self.replay_shards_reeval.get(),
+            full_fallbacks: self.replay_full_fallbacks.get(),
         }
     }
 
     /// Counts one retry answered from a snapshot.
     pub(crate) fn note_replay_hit(&self) {
-        self.replay_hits.fetch_add(1, Ordering::Relaxed);
+        bump(&self.replay_hits, 1);
     }
 
     /// Counts `n` shards re-evaluated by a partial replay.
     pub(crate) fn note_replay_reeval(&self, n: u64) {
-        self.replay_shards_reeval.fetch_add(n, Ordering::Relaxed);
+        bump(&self.replay_shards_reeval, n);
     }
 
     /// Counts one snapshot that was present but unusable.
     pub(crate) fn note_replay_fallback(&self) {
-        self.replay_full_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        // Spread by the high bits — the low bits feed the in-shard map.
-        let h = key.hash_bits();
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        bump(&self.replay_full_fallbacks, 1);
     }
 
     fn get(&self, key: &CacheKey) -> Option<CandidateOutcome> {
-        let hit = self.shard(key).lock().expect("cache shard poisoned").get(key);
-        match hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let hit = self.lru.borrow_mut().get(key);
+        bump(if hit.is_some() { &self.hits } else { &self.misses }, 1);
         hit
     }
 
     fn insert(&self, key: CacheKey, value: CandidateOutcome) {
-        let evicted = self
-            .shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, value);
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        if self.lru.borrow_mut().insert(key, value) {
+            bump(&self.evictions, 1);
         }
     }
+}
+
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 /// Evaluates one candidate machine for `job`: DRB mapping, bandwidth
@@ -984,7 +885,6 @@ mod tests {
         assert!(EvalParams::sequential().is_sequential());
         assert!(!EvalParams::parallel(1).is_sequential());
         assert_eq!(EvalParams::parallel(1).threads, 2);
-        assert_eq!(EvalParams::parallel(8).threads, 8);
     }
 
     #[test]
@@ -1127,20 +1027,27 @@ mod tests {
 
     #[test]
     fn lru_evicts_and_counts() {
-        // Single-slot-per-shard cache: filling it with distinct job widths
-        // must evict. (8 shards × 1 entry; 9+ distinct keys guarantee at
-        // least one collision-driven eviction regardless of spread.)
+        // A two-entry LRU: touching the older entry makes the newer one
+        // the victim of the next insert.
         let s = state(2);
-        let cache = EvalCache::with_capacity(1);
-        for width in 1..=4u32 {
-            for model in [NnModel::AlexNet, NnModel::CaffeRef, NnModel::GoogLeNet] {
-                for batch in [BatchClass::Tiny, BatchClass::Small, BatchClass::Big] {
-                    let j = JobSpec::new(width as u64, model, batch, width);
-                    outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
-                }
+        let cache = EvalCache::with_capacity(2);
+        let widths = |ws: &[u32]| {
+            for &w in ws {
+                outcomes_cached(&s, &job(0, w), EvalParams::parallel(2), Some(&cache));
             }
-        }
-        assert!(cache.stats().evictions >= 1, "capacity-1 shards must evict");
+        };
+        widths(&[1, 2, 1, 3]);
+        assert_eq!(
+            cache.stats(),
+            EvalCacheStats { hits: 1, misses: 3, evictions: 1 },
+            "the width-3 class evicts width 2, the least recent"
+        );
+        widths(&[1, 2]);
+        assert_eq!(
+            cache.stats(),
+            EvalCacheStats { hits: 2, misses: 4, evictions: 2 },
+            "width 1 survived, width 2 was evicted and now evicts width 3"
+        );
     }
 
     #[test]

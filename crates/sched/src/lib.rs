@@ -8,12 +8,13 @@
 //!   Eq. 4 interference prediction and Eq. 5 fragmentation;
 //! * [`eval`] — the memoized candidate-evaluation engine behind
 //!   `TOPO-AWARE(-P)`: equivalence-class deduplication on the caller's
-//!   thread, the cross-event cache, and the `GTS_EVAL_THREADS` knob;
+//!   thread, the cross-event cache, and [`EvalParams`], whose
+//!   [`EvalParams::sequential`] selects the reference oracle;
 //! * [`policy`] — the four evaluated policies: `TOPO-AWARE`,
 //!   `TOPO-AWARE-P` (postponing), `FCFS` and Best-Fit (`BF`);
 //! * [`shard`] — machine-partition sharding for datacenter scale: the
-//!   rack-aligned (or `GTS_SHARDS`-chosen) partition plus per-shard
-//!   admission aggregates behind the two-level decision path;
+//!   rack-aligned partition plus per-shard admission aggregates behind the
+//!   two-level decision path;
 //! * [`scheduler`] — the Algorithm 1 loop: arrival-ordered queue, host
 //!   filtering, placement or postponement, SLO accounting;
 //! * [`overhead`] — decision-latency metering for the §5.5.3 analysis;

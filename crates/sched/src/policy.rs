@@ -243,7 +243,7 @@ impl Policy {
             && !params.is_sequential()
             && state.shards().n_shards() > 1
         {
-            return self.decide_topo_sharded(state, job, params, cache);
+            return self.decide_topo_sharded(state, job, cache);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -387,7 +387,7 @@ impl Policy {
     ///    repaired or evaluated one by one ([`Policy::eval_miss_shards`]),
     ///    best admissible utility bound ([`ShardBoundCtx`]) first, and any
     ///    shard whose bound proves it cannot enter the selection window is
-    ///    skipped outright (`GTS_SHARD_BOUND`). Exact, not heuristic: see
+    ///    skipped outright. Exact, not heuristic: see
     ///    [`bound_prunes`] and DESIGN.md §11 (debug builds shadow-evaluate
     ///    every pruned shard and assert the bound held). Memo puts follow
     ///    in ascending shard order;
@@ -403,7 +403,6 @@ impl Policy {
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         let n = job.n_gpus as usize;
@@ -417,11 +416,9 @@ impl Policy {
         // retry whose snapshot guards hold re-evaluates only the shards
         // whose version stamps moved since the last decision for this job
         // class; `None` falls through to the full path below.
-        if params.decision_replay {
-            if let (Some(cache), Some(k)) = (cache, job_key.as_ref()) {
-                if let Some(replayed) = self.try_replay(state, job, &graph, n, params, cache, k) {
-                    return replayed;
-                }
+        if let (Some(cache), Some(k)) = (cache, job_key.as_ref()) {
+            if let Some(replayed) = self.try_replay(state, job, &graph, n, cache, k) {
+                return replayed;
             }
         }
 
@@ -472,7 +469,7 @@ impl Policy {
 
             // Level 2b: branch-and-bound over the misses.
             let (mut fresh, mut pruned) = self.eval_miss_shards(
-                state, job, &graph, n, params, cache, job_key.as_ref(), &misses, &mut u_floor,
+                state, job, &graph, n, cache, job_key.as_ref(), &misses, &mut u_floor,
             );
             // The repairs are done with their seeds; releasing them lets
             // the entries they replace be recycled below.
@@ -498,16 +495,14 @@ impl Policy {
                     // Snapshot the whole decision for the replay path: how
                     // every shard resolved, under which version vector, and
                     // what came out (DESIGN.md §12).
-                    if params.decision_replay {
-                        store_decision_snap(
-                            row,
-                            shards,
-                            job,
-                            used.into_iter(),
-                            pruned.iter().copied(),
-                            decision.as_ref(),
-                        );
-                    }
+                    store_decision_snap(
+                        row,
+                        shards,
+                        job,
+                        used.into_iter(),
+                        pruned.iter().copied(),
+                        decision.as_ref(),
+                    );
                     decision
                 });
                 recycle_entries(retired);
@@ -525,12 +520,11 @@ impl Policy {
     /// `misses` pairs each shard (ascending) with its out-of-date memo
     /// entry, if any, which seeds a repair ([`eval_or_repair`]).
     ///
-    /// With bound pruning on, shards go best admissible bound first (ties
-    /// on ascending shard), every evaluation raises `u_floor` for the
-    /// shards still queued, and a shard whose bound [`bound_prunes`]
-    /// against the running floor is skipped. Off, every shard evaluates in
-    /// ascending order. Returns the fresh `(shard, entry)` pairs in
-    /// evaluation order and the pruned `(shard, bound)` pairs.
+    /// Shards go best admissible bound first (ties on ascending shard),
+    /// every evaluation raises `u_floor` for the shards still queued, and a
+    /// shard whose bound [`bound_prunes`] against the running floor is
+    /// skipped. Returns the fresh `(shard, entry)` pairs in evaluation
+    /// order and the pruned `(shard, bound)` pairs.
     #[allow(clippy::too_many_arguments)]
     fn eval_miss_shards(
         &self,
@@ -538,7 +532,6 @@ impl Policy {
         job: &JobSpec,
         graph: &JobGraph,
         n: usize,
-        params: EvalParams,
         cache: Option<&EvalCache>,
         job_key: Option<&JobClassKey>,
         misses: &[(usize, Option<Arc<ShardClassed>>)],
@@ -550,17 +543,16 @@ impl Policy {
         if misses.is_empty() {
             return (fresh, pruned);
         }
-        let mut order: Vec<(usize, f64)> = (0..misses.len()).map(|k| (k, f64::INFINITY)).collect();
-        if params.shard_bound {
-            let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
-            for (k, bound) in &mut order {
-                *bound = ctx.shard_bound(shards, misses[*k].0);
-            }
-            order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        }
+        let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
+        let mut order: Vec<(usize, f64)> = misses
+            .iter()
+            .enumerate()
+            .map(|(k, &(s, _))| (k, ctx.shard_bound(shards, s)))
+            .collect();
+        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         for (k, bound) in order {
             let (s, stale) = &misses[k];
-            if params.shard_bound && bound_prunes(bound, *u_floor, job.min_utility) {
+            if bound_prunes(bound, *u_floor, job.min_utility) {
                 pruned.push((*s, bound));
                 continue;
             }
@@ -570,9 +562,7 @@ impl Policy {
             *u_floor = u_floor.max(entry.u_max);
             fresh.push((*s, entry));
         }
-        if params.shard_bound {
-            shards.note_bound(misses.len() as u64, pruned.len() as u64);
-        }
+        shards.note_bound(misses.len() as u64, pruned.len() as u64);
         (fresh, pruned)
     }
 
@@ -637,7 +627,6 @@ impl Policy {
         job: &JobSpec,
         graph: &JobGraph,
         n: usize,
-        params: EvalParams,
         cache: &EvalCache,
         job_key: &JobClassKey,
     ) -> Option<Option<Decision>> {
@@ -726,7 +715,7 @@ impl Policy {
                 let decision =
                     stored.map(|(gpus, utility)| Decision { gpus, utility });
                 #[cfg(debug_assertions)]
-                self.debug_assert_replay_matches(state, job, params, &decision);
+                self.debug_assert_replay_matches(state, job, &decision);
                 return Some(decision);
             }
             Probe::Partial { mutated, kept, pruned, u_floor } => {
@@ -744,7 +733,7 @@ impl Policy {
         mutated.retain(|&(s, _)| shards.has_capacity(s, n));
         shards.note_admission(total_mutated, total_mutated - mutated.len() as u64);
         let (mut fresh, mut pruned) = self.eval_miss_shards(
-            state, job, graph, n, params, Some(cache), Some(job_key), &mutated, &mut u_floor,
+            state, job, graph, n, Some(cache), Some(job_key), &mutated, &mut u_floor,
         );
 
         // Re-test the snapshot-pruned shards against the current floor.
@@ -753,7 +742,7 @@ impl Policy {
         // prunable at the final floor; one that fails re-evaluates (and
         // may itself raise the floor — harmless, see above).
         for (s, bound, seed) in pruned_snap {
-            if params.shard_bound && bound_prunes(bound, u_floor, job.min_utility) {
+            if bound_prunes(bound, u_floor, job.min_utility) {
                 pruned.push((s, bound));
                 continue;
             }
@@ -808,23 +797,22 @@ impl Policy {
         drop(fresh);
         recycle_entries(retired);
         #[cfg(debug_assertions)]
-        self.debug_assert_replay_matches(state, job, params, &decision);
+        self.debug_assert_replay_matches(state, job, &decision);
         Some(decision)
     }
 
     /// Debug shadow behind every replayed decision: re-run the whole
-    /// sharded decision with replay off and no memo (the fresh reference)
-    /// and assert the replay produced bit-identical output.
+    /// sharded decision with no cache — so no memo and no replay, the
+    /// fresh reference — and assert the replay produced bit-identical
+    /// output.
     #[cfg(debug_assertions)]
     fn debug_assert_replay_matches(
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        params: EvalParams,
         got: &Option<Decision>,
     ) {
-        let want =
-            self.decide_topo_sharded(state, job, params.with_decision_replay(false), None);
+        let want = self.decide_topo_sharded(state, job, None);
         match (got, &want) {
             (None, None) => {}
             (Some(a), Some(b)) => {

@@ -30,24 +30,16 @@ use std::time::Instant;
 pub struct SchedulerConfig {
     /// The placement policy to run.
     pub policy: Policy,
-    /// Candidate-evaluation engine parameters.
+    /// Candidate-evaluation engine parameters:
+    /// [`EvalParams::sequential`] selects the reference oracle.
     pub eval: EvalParams,
-    /// Whether to keep a cross-event [`EvalCache`] for the run (DESIGN.md
-    /// §9). Defaults to the `GTS_EVAL_CACHE` knob; the cache only ever
-    /// engages on the engine path (`eval.threads > 1`).
-    pub eval_cache: bool,
 }
 
 impl SchedulerConfig {
     /// Config with the environment-selected evaluation engine
-    /// ([`EvalParams::from_env`]) and cache toggle
-    /// ([`EvalCache::enabled_by_env`]).
+    /// ([`EvalParams::from_env`]).
     pub fn new(policy: Policy) -> Self {
-        Self {
-            policy,
-            eval: EvalParams::from_env(),
-            eval_cache: EvalCache::enabled_by_env(),
-        }
+        Self { policy, eval: EvalParams::from_env() }
     }
 }
 
@@ -98,10 +90,10 @@ pub struct Scheduler {
     policy: Policy,
     eval: EvalParams,
     /// The cross-event placement cache, alive for the whole run and shared
-    /// by every shard of the cluster state, with the `GTS_EVAL_CACHE`
-    /// capacity granted per shard. It also holds the shard memo and the
-    /// decision snapshots. `None` when disabled by config/knob.
-    eval_cache: Option<EvalCache>,
+    /// by every shard of the cluster state ([`EvalCache::per_shard`]). It
+    /// also holds the shard memo and the decision snapshots. The
+    /// sequential reference never reads it.
+    eval_cache: EvalCache,
     state: ClusterState,
     queue: WaitQueue,
     stats: DecisionStats,
@@ -115,9 +107,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// A scheduler over a fresh cluster state.
     pub fn new(state: ClusterState, config: SchedulerConfig) -> Self {
-        let eval_cache = config
-            .eval_cache
-            .then(|| EvalCache::from_env_per_shard(state.shards().n_shards()));
+        let eval_cache = EvalCache::per_shard(state.shards().n_shards());
         Self {
             policy: config.policy,
             eval: config.eval,
@@ -133,15 +123,14 @@ impl Scheduler {
         }
     }
 
-    /// Counters of the cross-event cache, or `None` when it is disabled.
-    pub fn eval_cache_stats(&self) -> Option<EvalCacheStats> {
-        self.eval_cache.as_ref().map(EvalCache::stats)
+    /// Counters of the cross-event cache.
+    pub fn eval_cache_stats(&self) -> EvalCacheStats {
+        self.eval_cache.stats()
     }
 
-    /// Counters of the cross-event decision-replay path, or `None` when
-    /// the eval cache is disabled (the snapshot lives in its shard memo).
-    pub fn decision_replay_stats(&self) -> Option<DecisionReplayStats> {
-        self.eval_cache.as_ref().map(EvalCache::replay_stats)
+    /// Counters of the cross-event decision-replay path.
+    pub fn decision_replay_stats(&self) -> DecisionReplayStats {
+        self.eval_cache.replay_stats()
     }
 
     /// Turns the decision-trace stream on or off. Off by default — tracing
@@ -279,7 +268,7 @@ impl Scheduler {
             let job = self.queue.pop().expect("queue checked non-empty");
 
             let started = Instant::now();
-            let cache = self.eval_cache.as_ref();
+            let cache = Some(&self.eval_cache);
             let decision = if self.tracing {
                 let mut evals = Vec::new();
                 let d = self.policy.decide_traced_with_cache(

@@ -11,7 +11,7 @@
 //! 1. **Global admission** — O(shards): consult the per-shard free-GPU
 //!    histogram to skip every shard that cannot host the job at all;
 //! 2. **Shard-local placement** — the existing class-grouped evaluation
-//!    runs only over admitted shards, with a per-shard [`crate::EvalCache`].
+//!    runs only over admitted shards, with one shared [`crate::EvalCache`].
 //!
 //! The aggregates are maintained O(1) per GPU on every
 //! `place`/`release`/failure by [`crate::ClusterState`], re-derived from
@@ -23,7 +23,6 @@
 
 use gts_topo::{ClusterTopology, MachineId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// How to partition the cluster's machines into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,31 +33,6 @@ pub enum ShardSpec {
     /// `n` equal contiguous chunks (clamped to `1..=n_machines`). `1` is
     /// the single-shard reference path.
     Count(usize),
-}
-
-impl ShardSpec {
-    /// Reads `GTS_SHARDS` (cached after the first read): unset, `auto` or
-    /// `rack` select rack-aligned sharding; `0`/`off`/`false`/`1` select
-    /// the single-shard reference; any other positive integer selects that
-    /// many contiguous chunks.
-    pub fn from_env() -> Self {
-        static CACHED: OnceLock<ShardSpec> = OnceLock::new();
-        *CACHED.get_or_init(|| match std::env::var("GTS_SHARDS") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => ShardSpec::Auto,
-        })
-    }
-
-    fn parse(raw: &str) -> Self {
-        match raw.trim() {
-            "" | "auto" | "rack" => ShardSpec::Auto,
-            "0" | "off" | "false" | "1" => ShardSpec::Count(1),
-            other => match other.parse::<usize>() {
-                Ok(n) => ShardSpec::Count(n),
-                Err(_) => ShardSpec::Auto,
-            },
-        }
-    }
 }
 
 /// The incremental shard index: the machine→shard partition plus the
@@ -572,19 +546,6 @@ impl ShardIndex {
 mod tests {
     use super::*;
     use gts_topo::power8_minsky;
-
-    #[test]
-    fn spec_parsing_covers_the_knob_grammar() {
-        assert_eq!(ShardSpec::parse(""), ShardSpec::Auto);
-        assert_eq!(ShardSpec::parse("auto"), ShardSpec::Auto);
-        assert_eq!(ShardSpec::parse("rack"), ShardSpec::Auto);
-        assert_eq!(ShardSpec::parse("0"), ShardSpec::Count(1));
-        assert_eq!(ShardSpec::parse("off"), ShardSpec::Count(1));
-        assert_eq!(ShardSpec::parse("false"), ShardSpec::Count(1));
-        assert_eq!(ShardSpec::parse("1"), ShardSpec::Count(1));
-        assert_eq!(ShardSpec::parse(" 4 "), ShardSpec::Count(4));
-        assert_eq!(ShardSpec::parse("banana"), ShardSpec::Auto);
-    }
 
     #[test]
     fn auto_partition_follows_racks() {

@@ -264,7 +264,7 @@ impl ClusterState {
         let down = vec![false; cluster.n_machines()];
         // Fresh state: every GPU free, so each machine contributes its full
         // width to the shard aggregates.
-        let shards = ShardIndex::build(&cluster, ShardSpec::from_env(), |m| {
+        let shards = ShardIndex::build(&cluster, ShardSpec::Auto, |m| {
             cluster.machine(m).n_gpus()
         });
         let mut state = Self {
@@ -543,8 +543,9 @@ impl ClusterState {
     }
 
     /// Repartitions the cluster under `spec`, rebuilding the aggregates
-    /// from the current free counts. `ShardSpec::Count(1)` restores the
-    /// single-shard reference regardless of the `GTS_SHARDS` environment.
+    /// from the current free counts. [`ClusterState::new`] partitions by
+    /// rack ([`ShardSpec::Auto`]); `ShardSpec::Count(1)` selects the
+    /// single-shard (flat) decision path.
     pub fn with_shards(mut self, spec: ShardSpec) -> Self {
         let shards = ShardIndex::build(&self.cluster, spec, |m| self.free_count(m));
         self.shards = shards;

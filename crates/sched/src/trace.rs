@@ -142,9 +142,9 @@ pub enum TraceEvent {
         machine: MachineId,
     },
     /// End-of-run counters of the cross-event placement cache
-    /// ([`crate::EvalCache`]). Appended once by the simulator when tracing
-    /// with the cache enabled; absent otherwise, so cache-off traces stay
-    /// comparable event-for-event after stripping this variant.
+    /// ([`crate::EvalCache`]). Appended once at the end of every traced
+    /// simulation (all zero on the sequential reference, which never reads
+    /// the cache); strip it to compare traces event-for-event.
     EvalCacheStats {
         /// Event time, seconds (the run's final clock).
         t_s: f64,
@@ -156,10 +156,9 @@ pub enum TraceEvent {
         evictions: u64,
     },
     /// End-of-run counters of the cross-event decision-replay path
-    /// (`GTS_DECISION_REPLAY`, DESIGN.md §12). Appended once by the
-    /// simulator when tracing with nonzero replay activity; absent
-    /// otherwise, so replay-off traces stay comparable event-for-event
-    /// after stripping this variant.
+    /// (DESIGN.md §12). Appended once by the simulator when tracing with
+    /// nonzero replay activity; absent otherwise, so traces without replay
+    /// stay comparable event-for-event after stripping this variant.
     DecisionReplayStats {
         /// Event time, seconds (the run's final clock).
         t_s: f64,

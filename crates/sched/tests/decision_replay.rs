@@ -1,11 +1,11 @@
 //! Snapshot-invalidation edges of the cross-event decision-replay path
-//! (`GTS_DECISION_REPLAY`, DESIGN.md §12).
+//! (DESIGN.md §12).
 //!
 //! Most tests drive the *public* `Scheduler` surface through an event
-//! script twice — replay on vs replay off — and asserts the iteration
-//! outcomes (placements, GPUs, utility bits) and final cluster occupancy
-//! are identical, while the replay-on run actually exercised its
-//! snapshots. One drives `Policy` decisions directly, to pin a bound prune
+//! script twice — the production path vs the sequential reference — and
+//! assert the iteration outcomes (placements, GPUs, utility bits) and
+//! final cluster occupancy are identical, while the production run
+//! actually exercised its snapshots. One drives `Policy` decisions directly, to pin a bound prune
 //! inside a partial replay. The scripts target the edges where a stale snapshot would
 //! be most tempting to trust: a machine failing and recovering while the
 //! queue is blocked, a cancel landing on a job whose class is
@@ -61,20 +61,16 @@ fn wide_job(id: u64, gpus: u32) -> JobSpec {
     spec
 }
 
-/// Replays the script on a fresh scheduler, auditing the state after every
-/// drain. Returns the per-drain outcomes, the final per-machine occupancy
-/// fingerprint, and the replay counters.
+/// Replays the script on a fresh scheduler running `eval`, auditing the
+/// state after every drain. Returns the per-drain outcomes, the final
+/// per-machine occupancy fingerprint, and the replay counters.
 fn run_script(
     state: ClusterState,
-    replay: bool,
+    eval: EvalParams,
     script: &[Ev],
 ) -> (Vec<Vec<PlacementOutcome>>, Vec<usize>, DecisionReplayStats) {
     let n_machines = state.cluster().machines().count();
-    let config = SchedulerConfig {
-        policy: Policy::new(PolicyKind::TopoAware),
-        eval: EvalParams::parallel(2).with_decision_replay(replay),
-        eval_cache: true,
-    };
+    let config = SchedulerConfig { policy: Policy::new(PolicyKind::TopoAware), eval };
     let mut sched = Scheduler::new(state, config);
     let mut drains = Vec::new();
     for ev in script {
@@ -104,8 +100,7 @@ fn run_script(
     }
     let occupancy: Vec<usize> =
         (0..n_machines).map(|m| sched.state().free_gpus(MachineId(m as u32)).len()).collect();
-    let stats = sched.decision_replay_stats().expect("cache is on");
-    (drains, occupancy, stats)
+    (drains, occupancy, sched.decision_replay_stats())
 }
 
 /// Outcome streams must agree bit for bit (utilities compared as bits).
@@ -131,14 +126,15 @@ fn assert_outcomes_identical(on: &[Vec<PlacementOutcome>], off: &[Vec<PlacementO
     }
 }
 
-/// Runs the script under replay on and off, asserts bit-identity, and
-/// hands back the replay-on counters for activity assertions.
+/// Runs the script on the production path and on the sequential
+/// reference, asserts bit-identity, and hands back the production replay
+/// counters for activity assertions.
 fn assert_replay_invariant(state: ClusterState, script: &[Ev]) -> DecisionReplayStats {
-    let (on, occ_on, stats_on) = run_script(state.clone(), true, script);
-    let (off, occ_off, stats_off) = run_script(state, false, script);
+    let (on, occ_on, stats_on) = run_script(state.clone(), EvalParams::parallel(2), script);
+    let (off, occ_off, stats_off) = run_script(state, EvalParams::sequential(), script);
     assert_outcomes_identical(&on, &off);
     assert_eq!(occ_on, occ_off, "final occupancy diverged");
-    assert_eq!(stats_off, DecisionReplayStats::default(), "replay off must not snapshot");
+    assert_eq!(stats_off, DecisionReplayStats::default(), "the reference must not snapshot");
     stats_on
 }
 
@@ -281,8 +277,7 @@ fn a_shard_pruned_inside_a_partial_replay_is_retested_later() {
     }
 
     let replayed = policy.decide_with_cache(&state, &probe, params, Some(&cache));
-    let fresh =
-        policy.decide_with_cache(&state, &probe, params.with_decision_replay(false), None);
+    let fresh = policy.decide_with_cache(&state, &probe, params, None);
     let bits = |d: &Option<gts_sched::policy::Decision>| {
         d.as_ref().map(|d| (d.gpus.clone(), d.utility.to_bits()))
     };

@@ -37,7 +37,7 @@ fn occupied_state() -> ClusterState {
 }
 
 /// Every (model, batch, width) combination — far more job classes than a
-/// capacity-1 cache (one entry per shard) can hold.
+/// capacity-1 cache can hold.
 fn job_classes() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     let mut id = 0u64;
@@ -64,7 +64,7 @@ fn lru_eviction_then_recompute_is_bit_identical() {
     let jobs = job_classes();
 
     // First sweep: mostly misses, with evictions as classes churn through
-    // the tiny shards.
+    // the one-entry cache.
     let first: Vec<_> = jobs
         .iter()
         .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny)))
@@ -73,7 +73,7 @@ fn lru_eviction_then_recompute_is_bit_identical() {
     assert!(stats.misses > 0, "sweep must populate the cache");
     assert!(
         stats.evictions > 0,
-        "24 job classes through 8 one-entry shards must evict, got {stats:?}"
+        "24 job classes through a one-entry cache must evict, got {stats:?}"
     );
 
     // Second sweep: evicted classes recompute; answers must not drift.

@@ -11,9 +11,9 @@
 //!
 //! # Incremental event loop
 //!
-//! The loop runs in one of two modes, selected by
-//! [`SimConfig::incremental`] (env default: `GTS_SIM_INCREMENTAL`, on
-//! unless set to `0`/`false`/`off`):
+//! Production runs the incremental loop. `SimConfig::with_incremental(false)`
+//! selects the reference loop, which together with
+//! [`EvalParams::sequential`] forms the reference oracle:
 //!
 //! * **Reference** — after every event, every running job's slowdown is
 //!   re-derived against every other running job (O(J²) pairwise with a
@@ -32,10 +32,10 @@
 //!   failure/recovery schedules pop through cursors instead of
 //!   `Vec::remove(0)`.
 //!
-//! Bit-identity of the two modes across policies, seeds, failures, and
-//! jitter is enforced by `tests/stack_properties.rs` at the workspace root
-//! and, in debug builds, by a full O(J²) shadow check after every scoped
-//! refresh.
+//! Bit-identity of production and the oracle across policies, seeds,
+//! cluster shapes, failures, and jitter is enforced by the differential
+//! runner in `tests/stack_properties.rs` at the workspace root and, in
+//! debug builds, by a full O(J²) shadow check after every scoped refresh.
 
 use crate::ideal::ideal_duration_s;
 use crate::metrics::{JobRecord, SimEvent, SimResult, TimelineSegment, UtilitySample};
@@ -43,13 +43,13 @@ use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    Allocation, CancelOutcome, ClusterState, EvalCache, EvalParams, PlacementOutcome, Policy,
-    Scheduler, SchedulerConfig, ShardSpec, TraceEvent,
+    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler,
+    SchedulerConfig, ShardSpec, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A rejected [`SimConfig`] input, caught at construction time instead of
 /// panicking deep inside the event loop.
@@ -110,21 +110,12 @@ pub struct SimConfig {
     /// reference path).
     pub eval: EvalParams,
     /// Run the incremental event loop (machine-scoped slowdown refresh +
-    /// completion heap) instead of the O(J²)-per-event reference loop.
-    /// Defaults from `GTS_SIM_INCREMENTAL` (on unless `0`/`false`/`off`);
-    /// both modes produce bit-identical [`SimResult`]s.
+    /// completion heap; the default) instead of the O(J²)-per-event
+    /// reference loop. Both produce bit-identical [`SimResult`]s.
     pub incremental: bool,
-    /// Keep the cross-event placement cache ([`EvalCache`]) alive for the
-    /// whole run, so arrivals that see a machine/job equivalence class any
-    /// earlier arrival already evaluated skip the DRB mapping entirely.
-    /// Defaults from `GTS_EVAL_CACHE` (on unless `0`/`false`/`off`); cache
-    /// on and off produce bit-identical [`SimResult`]s (modulo the
-    /// [`TraceEvent::EvalCacheStats`] footer when tracing).
-    pub eval_cache: bool,
-    /// Overrides the cluster-state shard count (`None` = `GTS_SHARDS` env
-    /// default, rack-aligned auto partition). `Some(1)` forces the
-    /// single-shard reference decision path; any count produces
-    /// bit-identical [`SimResult`]s.
+    /// Overrides the cluster-state shard count (`None` = rack-aligned auto
+    /// partition). `Some(1)` forces the single-shard (flat) decision path;
+    /// any count produces bit-identical [`SimResult`]s.
     pub shards: Option<usize>,
     /// Meter per-phase wall time (decision / refresh / heap / drain) into
     /// [`SimLoopStats`]. Off by default: the heap/refresh/drain phases
@@ -132,18 +123,6 @@ pub struct SimConfig {
     /// pay. Decision time is always available (the scheduler meters every
     /// decision regardless).
     pub phase_timing: bool,
-}
-
-/// Reads `GTS_SIM_INCREMENTAL` (cached after the first read). The
-/// incremental loop is on unless the variable is set to `0`, `false`, or
-/// `off` — it is bit-identical to the reference loop, so there is no
-/// accuracy reason to opt out.
-fn incremental_default() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("GTS_SIM_INCREMENTAL") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
-    })
 }
 
 impl SimConfig {
@@ -159,8 +138,7 @@ impl SimConfig {
             machine_recoveries: Vec::new(),
             trace: false,
             eval: EvalParams::from_env(),
-            incremental: incremental_default(),
-            eval_cache: EvalCache::enabled_by_env(),
+            incremental: true,
             shards: None,
             phase_timing: false,
         }
@@ -184,10 +162,10 @@ impl SimConfig {
         self
     }
 
-    /// Enables (`true`) or disables (`false`) the cross-event placement
-    /// cache, overriding `GTS_EVAL_CACHE`.
-    pub fn with_eval_cache(mut self, eval_cache: bool) -> Self {
-        self.eval_cache = eval_cache;
+    /// Does nothing: the scheduler always owns its cross-event placement
+    /// cache, and the sequential reference never reads it. Kept so that
+    /// callers written against the old cache toggle still compile.
+    pub fn with_eval_cache(self, _eval_cache: bool) -> Self {
         self
     }
 
@@ -249,7 +227,7 @@ impl SimConfig {
             .expect("recovery schedule must use finite times")
     }
 
-    /// Overrides the shard count (`1` = single-shard reference path).
+    /// Overrides the shard count (`1` = single-shard, flat decision path).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -295,8 +273,8 @@ pub struct SimLoopStats {
     /// Per-job `current_slowdown` derivation counts.
     pub evals_by_job: HashMap<JobId, u64>,
     /// Placement-cache lookups answered without running the DRB mapping
-    /// (one lookup per machine equivalence class per arrival). 0 when the
-    /// cache is off.
+    /// (one lookup per machine equivalence class per arrival). 0 on the
+    /// sequential reference, which never reads the cache.
     pub eval_cache_hits: u64,
     /// Placement-cache lookups that ran the full evaluation.
     pub eval_cache_misses: u64,
@@ -309,15 +287,14 @@ pub struct SimLoopStats {
     /// shard had enough free GPUs, so placement never scanned it.
     pub shard_admission_skipped: u64,
     /// Memo-miss shards whose admissible utility bound was consulted by
-    /// the branch-and-bound prune pass. 0 with `GTS_SHARD_BOUND=0` or on
-    /// the single-shard path.
+    /// the branch-and-bound prune pass. 0 on the single-shard path.
     pub shard_bound_checked: u64,
     /// Memo-miss shards skipped outright because their bound proved no
     /// candidate could enter the selection window.
     pub shard_bound_pruned: u64,
     /// Queue-drain retries answered from a cross-event decision snapshot
-    /// (`GTS_DECISION_REPLAY`, DESIGN.md §12). 0 with replay off, on the
-    /// single-shard path, or with the eval cache disabled.
+    /// (DESIGN.md §12). 0 on the single-shard path and on the sequential
+    /// reference.
     pub replay_hits: u64,
     /// Shards re-evaluated by partial replays — everything else those
     /// retries needed was reused from the snapshot.
@@ -419,14 +396,8 @@ impl Simulation {
         if let Some(n) = config.shards {
             state = state.with_shards(ShardSpec::Count(n));
         }
-        let mut scheduler = Scheduler::new(
-            state,
-            SchedulerConfig {
-                policy: config.policy,
-                eval: config.eval,
-                eval_cache: config.eval_cache,
-            },
-        );
+        let mut scheduler =
+            Scheduler::new(state, SchedulerConfig { policy: config.policy, eval: config.eval });
         scheduler.set_tracing(config.trace);
         // Schedule times are validated finite at config construction;
         // `total_cmp` keeps the sort a total order even for a config built
@@ -572,37 +543,35 @@ impl Simulation {
             .map(|r| r.finished_at_s)
             .fold(0.0, f64::max);
         let mut trace = self.scheduler.take_trace();
-        if let Some(cache) = self.scheduler.eval_cache_stats() {
-            self.stats.eval_cache_hits = cache.hits;
-            self.stats.eval_cache_misses = cache.misses;
-            self.stats.eval_cache_evictions = cache.evictions;
-            if self.config.trace {
-                trace.push(TraceEvent::EvalCacheStats {
-                    t_s: self.now,
-                    hits: cache.hits,
-                    misses: cache.misses,
-                    evictions: cache.evictions,
-                });
-            }
+        let cache = self.scheduler.eval_cache_stats();
+        self.stats.eval_cache_hits = cache.hits;
+        self.stats.eval_cache_misses = cache.misses;
+        self.stats.eval_cache_evictions = cache.evictions;
+        if self.config.trace {
+            trace.push(TraceEvent::EvalCacheStats {
+                t_s: self.now,
+                hits: cache.hits,
+                misses: cache.misses,
+                evictions: cache.evictions,
+            });
         }
-        if let Some(replay) = self.scheduler.decision_replay_stats() {
-            self.stats.replay_hits = replay.hits;
-            self.stats.replay_shards_reeval = replay.shards_reeval;
-            self.stats.replay_full_fallbacks = replay.full_fallbacks;
-            // Footer only when there was replay activity: traced runs take
-            // the flat reference path (tracing needs per-candidate
-            // records), so their counters are zero and replay-off traces
-            // stay comparable event-for-event without stripping.
-            if self.config.trace
-                && (replay.hits > 0 || replay.shards_reeval > 0 || replay.full_fallbacks > 0)
-            {
-                trace.push(TraceEvent::DecisionReplayStats {
-                    t_s: self.now,
-                    hits: replay.hits,
-                    shards_reeval: replay.shards_reeval,
-                    full_fallbacks: replay.full_fallbacks,
-                });
-            }
+        let replay = self.scheduler.decision_replay_stats();
+        self.stats.replay_hits = replay.hits;
+        self.stats.replay_shards_reeval = replay.shards_reeval;
+        self.stats.replay_full_fallbacks = replay.full_fallbacks;
+        // Footer only when there was replay activity: traced runs take the
+        // flat path (tracing needs per-candidate records), so their
+        // counters are zero and their traces stay comparable
+        // event-for-event without stripping.
+        if self.config.trace
+            && (replay.hits > 0 || replay.shards_reeval > 0 || replay.full_fallbacks > 0)
+        {
+            trace.push(TraceEvent::DecisionReplayStats {
+                t_s: self.now,
+                hits: replay.hits,
+                shards_reeval: replay.shards_reeval,
+                full_fallbacks: replay.full_fallbacks,
+            });
         }
         let (checked, skipped) = self.scheduler.state().shards().admission_stats();
         self.stats.shard_admission_checked = checked;
@@ -1429,9 +1398,16 @@ mod tests {
         }
     }
 
-    /// Cache-on and cache-off runs must agree bit for bit, and a cached
-    /// run must surface its counters through `SimLoopStats` and the trace
-    /// footer (which is the only trace difference between the two).
+    /// Switches a production config to the reference oracle: sequential
+    /// candidate evaluation and the recompute-everything event loop.
+    fn oracle(config: SimConfig) -> SimConfig {
+        config.with_eval(EvalParams::sequential()).with_incremental(false)
+    }
+
+    /// A traced production run must agree bit for bit with the oracle, and
+    /// surface its cache counters through `SimLoopStats` and the trace
+    /// footer (the only trace difference between the two; the oracle's
+    /// footer counts nothing, since it never reads the cache).
     #[test]
     fn eval_cache_is_transparent_and_counted() {
         let (c, p) = setup(2);
@@ -1446,19 +1422,14 @@ mod tests {
                 )
             })
             .collect();
-        let run = |cached: bool| {
-            Simulation::new(
-                Arc::clone(&c),
-                Arc::clone(&p),
-                SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2))
-                    .with_trace()
-                    .with_eval_cache(cached),
-            )
-            .run_with_stats(trace.clone())
+        let run = |config: SimConfig| {
+            Simulation::new(Arc::clone(&c), Arc::clone(&p), config).run_with_stats(trace.clone())
         };
-        let (mut on, on_stats) = run(true);
-        let (off, off_stats) = run(false);
+        let production = SimConfig::new(Policy::new(PolicyKind::TopoAware))
+            .with_eval(EvalParams::parallel(2))
+            .with_trace();
+        let (mut on, on_stats) = run(production.clone());
+        let (mut off, off_stats) = run(oracle(production));
         assert!(on_stats.eval_cache_hits + on_stats.eval_cache_misses > 0);
         assert_eq!(off_stats.eval_cache_hits, 0);
         assert_eq!(off_stats.eval_cache_misses, 0);
@@ -1470,6 +1441,10 @@ mod tests {
             }
             other => panic!("expected EvalCacheStats footer, got {other:?}"),
         }
+        assert!(matches!(
+            off.trace.pop(),
+            Some(TraceEvent::EvalCacheStats { hits: 0, misses: 0, evictions: 0, .. })
+        ));
         assert_eq!(on.records, off.records, "records diverged");
         assert_eq!(on.events, off.events, "events diverged");
         assert_eq!(on.trace, off.trace, "traces diverged beyond the footer");
@@ -1577,13 +1552,13 @@ mod tests {
     /// The utility-bound pruner must surface its counters through
     /// `SimLoopStats`, actually prune in a scenario built to trip the
     /// min-utility gate arm, and leave results bit-identical to the
-    /// unpruned path. Scenario: 2 machines / 2 shards; job 0 occupies
-    /// machine 0, so job 1 (min_utility just under 1) sees shard 1 as a
-    /// memo hit at utility 1.0 (the floor) while shard 0's occupied-machine
-    /// bound falls below the gate — an exact prune.
+    /// oracle. Scenario: 2 machines / 2 shards; job 0 occupies machine 0,
+    /// so job 1 (min_utility just under 1) sees shard 1 as a memo hit at
+    /// utility 1.0 (the floor) while shard 0's occupied-machine bound falls
+    /// below the gate — an exact prune.
     #[test]
     fn shard_bound_counters_surface_in_stats() {
-        let run = |bound: bool| {
+        let run = |reference: bool| {
             let machine = power8_minsky();
             let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
@@ -1597,20 +1572,16 @@ mod tests {
                     .with_iterations(2000)
                     .with_min_utility(0.9999),
             ];
-            Simulation::new(
-                cluster,
-                profiles,
-                SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2).with_shard_bound(bound))
-                    .with_eval_cache(true)
-                    .with_shards(2),
-            )
-            .run_with_stats(trace)
+            let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
+                .with_eval(EvalParams::parallel(2))
+                .with_shards(2);
+            let config = if reference { oracle(config) } else { config };
+            Simulation::new(cluster, profiles, config).run_with_stats(trace)
         };
-        let (base_res, base) = run(false);
+        let (base_res, base) = run(true);
         assert_eq!(base.shard_bound_checked, 0);
         assert_eq!(base.shard_bound_pruned, 0);
-        let (res, stats) = run(true);
+        let (res, stats) = run(false);
         assert!(stats.shard_bound_checked > 0, "no shard was bound-checked");
         assert!(stats.shard_bound_pruned > 0, "gate-arm scenario never pruned");
         assert_eq!(res.records, base_res.records);
@@ -1620,14 +1591,14 @@ mod tests {
 
     /// Cross-event decision replay must surface its counters through
     /// `SimLoopStats`, actually fire under a queue that retries across
-    /// completions, and leave results bit-identical to the replay-off
-    /// path. Scenario: 2 machines / 2 shards, machine-filling jobs, so
-    /// every completion re-decides the queue head after mutating exactly
-    /// one shard — the partial-replay shape — while arrival-only event
-    /// batches retry with nothing moved — the O(1) full-hit shape.
+    /// completions, and leave results bit-identical to the oracle.
+    /// Scenario: 2 machines / 2 shards, machine-filling jobs, so every
+    /// completion re-decides the queue head after mutating exactly one
+    /// shard — the partial-replay shape — while arrival-only event batches
+    /// retry with nothing moved — the O(1) full-hit shape.
     #[test]
     fn decision_replay_counters_surface_in_stats() {
-        let run = |replay: bool, phase_timing: bool| {
+        let run = |reference: bool| {
             let machine = power8_minsky();
             let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
@@ -1639,23 +1610,18 @@ mod tests {
                         .with_min_utility(0.3)
                 })
                 .collect();
-            Simulation::new(
-                cluster,
-                profiles,
-                SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2).with_decision_replay(replay))
-                    .with_eval_cache(true)
-                    .with_shards(2)
-                    .with_phase_timing(phase_timing),
-            )
-            .run_with_stats(trace)
+            let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
+                .with_eval(EvalParams::parallel(2))
+                .with_shards(2);
+            let config = if reference { oracle(config) } else { config.with_phase_timing(true) };
+            Simulation::new(cluster, profiles, config).run_with_stats(trace)
         };
-        let (off_res, off) = run(false, false);
-        assert_eq!(off.replay_hits, 0, "replay off must not snapshot");
+        let (off_res, off) = run(true);
+        assert_eq!(off.replay_hits, 0, "the oracle must not snapshot");
         assert_eq!(off.replay_shards_reeval, 0);
         assert_eq!(off.replay_full_fallbacks, 0);
         assert_eq!(off.phase_drain_ns, 0, "phase timing off leaves drain unmetered");
-        let (on_res, on) = run(true, true);
+        let (on_res, on) = run(false);
         assert!(on.replay_hits > 0, "queue retries never replayed");
         assert!(on.phase_decision_ns > 0, "decisions are always metered");
         assert!(on.phase_drain_ns > 0, "phase timing on must meter the drain");
@@ -1668,8 +1634,8 @@ mod tests {
         assert_eq!(on_res.makespan_s.to_bits(), off_res.makespan_s.to_bits());
     }
 
-    /// The admission pre-pass must reject oversized jobs with the cached
-    /// machine width, identically to the old per-job cluster scan.
+    /// A plain run must populate the slowdown-derivation counters, with
+    /// the per-job counts summing to the total.
     #[test]
     fn eval_counters_are_populated() {
         let (c, p) = setup(1);

@@ -12,9 +12,9 @@
 //! * [`runtime`] — running-job state: remaining work, current rate,
 //!   slowdown re-evaluation;
 //! * [`engine`] — the event loop (arrivals, completions, scheduler
-//!   wakeups), in two bit-identical flavours: an O(J²)-per-event reference
-//!   and an incremental loop (machine-scoped slowdown refresh + lazy
-//!   completion heap) selected by `GTS_SIM_INCREMENTAL`;
+//!   wakeups): the incremental loop (machine-scoped slowdown refresh + lazy
+//!   completion heap) in production, and the bit-identical O(J²)-per-event
+//!   reference loop behind `SimConfig::with_incremental(false)`;
 //! * [`metrics`] — per-job records (QoS slowdown, QoS+wait slowdown,
 //!   utility, SLO violations), timelines and summary statistics;
 //! * [`ideal`] — the "fastest execution" baseline every slowdown is

@@ -2,6 +2,7 @@
 //! cluster shapes, every policy.
 
 use gpu_topo_aware::prelude::*;
+use gpu_topo_aware::sched::CancelOutcome;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -102,245 +103,6 @@ fn every_policy_passes_the_audit_and_drains_the_cluster() {
     }
 }
 
-/// One traced simulation with an explicit evaluation-engine setting.
-/// Even-numbered seeds also script a failure/recovery cycle so the engine
-/// is exercised across `fail_machine`/`recover_machine` invalidations.
-/// The cross-event cache is pinned off so the comparison isolates the
-/// memoized+parallel engine itself; `eval_cache_is_bit_identical_to_
-/// uncached_runs` below covers the cache layer.
-fn simulate_with_eval(
-    seed: u64,
-    n_machines: usize,
-    kind: PolicyKind,
-    eval: EvalParams,
-) -> SimResult {
-    let machine = power8_minsky();
-    let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
-    let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
-    let trace = WorkloadGenerator::with_defaults(seed).generate(24);
-    let mut config = SimConfig::new(Policy::new(kind))
-        .with_trace()
-        .with_eval(eval)
-        .with_eval_cache(false);
-    if seed.is_multiple_of(2) {
-        config = config
-            .with_machine_failures(vec![(50.0, MachineId(1))])
-            .with_machine_recoveries(vec![(400.0, MachineId(1))]);
-    }
-    Simulation::new(cluster, profiles, config).run(trace)
-}
-
-/// The memoized+parallel evaluation engine must be bit-identical to the
-/// sequential reference: same placements, same trace events, same metrics,
-/// for every policy across many seeds, including machine-failure runs.
-/// (`mean_decision_s` is wall-clock and legitimately differs.)
-#[test]
-fn evaluation_engine_is_bit_identical_to_sequential_reference() {
-    for kind in PolicyKind::ALL {
-        for seed in 0..8u64 {
-            let n_machines = 2 + (seed as usize % 3);
-            let seq = simulate_with_eval(seed, n_machines, kind, EvalParams::sequential());
-            let par = simulate_with_eval(seed, n_machines, kind, EvalParams::parallel(4));
-            let ctx = format!("{kind:?} seed {seed} ({n_machines} machines)");
-            assert_eq!(seq.policy, par.policy, "{ctx}: policy");
-            assert_eq!(seq.records, par.records, "{ctx}: records");
-            assert_eq!(seq.unplaceable, par.unplaceable, "{ctx}: unplaceable");
-            assert_eq!(seq.timeline, par.timeline, "{ctx}: timeline");
-            assert_eq!(seq.utility_series, par.utility_series, "{ctx}: utility series");
-            assert_eq!(
-                seq.makespan_s.to_bits(),
-                par.makespan_s.to_bits(),
-                "{ctx}: makespan {} vs {}",
-                seq.makespan_s,
-                par.makespan_s
-            );
-            assert_eq!(seq.slo_violations, par.slo_violations, "{ctx}: SLO violations");
-            assert_eq!(seq.failures, par.failures, "{ctx}: failures");
-            assert_eq!(seq.events, par.events, "{ctx}: events");
-            assert_eq!(seq.trace, par.trace, "{ctx}: decision trace");
-        }
-    }
-}
-
-/// One traced simulation with an explicit event-loop selection. Even seeds
-/// script a failure/recovery cycle (exercising teardown, resubmission, and
-/// dirty-set marking across machines); seeds divisible by 3 add execution
-/// jitter so per-job rates are irrational multiples of each other and the
-/// completion heap sees no artificial ties.
-fn simulate_with_loop(
-    seed: u64,
-    n_machines: usize,
-    kind: PolicyKind,
-    incremental: bool,
-) -> SimResult {
-    let machine = power8_minsky();
-    let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
-    let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
-    let trace = WorkloadGenerator::with_defaults(seed).generate(24);
-    let mut config = SimConfig::new(Policy::new(kind))
-        .with_trace()
-        .with_incremental(incremental);
-    if seed.is_multiple_of(2) {
-        config = config
-            .with_machine_failures(vec![(50.0, MachineId(1))])
-            .with_machine_recoveries(vec![(400.0, MachineId(1))]);
-    }
-    if seed.is_multiple_of(3) {
-        config = config.with_jitter(0.08, seed.wrapping_mul(0x9E37_79B9) + 1);
-    }
-    Simulation::new(cluster, profiles, config).run(trace)
-}
-
-/// The incremental event loop (machine-scoped slowdown refresh, completion
-/// heap, schedule cursors) must be bit-identical to the recompute-everything
-/// reference loop: same records, same trace, same events, same makespan
-/// bits, for every policy across many seeds, including machine-failure and
-/// jitter runs. (`mean_decision_s` is wall-clock and legitimately differs.)
-#[test]
-fn incremental_event_loop_is_bit_identical_to_reference() {
-    for kind in PolicyKind::ALL {
-        for seed in 0..8u64 {
-            let n_machines = 2 + (seed as usize % 3);
-            let reference = simulate_with_loop(seed, n_machines, kind, false);
-            let inc = simulate_with_loop(seed, n_machines, kind, true);
-            let ctx = format!("{kind:?} seed {seed} ({n_machines} machines)");
-            assert_eq!(reference.policy, inc.policy, "{ctx}: policy");
-            assert_eq!(reference.records, inc.records, "{ctx}: records");
-            assert_eq!(reference.unplaceable, inc.unplaceable, "{ctx}: unplaceable");
-            assert_eq!(reference.timeline, inc.timeline, "{ctx}: timeline");
-            assert_eq!(reference.utility_series, inc.utility_series, "{ctx}: utility series");
-            assert_eq!(
-                reference.makespan_s.to_bits(),
-                inc.makespan_s.to_bits(),
-                "{ctx}: makespan {} vs {}",
-                reference.makespan_s,
-                inc.makespan_s
-            );
-            assert_eq!(reference.slo_violations, inc.slo_violations, "{ctx}: SLO violations");
-            assert_eq!(reference.failures, inc.failures, "{ctx}: failures");
-            assert_eq!(reference.events, inc.events, "{ctx}: events");
-            assert_eq!(reference.trace, inc.trace, "{ctx}: decision trace");
-        }
-    }
-}
-
-/// One traced simulation with an explicit cross-event-cache selection, on
-/// the evaluation engine path (the cache never engages on the sequential
-/// reference). Even seeds script a failure/recovery cycle so cached class
-/// keys survive `fail_machine`/`recover_machine` rebuilds; seeds divisible
-/// by 3 add execution jitter so completion times (and therefore the arrival
-/// interleavings the cache sees) vary per seed.
-fn simulate_with_cache(
-    seed: u64,
-    n_machines: usize,
-    kind: PolicyKind,
-    eval_cache: bool,
-) -> SimResult {
-    let machine = power8_minsky();
-    let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
-    let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
-    let trace = WorkloadGenerator::with_defaults(seed).generate(24);
-    let mut config = SimConfig::new(Policy::new(kind))
-        .with_trace()
-        .with_eval(EvalParams::parallel(4))
-        .with_eval_cache(eval_cache);
-    if seed.is_multiple_of(2) {
-        config = config
-            .with_machine_failures(vec![(50.0, MachineId(1))])
-            .with_machine_recoveries(vec![(400.0, MachineId(1))]);
-    }
-    if seed.is_multiple_of(3) {
-        config = config.with_jitter(0.08, seed.wrapping_mul(0x9E37_79B9) + 1);
-    }
-    Simulation::new(cluster, profiles, config).run(trace)
-}
-
-/// The cross-event placement cache must be invisible in every output: same
-/// records, same trace events, same metrics, for every policy across many
-/// seeds, including machine-failure and jitter runs. The only permitted
-/// difference is the `EvalCacheStats` trace footer, which is stripped
-/// before comparison. (`mean_decision_s` is wall-clock and legitimately
-/// differs.)
-#[test]
-fn eval_cache_is_bit_identical_to_uncached_runs() {
-    let strip_stats = |trace: Vec<TraceEvent>| -> Vec<TraceEvent> {
-        trace
-            .into_iter()
-            .filter(|e| !matches!(e, TraceEvent::EvalCacheStats { .. }))
-            .collect()
-    };
-    for kind in PolicyKind::ALL {
-        for seed in 0..8u64 {
-            let n_machines = 2 + (seed as usize % 3);
-            let cold = simulate_with_cache(seed, n_machines, kind, false);
-            let cached = simulate_with_cache(seed, n_machines, kind, true);
-            let ctx = format!("{kind:?} seed {seed} ({n_machines} machines)");
-            assert_eq!(cold.policy, cached.policy, "{ctx}: policy");
-            assert_eq!(cold.records, cached.records, "{ctx}: records");
-            assert_eq!(cold.unplaceable, cached.unplaceable, "{ctx}: unplaceable");
-            assert_eq!(cold.timeline, cached.timeline, "{ctx}: timeline");
-            assert_eq!(cold.utility_series, cached.utility_series, "{ctx}: utility series");
-            assert_eq!(
-                cold.makespan_s.to_bits(),
-                cached.makespan_s.to_bits(),
-                "{ctx}: makespan {} vs {}",
-                cold.makespan_s,
-                cached.makespan_s
-            );
-            assert_eq!(cold.slo_violations, cached.slo_violations, "{ctx}: SLO violations");
-            assert_eq!(cold.failures, cached.failures, "{ctx}: failures");
-            assert_eq!(cold.events, cached.events, "{ctx}: events");
-            assert_eq!(
-                strip_stats(cold.trace),
-                strip_stats(cached.trace),
-                "{ctx}: decision trace"
-            );
-        }
-    }
-}
-
-/// One simulation on a rack-partitioned cluster with an explicit shard
-/// count. Untraced on purpose: the sharded two-level decision path only
-/// engages when tracing is off (traced runs always take the flat reference
-/// path), so a traced comparison would be trivially identical. Even seeds
-/// script a failure/recovery cycle so shard aggregates survive
-/// `fail_machine`/`recover_machine`; seeds divisible by 3 add execution
-/// jitter so arrival interleavings vary per seed.
-fn simulate_with_shards(
-    seed: u64,
-    n_racks: usize,
-    kind: PolicyKind,
-    shards: usize,
-) -> SimResult {
-    simulate_with_shards_eval(seed, n_racks, kind, shards, EvalParams::parallel(4))
-}
-
-/// [`simulate_with_shards`] with explicit [`EvalParams`] so the
-/// bound-pruning and replay knobs can be pinned per run, independent of the
-/// process environment.
-fn simulate_with_shards_eval(
-    seed: u64,
-    n_racks: usize,
-    kind: PolicyKind,
-    shards: usize,
-    eval: EvalParams,
-) -> SimResult {
-    let machine = power8_minsky();
-    let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
-    let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2));
-    let trace = WorkloadGenerator::with_defaults(seed).generate(24);
-    let mut config = SimConfig::new(Policy::new(kind)).with_eval(eval).with_shards(shards);
-    if seed.is_multiple_of(2) {
-        config = config
-            .with_machine_failures(vec![(50.0, MachineId(1))])
-            .with_machine_recoveries(vec![(400.0, MachineId(1))]);
-    }
-    if seed.is_multiple_of(3) {
-        config = config.with_jitter(0.08, seed.wrapping_mul(0x9E37_79B9) + 1);
-    }
-    Simulation::new(cluster, profiles, config).run(trace)
-}
-
 /// Asserts two runs are bit-identical in everything but wall-clock.
 #[track_caller]
 fn assert_runs_identical(ctx: &str, reference: &SimResult, run: &SimResult) {
@@ -362,46 +124,329 @@ fn assert_runs_identical(ctx: &str, reference: &SimResult, run: &SimResult) {
     assert_eq!(reference.trace, run.trace, "{ctx}: decision trace");
 }
 
-/// The sharded two-level scheduler (per-rack admission aggregates + shard-
-/// local placement) must be bit-identical to the single-shard reference:
-/// same records, same events, same metrics, for every policy across many
-/// seeds, including machine-failure and jitter runs. (`mean_decision_s` is
-/// wall-clock and legitimately differs.)
-#[test]
-fn sharded_scheduler_is_bit_identical_to_single_shard() {
-    for kind in PolicyKind::ALL {
-        for seed in 0..8u64 {
-            let n_racks = 2 + (seed as usize % 3);
-            let single = simulate_with_shards(seed, n_racks, kind, 1);
-            let sharded = simulate_with_shards(seed, n_racks, kind, n_racks);
-            let ctx = format!("{kind:?} seed {seed} ({n_racks} racks)");
-            assert_runs_identical(&ctx, &single, &sharded);
+/// One scenario of the differential runner: a cluster, its workload, and
+/// how to run it.
+struct Scenario {
+    cluster: Arc<ClusterTopology>,
+    profiles: Arc<ProfileLibrary>,
+    trace: Vec<JobSpec>,
+    /// Explicit shard count (`None` = the rack-aligned default).
+    shards: Option<usize>,
+    /// Record and compare the decision traces too.
+    traced: bool,
+    /// Cluster shape, for failure messages.
+    label: String,
+}
+
+impl Scenario {
+    /// Flat Minsky cluster of 2–4 machines, traced, so the per-candidate
+    /// decision traces are compared as well as the results.
+    fn flat_minsky(seed: u64) -> Self {
+        let n_machines = 2 + (seed as usize % 3);
+        let machine = power8_minsky();
+        Self {
+            profiles: Arc::new(ProfileLibrary::generate(&machine, 42)),
+            cluster: Arc::new(ClusterTopology::homogeneous(machine, n_machines)),
+            trace: WorkloadGenerator::with_defaults(seed).generate(24),
+            shards: None,
+            traced: true,
+            label: format!("{n_machines} flat machines"),
+        }
+    }
+
+    /// Minsky cluster of `min_racks` to `min_racks + 2` racks × 2 machines,
+    /// one shard per rack. Untraced on purpose: traced runs take the flat
+    /// path, so only untraced runs exercise admission, the shard memo,
+    /// bound pruning and replay.
+    fn racked_minsky(seed: u64, min_racks: usize) -> Self {
+        let n_racks = min_racks + (seed as usize % 3);
+        let machine = power8_minsky();
+        Self {
+            profiles: Arc::new(ProfileLibrary::generate(&machine, 42)),
+            cluster: Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2)),
+            trace: WorkloadGenerator::with_defaults(seed).generate(24),
+            shards: None,
+            traced: false,
+            label: format!("{n_racks} racks"),
         }
     }
 }
 
-/// The branch-and-bound shard pruning, on and off, must be bit-identical
-/// to the single-shard reference: same records, same events, same metrics,
-/// for every policy across many seeds, including machine-failure and
-/// jitter runs. Uses 4+ racks so cold decisions walk several memo-miss
-/// shards, and pins the knob through [`EvalParams`] so both sides run
-/// in-process regardless of `GTS_SHARD_BOUND` in the environment. Debug
-/// builds additionally shadow-evaluate every pruned shard inside the
-/// decision path and assert the bound held.
-#[test]
-fn pruned_shards_are_bit_identical_to_single_shard() {
+/// Drops the end-of-run counter footers, the only trace events in which
+/// production and the oracle legitimately differ.
+fn strip_footers(mut result: SimResult) -> SimResult {
+    result.trace.retain(|e| {
+        !matches!(e, TraceEvent::EvalCacheStats { .. } | TraceEvent::DecisionReplayStats { .. })
+    });
+    result
+}
+
+/// The reference oracle: sequential flat decisions plus the
+/// recompute-everything event loop.
+fn oracle(config: SimConfig) -> SimConfig {
+    config.with_eval(EvalParams::sequential()).with_incremental(false)
+}
+
+/// The differential runner: runs `scenario` under `kind` on the production
+/// path and on `reference` applied to the production config (the full
+/// [`oracle`], or one layer swapped for its reference form) and asserts
+/// the two runs are bit-identical. Even seeds script a failure and
+/// recovery of machine 1, so caches, memos, snapshots and shard aggregates
+/// survive `fail_machine`/`recover_machine`; seeds divisible by 3 add
+/// execution jitter, so completion times (and the interleavings the caches
+/// see) vary per seed. Production pins the engine, so an ambient
+/// `GTS_EVAL_THREADS=1` cannot turn the comparison into oracle against
+/// oracle. Returns the loop counters of the production and the reference
+/// run.
+fn assert_matches_reference(
+    kind: PolicyKind,
+    seed: u64,
+    scenario: &Scenario,
+    reference: impl FnOnce(SimConfig) -> SimConfig,
+) -> (SimLoopStats, SimLoopStats) {
+    let mut production = SimConfig::new(Policy::new(kind)).with_eval(EvalParams::parallel(4));
+    if scenario.traced {
+        production = production.with_trace();
+    }
+    if let Some(n) = scenario.shards {
+        production = production.with_shards(n);
+    }
+    if seed.is_multiple_of(2) {
+        production = production
+            .with_machine_failures(vec![(50.0, MachineId(1))])
+            .with_machine_recoveries(vec![(400.0, MachineId(1))]);
+    }
+    if seed.is_multiple_of(3) {
+        production = production.with_jitter(0.08, seed.wrapping_mul(0x9E37_79B9) + 1);
+    }
+    let reference = reference(production.clone());
+    let run = |config: SimConfig| {
+        Simulation::new(Arc::clone(&scenario.cluster), Arc::clone(&scenario.profiles), config)
+            .run_with_stats(scenario.trace.clone())
+    };
+    let (want, reference_stats) = run(reference);
+    let (got, stats) = run(production);
+    let ctx = format!("{kind:?} seed {seed} ({})", scenario.label);
+    assert_runs_identical(&ctx, &strip_footers(want), &strip_footers(got));
+    (stats, reference_stats)
+}
+
+/// The policies that decide through the evaluation engine and its shards.
+fn is_topo_aware(kind: PolicyKind) -> bool {
+    matches!(kind, PolicyKind::TopoAware | PolicyKind::TopoAwareP)
+}
+
+/// Runs `case` over the differential matrix: every policy × seeds 0–7.
+fn for_each_case(mut case: impl FnMut(PolicyKind, u64)) {
     for kind in PolicyKind::ALL {
         for seed in 0..8u64 {
-            let n_racks = 4 + (seed as usize % 3);
-            let single = simulate_with_shards(seed, n_racks, kind, 1);
-            for bound in [false, true] {
-                let eval = EvalParams::parallel(4).with_shard_bound(bound);
-                let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                let ctx = format!("{kind:?} seed {seed} ({n_racks} racks, bound={bound})");
-                assert_runs_identical(&ctx, &single, &run);
-            }
+            case(kind, seed);
         }
     }
+}
+
+/// Asserts the sharded path ran on a TOPO-AWARE(-P) production run.
+fn assert_sharded_path_ran(kind: PolicyKind, seed: u64, scenario: &Scenario, stats: &SimLoopStats) {
+    if is_topo_aware(kind) {
+        assert!(
+            stats.shard_admission_checked > 0,
+            "{kind:?} seed {seed} ({}): the sharded path never ran",
+            scenario.label
+        );
+    }
+}
+
+#[test]
+fn production_matches_oracle_on_flat_minsky() {
+    for_each_case(|kind, seed| {
+        assert_matches_reference(kind, seed, &Scenario::flat_minsky(seed), oracle);
+    });
+}
+
+#[test]
+fn production_matches_oracle_on_racked_minsky() {
+    for_each_case(|kind, seed| {
+        let scenario = Scenario::racked_minsky(seed, 4);
+        let (stats, _) = assert_matches_reference(kind, seed, &scenario, oracle);
+        assert_sharded_path_ran(kind, seed, &scenario, &stats);
+    });
+}
+
+/// Heterogeneous fleets of 6–9 machines cycling Minsky, DGX-1 and
+/// PCIe-K80 (plus the 16-GPU DGX-2 on odd seeds), split into three
+/// contiguous shards that mix machine classes. The workload adds pipeline
+/// comm-graph jobs (which bypass the class cache) and jobs allowed to
+/// spill across machines; on DGX-2 fleets every second graph-free 4-GPU
+/// job is widened to 8 GPUs.
+#[test]
+fn production_matches_oracle_on_hetero_fleet() {
+    let minsky = Arc::new(power8_minsky());
+    let base_cycle = [Arc::clone(&minsky), Arc::new(dgx1()), Arc::new(power8_pcie_k80())];
+    let dgx2 = Arc::new(gpu_topo_aware::topo::dgx2());
+    let profiles = Arc::new(ProfileLibrary::generate(&minsky, 42));
+    for_each_case(|kind, seed| {
+        let n_machines = 6 + (seed as usize % 4);
+        let with_dgx2 = !seed.is_multiple_of(2);
+        let mut cycle = base_cycle.to_vec();
+        if with_dgx2 {
+            cycle.push(Arc::clone(&dgx2));
+        }
+        let machines = (0..n_machines).map(|i| Arc::clone(&cycle[i % cycle.len()])).collect();
+        let gen = GeneratorConfig {
+            model_parallel_fraction: 0.3,
+            multi_node_fraction: 0.15,
+            ..GeneratorConfig::default()
+        };
+        let mut trace = WorkloadGenerator::new(gen, seed).generate(24);
+        if with_dgx2 {
+            let narrow = trace.iter_mut().filter(|j| j.n_gpus == 4 && j.comm_graph.is_none());
+            for job in narrow.skip(1).step_by(2) {
+                job.n_gpus = 8;
+            }
+        }
+        let scenario = Scenario {
+            cluster: Arc::new(ClusterTopology::from_machines(machines)),
+            profiles: Arc::clone(&profiles),
+            trace,
+            shards: Some(3),
+            traced: false,
+            label: format!("{n_machines} mixed machines"),
+        };
+        let (stats, _) = assert_matches_reference(kind, seed, &scenario, oracle);
+        assert_sharded_path_ran(kind, seed, &scenario, &stats);
+    });
+}
+
+// The tests below swap one production layer at a time for its reference
+// form, so a divergence the differential runner finds is pinned to a layer.
+
+/// The evaluation engine (class memoization, the cross-event cache and
+/// decision replay) must be bit-identical to the sequential flat
+/// decision, with the incremental loop on both sides.
+#[test]
+fn evaluation_engine_is_bit_identical_to_sequential_reference() {
+    for_each_case(|kind, seed| {
+        let reference = |c: SimConfig| c.with_eval(EvalParams::sequential());
+        assert_matches_reference(kind, seed, &Scenario::flat_minsky(seed), reference);
+    });
+}
+
+/// The incremental event loop (machine-scoped slowdown refresh, completion
+/// heap, schedule cursors) must be bit-identical to the
+/// recompute-everything loop, with the production engine on both sides.
+#[test]
+fn incremental_event_loop_is_bit_identical_to_reference() {
+    for_each_case(|kind, seed| {
+        let reference = |c: SimConfig| c.with_incremental(false);
+        assert_matches_reference(kind, seed, &Scenario::flat_minsky(seed), reference);
+    });
+}
+
+/// The cross-event placement cache must be invisible. A hand-driven
+/// production run (flat Minsky, 2–4 machines, machine 1 failing and
+/// recovering on even seeds) keeps one cache alive across every event;
+/// before each scheduling pass, every waiting job's decision through that
+/// cache must equal the uncached decision on the same state, GPU for GPU
+/// and bit for bit.
+#[test]
+fn eval_cache_is_bit_identical_to_uncached_runs() {
+    let params = EvalParams::parallel(4);
+    for_each_case(|kind, seed| {
+        let Scenario { cluster, profiles, trace, label, .. } = Scenario::flat_minsky(seed);
+        let policy = Policy::new(kind);
+        let state = ClusterState::new(cluster, profiles);
+        let mut s = Scheduler::new(state, SchedulerConfig::new(policy));
+        let cache = EvalCache::with_capacity(4096);
+        let ctx = format!("{kind:?} seed {seed} ({label})");
+        let probe = |s: &Scheduler| {
+            for job in s.queue().iter().chain(s.queue().postponed_iter()) {
+                let cached = policy.decide_with_cache(s.state(), job, params, Some(&cache));
+                let uncached = policy.decide_with(s.state(), job, params);
+                assert_eq!(
+                    cached.map(|d| (d.gpus, d.utility.to_bits())),
+                    uncached.map(|d| (d.gpus, d.utility.to_bits())),
+                    "{ctx}: {} diverged",
+                    job.id
+                );
+            }
+        };
+        for (i, job) in trace.into_iter().enumerate() {
+            s.set_now(i as f64);
+            if seed.is_multiple_of(2) && i == 8 {
+                // `fail_machine` expects machine 1 already emptied: tear
+                // its jobs down and resubmit them, as the simulator does.
+                for id in s.state().jobs_on_machine(MachineId(1)).to_vec() {
+                    match s.cancel(id) {
+                        CancelOutcome::Stopped(lost) => s.submit(lost.spec),
+                        other => panic!("{ctx}: cancel of running {id} returned {other:?}"),
+                    }
+                }
+                s.fail_machine(MachineId(1));
+            }
+            if seed.is_multiple_of(2) && i == 16 {
+                s.recover_machine(MachineId(1));
+            }
+            s.submit(job);
+            probe(&s);
+            s.run_iteration();
+        }
+        while let Some(id) = s.state().running().map(|a| a.spec.id).min() {
+            s.complete(id);
+            probe(&s);
+            s.run_iteration();
+        }
+        if is_topo_aware(kind) {
+            assert!(cache.stats().hits > 0, "{ctx}: the cache never served a hit");
+        }
+    });
+}
+
+/// The sharded two-level scheduler (per-rack admission aggregates and
+/// shard-local placement) must be bit-identical to one shard on 2–4 racks.
+#[test]
+fn sharded_scheduler_is_bit_identical_to_single_shard() {
+    for_each_case(|kind, seed| {
+        let scenario = Scenario::racked_minsky(seed, 2);
+        let (stats, _) = assert_matches_reference(kind, seed, &scenario, |c| c.with_shards(1));
+        assert_sharded_path_ran(kind, seed, &scenario, &stats);
+    });
+}
+
+/// Bound pruning must be bit-identical to one shard on 4–6 racks, where
+/// cold decisions walk several memo-miss shards; debug builds also
+/// shadow-evaluate every pruned shard and assert the bound held. Every
+/// TOPO-AWARE(-P) run must consult the bound.
+#[test]
+fn pruned_shards_are_bit_identical_to_single_shard() {
+    for_each_case(|kind, seed| {
+        let scenario = Scenario::racked_minsky(seed, 4);
+        let (stats, _) = assert_matches_reference(kind, seed, &scenario, |c| c.with_shards(1));
+        if is_topo_aware(kind) {
+            assert!(
+                stats.shard_bound_checked > 0,
+                "{kind:?} seed {seed} ({}): the bound was never consulted",
+                scenario.label
+            );
+        }
+    });
+}
+
+/// Decision replay must be bit-identical to full re-evaluation (the
+/// sequential flat decision, which never replays) on 4–6 racks, including
+/// failure and jitter runs where snapshots go stale mid-queue; debug
+/// builds also shadow every replayed retry with a fresh decision. Replay
+/// must fire somewhere in the matrix.
+#[test]
+fn decision_replay_is_bit_identical_to_full_reeval() {
+    let mut replayed = 0;
+    for_each_case(|kind, seed| {
+        let scenario = Scenario::racked_minsky(seed, 4);
+        let reference = |c: SimConfig| c.with_eval(EvalParams::sequential());
+        let (stats, reference) = assert_matches_reference(kind, seed, &scenario, reference);
+        assert_eq!(reference.replay_hits, 0, "{kind:?} seed {seed}: the reference replayed");
+        replayed += stats.replay_hits;
+    });
+    assert!(replayed > 0, "no decision was ever replayed");
 }
 
 /// Every [`SimLoopStats`] counter must repeat exactly between two runs of
@@ -432,7 +477,6 @@ fn sharded_run_counters_repeat_exactly() {
                 let trace = WorkloadGenerator::with_defaults(seed).generate(60);
                 let config = SimConfig::new(Policy::new(kind))
                     .with_eval(EvalParams::parallel(4))
-                    .with_eval_cache(true)
                     .with_shards(n_racks)
                     .with_phase_timing(true)
                     .with_machine_failures(vec![(30.0, MachineId(3))])
@@ -446,38 +490,6 @@ fn sharded_run_counters_repeat_exactly() {
             assert!(first.shard_admission_checked > 0, "{ctx}: the sharded path never ran");
             assert!(first.eval_cache_misses > 0, "{ctx}: the eval cache never ran");
             assert_eq!(counters(first), counters(second), "{ctx}: counters drifted");
-        }
-    }
-}
-
-/// Cross-event decision replay (`GTS_DECISION_REPLAY`, DESIGN.md §12) must
-/// be bit-identical to full re-evaluation: same records, same events, same
-/// metrics, for every policy across many seeds — including machine-failure/
-/// recovery and jitter runs, where snapshots go stale mid-queue — with
-/// bound pruning both on and off (the cached per-shard floor seeds the
-/// bound prune, so the interaction matters). The knobs are pinned through
-/// [`EvalParams`] so the matrix is exercised in-process regardless of the
-/// environment; debug builds additionally shadow every replayed retry with
-/// a from-scratch decision inside the decision path and assert
-/// GPU-for-GPU, bit-for-bit equality.
-#[test]
-fn decision_replay_is_bit_identical_to_full_reeval() {
-    for kind in PolicyKind::ALL {
-        for seed in 0..8u64 {
-            let n_racks = 4 + (seed as usize % 3);
-            let single = simulate_with_shards(seed, n_racks, kind, 1);
-            for replay in [false, true] {
-                for bound in [false, true] {
-                    let eval = EvalParams::parallel(4)
-                        .with_shard_bound(bound)
-                        .with_decision_replay(replay);
-                    let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                    let ctx = format!(
-                        "{kind:?} seed {seed} ({n_racks} racks, replay={replay}, bound={bound})"
-                    );
-                    assert_runs_identical(&ctx, &single, &run);
-                }
-            }
         }
     }
 }
