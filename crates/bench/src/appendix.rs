@@ -457,17 +457,20 @@ mod tests {
 
     /// A trace file with an invalid job is a config error, not a panic
     /// deep in the simulator (zero GPUs, a comm graph whose task count
-    /// disagrees with the GPU request) or a silently unplaceable job
-    /// (`min_utility` above 1).
+    /// disagrees with the GPU request or whose weight matrix is short) or
+    /// a silently unplaceable job (`min_utility` above 1).
     #[test]
     fn invalid_trace_jobs_are_config_errors() {
         let dir = std::env::temp_dir().join("gts-appendix-test");
         std::fs::create_dir_all(&dir).unwrap();
         let job = |id, n_gpus| JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, n_gpus);
+        let short_weights: JobGraph =
+            serde_json::from_str(r#"{"n": 2, "weights": [0.0]}"#).unwrap();
         let cases = [
             ("zero-gpus", job(0, 0)),
             ("bad-graph", job(1, 2).with_comm_graph(JobGraph::pipeline(3, 4.0))),
             ("bad-utility", job(2, 2).with_min_utility(7.0)),
+            ("short-weights", job(3, 2).with_comm_graph(short_weights)),
         ];
         for (name, job) in cases {
             let path = dir.join(format!("{name}.json"));

@@ -3,7 +3,10 @@
 //! Three layers, timed with the vendored criterion harness and serialized
 //! to `BENCH_sched.json` so the perf trajectory is tracked in-repo:
 //!
-//! 1. **`drb_map`** — one Algorithm 2/3 mapping on an idle Minsky machine;
+//! 1. **`drb_map`** — one Algorithm 2/3 mapping on an idle Minsky machine
+//!    (2 and 4 GPUs) and an idle DGX-2 (8 GPUs). Criterion repeats the
+//!    call, so these time the warm path: after the first iteration the
+//!    split memo answers every `physicalGraphBiPartition` (DESIGN.md §13);
 //! 2. **`arrival`** — a full TOPO-AWARE `decide` on a 64-machine
 //!    mostly-idle cluster, sequential reference vs the memoized engine,
 //!    plus a 256-machine cold-engine vs warm cross-event-cache arrival
@@ -215,17 +218,21 @@ pub fn run(smoke: bool) -> BenchReport {
     let sim_samples = if smoke { 1 } else { 5 };
     let mut c = Criterion::default().with_sample_size(samples);
 
-    // 1. drb_map on an idle machine, 2- and 4-GPU jobs.
-    let idle = {
-        let (cluster, profiles) = minsky_cluster(1);
-        ClusterState::new(cluster, profiles)
-    };
-    for width in [2u32, 4] {
+    // 1. drb_map on an idle machine: 2- and 4-GPU jobs on a Minsky, an
+    // 8-GPU job on a DGX-2, whose 16 GPUs make the widest split sweep.
+    let (_, profiles) = minsky_cluster(1);
+    for (name, machine, width) in [
+        ("minsky", power8_minsky(), 2u32),
+        ("minsky", power8_minsky(), 4),
+        ("dgx2", gts_core::topo::dgx2(), 8),
+    ] {
+        let cluster = Arc::new(ClusterTopology::homogeneous(machine, 1));
+        let idle = ClusterState::new(cluster, Arc::clone(&profiles));
         let job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, width);
         let graph = JobGraph::from_spec(&job);
         let free = idle.free_gpus(MachineId(0));
         let oracle = StateOracle::new(&idle, MachineId(0), &job);
-        c.bench_function(&format!("drb_map/minsky_{width}gpu"), |b| {
+        c.bench_function(&format!("drb_map/{name}_{width}gpu"), |b| {
             b.iter(|| {
                 black_box(
                     drb_map(&graph, &free, &oracle, UtilityWeights::default()).unwrap(),
@@ -249,7 +256,8 @@ pub fn run(smoke: bool) -> BenchReport {
     // 2b. The cross-event cache at scale: a 4-GPU arrival on 256
     // diversely occupied 16-GPU machines (~144 distinct classes, so the
     // per-arrival memoizer barely helps). Cold pays one DRB evaluation
-    // per class every time; warm consults a persistent cache already
+    // per class every time (its topology-only kernels stay warm across
+    // iterations, DESIGN.md §13); warm consults a persistent cache already
     // holding every class this state produces (one priming decision), so
     // the decision reduces to class grouping + lookups + the
     // select_candidate scan.
@@ -538,6 +546,7 @@ mod tests {
         for label in [
             "drb_map/minsky_2gpu",
             "drb_map/minsky_4gpu",
+            "drb_map/dgx2_8gpu",
             "arrival/topo64_sequential",
             "arrival/topo64_engine",
             "arrival/topo256_cold",

@@ -103,6 +103,44 @@ impl JobGraph {
         Self { n, weights }
     }
 
+    /// Checks what the constructors guarantee but deserialization does not:
+    /// at least one task, exactly `n²` weights, finite non-negative weights,
+    /// a zero diagonal and exact symmetry. [`JobSpec::validate`] calls it,
+    /// so a malformed graph in a trace or manifest is a load error rather
+    /// than a panic (or a silently lopsided mapping) in the mapper.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.n;
+        if n == 0 {
+            return Err("communication graph has no tasks".into());
+        }
+        if n.checked_mul(n) != Some(self.weights.len()) {
+            return Err(format!(
+                "communication graph over {n} tasks needs {n}² weights, got {}",
+                self.weights.len()
+            ));
+        }
+        for i in 0..n {
+            for j in 0..n {
+                let w = self.weight(i, j);
+                if !w.is_finite() || w < 0.0 {
+                    return Err(format!(
+                        "communication weight ({i}, {j}) must be finite and non-negative, got {w}"
+                    ));
+                }
+                if i == j && w != 0.0 {
+                    return Err(format!("communication weight ({i}, {i}) must be 0, got {w}"));
+                }
+                if w != self.weight(j, i) {
+                    return Err(format!(
+                        "communication weights ({i}, {j}) = {w} and ({j}, {i}) = {} differ",
+                        self.weight(j, i)
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Number of tasks (`|A|` in Algorithm 2).
     #[inline]
     pub fn n_tasks(&self) -> usize {
@@ -302,6 +340,39 @@ mod tests {
         assert_eq!(g.weight_to_set(0, &[1, 2]), 4.0);
         assert_eq!(g.weight_to_set(0, &[0, 1]), 2.0); // self filtered out
         assert_eq!(g.weight_to_set(0, &[]), 0.0);
+    }
+
+    #[test]
+    fn constructed_graphs_validate() {
+        for g in [
+            JobGraph::uniform(1, 4.0),
+            JobGraph::uniform(4, 3.0),
+            JobGraph::pipeline(5, 2.0),
+            JobGraph::ring(6, 1.0),
+            JobGraph::custom(vec![vec![0.0, 2.0], vec![4.0, 9.0]]),
+        ] {
+            assert_eq!(g.validate(), Ok(()), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_graphs_fail_validation() {
+        let graph = |n: usize, weights: Vec<f64>| JobGraph { n, weights };
+        let cases = [
+            ("no tasks", graph(0, vec![]), "no tasks"),
+            ("short weights", graph(2, vec![0.0]), "needs 2² weights, got 1"),
+            ("long weights", graph(1, vec![0.0, 1.0]), "needs 1² weights, got 2"),
+            ("overflowing n", graph(usize::MAX, vec![]), "weights, got 0"),
+            ("negative", graph(2, vec![0.0, -1.0, -1.0, 0.0]), "non-negative"),
+            ("NaN", graph(2, vec![0.0, f64::NAN, f64::NAN, 0.0]), "finite"),
+            ("infinite", graph(2, vec![0.0, f64::INFINITY, f64::INFINITY, 0.0]), "finite"),
+            ("diagonal", graph(2, vec![1.0, 2.0, 2.0, 0.0]), "(0, 0) must be 0"),
+            ("asymmetric", graph(2, vec![0.0, 2.0, 3.0, 0.0]), "differ"),
+        ];
+        for (name, g, message) in cases {
+            let err = g.validate().expect_err(name);
+            assert!(err.contains(message), "{name}: {err}");
+        }
     }
 
     #[test]

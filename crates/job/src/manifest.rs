@@ -188,15 +188,20 @@ mod tests {
         let dir = std::env::temp_dir().join("gts-job-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("invalid-trace.json");
-        let mut jobs = sample_jobs();
-        jobs[1].n_gpus = 0;
-        Trace::new("zero-gpu", jobs.clone()).save(&path).unwrap();
-        let err = Trace::load(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("zero GPUs"), "{err}");
-        JobManifest { jobs }.save(&path).unwrap();
-        let err = JobManifest::load(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut zero_gpus = sample_jobs();
+        zero_gpus[1].n_gpus = 0;
+        let mut short_weights = sample_jobs();
+        let graph = serde_json::from_str(r#"{"n": 2, "weights": [0.0]}"#).unwrap();
+        short_weights[1] = short_weights[1].clone().with_comm_graph(graph);
+        for (jobs, message) in [(zero_gpus, "zero GPUs"), (short_weights, "needs 2² weights")] {
+            Trace::new("invalid", jobs.clone()).save(&path).unwrap();
+            let err = Trace::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(message), "{err}");
+            JobManifest { jobs }.save(&path).unwrap();
+            let err = JobManifest::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -172,6 +172,7 @@ impl JobSpec {
                     self.n_gpus
                 ));
             }
+            g.validate().map_err(|e| format!("{}: {e}", self.id))?;
         }
         Ok(())
     }

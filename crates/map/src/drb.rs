@@ -12,6 +12,14 @@
 //! accumulator of communication costs to tasks already routed to *other*
 //! sub-partitions, so deeper levels still feel the pull of split-off
 //! partners.
+//!
+//! `physicalGraphBiPartition(P)` reads only the distances between the GPUs
+//! of `P`: its winning side is a pure function of the affinity matrix (FM
+//! is deterministic and the ratio-cut sweep has a fixed tie rule). For
+//! sets of at most 32 GPUs the side is memoized per thread, keyed on the
+//! bits of the matrix's upper triangle, so a machine shape seen before
+//! skips the whole FM sweep (DESIGN.md §13). Debug builds re-run the sweep
+//! on every memo hit and assert the same side.
 
 use crate::affinity::AffinityGraph;
 use crate::fm::{fm_bipartition_with, Bipartition, FmScratch};
@@ -19,17 +27,64 @@ use crate::utility::UtilityWeights;
 use gts_job::JobGraph;
 use gts_topo::GpuId;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Reusable buffers for one thread's [`drb_map`] calls: the FM scratch plus
+/// Largest GPU set whose split is memoized: its side fits a `u32` mask.
+/// Larger sets (cluster-wide spill) run the sweep every time.
+const SPLIT_MEMO_MAX_N: usize = 32;
+
+/// Split-memo entries kept per thread; the memo is cleared wholesale when
+/// an insert would exceed this. A fleet contributes one entry per distinct
+/// free-GPU shape it recurses through — a few dozen on a mixed fleet — so
+/// the cap only bounds memory: at most ~1 MB per thread, at 32 GPUs a key.
+const SPLIT_MEMO_CAP: usize = 256;
+
+/// Word-at-a-time multiplicative hash (the `FxHasher` mixing step) for the
+/// split memo's `[u64]` keys. It gives up SipHash's resistance to crafted
+/// collisions, but [`SPLIT_MEMO_CAP`] bounds any collision chain.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_ne_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// Reusable buffers for one thread's [`drb_map`] calls: the FM scratch,
 /// pools of affinity-graph buffers (one set per live recursion level —
 /// each level returns its buffers before recursing, so the pools stay at
-/// depth-of-recursion size).
+/// depth-of-recursion size), and the split memo.
 #[derive(Debug, Default)]
 struct DrbScratch {
     fm: FmScratch,
     gpu_bufs: Vec<Vec<GpuId>>,
     weight_bufs: Vec<Vec<f64>>,
+    /// `[n, affinity bits of the upper triangle row by row]` → mask of the
+    /// GPUs (by index into the set) on the left side of the best split.
+    split_memo: HashMap<Box<[u64]>, u32, BuildHasherDefault<WordHasher>>,
+    /// Buffer the memo key is built in, so a lookup allocates nothing.
+    split_key: Vec<u64>,
 }
 
 thread_local! {
@@ -225,11 +280,30 @@ fn drb_recurse(
         return;
     }
 
-    // physicalGraphBiPartition(P): FM over the affinity graph. The natural
-    // topology boundary rarely sits exactly at the midpoint (a busy machine
-    // may leave 4 free GPUs next to two idle 4-GPU machines), so several
-    // split ratios are tried and compared by *ratio cut* —
-    // cut / (|left|·|right|) — which is scale-free across imbalances.
+    let (p0, p1) = if gpus.len() <= SPLIT_MEMO_MAX_N {
+        let mask = memoized_split(gpus, oracle, scratch);
+        partition_gpus(gpus, |i| mask & (1 << i) != 0)
+    } else {
+        let side = ratio_cut_sweep(gpus, oracle, scratch);
+        partition_gpus(gpus, |i| side[i])
+    };
+
+    let (t0, t1, c0, c1) = job_graph_bipartition(job, tasks, c, &p0, &p1, oracle, weights);
+    drb_recurse(job, &t0, &c0, &p0, oracle, weights, assignment, scratch);
+    drb_recurse(job, &t1, &c1, &p1, oracle, weights, assignment, scratch);
+}
+
+/// physicalGraphBiPartition(P): FM over the affinity graph of `gpus`.
+/// Returns the left side of the best split. The natural topology boundary
+/// rarely sits exactly at the midpoint (a busy machine may leave 4 free
+/// GPUs next to two idle 4-GPU machines), so several split ratios are
+/// tried and compared by *ratio cut* — cut / (|left|·|right|) — which is
+/// scale-free across imbalances.
+fn ratio_cut_sweep(
+    gpus: &[GpuId],
+    oracle: &dyn PlacementOracle,
+    scratch: &mut DrbScratch,
+) -> Vec<bool> {
     let n = gpus.len();
     let gpu_buf = scratch.gpu_bufs.pop().unwrap_or_default();
     let weight_buf = scratch.weight_bufs.pop().unwrap_or_default();
@@ -240,8 +314,8 @@ fn drb_recurse(
     // wins, matching what `Iterator::min_by` over the collected sweep did.
     let mut best: Option<Bipartition> = None;
     let mut best_ratio = f64::INFINITY;
-    let mut try_target = |t: usize, scratch: &mut DrbScratch| {
-        let candidate = fm_bipartition_with(&affinity, t, 3, &mut scratch.fm);
+    let mut try_target = |t: usize, fm: &mut FmScratch| {
+        let candidate = fm_bipartition_with(&affinity, t, 3, fm);
         let left = candidate.side.iter().filter(|&&s| s).count();
         let ratio = candidate.cut / (left * (n - left)) as f64;
         assert!(ratio.is_finite(), "finite ratio cuts");
@@ -252,7 +326,7 @@ fn drb_recurse(
     };
     if n <= 32 {
         for t in 1..n {
-            try_target(t, scratch);
+            try_target(t, &mut scratch.fm);
         }
     } else {
         // A 15-point sweep keeps large (cluster-wide spill) instances
@@ -260,21 +334,78 @@ fn drb_recurse(
         // n > 32 the points are strictly increasing and interior, so no
         // dedup or range filter is needed.
         for k in 1..16 {
-            try_target(k * n / 16, scratch);
+            try_target(k * n / 16, &mut scratch.fm);
         }
     }
-    let split = best.expect("at least one target is valid for n ≥ 2");
-    let p0: Vec<GpuId> = (0..n).filter(|&i| split.side[i]).map(|i| gpus[i]).collect();
-    let p1: Vec<GpuId> = (0..n).filter(|&i| !split.side[i]).map(|i| gpus[i]).collect();
-    // The graph is done before the recursion starts: hand its buffers back
-    // so the child levels (and the next drb_map call) reuse them.
+    // The graph is done before the recursion goes on: hand its buffers
+    // back so the child levels (and the next drb_map call) reuse them.
     let (gpu_buf, weight_buf) = affinity.into_buffers();
     scratch.gpu_bufs.push(gpu_buf);
     scratch.weight_bufs.push(weight_buf);
+    best.expect("at least one target is valid for n ≥ 2").side
+}
 
-    let (t0, t1, c0, c1) = job_graph_bipartition(job, tasks, c, &p0, &p1, oracle, weights);
-    drb_recurse(job, &t0, &c0, &p0, oracle, weights, assignment, scratch);
-    drb_recurse(job, &t1, &c1, &p1, oracle, weights, assignment, scratch);
+/// [`ratio_cut_sweep`] through the thread's split memo, for sets of at most
+/// [`SPLIT_MEMO_MAX_N`] GPUs. Returns the left side as a mask over indices
+/// into `gpus`.
+fn memoized_split(gpus: &[GpuId], oracle: &dyn PlacementOracle, scratch: &mut DrbScratch) -> u32 {
+    let n = gpus.len();
+    let mut key = std::mem::take(&mut scratch.split_key);
+    key.clear();
+    key.push(n as u64);
+    for (i, &a) in gpus.iter().enumerate() {
+        for &b in &gpus[i + 1..] {
+            let d = oracle.distance(a, b);
+            assert!(d > 0.0, "distinct vertices need positive distance");
+            key.push((1.0 / d).to_bits());
+        }
+    }
+    let mask = match scratch.split_memo.get(key.as_slice()) {
+        Some(&mask) => {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                mask,
+                side_mask(&ratio_cut_sweep(gpus, oracle, scratch)),
+                "stale split memo entry for {gpus:?}"
+            );
+            mask
+        }
+        None => {
+            let mask = side_mask(&ratio_cut_sweep(gpus, oracle, scratch));
+            if scratch.split_memo.len() >= SPLIT_MEMO_CAP {
+                scratch.split_memo.clear();
+            }
+            scratch.split_memo.insert(key.as_slice().into(), mask);
+            mask
+        }
+    };
+    scratch.split_key = key;
+    mask
+}
+
+/// Packs a side assignment of at most 32 vertices into a mask.
+fn side_mask(side: &[bool]) -> u32 {
+    side.iter().enumerate().filter(|&(_, &left)| left).fold(0, |m, (i, _)| m | 1 << i)
+}
+
+/// Splits `gpus` into `(left, right)` by index, keeping their order.
+fn partition_gpus(gpus: &[GpuId], left: impl Fn(usize) -> bool) -> (Vec<GpuId>, Vec<GpuId>) {
+    let mut p0 = Vec::new();
+    let mut p1 = Vec::new();
+    for (i, &g) in gpus.iter().enumerate() {
+        if left(i) {
+            p0.push(g);
+        } else {
+            p1.push(g);
+        }
+    }
+    (p0, p1)
+}
+
+/// Entries in the calling thread's split memo (0 while a mapping runs on
+/// it). Exposed for tests that check the memo warms and wraps.
+pub fn split_memo_len() -> usize {
+    DRB_SCRATCH.with(|cell| cell.try_borrow().map_or(0, |s| s.split_memo.len()))
 }
 
 /// Maps a job's communication graph onto the available GPUs.

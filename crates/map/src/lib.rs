@@ -26,7 +26,7 @@ pub mod fm;
 pub mod utility;
 
 pub use affinity::AffinityGraph;
-pub use drb::{drb_map, MappingError, PlacementOracle};
+pub use drb::{drb_map, split_memo_len, MappingError, PlacementOracle};
 pub use fm::{fm_bipartition, fm_bipartition_with, Bipartition, FmScratch};
 pub use utility::{
     eq3_comm_cost, eq4_interference, eq5_fragmentation, utility, UtilityComponents,

@@ -80,39 +80,6 @@ impl PlacementOracle for StateOracle<'_> {
     }
 }
 
-/// The minimal Eq. 3 cost achievable for `n` GPUs on an *empty* machine of
-/// this type — the normalization numerator of `u_cc`. Brute-forces the best
-/// subset (machines have ≤ a dozen GPUs, and results are tiny to compute).
-pub fn best_possible_cost(topo: &MachineTopology, n: usize) -> f64 {
-    let gpus: Vec<GpuId> = topo.gpus().collect();
-    assert!(n <= gpus.len(), "machine cannot host {n} GPUs");
-    if n <= 1 {
-        return 0.0;
-    }
-    let mut best = f64::INFINITY;
-    // Enumerate n-subsets with a simple index-combination walk.
-    let mut idx: Vec<usize> = (0..n).collect();
-    loop {
-        let subset: Vec<GpuId> = idx.iter().map(|&i| gpus[i]).collect();
-        best = best.min(topo.pairwise_cost(&subset));
-        // Next combination.
-        let mut i = n;
-        loop {
-            if i == 0 {
-                return best;
-            }
-            i -= 1;
-            if idx[i] != i + gpus.len() - n {
-                idx[i] += 1;
-                for j in (i + 1)..n {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break;
-            }
-        }
-    }
-}
-
 /// The Eq. 2 component breakdown of a concrete placement (DESIGN.md §2) —
 /// what the decision trace records per candidate machine.
 pub fn placement_components(
@@ -126,7 +93,7 @@ pub fn placement_components(
 
     let u_cc = if job.communicates() {
         let actual = topo.pairwise_cost(gpus);
-        let best = best_possible_cost(topo, gpus.len());
+        let best = topo.best_pairwise_cost(gpus.len());
         UtilityComponents::u_cc_from_costs(best, actual)
     } else {
         1.0
@@ -167,17 +134,6 @@ mod tests {
 
     fn tiny_2gpu(id: u64) -> JobSpec {
         JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5)
-    }
-
-    #[test]
-    fn best_possible_cost_on_minsky() {
-        let m = power8_minsky();
-        assert_eq!(best_possible_cost(&m, 1), 0.0);
-        assert_eq!(best_possible_cost(&m, 2), 1.0); // NVLink pair
-        // 3 GPUs: best is a pair plus a cross-socket GPU: 1 + 22 + 22.
-        assert_eq!(best_possible_cost(&m, 3), 45.0);
-        // All 4: 2 pairs + 4 cross pairs.
-        assert_eq!(best_possible_cost(&m, 4), 2.0 + 4.0 * 22.0);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! spilled jobs score the corresponding utility and the postponing policy
 //! will only accept them when the job's threshold allows it.
 
-use crate::oracle::best_possible_cost;
 use crate::policy::Decision;
 use crate::state::ClusterState;
 use gts_job::{JobGraph, JobProfile, JobSpec};
@@ -146,7 +145,7 @@ pub fn best_possible_cluster_cost(state: &ClusterState, n: usize) -> f64 {
     assert_eq!(remaining, 0, "cluster cannot host {n} GPUs at all");
     let mut cost = 0.0;
     for &(m, k) in &chunks {
-        cost += best_possible_cost(cluster.machine(m), k);
+        cost += cluster.machine(m).best_pairwise_cost(k);
     }
     // Cross-machine pairs all ride the network.
     let cross_pair = {

@@ -1,12 +1,14 @@
 //! A single machine's physical GPU topology.
 //!
 //! Wraps the raw [`TopoGraph`] with the queries the scheduler actually needs:
-//! GPU enumeration, socket membership, pairwise distances (precomputed) and
-//! full path lookups.
+//! GPU enumeration, socket membership, pairwise distances (precomputed),
+//! the best-case Eq. 3 cost per GPU count (filled lazily) and full path
+//! lookups.
 
 use crate::graph::{NodeIdx, TopoGraph};
 use crate::ids::{GpuId, SocketId};
 use crate::paths::{shortest_path, GpuDistanceMatrix, PathInfo};
+use std::sync::OnceLock;
 
 /// Immutable physical topology of one machine.
 ///
@@ -22,6 +24,9 @@ pub struct MachineTopology {
     gpu_nodes: Vec<NodeIdx>,
     socket_of: Vec<SocketId>,
     distances: GpuDistanceMatrix,
+    /// `best_cost[n]`: [`MachineTopology::best_pairwise_cost`], filled on
+    /// first use per `n` (a DGX-2's full table is ~2M distance reads).
+    best_cost: Box<[OnceLock<f64>]>,
 }
 
 impl MachineTopology {
@@ -64,6 +69,7 @@ impl MachineTopology {
                 );
             }
         }
+        let best_cost = (0..=gpu_nodes.len()).map(|_| OnceLock::new()).collect();
         Self {
             name: name.into(),
             graph,
@@ -72,6 +78,7 @@ impl MachineTopology {
             gpu_nodes,
             socket_of,
             distances,
+            best_cost,
         }
     }
 
@@ -142,6 +149,43 @@ impl MachineTopology {
         self.distances.pairwise_cost(&idx)
     }
 
+    /// The minimal Eq. 3 cost of any `n`-GPU subset of this machine when
+    /// empty — the normalisation numerator of `u_cc`. The first call for
+    /// each `n` brute-forces the `C(n_gpus, n)` subsets; later calls read
+    /// the stored answer. It depends on the topology alone, and machines of
+    /// one kind share one `Arc`, so each kind pays once per width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the machine's GPU count.
+    pub fn best_pairwise_cost(&self, n: usize) -> f64 {
+        assert!(n <= self.n_gpus(), "machine cannot host {n} GPUs");
+        *self.best_cost[n].get_or_init(|| self.min_subset_cost(n))
+    }
+
+    /// Brute force behind [`MachineTopology::best_pairwise_cost`]: walks the
+    /// `n`-combinations of GPU indices in lexicographic order.
+    fn min_subset_cost(&self, n: usize) -> f64 {
+        if n <= 1 {
+            return 0.0;
+        }
+        let total = self.n_gpus();
+        let mut best = f64::INFINITY;
+        let mut idx: Vec<usize> = (0..n).collect();
+        loop {
+            best = best.min(self.distances.pairwise_cost(&idx));
+            // Next combination: bump the last index that has room, then
+            // pack the ones after it.
+            let Some(i) = (0..n).rev().find(|&i| idx[i] != i + total - n) else {
+                return best;
+            };
+            idx[i] += 1;
+            for j in (i + 1)..n {
+                idx[j] = idx[j - 1] + 1;
+            }
+        }
+    }
+
     /// Smallest nonzero pairwise distance on this machine — the best case a
     /// 2-GPU job can hope for. Used to normalize utilities.
     pub fn min_pair_distance(&self) -> f64 {
@@ -208,7 +252,7 @@ impl MachineTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{dgx1, power8_minsky, power8_pcie_k80};
+    use crate::builders::{dgx1, dgx2, power8_minsky, power8_pcie_k80};
 
     #[test]
     fn minsky_shape() {
@@ -290,6 +334,63 @@ mod tests {
         }
         // Unpaired cross-socket GPUs must route indirectly.
         assert!(d.distance(GpuId(0), GpuId(5)) > 1.0);
+    }
+
+    /// Minimum of `pairwise_cost` over every `n`-subset, enumerated by
+    /// bitmask — independent of the combination walk the method uses.
+    fn bitmask_best_cost(m: &MachineTopology, n: usize) -> f64 {
+        let gpus: Vec<GpuId> = m.gpus().collect();
+        if n <= 1 {
+            return 0.0;
+        }
+        (0u32..1 << gpus.len())
+            .filter(|mask| mask.count_ones() as usize == n)
+            .map(|mask| {
+                let subset: Vec<GpuId> = gpus
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| mask & 1 << i != 0)
+                    .map(|(_, &g)| g)
+                    .collect();
+                m.pairwise_cost(&subset)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn best_pairwise_cost_matches_bitmask_enumeration() {
+        for m in [power8_minsky(), dgx1(), dgx2(), power8_pcie_k80()] {
+            for n in 0..=m.n_gpus() {
+                let expected = bitmask_best_cost(&m, n);
+                // Twice: the first call fills the table, the second reads it.
+                for _ in 0..2 {
+                    assert_eq!(
+                        m.best_pairwise_cost(n).to_bits(),
+                        expected.to_bits(),
+                        "{} n={n}",
+                        m.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_possible_cost_on_minsky() {
+        let m = power8_minsky();
+        assert_eq!(m.best_pairwise_cost(0), 0.0);
+        assert_eq!(m.best_pairwise_cost(1), 0.0);
+        assert_eq!(m.best_pairwise_cost(2), 1.0); // NVLink pair
+        // 3 GPUs: best is a pair plus a cross-socket GPU: 1 + 22 + 22.
+        assert_eq!(m.best_pairwise_cost(3), 45.0);
+        // All 4: 2 pairs + 4 cross pairs.
+        assert_eq!(m.best_pairwise_cost(4), 2.0 + 4.0 * 22.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot host 5 GPUs")]
+    fn best_pairwise_cost_rejects_oversized_sets() {
+        power8_minsky().best_pairwise_cost(5);
     }
 
     #[test]
