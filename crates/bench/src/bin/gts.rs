@@ -380,10 +380,10 @@ fn print_event(event: &TraceEvent) {
                 f(rate, 3),
             );
         }
-        TraceEvent::DecisionReplayStats { t_s, hits, shards_reeval, full_fallbacks } => {
+        TraceEvent::DecisionReplayStats { t_s, hits, reused, shards_reeval, full_fallbacks } => {
             println!(
-                "[{:>9}s] decision replay: {hits} hit(s), {shards_reeval} shard(s) \
-                 re-evaluated, {full_fallbacks} full fallback(s)",
+                "[{:>9}s] decision replay: {hits} hit(s), {reused} reused answer(s), \
+                 {shards_reeval} shard(s) re-evaluated, {full_fallbacks} full fallback(s)",
                 f(*t_s, 1),
             );
         }

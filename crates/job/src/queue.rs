@@ -8,6 +8,11 @@
 use crate::spec::{JobId, JobSpec};
 use std::collections::VecDeque;
 
+/// Whether `a` sorts strictly after `b` in the queue order `(arrival_s, id)`.
+fn after(a: &JobSpec, b: &JobSpec) -> bool {
+    (a.arrival_s, a.id) > (b.arrival_s, b.id)
+}
+
 /// Arrival-ordered waiting queue with a postponement side list.
 #[derive(Debug, Clone, Default)]
 pub struct WaitQueue {
@@ -22,13 +27,12 @@ impl WaitQueue {
     }
 
     /// Inserts a job keeping the queue sorted by `(arrival_s, id)` —
-    /// stable FIFO for simultaneous arrivals.
+    /// stable FIFO for simultaneous arrivals: the job goes after every
+    /// queued job with an equal key. The slot is found by binary search and
+    /// the insert shifts the shorter side, so an arrival (the largest key)
+    /// and a blocked head put back (the smallest) cost O(log n).
     pub fn add(&mut self, job: JobSpec) {
-        let pos = self
-            .queue
-            .iter()
-            .position(|j| (j.arrival_s, j.id) > (job.arrival_s, job.id))
-            .unwrap_or(self.queue.len());
+        let pos = self.queue.partition_point(|j| !after(j, &job));
         self.queue.insert(pos, job);
     }
 
@@ -45,11 +49,36 @@ impl WaitQueue {
 
     /// End-of-iteration re-queue (`Q.add(postponed_list)`): postponed jobs
     /// return in arrival order for the next wake-up.
+    ///
+    /// Equal to calling [`WaitQueue::add`] on each postponed job in
+    /// postponement order: both give a stable sort of the queue followed by
+    /// the postponed run, which is the sorted queue merged with a stable
+    /// sort of the run, ties going to the queue. So the run is stable-sorted
+    /// by `(arrival_s, id)` — one O(postponed) pass over every run the drain
+    /// produces, since it pops and postpones in queue order — and merged in
+    /// one pass from the back: queued jobs that sort after the whole run
+    /// stay where they are, and the rest are pushed onto their front. A
+    /// drain's postponed jobs all sort before what is still queued, so the
+    /// merge costs O(postponed) too.
     pub fn requeue_postponed(&mut self) {
-        let postponed = std::mem::take(&mut self.postponed);
-        for job in postponed {
-            self.add(job);
+        let mut run = std::mem::take(&mut self.postponed);
+        // A total order: arrival times are finite (`JobSpec::validate`).
+        run.sort_by(|a, b| after(a, b).cmp(&after(b, a)));
+        if let Some(last) = run.last() {
+            let cut = self.queue.partition_point(|j| !after(j, last));
+            let mut head: Vec<JobSpec> = self.queue.drain(..cut).collect();
+            while let Some(job) = run.pop() {
+                while head.last().is_some_and(|q| after(q, &job)) {
+                    self.queue.push_front(head.pop().expect("checked non-empty"));
+                }
+                self.queue.push_front(job);
+            }
+            while let Some(q) = head.pop() {
+                self.queue.push_front(q);
+            }
         }
+        // Keep the run's allocation for the next iteration's postponements.
+        self.postponed = run;
     }
 
     /// Number of jobs currently waiting (excluding postponed).
@@ -113,6 +142,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchClass;
     use crate::model::NnModel;
+    use proptest::prelude::*;
 
     fn job(id: u64, arrival: f64) -> JobSpec {
         JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, 1).arriving_at(arrival)
@@ -189,5 +219,108 @@ mod tests {
         q.add(job(0, 1.0));
         assert_eq!(q.peek().unwrap().id, JobId(0));
         assert_eq!(q.len(), 1);
+    }
+
+    /// The queue as it was before the merge: every insertion scans from
+    /// the front, and the re-queue inserts postponed jobs one by one. The
+    /// property test below holds [`WaitQueue`] to this.
+    #[derive(Default)]
+    struct FrontScanQueue {
+        queue: VecDeque<JobSpec>,
+        postponed: Vec<JobSpec>,
+    }
+
+    impl FrontScanQueue {
+        fn add(&mut self, job: JobSpec) {
+            let pos = self
+                .queue
+                .iter()
+                .position(|j| (j.arrival_s, j.id) > (job.arrival_s, job.id))
+                .unwrap_or(self.queue.len());
+            self.queue.insert(pos, job);
+        }
+
+        fn requeue_postponed(&mut self) {
+            for job in std::mem::take(&mut self.postponed) {
+                self.add(job);
+            }
+        }
+
+        fn remove(&mut self, id: JobId) -> Option<JobSpec> {
+            if let Some(pos) = self.queue.iter().position(|j| j.id == id) {
+                return self.queue.remove(pos);
+            }
+            if let Some(pos) = self.postponed.iter().position(|j| j.id == id) {
+                return Some(self.postponed.remove(pos));
+            }
+            None
+        }
+    }
+
+    /// A job's identity for comparisons: id and arrival bits (`JobSpec`
+    /// equality would also accept `-0.0 == 0.0`).
+    fn ident(j: &JobSpec) -> (u64, u64) {
+        (j.id.0, j.arrival_s.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Random interleavings of every queue operation, over few ids and
+        /// few arrival times (`-0.0` and `0.0` among them) so that equal
+        /// arrivals and duplicate `(arrival, id)` keys are common, and with
+        /// jobs postponed both in queue order (popped) and out of it (made
+        /// up). Queue order, the postponed list, and every `pop` and
+        /// `remove` result must match the front-scan queue exactly.
+        #[test]
+        fn queue_matches_the_front_scan_oracle(
+            ops in prop::collection::vec((0u8..6, 0u64..8, 0usize..5), 0..120)
+        ) {
+            const ARRIVALS: [f64; 5] = [-0.0, 0.0, 1.0, 1.0, 2.5];
+            let mut q = WaitQueue::new();
+            let mut oracle = FrontScanQueue::default();
+            for (step, &(op, id, t)) in ops.iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        q.add(job(id, ARRIVALS[t]));
+                        oracle.add(job(id, ARRIVALS[t]));
+                    }
+                    2 => {
+                        let got = q.pop();
+                        prop_assert_eq!(
+                            got.as_ref().map(ident),
+                            oracle.queue.pop_front().as_ref().map(ident),
+                            "pop at step {}", step
+                        );
+                        // Most popped jobs are postponed, as in a drain.
+                        if let (Some(j), true) = (got, id < 6) {
+                            oracle.postponed.push(j.clone());
+                            q.postpone(j);
+                        }
+                    }
+                    3 => {
+                        q.postpone(job(id, ARRIVALS[t]));
+                        oracle.postponed.push(job(id, ARRIVALS[t]));
+                    }
+                    4 => {
+                        q.requeue_postponed();
+                        oracle.requeue_postponed();
+                    }
+                    _ => {
+                        prop_assert_eq!(
+                            q.remove(JobId(id)).as_ref().map(ident),
+                            oracle.remove(JobId(id)).as_ref().map(ident),
+                            "remove at step {}", step
+                        );
+                    }
+                }
+                let queued: Vec<_> = q.iter().map(ident).collect();
+                let want: Vec<_> = oracle.queue.iter().map(ident).collect();
+                prop_assert_eq!(queued, want, "queue order after step {}", step);
+                let parked: Vec<_> = q.postponed_iter().map(ident).collect();
+                let want: Vec<_> = oracle.postponed.iter().map(ident).collect();
+                prop_assert_eq!(parked, want, "postponed list after step {}", step);
+            }
+        }
     }
 }

@@ -182,6 +182,38 @@ impl JobClassKey {
     }
 }
 
+/// The job inputs that steer a decision's selection but stay out of
+/// [`JobClassKey`], because the per-candidate evaluation never reads them:
+/// `min_utility` (selection window and bound pruning) and `single_node`
+/// (the spill fallthrough). A [`DecisionSnap`] stores the guard of its
+/// decision and replays only for a job with an equal one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReplayGuard {
+    min_utility_bits: u64,
+    single_node: bool,
+}
+
+impl ReplayGuard {
+    /// `job`'s guard, floats by bit pattern.
+    pub(crate) fn of(job: &JobSpec) -> Self {
+        Self {
+            min_utility_bits: job.min_utility.to_bits(),
+            single_node: job.constraints.single_node,
+        }
+    }
+}
+
+/// What the O(1) decision replay (DESIGN.md §12) is keyed by: the job
+/// class of the memo row that holds the snapshot, and the snapshot's
+/// guard. On one cluster state, jobs with equal keys get the same
+/// decision, which is what lets a scheduler iteration reuse an unplaced
+/// job's answer for every later job of its key (DESIGN.md §14).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ReplayKey {
+    pub class: JobClassKey,
+    pub guard: ReplayGuard,
+}
+
 /// A cross-event cache key: machine equivalence class × job class. Both
 /// halves are pure functions of (state, job-class) — machine ids, job ids
 /// and clock values never enter — so an entry can only be *cold*, never
@@ -250,6 +282,14 @@ impl EvalCacheStats {
 pub struct DecisionReplayStats {
     /// Retries answered from a snapshot (full or partial replay).
     pub hits: u64,
+    /// Jobs answered without a decision: a scheduler iteration gave an
+    /// earlier unplaced job with the same replay key (job class,
+    /// `min_utility`, `single_node`) its answer and placed nothing since,
+    /// so this job gets that answer too (DESIGN.md §14). Without reuse
+    /// each would have been decided again, by an O(1) full replay hit
+    /// unless a same-class job with other guards decided in between. None
+    /// is counted in `hits` or in the scheduler's decision statistics.
+    pub reused: u64,
     /// Shards re-evaluated by partial replays; everything else was reused.
     pub shards_reeval: u64,
     /// Snapshots present but unusable (epoch/guard mismatch) — the
@@ -452,10 +492,9 @@ pub(crate) enum SnapState {
 /// mutation bumps the touched shard's version — the same funnel argument
 /// that guards the shard memo).
 ///
-/// `min_utility` and `single_node` are *not* part of [`JobClassKey`] (the
-/// per-candidate evaluation never reads them) but do steer the selection
-/// window, bound pruning and the spill fallthrough — so the snapshot
-/// carries them as guards and a mismatch falls back to the full path.
+/// The [`ReplayGuard`] inputs are *not* part of [`JobClassKey`] but do
+/// steer the selection, so the snapshot carries its decision's guard and a
+/// mismatch falls back to the full path.
 #[derive(Debug, Default)]
 pub(crate) struct DecisionSnap {
     /// The shard index epoch the snapshot was taken under.
@@ -466,10 +505,8 @@ pub(crate) struct DecisionSnap {
     pub versions: Vec<u64>,
     /// Per-shard resolution at decision time, indexed by shard.
     pub states: Vec<SnapState>,
-    /// `job.min_utility` bits at decision time (guard).
-    pub min_utility_bits: u64,
-    /// `job.constraints.single_node` at decision time (guard).
-    pub single_node: bool,
+    /// The deciding job's guard.
+    pub guard: ReplayGuard,
     /// The decision the full path produced: granted GPUs and utility, or
     /// `None` when nothing (including the spill fallthrough) placed.
     pub decision: Option<(Vec<GlobalGpuId>, f64)>,
@@ -558,9 +595,10 @@ impl EvalCache {
     /// `job`, creating (or re-sizing) the row on first touch — one borrow
     /// and one key hash per call no matter how many shards the caller then
     /// reads or writes. Past [`SHARD_MEMO_CAP`] distinct job classes the
-    /// memo is cleared wholesale; a row whose slot count disagrees with
-    /// `n_shards` (the shard layout changed, which also advances the epoch)
-    /// is reset empty, snapshot included. `f` must not re-enter the memo.
+    /// memo is cleared wholesale (that rare insert hashes twice); a row
+    /// whose slot count disagrees with `n_shards` (the shard layout
+    /// changed, which also advances the epoch) is reset empty, snapshot
+    /// included. `f` must not re-enter the memo.
     pub(crate) fn with_memo_row<R>(
         &self,
         job: &JobClassKey,
@@ -568,14 +606,15 @@ impl EvalCache {
         f: impl FnOnce(&mut MemoRow) -> R,
     ) -> R {
         let mut memo = self.shard_memo.borrow_mut();
-        if memo.get(job).is_none_or(|row| row.slots.len() != n_shards) {
-            if memo.len() >= SHARD_MEMO_CAP {
-                memo.clear();
-            }
-            let slots: Box<[ShardSlot]> = (0..n_shards).map(|_| ShardSlot::default()).collect();
-            memo.insert(job.clone(), MemoRow { slots, snap: None });
+        if memo.len() >= SHARD_MEMO_CAP && !memo.contains_key(job) {
+            memo.clear();
         }
-        f(memo.get_mut(job).expect("row ensured above"))
+        let row = memo.entry(job.clone()).or_default();
+        if row.slots.len() != n_shards {
+            let slots: Box<[ShardSlot]> = (0..n_shards).map(|_| ShardSlot::default()).collect();
+            *row = MemoRow { slots, snap: None };
+        }
+        f(row)
     }
 
     /// Counters so far.
@@ -587,10 +626,12 @@ impl EvalCache {
         }
     }
 
-    /// Decision-replay counters so far.
+    /// Decision-replay counters so far. `reused` reads 0: reuse happens in
+    /// the scheduler, above the cache ([`crate::Scheduler::decision_replay_stats`]).
     pub fn replay_stats(&self) -> DecisionReplayStats {
         DecisionReplayStats {
             hits: self.replay_hits.get(),
+            reused: 0,
             shards_reeval: self.replay_shards_reeval.get(),
             full_fallbacks: self.replay_full_fallbacks.get(),
         }
@@ -1078,8 +1119,7 @@ mod tests {
                 total_version: 3,
                 versions: vec![3, 0],
                 states: vec![SnapState::Evaluated, SnapState::NotAdmitted],
-                min_utility_bits: 0.5f64.to_bits(),
-                single_node: false,
+                guard: ReplayGuard::of(&j),
                 decision: None,
             });
         });

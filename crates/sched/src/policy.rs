@@ -16,8 +16,8 @@
 use crate::bound::ShardBoundCtx;
 use crate::eval::{
     evaluate_topo_candidates, evaluate_topo_classes, resolve_candidate_outcome, CandidateOutcome,
-    ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow, ShardClassed, ShardSlot,
-    SnapState,
+    ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow, ReplayGuard, ReplayKey,
+    ShardClassed, ShardSlot, SnapState,
 };
 use crate::oracle::{placement_components, placement_utility, StateOracle};
 use crate::shard::ShardIndex;
@@ -208,6 +208,45 @@ impl Policy {
         }
     }
 
+    /// Whether `job` takes the two-level sharded path (DESIGN.md §10):
+    /// admission over shard aggregates, then shard-local class evaluation
+    /// with a streaming selection scan — no per-candidate clones or
+    /// allocations. Engaged only for the topo policies when the state is
+    /// actually sharded and nothing forces the flat reference (tracing
+    /// needs per-candidate records; sequential params *are* the
+    /// reference); multi-GPU anti-collocated jobs have their own search.
+    pub(crate) fn takes_sharded_path(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        params: EvalParams,
+        traced: bool,
+    ) -> bool {
+        matches!(self.kind, PolicyKind::TopoAware | PolicyKind::TopoAwareP)
+            && !traced
+            && !params.is_sequential()
+            && state.shards().n_shards() > 1
+            && !(job.constraints.anti_collocate && job.n_gpus > 1)
+    }
+
+    /// The key under which the sharded path's O(1) decision replay
+    /// (DESIGN.md §12) answers `job`, or `None` when `job` never reaches
+    /// the replay: it does not take the sharded path, or it carries a comm
+    /// graph and so has no class key. Two jobs with equal keys get the
+    /// same decision on the same cluster state.
+    pub(crate) fn replay_key(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        params: EvalParams,
+        traced: bool,
+    ) -> Option<ReplayKey> {
+        if !self.takes_sharded_path(state, job, params, traced) {
+            return None;
+        }
+        Some(ReplayKey { class: JobClassKey::of(job, self.weights)?, guard: ReplayGuard::of(job) })
+    }
+
     fn decide_impl(
         &self,
         state: &ClusterState,
@@ -232,17 +271,7 @@ impl Policy {
             }
             return decision;
         }
-        // The two-level sharded path (DESIGN.md §10): admission over shard
-        // aggregates, then shard-local class evaluation with a streaming
-        // selection scan — no per-candidate clones or allocations. Engaged
-        // only for the topo policies when the state is actually sharded and
-        // nothing forces the flat reference (tracing needs per-candidate
-        // records; sequential params *are* the reference).
-        if matches!(self.kind, PolicyKind::TopoAware | PolicyKind::TopoAwareP)
-            && trace.is_none()
-            && !params.is_sequential()
-            && state.shards().n_shards() > 1
-        {
+        if self.takes_sharded_path(state, job, params, trace.is_some()) {
             return self.decide_topo_sharded(state, job, cache);
         }
         let n = job.n_gpus as usize;
@@ -407,7 +436,6 @@ impl Policy {
     ) -> Option<Decision> {
         let n = job.n_gpus as usize;
         let shards = state.shards();
-        let graph = JobGraph::from_spec(job);
         // One key for the whole decision: the memo probe, the replay
         // snapshot and the class-cache lookups all share it.
         let job_key = JobClassKey::of(job, self.weights);
@@ -417,10 +445,12 @@ impl Policy {
         // whose version stamps moved since the last decision for this job
         // class; `None` falls through to the full path below.
         if let (Some(cache), Some(k)) = (cache, job_key.as_ref()) {
-            if let Some(replayed) = self.try_replay(state, job, &graph, n, cache, k) {
+            if let Some(replayed) = self.try_replay(state, job, n, cache, k) {
                 return replayed;
             }
         }
+        // Built only past the replay probe: a full replay hit never reads it.
+        let graph = JobGraph::from_spec(job);
 
         ADMITTED_SCRATCH.with(|cell| {
             // Level 1: global admission over the cached per-shard
@@ -625,7 +655,6 @@ impl Policy {
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        graph: &JobGraph,
         n: usize,
         cache: &EvalCache,
         job_key: &JobClassKey,
@@ -660,8 +689,7 @@ impl Policy {
             };
             if snap.epoch != shards.epoch()
                 || snap.versions.len() != shards.n_shards()
-                || snap.min_utility_bits != job.min_utility.to_bits()
-                || snap.single_node != job.constraints.single_node
+                || snap.guard != ReplayGuard::of(job)
             {
                 return Probe::Fallback;
             }
@@ -729,6 +757,7 @@ impl Policy {
         // survivors through the full path's branch and bound and repair.
         // A mutated shard pruned here is snapshotted as pruned, like any
         // other, so a later replay re-tests it once the floor moves.
+        let graph = &JobGraph::from_spec(job);
         let total_mutated = mutated.len() as u64;
         mutated.retain(|&(s, _)| shards.has_capacity(s, n));
         shards.note_admission(total_mutated, total_mutated - mutated.len() as u64);
@@ -1084,8 +1113,7 @@ fn store_decision_snap(
     for (s, bound) in pruned {
         snap.states[s] = SnapState::Pruned { bound };
     }
-    snap.min_utility_bits = job.min_utility.to_bits();
-    snap.single_node = job.constraints.single_node;
+    snap.guard = ReplayGuard::of(job);
     snap.decision = decision.map(|d| (d.gpus.clone(), d.utility));
 }
 

@@ -15,10 +15,15 @@
 //! The loop is driven by the simulator (`gts-sim`) or the prototype
 //! (`gts-proto`), which call [`Scheduler::run_iteration`] whenever a job
 //! arrives or finishes ("wakeup after an event").
+//!
+//! The drain is linear in the queue (DESIGN.md §14): `Q.add` is a binary
+//! search, `Q.add(postponed_list)` one merge, and inside an iteration a
+//! TOPO-AWARE-P job whose replay key matches an earlier unplaced job's
+//! reuses that answer instead of deciding again, until the next placement.
 
-use crate::eval::{DecisionReplayStats, EvalCache, EvalCacheStats, EvalParams};
+use crate::eval::{DecisionReplayStats, EvalCache, EvalCacheStats, EvalParams, ReplayKey};
 use crate::overhead::DecisionStats;
-use crate::policy::Policy;
+use crate::policy::{Decision, Policy};
 use crate::state::{Allocation, ClusterState};
 use crate::trace::TraceEvent;
 use gts_job::{JobId, JobSpec, WaitQueue};
@@ -96,7 +101,11 @@ pub struct Scheduler {
     eval_cache: EvalCache,
     state: ClusterState,
     queue: WaitQueue,
+    /// Latencies of real decisions; reused answers are not decisions.
     stats: DecisionStats,
+    /// Answers reused within an iteration instead of decided
+    /// ([`DecisionReplayStats::reused`]).
+    reused: u64,
     slo_violations: usize,
     postpone_counts: std::collections::HashMap<JobId, u32>,
     tracing: bool,
@@ -115,6 +124,7 @@ impl Scheduler {
             state,
             queue: WaitQueue::new(),
             stats: DecisionStats::new(),
+            reused: 0,
             slo_violations: 0,
             postpone_counts: std::collections::HashMap::new(),
             tracing: false,
@@ -128,9 +138,10 @@ impl Scheduler {
         self.eval_cache.stats()
     }
 
-    /// Counters of the cross-event decision-replay path.
+    /// Counters of the cross-event decision-replay path, with the answers
+    /// reused within iterations.
     pub fn decision_replay_stats(&self) -> DecisionReplayStats {
-        self.eval_cache.replay_stats()
+        DecisionReplayStats { reused: self.reused, ..self.eval_cache.replay_stats() }
     }
 
     /// Turns the decision-trace stream on or off. Off by default — tracing
@@ -185,7 +196,9 @@ impl Scheduler {
         &self.queue
     }
 
-    /// Decision-latency statistics collected so far.
+    /// Decision-latency statistics collected so far: one sample per
+    /// `decide` call. Answers reused within an iteration are not decisions
+    /// and are left out ([`DecisionReplayStats::reused`] counts them).
     pub fn decision_stats(&self) -> &DecisionStats {
         &self.stats
     }
@@ -249,8 +262,7 @@ impl Scheduler {
     /// is released and its allocation returned so the driver can stop its
     /// execution. Unknown ids report [`CancelOutcome::NotFound`].
     pub fn cancel(&mut self, id: JobId) -> CancelOutcome {
-        if self.queue.contains(id) {
-            self.queue.remove(id);
+        if self.queue.remove(id).is_some() {
             return CancelOutcome::Dequeued;
         }
         if self.state.allocation(id).is_some() {
@@ -262,10 +274,37 @@ impl Scheduler {
 
     /// One Algorithm 1 iteration: drains the queue as far as resources and
     /// the policy allow. Returns what happened, in processing order.
+    ///
+    /// `place` is the only state change inside an iteration, so between
+    /// two placements a job gets the same answer as any earlier unplaced
+    /// job with its replay key (job class, `min_utility`, `single_node`):
+    /// a TOPO-AWARE-P job on the replaying path reuses that answer — no
+    /// placement, or a postponement at the same utility — instead of
+    /// deciding (DESIGN.md §14). Debug builds decide anyway and assert the
+    /// two agree.
     pub fn run_iteration(&mut self) -> Vec<PlacementOutcome> {
         let mut outcomes = Vec::new();
+        // Answers of the unplaced jobs since the last placement, by key.
+        let mut unplaced: Vec<(ReplayKey, Option<Decision>)> = Vec::new();
         while self.state.has_free_resources() && !self.queue.is_empty() {
             let job = self.queue.pop().expect("queue checked non-empty");
+            let key = if self.policy.kind.postpones() {
+                self.policy.replay_key(&self.state, &job, self.eval, self.tracing)
+            } else {
+                None
+            };
+            if let Some(k) = &key {
+                if let Some((_, answer)) = unplaced.iter().find(|(seen, _)| seen == k) {
+                    self.reused += 1;
+                    #[cfg(debug_assertions)]
+                    self.debug_assert_reuse_matches(&job, answer.as_ref());
+                    match answer {
+                        None => self.wait_for_capacity(job, &mut outcomes),
+                        Some(d) => self.postpone_low_utility(job, d.utility, &mut outcomes),
+                    }
+                    continue;
+                }
+            }
 
             let started = Instant::now();
             let cache = Some(&self.eval_cache);
@@ -293,14 +332,16 @@ impl Scheduler {
 
             match decision {
                 None => {
-                    let id = job.id;
-                    self.emit(TraceEvent::Waiting { t_s: self.now_s, job: id });
                     if self.policy.kind.postpones() {
                         // Out-of-order execution: park it, keep draining.
-                        self.queue.postpone(job);
-                        outcomes.push(PlacementOutcome::WaitingForCapacity { id });
+                        self.wait_for_capacity(job, &mut outcomes);
+                        if let Some(k) = key {
+                            unplaced.push((k, None));
+                        }
                     } else {
                         // In-order policies block on the head job.
+                        let id = job.id;
+                        self.emit(TraceEvent::Waiting { t_s: self.now_s, job: id });
                         self.queue.add(job);
                         outcomes.push(PlacementOutcome::WaitingForCapacity { id });
                         break;
@@ -309,17 +350,10 @@ impl Scheduler {
                 Some(d) => {
                     let below = d.utility + 1e-9 < job.min_utility;
                     if below && self.policy.kind.postpones() {
-                        *self.postpone_counts.entry(job.id).or_insert(0) += 1;
-                        self.emit(TraceEvent::Postponed {
-                            t_s: self.now_s,
-                            job: job.id,
-                            utility: d.utility,
-                        });
-                        outcomes.push(PlacementOutcome::PostponedLowUtility {
-                            id: job.id,
-                            utility: d.utility,
-                        });
-                        self.queue.postpone(job);
+                        self.postpone_low_utility(job, d.utility, &mut outcomes);
+                        if let Some(k) = key {
+                            unplaced.push((k, Some(d)));
+                        }
                     } else {
                         if below {
                             self.slo_violations += 1;
@@ -351,6 +385,7 @@ impl Scheduler {
                             slo_violated: below,
                         });
                         self.state.place(job, d.gpus, d.utility);
+                        unplaced.clear();
                     }
                 }
             }
@@ -361,6 +396,44 @@ impl Scheduler {
             panic!("Scheduler::audit failed after iteration: {e}");
         }
         outcomes
+    }
+
+    /// Parks a job no GPUs could be found for (TOPO-AWARE-P keeps
+    /// draining past it).
+    fn wait_for_capacity(&mut self, job: JobSpec, outcomes: &mut Vec<PlacementOutcome>) {
+        let id = job.id;
+        self.emit(TraceEvent::Waiting { t_s: self.now_s, job: id });
+        self.queue.postpone(job);
+        outcomes.push(PlacementOutcome::WaitingForCapacity { id });
+    }
+
+    /// Parks a job whose best placement scored `utility`, below its
+    /// `min_utility`.
+    fn postpone_low_utility(
+        &mut self,
+        job: JobSpec,
+        utility: f64,
+        outcomes: &mut Vec<PlacementOutcome>,
+    ) {
+        *self.postpone_counts.entry(job.id).or_insert(0) += 1;
+        self.emit(TraceEvent::Postponed { t_s: self.now_s, job: job.id, utility });
+        outcomes.push(PlacementOutcome::PostponedLowUtility { id: job.id, utility });
+        self.queue.postpone(job);
+    }
+
+    /// Debug shadow behind every reused answer: decide the job afresh,
+    /// with no cache (so no memo and no replay), and assert the decision
+    /// equals the reused one GPU for GPU and bit for bit.
+    #[cfg(debug_assertions)]
+    fn debug_assert_reuse_matches(&self, job: &JobSpec, reused: Option<&Decision>) {
+        let fresh = self.policy.decide_with(&self.state, job, self.eval);
+        let bits = |d: Option<&Decision>| d.map(|d| (d.gpus.clone(), d.utility.to_bits()));
+        assert_eq!(
+            bits(reused),
+            bits(fresh.as_ref()),
+            "{}: reused answer diverges from a fresh decision",
+            job.id
+        );
     }
 
     /// Cross-checks the scheduler's bookkeeping on top of
@@ -396,7 +469,7 @@ mod tests {
     use crate::policy::{Policy, PolicyKind};
     use gts_job::{BatchClass, NnModel};
     use gts_perf::ProfileLibrary;
-    use gts_topo::{power8_minsky, ClusterTopology, GpuId, MachineId};
+    use gts_topo::{power8_minsky, ClusterTopology, GlobalGpuId, GpuId, MachineId};
     use std::sync::Arc;
 
     fn scheduler(kind: PolicyKind, n_machines: usize) -> Scheduler {
@@ -594,6 +667,77 @@ mod tests {
         assert_eq!(s.cancel(JobId(1)), CancelOutcome::Dequeued);
         let outcomes = s.run_iteration();
         assert_eq!(placed_ids(&outcomes), vec![JobId(2)], "J2 should now run");
+    }
+
+    /// TOPO-AWARE-P on two one-machine racks (two shards, so the replaying
+    /// path runs) with machine 0 full and machine 1 holding one 1-GPU job
+    /// per socket: a 2-GPU job there faces a forced spread.
+    fn split_racks() -> Scheduler {
+        let machine = power8_minsky();
+        let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
+        let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
+        let mut s = Scheduler::new(
+            ClusterState::new(cluster, profiles),
+            SchedulerConfig {
+                policy: Policy::new(PolicyKind::TopoAwareP),
+                eval: EvalParams::parallel(2),
+            },
+        );
+        let on = |m: u32, gpus: &[u32]| -> Vec<GlobalGpuId> {
+            gpus.iter().map(|&g| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) }).collect()
+        };
+        s.state.place(job(100, 4, 0.0), on(0, &[0, 1, 2, 3]), 1.0);
+        s.state.place(job(101, 1, 0.0), on(1, &[0]), 1.0);
+        s.state.place(job(102, 1, 0.0), on(1, &[2]), 1.0);
+        s
+    }
+
+    #[test]
+    fn same_key_jobs_reuse_an_unplaced_answer() {
+        let mut s = split_racks();
+        s.submit(job(0, 2, 0.5));
+        s.submit(job(1, 2, 0.5));
+        let outcomes = s.run_iteration();
+        match &outcomes[..] {
+            [
+                PlacementOutcome::PostponedLowUtility { id: JobId(0), utility: first },
+                PlacementOutcome::PostponedLowUtility { id: JobId(1), utility: second },
+            ] => assert_eq!(first.to_bits(), second.to_bits()),
+            other => panic!("unexpected outcomes {other:?}"),
+        }
+        assert_eq!(s.postpone_count(JobId(1)), 1);
+        assert_eq!(s.decision_replay_stats().reused, 1);
+        assert_eq!(s.decision_stats().count(), 1, "a reused answer is not a decision");
+
+        // A different min_utility is a different key: decided, not reused.
+        s.submit(job(2, 2, 0.45));
+        s.run_iteration();
+        assert_eq!(s.decision_replay_stats().reused, 2, "jobs 0 and 1 again, not job 2");
+        assert_eq!(s.decision_stats().count(), 3);
+    }
+
+    #[test]
+    fn a_placement_clears_the_reusable_answers() {
+        let mut s = split_racks();
+        s.submit(job(0, 2, 0.5));
+        s.submit(job(1, 1, 0.0));
+        s.submit(job(2, 2, 0.5));
+        let outcomes = s.run_iteration();
+        // Job 1 takes one of machine 1's two free GPUs, so job 2, of job
+        // 0's key, finds no room at all instead of job 0's spread.
+        assert!(
+            matches!(
+                outcomes[..],
+                [
+                    PlacementOutcome::PostponedLowUtility { id: JobId(0), .. },
+                    PlacementOutcome::Placed { .. },
+                    PlacementOutcome::WaitingForCapacity { id: JobId(2) },
+                ]
+            ),
+            "unexpected outcomes {outcomes:?}"
+        );
+        assert_eq!(s.decision_replay_stats().reused, 0);
+        assert_eq!(s.decision_stats().count(), 3);
     }
 
     #[test]

@@ -164,6 +164,10 @@ pub enum TraceEvent {
         t_s: f64,
         /// Retries answered from a decision snapshot.
         hits: u64,
+        /// Jobs given an earlier same-key answer within an iteration
+        /// instead of a decision ([`crate::DecisionReplayStats::reused`]).
+        #[serde(default)]
+        reused: u64,
         /// Shards re-evaluated by partial replays.
         shards_reeval: u64,
         /// Snapshots present but unusable (guard mismatch).
@@ -233,6 +237,7 @@ mod tests {
             TraceEvent::DecisionReplayStats {
                 t_s: 11.0,
                 hits: 3,
+                reused: 5,
                 shards_reeval: 4,
                 full_fallbacks: 1,
             },
@@ -261,6 +266,7 @@ mod tests {
         let footer = TraceEvent::DecisionReplayStats {
             t_s: 99.0,
             hits: 10,
+            reused: 30,
             shards_reeval: 20,
             full_fallbacks: 2,
         };

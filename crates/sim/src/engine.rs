@@ -43,8 +43,8 @@ use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler,
-    SchedulerConfig, ShardSpec, TraceEvent,
+    Allocation, CancelOutcome, ClusterState, DecisionReplayStats, EvalParams, PlacementOutcome,
+    Policy, Scheduler, SchedulerConfig, ShardSpec, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
@@ -296,13 +296,19 @@ pub struct SimLoopStats {
     /// (DESIGN.md §12). 0 on the single-shard path and on the sequential
     /// reference.
     pub replay_hits: u64,
+    /// Jobs given an earlier same-key job's answer within a scheduler
+    /// iteration instead of a decision (DESIGN.md §14); neither
+    /// `replay_hits` nor the decision meters count them. 0 on the
+    /// single-shard path and on the sequential reference.
+    pub replay_reused: u64,
     /// Shards re-evaluated by partial replays — everything else those
     /// retries needed was reused from the snapshot.
     pub replay_shards_reeval: u64,
     /// Snapshots present but unusable (epoch/guard mismatch), falling
     /// back to the full decision path.
     pub replay_full_fallbacks: u64,
-    /// Wall nanoseconds spent inside placement decisions (always metered).
+    /// Wall nanoseconds spent inside placement decisions (always metered;
+    /// reused answers are not decisions, so their time is drain time).
     pub phase_decision_ns: u64,
     /// 99th-percentile placement-decision latency, nanoseconds (always
     /// metered) — the retry tail a mean hides once most replays are O(1).
@@ -557,18 +563,18 @@ impl Simulation {
         }
         let replay = self.scheduler.decision_replay_stats();
         self.stats.replay_hits = replay.hits;
+        self.stats.replay_reused = replay.reused;
         self.stats.replay_shards_reeval = replay.shards_reeval;
         self.stats.replay_full_fallbacks = replay.full_fallbacks;
         // Footer only when there was replay activity: traced runs take the
         // flat path (tracing needs per-candidate records), so their
         // counters are zero and their traces stay comparable
         // event-for-event without stripping.
-        if self.config.trace
-            && (replay.hits > 0 || replay.shards_reeval > 0 || replay.full_fallbacks > 0)
-        {
+        if self.config.trace && replay != DecisionReplayStats::default() {
             trace.push(TraceEvent::DecisionReplayStats {
                 t_s: self.now,
                 hits: replay.hits,
+                reused: replay.reused,
                 shards_reeval: replay.shards_reeval,
                 full_fallbacks: replay.full_fallbacks,
             });

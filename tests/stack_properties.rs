@@ -170,6 +170,35 @@ impl Scenario {
             label: format!("{n_racks} racks"),
         }
     }
+
+    /// A small `rack_overload`: 2–4 racks × 2 Minsky machines under 120
+    /// jobs arriving at 1,200 a minute, so the queue backs up behind a
+    /// full cluster and every wake-up walks the backlog. A fifth of the
+    /// multi-GPU jobs carry a comm graph (no replay key), a fifth of all
+    /// jobs may spill, and every third job asks for a `min_utility` of
+    /// 0.4, so jobs of one class differ in both guards of the replay key.
+    fn rack_backlog(seed: u64) -> Self {
+        let n_racks = 2 + (seed as usize % 3);
+        let machine = power8_minsky();
+        let gen = GeneratorConfig {
+            arrival_rate_per_min: 1200.0,
+            model_parallel_fraction: 0.2,
+            multi_node_fraction: 0.2,
+            ..GeneratorConfig::default()
+        };
+        let mut trace = WorkloadGenerator::new(gen, seed).generate(120);
+        for job in trace.iter_mut().step_by(3) {
+            job.min_utility = 0.4;
+        }
+        Self {
+            profiles: Arc::new(ProfileLibrary::generate(&machine, 42)),
+            cluster: Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2)),
+            trace,
+            shards: None,
+            traced: false,
+            label: format!("{n_racks}-rack backlog"),
+        }
+    }
 }
 
 /// Drops the end-of-run counter footers, the only trace events in which
@@ -270,6 +299,56 @@ fn production_matches_oracle_on_racked_minsky() {
         let (stats, _) = assert_matches_reference(kind, seed, &scenario, oracle);
         assert_sharded_path_ran(kind, seed, &scenario, &stats);
     });
+}
+
+/// Drives a TOPO-AWARE-P scheduler over `scenario` by hand: each job is
+/// submitted and drained on arrival, then running jobs retire lowest id
+/// first, one drain each. Returns every drain's outcomes, postponement
+/// utilities included, and the replay counters.
+fn drive_backlog(
+    scenario: &Scenario,
+    eval: EvalParams,
+) -> (Vec<Vec<PlacementOutcome>>, DecisionReplayStats) {
+    let state = ClusterState::new(Arc::clone(&scenario.cluster), Arc::clone(&scenario.profiles));
+    let policy = Policy::new(PolicyKind::TopoAwareP);
+    let mut s = Scheduler::new(state, SchedulerConfig { policy, eval });
+    let mut drains = Vec::new();
+    for job in &scenario.trace {
+        s.set_now(job.arrival_s);
+        s.submit(job.clone());
+        drains.push(s.run_iteration());
+    }
+    while let Some(id) = s.state().running().map(|a| a.spec.id).min() {
+        s.complete(id);
+        drains.push(s.run_iteration());
+    }
+    (drains, s.decision_replay_stats())
+}
+
+/// A TOPO-AWARE-P backlog on racks: within an iteration, production
+/// gives a job the answer of an earlier unplaced job with its replay key
+/// instead of deciding, until the next placement. The oracle decides
+/// every job, and the two must still agree: on the simulation results,
+/// and on every drain's outcomes when a scheduler is driven by hand —
+/// the only place a postponement's utility shows. Production must reuse
+/// at least once per seed in both; the oracle never does.
+#[test]
+fn production_matches_oracle_on_rack_backlog() {
+    for seed in 0..8u64 {
+        let scenario = Scenario::rack_backlog(seed);
+        let kind = PolicyKind::TopoAwareP;
+        let ctx = format!("seed {seed} ({})", scenario.label);
+        let (stats, reference) = assert_matches_reference(kind, seed, &scenario, oracle);
+        assert_sharded_path_ran(kind, seed, &scenario, &stats);
+        assert!(stats.replay_reused > 0, "{ctx}: production never reused an answer");
+        assert_eq!(reference.replay_reused, 0, "{ctx}: the oracle reused an answer");
+
+        let (got, stats) = drive_backlog(&scenario, EvalParams::parallel(4));
+        let (want, reference) = drive_backlog(&scenario, EvalParams::sequential());
+        assert_eq!(got, want, "{ctx}: hand-driven drains diverged");
+        assert!(stats.reused > 0, "{ctx}: hand-driven production never reused an answer");
+        assert_eq!(reference.reused, 0, "{ctx}: the hand-driven oracle reused an answer");
+    }
 }
 
 /// Heterogeneous fleets of 6–9 machines cycling Minsky, DGX-1 and
