@@ -27,7 +27,10 @@ pub struct OverheadPoint {
 /// The state is loaded once (placing one 2-GPU job on every even machine,
 /// so every machine keeps capacity and the topology-aware search cannot
 /// short-circuit), then each generated job is *decided but not placed* —
-/// isolating pure decision cost exactly as §5.5.3 reports it.
+/// isolating pure decision cost exactly as §5.5.3 reports it. One untimed
+/// pass over the burst goes first: the first decisions on a thread fill
+/// its DRB split memo and best-case cost tables (DESIGN.md §13), a cost
+/// that would otherwise land on whichever cluster size is measured first.
 pub fn measure(kind: PolicyKind, n_machines: usize, n_decisions: usize) -> OverheadPoint {
     let (cluster, profiles) = minsky_cluster(n_machines);
     let mut state = ClusterState::new(cluster, profiles);
@@ -45,6 +48,9 @@ pub fn measure(kind: PolicyKind, n_machines: usize, n_decisions: usize) -> Overh
 
     let policy = Policy::new(kind);
     let burst = gen.generate(n_decisions);
+    for job in &burst {
+        std::hint::black_box(policy.decide(&state, job));
+    }
     let started = Instant::now();
     for job in &burst {
         let decision = policy.decide(&state, job);

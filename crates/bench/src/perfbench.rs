@@ -38,15 +38,24 @@ pub struct BenchEntry {
     pub mean_ns: u64,
     /// Fastest iteration, nanoseconds.
     pub min_ns: u64,
+    /// Median of the `samples` (the lower middle one for an even count),
+    /// nanoseconds; 0 in reports written before medians existed.
+    #[serde(default)]
+    pub median_ns: u64,
     /// Timed iterations.
     pub samples: u64,
-    /// 99th-percentile latency, nanoseconds. Carried only by the
-    /// `decision/huge_*` entries (worst per-decision tail across the
-    /// sample runs — the quantity a mean hides once replay answers most
-    /// retries in O(1)); 0 for criterion-timed entries.
-    #[serde(default)]
-    pub p99_ns: u64,
+    /// 99th-percentile latency, nanoseconds, written only where at least
+    /// ten samples lie beyond it (≥ 1 000 samples). Only the
+    /// `decision/huge_*` entries qualify: the worst per-decision tail
+    /// across their sample runs — the quantity a mean hides once replay
+    /// answers most retries in O(1) — when every run made ≥ 1 000
+    /// decisions. Criterion-timed entries take far fewer samples.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub p99_ns: Option<u64>,
 }
+
+/// Samples a p99 needs: ten beyond it.
+const P99_MIN_SAMPLES: u64 = 1_000;
 
 /// One machines-vs-decision-latency sample of the sharded scheduler
 /// (`gts bench scale-curve`).
@@ -376,8 +385,9 @@ pub fn run(smoke: bool) -> BenchReport {
             label: r.label,
             mean_ns: r.mean_ns.min(u64::MAX as u128) as u64,
             min_ns: r.min_ns.min(u64::MAX as u128) as u64,
+            median_ns: r.median_ns.min(u64::MAX as u128) as u64,
             samples: r.samples as u64,
-            p99_ns: 0,
+            p99_ns: None,
         })
         .collect();
     for (label, shards) in [("huge_single", 1), ("huge_par", huge_racks)] {
@@ -385,32 +395,27 @@ pub fn run(smoke: bool) -> BenchReport {
             .iter()
             .map(|t| sharded_sim(&huge_cluster, &huge_profiles, t, shards))
             .collect();
-        let stat = |pick: fn(&SimRun) -> u64| {
-            let vals: Vec<u64> = runs.iter().map(pick).collect();
-            let mean = vals.iter().sum::<u64>() / vals.len() as u64;
-            let min = *vals.iter().min().expect("at least one run");
-            (mean, min)
+        let entry = |label: String, pick: fn(&SimRun) -> u64, p99_ns: Option<u64>| {
+            let mut vals: Vec<u64> = runs.iter().map(pick).collect();
+            vals.sort_unstable();
+            BenchEntry {
+                label,
+                mean_ns: vals.iter().sum::<u64>() / vals.len() as u64,
+                min_ns: vals[0],
+                median_ns: vals[(vals.len() - 1) / 2],
+                samples: vals.len() as u64,
+                p99_ns,
+            }
         };
-        let (wall_mean, wall_min) = stat(|r| r.wall_ns);
-        let (dec_mean, dec_min) = stat(|r| r.mean_decision_ns);
         // Worst per-run p99: the decision-latency tail across every
-        // sampled trace, not a tail of means.
-        let dec_p99 =
-            runs.iter().map(|r| r.decision_p99_ns).max().expect("at least one run");
-        results.push(BenchEntry {
-            label: format!("sim/{label}"),
-            mean_ns: wall_mean,
-            min_ns: wall_min,
-            samples: runs.len() as u64,
-            p99_ns: 0,
+        // sampled trace, not a tail of means — written only when every
+        // run's own p99 rests on enough decisions.
+        let fewest = runs.iter().map(|r| r.decisions).min().expect("at least one run");
+        let dec_p99 = (fewest >= P99_MIN_SAMPLES).then(|| {
+            runs.iter().map(|r| r.decision_p99_ns).max().expect("at least one run")
         });
-        results.push(BenchEntry {
-            label: format!("decision/{label}"),
-            mean_ns: dec_mean,
-            min_ns: dec_min,
-            samples: runs.len() as u64,
-            p99_ns: dec_p99,
-        });
+        results.push(entry(format!("sim/{label}"), |r| r.wall_ns, None));
+        results.push(entry(format!("decision/{label}"), |r| r.mean_decision_ns, dec_p99));
     }
     results.sort_by(|a, b| a.label.cmp(&b.label));
 
@@ -475,6 +480,8 @@ struct SimRun {
     mean_decision_ns: u64,
     /// `SimLoopStats::decision_p99_ns` — the per-decision tail.
     decision_p99_ns: u64,
+    /// `SimLoopStats::decisions` — the samples behind that tail.
+    decisions: u64,
     /// The run's event-loop counters (replay activity, phase splits).
     stats: SimLoopStats,
 }
@@ -496,6 +503,7 @@ fn sharded_sim(
         wall_ns,
         mean_decision_ns: (result.mean_decision_s * 1e9).round() as u64,
         decision_p99_ns: stats.decision_p99_ns,
+        decisions: stats.decisions,
         stats,
     }
 }
@@ -566,14 +574,20 @@ mod tests {
             );
         }
         // The huge decision latencies feed huge_decision_speedup — they
-        // must aggregate several independent runs, not trust one sample,
-        // and carry the per-decision tail alongside the mean.
+        // must aggregate several independent runs, not trust one sample.
         for label in ["decision/huge_single", "decision/huge_par"] {
             let entry = report.results.iter().find(|e| e.label == label).unwrap();
             assert!(entry.samples >= 5, "{label} ran {} samples, need ≥ 5", entry.samples);
             assert!(entry.min_ns <= entry.mean_ns, "{label} min above mean");
-            assert!(entry.p99_ns > 0, "{label} missing its p99 tail");
-            assert!(entry.p99_ns >= entry.min_ns, "{label} p99 below min");
+        }
+        // Every entry carries a median; a p99 only with ten samples beyond
+        // it, which no criterion-timed entry takes, and which the smoke
+        // suite's small huge runs do not reach either.
+        for entry in &report.results {
+            let label = &entry.label;
+            assert!(entry.median_ns > 0, "{label} missing its median");
+            assert!(entry.min_ns <= entry.median_ns, "{label} median below min");
+            assert_eq!(entry.p99_ns, None, "{label} wrote a p99 from too few samples");
         }
         // Phase shares come from the instrumented run: decisions happen
         // inside drains, and every share is a fraction of the wall.

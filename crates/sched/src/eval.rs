@@ -10,16 +10,21 @@
 //!    bandwidth, co-runner signature)` — the machine *id* never enters
 //!    Eq. 2–5. On a mostly-idle homogeneous cluster almost every machine
 //!    collapses into a handful of classes, so the engine runs one DRB
-//!    mapping per *class* and fans the result out to every member.
-//! 2. **One thread, candidate order.** Representatives are evaluated on
-//!    the caller's thread in first-seen order. Together with the oracle's
-//!    canonical co-runner order this keeps every utility bit-identical to
-//!    the sequential reference ([`EvalParams::sequential`]), and every
-//!    cache counter repeats exactly between identical runs.
+//!    mapping per *class*: per live class of the state's class table
+//!    ([`crate::classes`], DESIGN.md §15) on one-shard and traced
+//!    decisions, per class of each shard's candidates on the sharded path.
+//! 2. **One thread, first-seen order.** Representatives are evaluated on
+//!    the caller's thread in the order a scan over the machines first
+//!    meets their classes. Together with the oracle's canonical co-runner
+//!    order this keeps every utility bit-identical to the sequential
+//!    reference ([`EvalParams::sequential`]), and every cache counter
+//!    repeats exactly between identical runs.
 //!
-//! The engine never changes *which* candidate wins: the policy's
-//! tie-breaking (`FRAG_TIE_EPS` + Eq. 5) runs sequentially over the
-//! fanned-out per-candidate outcomes in original candidate order.
+//! The engine never changes *which* candidate wins: the policy runs the
+//! reference tie-breaking (`FRAG_TIE_EPS` + Eq. 5) over the classes in
+//! lowest-member order, checking per decision that this equals the
+//! per-candidate scan (DESIGN.md §15.3), or over the shards' per-candidate
+//! class indices in candidate order.
 //!
 //! 3. **Cross-event caching.** Because the class key is a pure function of
 //!    machine state and the job-side inputs reduce to a small *job class*,
@@ -30,6 +35,7 @@
 //!    keys skip the DRB mapping entirely (DESIGN.md §9).
 
 use crate::oracle::{placement_utility, StateOracle};
+use crate::classes::ClassId;
 use crate::state::{ClusterState, MachineClassKey};
 use gts_job::{BatchClass, JobGraph, JobSpec, NnModel};
 use gts_map::{drb_map, PlacementOracle as _, UtilityWeights};
@@ -755,37 +761,16 @@ fn debug_assert_hit_matches(
     );
 }
 
-/// Evaluates every candidate machine, returning outcomes in candidate
-/// order. `params.threads == 1` is the sequential reference; otherwise
-/// candidates are deduplicated into equivalence classes via the state's
-/// precomputed keys and one representative per class is evaluated. With a
-/// `cache`, class results are first looked up in — and misses fill — the
-/// cross-event cache.
+/// The sequential reference's evaluation: every candidate machine in
+/// order, one full evaluation each — no classing, no cache.
 pub(crate) fn evaluate_topo_candidates(
     state: &ClusterState,
     job: &JobSpec,
     graph: &JobGraph,
     weights: UtilityWeights,
     candidates: &[MachineId],
-    params: EvalParams,
-    cache: Option<&EvalCache>,
 ) -> Vec<CandidateOutcome> {
-    if params.is_sequential()
-        || candidates.is_empty()
-        || (candidates.len() < 2 && cache.is_none())
-    {
-        return candidates
-            .iter()
-            .map(|&m| evaluate_one(state, job, graph, weights, m))
-            .collect();
-    }
-    let classed = evaluate_topo_classes(state, job, graph, weights, candidates, cache);
-    // Fan each class result out to its members, preserving candidate order.
-    classed
-        .class_of
-        .into_iter()
-        .map(|c| classed.outcomes[c].clone())
-        .collect()
+    candidates.iter().map(|&m| evaluate_one(state, job, graph, weights, m)).collect()
 }
 
 /// Class-grouped candidate evaluation without the per-candidate fan-out:
@@ -801,12 +786,12 @@ pub(crate) struct ClassedOutcomes {
     pub outcomes: Vec<CandidateOutcome>,
 }
 
-/// The engine's class-level core: groups `candidates` into equivalence
-/// classes via the state's precomputed keys, answers what it can from the
-/// cross-event `cache`, and evaluates the remaining representatives in
-/// first-seen order. Outcomes are bit-identical to evaluating each
-/// candidate individually, by the class-key purity argument (DESIGN.md §7,
-/// §9).
+/// The engine's class-level core for one shard: groups `candidates` into
+/// equivalence classes via the state's precomputed keys, answers what it
+/// can from the cross-event `cache`, and evaluates the remaining
+/// representatives in first-seen order. Outcomes are bit-identical to
+/// evaluating each candidate individually, by the class-key purity
+/// argument (DESIGN.md §7, §9).
 pub(crate) fn evaluate_topo_classes(
     state: &ClusterState,
     job: &JobSpec,
@@ -820,63 +805,80 @@ pub(crate) fn evaluate_topo_classes(
     // (rebuilt only for machines the last events touched), so this loop is
     // O(candidates) hash-map probes with zero key construction.
     let mut class_of: Vec<usize> = Vec::with_capacity(candidates.len());
-    let mut reps: Vec<MachineId> = Vec::new();
-    let mut rep_keys: Vec<MachineClassKey> = Vec::new();
-    let mut index: HashMap<MachineClassKey, usize> = HashMap::new();
+    let mut reps: Vec<(MachineId, &MachineClassKey)> = Vec::new();
+    let mut index: HashMap<&MachineClassKey, usize> = HashMap::new();
     for &m in candidates {
         let key = state.machine_class_key(m);
-        let class = match index.get(key) {
-            Some(&c) => c,
-            None => {
-                index.insert(key.clone(), reps.len());
-                reps.push(m);
-                rep_keys.push(key.clone());
-                reps.len() - 1
-            }
-        };
+        let class = *index.entry(key).or_insert_with(|| {
+            reps.push((m, key));
+            reps.len() - 1
+        });
         class_of.push(class);
     }
+    let outcomes = resolve_classes(state, job, graph, weights, &reps, cache);
+    ClassedOutcomes { class_of, outcomes }
+}
 
-    // Serve whatever the cross-event cache already knows; evaluate the rest.
-    // Every class is looked up before any is inserted: an insert can evict
-    // a later class's entry, so this order decides the hit/miss counts.
+/// One outcome per live machine class in `classes` (`(lowest member,
+/// class)` pairs, ascending by lowest member — the order in which a scan
+/// over the machines first meets each class), evaluated on the lowest
+/// member when the cross-event `cache` does not know it (DESIGN.md §15).
+/// The per-machine capacity filter, class grouping and per-candidate
+/// fan-out of a flat scan never run: the class table already holds the
+/// grouping.
+pub(crate) fn evaluate_live_classes(
+    state: &ClusterState,
+    job: &JobSpec,
+    graph: &JobGraph,
+    weights: UtilityWeights,
+    classes: &[(MachineId, ClassId)],
+    cache: Option<&EvalCache>,
+) -> Vec<CandidateOutcome> {
+    let table = state.classes();
+    let reps: Vec<(MachineId, &MachineClassKey)> =
+        classes.iter().map(|&(lowest, c)| (lowest, table.key(c))).collect();
+    resolve_classes(state, job, graph, weights, &reps, cache)
+}
+
+/// Resolves one outcome per `(representative, key)` class, in order.
+/// Every class is looked up in the cross-event cache before any is
+/// inserted: an insert can evict a later class's entry, so this order
+/// decides the hit/miss/eviction counts. The misses then evaluate on their
+/// representatives, in order, and fill the cache. Jobs without a class
+/// key (explicit comm graph) bypass the cache.
+fn resolve_classes(
+    state: &ClusterState,
+    job: &JobSpec,
+    graph: &JobGraph,
+    weights: UtilityWeights,
+    reps: &[(MachineId, &MachineClassKey)],
+    cache: Option<&EvalCache>,
+) -> Vec<CandidateOutcome> {
     let job_class = cache.and_then(|_| JobClassKey::of(job, weights));
-    let cache = if job_class.is_some() { cache } else { None };
-    let mut rep_outcomes: Vec<Option<CandidateOutcome>> = vec![None; reps.len()];
+    let (Some(cache), Some(jc)) = (cache, job_class) else {
+        return reps.iter().map(|&(m, _)| evaluate_one(state, job, graph, weights, m)).collect();
+    };
+    let job_bits = jc.bits();
+    let mut outcomes: Vec<Option<CandidateOutcome>> = Vec::with_capacity(reps.len());
     let mut pending: Vec<usize> = Vec::new();
-    if let (Some(cache), Some(jc)) = (cache, &job_class) {
-        let job_bits = jc.bits();
-        for (i, key) in rep_keys.iter().enumerate() {
-            match cache.get(&CacheKey::new(key.clone(), jc.clone(), job_bits)) {
-                Some(hit) => {
-                    #[cfg(debug_assertions)]
-                    debug_assert_hit_matches(state, job, graph, weights, reps[i], &hit);
-                    rep_outcomes[i] = Some(hit);
-                }
-                None => pending.push(i),
-            }
+    for (i, &(_m, key)) in reps.iter().enumerate() {
+        let hit = cache.get(&CacheKey::new(key.clone(), jc.clone(), job_bits));
+        #[cfg(debug_assertions)]
+        if let Some(hit) = &hit {
+            debug_assert_hit_matches(state, job, graph, weights, _m, hit);
         }
-    } else {
-        pending.extend(0..reps.len());
+        if hit.is_none() {
+            pending.push(i);
+        }
+        outcomes.push(hit);
     }
-
     for i in pending {
-        let outcome = evaluate_one(state, job, graph, weights, reps[i]);
-        if let (Some(cache), Some(jc)) = (cache, &job_class) {
-            cache.insert(
-                CacheKey::new(rep_keys[i].clone(), jc.clone(), jc.bits()),
-                outcome.clone(),
-            );
-        }
-        rep_outcomes[i] = Some(outcome);
+        let (m, key) = reps[i];
+        let outcome = evaluate_one(state, job, graph, weights, m);
+        cache.insert(CacheKey::new(key.clone(), jc.clone(), job_bits), outcome.clone());
+        outcomes[i] = Some(outcome);
     }
-    ClassedOutcomes {
-        class_of,
-        outcomes: rep_outcomes
-            .into_iter()
-            .map(|o| o.expect("every class evaluated"))
-            .collect(),
-    }
+    outcomes.into_iter().map(|o| o.expect("every class resolved")).collect()
 }
 
 #[cfg(test)]
@@ -909,16 +911,24 @@ mod tests {
         cache: Option<&EvalCache>,
     ) -> Vec<CandidateOutcome> {
         let graph = JobGraph::from_spec(j);
+        let weights = UtilityWeights::default();
         let candidates = s.machines_with_capacity(j.n_gpus as usize);
-        evaluate_topo_candidates(
-            s,
-            j,
-            &graph,
-            UtilityWeights::default(),
-            &candidates,
-            params,
-            cache,
-        )
+        if params.is_sequential() {
+            return evaluate_topo_candidates(s, j, &graph, weights, &candidates);
+        }
+        // The production form: one outcome per live class, expanded here
+        // to the candidates for comparison.
+        let mut classes = Vec::new();
+        s.classes().with_capacity_into(j.n_gpus as usize, &mut classes);
+        let outcomes = evaluate_live_classes(s, j, &graph, weights, &classes, cache);
+        candidates
+            .iter()
+            .map(|&m| {
+                let class = s.classes().class_of(m);
+                let i = classes.iter().position(|&(_, c)| c == class).expect("live class");
+                outcomes[i].clone()
+            })
+            .collect()
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //!
 //! * [`state`] — live cluster allocation state (free GPUs per machine,
 //!   running jobs and their §4.2 profiles);
+//! * [`classes`] — the live machine-class table the state keeps: every
+//!   machine-class key in use, with its ordered members, bucketed by free
+//!   GPUs;
 //! * [`oracle`] — the [`gts_map::PlacementOracle`] backed by that state:
 //!   Eq. 4 interference prediction and Eq. 5 fragmentation;
 //! * [`eval`] — the memoized candidate-evaluation engine behind
-//!   `TOPO-AWARE(-P)`: equivalence-class deduplication on the caller's
-//!   thread, the cross-event cache, and [`EvalParams`], whose
+//!   `TOPO-AWARE(-P)`: one evaluation per live machine class on the
+//!   caller's thread, the cross-event cache, and [`EvalParams`], whose
 //!   [`EvalParams::sequential`] selects the reference oracle;
 //! * [`policy`] — the four evaluated policies: `TOPO-AWARE`,
 //!   `TOPO-AWARE-P` (postponing), `FCFS` and Best-Fit (`BF`);
@@ -24,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod bound;
+pub mod classes;
 pub mod enforcement;
 pub mod eval;
 pub mod oracle;

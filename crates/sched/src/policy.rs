@@ -14,10 +14,11 @@
 //!   their `min_utility` SLO.
 
 use crate::bound::ShardBoundCtx;
+use crate::classes::ClassId;
 use crate::eval::{
-    evaluate_topo_candidates, evaluate_topo_classes, resolve_candidate_outcome, CandidateOutcome,
-    ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow, ReplayGuard, ReplayKey,
-    ShardClassed, ShardSlot, SnapState,
+    evaluate_live_classes, evaluate_topo_candidates, evaluate_topo_classes,
+    resolve_candidate_outcome, CandidateOutcome, ClassedOutcomes, EvalCache, EvalParams,
+    JobClassKey, MemoRow, ReplayGuard, ReplayKey, ShardClassed, ShardSlot, SnapState,
 };
 use crate::oracle::{placement_components, placement_utility, StateOracle};
 use crate::shard::ShardIndex;
@@ -161,8 +162,9 @@ impl Policy {
     }
 
     /// [`Policy::decide_traced_with`] backed by a cross-event [`EvalCache`].
-    /// Tracing always takes the flat reference path (per-candidate records
-    /// need per-candidate components), so only the class cache is used.
+    /// Traced decisions never take the sharded path: they decide over the
+    /// live machine classes (DESIGN.md §15) and expand the class outcomes
+    /// into one record per candidate, so only the class cache is used.
     pub fn decide_traced_with_cache(
         &self,
         state: &ClusterState,
@@ -212,9 +214,10 @@ impl Policy {
     /// admission over shard aggregates, then shard-local class evaluation
     /// with a streaming selection scan — no per-candidate clones or
     /// allocations. Engaged only for the topo policies when the state is
-    /// actually sharded and nothing forces the flat reference (tracing
-    /// needs per-candidate records; sequential params *are* the
-    /// reference); multi-GPU anti-collocated jobs have their own search.
+    /// actually sharded, the decision is untraced (tracing needs
+    /// per-candidate records, which the class-level decision expands) and
+    /// the params are not the sequential reference; multi-GPU
+    /// anti-collocated jobs have their own search.
     pub(crate) fn takes_sharded_path(
         &self,
         state: &ClusterState,
@@ -273,6 +276,11 @@ impl Policy {
         }
         if self.takes_sharded_path(state, job, params, trace.is_some()) {
             return self.decide_topo_sharded(state, job, cache);
+        }
+        if matches!(self.kind, PolicyKind::TopoAware | PolicyKind::TopoAwareP)
+            && !params.is_sequential()
+        {
+            return self.decide_topo_classes(state, job, trace, cache);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -343,16 +351,11 @@ impl Policy {
                 None
             }
             PolicyKind::TopoAware | PolicyKind::TopoAwareP => {
+                // The sequential reference: one evaluation and one
+                // `Decision` per feasible candidate, then the member scan.
                 let graph = JobGraph::from_spec(job);
-                let outcomes = evaluate_topo_candidates(
-                    state,
-                    job,
-                    &graph,
-                    self.weights,
-                    &candidates,
-                    params,
-                    cache,
-                );
+                let outcomes =
+                    evaluate_topo_candidates(state, job, &graph, self.weights, &candidates);
                 let mut feasible: Vec<(Decision, f64, usize)> = Vec::new();
                 for (&machine, outcome) in candidates.iter().zip(outcomes) {
                     match outcome {
@@ -399,6 +402,96 @@ impl Policy {
                 }
                 Some(d)
             }
+        }
+    }
+
+    /// The class-level decision for `TOPO-AWARE(-P)` (DESIGN.md §15): every
+    /// production decision that does not take the sharded path — one-shard
+    /// states and every traced run. One outcome per live machine class
+    /// with at least `n` free GPUs (ascending lowest member, looked up in
+    /// the cross-event cache before any miss evaluates), the reference
+    /// selection scan over the classes, and one [`Decision`] on the
+    /// winning class's lowest member. A traced run expands the class
+    /// outcomes into the reference's per-candidate records.
+    fn decide_topo_classes(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        trace: Option<&mut Vec<CandidateEval>>,
+        cache: Option<&EvalCache>,
+    ) -> Option<Decision> {
+        let n = job.n_gpus as usize;
+        let table = state.classes();
+        let mut classes: Vec<(MachineId, ClassId)> = Vec::new();
+        table.with_capacity_into(n, &mut classes);
+        if classes.is_empty() {
+            if !job.constraints.single_node {
+                return self.decide_spilled(state, job);
+            }
+            return None;
+        }
+        let graph = JobGraph::from_spec(job);
+        let outcomes = evaluate_live_classes(state, job, &graph, self.weights, &classes, cache);
+        let mut feasible: Vec<FeasibleClass> = Vec::new();
+        for (i, outcome) in outcomes.iter().enumerate() {
+            if let CandidateOutcome::Feasible { utility, frag_after, .. } = outcome {
+                feasible.push(FeasibleClass {
+                    lowest: classes[i].0,
+                    utility: *utility,
+                    frag_after: *frag_after,
+                    index: i,
+                });
+            }
+        }
+        let winner = pick_class_winner(
+            &feasible,
+            job.min_utility,
+            |f| table.members(classes[feasible[f].index].1).iter().copied(),
+            || table.note_fallback(),
+        );
+        if let Some(evals) = trace {
+            self.record_class_evals(evals, state, job, &classes, &outcomes, winner.map(|w| w.0));
+        }
+        let (machine, f) = winner?;
+        let CandidateOutcome::Feasible { gpus, utility, .. } = &outcomes[feasible[f].index] else {
+            unreachable!("feasible classes hold feasible outcomes");
+        };
+        Some(Decision { gpus: on_machine(machine, gpus), utility: *utility })
+    }
+
+    /// The traced form of a class-level decision: one [`CandidateEval`] per
+    /// member of every class in `classes`, in ascending machine order,
+    /// carrying its class's outcome — the records the sequential
+    /// reference writes — with `chosen` marked [`EvalOutcome::Chosen`].
+    fn record_class_evals(
+        &self,
+        evals: &mut Vec<CandidateEval>,
+        state: &ClusterState,
+        job: &JobSpec,
+        classes: &[(MachineId, ClassId)],
+        outcomes: &[CandidateOutcome],
+        chosen: Option<MachineId>,
+    ) {
+        let table = state.classes();
+        let mut candidates: Vec<(MachineId, usize)> = classes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(_, c))| table.members(c).iter().map(move |&m| (m, i)))
+            .collect();
+        candidates.sort_unstable();
+        let mut trace = Some(evals);
+        for (machine, i) in candidates {
+            let (gpus, outcome): (&[GpuId], EvalOutcome) = match &outcomes[i] {
+                CandidateOutcome::NoMapping => (&[], EvalOutcome::NoMapping),
+                CandidateOutcome::RejectedBandwidth { gpus } => {
+                    (gpus, EvalOutcome::RejectedBandwidth)
+                }
+                CandidateOutcome::Feasible { gpus, .. } if Some(machine) == chosen => {
+                    (gpus, EvalOutcome::Chosen)
+                }
+                CandidateOutcome::Feasible { gpus, .. } => (gpus, EvalOutcome::Outscored),
+            };
+            self.record_eval(&mut trace, state, job, machine, gpus, outcome);
         }
     }
 
@@ -1657,9 +1750,11 @@ fn beats_winner(frag: f64, utility: f64, best_frag: f64, best_utility: f64) -> b
 /// cracking open an idle one that a wide job will need. Tied candidates
 /// below `min_utility` never displace one that satisfies the SLO.
 ///
-/// The sharded fast path streams this exact scan (same predicates via
-/// [`skip_candidate`]/[`beats_winner`], same order) over class-outcome
-/// references — keep the two in lockstep.
+/// Only the sequential reference calls this. The sharded path streams the
+/// same scan (same predicates via [`skip_candidate`]/[`beats_winner`],
+/// same order) over class-outcome references, and the class-level
+/// decision runs it once per surviving class ([`pick_class_winner`]) —
+/// keep the three in lockstep.
 fn select_candidate(feasible: &[(Decision, f64, usize)], min_utility: f64) -> Option<usize> {
     let u_max = feasible
         .iter()
@@ -1683,6 +1778,99 @@ fn select_candidate(feasible: &[(Decision, f64, usize)], min_utility: f64) -> Op
         }
     }
     winner
+}
+
+/// One feasible live class as the class-level selection sees it.
+#[derive(Debug, Clone, Copy)]
+struct FeasibleClass {
+    /// The class's lowest member id.
+    lowest: MachineId,
+    /// The class's Eq. 2 utility.
+    utility: f64,
+    /// The class's Eq. 5 fragmentation-after.
+    frag_after: f64,
+    /// Position of the class in the decision's class list.
+    index: usize,
+}
+
+/// The class-level form of [`select_candidate`] (DESIGN.md §15.3):
+/// `feasible` lists the feasible classes ascending by lowest member, and
+/// `members(f)` yields the members of `feasible[f]`. Returns the machine
+/// the reference scan over every member in ascending id would pick, the
+/// position of its class in `feasible`; `on_fallback` runs when the pick
+/// needed the ordered member scan.
+///
+/// Class members carry identical outcome bits, so when [`beats_winner`]
+/// is a strict order on the surviving classes ([`frags_separated`]) no
+/// member after the first of its class can displace the running winner,
+/// and scanning the survivors once each, by lowest member, picks the
+/// lowest member of the reference's winning class. Otherwise the
+/// survivors' members are merged into ascending id order and scanned one
+/// by one, exactly as the reference does.
+fn pick_class_winner<F, I>(
+    feasible: &[FeasibleClass],
+    min_utility: f64,
+    members: F,
+    on_fallback: impl FnOnce(),
+) -> Option<(MachineId, usize)>
+where
+    F: Fn(usize) -> I,
+    I: IntoIterator<Item = MachineId>,
+{
+    let u_max = feasible.iter().map(|c| c.utility).fold(f64::NEG_INFINITY, f64::max);
+    let (floor, gate) = selection_floor_gate(u_max, min_utility);
+    let survives = |c: &FeasibleClass| !skip_candidate(c.utility, floor, gate);
+    let mut best: Option<usize> = None;
+    if frags_separated(feasible.iter().filter(|c| survives(c)).map(|c| c.frag_after)) {
+        for (f, c) in feasible.iter().enumerate() {
+            if !survives(c) {
+                continue;
+            }
+            let better = best.is_none_or(|b| {
+                beats_winner(c.frag_after, c.utility, feasible[b].frag_after, feasible[b].utility)
+            });
+            if better {
+                best = Some(f);
+            }
+        }
+        return best.map(|f| (feasible[f].lowest, f));
+    }
+    on_fallback();
+    let mut order: Vec<(MachineId, usize)> = feasible
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| survives(c))
+        .flat_map(|(f, _)| members(f).into_iter().map(move |m| (m, f)))
+        .collect();
+    order.sort_unstable();
+    let mut winner: Option<MachineId> = None;
+    for (m, f) in order {
+        let c = &feasible[f];
+        let better = best.is_none_or(|b| {
+            beats_winner(c.frag_after, c.utility, feasible[b].frag_after, feasible[b].utility)
+        });
+        if better {
+            best = Some(f);
+            winner = Some(m);
+        }
+    }
+    Some((winner?, best?))
+}
+
+/// The order check behind [`pick_class_winner`]: true when the distinct
+/// fragmentations among the surviving classes, sorted, are pairwise
+/// separated under both [`beats_winner`] arms (`a + 1e-12 < b` and
+/// `|b − a| > 1e-12`). Then `beats_winner` on the survivors is
+/// "strictly lower fragmentation, or bit-equal fragmentation and a
+/// utility more than 1e-12 higher" — asymmetric and transitive
+/// (DESIGN.md §15.3). Checking neighbours suffices, as both readings are
+/// monotone in the gap. Signed zeros and NaNs fail the check, so they
+/// take the member scan.
+fn frags_separated(frags: impl Iterator<Item = f64>) -> bool {
+    let mut sorted: Vec<f64> = frags.collect();
+    sorted.sort_unstable_by(f64::total_cmp);
+    sorted.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    sorted.windows(2).all(|w| w[0] + 1e-12 < w[1] && (w[1] - w[0]).abs() > 1e-12)
 }
 
 /// Eq. 5 fragmentation `machine` would be left with after granting `gpus`.
@@ -1869,6 +2057,144 @@ mod tests {
         let mut j = job(0, 2);
         j.constraints = Constraints { single_node: false, anti_collocate: true };
         assert!(Policy::new(PolicyKind::TopoAware).decide(&s, &j).is_none());
+    }
+
+    /// A fabricated class for the selection tests: its outcome bits and
+    /// its members.
+    struct FakeClass {
+        utility: f64,
+        frag: f64,
+        members: Vec<MachineId>,
+    }
+
+    /// The reference: one `Decision` per member, ascending machine id,
+    /// through `select_candidate`.
+    fn member_scan(classes: &[FakeClass], min_utility: f64) -> Option<MachineId> {
+        let mut members: Vec<(MachineId, usize)> = classes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, c)| c.members.iter().map(move |&m| (m, i)))
+            .collect();
+        members.sort_unstable();
+        let feasible: Vec<(Decision, f64, usize)> = members
+            .iter()
+            .map(|&(m, i)| {
+                let d = Decision { gpus: vec![g(m.0, 0)], utility: classes[i].utility };
+                (d, classes[i].frag, 0)
+            })
+            .collect();
+        select_candidate(&feasible, min_utility).map(|w| members[w].0)
+    }
+
+    /// The class-level selection over the same classes; returns the pick
+    /// and how many fallbacks it counted.
+    fn class_scan(classes: &[FakeClass], min_utility: f64) -> (Option<MachineId>, u32) {
+        let mut order: Vec<usize> = (0..classes.len()).collect();
+        order.sort_by_key(|&i| classes[i].members.iter().min().copied());
+        let feasible: Vec<FeasibleClass> = order
+            .iter()
+            .map(|&i| FeasibleClass {
+                lowest: *classes[i].members.iter().min().expect("members"),
+                utility: classes[i].utility,
+                frag_after: classes[i].frag,
+                index: i,
+            })
+            .collect();
+        let fallbacks = std::cell::Cell::new(0);
+        let pick = pick_class_winner(
+            &feasible,
+            min_utility,
+            |f| classes[feasible[f].index].members.iter().copied(),
+            || fallbacks.set(fallbacks.get() + 1),
+        );
+        (pick.map(|(m, _)| m), fallbacks.get())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Classes whose utilities and fragmentations differ by 0 to 2e-12
+        /// in steps of 0.5e-12 — around both `beats_winner` epsilons, where
+        /// float rounding decides the arms — plus some outside the near-tie
+        /// band, with members interleaved at random. The class-level
+        /// selection must pick the machine the reference member scan picks.
+        #[test]
+        fn class_selection_matches_the_member_scan(
+            shape in proptest::collection::vec((0u32..7, 0u32..5, 1usize..4), 1..7),
+            base_u in proptest::sample::select(vec![0.0, 0.45, 0.6, 0.9]),
+            base_f in proptest::sample::select(vec![0.0, 0.25, 0.5, 1.0]),
+            min_utility in proptest::sample::select(vec![0.0, 0.45, 0.6, 0.9, 1.1]),
+            shuffle in 0u64..u64::MAX,
+        ) {
+            const STEP: f64 = 0.5e-12;
+            let total: usize = shape.iter().map(|&(_, _, k)| k).sum();
+            // Machine ids 0..total in a seed-driven order, dealt to the
+            // classes in turn: a random interleaving of the member sets.
+            let mut ids: Vec<(u64, u32)> = (0..total as u32)
+                .map(|m| ((u64::from(m) + 1).wrapping_mul(shuffle | 1).rotate_left(17), m))
+                .collect();
+            ids.sort_unstable();
+            let mut next = ids.into_iter().map(|(_, m)| MachineId(m));
+            let classes: Vec<FakeClass> = shape
+                .iter()
+                .map(|&(du, df, k)| FakeClass {
+                    utility: match du {
+                        5 => base_u - 0.005,
+                        6 => base_u - 0.02,
+                        _ => base_u + f64::from(du) * STEP,
+                    },
+                    frag: base_f + f64::from(df) * STEP,
+                    members: next.by_ref().take(k).collect(),
+                })
+                .collect();
+            let (got, _) = class_scan(&classes, min_utility);
+            proptest::prop_assert_eq!(got, member_scan(&classes, min_utility));
+        }
+    }
+
+    /// Three classes whose `beats_winner` relation is a cycle (A beats B
+    /// and B beats C on utility within the fragmentation tie band, C beats
+    /// A on fragmentation): the order check must reject them, and the
+    /// counted member scan must return the reference's pick — here a
+    /// later member of B, which a class-by-class scan would miss.
+    #[test]
+    fn selection_falls_back_on_a_beats_winner_cycle() {
+        let (a, b, c) = ((0.9 + 4e-12, 1.8e-12), (0.9 + 2e-12, 0.9e-12), (0.9, 0.0));
+        assert!(beats_winner(a.1, a.0, b.1, b.0), "A beats B");
+        assert!(beats_winner(b.1, b.0, c.1, c.0), "B beats C");
+        assert!(beats_winner(c.1, c.0, a.1, a.0), "C beats A");
+        let class = |(utility, frag): (f64, f64), ids: &[u32]| FakeClass {
+            utility,
+            frag,
+            members: ids.iter().map(|&m| MachineId(m)).collect(),
+        };
+        let classes = [class(a, &[0]), class(b, &[1, 3]), class(c, &[2])];
+        let want = member_scan(&classes, 0.5);
+        assert_eq!(want, Some(MachineId(3)), "the reference picks B's second member");
+        assert_eq!(class_scan(&classes, 0.5), (want, 1), "one counted fallback, same pick");
+    }
+
+    /// The class-level decision places on the lowest member of the
+    /// winning class and leaves the fallback counter alone on an ordered
+    /// selection.
+    #[test]
+    fn class_decision_places_on_the_lowest_member() {
+        let mut s = state(4);
+        // Machines 1 and 3 run the same mild co-runner on the same GPUs:
+        // the packed 2-GPU slot next to it wins the near-tie on
+        // fragmentation over the idle machines 0 and 2.
+        let mild = |id| JobSpec::new(id, NnModel::GoogLeNet, BatchClass::Big, 2);
+        s.place(mild(10), vec![g(3, 0), g(3, 1)], 1.0);
+        s.place(mild(11), vec![g(1, 0), g(1, 1)], 1.0);
+        let want = Policy::new(PolicyKind::TopoAware)
+            .decide_with(&s, &job(0, 2), EvalParams::sequential())
+            .unwrap();
+        let got = Policy::new(PolicyKind::TopoAware)
+            .decide_with(&s, &job(0, 2), EvalParams::parallel(2))
+            .unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.gpus[0].machine, MachineId(1), "lowest member of the winning class");
+        assert_eq!(s.classes().fallbacks(), 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! path. All placement policies operate on this state; the simulator and
 //! the prototype mutate it through `place`/`release`.
 
+use crate::classes::ClassTable;
 use crate::shard::{ShardIndex, ShardSpec};
 use gts_job::{BatchClass, JobId, JobProfile, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
@@ -229,6 +230,10 @@ pub struct ClusterState {
     /// partition, plus per-shard admission aggregates maintained O(1) per
     /// GPU on every `place`/`release`/failure.
     shards: ShardIndex,
+    /// The live machine classes (DESIGN.md §15): `class_keys` interned,
+    /// with ordered member sets, bucketed by free count; updated with
+    /// every key rebuild.
+    classes: ClassTable,
 }
 
 impl ClusterState {
@@ -267,6 +272,8 @@ impl ClusterState {
         let shards = ShardIndex::build(&cluster, ShardSpec::Auto, |m| {
             cluster.machine(m).n_gpus()
         });
+        let n_machines = cluster.n_machines();
+        let max_free = cluster.machines().map(|m| cluster.machine(m).n_gpus()).max().unwrap_or(0);
         let mut state = Self {
             cluster,
             profiles,
@@ -278,18 +285,31 @@ impl ClusterState {
             bw_used,
             bw_capacity_gbs: DEFAULT_SOCKET_BW_GBS,
             down,
-            class_keys: Vec::new(),
-            key_stamps: Vec::new(),
-            corunners: Vec::new(),
+            class_keys: Vec::with_capacity(n_machines),
+            key_stamps: vec![0; n_machines],
+            corunners: Vec::with_capacity(n_machines),
             running: HashMap::new(),
             shards,
+            classes: ClassTable::default(),
         };
+        // A fresh machine's key depends on its topology class alone (all
+        // GPUs free, no bandwidth committed, no co-runners), so one
+        // ascending pass computes one key per topology class, shares it
+        // with every member, and hands the class table whole classes.
+        let mut by_topo: Vec<Option<(MachineClassKey, usize, Vec<MachineId>)>> =
+            vec![None; state.cluster.n_machine_classes()];
         for m in state.cluster.machines() {
-            let (corunners, key) = state.compute_machine_key(m);
-            state.corunners.push(corunners);
-            state.class_keys.push(key);
-            state.key_stamps.push(0);
+            let class = &mut by_topo[state.cluster.machine_class(m) as usize];
+            let (key, _, members) = class.get_or_insert_with(|| {
+                let (_, key) = state.compute_machine_key(m);
+                (key, state.free_count(m), Vec::new())
+            });
+            members.push(m);
+            state.corunners.push(Arc::clone(&key.inner().corunners));
+            state.class_keys.push(key.clone());
         }
+        state.classes =
+            ClassTable::from_classes(n_machines, max_free, by_topo.into_iter().flatten());
         state
     }
 
@@ -334,6 +354,7 @@ impl ClusterState {
     /// never per candidate.
     fn rebuild_machine_key(&mut self, machine: MachineId) {
         let (corunners, key) = self.compute_machine_key(machine);
+        self.classes.update(machine, &key, self.free_count(machine));
         self.corunners[machine.index()] = corunners;
         self.class_keys[machine.index()] = key;
         self.key_stamps[machine.index()] += 1;
@@ -346,6 +367,11 @@ impl ClusterState {
     /// The machine's precomputed equivalence-class key (DESIGN.md §7, §9).
     pub fn machine_class_key(&self, machine: MachineId) -> &MachineClassKey {
         &self.class_keys[machine.index()]
+    }
+
+    /// The live machine-class table (DESIGN.md §15).
+    pub fn classes(&self) -> &ClassTable {
+        &self.classes
     }
 
     /// The machine's class-key rebuild stamp: equal stamps prove equal keys
@@ -881,6 +907,10 @@ impl ClusterState {
         // the branch-and-bound shard pruning; drift here would silently
         // turn the "exact" prune into a lossy one.
         self.shards.verify_bound_state(&self.cluster, |m| self.free_count(m))?;
+        // 10: the live class table. Re-derive the classes from the
+        // per-machine keys (checked against the ground truth by 7); drift
+        // means a key rebuild skipped the table update.
+        self.classes.verify(&self.class_keys, |m| self.free_count(m))?;
         Ok(())
     }
 
@@ -1073,6 +1103,60 @@ mod tests {
         s.audit().unwrap();
         s.set_machine_down(MachineId(1), false);
         assert_eq!(s.free_mask_bits(MachineId(1)), 0b1111);
+    }
+
+    /// `(lowest member, free GPUs)` of every live class with ≥ `n` free.
+    fn classes_with(s: &ClusterState, n: usize) -> Vec<(MachineId, usize)> {
+        let mut out = Vec::new();
+        s.classes().with_capacity_into(n, &mut out);
+        out.into_iter().map(|(m, c)| (m, s.classes().free(c))).collect()
+    }
+
+    #[test]
+    fn class_table_tracks_place_release_and_failure() {
+        let mut s = state(4);
+        assert_eq!(s.classes().n_live(), 1, "a fresh homogeneous cluster is one class");
+        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4)]);
+
+        // Two machines running the same job class on the same GPUs share
+        // a class; the idle class keeps the rest, lowest member first.
+        s.place(spec(0, 2), vec![g(0, 0), g(0, 1)], 1.0);
+        s.place(spec(1, 2), vec![g(2, 0), g(2, 1)], 1.0);
+        assert_eq!(s.classes().n_live(), 2);
+        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 2), (MachineId(1), 4)]);
+        assert_eq!(classes_with(&s, 3), vec![(MachineId(1), 4)]);
+        let busy = s.classes().class_of(MachineId(0));
+        assert_eq!(s.classes().class_of(MachineId(2)), busy);
+        assert!(s.classes().members(busy).iter().eq([MachineId(0), MachineId(2)].iter()));
+
+        // The last member leaving drops the class.
+        s.release(JobId(0));
+        s.release(JobId(1));
+        assert_eq!(s.classes().n_live(), 1);
+        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4)]);
+
+        // A down machine is a class of its own with no free GPUs.
+        s.set_machine_down(MachineId(0), true);
+        assert_eq!(s.classes().n_live(), 2);
+        assert_eq!(classes_with(&s, 0), vec![(MachineId(0), 0), (MachineId(1), 4)]);
+        assert_eq!(classes_with(&s, 1), vec![(MachineId(1), 4)]);
+        s.set_machine_down(MachineId(0), false);
+        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4)]);
+        s.audit().unwrap();
+    }
+
+    #[test]
+    fn fresh_state_has_one_class_per_topology_class() {
+        let minsky = Arc::new(power8_minsky());
+        let k80 = Arc::new(gts_topo::power8_pcie_k80());
+        let machines = vec![Arc::clone(&k80), Arc::clone(&minsky), k80, minsky];
+        let cluster = Arc::new(ClusterTopology::from_machines(machines));
+        let profiles = Arc::new(ProfileLibrary::generate(&power8_minsky(), 1));
+        let s = ClusterState::new(cluster, profiles);
+        assert_eq!(s.classes().n_live(), 2);
+        assert_eq!(s.classes().class_of(MachineId(0)), s.classes().class_of(MachineId(2)));
+        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4), (MachineId(1), 4)]);
+        s.audit().unwrap();
     }
 
     #[test]

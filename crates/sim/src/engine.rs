@@ -307,6 +307,15 @@ pub struct SimLoopStats {
     /// Snapshots present but unusable (epoch/guard mismatch), falling
     /// back to the full decision path.
     pub replay_full_fallbacks: u64,
+    /// Class-level TOPO-AWARE(-P) decisions whose selection could not
+    /// prove that scanning each surviving machine class once matches the
+    /// reference member scan, and ran the ordered member scan instead
+    /// (DESIGN.md §15.3). 0 on the sharded path and on the sequential
+    /// reference.
+    pub class_order_fallbacks: u64,
+    /// Placement decisions made (`decide` calls; reused answers are not
+    /// decisions).
+    pub decisions: u64,
     /// Wall nanoseconds spent inside placement decisions (always metered;
     /// reused answers are not decisions, so their time is drain time).
     pub phase_decision_ns: u64,
@@ -566,9 +575,9 @@ impl Simulation {
         self.stats.replay_reused = replay.reused;
         self.stats.replay_shards_reeval = replay.shards_reeval;
         self.stats.replay_full_fallbacks = replay.full_fallbacks;
-        // Footer only when there was replay activity: traced runs take the
-        // flat path (tracing needs per-candidate records), so their
-        // counters are zero and their traces stay comparable
+        // Footer only when there was replay activity: traced runs never
+        // take the sharded path (tracing needs per-candidate records), so
+        // their counters are zero and their traces stay comparable
         // event-for-event without stripping.
         if self.config.trace && replay != DecisionReplayStats::default() {
             trace.push(TraceEvent::DecisionReplayStats {
@@ -585,6 +594,8 @@ impl Simulation {
         let (bound_checked, bound_pruned) = self.scheduler.state().shards().bound_stats();
         self.stats.shard_bound_checked = bound_checked;
         self.stats.shard_bound_pruned = bound_pruned;
+        self.stats.class_order_fallbacks = self.scheduler.state().classes().fallbacks();
+        self.stats.decisions = self.scheduler.decision_stats().count() as u64;
         self.stats.phase_decision_ns =
             self.scheduler.decision_stats().total().as_nanos() as u64;
         self.stats.decision_p99_ns =

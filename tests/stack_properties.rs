@@ -155,9 +155,9 @@ impl Scenario {
     }
 
     /// Minsky cluster of `min_racks` to `min_racks + 2` racks × 2 machines,
-    /// one shard per rack. Untraced on purpose: traced runs take the flat
-    /// path, so only untraced runs exercise admission, the shard memo,
-    /// bound pruning and replay.
+    /// one shard per rack. Untraced on purpose: traced runs decide over
+    /// the live machine classes, so only untraced runs exercise
+    /// admission, the shard memo, bound pruning and replay.
     fn racked_minsky(seed: u64, min_racks: usize) -> Self {
         let n_racks = min_racks + (seed as usize % 3);
         let machine = power8_minsky();
@@ -197,6 +197,44 @@ impl Scenario {
             shards: None,
             traced: false,
             label: format!("{n_racks}-rack backlog"),
+        }
+    }
+
+    /// A heterogeneous fleet of 6–9 machines cycling Minsky, DGX-1 and
+    /// PCIe-K80 (plus the 16-GPU DGX-2 on odd seeds). The workload adds
+    /// pipeline comm-graph jobs (which bypass the class cache) and jobs
+    /// allowed to spill across machines; on DGX-2 fleets every second
+    /// graph-free 4-GPU job is widened to 8 GPUs. `shards: None` keeps the
+    /// fleet flat: one shard, so untraced TOPO-AWARE(-P) decisions take
+    /// the class-level path.
+    fn hetero_fleet(seed: u64, shards: Option<usize>) -> Self {
+        let minsky = Arc::new(power8_minsky());
+        let mut cycle = vec![Arc::clone(&minsky), Arc::new(dgx1()), Arc::new(power8_pcie_k80())];
+        let n_machines = 6 + (seed as usize % 4);
+        let with_dgx2 = !seed.is_multiple_of(2);
+        if with_dgx2 {
+            cycle.push(Arc::new(gpu_topo_aware::topo::dgx2()));
+        }
+        let machines = (0..n_machines).map(|i| Arc::clone(&cycle[i % cycle.len()])).collect();
+        let gen = GeneratorConfig {
+            model_parallel_fraction: 0.3,
+            multi_node_fraction: 0.15,
+            ..GeneratorConfig::default()
+        };
+        let mut trace = WorkloadGenerator::new(gen, seed).generate(24);
+        if with_dgx2 {
+            let narrow = trace.iter_mut().filter(|j| j.n_gpus == 4 && j.comm_graph.is_none());
+            for job in narrow.skip(1).step_by(2) {
+                job.n_gpus = 8;
+            }
+        }
+        Self {
+            cluster: Arc::new(ClusterTopology::from_machines(machines)),
+            profiles: Arc::new(ProfileLibrary::generate(&minsky, 42)),
+            trace,
+            shards,
+            traced: false,
+            label: format!("{n_machines} mixed machines"),
         }
     }
 }
@@ -351,48 +389,35 @@ fn production_matches_oracle_on_rack_backlog() {
     }
 }
 
-/// Heterogeneous fleets of 6–9 machines cycling Minsky, DGX-1 and
-/// PCIe-K80 (plus the 16-GPU DGX-2 on odd seeds), split into three
-/// contiguous shards that mix machine classes. The workload adds pipeline
-/// comm-graph jobs (which bypass the class cache) and jobs allowed to
-/// spill across machines; on DGX-2 fleets every second graph-free 4-GPU
-/// job is widened to 8 GPUs.
+/// Heterogeneous fleets split into three contiguous shards that mix
+/// machine classes ([`Scenario::hetero_fleet`]).
 #[test]
 fn production_matches_oracle_on_hetero_fleet() {
-    let minsky = Arc::new(power8_minsky());
-    let base_cycle = [Arc::clone(&minsky), Arc::new(dgx1()), Arc::new(power8_pcie_k80())];
-    let dgx2 = Arc::new(gpu_topo_aware::topo::dgx2());
-    let profiles = Arc::new(ProfileLibrary::generate(&minsky, 42));
     for_each_case(|kind, seed| {
-        let n_machines = 6 + (seed as usize % 4);
-        let with_dgx2 = !seed.is_multiple_of(2);
-        let mut cycle = base_cycle.to_vec();
-        if with_dgx2 {
-            cycle.push(Arc::clone(&dgx2));
-        }
-        let machines = (0..n_machines).map(|i| Arc::clone(&cycle[i % cycle.len()])).collect();
-        let gen = GeneratorConfig {
-            model_parallel_fraction: 0.3,
-            multi_node_fraction: 0.15,
-            ..GeneratorConfig::default()
-        };
-        let mut trace = WorkloadGenerator::new(gen, seed).generate(24);
-        if with_dgx2 {
-            let narrow = trace.iter_mut().filter(|j| j.n_gpus == 4 && j.comm_graph.is_none());
-            for job in narrow.skip(1).step_by(2) {
-                job.n_gpus = 8;
-            }
-        }
-        let scenario = Scenario {
-            cluster: Arc::new(ClusterTopology::from_machines(machines)),
-            profiles: Arc::clone(&profiles),
-            trace,
-            shards: Some(3),
-            traced: false,
-            label: format!("{n_machines} mixed machines"),
-        };
+        let scenario = Scenario::hetero_fleet(seed, Some(3));
         let (stats, _) = assert_matches_reference(kind, seed, &scenario, oracle);
         assert_sharded_path_ran(kind, seed, &scenario, &stats);
+    });
+}
+
+/// The same heterogeneous fleets left flat and untraced — the path
+/// `hetero_flat`-like clusters take: every TOPO-AWARE(-P) decision runs
+/// over the live machine classes (DESIGN.md §15). The sharded path must
+/// never run, and the class cache must be read (the oracle never touches
+/// it), so the comparison really is class path against oracle.
+#[test]
+fn production_matches_oracle_on_flat_hetero() {
+    for_each_case(|kind, seed| {
+        let scenario = Scenario::hetero_fleet(seed, None);
+        let (stats, _) = assert_matches_reference(kind, seed, &scenario, oracle);
+        if is_topo_aware(kind) {
+            let ctx = format!("{kind:?} seed {seed} ({})", scenario.label);
+            assert_eq!(stats.shard_admission_checked, 0, "{ctx}: the sharded path ran");
+            assert!(
+                stats.eval_cache_hits + stats.eval_cache_misses > 0,
+                "{ctx}: the class path never read the cache"
+            );
+        }
     });
 }
 
