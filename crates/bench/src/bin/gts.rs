@@ -13,7 +13,7 @@
 //!                                         # engine and emit JSON
 //! gts bench scale-curve [--smoke] [--out BENCH_sched.json]
 //!                                         # sweep cluster sizes under the
-//!                                         # sharded scheduler and merge
+//!                                         # production scheduler and merge
 //!                                         # machines-vs-decision-latency
 //!                                         # points into the report
 //! ```
@@ -142,11 +142,6 @@ fn run_bench(args: &[String]) -> ExitCode {
         if smoke { "  [smoke — not comparable]" } else { "" },
     );
     println!(
-        "sim/huge decision-latency speedup (single-shard/sharded): {:.2}x{}",
-        report.huge_decision_speedup,
-        if smoke { "  [smoke — not comparable]" } else { "" },
-    );
-    println!(
         "phase shares of instrumented sim/large_cached run: decision {:.1}%, \
          refresh {:.1}%, heap {:.1}%, drain {:.1}%",
         report.phase_shares.decision * 100.0,
@@ -162,7 +157,7 @@ fn run_bench(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `gts bench scale-curve`: sweep cluster sizes under the sharded
+/// `gts bench scale-curve`: sweep cluster sizes under the production
 /// scheduler and merge the machines-vs-decision-latency points into an
 /// existing `BENCH_sched.json` (which must have been written by
 /// `gts bench` first — the rest of the report is preserved).
@@ -200,15 +195,15 @@ fn run_scale_curve(args: &[String]) -> ExitCode {
     report.scale_curve = gts_bench::perfbench::scale_curve(smoke);
     for p in &report.scale_curve {
         println!(
-            "{:>6} machines / {:>4} shard(s): mean decision {:>9.1} µs over {} jobs \
-             ({:.1} ms wall, {} replay hit(s), {} shard(s) re-evaluated){}",
+            "{:>6} machines: mean decision {:>9.1} µs median, {:>9.1} µs min over {} run(s) \
+             of {} jobs ({:.1} ms median wall, {} replay hit(s)){}",
             p.machines,
-            p.shards,
             p.mean_decision_ns as f64 / 1_000.0,
+            p.mean_decision_min_ns as f64 / 1_000.0,
+            p.runs,
             p.jobs,
             p.wall_ns as f64 / 1e6,
             p.replay_hits,
-            p.replay_shards_reeval,
             if smoke { "  [smoke — not comparable]" } else { "" },
         );
     }
@@ -380,10 +375,10 @@ fn print_event(event: &TraceEvent) {
                 f(rate, 3),
             );
         }
-        TraceEvent::DecisionReplayStats { t_s, hits, reused, shards_reeval, full_fallbacks } => {
+        TraceEvent::DecisionReplayStats { t_s, hits, reused, full_fallbacks } => {
             println!(
                 "[{:>9}s] decision replay: {hits} hit(s), {reused} reused answer(s), \
-                 {shards_reeval} shard(s) re-evaluated, {full_fallbacks} full fallback(s)",
+                 {full_fallbacks} full fallback(s)",
                 f(*t_s, 1),
             );
         }

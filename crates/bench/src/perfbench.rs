@@ -18,8 +18,8 @@
 //!    incremental loop, both with the cross-event placement cache. The
 //!    hit rate of the production run is measured separately via
 //!    `run_with_stats` and reported as `eval_cache_hit_rate`;
-//! 5. **`sim/huge_*`, `decision/huge_*`** — a 4 096-machine racked cluster,
-//!    single-shard (flat) vs the rack-sharded production path.
+//! 5. **`sim/huge`, `decision/huge`** — the production path on a
+//!    4 096-machine racked cluster under a sustained Poisson stream.
 
 use crate::experiments::minsky_cluster;
 use criterion::{black_box, Criterion};
@@ -46,10 +46,10 @@ pub struct BenchEntry {
     pub samples: u64,
     /// 99th-percentile latency, nanoseconds, written only where at least
     /// ten samples lie beyond it (≥ 1 000 samples). Only the
-    /// `decision/huge_*` entries qualify: the worst per-decision tail
-    /// across their sample runs — the quantity a mean hides once replay
-    /// answers most retries in O(1) — when every run made ≥ 1 000
-    /// decisions. Criterion-timed entries take far fewer samples.
+    /// `decision/huge` entry qualifies: the worst per-decision tail across
+    /// its sample runs — the quantity a mean hides once replay answers
+    /// most retries in O(1) — when every run made ≥ 1 000 decisions.
+    /// Criterion-timed entries take far fewer samples.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub p99_ns: Option<u64>,
 }
@@ -57,37 +57,43 @@ pub struct BenchEntry {
 /// Samples a p99 needs: ten beyond it.
 const P99_MIN_SAMPLES: u64 = 1_000;
 
-/// One machines-vs-decision-latency sample of the sharded scheduler
-/// (`gts bench scale-curve`).
+/// One machines-vs-decision-latency point of the production scheduler
+/// (`gts bench scale-curve`): [`SCALE_RUNS`] runs of one trace at one
+/// cluster size.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ScalePoint {
-    /// Cluster size the sample ran at.
+    /// Cluster size the point ran at.
     pub machines: u64,
-    /// Shard count (rack-aligned: one shard per rack).
-    pub shards: u64,
     /// Jobs in the sustained Poisson stream.
     pub jobs: u64,
-    /// `SimResult::mean_decision_s` in nanoseconds — the per-decision
-    /// scheduler latency the two-level path is supposed to keep flat.
+    /// Runs of the trace behind the point.
+    #[serde(default)]
+    pub runs: u64,
+    /// Median over the runs of `SimResult::mean_decision_s`, in
+    /// nanoseconds — the per-decision scheduler latency that must stay
+    /// flat as the cluster grows.
     pub mean_decision_ns: u64,
-    /// End-to-end wall time of the whole run, milliseconds.
+    /// Minimum over the runs of the same mean, nanoseconds.
+    #[serde(default)]
+    pub mean_decision_min_ns: u64,
+    /// Median end-to-end wall time of a run, milliseconds.
     pub wall_ms: u64,
-    /// End-to-end wall time of the whole run, nanoseconds — the same
+    /// Median end-to-end wall time of a run, nanoseconds — the same
     /// measurement as `wall_ms` without the millisecond floor, so smoke
     /// points (sub-ms) and curve ratios stay meaningful.
     #[serde(default)]
     pub wall_ns: u64,
-    /// Queue-drain retries answered from a decision snapshot during the
-    /// run (DESIGN.md §12).
+    /// Decisions answered from a decision snapshot in one run (DESIGN.md
+    /// §15.7). The runs simulate one trace on one thread, so they agree.
     #[serde(default)]
     pub replay_hits: u64,
-    /// Shards re-evaluated by partial replays during the run.
-    #[serde(default)]
-    pub replay_shards_reeval: u64,
-    /// Snapshots present but unusable (guard mismatch) during the run.
+    /// Snapshots present but unusable (guard mismatch) in one run.
     #[serde(default)]
     pub replay_full_fallbacks: u64,
 }
+
+/// Runs per scale-curve point: enough for a median and a minimum.
+pub const SCALE_RUNS: usize = 3;
 
 /// Where one instrumented `sim/large_cached`-shaped run spends its wall
 /// time, as fractions of the end-to-end wall (`gts bench`). `drain`
@@ -131,12 +137,6 @@ pub struct BenchReport {
     /// hits / (hits + misses) of the placement cache over one full
     /// `sim/large_cached`-shaped run (0 when the cache saw no lookups).
     pub eval_cache_hit_rate: f64,
-    /// Single-shard mean decision latency over sharded mean decision
-    /// latency for the datacenter-scale simulation
-    /// (`decision/huge_single` / `decision/huge_par`) — the two-level
-    /// scheduler's headline win.
-    #[serde(default)]
-    pub huge_decision_speedup: f64,
     /// Phase-time shares of one instrumented `sim/large_cached`-shaped
     /// run (all-zero in reports written before phase timing existed).
     #[serde(default)]
@@ -268,19 +268,27 @@ pub fn run(smoke: bool) -> BenchReport {
     // per class every time (its topology-only kernels stay warm across
     // iterations, DESIGN.md §13); warm consults a persistent cache already
     // holding every class this state produces (one priming decision), so
-    // the decision reduces to class grouping + lookups + the
-    // select_candidate scan.
+    // the decision reduces to class lookups and the selection over the
+    // classes. A steady-state arrival follows a state change, so no
+    // decision snapshot answers it (DESIGN.md §15.7): warm alternates two
+    // instances of the state, a clone having its own epoch, which keeps
+    // the snapshot out while the cache, keyed by machine state, stays
+    // warm for both.
     let state = diverse_state(256);
     let wide_job =
         JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
     let warm_cache = EvalCache::with_capacity(4096);
     policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache));
+    let twins = [state.clone(), state.clone()];
+    let mut turn = 0;
     c.bench_function("arrival/topo256_cold", |b| {
         b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine)))
     });
     c.bench_function("arrival/topo256_warm", |b| {
         b.iter(|| {
-            black_box(policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache)))
+            turn ^= 1;
+            let state = &twins[turn];
+            black_box(policy.decide_with_cache(state, &wide_job, engine, Some(&warm_cache)))
         })
     });
 
@@ -355,17 +363,13 @@ pub fn run(smoke: bool) -> BenchReport {
         loop_stats.eval_cache_hits as f64 / lookups as f64
     };
 
-    // 5. The datacenter-scale pair: the single-shard (flat) path and the
-    // sharded production path (`huge_par`, a label kept from when it also
-    // fanned shards out across threads), on a rack-partitioned cluster
-    // under a sustained Poisson stream dense enough to keep the cluster
-    // saturated. Each variant runs SAMPLES
-    // independent sims (distinct Poisson seeds over the same regime) and
-    // the entries carry the mean/min across them, so the derived speedups
-    // average over warm decision distributions instead of trusting one
-    // run. The decision/* entries carry `SimResult::mean_decision_s` —
-    // per-decision scheduler latency, the quantity the two-level path is
-    // supposed to keep flat — rather than wall time.
+    // 5. The datacenter-scale run: the production path on a racked
+    // cluster under a sustained Poisson stream dense enough to keep the
+    // cluster saturated. It runs HUGE_SAMPLES independent sims (distinct
+    // Poisson seeds over the same regime) and the entries carry the
+    // mean/min/median across them instead of trusting one run. The
+    // `decision/huge` entry carries `SimResult::mean_decision_s` —
+    // per-decision scheduler latency — rather than wall time.
     const HUGE_SAMPLES: usize = 5;
     let (huge_racks, huge_per_rack, huge_jobs) = if smoke { (8, 4, 256) } else { (128, 32, 50_000) };
     let huge_machines = huge_racks * huge_per_rack;
@@ -390,33 +394,28 @@ pub fn run(smoke: bool) -> BenchReport {
             p99_ns: None,
         })
         .collect();
-    for (label, shards) in [("huge_single", 1), ("huge_par", huge_racks)] {
-        let runs: Vec<SimRun> = huge_traces
-            .iter()
-            .map(|t| sharded_sim(&huge_cluster, &huge_profiles, t, shards))
-            .collect();
-        let entry = |label: String, pick: fn(&SimRun) -> u64, p99_ns: Option<u64>| {
-            let mut vals: Vec<u64> = runs.iter().map(pick).collect();
-            vals.sort_unstable();
-            BenchEntry {
-                label,
-                mean_ns: vals.iter().sum::<u64>() / vals.len() as u64,
-                min_ns: vals[0],
-                median_ns: vals[(vals.len() - 1) / 2],
-                samples: vals.len() as u64,
-                p99_ns,
-            }
-        };
-        // Worst per-run p99: the decision-latency tail across every
-        // sampled trace, not a tail of means — written only when every
-        // run's own p99 rests on enough decisions.
-        let fewest = runs.iter().map(|r| r.decisions).min().expect("at least one run");
-        let dec_p99 = (fewest >= P99_MIN_SAMPLES).then(|| {
-            runs.iter().map(|r| r.decision_p99_ns).max().expect("at least one run")
-        });
-        results.push(entry(format!("sim/{label}"), |r| r.wall_ns, None));
-        results.push(entry(format!("decision/{label}"), |r| r.mean_decision_ns, dec_p99));
-    }
+    let runs: Vec<SimRun> =
+        huge_traces.iter().map(|t| production_sim(&huge_cluster, &huge_profiles, t)).collect();
+    let entry = |label: &str, pick: fn(&SimRun) -> u64, p99_ns: Option<u64>| {
+        let mut vals: Vec<u64> = runs.iter().map(pick).collect();
+        vals.sort_unstable();
+        BenchEntry {
+            label: label.to_string(),
+            mean_ns: vals.iter().sum::<u64>() / vals.len() as u64,
+            min_ns: vals[0],
+            median_ns: vals[(vals.len() - 1) / 2],
+            samples: vals.len() as u64,
+            p99_ns,
+        }
+    };
+    // Worst per-run p99: the decision-latency tail across every sampled
+    // trace, not a tail of means — written only when every run's own p99
+    // rests on enough decisions.
+    let fewest = runs.iter().map(|r| r.decisions).min().expect("at least one run");
+    let dec_p99 = (fewest >= P99_MIN_SAMPLES)
+        .then(|| runs.iter().map(|r| r.decision_p99_ns).max().expect("at least one run"));
+    results.push(entry("sim/huge", |r| r.wall_ns, None));
+    results.push(entry("decision/huge", |r| r.mean_decision_ns, dec_p99));
     results.sort_by(|a, b| a.label.cmp(&b.label));
 
     let report = BenchReport {
@@ -426,7 +425,6 @@ pub fn run(smoke: bool) -> BenchReport {
         sim_loop_speedup: 0.0,
         warm_arrival_speedup: 0.0,
         eval_cache_hit_rate,
-        huge_decision_speedup: 0.0,
         phase_shares,
         scale_curve: Vec::new(),
         results,
@@ -438,18 +436,10 @@ pub fn run(smoke: bool) -> BenchReport {
     let arrival_speedup = ratio("arrival/topo64_sequential", "arrival/topo64_engine");
     let sim_loop_speedup = ratio("sim/large_reference", "sim/large_cached");
     let warm_arrival_speedup = ratio("arrival/topo256_cold", "arrival/topo256_warm");
-    let huge_decision_speedup = ratio("decision/huge_single", "decision/huge_par");
-    BenchReport {
-        arrival_speedup,
-        sim_loop_speedup,
-        warm_arrival_speedup,
-        huge_decision_speedup,
-        ..report
-    }
+    BenchReport { arrival_speedup, sim_loop_speedup, warm_arrival_speedup, ..report }
 }
 
-/// A rack-partitioned Minsky cluster (rack-major contiguous machine ids,
-/// so the auto shard spec follows the racks).
+/// A racked Minsky cluster (rack-major contiguous machine ids).
 fn racked_minsky_cluster(
     n_racks: usize,
     per_rack: usize,
@@ -472,7 +462,7 @@ fn poisson_trace(n_machines: usize, n_jobs: usize, seed: u64) -> Vec<JobSpec> {
     WorkloadGenerator::new(gen, seed).generate(n_jobs)
 }
 
-/// Timings and loop counters from one [`sharded_sim`] run.
+/// Timings and loop counters from one [`production_sim`] run.
 struct SimRun {
     /// End-to-end wall time, nanoseconds.
     wall_ns: u64,
@@ -486,15 +476,13 @@ struct SimRun {
     stats: SimLoopStats,
 }
 
-/// One full production simulation with an explicit shard count,
-/// instrumented.
-fn sharded_sim(
+/// One full production TOPO-AWARE simulation, instrumented.
+fn production_sim(
     cluster: &Arc<ClusterTopology>,
     profiles: &Arc<ProfileLibrary>,
     trace: &[JobSpec],
-    shards: usize,
 ) -> SimRun {
-    let config = SimConfig::new(Policy::new(PolicyKind::TopoAware)).with_shards(shards);
+    let config = SimConfig::new(Policy::new(PolicyKind::TopoAware));
     let started = std::time::Instant::now();
     let (result, stats) = Simulation::new(Arc::clone(cluster), Arc::clone(profiles), config)
         .run_with_stats(trace.to_vec());
@@ -508,12 +496,13 @@ fn sharded_sim(
     }
 }
 
-/// Runs the sharded scheduler across a sweep of cluster sizes and returns
-/// one machines-vs-decision-latency point per size (`gts bench
+/// Runs the production scheduler across a sweep of cluster sizes and
+/// returns one machines-vs-decision-latency point per size (`gts bench
 /// scale-curve`). Rack size is fixed (32 machines full, 4 smoke) so the
-/// shard count grows with the cluster, as a rack-aligned deployment's
-/// would; jobs and arrival rate scale linearly so every size sees the
-/// same saturation regime.
+/// rack count grows with the cluster; jobs and arrival rate scale linearly
+/// so every size sees the same saturation regime. Each size runs its trace
+/// [`SCALE_RUNS`] times, and the point records the median and the minimum
+/// of the runs' mean decision times.
 pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
     let (sizes, per_rack, jobs_per_machine): (&[usize], usize, usize) = if smoke {
         (&[16, 32, 64], 4, 4)
@@ -523,21 +512,27 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
     sizes
         .iter()
         .map(|&machines| {
-            let n_racks = machines / per_rack;
-            let (cluster, profiles) = racked_minsky_cluster(n_racks, per_rack);
+            let (cluster, profiles) = racked_minsky_cluster(machines / per_rack, per_rack);
             let jobs = machines * jobs_per_machine;
             let trace = poisson_trace(machines, jobs, 3003);
-            let run = sharded_sim(&cluster, &profiles, &trace, n_racks);
+            let runs: Vec<SimRun> =
+                (0..SCALE_RUNS).map(|_| production_sim(&cluster, &profiles, &trace)).collect();
+            let median = |pick: fn(&SimRun) -> u64| {
+                let mut vals: Vec<u64> = runs.iter().map(pick).collect();
+                vals.sort_unstable();
+                vals[(vals.len() - 1) / 2]
+            };
+            let wall_ns = median(|r| r.wall_ns);
             ScalePoint {
                 machines: machines as u64,
-                shards: n_racks as u64,
                 jobs: jobs as u64,
-                mean_decision_ns: run.mean_decision_ns,
-                wall_ms: run.wall_ns / 1_000_000,
-                wall_ns: run.wall_ns,
-                replay_hits: run.stats.replay_hits,
-                replay_shards_reeval: run.stats.replay_shards_reeval,
-                replay_full_fallbacks: run.stats.replay_full_fallbacks,
+                runs: runs.len() as u64,
+                mean_decision_ns: median(|r| r.mean_decision_ns),
+                mean_decision_min_ns: runs.iter().map(|r| r.mean_decision_ns).min().unwrap_or(0),
+                wall_ms: wall_ns / 1_000_000,
+                wall_ns,
+                replay_hits: runs[0].stats.replay_hits,
+                replay_full_fallbacks: runs[0].stats.replay_full_fallbacks,
             }
         })
         .collect()
@@ -563,19 +558,17 @@ mod tests {
             "sim/fig10_slice_engine",
             "sim/large_reference",
             "sim/large_cached",
-            "sim/huge_single",
-            "sim/huge_par",
-            "decision/huge_single",
-            "decision/huge_par",
+            "sim/huge",
+            "decision/huge",
         ] {
             assert!(
                 report.mean_ns(label).is_some_and(|ns| ns > 0),
                 "missing or empty bench {label}"
             );
         }
-        // The huge decision latencies feed huge_decision_speedup — they
-        // must aggregate several independent runs, not trust one sample.
-        for label in ["decision/huge_single", "decision/huge_par"] {
+        // The huge entries must aggregate several independent runs, not
+        // trust one sample.
+        for label in ["sim/huge", "decision/huge"] {
             let entry = report.results.iter().find(|e| e.label == label).unwrap();
             assert!(entry.samples >= 5, "{label} ran {} samples, need ≥ 5", entry.samples);
             assert!(entry.min_ns <= entry.mean_ns, "{label} min above mean");
@@ -602,7 +595,6 @@ mod tests {
         assert!(report.arrival_speedup > 0.0);
         assert!(report.sim_loop_speedup > 0.0);
         assert!(report.warm_arrival_speedup > 0.0);
-        assert!(report.huge_decision_speedup > 0.0);
         assert!(
             (0.0..=1.0).contains(&report.eval_cache_hit_rate),
             "hit rate must be a ratio, got {}",
@@ -616,7 +608,6 @@ mod tests {
         assert!(json.contains("topo64_engine"));
         assert!(json.contains("large_reference"));
         assert!(json.contains("large_cached"));
-        assert!(json.contains("huge_decision_speedup"));
         // The merge path `gts bench scale-curve` relies on: reports round-
         // trip through JSON, including one with curve points attached.
         let mut back = BenchReport::from_json(&json).expect("report round-trips");
@@ -624,13 +615,13 @@ mod tests {
         assert!(back.scale_curve.is_empty(), "run() leaves the curve to the subcommand");
         back.scale_curve = vec![ScalePoint {
             machines: 16,
-            shards: 4,
             jobs: 64,
-            mean_decision_ns: 1,
+            runs: SCALE_RUNS as u64,
+            mean_decision_ns: 2,
+            mean_decision_min_ns: 1,
             wall_ms: 1,
             wall_ns: 1_000_000,
             replay_hits: 0,
-            replay_shards_reeval: 0,
             replay_full_fallbacks: 0,
         }];
         let merged = BenchReport::from_json(&back.to_json()).expect("merged round-trips");
@@ -638,8 +629,8 @@ mod tests {
         assert!(BenchReport::from_json("{broken").is_err());
     }
 
-    /// The scale-curve sweep must produce one point per cluster size, with
-    /// rack-aligned shard counts and live latency numbers.
+    /// The scale-curve sweep must produce one point per cluster size, each
+    /// resting on several runs, with live latency numbers.
     #[test]
     fn scale_curve_smoke_produces_ordered_points() {
         let points = scale_curve(true);
@@ -648,18 +639,17 @@ mod tests {
             assert!(w[0].machines < w[1].machines, "sizes must ascend");
         }
         for p in &points {
-            assert_eq!(p.machines % p.shards, 0, "shards must tile the cluster");
+            assert!(p.runs >= 3, "{} machines rest on {} run(s)", p.machines, p.runs);
             assert!(p.jobs > 0);
             assert!(p.mean_decision_ns > 0, "decision latency unmeasured at {}", p.machines);
+            assert!(
+                p.mean_decision_min_ns <= p.mean_decision_ns,
+                "the minimum exceeds the median at {}",
+                p.machines
+            );
             assert!(p.wall_ns > 0, "wall unmeasured at {}", p.machines);
             assert_eq!(p.wall_ms, p.wall_ns / 1_000_000, "wall_ms must floor wall_ns");
         }
-        // The saturated curve regime drains queues across completions, so
-        // decision replay must actually fire somewhere in the sweep.
-        assert!(
-            points.iter().any(|p| p.replay_hits > 0),
-            "no scale-curve point saw a replay hit"
-        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use gts_sched::{
         launch_plan, Allocation, CandidateEval, ClusterState, DecisionReplayStats, EvalCache,
         EvalCacheStats, EvalOutcome, EvalParams, LaunchPlan, PlacementOutcome, Policy,
-        PolicyKind, Scheduler, SchedulerConfig, ShardIndex, ShardSpec, TraceEvent,
+        PolicyKind, Scheduler, SchedulerConfig, TraceEvent,
     };
     pub use gts_sim::{
         engine::simulate, JobRecord, SimConfig, SimConfigError, SimLoopStats, SimResult,

@@ -108,6 +108,15 @@ mod tests {
     use crossbeam::channel::unbounded;
 
     fn params(total_solo_s: f64, slowdown: f64) -> (WorkerParams, crossbeam::channel::Receiver<Event>) {
+        params_at(total_solo_s, slowdown, TimeScale::new(0.001))
+    }
+
+    /// [`params`] on a clock running at `scale`.
+    fn params_at(
+        total_solo_s: f64,
+        slowdown: f64,
+        scale: TimeScale,
+    ) -> (WorkerParams, crossbeam::channel::Receiver<Event>) {
         let (tx, rx) = unbounded();
         let slowdowns = Arc::new(RwLock::new(HashMap::new()));
         slowdowns.write().insert(JobId(0), slowdown);
@@ -118,7 +127,7 @@ mod tests {
             route: RouteClass::P2p,
             total_solo_s,
             dram_demand_gbs: 0.0,
-            clock: ScaledClock::start(TimeScale::new(0.001)),
+            clock: ScaledClock::start(scale),
             counters: Arc::new(LinkCounters::new(1)),
             slowdowns,
             cancelled: Arc::new(RwLock::new(HashSet::new())),
@@ -147,10 +156,16 @@ mod tests {
         assert_eq!(host, 0);
     }
 
+    /// Wall time that the host steals from a worker (a late thread start,
+    /// a preempted sleep) lands in its finish time. At 10 ms of wall per
+    /// sim-second a 10 ms stall costs 1 sim-s, so the fast worker's 15
+    /// sim-s would need a stall of about 50 ms to break the 1.5× margin
+    /// (at 1 ms per sim-second, 10 ms was enough).
     #[test]
     fn slowdown_stretches_wall_time() {
-        let (p_fast, rx_fast) = params(15.0, 0.0);
-        let (p_slow, rx_slow) = params(15.0, 1.0);
+        let scale = TimeScale::new(0.01);
+        let (p_fast, rx_fast) = params_at(15.0, 0.0, scale);
+        let (p_slow, rx_slow) = params_at(15.0, 1.0, scale);
         std::thread::spawn(move || run_worker(p_fast));
         std::thread::spawn(move || run_worker(p_slow));
         let t_fast = match rx_fast.recv_timeout(Duration::from_secs(5)).unwrap() {

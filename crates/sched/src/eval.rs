@@ -10,9 +10,8 @@
 //!    bandwidth, co-runner signature)` — the machine *id* never enters
 //!    Eq. 2–5. On a mostly-idle homogeneous cluster almost every machine
 //!    collapses into a handful of classes, so the engine runs one DRB
-//!    mapping per *class*: per live class of the state's class table
-//!    ([`crate::classes`], DESIGN.md §15) on one-shard and traced
-//!    decisions, per class of each shard's candidates on the sharded path.
+//!    mapping per live class of the state's class table
+//!    ([`crate::classes`], DESIGN.md §15).
 //! 2. **One thread, first-seen order.** Representatives are evaluated on
 //!    the caller's thread in the order a scan over the machines first
 //!    meets their classes. Together with the oracle's canonical co-runner
@@ -23,8 +22,7 @@
 //! The engine never changes *which* candidate wins: the policy runs the
 //! reference tie-breaking (`FRAG_TIE_EPS` + Eq. 5) over the classes in
 //! lowest-member order, checking per decision that this equals the
-//! per-candidate scan (DESIGN.md §15.3), or over the shards' per-candidate
-//! class indices in candidate order.
+//! per-candidate scan (DESIGN.md §15.3).
 //!
 //! 3. **Cross-event caching.** Because the class key is a pure function of
 //!    machine state and the job-side inputs reduce to a small *job class*,
@@ -32,14 +30,17 @@
 //!    only cold. [`EvalCache`] therefore persists across arrivals for the
 //!    whole scheduler/simulation run (one LRU, owned by the
 //!    [`crate::Scheduler`]), so steady-state arrivals that revisit known
-//!    keys skip the DRB mapping entirely (DESIGN.md §9).
+//!    keys skip the DRB mapping entirely (DESIGN.md §9). The same cache
+//!    holds one decision snapshot per job class, which answers a retry on
+//!    an unchanged state in O(1) (DESIGN.md §15.7).
 
-use crate::oracle::{placement_utility, StateOracle};
 use crate::classes::ClassId;
+use crate::oracle::{placement_utility, StateOracle};
+use crate::policy::Decision;
 use crate::state::{ClusterState, MachineClassKey};
 use gts_job::{BatchClass, JobGraph, JobSpec, NnModel};
 use gts_map::{drb_map, PlacementOracle as _, UtilityWeights};
-use gts_topo::{GlobalGpuId, GpuId, MachineId};
+use gts_topo::{GpuId, MachineId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -56,17 +57,18 @@ pub struct EvalParams {
     /// as a worker count. The value still sizes the `gts-bench` experiment
     /// sweeps.
     pub threads: usize,
-    /// Always `false`: memo-miss shards evaluate on the caller's thread.
-    /// The field stays so that callers reporting the knob keep compiling.
-    pub shard_par: bool,
-    /// Always `true`: the production path always prunes memo-miss shards
-    /// whose admissible utility bound proves them uncompetitive (exact
-    /// branch-and-bound, DESIGN.md §11). The field stays so that callers
+    /// Always `false`, and read by nothing: the sharded path it switched
+    /// is retired (DESIGN.md §10). The field stays so that callers
     /// reporting it keep compiling.
+    pub shard_par: bool,
+    /// Always `true`, and read by nothing: the shard bound it named is
+    /// retired (DESIGN.md §11). The field stays so that callers reporting
+    /// it keep compiling.
     pub shard_bound: bool,
-    /// Always `true`: the production path always replays queue retries
-    /// from the per-job-class decision snapshot (DESIGN.md §12). The field
-    /// stays so that callers reporting it keep compiling.
+    /// Always `true`: the production path always answers a retry on an
+    /// unchanged state from the per-job-class decision snapshot (DESIGN.md
+    /// §15.7). The field stays so that callers reporting it keep
+    /// compiling.
     pub decision_replay: bool,
 }
 
@@ -131,9 +133,9 @@ pub(crate) enum CandidateOutcome {
     NoMapping,
     /// A mapping exists but violates the §4.3 bandwidth constraint.
     RejectedBandwidth {
-        /// The rejected GPU pick (shared: outcomes are cloned between
-        /// the cross-event cache, shard memo entries and repairs, so the
-        /// pick is refcounted rather than reallocated per clone).
+        /// The rejected GPU pick (shared: every cache hit clones the
+        /// outcome, so the pick is refcounted rather than reallocated per
+        /// clone).
         gpus: Arc<[GpuId]>,
     },
     /// A feasible placement with its Eq. 2 utility and Eq. 5
@@ -190,9 +192,9 @@ impl JobClassKey {
 
 /// The job inputs that steer a decision's selection but stay out of
 /// [`JobClassKey`], because the per-candidate evaluation never reads them:
-/// `min_utility` (selection window and bound pruning) and `single_node`
-/// (the spill fallthrough). A [`DecisionSnap`] stores the guard of its
-/// decision and replays only for a job with an equal one.
+/// `min_utility` (selection window and SLO gate) and `single_node` (the
+/// spill fallthrough). A [`DecisionSnap`] stores the guard of its decision
+/// and replays only for a job with an equal one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReplayGuard {
     min_utility_bits: u64,
@@ -209,11 +211,11 @@ impl ReplayGuard {
     }
 }
 
-/// What the O(1) decision replay (DESIGN.md §12) is keyed by: the job
-/// class of the memo row that holds the snapshot, and the snapshot's
-/// guard. On one cluster state, jobs with equal keys get the same
-/// decision, which is what lets a scheduler iteration reuse an unplaced
-/// job's answer for every later job of its key (DESIGN.md §14).
+/// What the O(1) decision replay (DESIGN.md §15.7) is keyed by: the job
+/// class the snapshot is stored under, and the snapshot's guard. On one
+/// cluster state, jobs with equal keys get the same decision, which is
+/// what lets a scheduler iteration reuse an unplaced job's answer for
+/// every later job of its key (DESIGN.md §14).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ReplayKey {
     pub class: JobClassKey,
@@ -252,9 +254,9 @@ impl Hash for CacheKey {
     }
 }
 
-/// Cache entries granted per state shard: a cluster split into `n`
-/// shards gets one [`EvalCache`] of `n ×` this capacity.
-const CAPACITY_PER_SHARD: usize = 4096;
+/// Cache entries granted per rack: a cluster of `n` racks gets one
+/// [`EvalCache`] of `n ×` this capacity (DESIGN.md §15.8).
+const CAPACITY_PER_RACK: usize = 4096;
 
 /// Hit/miss/eviction counters of an [`EvalCache`], read at any point of a
 /// run. One lookup is counted per *equivalence class* per arrival (the
@@ -282,11 +284,12 @@ impl EvalCacheStats {
     }
 }
 
-/// Cross-event decision-replay counters (DESIGN.md §12), read at any point
-/// of a run via [`crate::Scheduler::decision_replay_stats`].
+/// Cross-event decision-replay counters (DESIGN.md §15.7), read at any
+/// point of a run via [`crate::Scheduler::decision_replay_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionReplayStats {
-    /// Retries answered from a snapshot (full or partial replay).
+    /// Decisions answered from a snapshot: the state had not changed since
+    /// the last decision for the job's class.
     pub hits: u64,
     /// Jobs answered without a decision: a scheduler iteration gave an
     /// earlier unplaced job with the same replay key (job class,
@@ -296,10 +299,8 @@ pub struct DecisionReplayStats {
     /// unless a same-class job with other guards decided in between. None
     /// is counted in `hits` or in the scheduler's decision statistics.
     pub reused: u64,
-    /// Shards re-evaluated by partial replays; everything else was reused.
-    pub shards_reeval: u64,
-    /// Snapshots present but unusable (epoch/guard mismatch) — the
-    /// decision fell back to the full path.
+    /// Snapshots present but unusable (another state instance, or another
+    /// guard) — the class decision ran instead.
     pub full_fallbacks: u64,
 }
 
@@ -388,7 +389,8 @@ impl Lru {
 
 /// The cross-event placement cache: a capacity-bounded LRU from
 /// `(machine class, job class)` to the evaluated candidate outcome, owned
-/// by a [`crate::Scheduler`] for the whole run.
+/// by a [`crate::Scheduler`] for the whole run, plus the last decision per
+/// job class (DESIGN.md §15.7).
 ///
 /// Both key halves are pure functions of state (DESIGN.md §9), so entries
 /// never go stale — a machine whose occupancy changes simply stops
@@ -400,136 +402,39 @@ impl Lru {
 /// plain single-threaded state: `RefCell`s and `Cell` counters, no locks.
 pub struct EvalCache {
     lru: RefCell<Lru>,
-    /// Cross-decision memo of whole-shard evaluations for the two-level
-    /// sharded path, keyed by (state shard, job class) and guarded by the
-    /// shard index's `(epoch, version)` pair — see [`ShardClassed`].
-    shard_memo: RefCell<ShardMemoMap>,
+    /// The last decision per job class, stamped with the state's
+    /// `(epoch, version)` (DESIGN.md §15.7).
+    snaps: RefCell<SnapMap>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     evictions: Cell<u64>,
-    /// Queue-drain retries answered wholesale from a decision snapshot
-    /// (nothing moved anywhere — O(1) replay, zero shards touched).
+    /// Decisions answered from a snapshot in O(1).
     replay_hits: Cell<u64>,
-    /// Shards re-evaluated by partial replays (everything else reused).
-    replay_shards_reeval: Cell<u64>,
     /// Snapshots present but unusable (epoch or guard mismatch), falling
-    /// back to the full decision path.
+    /// back to the class decision.
     replay_full_fallbacks: Cell<u64>,
 }
 
-/// One state-shard's fully grouped evaluation for one job class: the
-/// capacity-filtered candidate list (ascending machine id), the class
-/// grouping with per-class outcomes, and the shard-local `u_max` fold —
-/// everything `decide_topo_sharded` needs to stream its selection scan
-/// without re-walking the shard's machines.
-///
-/// Validity is proven by the shard index's `(epoch, version)` pair: the
-/// version advances whenever a member machine's class key is rebuilt, and
-/// every eval-relevant mutation rebuilds the touched machine's key (the
-/// same purity argument that keeps [`EvalCache`] entries from going stale,
-/// DESIGN.md §9–§10). An unchanged pair therefore pins both the candidate
-/// set (free masks are key components) and every class outcome.
-#[derive(Default)]
-pub(crate) struct ShardClassed {
-    /// Shard members with `free_count >= job.n_gpus`, ascending id.
-    pub candidates: Vec<MachineId>,
-    /// Each candidate's class-key rebuild stamp
-    /// ([`ClusterState::key_stamp`]) at evaluation time, aligned with
-    /// `candidates`. A stale entry (version moved on) is *repaired*
-    /// instead of rebuilt: a candidate whose stored stamp still equals
-    /// its live stamp provably kept its class key — the key only changes
-    /// through the stamp-bumping rebuild — and the key is a pure function
-    /// of machine state, so the stored outcome bits are its live outcome
-    /// bits. A plain `u64` compare per candidate, no `Arc` traffic.
-    pub stamps: Vec<u64>,
-    /// Class grouping + one outcome per class, aligned with `candidates`.
-    pub classed: ClassedOutcomes,
-    /// `max` fold of the feasible utilities in candidate order
-    /// (`NEG_INFINITY` when none are feasible).
-    pub u_max: f64,
-    /// Indices into `candidates` (ascending) of the only candidates that
-    /// can ever win a selection scan: those whose feasible utility is
-    /// within `FRAG_TIE_EPS` of this shard's own `u_max`, keeping just the
-    /// head of each consecutive same-class run. The global floor is
-    /// `u_global_max − FRAG_TIE_EPS ≥ u_max − FRAG_TIE_EPS` (float
-    /// subtraction of a constant is monotone), so every below-window
-    /// candidate provably fails the scan's floor test; a run repeat
-    /// carries its head's exact `(utility, frag)` bits, on which
-    /// `beats_winner` is always false — the scan walks this (typically
-    /// tiny) window instead of the whole shard.
-    pub contenders: Vec<u32>,
-}
-
-/// One state shard's memo slot for one job class: the `(epoch, version)`
-/// pair the stored whole-shard evaluation was built under. `value: None`
-/// means never filled (or wiped by a cap clear / shard-count change).
-#[derive(Default)]
-pub(crate) struct ShardSlot {
-    pub epoch: u64,
-    pub version: u64,
-    pub value: Option<Arc<ShardClassed>>,
-}
-
-/// How the last snapshotted decision for a job class resolved one shard.
-/// `Evaluated` carries no entry of its own: the per-shard [`ShardSlot`] in
-/// the same row holds it (stored and guarded together).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) enum SnapState {
-    /// The shard failed admission (no machine wide enough for the job).
-    #[default]
-    NotAdmitted,
-    /// The shard was fully evaluated; its entry sits in the row's slot.
-    Evaluated,
-    /// The shard was branch-and-bound pruned under this admissible bound.
-    Pruned {
-        /// The exact [`crate::bound::ShardBoundCtx`] bound at prune time —
-        /// still the live bound while the shard's version is unchanged
-        /// (every bound input is pinned by the `(epoch, version)` pair).
-        bound: f64,
-    },
-}
-
-/// A whole-decision snapshot for one job class (DESIGN.md §12): the
-/// per-shard version vector captured at decision time, how each shard
-/// resolved, and the decision itself. A retry whose live `(epoch, total
-/// version)` stamps match replays the decision in O(1); a partial match
-/// re-evaluates only the shards whose version moved, reusing everything
-/// else (the per-shard states stay valid because every eval-relevant
-/// mutation bumps the touched shard's version — the same funnel argument
-/// that guards the shard memo).
-///
-/// The [`ReplayGuard`] inputs are *not* part of [`JobClassKey`] but do
-/// steer the selection, so the snapshot carries its decision's guard and a
-/// mismatch falls back to the full path.
-#[derive(Debug, Default)]
+/// The last decision for one job class (DESIGN.md §15.7): the state's
+/// `(epoch, version)` when it was taken, the deciding job's guard, and the
+/// decision. While the state's pair is unchanged nothing a decision reads
+/// has changed, so a job of the class with an equal guard gets the stored
+/// decision.
+#[derive(Debug)]
 pub(crate) struct DecisionSnap {
-    /// The shard index epoch the snapshot was taken under.
+    /// The state instance the decision ran on ([`ClusterState::epoch`]).
     pub epoch: u64,
-    /// Sum of per-shard versions at decision time (O(1) full-match probe).
-    pub total_version: u64,
-    /// Per-shard versions at decision time, indexed by shard.
-    pub versions: Vec<u64>,
-    /// Per-shard resolution at decision time, indexed by shard.
-    pub states: Vec<SnapState>,
+    /// The state's mutation counter then ([`ClusterState::version`]).
+    pub version: u64,
     /// The deciding job's guard.
     pub guard: ReplayGuard,
-    /// The decision the full path produced: granted GPUs and utility, or
-    /// `None` when nothing (including the spill fallthrough) placed.
-    pub decision: Option<(Vec<GlobalGpuId>, f64)>,
+    /// The decision, or `None` when nothing (the spill fallthrough
+    /// included) placed.
+    pub decision: Option<Decision>,
 }
 
-/// One job class's row in the shard memo: the per-shard slots plus the
-/// whole-decision snapshot, guarded together.
-#[derive(Default)]
-pub(crate) struct MemoRow {
-    /// Per state-shard memo slots, indexed by shard.
-    pub slots: Box<[ShardSlot]>,
-    /// The last decision snapshot for this class (replay path), if any.
-    pub snap: Option<DecisionSnap>,
-}
-
-/// FNV-1a for the scheduler-internal hash maps (the shard memo and the LRU
-/// map). Their keys are hashed on the per-decision hot path, where the
+/// FNV-1a for the scheduler-internal hash maps (the snapshots, the LRU map
+/// and the class table). Their keys are hashed on the per-decision hot path, where the
 /// default SipHash's DoS resistance buys nothing (keys are small,
 /// fixed-shape and entirely trusted) but costs a measurable slice of
 /// steady-state decision latency.
@@ -555,16 +460,12 @@ impl std::hash::Hasher for FnvHasher {
     }
 }
 
-/// The shard memo, inverted: one row of per-shard slots (plus the decision
-/// snapshot) per job class. A decision probes every admitted shard with the
-/// *same* job class, so this layout pays one key hash per decision and then
-/// a plain indexed version compare per shard, instead of a keyed map probe
-/// (hash + equality) per shard.
-type ShardMemoMap = HashMap<JobClassKey, MemoRow, std::hash::BuildHasherDefault<FnvHasher>>;
+/// The decision snapshots, one per job class.
+type SnapMap = HashMap<JobClassKey, DecisionSnap, std::hash::BuildHasherDefault<FnvHasher>>;
 
-/// Safety valve on distinct job-class rows in the memo. Real traces carry
+/// Safety valve on distinct job classes with a snapshot. Real traces carry
 /// a few dozen job classes, so this is far above steady state.
-const SHARD_MEMO_CAP: usize = 512;
+const SNAP_CAP: usize = 512;
 
 impl std::fmt::Debug for EvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -577,50 +478,58 @@ impl EvalCache {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             lru: RefCell::new(Lru::new(capacity.max(1))),
-            shard_memo: RefCell::new(ShardMemoMap::default()),
+            snaps: RefCell::new(SnapMap::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
             evictions: Cell::new(0),
             replay_hits: Cell::new(0),
-            replay_shards_reeval: Cell::new(0),
             replay_full_fallbacks: Cell::new(0),
         }
     }
 
-    /// The cache for a state split into `n_shards` shards: one cache shared
-    /// by every shard, with a fixed capacity granted per shard (the same
-    /// total budget a cache-per-shard split would claim). Sharing matters
-    /// because machine-class keys recur across shards — an idle machine's
-    /// key is the same in every rack — so one cache learns each (machine
-    /// class, job class) pair once rather than once per shard.
-    pub fn per_shard(n_shards: usize) -> Self {
-        Self::with_capacity(CAPACITY_PER_SHARD.saturating_mul(n_shards.max(1)))
+    /// The cache for a cluster of `n_racks` racks (1 on a flat fabric):
+    /// 4,096 entries per rack (DESIGN.md §15.8).
+    pub fn per_rack(n_racks: usize) -> Self {
+        Self::with_capacity(CAPACITY_PER_RACK.saturating_mul(n_racks.max(1)))
     }
 
-    /// Runs `f` over the memo row (per-shard slots + decision snapshot) for
-    /// `job`, creating (or re-sizing) the row on first touch — one borrow
-    /// and one key hash per call no matter how many shards the caller then
-    /// reads or writes. Past [`SHARD_MEMO_CAP`] distinct job classes the
-    /// memo is cleared wholesale (that rare insert hashes twice); a row
-    /// whose slot count disagrees with `n_shards` (the shard layout
-    /// changed, which also advances the epoch) is reset empty, snapshot
-    /// included. `f` must not re-enter the memo.
-    pub(crate) fn with_memo_row<R>(
+    /// The stored decision for `job` when its snapshot was taken on this
+    /// `(epoch, version)` under an equal `guard`, counting the hit. A
+    /// snapshot of another epoch or guard counts a fallback; either way,
+    /// and on a moved version, `None` means the decision must run.
+    pub(crate) fn replay(
         &self,
         job: &JobClassKey,
-        n_shards: usize,
-        f: impl FnOnce(&mut MemoRow) -> R,
-    ) -> R {
-        let mut memo = self.shard_memo.borrow_mut();
-        if memo.len() >= SHARD_MEMO_CAP && !memo.contains_key(job) {
-            memo.clear();
+        epoch: u64,
+        version: u64,
+        guard: ReplayGuard,
+    ) -> Option<Option<Decision>> {
+        let snaps = self.snaps.borrow();
+        let snap = snaps.get(job)?;
+        if snap.epoch != epoch || snap.guard != guard {
+            bump(&self.replay_full_fallbacks, 1);
+            return None;
         }
-        let row = memo.entry(job.clone()).or_default();
-        if row.slots.len() != n_shards {
-            let slots: Box<[ShardSlot]> = (0..n_shards).map(|_| ShardSlot::default()).collect();
-            *row = MemoRow { slots, snap: None };
+        if snap.version != version {
+            return None;
         }
-        f(row)
+        bump(&self.replay_hits, 1);
+        Some(snap.decision.clone())
+    }
+
+    /// Stores `snap` as the last decision for `job`, replacing the class's
+    /// previous one. Past [`SNAP_CAP`] classes the map is cleared first,
+    /// which costs later replays, never an answer.
+    pub(crate) fn store_snapshot(&self, job: &JobClassKey, snap: DecisionSnap) {
+        let mut snaps = self.snaps.borrow_mut();
+        if let Some(slot) = snaps.get_mut(job) {
+            *slot = snap;
+            return;
+        }
+        if snaps.len() >= SNAP_CAP {
+            snaps.clear();
+        }
+        snaps.insert(job.clone(), snap);
     }
 
     /// Counters so far.
@@ -638,24 +547,8 @@ impl EvalCache {
         DecisionReplayStats {
             hits: self.replay_hits.get(),
             reused: 0,
-            shards_reeval: self.replay_shards_reeval.get(),
             full_fallbacks: self.replay_full_fallbacks.get(),
         }
-    }
-
-    /// Counts one retry answered from a snapshot.
-    pub(crate) fn note_replay_hit(&self) {
-        bump(&self.replay_hits, 1);
-    }
-
-    /// Counts `n` shards re-evaluated by a partial replay.
-    pub(crate) fn note_replay_reeval(&self, n: u64) {
-        bump(&self.replay_shards_reeval, n);
-    }
-
-    /// Counts one snapshot that was present but unusable.
-    pub(crate) fn note_replay_fallback(&self) {
-        bump(&self.replay_full_fallbacks, 1);
     }
 
     fn get(&self, key: &CacheKey) -> Option<CandidateOutcome> {
@@ -695,39 +588,6 @@ fn evaluate_one(
     let frag_after = oracle.fragmentation_after(&gpus);
     let utility = placement_utility(state, machine, job, &gpus, weights);
     CandidateOutcome::Feasible { gpus: gpus.into(), utility, frag_after }
-}
-
-/// Resolves one candidate machine's outcome the way a fresh
-/// [`evaluate_topo_classes`] pass would: served from the cross-event cache
-/// when the `(machine class, job class)` pair is known, otherwise the full
-/// evaluation runs and fills the cache. The shard-repair path calls this
-/// for exactly the machines whose class key changed since the memoized
-/// pass; `job_bits` must be `job_class.bits()`, hoisted by the caller.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resolve_candidate_outcome(
-    state: &ClusterState,
-    job: &JobSpec,
-    graph: &JobGraph,
-    weights: UtilityWeights,
-    machine: MachineId,
-    key: &MachineClassKey,
-    job_class: Option<&JobClassKey>,
-    job_bits: u64,
-    cache: Option<&EvalCache>,
-) -> CandidateOutcome {
-    if let (Some(cache), Some(jc)) = (cache, job_class) {
-        let k = CacheKey::new(key.clone(), jc.clone(), job_bits);
-        if let Some(hit) = cache.get(&k) {
-            #[cfg(debug_assertions)]
-            debug_assert_hit_matches(state, job, graph, weights, machine, &hit);
-            return hit;
-        }
-        let outcome = evaluate_one(state, job, graph, weights, machine);
-        cache.insert(k, outcome.clone());
-        outcome
-    } else {
-        evaluate_one(state, job, graph, weights, machine)
-    }
 }
 
 /// Debug check behind every cache hit: re-run the full evaluation and
@@ -771,52 +631,6 @@ pub(crate) fn evaluate_topo_candidates(
     candidates: &[MachineId],
 ) -> Vec<CandidateOutcome> {
     candidates.iter().map(|&m| evaluate_one(state, job, graph, weights, m)).collect()
-}
-
-/// Class-grouped candidate evaluation without the per-candidate fan-out:
-/// each candidate maps to an index into `outcomes` via `class_of`. The
-/// two-level sharded decision path consumes this form directly, streaming
-/// the selection scan over by-reference class outcomes instead of cloning
-/// one outcome per candidate machine.
-#[derive(Default)]
-pub(crate) struct ClassedOutcomes {
-    /// Per candidate (input order): index into `outcomes`.
-    pub class_of: Vec<usize>,
-    /// One outcome per distinct equivalence class.
-    pub outcomes: Vec<CandidateOutcome>,
-}
-
-/// The engine's class-level core for one shard: groups `candidates` into
-/// equivalence classes via the state's precomputed keys, answers what it
-/// can from the cross-event `cache`, and evaluates the remaining
-/// representatives in first-seen order. Outcomes are bit-identical to
-/// evaluating each candidate individually, by the class-key purity
-/// argument (DESIGN.md §7, §9).
-pub(crate) fn evaluate_topo_classes(
-    state: &ClusterState,
-    job: &JobSpec,
-    graph: &JobGraph,
-    weights: UtilityWeights,
-    candidates: &[MachineId],
-    cache: Option<&EvalCache>,
-) -> ClassedOutcomes {
-    // Group candidates into equivalence classes; the first member of each
-    // class is its representative. Keys are precomputed by `ClusterState`
-    // (rebuilt only for machines the last events touched), so this loop is
-    // O(candidates) hash-map probes with zero key construction.
-    let mut class_of: Vec<usize> = Vec::with_capacity(candidates.len());
-    let mut reps: Vec<(MachineId, &MachineClassKey)> = Vec::new();
-    let mut index: HashMap<&MachineClassKey, usize> = HashMap::new();
-    for &m in candidates {
-        let key = state.machine_class_key(m);
-        let class = *index.entry(key).or_insert_with(|| {
-            reps.push((m, key));
-            reps.len() - 1
-        });
-        class_of.push(class);
-    }
-    let outcomes = resolve_classes(state, job, graph, weights, &reps, cache);
-    ClassedOutcomes { class_of, outcomes }
 }
 
 /// One outcome per live machine class in `classes` (`(lowest member,
@@ -1102,65 +916,55 @@ mod tests {
     }
 
     #[test]
-    fn shard_memo_round_trips_and_guards_on_epoch_and_version() {
-        let s = state(4);
-        let j = job(0, 2);
+    fn snapshots_replay_only_on_their_epoch_version_and_guard() {
         let weights = UtilityWeights::default();
-        let cache = EvalCache::with_capacity(16);
-        let candidates: Vec<MachineId> = s.machines_with_capacity(2);
-        let graph = JobGraph::from_spec(&j);
-        let classed = evaluate_topo_classes(&s, &j, &graph, weights, &candidates, None);
-        let stamps: Vec<u64> = candidates.iter().map(|&m| s.key_stamp(m)).collect();
-        let entry = Arc::new(ShardClassed {
-            candidates,
-            stamps,
-            classed,
-            u_max: 0.75,
-            contenders: vec![0],
-        });
+        let j = job(0, 2);
         let key = JobClassKey::of(&j, weights).expect("plain job is keyable");
-        cache.with_memo_row(&key, 2, |row| {
-            assert_eq!(row.slots.len(), 2, "row sized to the shard count");
-            assert!(row.slots[0].value.is_none(), "empty memo has no entry");
-            assert!(row.snap.is_none(), "fresh row has no decision snapshot");
-            row.slots[0] = ShardSlot { epoch: 7, version: 3, value: Some(Arc::clone(&entry)) };
-            row.snap = Some(DecisionSnap {
-                epoch: 7,
-                total_version: 3,
-                versions: vec![3, 0],
-                states: vec![SnapState::Evaluated, SnapState::NotAdmitted],
-                guard: ReplayGuard::of(&j),
-                decision: None,
-            });
-        });
-        cache.with_memo_row(&key, 2, |row| {
-            let hit = &row.slots[0];
-            assert_eq!((hit.epoch, hit.version), (7, 3), "guard pair round-trips");
-            let v = hit.value.as_ref().expect("filled slot persists");
-            assert!(Arc::ptr_eq(v, &entry), "the stored Arc itself comes back");
-            assert_eq!(v.u_max.to_bits(), entry.u_max.to_bits());
-            assert_eq!(v.contenders, entry.contenders);
-            assert!(row.slots[1].value.is_none(), "entries are per state-shard");
-            let snap = row.snap.as_ref().expect("snapshot persists with the row");
-            assert_eq!((snap.epoch, snap.total_version), (7, 3));
-            assert_eq!(snap.states, vec![SnapState::Evaluated, SnapState::NotAdmitted]);
-        });
-        let other = JobClassKey::of(&job(1, 3), weights).expect("keyable");
-        cache.with_memo_row(&other, 2, |row| {
-            assert!(row.slots[0].value.is_none(), "a different job class has its own row");
-        });
-        cache.with_memo_row(&key, 3, |row| {
-            assert_eq!(row.slots.len(), 3);
-            assert!(
-                row.slots.iter().all(|s| s.value.is_none()),
-                "a shard-count change resets the row"
-            );
-            assert!(row.snap.is_none(), "a shard-count change drops the snapshot");
-        });
+        let guard = ReplayGuard::of(&j);
+        let decision =
+            Some(Decision { gpus: on_machine(MachineId(1), &[GpuId(0), GpuId(1)]), utility: 0.75 });
+        let cache = EvalCache::with_capacity(16);
+        assert_eq!(cache.replay(&key, 7, 3, guard), None, "no snapshot yet");
+        let idle = DecisionReplayStats::default();
+        assert_eq!(cache.replay_stats(), idle, "a cold miss counts nothing");
+        let snap = DecisionSnap { epoch: 7, version: 3, guard, decision: decision.clone() };
+        cache.store_snapshot(&key, snap);
+        assert_eq!(cache.replay(&key, 7, 3, guard), Some(decision), "same state, same guard");
+        assert_eq!(cache.replay(&key, 7, 4, guard), None, "the state moved");
+        assert_eq!(cache.replay_stats().hits, 1);
+        assert_eq!(cache.replay_stats().full_fallbacks, 0, "a moved version is a plain miss");
+        assert_eq!(cache.replay(&key, 8, 3, guard), None, "another state instance");
+        let other_guard = ReplayGuard::of(&job(1, 2).with_min_utility(0.9));
+        assert_eq!(cache.replay(&key, 7, 3, other_guard), None, "another guard");
+        assert_eq!(cache.replay_stats().full_fallbacks, 2);
+        let other = JobClassKey::of(&job(2, 3), weights).expect("keyable");
+        assert_eq!(cache.replay(&other, 7, 3, guard), None, "each job class has its own snapshot");
+        // A newer decision of the class replaces the snapshot.
+        cache.store_snapshot(&key, DecisionSnap { epoch: 7, version: 5, guard, decision: None });
+        assert_eq!(cache.replay(&key, 7, 5, guard), Some(None), "a stored wait replays too");
+        assert_eq!(cache.replay(&key, 7, 3, guard), None);
         // Uncacheable jobs (explicit comm graph) have no class key, so the
-        // caller can never reach the memo for them.
-        let mut exotic = job(2, 2);
+        // policy can never reach a snapshot for them.
+        let mut exotic = job(3, 2);
         exotic.comm_graph = Some(JobGraph::uniform(2, 1.0));
         assert!(JobClassKey::of(&exotic, weights).is_none());
+    }
+
+    #[test]
+    fn snapshot_map_is_capped() {
+        let cache = EvalCache::with_capacity(16);
+        let guard = ReplayGuard::default();
+        let key = |bw: usize| {
+            let mut j = job(0, 1);
+            j.bw_demand_gbs = bw as f64;
+            JobClassKey::of(&j, UtilityWeights::default()).expect("keyable")
+        };
+        for bw in 0..=SNAP_CAP {
+            let snap = DecisionSnap { epoch: 1, version: 1, guard, decision: None };
+            cache.store_snapshot(&key(bw), snap);
+        }
+        assert_eq!(cache.snaps.borrow().len(), 1, "the insert past the cap clears the map first");
+        assert_eq!(cache.replay(&key(SNAP_CAP), 1, 1, guard), Some(None));
+        assert_eq!(cache.replay(&key(0), 1, 1, guard), None, "cleared snapshots are gone");
     }
 }

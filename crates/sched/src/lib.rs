@@ -11,13 +11,11 @@
 //!   Eq. 4 interference prediction and Eq. 5 fragmentation;
 //! * [`eval`] — the memoized candidate-evaluation engine behind
 //!   `TOPO-AWARE(-P)`: one evaluation per live machine class on the
-//!   caller's thread, the cross-event cache, and [`EvalParams`], whose
+//!   caller's thread, the cross-event cache with its per-job-class
+//!   decision snapshots, and [`EvalParams`], whose
 //!   [`EvalParams::sequential`] selects the reference oracle;
 //! * [`policy`] — the four evaluated policies: `TOPO-AWARE`,
 //!   `TOPO-AWARE-P` (postponing), `FCFS` and Best-Fit (`BF`);
-//! * [`shard`] — machine-partition sharding for datacenter scale: the
-//!   rack-aligned partition plus per-shard admission aggregates behind the
-//!   two-level decision path;
 //! * [`scheduler`] — the Algorithm 1 loop: arrival-ordered queue, host
 //!   filtering, placement or postponement, SLO accounting;
 //! * [`overhead`] — decision-latency metering for the §5.5.3 analysis;
@@ -26,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bound;
 pub mod classes;
 pub mod enforcement;
 pub mod eval;
@@ -34,19 +31,16 @@ pub mod oracle;
 pub mod overhead;
 pub mod policy;
 pub mod scheduler;
-pub mod shard;
 pub mod spill;
 pub mod state;
 pub mod trace;
 
-pub use bound::ShardBoundCtx;
 pub use enforcement::{launch_plan, LaunchPlan};
 pub use eval::{DecisionReplayStats, EvalCache, EvalCacheStats, EvalParams};
 pub use oracle::StateOracle;
 pub use overhead::DecisionStats;
 pub use policy::{Policy, PolicyKind};
 pub use scheduler::{CancelOutcome, PlacementOutcome, Scheduler, SchedulerConfig};
-pub use shard::{ShardIndex, ShardSpec};
 pub use spill::{decide_spill, ClusterOracle};
 pub use state::{Allocation, ClusterState};
 pub use trace::{CandidateEval, EvalOutcome, TraceEvent};

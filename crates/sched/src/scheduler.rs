@@ -94,10 +94,9 @@ pub enum CancelOutcome {
 pub struct Scheduler {
     policy: Policy,
     eval: EvalParams,
-    /// The cross-event placement cache, alive for the whole run and shared
-    /// by every shard of the cluster state ([`EvalCache::per_shard`]). It
-    /// also holds the shard memo and the decision snapshots. The
-    /// sequential reference never reads it.
+    /// The cross-event placement cache, alive for the whole run and sized
+    /// by the cluster's racks ([`EvalCache::per_rack`]). It also holds the
+    /// decision snapshots. The sequential reference never reads it.
     eval_cache: EvalCache,
     state: ClusterState,
     queue: WaitQueue,
@@ -116,7 +115,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// A scheduler over a fresh cluster state.
     pub fn new(state: ClusterState, config: SchedulerConfig) -> Self {
-        let eval_cache = EvalCache::per_shard(state.shards().n_shards());
+        let eval_cache = EvalCache::per_rack(state.cluster().n_racks());
         Self {
             policy: config.policy,
             eval: config.eval,
@@ -278,8 +277,8 @@ impl Scheduler {
     /// `place` is the only state change inside an iteration, so between
     /// two placements a job gets the same answer as any earlier unplaced
     /// job with its replay key (job class, `min_utility`, `single_node`):
-    /// a TOPO-AWARE-P job on the replaying path reuses that answer — no
-    /// placement, or a postponement at the same utility — instead of
+    /// an untraced TOPO-AWARE-P job with a replay key reuses that answer —
+    /// no placement, or a postponement at the same utility — instead of
     /// deciding (DESIGN.md §14). Debug builds decide anyway and assert the
     /// two agree.
     pub fn run_iteration(&mut self) -> Vec<PlacementOutcome> {
@@ -289,7 +288,7 @@ impl Scheduler {
         while self.state.has_free_resources() && !self.queue.is_empty() {
             let job = self.queue.pop().expect("queue checked non-empty");
             let key = if self.policy.kind.postpones() {
-                self.policy.replay_key(&self.state, &job, self.eval, self.tracing)
+                self.policy.replay_key(&job, self.eval, self.tracing)
             } else {
                 None
             };
@@ -422,11 +421,11 @@ impl Scheduler {
     }
 
     /// Debug shadow behind every reused answer: decide the job afresh,
-    /// with no cache (so no memo and no replay), and assert the decision
-    /// equals the reused one GPU for GPU and bit for bit.
+    /// with no cache (so no snapshot and no cache hit), and assert the
+    /// decision equals the reused one GPU for GPU and bit for bit.
     #[cfg(debug_assertions)]
     fn debug_assert_reuse_matches(&self, job: &JobSpec, reused: Option<&Decision>) {
-        let fresh = self.policy.decide_with(&self.state, job, self.eval);
+        let fresh = self.policy.fresh_class_decision(&self.state, job);
         let bits = |d: Option<&Decision>| d.map(|d| (d.gpus.clone(), d.utility.to_bits()));
         assert_eq!(
             bits(reused),
@@ -669,9 +668,9 @@ mod tests {
         assert_eq!(placed_ids(&outcomes), vec![JobId(2)], "J2 should now run");
     }
 
-    /// TOPO-AWARE-P on two one-machine racks (two shards, so the replaying
-    /// path runs) with machine 0 full and machine 1 holding one 1-GPU job
-    /// per socket: a 2-GPU job there faces a forced spread.
+    /// TOPO-AWARE-P on two one-machine racks with machine 0 full and
+    /// machine 1 holding one 1-GPU job per socket: a 2-GPU job there faces
+    /// a forced spread.
     fn split_racks() -> Scheduler {
         let machine = power8_minsky();
         let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));

@@ -8,12 +8,12 @@
 //! the prototype mutate it through `place`/`release`.
 
 use crate::classes::ClassTable;
-use crate::shard::{ShardIndex, ShardSpec};
 use gts_job::{BatchClass, JobId, JobProfile, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_topo::{ClusterTopology, GlobalGpuId, GpuId, MachineId, SocketId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A job's GPU allocation (possibly spanning machines).
@@ -177,6 +177,25 @@ impl Hash for MachineClassKey {
     }
 }
 
+/// A process-unique id of one [`ClusterState`] instance (DESIGN.md §15.7),
+/// never 0. Cloning draws a fresh id: a clone diverges from its source from
+/// then on, so the two must never share an `(epoch, version)` pair.
+#[derive(Debug)]
+struct Epoch(u64);
+
+impl Epoch {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Epoch {
+    fn clone(&self) -> Self {
+        Self::fresh()
+    }
+}
+
 /// Free/busy GPU bookkeeping across the cluster plus the running-job table.
 ///
 /// The boolean bitmap `free` is the ground truth; `free_mask`,
@@ -213,27 +232,26 @@ pub struct ClusterState {
     /// machines a `place`/`release`/failure touches (the PR 4
     /// dirty-machine discipline applied to keys).
     class_keys: Vec<MachineClassKey>,
-    /// Per-machine monotone rebuild counter for the class key: bumped every
-    /// time `rebuild_machine_key` replaces `class_keys[m]`. An unchanged
-    /// stamp therefore proves the machine's key — and every pure-function
-    /// consequence of it — is the very value another snapshot saw, without
-    /// touching the key's `Arc` (the shard-memo repair path compares stamps
-    /// instead of cloning keys).
-    key_stamps: Vec<u64>,
     /// Per-machine interned co-runner signature — the same `Arc` the class
     /// key holds, served to every [`crate::StateOracle`].
     corunners: Vec<Arc<Vec<Corunner>>>,
     /// Per-socket bandwidth capacity, GB/s.
     bw_capacity_gbs: f64,
     running: HashMap<JobId, Allocation>,
-    /// The machine-partition shard index (DESIGN.md §10): immutable
-    /// partition, plus per-shard admission aggregates maintained O(1) per
-    /// GPU on every `place`/`release`/failure.
-    shards: ShardIndex,
+    /// Free GPUs across the cluster (down machines count none), kept by
+    /// every `place`/`release`/failure.
+    total_free: usize,
     /// The live machine classes (DESIGN.md §15): `class_keys` interned,
     /// with ordered member sets, bucketed by free count; updated with
     /// every key rebuild.
     classes: ClassTable,
+    /// This instance's id; with `version`, what a decision snapshot is
+    /// stamped with (DESIGN.md §15.7).
+    epoch: Epoch,
+    /// Bumped by every key rebuild, which every eval-relevant mutation
+    /// ends with: an unchanged `(epoch, version)` pair proves that nothing
+    /// a decision reads has changed.
+    version: u64,
 }
 
 impl ClusterState {
@@ -267,11 +285,7 @@ impl ClusterState {
             .map(|m| vec![0.0; cluster.machine(m).n_sockets()])
             .collect();
         let down = vec![false; cluster.n_machines()];
-        // Fresh state: every GPU free, so each machine contributes its full
-        // width to the shard aggregates.
-        let shards = ShardIndex::build(&cluster, ShardSpec::Auto, |m| {
-            cluster.machine(m).n_gpus()
-        });
+        let total_free = cluster.n_gpus();
         let n_machines = cluster.n_machines();
         let max_free = cluster.machines().map(|m| cluster.machine(m).n_gpus()).max().unwrap_or(0);
         let mut state = Self {
@@ -286,11 +300,12 @@ impl ClusterState {
             bw_capacity_gbs: DEFAULT_SOCKET_BW_GBS,
             down,
             class_keys: Vec::with_capacity(n_machines),
-            key_stamps: vec![0; n_machines],
             corunners: Vec::with_capacity(n_machines),
             running: HashMap::new(),
-            shards,
+            total_free,
             classes: ClassTable::default(),
+            epoch: Epoch::fresh(),
+            version: 0,
         };
         // A fresh machine's key depends on its topology class alone (all
         // GPUs free, no bandwidth committed, no co-runners), so one
@@ -357,11 +372,10 @@ impl ClusterState {
         self.classes.update(machine, &key, self.free_count(machine));
         self.corunners[machine.index()] = corunners;
         self.class_keys[machine.index()] = key;
-        self.key_stamps[machine.index()] += 1;
         // Every eval-relevant mutation funnels through this rebuild, so
         // bumping here is what makes an unchanged (epoch, version) pair
-        // prove the shard memo entry still matches the live state.
-        self.shards.bump_version(machine);
+        // prove that a decision snapshot still matches the live state.
+        self.version += 1;
     }
 
     /// The machine's precomputed equivalence-class key (DESIGN.md §7, §9).
@@ -374,13 +388,16 @@ impl ClusterState {
         &self.classes
     }
 
-    /// The machine's class-key rebuild stamp: equal stamps prove equal keys
-    /// (the key is only ever replaced through `rebuild_machine_key`, which
-    /// bumps this). The converse does not hold — a place/release pair can
-    /// restore the old key under a new stamp — so stamp inequality means
-    /// "re-check", never "wrong".
-    pub fn key_stamp(&self, machine: MachineId) -> u64 {
-        self.key_stamps[machine.index()]
+    /// This instance's process-unique id: fresh on `new`, on `clone` and
+    /// on [`ClusterState::with_bw_capacity`] (DESIGN.md §15.7).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.0
+    }
+
+    /// The mutation counter: bumped by every class-key rebuild, and so by
+    /// every `place`, `release` and `set_machine_down`.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// The machine's interned co-runner signature, canonical
@@ -405,10 +422,10 @@ impl ClusterState {
         }
         let old_free = self.free_count(machine);
         self.down[machine.index()] = down;
-        // The key's free-mask component (and the shard aggregate's view of
-        // the machine's capacity) reads 0 while down; rebuild so both track
-        // the transition in both directions.
-        self.shards.update(machine, old_free, self.free_count(machine));
+        // The key's free-mask component (and the free counter's view of the
+        // machine's capacity) reads 0 while down; rebuild so both track the
+        // transition in both directions.
+        self.total_free = self.total_free - old_free + self.free_count(machine);
         self.rebuild_machine_key(machine);
     }
 
@@ -417,10 +434,14 @@ impl ClusterState {
         self.down[machine.index()]
     }
 
-    /// Overrides the per-socket memory-bandwidth capacity (GB/s).
+    /// Overrides the per-socket memory-bandwidth capacity (GB/s). The
+    /// capacity steers decisions without rebuilding any key, so the state
+    /// takes a fresh epoch: no decision snapshot taken under the old
+    /// capacity can replay.
     pub fn with_bw_capacity(mut self, gbs: f64) -> Self {
         assert!(gbs > 0.0 && gbs.is_finite(), "capacity must be positive");
         self.bw_capacity_gbs = gbs;
+        self.epoch = Epoch::fresh();
         self
     }
 
@@ -519,9 +540,9 @@ impl ClusterState {
         self.free_mask_bits(machine).count_ones() as usize
     }
 
-    /// Total free GPUs across the cluster — O(1) from the shard aggregates.
+    /// Total free GPUs across the cluster — an O(1) counter.
     pub fn total_free(&self) -> usize {
-        self.shards.cluster_free()
+        self.total_free
     }
 
     /// True when at least one GPU is free anywhere ("availableResources(P)"
@@ -541,41 +562,12 @@ impl ClusterState {
     }
 
     /// Machines with at least `n` free GPUs, ascending id — the Algorithm 1
-    /// `filterHostsByConstraints` capacity filter. Shards whose aggregates
-    /// prove no member is wide enough are skipped wholesale; because shards
-    /// are contiguous ascending id ranges, the output is identical to the
-    /// flat per-machine scan.
+    /// `filterHostsByConstraints` capacity filter, a plain scan. Only the
+    /// baselines, the anti-collocated search and the sequential reference
+    /// read it; the production `TOPO-AWARE(-P)` decision reads the live
+    /// class table instead (DESIGN.md §15).
     pub fn machines_with_capacity(&self, n: usize) -> Vec<MachineId> {
-        let mut out = Vec::new();
-        for s in 0..self.shards.n_shards() {
-            if !self.shards.has_capacity(s, n) {
-                continue;
-            }
-            out.extend(
-                self.shards
-                    .machines(s)
-                    .iter()
-                    .copied()
-                    .filter(|&m| self.free_count(m) >= n),
-            );
-        }
-        out
-    }
-
-    /// The shard index: partition, admission aggregates and counters
-    /// (DESIGN.md §10).
-    pub fn shards(&self) -> &ShardIndex {
-        &self.shards
-    }
-
-    /// Repartitions the cluster under `spec`, rebuilding the aggregates
-    /// from the current free counts. [`ClusterState::new`] partitions by
-    /// rack ([`ShardSpec::Auto`]); `ShardSpec::Count(1)` selects the
-    /// single-shard (flat) decision path.
-    pub fn with_shards(mut self, spec: ShardSpec) -> Self {
-        let shards = ShardIndex::build(&self.cluster, spec, |m| self.free_count(m));
-        self.shards = shards;
-        self
+        self.cluster.machines().filter(|&m| self.free_count(m) >= n).collect()
     }
 
     /// Ids of the jobs holding at least one GPU on `machine`, in placement
@@ -632,12 +624,11 @@ impl ClusterState {
                 "{} is down; the scheduler must not place there",
                 g.machine
             );
-            let old_free = self.free_count(g.machine);
             let slot = &mut self.free[g.machine.index()][g.gpu.index()];
             assert!(*slot, "{g} is already allocated");
             *slot = false;
             self.free_mask[g.machine.index()] &= !(1u128 << g.gpu.index());
-            self.shards.update(g.machine, old_free, old_free - 1);
+            self.total_free -= 1;
             let socket = self.cluster.machine(g.machine).socket_of(g.gpu).index();
             self.socket_free[g.machine.index()][socket] -= 1;
         }
@@ -677,10 +668,9 @@ impl ClusterState {
             .remove(&id)
             .unwrap_or_else(|| panic!("{id} is not running"));
         for &g in &alloc.gpus {
-            let old_free = self.free_count(g.machine);
             self.free[g.machine.index()][g.gpu.index()] = true;
             self.free_mask[g.machine.index()] |= 1u128 << g.gpu.index();
-            self.shards.update(g.machine, old_free, old_free + 1);
+            self.total_free += 1;
             let socket = self.cluster.machine(g.machine).socket_of(g.gpu).index();
             self.socket_free[g.machine.index()][socket] += 1;
         }
@@ -897,17 +887,16 @@ impl ClusterState {
                 ));
             }
         }
-        // 8: the shard index. Re-derive the admission aggregates (per-shard
-        // free-GPU histograms and totals) from the ground truth and check
-        // the partition's structural invariants; drift means a
-        // place/release/failure path skipped a `ShardIndex::update`.
-        self.shards.verify(&self.cluster, |m| self.free_count(m))?;
-        // 9: the utility-bound inputs. Re-derive the idle-machine
-        // histograms, machine widths and static class sets/geometry backing
-        // the branch-and-bound shard pruning; drift here would silently
-        // turn the "exact" prune into a lossy one.
-        self.shards.verify_bound_state(&self.cluster, |m| self.free_count(m))?;
-        // 10: the live class table. Re-derive the classes from the
+        // 8: the free counter. Re-derive it from the free bitmap and the
+        // down flags; drift means a place/release/failure path skipped it.
+        let want_free: usize = self.cluster.machines().map(|m| self.free_count(m)).sum();
+        if self.total_free != want_free {
+            return Err(format!(
+                "free counter {} disagrees with the machines' free GPUs ({want_free})",
+                self.total_free
+            ));
+        }
+        // 9: the live class table. Re-derive the classes from the
         // per-machine keys (checked against the ground truth by 7); drift
         // means a key rebuild skipped the table update.
         self.classes.verify(&self.class_keys, |m| self.free_count(m))?;
@@ -1156,6 +1145,49 @@ mod tests {
         assert_eq!(s.classes().n_live(), 2);
         assert_eq!(s.classes().class_of(MachineId(0)), s.classes().class_of(MachineId(2)));
         assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4), (MachineId(1), 4)]);
+        s.audit().unwrap();
+    }
+
+    /// Every mutation moves the version, and only a new instance — `new`,
+    /// `clone`, `with_bw_capacity` — draws a new epoch (DESIGN.md §15.7).
+    #[test]
+    fn mutations_move_the_version_and_instances_the_epoch() {
+        let mut s = state(2);
+        let (epoch, mut version) = (s.epoch(), s.version());
+        let mut moved = |s: &ClusterState, what: &str| {
+            assert!(s.version() > version, "{what} left the version at {version}");
+            assert_eq!(s.epoch(), epoch, "{what} changed the epoch");
+            version = s.version();
+        };
+        s.place(spec(0, 2), vec![g(0, 0), g(0, 1)], 1.0);
+        moved(&s, "place");
+        s.release(JobId(0));
+        moved(&s, "release");
+        s.set_machine_down(MachineId(1), true);
+        moved(&s, "failure");
+        s.set_machine_down(MachineId(1), false);
+        moved(&s, "recovery");
+
+        let clone = s.clone();
+        assert_eq!(clone.version(), s.version(), "a clone starts at its source's version");
+        assert_ne!(clone.epoch(), s.epoch(), "a clone is another instance");
+        assert_ne!(state(2).epoch(), s.epoch(), "two fresh states never share an epoch");
+        let recapped = s.with_bw_capacity(50.0);
+        assert_ne!(recapped.epoch(), epoch, "a new capacity is a new instance");
+    }
+
+    #[test]
+    fn free_counter_tracks_place_release_and_failure() {
+        let mut s = state(2);
+        assert_eq!(s.total_free(), 8);
+        s.place(spec(0, 3), vec![g(0, 0), g(0, 1), g(0, 2)], 1.0);
+        assert_eq!(s.total_free(), 5);
+        s.set_machine_down(MachineId(1), true);
+        assert_eq!(s.total_free(), 1, "a down machine counts no free GPU");
+        s.release(JobId(0));
+        assert_eq!(s.total_free(), 4);
+        s.set_machine_down(MachineId(1), false);
+        assert_eq!(s.total_free(), 8);
         s.audit().unwrap();
     }
 

@@ -155,22 +155,21 @@ pub enum TraceEvent {
         /// Entries displaced by LRU capacity pressure.
         evictions: u64,
     },
-    /// End-of-run counters of the cross-event decision-replay path
-    /// (DESIGN.md §12). Appended once by the simulator when tracing with
-    /// nonzero replay activity; absent otherwise, so traces without replay
-    /// stay comparable event-for-event after stripping this variant.
+    /// End-of-run counters of the cross-event decision replay (DESIGN.md
+    /// §15.7) and the drain's answer reuse (§14). Appended once by the
+    /// simulator when tracing with nonzero replay activity; absent
+    /// otherwise, so traces without replay stay comparable event-for-event
+    /// after stripping this variant.
     DecisionReplayStats {
         /// Event time, seconds (the run's final clock).
         t_s: f64,
-        /// Retries answered from a decision snapshot.
+        /// Decisions answered from a decision snapshot.
         hits: u64,
         /// Jobs given an earlier same-key answer within an iteration
         /// instead of a decision ([`crate::DecisionReplayStats::reused`]).
         #[serde(default)]
         reused: u64,
-        /// Shards re-evaluated by partial replays.
-        shards_reeval: u64,
-        /// Snapshots present but unusable (guard mismatch).
+        /// Snapshots present but unusable (state or guard mismatch).
         full_fallbacks: u64,
     },
 }
@@ -238,7 +237,6 @@ mod tests {
                 t_s: 11.0,
                 hits: 3,
                 reused: 5,
-                shards_reeval: 4,
                 full_fallbacks: 1,
             },
         ];
@@ -267,7 +265,6 @@ mod tests {
             t_s: 99.0,
             hits: 10,
             reused: 30,
-            shards_reeval: 20,
             full_fallbacks: 2,
         };
         let json = serde_json::to_string(&footer).expect("serializes");

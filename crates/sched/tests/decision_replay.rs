@@ -1,19 +1,21 @@
-//! Snapshot-invalidation edges of the cross-event decision-replay path
-//! (DESIGN.md §12).
+//! Snapshot-invalidation edges of the cross-event decision replay
+//! (DESIGN.md §15.7).
 //!
-//! Most tests drive the *public* `Scheduler` surface through an event
-//! script twice — the production path vs the sequential reference — and
-//! assert the iteration outcomes (placements, GPUs, utility bits) and
+//! The scripted tests drive the *public* `Scheduler` surface through an
+//! event script twice — the production path vs the sequential reference —
+//! and assert the iteration outcomes (placements, GPUs, utility bits) and
 //! final cluster occupancy are identical, while the production run
-//! actually exercised its snapshots. One drives `Policy` decisions directly, to pin a bound prune
-//! inside a partial replay. The scripts target the edges where a stale snapshot would
-//! be most tempting to trust: a machine failing and recovering while the
-//! queue is blocked, a cancel landing on a job whose class is
-//! snapshotted, and a multi-node teardown bumping several shard versions
-//! between consecutive retries.
+//! actually exercised its snapshots. The scripts target the edges where a
+//! stale snapshot would be most tempting to trust: a machine failing and
+//! recovering while the queue is blocked, a cancel landing on a job whose
+//! class is snapshotted, and a multi-node teardown between consecutive
+//! retries. The last two tests drive `Policy` decisions directly: every
+//! mutation kind must invalidate the snapshot, and a cloned state that
+//! diverges must never replay its source's snapshot.
 
 use gts_job::{BatchClass, Constraints, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
+use gts_sched::policy::Decision;
 use gts_sched::{
     CancelOutcome, ClusterState, DecisionReplayStats, EvalCache, EvalParams, PlacementOutcome,
     Policy, PolicyKind, Scheduler, SchedulerConfig,
@@ -41,7 +43,7 @@ enum Ev {
     Drain,
 }
 
-/// A rack-partitioned cluster (auto shard spec follows the racks).
+/// A racked Minsky cluster, rack-major machine ids.
 fn racked_state(n_racks: usize, per_rack: usize) -> ClusterState {
     let machine = power8_minsky();
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
@@ -53,7 +55,7 @@ fn job(id: u64, gpus: u32) -> JobSpec {
     JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, gpus).with_min_utility(0.3)
 }
 
-/// A job allowed to spill across machines (and shards).
+/// A job allowed to spill across machines (and racks).
 fn wide_job(id: u64, gpus: u32) -> JobSpec {
     let mut spec = JobSpec::new(id, NnModel::GoogLeNet, BatchClass::Big, gpus)
         .with_min_utility(0.3);
@@ -139,27 +141,24 @@ fn assert_replay_invariant(state: ClusterState, script: &[Ev]) -> DecisionReplay
 }
 
 /// A machine fails while the queue head is blocked on capacity and later
-/// recovers: the failure bumps its shard's version (and epoch bookkeeping),
-/// so the head's retry must re-examine that shard instead of trusting the
-/// pre-failure snapshot — and the recovery retry must see the machine
-/// again.
+/// recovers: the failure moves the state's version, so the head's retry
+/// must decide again instead of trusting the pre-failure snapshot — and
+/// the recovery retry must see the machine again.
 #[test]
 fn failure_and_recovery_mid_queue_invalidate_the_snapshot() {
     let state = racked_state(2, 2);
-    let mut script = Vec::new();
-    // Fill all four machines, then queue two more machine-filling jobs.
-    for id in 0..4u64 {
-        script.push(Ev::Submit(job(id, 4)));
-    }
-    script.push(Ev::Drain);
+    let mut script = fill_but_two_gpus();
     script.push(Ev::Submit(job(10, 4)));
     script.push(Ev::Submit(job(11, 4)));
-    // Head blocks: the decision snapshots a cluster with no capacity.
+    // Head blocks: the decision snapshots a cluster with no 4-GPU slot,
+    // and a retry with nothing moved replays it.
+    script.push(Ev::Drain);
     script.push(Ev::Drain);
     // Tenant on machine 0 is cancelled, but the machine fails before the
     // retry — the freed GPUs must NOT admit the head.
     script.push(Ev::Cancel(JobId(0), CancelKind::Stopped));
     script.push(Ev::Fail(MachineId(0)));
+    script.push(Ev::Drain);
     script.push(Ev::Drain);
     // Recovery makes the 4 GPUs real; the head must place on machine 0.
     script.push(Ev::Recover(MachineId(0)));
@@ -168,56 +167,63 @@ fn failure_and_recovery_mid_queue_invalidate_the_snapshot() {
     script.push(Ev::Complete(JobId(3)));
     script.push(Ev::Drain);
     let stats = assert_replay_invariant(state, &script);
-    assert!(stats.hits > 0, "blocked-head retries never replayed: {stats:?}");
+    assert_eq!(stats.hits, 2, "exactly the two retries with nothing moved replay: {stats:?}");
+}
+
+/// Fills machines 0–2 of a 2 × 2 racked cluster with one 4-GPU job each
+/// (jobs 0–2) and puts a 2-GPU job on machine 3 (job 3): GPUs stay free,
+/// so the queue keeps deciding, but no machine can take a 4-GPU job.
+fn fill_but_two_gpus() -> Vec<Ev> {
+    let mut script: Vec<Ev> = (0..3u64).map(|id| Ev::Submit(job(id, 4))).collect();
+    script.push(Ev::Submit(job(3, 2)));
+    script.push(Ev::Drain);
+    script
 }
 
 /// Cancelling jobs around a snapshot: a cancel of a *running* job frees
 /// capacity the snapshot predates (the retry must see it), and a cancel of
-/// the *snapshotted queued job itself* must simply drop it — the orphaned
-/// snapshot may linger but can never resurrect the job or leak into a
-/// different job's decision (the snapshot key is the job class, and the
-/// next same-class arrival revalidates versions before reuse).
+/// the *snapshotted queued job itself* must simply drop it. A dequeue
+/// changes no state, so the next job of the class may replay the
+/// snapshot: its key is the job class and guard, not the job, and the
+/// answer is a wait, which cannot resurrect the dropped job.
 #[test]
 fn cancel_of_running_and_snapshotted_jobs_stays_exact() {
     let state = racked_state(2, 2);
-    let mut script = Vec::new();
-    for id in 0..4u64 {
-        script.push(Ev::Submit(job(id, 4)));
-    }
-    script.push(Ev::Drain);
+    let mut script = fill_but_two_gpus();
     // Two queued same-class jobs: the head's Waiting decision is
-    // snapshotted.
+    // snapshotted, and a retry with nothing moved replays it.
     script.push(Ev::Submit(job(20, 4)));
     script.push(Ev::Submit(job(21, 4)));
     script.push(Ev::Drain);
-    // Cancel the snapshotted head while it waits: it must vanish.
+    script.push(Ev::Drain);
+    // Cancel the snapshotted head while it waits: it must vanish, and
+    // the job behind it replays the same wait.
     script.push(Ev::Cancel(JobId(20), CancelKind::Dequeued));
-    // Cancel a running job: capacity reappears on machine 1's shard and
-    // the surviving queued job (same class as the dropped one) must place
+    script.push(Ev::Drain);
+    // Cancel a running job: capacity reappears on machine 1 and the
+    // surviving queued job (same class as the dropped one) must place
     // there despite the stale no-capacity snapshot.
     script.push(Ev::Cancel(JobId(1), CancelKind::Stopped));
     script.push(Ev::Drain);
-    // One more same-class arrival reuses the (now re-validated) snapshot
-    // row without confusing it with the cancelled job.
+    // One more same-class arrival decides on the moved state.
     script.push(Ev::Submit(job(22, 4)));
     script.push(Ev::Drain);
     script.push(Ev::Complete(JobId(2)));
     script.push(Ev::Drain);
     let stats = assert_replay_invariant(state, &script);
-    assert!(stats.hits > 0, "cancel scenario never replayed: {stats:?}");
+    assert_eq!(stats.hits, 2, "exactly the two retries with nothing moved replay: {stats:?}");
 }
 
-/// A multi-node teardown releases GPUs on several machines at once,
-/// bumping multiple shard versions between two retries of the same queued
-/// class: the partial replay must re-evaluate every mutated shard, not
-/// just one.
+/// A multi-node teardown releases GPUs on several machines, in several
+/// racks, in one event between two retries of the same queued class: the
+/// retry must see every machine it freed.
 #[test]
-fn multi_node_teardown_bumps_several_shards_between_retries() {
+fn multi_node_teardown_between_retries_stays_exact() {
     let state = racked_state(3, 2);
     let mut script = Vec::new();
     // Occupy 2 of 4 GPUs on every machine, so no machine can host a
     // 4-GPU job but a spilling 8-GPU job spans several machines (and
-    // with 2-machine racks, several shards).
+    // with 2-machine racks, several racks).
     for id in 0..6u64 {
         script.push(Ev::Submit(job(id, 2)));
     }
@@ -229,59 +235,101 @@ fn multi_node_teardown_bumps_several_shards_between_retries() {
     script.push(Ev::Submit(job(31, 4)));
     script.push(Ev::Submit(job(32, 4)));
     script.push(Ev::Drain);
-    // A small completion in one shard: first retry partially replays.
+    script.push(Ev::Drain);
+    // A small completion on one machine: the first retry decides again.
     script.push(Ev::Complete(JobId(0)));
     script.push(Ev::Drain);
     // The multi-node teardown: GPUs return on machines across several
-    // shards in one event, and the next retry must fold in all of them.
+    // racks in one event, and the next retry must see all of them.
     script.push(Ev::Complete(JobId(30)));
     script.push(Ev::Drain);
     script.push(Ev::Complete(JobId(1)));
     script.push(Ev::Drain);
     let stats = assert_replay_invariant(state, &script);
     assert!(stats.hits > 0, "teardown scenario never replayed: {stats:?}");
-    assert!(
-        stats.shards_reeval > 0,
-        "mutated shards must be re-evaluated, not trusted: {stats:?}"
-    );
 }
 
-/// A shard that mutates and is then bound-pruned *during* a partial replay
-/// must be snapshotted as pruned, not as never admitted: once the shards
-/// that set the floor lose their idle machines, the next replay has to
-/// re-test it. Scenario: three one-machine racks and a job whose
-/// `min_utility` only an idle machine meets. A light co-runner on machine
-/// 2 drops its shard's bound below the gate while idle machines 0 and 1
-/// hold the floor at 1.0, so the first replay prunes shard 2; heavy
-/// co-runners then land on machines 0 and 1, which leaves machine 2 the
-/// best host.
-#[test]
-fn a_shard_pruned_inside_a_partial_replay_is_retested_later() {
-    let mut state = racked_state(3, 1);
+/// The GPUs and utility bits of a decision.
+fn bits(d: &Option<Decision>) -> Option<(Vec<GlobalGpuId>, u64)> {
+    d.as_ref().map(|d| (d.gpus.clone(), d.utility.to_bits()))
+}
+
+/// Decides `job` through `cache` twice on the unchanged `state` (the
+/// second must replay), applies `mutate`, and decides once more: that
+/// decision must not replay and must equal a fresh decision without a
+/// cache.
+#[track_caller]
+fn assert_mutation_invalidates(
+    label: &str,
+    state: &mut ClusterState,
+    job: &JobSpec,
+    mutate: impl FnOnce(&mut ClusterState),
+) {
     let policy = Policy::new(PolicyKind::TopoAware);
     let params = EvalParams::parallel(2);
     let cache = EvalCache::with_capacity(64);
-    let probe = JobSpec::new(100, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.9999);
+    policy.decide_with_cache(state, job, params, Some(&cache));
+    policy.decide_with_cache(state, job, params, Some(&cache));
+    assert_eq!(cache.replay_stats().hits, 1, "{label}: an unchanged state must replay");
+    mutate(state);
+    let got = policy.decide_with_cache(state, job, params, Some(&cache));
+    assert_eq!(cache.replay_stats().hits, 1, "{label}: the snapshot survived the mutation");
+    let want = policy.decide_with(state, job, params);
+    assert_eq!(bits(&got), bits(&want), "{label}: the decision after the mutation diverged");
+}
+
+/// Place, release, failure, recovery and a multi-node placement and
+/// teardown each move the state's version, so each invalidates the
+/// snapshot of a decision taken before it.
+#[test]
+fn every_mutation_kind_invalidates_the_snapshot() {
     let gpu = |m: u32, g: u32| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) };
+    let probe = job(100, 2);
+    let mut state = racked_state(2, 2);
+    assert_mutation_invalidates("place", &mut state, &probe, |s| {
+        s.place(job(1, 2), vec![gpu(0, 0), gpu(0, 1)], 1.0);
+    });
+    assert_mutation_invalidates("release", &mut state, &probe, |s| {
+        s.release(JobId(1));
+    });
+    assert_mutation_invalidates("failure", &mut state, &probe, |s| {
+        s.set_machine_down(MachineId(2), true);
+    });
+    assert_mutation_invalidates("recovery", &mut state, &probe, |s| {
+        s.set_machine_down(MachineId(2), false);
+    });
+    assert_mutation_invalidates("multi-node place", &mut state, &probe, |s| {
+        let wide = wide_job(2, 4);
+        s.place(wide, vec![gpu(1, 0), gpu(1, 1), gpu(2, 0), gpu(2, 1)], 1.0);
+    });
+    assert_mutation_invalidates("multi-node teardown", &mut state, &probe, |s| {
+        s.release(JobId(2));
+    });
+}
 
-    // Cold decision: every shard is evaluated and snapshotted.
-    policy.decide_with_cache(&state, &probe, params, Some(&cache));
-    state.place(JobSpec::new(1, NnModel::GoogLeNet, BatchClass::Big, 1), vec![gpu(2, 0)], 1.0);
-    // Partial replay: shard 2 mutated, and its bound fails the gate.
-    policy.decide_with_cache(&state, &probe, params, Some(&cache));
-    let first = cache.replay_stats();
-    assert_eq!((first.hits, first.shards_reeval), (1, 0), "shard 2 must be pruned on replay");
-    for (id, m) in [(2, 0), (3, 1)] {
-        let noisy = JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, 2);
-        state.place(noisy, vec![gpu(m, 0), gpu(m, 1)], 1.0);
-    }
-
-    let replayed = policy.decide_with_cache(&state, &probe, params, Some(&cache));
-    let fresh = policy.decide_with_cache(&state, &probe, params, None);
-    let bits = |d: &Option<gts_sched::policy::Decision>| {
-        d.as_ref().map(|d| (d.gpus.clone(), d.utility.to_bits()))
-    };
-    assert_eq!(bits(&replayed), bits(&fresh), "the replay skipped the pruned shard");
-    assert_eq!(fresh.expect("machines are free").gpus[0].machine, MachineId(2));
-    assert_eq!(cache.replay_stats().hits, 2, "both retries must replay");
+/// A clone of a state is another state instance: it draws a fresh epoch,
+/// so after the two diverge by the same number of mutations — equal
+/// versions, different contents — the clone must not replay the source's
+/// snapshot (a counted fallback), and must decide what a fresh decision
+/// on the clone decides.
+#[test]
+fn a_diverging_clone_never_replays_its_source_snapshot() {
+    let gpu = |m: u32, g: u32| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) };
+    let policy = Policy::new(PolicyKind::TopoAware);
+    let params = EvalParams::parallel(2);
+    let cache = EvalCache::with_capacity(64);
+    let probe = job(100, 4);
+    let mut source = racked_state(2, 1);
+    let mut clone = source.clone();
+    // Equal versions, different states: the source fills machine 0, the
+    // clone machine 1.
+    source.place(job(1, 4), vec![gpu(0, 0), gpu(0, 1), gpu(0, 2), gpu(0, 3)], 1.0);
+    clone.place(job(1, 4), vec![gpu(1, 0), gpu(1, 1), gpu(1, 2), gpu(1, 3)], 1.0);
+    let on_source = policy.decide_with_cache(&source, &probe, params, Some(&cache));
+    assert_eq!(on_source.expect("machine 1 is free").gpus[0].machine, MachineId(1));
+    let on_clone = policy.decide_with_cache(&clone, &probe, params, Some(&cache));
+    assert_eq!(bits(&on_clone), bits(&policy.decide_with(&clone, &probe, params)));
+    assert_eq!(on_clone.expect("machine 0 is free").gpus[0].machine, MachineId(0));
+    let stats = cache.replay_stats();
+    assert_eq!((stats.hits, stats.full_fallbacks), (0, 1), "the clone replayed: {stats:?}");
 }

@@ -103,7 +103,10 @@ fn lru_eviction_then_recompute_is_bit_identical() {
 }
 
 /// A roomy cache must answer repeat sweeps from memory (hits) and still
-/// agree with the uncached reference.
+/// agree with the uncached reference. The repeat sweep runs on a clone: a
+/// clone is another state instance, so it cannot replay the first sweep's
+/// decision snapshots and must read the class cache, whose keys are pure
+/// machine state and so shared by the clone.
 #[test]
 fn warm_cache_serves_hits_without_drift() {
     let state = occupied_state();
@@ -116,6 +119,7 @@ fn warm_cache_serves_hits_without_drift() {
         policy.decide_with_cache(&state, j, params, Some(&cache));
     }
     let cold = cache.stats();
+    let state = state.clone();
     for j in &jobs {
         let cached = policy.decide_with_cache(&state, j, params, Some(&cache));
         let reference = policy.decide_with(&state, j, params);
@@ -127,6 +131,7 @@ fn warm_cache_serves_hits_without_drift() {
         );
     }
     let warm = cache.stats();
+    assert_eq!(cache.replay_stats().hits, 0, "the clone replayed a snapshot");
     assert_eq!(warm.misses, cold.misses, "warm sweep must not miss");
     assert!(warm.hits > cold.hits, "warm sweep must hit");
     assert_eq!(warm.evictions, 0, "capacity 4096 must not evict here");

@@ -44,7 +44,7 @@ use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
     Allocation, CancelOutcome, ClusterState, DecisionReplayStats, EvalParams, PlacementOutcome,
-    Policy, Scheduler, SchedulerConfig, ShardSpec, TraceEvent,
+    Policy, Scheduler, SchedulerConfig, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
@@ -113,10 +113,6 @@ pub struct SimConfig {
     /// completion heap; the default) instead of the O(J²)-per-event
     /// reference loop. Both produce bit-identical [`SimResult`]s.
     pub incremental: bool,
-    /// Overrides the cluster-state shard count (`None` = rack-aligned auto
-    /// partition). `Some(1)` forces the single-shard (flat) decision path;
-    /// any count produces bit-identical [`SimResult`]s.
-    pub shards: Option<usize>,
     /// Meter per-phase wall time (decision / refresh / heap / drain) into
     /// [`SimLoopStats`]. Off by default: the heap/refresh/drain phases
     /// need two `Instant` reads per event, which timed benches should not
@@ -139,7 +135,6 @@ impl SimConfig {
             trace: false,
             eval: EvalParams::from_env(),
             incremental: true,
-            shards: None,
             phase_timing: false,
         }
     }
@@ -227,12 +222,6 @@ impl SimConfig {
             .expect("recovery schedule must use finite times")
     }
 
-    /// Overrides the shard count (`1` = single-shard, flat decision path).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Enables the per-phase wall-time breakdown in [`SimLoopStats`].
     pub fn with_phase_timing(mut self, on: bool) -> Self {
         self.phase_timing = on;
@@ -280,38 +269,35 @@ pub struct SimLoopStats {
     pub eval_cache_misses: u64,
     /// Placement-cache entries displaced by LRU capacity pressure.
     pub eval_cache_evictions: u64,
-    /// Shards examined by the two-level admission pass (one count per
-    /// shard per topo-aware decision). 0 on the single-shard path.
+    /// Always 0: the sharded path that counted admission passes is retired
+    /// (DESIGN.md §10). Kept so that callers reading it keep compiling.
     pub shard_admission_checked: u64,
-    /// Shards the admission pass skipped outright — no machine in the
-    /// shard had enough free GPUs, so placement never scanned it.
+    /// Always 0, like [`SimLoopStats::shard_admission_checked`].
     pub shard_admission_skipped: u64,
-    /// Memo-miss shards whose admissible utility bound was consulted by
-    /// the branch-and-bound prune pass. 0 on the single-shard path.
+    /// Always 0: the shard bound is retired (DESIGN.md §11). Kept so that
+    /// callers reading it keep compiling.
     pub shard_bound_checked: u64,
-    /// Memo-miss shards skipped outright because their bound proved no
-    /// candidate could enter the selection window.
+    /// Always 0, like [`SimLoopStats::shard_bound_checked`].
     pub shard_bound_pruned: u64,
-    /// Queue-drain retries answered from a cross-event decision snapshot
-    /// (DESIGN.md §12). 0 on the single-shard path and on the sequential
-    /// reference.
+    /// Decisions answered in O(1) from a decision snapshot: the state had
+    /// not changed since the last decision for the job's class (DESIGN.md
+    /// §15.7). 0 on traced runs and on the sequential reference.
     pub replay_hits: u64,
     /// Jobs given an earlier same-key job's answer within a scheduler
     /// iteration instead of a decision (DESIGN.md §14); neither
-    /// `replay_hits` nor the decision meters count them. 0 on the
-    /// single-shard path and on the sequential reference.
+    /// `replay_hits` nor the decision meters count them. 0 on traced runs
+    /// and on the sequential reference.
     pub replay_reused: u64,
-    /// Shards re-evaluated by partial replays — everything else those
-    /// retries needed was reused from the snapshot.
+    /// Always 0: partial replay is retired (DESIGN.md §12). Kept so that
+    /// callers reading it keep compiling.
     pub replay_shards_reeval: u64,
-    /// Snapshots present but unusable (epoch/guard mismatch), falling
-    /// back to the full decision path.
+    /// Snapshots present but unusable (another state instance or another
+    /// guard), falling back to the class decision.
     pub replay_full_fallbacks: u64,
-    /// Class-level TOPO-AWARE(-P) decisions whose selection could not
+    /// TOPO-AWARE(-P) decisions whose class-level selection could not
     /// prove that scanning each surviving machine class once matches the
     /// reference member scan, and ran the ordered member scan instead
-    /// (DESIGN.md §15.3). 0 on the sharded path and on the sequential
-    /// reference.
+    /// (DESIGN.md §15.3). 0 on the sequential reference.
     pub class_order_fallbacks: u64,
     /// Placement decisions made (`decide` calls; reused answers are not
     /// decisions).
@@ -407,10 +393,7 @@ impl Simulation {
         profiles: Arc<ProfileLibrary>,
         config: SimConfig,
     ) -> Self {
-        let mut state = ClusterState::new(Arc::clone(&cluster), profiles);
-        if let Some(n) = config.shards {
-            state = state.with_shards(ShardSpec::Count(n));
-        }
+        let state = ClusterState::new(Arc::clone(&cluster), profiles);
         let mut scheduler =
             Scheduler::new(state, SchedulerConfig { policy: config.policy, eval: config.eval });
         scheduler.set_tracing(config.trace);
@@ -573,27 +556,19 @@ impl Simulation {
         let replay = self.scheduler.decision_replay_stats();
         self.stats.replay_hits = replay.hits;
         self.stats.replay_reused = replay.reused;
-        self.stats.replay_shards_reeval = replay.shards_reeval;
         self.stats.replay_full_fallbacks = replay.full_fallbacks;
-        // Footer only when there was replay activity: traced runs never
-        // take the sharded path (tracing needs per-candidate records), so
-        // their counters are zero and their traces stay comparable
+        // Footer only when there was replay activity: traced decisions
+        // neither replay nor reuse (tracing needs per-candidate records),
+        // so their counters are zero and their traces stay comparable
         // event-for-event without stripping.
         if self.config.trace && replay != DecisionReplayStats::default() {
             trace.push(TraceEvent::DecisionReplayStats {
                 t_s: self.now,
                 hits: replay.hits,
                 reused: replay.reused,
-                shards_reeval: replay.shards_reeval,
                 full_fallbacks: replay.full_fallbacks,
             });
         }
-        let (checked, skipped) = self.scheduler.state().shards().admission_stats();
-        self.stats.shard_admission_checked = checked;
-        self.stats.shard_admission_skipped = skipped;
-        let (bound_checked, bound_pruned) = self.scheduler.state().shards().bound_stats();
-        self.stats.shard_bound_checked = bound_checked;
-        self.stats.shard_bound_pruned = bound_pruned;
         self.stats.class_order_fallbacks = self.scheduler.state().classes().fallbacks();
         self.stats.decisions = self.scheduler.decision_stats().count() as u64;
         self.stats.phase_decision_ns =
@@ -1535,84 +1510,52 @@ mod tests {
             .with_machine_failures(vec![(f64::NAN, MachineId(0))]);
     }
 
-    /// A sharded run must surface admission counters through
-    /// `SimLoopStats`, and a forced single-shard run must not count.
+    /// A racked run decides over the live machine classes: the eval cache
+    /// is read, the retired shard counters stay 0, and the racks are
+    /// invisible in the results, which equal a run of the same machines on
+    /// one flat fabric.
     #[test]
-    fn shard_admission_counters_surface_in_stats() {
-        let run = |shards: usize| {
+    fn racked_runs_decide_over_classes() {
+        let run = |racked: bool| {
             let machine = power8_minsky();
             let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
-            let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 4, 2));
+            let cluster = if racked {
+                ClusterTopology::homogeneous_racked(machine, 4, 2)
+            } else {
+                ClusterTopology::homogeneous(machine, 8)
+            };
             let trace: Vec<JobSpec> = (0..12)
                 .map(|i| job(i, [1u32, 2, 4][(i % 3) as usize], BatchClass::Tiny, i as f64, 60))
                 .collect();
             Simulation::new(
-                cluster,
+                Arc::new(cluster),
                 profiles,
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2))
-                    .with_shards(shards),
+                    .with_eval(EvalParams::parallel(2)),
             )
             .run_with_stats(trace)
         };
-        let (sharded_res, sharded) = run(4);
-        let (single_res, single) = run(1);
-        assert!(sharded.shard_admission_checked > 0, "sharded path never ran");
-        assert_eq!(single.shard_admission_checked, 0);
-        assert_eq!(single.shard_admission_skipped, 0);
-        // And the shard count is invisible in the results themselves.
-        assert_eq!(sharded_res.records, single_res.records);
-        assert_eq!(sharded_res.events, single_res.events);
-        assert_eq!(sharded_res.makespan_s.to_bits(), single_res.makespan_s.to_bits());
-    }
-
-    /// The utility-bound pruner must surface its counters through
-    /// `SimLoopStats`, actually prune in a scenario built to trip the
-    /// min-utility gate arm, and leave results bit-identical to the
-    /// oracle. Scenario: 2 machines / 2 shards; job 0 occupies machine 0,
-    /// so job 1 (min_utility just under 1) sees shard 1 as a memo hit at
-    /// utility 1.0 (the floor) while shard 0's occupied-machine bound falls
-    /// below the gate — an exact prune.
-    #[test]
-    fn shard_bound_counters_surface_in_stats() {
-        let run = |reference: bool| {
-            let machine = power8_minsky();
-            let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
-            let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
-            let trace = vec![
-                JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 1)
-                    .arriving_at(0.0)
-                    .with_iterations(2000)
-                    .with_min_utility(0.3),
-                JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 1)
-                    .arriving_at(1.0)
-                    .with_iterations(2000)
-                    .with_min_utility(0.9999),
-            ];
-            let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                .with_eval(EvalParams::parallel(2))
-                .with_shards(2);
-            let config = if reference { oracle(config) } else { config };
-            Simulation::new(cluster, profiles, config).run_with_stats(trace)
-        };
-        let (base_res, base) = run(true);
-        assert_eq!(base.shard_bound_checked, 0);
-        assert_eq!(base.shard_bound_pruned, 0);
-        let (res, stats) = run(false);
-        assert!(stats.shard_bound_checked > 0, "no shard was bound-checked");
-        assert!(stats.shard_bound_pruned > 0, "gate-arm scenario never pruned");
-        assert_eq!(res.records, base_res.records);
-        assert_eq!(res.events, base_res.events);
-        assert_eq!(res.makespan_s.to_bits(), base_res.makespan_s.to_bits());
+        let (racked_res, racked) = run(true);
+        let (flat_res, _) = run(false);
+        assert!(racked.eval_cache_hits + racked.eval_cache_misses > 0, "the class path never ran");
+        let retired = (
+            racked.shard_admission_checked,
+            racked.shard_bound_checked,
+            racked.replay_shards_reeval,
+        );
+        assert_eq!(retired, (0, 0, 0), "retired counters must read 0");
+        assert_eq!(racked_res.records, flat_res.records);
+        assert_eq!(racked_res.events, flat_res.events);
+        assert_eq!(racked_res.makespan_s.to_bits(), flat_res.makespan_s.to_bits());
     }
 
     /// Cross-event decision replay must surface its counters through
     /// `SimLoopStats`, actually fire under a queue that retries across
-    /// completions, and leave results bit-identical to the oracle.
-    /// Scenario: 2 machines / 2 shards, machine-filling jobs, so every
-    /// completion re-decides the queue head after mutating exactly one
-    /// shard — the partial-replay shape — while arrival-only event batches
-    /// retry with nothing moved — the O(1) full-hit shape.
+    /// events, and leave results bit-identical to the oracle. Scenario:
+    /// two one-machine racks; the first job takes half of machine 0 and
+    /// the rest fill a machine each, so the blocked head retries on an
+    /// unchanged state at every arrival — the O(1) hit — and on a changed
+    /// one at every completion.
     #[test]
     fn decision_replay_counters_surface_in_stats() {
         let run = |reference: bool| {
@@ -1621,21 +1564,19 @@ mod tests {
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
             let trace: Vec<JobSpec> = (0..6)
                 .map(|i| {
-                    JobSpec::new(i, NnModel::AlexNet, BatchClass::Tiny, 4)
+                    JobSpec::new(i, NnModel::AlexNet, BatchClass::Tiny, if i == 0 { 2 } else { 4 })
                         .arriving_at(i as f64 * 0.5)
                         .with_iterations(500)
                         .with_min_utility(0.3)
                 })
                 .collect();
             let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                .with_eval(EvalParams::parallel(2))
-                .with_shards(2);
+                .with_eval(EvalParams::parallel(2));
             let config = if reference { oracle(config) } else { config.with_phase_timing(true) };
             Simulation::new(cluster, profiles, config).run_with_stats(trace)
         };
         let (off_res, off) = run(true);
         assert_eq!(off.replay_hits, 0, "the oracle must not snapshot");
-        assert_eq!(off.replay_shards_reeval, 0);
         assert_eq!(off.replay_full_fallbacks, 0);
         assert_eq!(off.phase_drain_ns, 0, "phase timing off leaves drain unmetered");
         let (on_res, on) = run(false);
