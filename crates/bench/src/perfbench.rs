@@ -256,10 +256,10 @@ pub fn run(smoke: bool) -> BenchReport {
     let policy = Policy::new(PolicyKind::TopoAware);
     let engine = EvalParams::from_env();
     c.bench_function("arrival/topo64_sequential", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &job, EvalParams::sequential())))
+        b.iter(|| black_box(policy.decide_with(&state, &job, EvalParams::sequential(), None, None)))
     });
     c.bench_function("arrival/topo64_engine", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &job, engine)))
+        b.iter(|| black_box(policy.decide_with(&state, &job, engine, None, None)))
     });
 
     // 2b. The cross-event cache at scale: a 4-GPU arrival on 256
@@ -278,17 +278,17 @@ pub fn run(smoke: bool) -> BenchReport {
     let wide_job =
         JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
     let warm_cache = EvalCache::with_capacity(4096);
-    policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache));
+    policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None);
     let twins = [state.clone(), state.clone()];
     let mut turn = 0;
     c.bench_function("arrival/topo256_cold", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine)))
+        b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine, None, None)))
     });
     c.bench_function("arrival/topo256_warm", |b| {
         b.iter(|| {
             turn ^= 1;
             let state = &twins[turn];
-            black_box(policy.decide_with_cache(state, &wide_job, engine, Some(&warm_cache)))
+            black_box(policy.decide_with(state, &wide_job, engine, Some(&warm_cache), None))
         })
     });
 
@@ -658,8 +658,8 @@ mod tests {
         let job =
             JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
         let policy = Policy::new(PolicyKind::TopoAware);
-        let seq = policy.decide_with(&state, &job, EvalParams::sequential());
-        let eng = policy.decide_with(&state, &job, EvalParams::parallel(4));
+        let seq = policy.decide_with(&state, &job, EvalParams::sequential(), None, None);
+        let eng = policy.decide_with(&state, &job, EvalParams::parallel(4), None, None);
         assert_eq!(seq, eng);
     }
 }

@@ -13,8 +13,8 @@
 //!   batch class (§5.1, data-parallel all-to-all);
 //! * [`profile::JobProfile`] — the §4.2 profile: solo times for best/worst
 //!   placements plus interference sensitivity/pressure coefficients;
-//! * [`queue::WaitQueue`] — the arrival-ordered waiting queue with the
-//!   postponement mechanics of Algorithm 1;
+//! * [`queue::WaitQueue`] — the arrival-ordered waiting queue that
+//!   Algorithm 1 walks in place;
 //! * [`generator::WorkloadGenerator`] — Poisson arrivals with binomial batch
 //!   and model mixes (§5.3);
 //! * [`manifest`] — the JSON job-manifest format the paper's prototype

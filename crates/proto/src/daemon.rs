@@ -230,7 +230,7 @@ impl Prototype {
                             expected -= 1;
                             continue;
                         }
-                        if scheduler.queue().fully_drained() {
+                        if scheduler.queue().is_empty() {
                             // Spurious timeout: arrivals still in flight.
                             continue;
                         }

@@ -93,12 +93,13 @@ impl DecisionStats {
         self.count as usize
     }
 
-    /// Mean latency (zero when empty).
+    /// Mean latency, truncated to whole nanoseconds (zero when empty).
     pub fn mean(&self) -> Duration {
         if self.count == 0 {
             return Duration::ZERO;
         }
-        self.total() / self.count as u32
+        let ns = self.total_ns / u128::from(self.count);
+        Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
     /// Maximum latency (zero when empty).
@@ -112,9 +113,14 @@ impl DecisionStats {
         Duration::new((self.total_ns / NS_PER_S) as u64, (self.total_ns % NS_PER_S) as u32)
     }
 
-    /// Mean latency in seconds, for report tables.
+    /// Mean latency in seconds, for report tables: the exact ratio of the
+    /// total to the count, not truncated to whole nanoseconds, so that the
+    /// total divided by it gives the count back.
     pub fn mean_s(&self) -> f64 {
-        self.mean().as_secs_f64()
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.total_ns as f64 / self.count as f64 / 1e9
     }
 
     /// 99th-percentile latency (zero when empty): the histogram bucket of
@@ -188,6 +194,34 @@ mod tests {
         assert_eq!(s.total(), Duration::new(9, 370_370_368));
         assert_eq!(s.max(), odd);
         assert_eq!(s.mean(), Duration::new(9, 370_370_368) / 4);
+    }
+
+    #[test]
+    fn mean_s_keeps_the_fraction_of_a_nanosecond() {
+        let mut s = DecisionStats::new();
+        for ns in [1, 1, 2] {
+            s.record(Duration::from_nanos(ns));
+        }
+        assert_eq!(s.mean(), Duration::from_nanos(1));
+        assert!((s.mean_s() * 1e9 - 4.0 / 3.0).abs() < 1e-12, "got {} s", s.mean_s());
+        let n = s.total().as_nanos() as f64 / (s.mean_s() * 1e9);
+        assert_eq!(n.round(), 3.0, "the total over the mean is the count");
+    }
+
+    #[test]
+    fn mean_survives_more_than_u32_max_decisions() {
+        // A count of exactly 2^32 used to truncate to a zero divisor, and
+        // 2^32 + 3 to a divisor of 3.
+        for count in [1u64 << 32, (1u64 << 32) + 3] {
+            let s = DecisionStats {
+                count,
+                total_ns: u128::from(count) * 250,
+                ..DecisionStats::new()
+            };
+            assert_eq!(s.mean(), Duration::from_nanos(250), "count {count}");
+            assert_eq!(s.mean_s(), 250e-9, "count {count}");
+            assert_eq!(s.count(), count as usize);
+        }
     }
 
     #[test]

@@ -97,76 +97,10 @@ pub struct Decision {
 impl Policy {
     /// Proposes a placement for `job`, or `None` when no feasible set of
     /// GPUs exists right now. Never mutates state. Evaluation-engine
-    /// parameters come from the environment ([`EvalParams::from_env`]).
+    /// parameters come from the environment ([`EvalParams::from_env`]);
+    /// there is no cache and no trace.
     pub fn decide(&self, state: &ClusterState, job: &JobSpec) -> Option<Decision> {
-        self.decide_impl(state, job, None, EvalParams::from_env(), None)
-    }
-
-    /// [`Policy::decide`] with explicit evaluation-engine parameters —
-    /// `EvalParams::sequential()` selects the reference path the engine is
-    /// proven bit-identical to.
-    pub fn decide_with(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        params: EvalParams,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, None)
-    }
-
-    /// [`Policy::decide_with`] backed by a cross-event [`EvalCache`]: class
-    /// evaluations already cached from earlier arrivals are replayed
-    /// instead of re-running DRB, and a decision on a state that has not
-    /// changed since the last decision for the job's class returns that
-    /// decision (DESIGN.md §15.7). Pass the scheduler-owned cache here on
-    /// every arrival; the sequential reference path ignores it.
-    pub fn decide_with_cache(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        params: EvalParams,
-        cache: Option<&EvalCache>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, cache)
-    }
-
-    /// Like [`Policy::decide`], but records every candidate machine the
-    /// search touched — with its Eq. 2 utility breakdown — into `evals`.
-    /// The evaluations appear in search order; the winning candidate (if
-    /// any) is marked [`EvalOutcome::Chosen`].
-    pub fn decide_traced(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), EvalParams::from_env(), None)
-    }
-
-    /// [`Policy::decide_traced`] with explicit evaluation-engine parameters.
-    pub fn decide_traced_with(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-        params: EvalParams,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, None)
-    }
-
-    /// [`Policy::decide_traced_with`] backed by a cross-event [`EvalCache`].
-    /// Traced decisions decide over the live machine classes (DESIGN.md
-    /// §15) and expand the class outcomes into one record per candidate,
-    /// so they use the class cache but never a decision snapshot.
-    pub fn decide_traced_with_cache(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-        params: EvalParams,
-        cache: Option<&EvalCache>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, cache)
+        self.decide_with(state, job, EvalParams::from_env(), None, None)
     }
 
     fn record_eval(
@@ -229,13 +163,29 @@ impl Policy {
         Some(ReplayKey { class: JobClassKey::of(job, self.weights)?, guard: ReplayGuard::of(job) })
     }
 
-    fn decide_impl(
+    /// [`Policy::decide`] with explicit evaluation-engine parameters, an
+    /// optional cross-event cache and an optional trace.
+    ///
+    /// * `params`: [`EvalParams::sequential`] selects the reference path
+    ///   the engine is proven bit-identical to; that path ignores `cache`.
+    /// * `cache`: class evaluations already cached from earlier arrivals
+    ///   are replayed instead of re-running DRB, and an untraced decision
+    ///   on a state that has not changed since the last decision for the
+    ///   job's class returns that decision (DESIGN.md §15.7). The
+    ///   scheduler passes the cache it owns on every decision.
+    /// * `trace`: receives every candidate machine the search touched,
+    ///   with its Eq. 2 utility breakdown, in search order; the winning
+    ///   candidate (if any) is marked [`EvalOutcome::Chosen`]. Traced
+    ///   decisions decide over the live machine classes (DESIGN.md §15)
+    ///   and expand the class outcomes into one record per candidate, so
+    ///   they use the class cache but never a decision snapshot.
+    pub fn decide_with(
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        mut trace: Option<&mut Vec<CandidateEval>>,
         params: EvalParams,
         cache: Option<&EvalCache>,
+        mut trace: Option<&mut Vec<CandidateEval>>,
     ) -> Option<Decision> {
         if job.constraints.anti_collocate && job.n_gpus > 1 {
             let decision = self.decide_anti_collocated(state, job);
@@ -1115,10 +1065,10 @@ mod tests {
         s.place(mild(10), vec![g(3, 0), g(3, 1)], 1.0);
         s.place(mild(11), vec![g(1, 0), g(1, 1)], 1.0);
         let want = Policy::new(PolicyKind::TopoAware)
-            .decide_with(&s, &job(0, 2), EvalParams::sequential())
+            .decide_with(&s, &job(0, 2), EvalParams::sequential(), None, None)
             .unwrap();
         let got = Policy::new(PolicyKind::TopoAware)
-            .decide_with(&s, &job(0, 2), EvalParams::parallel(2))
+            .decide_with(&s, &job(0, 2), EvalParams::parallel(2), None, None)
             .unwrap();
         assert_eq!(got, want);
         assert_eq!(got.gpus[0].machine, MachineId(1), "lowest member of the winning class");

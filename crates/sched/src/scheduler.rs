@@ -16,8 +16,9 @@
 //! (`gts-proto`), which call [`Scheduler::run_iteration`] whenever a job
 //! arrives or finishes ("wakeup after an event").
 //!
-//! The drain is linear in the queue (DESIGN.md §14): `Q.add` is a binary
-//! search, `Q.add(postponed_list)` one merge, and inside an iteration a
+//! The drain walks the queue in place (DESIGN.md §14): a job it does not
+//! place keeps its slot, which is where `Q.add(postponed_list)` would put
+//! it back, so only placed jobs leave the queue. Inside an iteration a
 //! TOPO-AWARE-P job whose replay key matches an earlier unplaced job's
 //! reuses that answer instead of deciding again, until the next placement.
 
@@ -80,7 +81,7 @@ pub enum PlacementOutcome {
 /// What [`Scheduler::cancel`] found and did.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CancelOutcome {
-    /// The job was waiting (or postponed) and has been dropped.
+    /// The job was waiting (postponed or not) and has been dropped.
     Dequeued,
     /// The job was running; its GPUs are free again and the returned
     /// allocation tells the driver what to tear down.
@@ -257,7 +258,7 @@ impl Scheduler {
 
     /// Cancels a job wherever it currently is.
     ///
-    /// A queued (or postponed) job is removed from the queue; a running job
+    /// A queued job (postponed or not) is removed from the queue; a running job
     /// is released and its allocation returned so the driver can stop its
     /// execution. Unknown ids report [`CancelOutcome::NotFound`].
     pub fn cancel(&mut self, id: JobId) -> CancelOutcome {
@@ -274,6 +275,13 @@ impl Scheduler {
     /// One Algorithm 1 iteration: drains the queue as far as resources and
     /// the policy allow. Returns what happened, in processing order.
     ///
+    /// The drain walks the queue in place: a placed job leaves it, an
+    /// unplaced one keeps its slot, and an in-order policy stops at its
+    /// blocked head. So the queue ends the iteration as it began minus the
+    /// placed jobs, which is Algorithm 1's order once
+    /// `Q.add(postponed_list)` has re-sorted the postponed jobs in
+    /// (DESIGN.md §14.1).
+    ///
     /// `place` is the only state change inside an iteration, so between
     /// two placements a job gets the same answer as any earlier unplaced
     /// job with its replay key (job class, `min_utility`, `single_node`):
@@ -285,10 +293,13 @@ impl Scheduler {
         let mut outcomes = Vec::new();
         // Answers of the unplaced jobs since the last placement, by key.
         let mut unplaced: Vec<(ReplayKey, Option<Decision>)> = Vec::new();
-        while self.state.has_free_resources() && !self.queue.is_empty() {
-            let job = self.queue.pop().expect("queue checked non-empty");
+        // The walk's position: every job before it stays queued, unplaced.
+        let mut i = 0;
+        while self.state.has_free_resources() {
+            let Some(job) = self.queue.get(i) else { break };
+            let id = job.id;
             let key = if self.policy.kind.postpones() {
-                self.policy.replay_key(&job, self.eval, self.tracing)
+                self.policy.replay_key(job, self.eval, self.tracing)
             } else {
                 None
             };
@@ -296,63 +307,56 @@ impl Scheduler {
                 if let Some((_, answer)) = unplaced.iter().find(|(seen, _)| seen == k) {
                     self.reused += 1;
                     #[cfg(debug_assertions)]
-                    self.debug_assert_reuse_matches(&job, answer.as_ref());
+                    self.debug_assert_reuse_matches(job, answer.as_ref());
                     match answer {
-                        None => self.wait_for_capacity(job, &mut outcomes),
-                        Some(d) => self.postpone_low_utility(job, d.utility, &mut outcomes),
+                        None => self.wait_for_capacity(id, &mut outcomes),
+                        Some(d) => self.postpone_low_utility(id, d.utility, &mut outcomes),
                     }
+                    i += 1;
                     continue;
                 }
             }
 
             let started = Instant::now();
-            let cache = Some(&self.eval_cache);
-            let decision = if self.tracing {
-                let mut evals = Vec::new();
-                let d = self.policy.decide_traced_with_cache(
-                    &self.state,
-                    &job,
-                    &mut evals,
-                    self.eval,
-                    cache,
-                );
-                if !evals.is_empty() {
-                    self.trace.push(TraceEvent::Evaluated {
-                        t_s: self.now_s,
-                        job: job.id,
-                        candidates: evals,
-                    });
-                }
-                d
-            } else {
-                self.policy.decide_with_cache(&self.state, &job, self.eval, cache)
-            };
+            let mut evals = Vec::new();
+            let decision = self.policy.decide_with(
+                &self.state,
+                job,
+                self.eval,
+                Some(&self.eval_cache),
+                self.tracing.then_some(&mut evals),
+            );
             self.stats.record(started.elapsed());
+            if !evals.is_empty() {
+                self.trace.push(TraceEvent::Evaluated {
+                    t_s: self.now_s,
+                    job: id,
+                    candidates: evals,
+                });
+            }
 
+            let min_utility = job.min_utility;
             match decision {
                 None => {
-                    if self.policy.kind.postpones() {
-                        // Out-of-order execution: park it, keep draining.
-                        self.wait_for_capacity(job, &mut outcomes);
-                        if let Some(k) = key {
-                            unplaced.push((k, None));
-                        }
-                    } else {
+                    self.wait_for_capacity(id, &mut outcomes);
+                    if !self.policy.kind.postpones() {
                         // In-order policies block on the head job.
-                        let id = job.id;
-                        self.emit(TraceEvent::Waiting { t_s: self.now_s, job: id });
-                        self.queue.add(job);
-                        outcomes.push(PlacementOutcome::WaitingForCapacity { id });
                         break;
                     }
+                    // Out-of-order execution: leave it queued, keep draining.
+                    if let Some(k) = key {
+                        unplaced.push((k, None));
+                    }
+                    i += 1;
                 }
                 Some(d) => {
-                    let below = d.utility + 1e-9 < job.min_utility;
+                    let below = d.utility + 1e-9 < min_utility;
                     if below && self.policy.kind.postpones() {
-                        self.postpone_low_utility(job, d.utility, &mut outcomes);
+                        self.postpone_low_utility(id, d.utility, &mut outcomes);
                         if let Some(k) = key {
                             unplaced.push((k, Some(d)));
                         }
+                        i += 1;
                     } else {
                         if below {
                             self.slo_violations += 1;
@@ -365,18 +369,19 @@ impl Scheduler {
                             if machines.len() > 1 {
                                 self.trace.push(TraceEvent::Spilled {
                                     t_s: self.now_s,
-                                    job: job.id,
+                                    job: id,
                                     machines,
                                 });
                             }
                             self.trace.push(TraceEvent::Placed {
                                 t_s: self.now_s,
-                                job: job.id,
+                                job: id,
                                 gpus: d.gpus.clone(),
                                 utility: d.utility,
                                 slo_violated: below,
                             });
                         }
+                        let job = self.queue.take(i).expect("the walk reads a queued job");
                         outcomes.push(PlacementOutcome::Placed {
                             spec: job.clone(),
                             gpus: d.gpus.clone(),
@@ -389,7 +394,6 @@ impl Scheduler {
                 }
             }
         }
-        self.queue.requeue_postponed();
         #[cfg(debug_assertions)]
         if let Err(e) = self.audit() {
             panic!("Scheduler::audit failed after iteration: {e}");
@@ -397,27 +401,23 @@ impl Scheduler {
         outcomes
     }
 
-    /// Parks a job no GPUs could be found for (TOPO-AWARE-P keeps
-    /// draining past it).
-    fn wait_for_capacity(&mut self, job: JobSpec, outcomes: &mut Vec<PlacementOutcome>) {
-        let id = job.id;
+    /// Records that no GPUs could be found for job `id`; it stays queued.
+    fn wait_for_capacity(&mut self, id: JobId, outcomes: &mut Vec<PlacementOutcome>) {
         self.emit(TraceEvent::Waiting { t_s: self.now_s, job: id });
-        self.queue.postpone(job);
         outcomes.push(PlacementOutcome::WaitingForCapacity { id });
     }
 
-    /// Parks a job whose best placement scored `utility`, below its
-    /// `min_utility`.
+    /// Postpones job `id`, whose best placement scored `utility`, below its
+    /// `min_utility`; it stays queued.
     fn postpone_low_utility(
         &mut self,
-        job: JobSpec,
+        id: JobId,
         utility: f64,
         outcomes: &mut Vec<PlacementOutcome>,
     ) {
-        *self.postpone_counts.entry(job.id).or_insert(0) += 1;
-        self.emit(TraceEvent::Postponed { t_s: self.now_s, job: job.id, utility });
-        outcomes.push(PlacementOutcome::PostponedLowUtility { id: job.id, utility });
-        self.queue.postpone(job);
+        *self.postpone_counts.entry(id).or_insert(0) += 1;
+        self.emit(TraceEvent::Postponed { t_s: self.now_s, job: id, utility });
+        outcomes.push(PlacementOutcome::PostponedLowUtility { id, utility });
     }
 
     /// Debug shadow behind every reused answer: decide the job afresh,
@@ -436,9 +436,9 @@ impl Scheduler {
     }
 
     /// Cross-checks the scheduler's bookkeeping on top of
-    /// [`ClusterState::audit`]: a job must live in exactly one place —
-    /// waiting queue, postponement list, or the running set — and the two
-    /// queue lists must themselves be duplicate-free.
+    /// [`ClusterState::audit`]: a job must live in exactly one place — the
+    /// waiting queue or the running set — and the queue must be
+    /// duplicate-free.
     pub fn audit(&self) -> Result<(), String> {
         self.state.audit()?;
         let mut seen = std::collections::HashSet::new();
@@ -448,14 +448,6 @@ impl Scheduler {
             }
             if self.state.allocation(job.id).is_some() {
                 return Err(format!("{} is both queued and running", job.id));
-            }
-        }
-        for job in self.queue.postponed_iter() {
-            if !seen.insert(job.id) {
-                return Err(format!("{} in both queue and postponed list", job.id));
-            }
-            if self.state.allocation(job.id).is_some() {
-                return Err(format!("{} is both postponed and running", job.id));
             }
         }
         Ok(())
@@ -737,6 +729,73 @@ mod tests {
         );
         assert_eq!(s.decision_replay_stats().reused, 0);
         assert_eq!(s.decision_stats().count(), 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(100))]
+
+        /// Every policy on 1–3 Minsky machines, some GPUs held by pre-placed
+        /// 1-GPU jobs, with 2–12 queued jobs of mixed widths, batch classes
+        /// and `min_utility`, on arrival times with ties. The drain runs
+        /// until the queue empties or nothing runs, one job retiring
+        /// between drains. After every drain the queue must be the queue
+        /// before it minus exactly the placed jobs, in order, and every job
+        /// left waiting or postponed must still be queued.
+        #[test]
+        fn a_drain_keeps_unplaced_jobs_in_queue_order(
+            kind in proptest::sample::select(PolicyKind::ALL.to_vec()),
+            n_machines in 1usize..4,
+            busy in proptest::collection::vec(proptest::bool::ANY, 12),
+            queued in proptest::collection::vec((1u32..5, 0usize..3, 0usize..2, 0u32..4), 2..13),
+        ) {
+            let mut s = scheduler(kind, n_machines);
+            for slot in (0..4 * n_machines).filter(|&slot| busy[slot]) {
+                let (machine, gpu) = (MachineId(slot as u32 / 4), GpuId(slot as u32 % 4));
+                let gpus = vec![GlobalGpuId { machine, gpu }];
+                s.state.place(job(1000 + slot as u64, 1, 0.0), gpus, 1.0);
+            }
+            for (id, &(width, u, batch, arrival)) in queued.iter().enumerate() {
+                let batch = [BatchClass::Tiny, BatchClass::Big][batch];
+                s.submit(
+                    JobSpec::new(id as u64, NnModel::AlexNet, batch, width)
+                        .with_min_utility([0.0, 0.5, 0.9][u])
+                        .arriving_at(f64::from(arrival)),
+                );
+            }
+            for drain in 0.. {
+                let before: Vec<JobId> = s.queue().iter().map(|j| j.id).collect();
+                let outcomes = s.run_iteration();
+                let placed = placed_ids(&outcomes);
+                let after: Vec<JobId> = s.queue().iter().map(|j| j.id).collect();
+                let want: Vec<JobId> =
+                    before.iter().copied().filter(|id| !placed.contains(id)).collect();
+                proptest::prop_assert_eq!(&after, &want, "{} drain {}", kind, drain);
+                proptest::prop_assert_eq!(
+                    before.len() - after.len(),
+                    placed.len(),
+                    "{} drain {}: placed {:?}", kind, drain, placed
+                );
+                for o in &outcomes {
+                    if let PlacementOutcome::WaitingForCapacity { id }
+                    | PlacementOutcome::PostponedLowUtility { id, .. } = o
+                    {
+                        proptest::prop_assert!(
+                            s.queue().contains(*id),
+                            "{} drain {}: {} left the queue unplaced", kind, drain, id
+                        );
+                    }
+                }
+                if s.queue().is_empty() {
+                    break;
+                }
+                match s.state().running().map(|a| a.spec.id).min() {
+                    Some(id) => {
+                        s.complete(id);
+                    }
+                    None => break,
+                }
+            }
+        }
     }
 
     #[test]

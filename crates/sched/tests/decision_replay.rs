@@ -268,13 +268,13 @@ fn assert_mutation_invalidates(
     let policy = Policy::new(PolicyKind::TopoAware);
     let params = EvalParams::parallel(2);
     let cache = EvalCache::with_capacity(64);
-    policy.decide_with_cache(state, job, params, Some(&cache));
-    policy.decide_with_cache(state, job, params, Some(&cache));
+    policy.decide_with(state, job, params, Some(&cache), None);
+    policy.decide_with(state, job, params, Some(&cache), None);
     assert_eq!(cache.replay_stats().hits, 1, "{label}: an unchanged state must replay");
     mutate(state);
-    let got = policy.decide_with_cache(state, job, params, Some(&cache));
+    let got = policy.decide_with(state, job, params, Some(&cache), None);
     assert_eq!(cache.replay_stats().hits, 1, "{label}: the snapshot survived the mutation");
-    let want = policy.decide_with(state, job, params);
+    let want = policy.decide_with(state, job, params, None, None);
     assert_eq!(bits(&got), bits(&want), "{label}: the decision after the mutation diverged");
 }
 
@@ -325,10 +325,10 @@ fn a_diverging_clone_never_replays_its_source_snapshot() {
     // clone machine 1.
     source.place(job(1, 4), vec![gpu(0, 0), gpu(0, 1), gpu(0, 2), gpu(0, 3)], 1.0);
     clone.place(job(1, 4), vec![gpu(1, 0), gpu(1, 1), gpu(1, 2), gpu(1, 3)], 1.0);
-    let on_source = policy.decide_with_cache(&source, &probe, params, Some(&cache));
+    let on_source = policy.decide_with(&source, &probe, params, Some(&cache), None);
     assert_eq!(on_source.expect("machine 1 is free").gpus[0].machine, MachineId(1));
-    let on_clone = policy.decide_with_cache(&clone, &probe, params, Some(&cache));
-    assert_eq!(bits(&on_clone), bits(&policy.decide_with(&clone, &probe, params)));
+    let on_clone = policy.decide_with(&clone, &probe, params, Some(&cache), None);
+    assert_eq!(bits(&on_clone), bits(&policy.decide_with(&clone, &probe, params, None, None)));
     assert_eq!(on_clone.expect("machine 0 is free").gpus[0].machine, MachineId(0));
     let stats = cache.replay_stats();
     assert_eq!((stats.hits, stats.full_fallbacks), (0, 1), "the clone replayed: {stats:?}");

@@ -2,7 +2,7 @@
 //! incrementally maintained machine class index (DESIGN.md §9).
 //!
 //! The unit tests in `eval.rs` cover the cache data structure; these tests
-//! drive the *public* surface: `Policy::decide_with_cache` under LRU
+//! drive the *public* surface: `Policy::decide_with` with a cache under LRU
 //! pressure, and the `ClusterState` class index across every mutation kind
 //! — with `audit()` (whose check 7 re-derives every key from scratch)
 //! after each step.
@@ -67,7 +67,7 @@ fn lru_eviction_then_recompute_is_bit_identical() {
     // the one-entry cache.
     let first: Vec<_> = jobs
         .iter()
-        .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny)))
+        .map(|j| policy.decide_with(&state, j, params, Some(&tiny), None))
         .collect();
     let stats = tiny.stats();
     assert!(stats.misses > 0, "sweep must populate the cache");
@@ -79,12 +79,12 @@ fn lru_eviction_then_recompute_is_bit_identical() {
     // Second sweep: evicted classes recompute; answers must not drift.
     let second: Vec<_> = jobs
         .iter()
-        .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny)))
+        .map(|j| policy.decide_with(&state, j, params, Some(&tiny), None))
         .collect();
 
     // Reference: no cache at all.
     for (i, job) in jobs.iter().enumerate() {
-        let reference = policy.decide_with(&state, job, params);
+        let reference = policy.decide_with(&state, job, params, None, None);
         for (label, got) in [("first", &first[i]), ("second", &second[i])] {
             match (&reference, got) {
                 (None, None) => {}
@@ -116,13 +116,13 @@ fn warm_cache_serves_hits_without_drift() {
     let jobs = job_classes();
 
     for j in &jobs {
-        policy.decide_with_cache(&state, j, params, Some(&cache));
+        policy.decide_with(&state, j, params, Some(&cache), None);
     }
     let cold = cache.stats();
     let state = state.clone();
     for j in &jobs {
-        let cached = policy.decide_with_cache(&state, j, params, Some(&cache));
-        let reference = policy.decide_with(&state, j, params);
+        let cached = policy.decide_with(&state, j, params, Some(&cache), None);
+        let reference = policy.decide_with(&state, j, params, None, None);
         assert_eq!(
             cached.map(|d| (d.gpus, d.utility.to_bits())),
             reference.map(|d| (d.gpus, d.utility.to_bits())),

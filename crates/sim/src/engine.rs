@@ -529,7 +529,7 @@ impl Simulation {
 
             if self.pending.is_empty()
                 && self.running.is_empty()
-                && self.scheduler.queue().fully_drained()
+                && self.scheduler.queue().is_empty()
             {
                 break;
             }

@@ -501,9 +501,9 @@ fn eval_cache_is_bit_identical_to_uncached_runs() {
         let cache = EvalCache::with_capacity(4096);
         let ctx = format!("{kind:?} seed {seed} ({label})");
         let probe = |s: &Scheduler| {
-            for job in s.queue().iter().chain(s.queue().postponed_iter()) {
-                let cached = policy.decide_with_cache(s.state(), job, params, Some(&cache));
-                let uncached = policy.decide_with(s.state(), job, params);
+            for job in s.queue().iter() {
+                let cached = policy.decide_with(s.state(), job, params, Some(&cache), None);
+                let uncached = policy.decide_with(s.state(), job, params, None, None);
                 assert_eq!(
                     cached.map(|d| (d.gpus, d.utility.to_bits())),
                     uncached.map(|d| (d.gpus, d.utility.to_bits())),
@@ -545,10 +545,9 @@ fn eval_cache_is_bit_identical_to_uncached_runs() {
 
 /// Racks must be invisible: untraced production runs on 2–4 racks must be
 /// bit-identical to the same machines on one flat fabric (DESIGN.md
-/// §15.6), and the class path must run. The name is kept from the
-/// retired sharded path, where each rack was one shard.
+/// §15.6), and the class path must run.
 #[test]
-fn sharded_scheduler_is_bit_identical_to_single_shard() {
+fn racks_are_bit_identical_to_one_flat_fabric() {
     for_each_case(|kind, seed| {
         let scenario = Scenario::racked_minsky(seed, 2);
         let stats = assert_racks_invisible(kind, seed, &scenario);
@@ -558,10 +557,9 @@ fn sharded_scheduler_is_bit_identical_to_single_shard() {
 
 /// Racks must stay invisible under `min_utility` gates on 4–6 racks,
 /// where TOPO-AWARE-P postpones and the SLO gate narrows the selection
-/// window ([`Scenario::gated`]) — the decisions the retired shard bound
-/// used to prune, whence the name.
+/// window ([`Scenario::gated`]).
 #[test]
-fn pruned_shards_are_bit_identical_to_single_shard() {
+fn gated_racks_are_bit_identical_to_one_flat_fabric() {
     for_each_case(|kind, seed| {
         let scenario = Scenario::racked_minsky(seed, 4).gated();
         let stats = assert_racks_invisible(kind, seed, &scenario);
@@ -592,10 +590,9 @@ fn decision_replay_is_bit_identical_to_full_reeval() {
 /// so the eval-cache, replay, reuse and `class_order_fallbacks` counters
 /// are as deterministic as the results. Only the wall-clock meters
 /// (`phase_*_ns`, `decision_p99_ns`) may differ. Runs use 8–10 racks and
-/// script a machine failure and recovery. (The name is kept from the
-/// retired sharded path.)
+/// script a machine failure and recovery.
 #[test]
-fn sharded_run_counters_repeat_exactly() {
+fn racked_run_counters_repeat_exactly() {
     let counters = |s: SimLoopStats| SimLoopStats {
         phase_decision_ns: 0,
         decision_p99_ns: 0,
