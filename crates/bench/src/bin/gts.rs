@@ -375,12 +375,5 @@ fn print_event(event: &TraceEvent) {
                 f(rate, 3),
             );
         }
-        TraceEvent::DecisionReplayStats { t_s, hits, reused, full_fallbacks } => {
-            println!(
-                "[{:>9}s] decision replay: {hits} hit(s), {reused} reused answer(s), \
-                 {full_fallbacks} full fallback(s)",
-                f(*t_s, 1),
-            );
-        }
     }
 }

@@ -83,13 +83,11 @@ pub struct ScalePoint {
     /// points (sub-ms) and curve ratios stay meaningful.
     #[serde(default)]
     pub wall_ns: u64,
-    /// Decisions answered from a decision snapshot in one run (DESIGN.md
-    /// §15.7). The runs simulate one trace on one thread, so they agree.
+    /// Jobs answered from the scheduler's decision memo instead of a
+    /// decision in one run (DESIGN.md §14.2). The runs simulate one trace
+    /// on one thread, so they agree.
     #[serde(default)]
     pub replay_hits: u64,
-    /// Snapshots present but unusable (guard mismatch) in one run.
-    #[serde(default)]
-    pub replay_full_fallbacks: u64,
 }
 
 /// Runs per scale-curve point: enough for a median and a minimum.
@@ -269,27 +267,17 @@ pub fn run(smoke: bool) -> BenchReport {
     // iterations, DESIGN.md §13); warm consults a persistent cache already
     // holding every class this state produces (one priming decision), so
     // the decision reduces to class lookups and the selection over the
-    // classes. A steady-state arrival follows a state change, so no
-    // decision snapshot answers it (DESIGN.md §15.7): warm alternates two
-    // instances of the state, a clone having its own epoch, which keeps
-    // the snapshot out while the cache, keyed by machine state, stays
-    // warm for both.
+    // classes.
     let state = diverse_state(256);
     let wide_job =
         JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
     let warm_cache = EvalCache::with_capacity(4096);
     policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None);
-    let twins = [state.clone(), state.clone()];
-    let mut turn = 0;
     c.bench_function("arrival/topo256_cold", |b| {
         b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine, None, None)))
     });
     c.bench_function("arrival/topo256_warm", |b| {
-        b.iter(|| {
-            turn ^= 1;
-            let state = &twins[turn];
-            black_box(policy.decide_with(state, &wide_job, engine, Some(&warm_cache), None))
-        })
+        b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None)))
     });
 
     // 3. A whole small simulation (fig10-shaped) under both paths.
@@ -532,7 +520,6 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
                 wall_ms: wall_ns / 1_000_000,
                 wall_ns,
                 replay_hits: runs[0].stats.replay_hits,
-                replay_full_fallbacks: runs[0].stats.replay_full_fallbacks,
             }
         })
         .collect()
@@ -622,7 +609,6 @@ mod tests {
             wall_ms: 1,
             wall_ns: 1_000_000,
             replay_hits: 0,
-            replay_full_fallbacks: 0,
         }];
         let merged = BenchReport::from_json(&back.to_json()).expect("merged round-trips");
         assert_eq!(merged.scale_curve.len(), 1);

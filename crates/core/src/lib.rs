@@ -66,9 +66,9 @@ pub mod prelude {
     pub use gts_perf::{PlacementPerf, ProfileLibrary, RouteClass};
     pub use gts_proto::{ProtoConfig, ProtoResult, Prototype, TimeScale};
     pub use gts_sched::{
-        launch_plan, Allocation, CandidateEval, ClusterState, DecisionReplayStats, EvalCache,
-        EvalCacheStats, EvalOutcome, EvalParams, LaunchPlan, PlacementOutcome, Policy,
-        PolicyKind, Scheduler, SchedulerConfig, TraceEvent,
+        launch_plan, Allocation, CandidateEval, ClusterState, EvalCache, EvalCacheStats,
+        EvalOutcome, EvalParams, LaunchPlan, PlacementOutcome, Policy, PolicyKind, Scheduler,
+        SchedulerConfig, TraceEvent,
     };
     pub use gts_sim::{
         engine::simulate, JobRecord, SimConfig, SimConfigError, SimLoopStats, SimResult,

@@ -30,13 +30,12 @@
 //!    only cold. [`EvalCache`] therefore persists across arrivals for the
 //!    whole scheduler/simulation run (one LRU, owned by the
 //!    [`crate::Scheduler`]), so steady-state arrivals that revisit known
-//!    keys skip the DRB mapping entirely (DESIGN.md §9). The same cache
-//!    holds one decision snapshot per job class, which answers a retry on
-//!    an unchanged state in O(1) (DESIGN.md §15.7).
+//!    keys skip the DRB mapping entirely (DESIGN.md §9). A retry on an
+//!    unchanged state is mostly answered above the cache, by the
+//!    scheduler's decision memo (DESIGN.md §14.2).
 
 use crate::classes::ClassId;
 use crate::oracle::{placement_utility, StateOracle};
-use crate::policy::Decision;
 use crate::state::{ClusterState, MachineClassKey};
 use gts_job::{BatchClass, JobGraph, JobSpec, NnModel};
 use gts_map::{drb_map, PlacementOracle as _, UtilityWeights};
@@ -65,10 +64,10 @@ pub struct EvalParams {
     /// retired (DESIGN.md §11). The field stays so that callers reporting
     /// it keep compiling.
     pub shard_bound: bool,
-    /// Always `true`: the production path always answers a retry on an
-    /// unchanged state from the per-job-class decision snapshot (DESIGN.md
-    /// §15.7). The field stays so that callers reporting it keep
-    /// compiling.
+    /// Always `true`, and read by nothing: on the production path the
+    /// scheduler always answers a retry on an unchanged state from its
+    /// decision memo (DESIGN.md §14.2). The field stays so that callers
+    /// reporting it keep compiling.
     pub decision_replay: bool,
 }
 
@@ -190,36 +189,28 @@ impl JobClassKey {
     }
 }
 
-/// The job inputs that steer a decision's selection but stay out of
-/// [`JobClassKey`], because the per-candidate evaluation never reads them:
-/// `min_utility` (selection window and SLO gate) and `single_node` (the
-/// spill fallthrough). A [`DecisionSnap`] stores the guard of its decision
-/// and replays only for a job with an equal one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ReplayGuard {
+/// What the scheduler's decision memo (DESIGN.md §14.2) is keyed by: the
+/// job class, plus the two job inputs that steer a decision's selection
+/// but stay out of [`JobClassKey`] because the per-candidate evaluation
+/// never reads them: `min_utility` (selection window and SLO gate, by bit
+/// pattern) and `single_node` (the spill fallthrough). On one cluster
+/// state, jobs with equal keys get the same decision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ReplayKey {
+    class: JobClassKey,
     min_utility_bits: u64,
     single_node: bool,
 }
 
-impl ReplayGuard {
-    /// `job`'s guard, floats by bit pattern.
-    pub(crate) fn of(job: &JobSpec) -> Self {
+impl ReplayKey {
+    /// `job`'s key, given its job class.
+    pub(crate) fn new(class: JobClassKey, job: &JobSpec) -> Self {
         Self {
+            class,
             min_utility_bits: job.min_utility.to_bits(),
             single_node: job.constraints.single_node,
         }
     }
-}
-
-/// What the O(1) decision replay (DESIGN.md §15.7) is keyed by: the job
-/// class the snapshot is stored under, and the snapshot's guard. On one
-/// cluster state, jobs with equal keys get the same decision, which is
-/// what lets a scheduler iteration reuse an unplaced job's answer for
-/// every later job of its key (DESIGN.md §14).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ReplayKey {
-    pub class: JobClassKey,
-    pub guard: ReplayGuard,
 }
 
 /// A cross-event cache key: machine equivalence class × job class. Both
@@ -282,26 +273,6 @@ impl EvalCacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// Cross-event decision-replay counters (DESIGN.md §15.7), read at any
-/// point of a run via [`crate::Scheduler::decision_replay_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecisionReplayStats {
-    /// Decisions answered from a snapshot: the state had not changed since
-    /// the last decision for the job's class.
-    pub hits: u64,
-    /// Jobs answered without a decision: a scheduler iteration gave an
-    /// earlier unplaced job with the same replay key (job class,
-    /// `min_utility`, `single_node`) its answer and placed nothing since,
-    /// so this job gets that answer too (DESIGN.md §14). Without reuse
-    /// each would have been decided again, by an O(1) full replay hit
-    /// unless a same-class job with other guards decided in between. None
-    /// is counted in `hits` or in the scheduler's decision statistics.
-    pub reused: u64,
-    /// Snapshots present but unusable (another state instance, or another
-    /// guard) — the class decision ran instead.
-    pub full_fallbacks: u64,
 }
 
 const NIL: usize = usize::MAX;
@@ -389,8 +360,7 @@ impl Lru {
 
 /// The cross-event placement cache: a capacity-bounded LRU from
 /// `(machine class, job class)` to the evaluated candidate outcome, owned
-/// by a [`crate::Scheduler`] for the whole run, plus the last decision per
-/// job class (DESIGN.md §15.7).
+/// by a [`crate::Scheduler`] for the whole run.
 ///
 /// Both key halves are pure functions of state (DESIGN.md §9), so entries
 /// never go stale — a machine whose occupancy changes simply stops
@@ -399,42 +369,16 @@ impl Lru {
 /// builds re-run the evaluation on every hit and assert exactly that).
 ///
 /// The whole decision path runs on the caller's thread, so the cache is
-/// plain single-threaded state: `RefCell`s and `Cell` counters, no locks.
+/// plain single-threaded state: a `RefCell` and `Cell` counters, no locks.
 pub struct EvalCache {
     lru: RefCell<Lru>,
-    /// The last decision per job class, stamped with the state's
-    /// `(epoch, version)` (DESIGN.md §15.7).
-    snaps: RefCell<SnapMap>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     evictions: Cell<u64>,
-    /// Decisions answered from a snapshot in O(1).
-    replay_hits: Cell<u64>,
-    /// Snapshots present but unusable (epoch or guard mismatch), falling
-    /// back to the class decision.
-    replay_full_fallbacks: Cell<u64>,
 }
 
-/// The last decision for one job class (DESIGN.md §15.7): the state's
-/// `(epoch, version)` when it was taken, the deciding job's guard, and the
-/// decision. While the state's pair is unchanged nothing a decision reads
-/// has changed, so a job of the class with an equal guard gets the stored
-/// decision.
-#[derive(Debug)]
-pub(crate) struct DecisionSnap {
-    /// The state instance the decision ran on ([`ClusterState::epoch`]).
-    pub epoch: u64,
-    /// The state's mutation counter then ([`ClusterState::version`]).
-    pub version: u64,
-    /// The deciding job's guard.
-    pub guard: ReplayGuard,
-    /// The decision, or `None` when nothing (the spill fallthrough
-    /// included) placed.
-    pub decision: Option<Decision>,
-}
-
-/// FNV-1a for the scheduler-internal hash maps (the snapshots, the LRU map
-/// and the class table). Their keys are hashed on the per-decision hot path, where the
+/// FNV-1a for the scheduler-internal hash maps (the LRU map and the class
+/// table). Their keys are hashed on the per-decision hot path, where the
 /// default SipHash's DoS resistance buys nothing (keys are small,
 /// fixed-shape and entirely trusted) but costs a measurable slice of
 /// steady-state decision latency.
@@ -460,13 +404,6 @@ impl std::hash::Hasher for FnvHasher {
     }
 }
 
-/// The decision snapshots, one per job class.
-type SnapMap = HashMap<JobClassKey, DecisionSnap, std::hash::BuildHasherDefault<FnvHasher>>;
-
-/// Safety valve on distinct job classes with a snapshot. Real traces carry
-/// a few dozen job classes, so this is far above steady state.
-const SNAP_CAP: usize = 512;
-
 impl std::fmt::Debug for EvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalCache").field("stats", &self.stats()).finish()
@@ -478,12 +415,9 @@ impl EvalCache {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             lru: RefCell::new(Lru::new(capacity.max(1))),
-            snaps: RefCell::new(SnapMap::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
             evictions: Cell::new(0),
-            replay_hits: Cell::new(0),
-            replay_full_fallbacks: Cell::new(0),
         }
     }
 
@@ -493,61 +427,12 @@ impl EvalCache {
         Self::with_capacity(CAPACITY_PER_RACK.saturating_mul(n_racks.max(1)))
     }
 
-    /// The stored decision for `job` when its snapshot was taken on this
-    /// `(epoch, version)` under an equal `guard`, counting the hit. A
-    /// snapshot of another epoch or guard counts a fallback; either way,
-    /// and on a moved version, `None` means the decision must run.
-    pub(crate) fn replay(
-        &self,
-        job: &JobClassKey,
-        epoch: u64,
-        version: u64,
-        guard: ReplayGuard,
-    ) -> Option<Option<Decision>> {
-        let snaps = self.snaps.borrow();
-        let snap = snaps.get(job)?;
-        if snap.epoch != epoch || snap.guard != guard {
-            bump(&self.replay_full_fallbacks, 1);
-            return None;
-        }
-        if snap.version != version {
-            return None;
-        }
-        bump(&self.replay_hits, 1);
-        Some(snap.decision.clone())
-    }
-
-    /// Stores `snap` as the last decision for `job`, replacing the class's
-    /// previous one. Past [`SNAP_CAP`] classes the map is cleared first,
-    /// which costs later replays, never an answer.
-    pub(crate) fn store_snapshot(&self, job: &JobClassKey, snap: DecisionSnap) {
-        let mut snaps = self.snaps.borrow_mut();
-        if let Some(slot) = snaps.get_mut(job) {
-            *slot = snap;
-            return;
-        }
-        if snaps.len() >= SNAP_CAP {
-            snaps.clear();
-        }
-        snaps.insert(job.clone(), snap);
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> EvalCacheStats {
         EvalCacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-        }
-    }
-
-    /// Decision-replay counters so far. `reused` reads 0: reuse happens in
-    /// the scheduler, above the cache ([`crate::Scheduler::decision_replay_stats`]).
-    pub fn replay_stats(&self) -> DecisionReplayStats {
-        DecisionReplayStats {
-            hits: self.replay_hits.get(),
-            reused: 0,
-            full_fallbacks: self.replay_full_fallbacks.get(),
         }
     }
 
@@ -913,58 +798,5 @@ mod tests {
             EvalCacheStats { hits: 2, misses: 4, evictions: 2 },
             "width 1 survived, width 2 was evicted and now evicts width 3"
         );
-    }
-
-    #[test]
-    fn snapshots_replay_only_on_their_epoch_version_and_guard() {
-        let weights = UtilityWeights::default();
-        let j = job(0, 2);
-        let key = JobClassKey::of(&j, weights).expect("plain job is keyable");
-        let guard = ReplayGuard::of(&j);
-        let decision =
-            Some(Decision { gpus: on_machine(MachineId(1), &[GpuId(0), GpuId(1)]), utility: 0.75 });
-        let cache = EvalCache::with_capacity(16);
-        assert_eq!(cache.replay(&key, 7, 3, guard), None, "no snapshot yet");
-        let idle = DecisionReplayStats::default();
-        assert_eq!(cache.replay_stats(), idle, "a cold miss counts nothing");
-        let snap = DecisionSnap { epoch: 7, version: 3, guard, decision: decision.clone() };
-        cache.store_snapshot(&key, snap);
-        assert_eq!(cache.replay(&key, 7, 3, guard), Some(decision), "same state, same guard");
-        assert_eq!(cache.replay(&key, 7, 4, guard), None, "the state moved");
-        assert_eq!(cache.replay_stats().hits, 1);
-        assert_eq!(cache.replay_stats().full_fallbacks, 0, "a moved version is a plain miss");
-        assert_eq!(cache.replay(&key, 8, 3, guard), None, "another state instance");
-        let other_guard = ReplayGuard::of(&job(1, 2).with_min_utility(0.9));
-        assert_eq!(cache.replay(&key, 7, 3, other_guard), None, "another guard");
-        assert_eq!(cache.replay_stats().full_fallbacks, 2);
-        let other = JobClassKey::of(&job(2, 3), weights).expect("keyable");
-        assert_eq!(cache.replay(&other, 7, 3, guard), None, "each job class has its own snapshot");
-        // A newer decision of the class replaces the snapshot.
-        cache.store_snapshot(&key, DecisionSnap { epoch: 7, version: 5, guard, decision: None });
-        assert_eq!(cache.replay(&key, 7, 5, guard), Some(None), "a stored wait replays too");
-        assert_eq!(cache.replay(&key, 7, 3, guard), None);
-        // Uncacheable jobs (explicit comm graph) have no class key, so the
-        // policy can never reach a snapshot for them.
-        let mut exotic = job(3, 2);
-        exotic.comm_graph = Some(JobGraph::uniform(2, 1.0));
-        assert!(JobClassKey::of(&exotic, weights).is_none());
-    }
-
-    #[test]
-    fn snapshot_map_is_capped() {
-        let cache = EvalCache::with_capacity(16);
-        let guard = ReplayGuard::default();
-        let key = |bw: usize| {
-            let mut j = job(0, 1);
-            j.bw_demand_gbs = bw as f64;
-            JobClassKey::of(&j, UtilityWeights::default()).expect("keyable")
-        };
-        for bw in 0..=SNAP_CAP {
-            let snap = DecisionSnap { epoch: 1, version: 1, guard, decision: None };
-            cache.store_snapshot(&key(bw), snap);
-        }
-        assert_eq!(cache.snaps.borrow().len(), 1, "the insert past the cap clears the map first");
-        assert_eq!(cache.replay(&key(SNAP_CAP), 1, 1, guard), Some(None));
-        assert_eq!(cache.replay(&key(0), 1, 1, guard), None, "cleared snapshots are gone");
     }
 }

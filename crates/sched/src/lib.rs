@@ -11,13 +11,14 @@
 //!   Eq. 4 interference prediction and Eq. 5 fragmentation;
 //! * [`eval`] — the memoized candidate-evaluation engine behind
 //!   `TOPO-AWARE(-P)`: one evaluation per live machine class on the
-//!   caller's thread, the cross-event cache with its per-job-class
-//!   decision snapshots, and [`EvalParams`], whose
-//!   [`EvalParams::sequential`] selects the reference oracle;
+//!   caller's thread, the cross-event `(machine class, job class)`
+//!   outcome cache, and [`EvalParams`], whose [`EvalParams::sequential`]
+//!   selects the reference oracle;
 //! * [`policy`] — the four evaluated policies: `TOPO-AWARE`,
 //!   `TOPO-AWARE-P` (postponing), `FCFS` and Best-Fit (`BF`);
 //! * [`scheduler`] — the Algorithm 1 loop: arrival-ordered queue, host
-//!   filtering, placement or postponement, SLO accounting;
+//!   filtering, placement or postponement, SLO accounting, and the
+//!   decision memo that answers a retry on an unchanged state;
 //! * [`overhead`] — decision-latency metering for the §5.5.3 analysis;
 //! * [`trace`] — opt-in decision-trace events: per-candidate Eq. 2 utility
 //!   breakdowns and every place/postpone/release/failure the loop makes.
@@ -36,7 +37,7 @@ pub mod state;
 pub mod trace;
 
 pub use enforcement::{launch_plan, LaunchPlan};
-pub use eval::{DecisionReplayStats, EvalCache, EvalCacheStats, EvalParams};
+pub use eval::{EvalCache, EvalCacheStats, EvalParams};
 pub use oracle::StateOracle;
 pub use overhead::DecisionStats;
 pub use policy::{Policy, PolicyKind};

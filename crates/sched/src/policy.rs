@@ -15,8 +15,8 @@
 
 use crate::classes::ClassId;
 use crate::eval::{
-    evaluate_live_classes, evaluate_topo_candidates, CandidateOutcome, DecisionSnap, EvalCache,
-    EvalParams, JobClassKey, ReplayGuard, ReplayKey,
+    evaluate_live_classes, evaluate_topo_candidates, CandidateOutcome, EvalCache, EvalParams,
+    JobClassKey, ReplayKey,
 };
 use crate::oracle::{placement_components, placement_utility, StateOracle};
 use crate::state::{on_machine, ClusterState};
@@ -146,10 +146,10 @@ impl Policy {
             && !(job.constraints.anti_collocate && job.n_gpus > 1)
     }
 
-    /// The key under which the O(1) decision replay (DESIGN.md §15.7)
-    /// answers `job`, or `None` when `job` never reaches the replay: it
-    /// does not take the class path, the decision is traced, or it carries
-    /// a comm graph and so has no class key. Two jobs with equal keys get
+    /// The key under which the scheduler's decision memo (DESIGN.md §14.2)
+    /// answers `job`, or `None` when the memo never answers it: it does
+    /// not take the class path, the decision is traced, or it carries a
+    /// comm graph and so has no class key. Two jobs with equal keys get
     /// the same decision on the same cluster state.
     pub(crate) fn replay_key(
         &self,
@@ -160,7 +160,7 @@ impl Policy {
         if traced || !self.takes_class_path(job, params) {
             return None;
         }
-        Some(ReplayKey { class: JobClassKey::of(job, self.weights)?, guard: ReplayGuard::of(job) })
+        Some(ReplayKey::new(JobClassKey::of(job, self.weights)?, job))
     }
 
     /// [`Policy::decide`] with explicit evaluation-engine parameters, an
@@ -169,16 +169,13 @@ impl Policy {
     /// * `params`: [`EvalParams::sequential`] selects the reference path
     ///   the engine is proven bit-identical to; that path ignores `cache`.
     /// * `cache`: class evaluations already cached from earlier arrivals
-    ///   are replayed instead of re-running DRB, and an untraced decision
-    ///   on a state that has not changed since the last decision for the
-    ///   job's class returns that decision (DESIGN.md §15.7). The
-    ///   scheduler passes the cache it owns on every decision.
+    ///   are replayed instead of re-running DRB. The scheduler passes the
+    ///   cache it owns on every decision.
     /// * `trace`: receives every candidate machine the search touched,
     ///   with its Eq. 2 utility breakdown, in search order; the winning
     ///   candidate (if any) is marked [`EvalOutcome::Chosen`]. Traced
     ///   decisions decide over the live machine classes (DESIGN.md §15)
-    ///   and expand the class outcomes into one record per candidate, so
-    ///   they use the class cache but never a decision snapshot.
+    ///   and expand the class outcomes into one record per candidate.
     pub fn decide_with(
         &self,
         state: &ClusterState,
@@ -204,7 +201,7 @@ impl Policy {
             return decision;
         }
         if self.takes_class_path(job, params) {
-            return self.decide_topo(state, job, trace, cache);
+            return self.decide_topo_classes(state, job, trace, cache, true);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -329,65 +326,9 @@ impl Policy {
         }
     }
 
-    /// The production `TOPO-AWARE(-P)` decision: the O(1) state-version
-    /// replay (DESIGN.md §15.7) in front of the class-level decision. An
-    /// untraced decision with a cache and a class key first asks the
-    /// cache for the last decision of the job's class; when the state has
-    /// not changed since and the guards match, that is the answer.
-    /// Otherwise the class decision runs and becomes the class's snapshot.
-    /// Debug builds shadow every replay hit with a fresh class decision.
-    fn decide_topo(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        trace: Option<&mut Vec<CandidateEval>>,
-        cache: Option<&EvalCache>,
-    ) -> Option<Decision> {
-        let snapshot = match cache {
-            Some(cache) if trace.is_none() => {
-                JobClassKey::of(job, self.weights).map(|key| (cache, key))
-            }
-            _ => None,
-        };
-        let guard = ReplayGuard::of(job);
-        if let Some((cache, key)) = &snapshot {
-            if let Some(decision) = cache.replay(key, state.epoch(), state.version(), guard) {
-                #[cfg(debug_assertions)]
-                self.debug_assert_replay_matches(state, job, &decision);
-                return decision;
-            }
-        }
-        let decision = self.decide_topo_classes(state, job, trace, cache, true);
-        if let Some((cache, key)) = snapshot {
-            let snap = DecisionSnap {
-                epoch: state.epoch(),
-                version: state.version(),
-                guard,
-                decision: decision.clone(),
-            };
-            cache.store_snapshot(&key, snap);
-        }
-        decision
-    }
-
-    /// Debug shadow behind every replay hit: decide afresh with no cache —
-    /// so no snapshot and no cache hit — and assert the replay returned the
-    /// same GPUs and utility bits.
-    #[cfg(debug_assertions)]
-    fn debug_assert_replay_matches(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        got: &Option<Decision>,
-    ) {
-        let want = self.fresh_class_decision(state, job);
-        let bits =
-            |d: &Option<Decision>| d.as_ref().map(|d| (d.gpus.clone(), d.utility.to_bits()));
-        assert_eq!(bits(got), bits(&want), "{}: replay diverges from a fresh decision", job.id);
-    }
-
     /// The class-level decision with no cache, counting no fallback: what
-    /// the debug shadows compare a replayed or reused answer against.
+    /// the scheduler's debug shadow compares an answer from its decision
+    /// memo against.
     #[cfg(debug_assertions)]
     pub(crate) fn fresh_class_decision(
         &self,
@@ -404,7 +345,7 @@ impl Policy {
     /// selection scan over the classes, and one [`Decision`] on the winning
     /// class's lowest member. A traced run expands the class outcomes into
     /// the reference's per-candidate records. `count_fallback` is false
-    /// only for the debug shadows, so that they leave
+    /// only for the debug shadow, so that it leaves
     /// `class_order_fallbacks` as a release build counts it.
     fn decide_topo_classes(
         &self,

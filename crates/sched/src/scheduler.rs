@@ -18,11 +18,12 @@
 //!
 //! The drain walks the queue in place (DESIGN.md §14): a job it does not
 //! place keeps its slot, which is where `Q.add(postponed_list)` would put
-//! it back, so only placed jobs leave the queue. Inside an iteration a
-//! TOPO-AWARE-P job whose replay key matches an earlier unplaced job's
-//! reuses that answer instead of deciding again, until the next placement.
+//! it back, so only placed jobs leave the queue. A TOPO-AWARE(-P) job whose
+//! replay key matches an earlier unplaced job's gets that answer from the
+//! scheduler's decision memo instead of a decision, for as long as the
+//! cluster state's version holds, across iterations too.
 
-use crate::eval::{DecisionReplayStats, EvalCache, EvalCacheStats, EvalParams, ReplayKey};
+use crate::eval::{EvalCache, EvalCacheStats, EvalParams, ReplayKey};
 use crate::overhead::DecisionStats;
 use crate::policy::{Decision, Policy};
 use crate::state::{Allocation, ClusterState};
@@ -96,16 +97,21 @@ pub struct Scheduler {
     policy: Policy,
     eval: EvalParams,
     /// The cross-event placement cache, alive for the whole run and sized
-    /// by the cluster's racks ([`EvalCache::per_rack`]). It also holds the
-    /// decision snapshots. The sequential reference never reads it.
+    /// by the cluster's racks ([`EvalCache::per_rack`]). The sequential
+    /// reference never reads it.
     eval_cache: EvalCache,
     state: ClusterState,
     queue: WaitQueue,
-    /// Latencies of real decisions; reused answers are not decisions.
+    /// The decision memo (DESIGN.md §14.2): the answers of the jobs left
+    /// unplaced since the state last changed, by replay key.
+    memo: Vec<(ReplayKey, Option<Decision>)>,
+    /// The state's version the memo's answers were decided on.
+    memo_version: u64,
+    /// Latencies of real decisions; answers from the memo are not
+    /// decisions.
     stats: DecisionStats,
-    /// Answers reused within an iteration instead of decided
-    /// ([`DecisionReplayStats::reused`]).
-    reused: u64,
+    /// Jobs answered from the memo instead of decided.
+    replay_hits: u64,
     slo_violations: usize,
     postpone_counts: std::collections::HashMap<JobId, u32>,
     tracing: bool,
@@ -121,10 +127,12 @@ impl Scheduler {
             policy: config.policy,
             eval: config.eval,
             eval_cache,
+            memo_version: state.version(),
             state,
             queue: WaitQueue::new(),
+            memo: Vec::new(),
             stats: DecisionStats::new(),
-            reused: 0,
+            replay_hits: 0,
             slo_violations: 0,
             postpone_counts: std::collections::HashMap::new(),
             tracing: false,
@@ -138,10 +146,11 @@ impl Scheduler {
         self.eval_cache.stats()
     }
 
-    /// Counters of the cross-event decision-replay path, with the answers
-    /// reused within iterations.
-    pub fn decision_replay_stats(&self) -> DecisionReplayStats {
-        DecisionReplayStats { reused: self.reused, ..self.eval_cache.replay_stats() }
+    /// Jobs answered from the decision memo so far instead of decided
+    /// (DESIGN.md §14.4). Neither [`Scheduler::decision_stats`] nor any
+    /// cache counter counts them.
+    pub fn replay_hits(&self) -> u64 {
+        self.replay_hits
     }
 
     /// Turns the decision-trace stream on or off. Off by default — tracing
@@ -186,8 +195,10 @@ impl Scheduler {
 
     /// Mutable access to the cluster state — for drivers applying external
     /// events (machine failures/recoveries). Placement bookkeeping must
-    /// still go through `place`/`complete`/`cancel`.
+    /// still go through `place`/`complete`/`cancel`. Clears the decision
+    /// memo: the caller may swap in a state whose version is equal.
     pub fn state_mut(&mut self) -> &mut ClusterState {
+        self.memo.clear();
         &mut self.state
     }
 
@@ -197,8 +208,8 @@ impl Scheduler {
     }
 
     /// Decision-latency statistics collected so far: one sample per
-    /// `decide` call. Answers reused within an iteration are not decisions
-    /// and are left out ([`DecisionReplayStats::reused`] counts them).
+    /// `decide` call. Answers from the decision memo are not decisions and
+    /// are left out ([`Scheduler::replay_hits`] counts them).
     pub fn decision_stats(&self) -> &DecisionStats {
         &self.stats
     }
@@ -282,39 +293,41 @@ impl Scheduler {
     /// `Q.add(postponed_list)` has re-sorted the postponed jobs in
     /// (DESIGN.md §14.1).
     ///
-    /// `place` is the only state change inside an iteration, so between
-    /// two placements a job gets the same answer as any earlier unplaced
-    /// job with its replay key (job class, `min_utility`, `single_node`):
-    /// an untraced TOPO-AWARE-P job with a replay key reuses that answer —
-    /// no placement, or a postponement at the same utility — instead of
-    /// deciding (DESIGN.md §14). Debug builds decide anyway and assert the
-    /// two agree.
+    /// While the state's version holds, a job gets the same answer as any
+    /// earlier unplaced job with its replay key (job class, `min_utility`,
+    /// `single_node`): an untraced TOPO-AWARE(-P) job with a replay key
+    /// takes that answer from the decision memo — a wait, or a
+    /// postponement at the same utility — instead of deciding (DESIGN.md
+    /// §14.2). The memo outlives the iteration; a placement, any other
+    /// state change and [`Scheduler::state_mut`] clear it. Debug builds
+    /// decide anyway and assert the two agree.
     pub fn run_iteration(&mut self) -> Vec<PlacementOutcome> {
         let mut outcomes = Vec::new();
-        // Answers of the unplaced jobs since the last placement, by key.
-        let mut unplaced: Vec<(ReplayKey, Option<Decision>)> = Vec::new();
+        let postpones = self.policy.kind.postpones();
+        self.refresh_memo();
         // The walk's position: every job before it stays queued, unplaced.
         let mut i = 0;
         while self.state.has_free_resources() {
             let Some(job) = self.queue.get(i) else { break };
             let id = job.id;
-            let key = if self.policy.kind.postpones() {
-                self.policy.replay_key(job, self.eval, self.tracing)
-            } else {
-                None
-            };
-            if let Some(k) = &key {
-                if let Some((_, answer)) = unplaced.iter().find(|(seen, _)| seen == k) {
-                    self.reused += 1;
-                    #[cfg(debug_assertions)]
-                    self.debug_assert_reuse_matches(job, answer.as_ref());
-                    match answer {
-                        None => self.wait_for_capacity(id, &mut outcomes),
-                        Some(d) => self.postpone_low_utility(id, d.utility, &mut outcomes),
+            let key = self.policy.replay_key(job, self.eval, self.tracing);
+            let memo = key.as_ref().and_then(|k| self.memo.iter().find(|(seen, _)| seen == k));
+            if let Some((_, answer)) = memo {
+                #[cfg(debug_assertions)]
+                debug_assert_memo_matches(&self.policy, &self.state, job, answer.as_ref());
+                let utility = answer.as_ref().map(|d| d.utility);
+                self.replay_hits += 1;
+                match utility {
+                    None => {
+                        self.wait_for_capacity(id, &mut outcomes);
+                        if !postpones {
+                            break;
+                        }
                     }
-                    i += 1;
-                    continue;
+                    Some(u) => self.postpone_low_utility(id, u, &mut outcomes),
                 }
+                i += 1;
+                continue;
             }
 
             let started = Instant::now();
@@ -339,22 +352,22 @@ impl Scheduler {
             match decision {
                 None => {
                     self.wait_for_capacity(id, &mut outcomes);
-                    if !self.policy.kind.postpones() {
+                    if let Some(k) = key {
+                        self.memo.push((k, None));
+                    }
+                    if !postpones {
                         // In-order policies block on the head job.
                         break;
                     }
                     // Out-of-order execution: leave it queued, keep draining.
-                    if let Some(k) = key {
-                        unplaced.push((k, None));
-                    }
                     i += 1;
                 }
                 Some(d) => {
                     let below = d.utility + 1e-9 < min_utility;
-                    if below && self.policy.kind.postpones() {
+                    if below && postpones {
                         self.postpone_low_utility(id, d.utility, &mut outcomes);
                         if let Some(k) = key {
-                            unplaced.push((k, Some(d)));
+                            self.memo.push((k, Some(d)));
                         }
                         i += 1;
                     } else {
@@ -389,7 +402,7 @@ impl Scheduler {
                             slo_violated: below,
                         });
                         self.state.place(job, d.gpus, d.utility);
-                        unplaced.clear();
+                        self.refresh_memo();
                     }
                 }
             }
@@ -399,6 +412,16 @@ impl Scheduler {
             panic!("Scheduler::audit failed after iteration: {e}");
         }
         outcomes
+    }
+
+    /// Forgets the memo's answers once the state's version has moved past
+    /// the one they were decided on.
+    fn refresh_memo(&mut self) {
+        let version = self.state.version();
+        if self.memo_version != version {
+            self.memo.clear();
+            self.memo_version = version;
+        }
     }
 
     /// Records that no GPUs could be found for job `id`; it stays queued.
@@ -420,21 +443,6 @@ impl Scheduler {
         outcomes.push(PlacementOutcome::PostponedLowUtility { id, utility });
     }
 
-    /// Debug shadow behind every reused answer: decide the job afresh,
-    /// with no cache (so no snapshot and no cache hit), and assert the
-    /// decision equals the reused one GPU for GPU and bit for bit.
-    #[cfg(debug_assertions)]
-    fn debug_assert_reuse_matches(&self, job: &JobSpec, reused: Option<&Decision>) {
-        let fresh = self.policy.fresh_class_decision(&self.state, job);
-        let bits = |d: Option<&Decision>| d.map(|d| (d.gpus.clone(), d.utility.to_bits()));
-        assert_eq!(
-            bits(reused),
-            bits(fresh.as_ref()),
-            "{}: reused answer diverges from a fresh decision",
-            job.id
-        );
-    }
-
     /// Cross-checks the scheduler's bookkeeping on top of
     /// [`ClusterState::audit`]: a job must live in exactly one place — the
     /// waiting queue or the running set — and the queue must be
@@ -452,6 +460,26 @@ impl Scheduler {
         }
         Ok(())
     }
+}
+
+/// Debug shadow behind every answer from the decision memo: decide the
+/// job afresh, with no cache (so no cache hit), and assert the decision
+/// equals the memoised one GPU for GPU and bit for bit.
+#[cfg(debug_assertions)]
+fn debug_assert_memo_matches(
+    policy: &Policy,
+    state: &ClusterState,
+    job: &JobSpec,
+    memo: Option<&Decision>,
+) {
+    let fresh = policy.fresh_class_decision(state, job);
+    let bits = |d: Option<&Decision>| d.map(|d| (d.gpus.clone(), d.utility.to_bits()));
+    assert_eq!(
+        bits(memo),
+        bits(fresh.as_ref()),
+        "{}: the memoised answer diverges from a fresh decision",
+        job.id
+    );
 }
 
 #[cfg(test)]
@@ -697,14 +725,17 @@ mod tests {
             other => panic!("unexpected outcomes {other:?}"),
         }
         assert_eq!(s.postpone_count(JobId(1)), 1);
-        assert_eq!(s.decision_replay_stats().reused, 1);
-        assert_eq!(s.decision_stats().count(), 1, "a reused answer is not a decision");
+        assert_eq!(s.replay_hits(), 1);
+        assert_eq!(s.decision_stats().count(), 1, "an answer from the memo is not a decision");
 
-        // A different min_utility is a different key: decided, not reused.
+        // An arrival changes no state, so the memo carries over: jobs 0
+        // and 1 take its answer again. A different min_utility is a
+        // different key: job 2 is decided.
         s.submit(job(2, 2, 0.45));
         s.run_iteration();
-        assert_eq!(s.decision_replay_stats().reused, 2, "jobs 0 and 1 again, not job 2");
-        assert_eq!(s.decision_stats().count(), 3);
+        assert_eq!(s.replay_hits(), 3, "jobs 0 and 1 from the memo, not job 2");
+        assert_eq!(s.decision_stats().count(), 2);
+        assert_eq!(s.postpone_count(JobId(0)), 2);
     }
 
     #[test]
@@ -727,7 +758,7 @@ mod tests {
             ),
             "unexpected outcomes {outcomes:?}"
         );
-        assert_eq!(s.decision_replay_stats().reused, 0);
+        assert_eq!(s.replay_hits(), 0);
         assert_eq!(s.decision_stats().count(), 3);
     }
 

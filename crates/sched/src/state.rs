@@ -13,7 +13,6 @@ use gts_perf::ProfileLibrary;
 use gts_topo::{ClusterTopology, GlobalGpuId, GpuId, MachineId, SocketId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A job's GPU allocation (possibly spanning machines).
@@ -177,25 +176,6 @@ impl Hash for MachineClassKey {
     }
 }
 
-/// A process-unique id of one [`ClusterState`] instance (DESIGN.md §15.7),
-/// never 0. Cloning draws a fresh id: a clone diverges from its source from
-/// then on, so the two must never share an `(epoch, version)` pair.
-#[derive(Debug)]
-struct Epoch(u64);
-
-impl Epoch {
-    fn fresh() -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        Self(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl Clone for Epoch {
-    fn clone(&self) -> Self {
-        Self::fresh()
-    }
-}
-
 /// Free/busy GPU bookkeeping across the cluster plus the running-job table.
 ///
 /// The boolean bitmap `free` is the ground truth; `free_mask`,
@@ -245,12 +225,9 @@ pub struct ClusterState {
     /// with ordered member sets, bucketed by free count; updated with
     /// every key rebuild.
     classes: ClassTable,
-    /// This instance's id; with `version`, what a decision snapshot is
-    /// stamped with (DESIGN.md §15.7).
-    epoch: Epoch,
     /// Bumped by every key rebuild, which every eval-relevant mutation
-    /// ends with: an unchanged `(epoch, version)` pair proves that nothing
-    /// a decision reads has changed.
+    /// ends with: an unchanged version proves that nothing a decision
+    /// reads has changed (DESIGN.md §15.7).
     version: u64,
 }
 
@@ -304,7 +281,6 @@ impl ClusterState {
             running: HashMap::new(),
             total_free,
             classes: ClassTable::default(),
-            epoch: Epoch::fresh(),
             version: 0,
         };
         // A fresh machine's key depends on its topology class alone (all
@@ -373,8 +349,8 @@ impl ClusterState {
         self.corunners[machine.index()] = corunners;
         self.class_keys[machine.index()] = key;
         // Every eval-relevant mutation funnels through this rebuild, so
-        // bumping here is what makes an unchanged (epoch, version) pair
-        // prove that a decision snapshot still matches the live state.
+        // bumping here is what makes an unchanged version prove that the
+        // scheduler's memoised decisions still match the live state.
         self.version += 1;
     }
 
@@ -386,12 +362,6 @@ impl ClusterState {
     /// The live machine-class table (DESIGN.md §15).
     pub fn classes(&self) -> &ClassTable {
         &self.classes
-    }
-
-    /// This instance's process-unique id: fresh on `new`, on `clone` and
-    /// on [`ClusterState::with_bw_capacity`] (DESIGN.md §15.7).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.0
     }
 
     /// The mutation counter: bumped by every class-key rebuild, and so by
@@ -435,13 +405,11 @@ impl ClusterState {
     }
 
     /// Overrides the per-socket memory-bandwidth capacity (GB/s). The
-    /// capacity steers decisions without rebuilding any key, so the state
-    /// takes a fresh epoch: no decision snapshot taken under the old
-    /// capacity can replay.
+    /// capacity steers decisions without rebuilding any key or moving the
+    /// version.
     pub fn with_bw_capacity(mut self, gbs: f64) -> Self {
         assert!(gbs > 0.0 && gbs.is_finite(), "capacity must be positive");
         self.bw_capacity_gbs = gbs;
-        self.epoch = Epoch::fresh();
         self
     }
 
@@ -1148,15 +1116,13 @@ mod tests {
         s.audit().unwrap();
     }
 
-    /// Every mutation moves the version, and only a new instance — `new`,
-    /// `clone`, `with_bw_capacity` — draws a new epoch (DESIGN.md §15.7).
+    /// Every mutation moves the version (DESIGN.md §15.7).
     #[test]
-    fn mutations_move_the_version_and_instances_the_epoch() {
+    fn mutations_move_the_version() {
         let mut s = state(2);
-        let (epoch, mut version) = (s.epoch(), s.version());
+        let mut version = s.version();
         let mut moved = |s: &ClusterState, what: &str| {
             assert!(s.version() > version, "{what} left the version at {version}");
-            assert_eq!(s.epoch(), epoch, "{what} changed the epoch");
             version = s.version();
         };
         s.place(spec(0, 2), vec![g(0, 0), g(0, 1)], 1.0);
@@ -1167,13 +1133,6 @@ mod tests {
         moved(&s, "failure");
         s.set_machine_down(MachineId(1), false);
         moved(&s, "recovery");
-
-        let clone = s.clone();
-        assert_eq!(clone.version(), s.version(), "a clone starts at its source's version");
-        assert_ne!(clone.epoch(), s.epoch(), "a clone is another instance");
-        assert_ne!(state(2).epoch(), s.epoch(), "two fresh states never share an epoch");
-        let recapped = s.with_bw_capacity(50.0);
-        assert_ne!(recapped.epoch(), epoch, "a new capacity is a new instance");
     }
 
     #[test]

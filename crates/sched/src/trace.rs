@@ -155,23 +155,6 @@ pub enum TraceEvent {
         /// Entries displaced by LRU capacity pressure.
         evictions: u64,
     },
-    /// End-of-run counters of the cross-event decision replay (DESIGN.md
-    /// §15.7) and the drain's answer reuse (§14). Appended once by the
-    /// simulator when tracing with nonzero replay activity; absent
-    /// otherwise, so traces without replay stay comparable event-for-event
-    /// after stripping this variant.
-    DecisionReplayStats {
-        /// Event time, seconds (the run's final clock).
-        t_s: f64,
-        /// Decisions answered from a decision snapshot.
-        hits: u64,
-        /// Jobs given an earlier same-key answer within an iteration
-        /// instead of a decision ([`crate::DecisionReplayStats::reused`]).
-        #[serde(default)]
-        reused: u64,
-        /// Snapshots present but unusable (state or guard mismatch).
-        full_fallbacks: u64,
-    },
 }
 
 impl TraceEvent {
@@ -187,8 +170,7 @@ impl TraceEvent {
             | TraceEvent::Spilled { t_s, .. }
             | TraceEvent::MachineFailed { t_s, .. }
             | TraceEvent::MachineRecovered { t_s, .. }
-            | TraceEvent::EvalCacheStats { t_s, .. }
-            | TraceEvent::DecisionReplayStats { t_s, .. } => *t_s,
+            | TraceEvent::EvalCacheStats { t_s, .. } => *t_s,
         }
     }
 
@@ -204,8 +186,7 @@ impl TraceEvent {
             | TraceEvent::Spilled { job, .. } => Some(*job),
             TraceEvent::MachineFailed { .. }
             | TraceEvent::MachineRecovered { .. }
-            | TraceEvent::EvalCacheStats { .. }
-            | TraceEvent::DecisionReplayStats { .. } => None,
+            | TraceEvent::EvalCacheStats { .. } => None,
         }
     }
 }
@@ -233,12 +214,6 @@ mod tests {
             TraceEvent::MachineFailed { t_s: 8.0, machine: MachineId(0) },
             TraceEvent::MachineRecovered { t_s: 9.0, machine: MachineId(0) },
             TraceEvent::EvalCacheStats { t_s: 10.0, hits: 5, misses: 2, evictions: 0 },
-            TraceEvent::DecisionReplayStats {
-                t_s: 11.0,
-                hits: 3,
-                reused: 5,
-                full_fallbacks: 1,
-            },
         ];
         for (i, e) in events.iter().enumerate() {
             assert!((e.t_s() - (i as f64 + 1.0)).abs() < 1e-12);
@@ -246,7 +221,6 @@ mod tests {
         assert_eq!(events[0].job(), Some(JobId(1)));
         assert_eq!(events[7].job(), None);
         assert_eq!(events[9].job(), None);
-        assert_eq!(events[10].job(), None);
     }
 
     #[test]
@@ -261,15 +235,6 @@ mod tests {
         let json = serde_json::to_string(&e).expect("serializes");
         let back: TraceEvent = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, e);
-        let footer = TraceEvent::DecisionReplayStats {
-            t_s: 99.0,
-            hits: 10,
-            reused: 30,
-            full_fallbacks: 2,
-        };
-        let json = serde_json::to_string(&footer).expect("serializes");
-        let back: TraceEvent = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, footer);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    Allocation, CancelOutcome, ClusterState, DecisionReplayStats, EvalParams, PlacementOutcome,
+    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome,
     Policy, Scheduler, SchedulerConfig, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
@@ -279,31 +279,29 @@ pub struct SimLoopStats {
     pub shard_bound_checked: u64,
     /// Always 0, like [`SimLoopStats::shard_bound_checked`].
     pub shard_bound_pruned: u64,
-    /// Decisions answered in O(1) from a decision snapshot: the state had
-    /// not changed since the last decision for the job's class (DESIGN.md
-    /// §15.7). 0 on traced runs and on the sequential reference.
+    /// Jobs answered from the scheduler's decision memo instead of a
+    /// decision: an earlier job with the same replay key was left unplaced
+    /// on the same state version (DESIGN.md §14.2). The decision meters do
+    /// not count them. 0 on traced runs and on the sequential reference.
     pub replay_hits: u64,
-    /// Jobs given an earlier same-key job's answer within a scheduler
-    /// iteration instead of a decision (DESIGN.md §14); neither
-    /// `replay_hits` nor the decision meters count them. 0 on traced runs
-    /// and on the sequential reference.
-    pub replay_reused: u64,
     /// Always 0: partial replay is retired (DESIGN.md §12). Kept so that
     /// callers reading it keep compiling.
     pub replay_shards_reeval: u64,
-    /// Snapshots present but unusable (another state instance or another
-    /// guard), falling back to the class decision.
+    /// Always 0: the per-job-class decision snapshots whose unusable
+    /// entries it counted are retired (DESIGN.md §15.7). Kept so that
+    /// callers reading it keep compiling.
     pub replay_full_fallbacks: u64,
     /// TOPO-AWARE(-P) decisions whose class-level selection could not
     /// prove that scanning each surviving machine class once matches the
     /// reference member scan, and ran the ordered member scan instead
     /// (DESIGN.md §15.3). 0 on the sequential reference.
     pub class_order_fallbacks: u64,
-    /// Placement decisions made (`decide` calls; reused answers are not
-    /// decisions).
+    /// Placement decisions made (`decide` calls; answers from the decision
+    /// memo are not decisions).
     pub decisions: u64,
     /// Wall nanoseconds spent inside placement decisions (always metered;
-    /// reused answers are not decisions, so their time is drain time).
+    /// answers from the memo are not decisions, so their time is drain
+    /// time).
     pub phase_decision_ns: u64,
     /// 99th-percentile placement-decision latency, nanoseconds (always
     /// metered) — the retry tail a mean hides once most replays are O(1).
@@ -553,22 +551,7 @@ impl Simulation {
                 evictions: cache.evictions,
             });
         }
-        let replay = self.scheduler.decision_replay_stats();
-        self.stats.replay_hits = replay.hits;
-        self.stats.replay_reused = replay.reused;
-        self.stats.replay_full_fallbacks = replay.full_fallbacks;
-        // Footer only when there was replay activity: traced decisions
-        // neither replay nor reuse (tracing needs per-candidate records),
-        // so their counters are zero and their traces stay comparable
-        // event-for-event without stripping.
-        if self.config.trace && replay != DecisionReplayStats::default() {
-            trace.push(TraceEvent::DecisionReplayStats {
-                t_s: self.now,
-                hits: replay.hits,
-                reused: replay.reused,
-                full_fallbacks: replay.full_fallbacks,
-            });
-        }
+        self.stats.replay_hits = self.scheduler.replay_hits();
         self.stats.class_order_fallbacks = self.scheduler.state().classes().fallbacks();
         self.stats.decisions = self.scheduler.decision_stats().count() as u64;
         self.stats.phase_decision_ns =
@@ -1549,12 +1532,12 @@ mod tests {
         assert_eq!(racked_res.makespan_s.to_bits(), flat_res.makespan_s.to_bits());
     }
 
-    /// Cross-event decision replay must surface its counters through
-    /// `SimLoopStats`, actually fire under a queue that retries across
-    /// events, and leave results bit-identical to the oracle. Scenario:
-    /// two one-machine racks; the first job takes half of machine 0 and
-    /// the rest fill a machine each, so the blocked head retries on an
-    /// unchanged state at every arrival — the O(1) hit — and on a changed
+    /// The decision memo must surface its counter through `SimLoopStats`,
+    /// actually answer a queue that retries across events, and leave
+    /// results bit-identical to the oracle. Scenario: two one-machine
+    /// racks; the first job takes half of machine 0 and the rest fill a
+    /// machine each, so the blocked TOPO-AWARE head retries on an unchanged
+    /// state at every arrival — answered from the memo — and on a changed
     /// one at every completion.
     #[test]
     fn decision_replay_counters_surface_in_stats() {
@@ -1576,7 +1559,7 @@ mod tests {
             Simulation::new(cluster, profiles, config).run_with_stats(trace)
         };
         let (off_res, off) = run(true);
-        assert_eq!(off.replay_hits, 0, "the oracle must not snapshot");
+        assert_eq!(off.replay_hits, 0, "the oracle must not memoise");
         assert_eq!(off.replay_full_fallbacks, 0);
         assert_eq!(off.phase_drain_ns, 0, "phase timing off leaves drain unmetered");
         let (on_res, on) = run(false);

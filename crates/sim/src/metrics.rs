@@ -154,9 +154,9 @@ pub struct SimResult {
     /// Placements below `min_utility`.
     pub slo_violations: usize,
     /// Mean scheduler decision latency, seconds (§5.5.3), over the
-    /// `decide` calls only: answers a scheduler iteration reused for a
-    /// same-key job are not decisions and are left out
-    /// (`SimLoopStats::replay_reused` counts them).
+    /// `decide` calls only: answers from the scheduler's decision memo are
+    /// not decisions and are left out (`SimLoopStats::replay_hits` counts
+    /// them).
     pub mean_decision_s: f64,
     /// Machine failures applied during the run, as `(time, machine)`.
     #[serde(default)]

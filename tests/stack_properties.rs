@@ -152,8 +152,8 @@ impl Scenario {
     }
 
     /// Minsky cluster of `min_racks` to `min_racks + 2` racks × 2 machines.
-    /// Untraced on purpose: traced decisions neither replay nor reuse, so
-    /// only untraced runs exercise the snapshots.
+    /// Untraced on purpose: the decision memo never answers a traced
+    /// decision, so only untraced runs exercise it.
     fn racked_minsky(seed: u64, min_racks: usize) -> Self {
         let n_racks = min_racks + (seed as usize % 3);
         let machine = power8_minsky();
@@ -255,12 +255,10 @@ impl Scenario {
     }
 }
 
-/// Drops the end-of-run counter footers, the only trace events in which
+/// Drops the end-of-run counter footer, the only trace event in which
 /// production and the oracle legitimately differ.
 fn strip_footers(mut result: SimResult) -> SimResult {
-    result.trace.retain(|e| {
-        !matches!(e, TraceEvent::EvalCacheStats { .. } | TraceEvent::DecisionReplayStats { .. })
-    });
+    result.trace.retain(|e| !matches!(e, TraceEvent::EvalCacheStats { .. }));
     result
 }
 
@@ -272,7 +270,7 @@ fn oracle(config: SimConfig) -> SimConfig {
 
 /// The production config of the differential runner for `scenario` under
 /// `kind`. Even seeds script a failure and recovery of machine 1, so
-/// caches, snapshots and the class table survive
+/// caches, the decision memo and the class table survive
 /// `fail_machine`/`recover_machine`; seeds divisible by 3 add execution
 /// jitter, so completion times (and the interleavings the caches see) vary
 /// per seed. Production pins the engine, so an ambient
@@ -377,11 +375,8 @@ fn production_matches_oracle_on_racked_minsky() {
 /// Drives a TOPO-AWARE-P scheduler over `scenario` by hand: each job is
 /// submitted and drained on arrival, then running jobs retire lowest id
 /// first, one drain each. Returns every drain's outcomes, postponement
-/// utilities included, and the replay counters.
-fn drive_backlog(
-    scenario: &Scenario,
-    eval: EvalParams,
-) -> (Vec<Vec<PlacementOutcome>>, DecisionReplayStats) {
+/// utilities included, and the jobs answered from the decision memo.
+fn drive_backlog(scenario: &Scenario, eval: EvalParams) -> (Vec<Vec<PlacementOutcome>>, u64) {
     let state = ClusterState::new(Arc::clone(&scenario.cluster), Arc::clone(&scenario.profiles));
     let policy = Policy::new(PolicyKind::TopoAwareP);
     let mut s = Scheduler::new(state, SchedulerConfig { policy, eval });
@@ -395,17 +390,17 @@ fn drive_backlog(
         s.complete(id);
         drains.push(s.run_iteration());
     }
-    (drains, s.decision_replay_stats())
+    (drains, s.replay_hits())
 }
 
-/// A TOPO-AWARE-P backlog on racks: within an iteration, production
-/// gives a job the answer of an earlier unplaced job with its replay key
-/// instead of deciding, until the next placement, and answers a decision
-/// on an unchanged state from its snapshot. The oracle decides every job,
-/// and the two must still agree: on the simulation results, and on every
-/// drain's outcomes when a scheduler is driven by hand — the only place a
-/// postponement's utility shows. Production must replay and reuse at
-/// least once per seed in both; the oracle never does.
+/// A TOPO-AWARE-P backlog on racks: production gives a job the answer of
+/// an earlier unplaced job with its replay key from the decision memo
+/// instead of deciding, until the state changes, across iterations too.
+/// The oracle decides every job, and the two must still agree: on the
+/// simulation results, and on every drain's outcomes when a scheduler is
+/// driven by hand — the only place a postponement's utility shows.
+/// Production must answer from the memo at least once per seed in both;
+/// the oracle never does.
 #[test]
 fn production_matches_oracle_on_rack_backlog() {
     for seed in 0..8u64 {
@@ -414,21 +409,14 @@ fn production_matches_oracle_on_rack_backlog() {
         let ctx = format!("seed {seed} ({})", scenario.label);
         let (stats, reference) = assert_matches_reference(kind, seed, &scenario, oracle);
         assert_class_path_ran(kind, seed, &scenario, &stats);
-        assert!(stats.replay_hits > 0, "{ctx}: production never replayed a decision");
-        assert!(stats.replay_reused > 0, "{ctx}: production never reused an answer");
-        assert_eq!(
-            (reference.replay_hits, reference.replay_reused),
-            (0, 0),
-            "{ctx}: the oracle replayed or reused"
-        );
+        assert!(stats.replay_hits > 0, "{ctx}: production never answered from the memo");
+        assert_eq!(reference.replay_hits, 0, "{ctx}: the oracle answered from a memo");
 
-        let (got, stats) = drive_backlog(&scenario, EvalParams::parallel(4));
+        let (got, hits) = drive_backlog(&scenario, EvalParams::parallel(4));
         let (want, reference) = drive_backlog(&scenario, EvalParams::sequential());
         assert_eq!(got, want, "{ctx}: hand-driven drains diverged");
-        assert!(stats.hits > 0, "{ctx}: hand-driven production never replayed a decision");
-        assert!(stats.reused > 0, "{ctx}: hand-driven production never reused an answer");
-        let idle = DecisionReplayStats::default();
-        assert_eq!(reference, idle, "{ctx}: the hand-driven oracle replayed or reused");
+        assert!(hits > 0, "{ctx}: hand-driven production never answered from the memo");
+        assert_eq!(reference, 0, "{ctx}: the hand-driven oracle answered from a memo");
     }
 }
 
@@ -447,7 +435,7 @@ fn production_matches_oracle_on_hetero_fleet() {
 
 /// The same heterogeneous fleets untraced — the path `hetero_flat`-like
 /// clusters take: every TOPO-AWARE(-P) decision runs over the live
-/// machine classes (DESIGN.md §15) behind the snapshot replay, and the
+/// machine classes (DESIGN.md §15) behind the decision memo, and the
 /// class cache must be read (the oracle never touches it), so the
 /// comparison really is class path against oracle.
 #[test]
@@ -463,7 +451,7 @@ fn production_matches_oracle_on_flat_hetero() {
 // form, so a divergence the differential runner finds is pinned to a layer.
 
 /// The evaluation engine (the class-level decision, the cross-event cache
-/// and decision replay) must be bit-identical to the sequential flat
+/// and the decision memo) must be bit-identical to the sequential flat
 /// decision, with the incremental loop on both sides.
 #[test]
 fn evaluation_engine_is_bit_identical_to_sequential_reference() {
@@ -567,11 +555,11 @@ fn gated_racks_are_bit_identical_to_one_flat_fabric() {
     });
 }
 
-/// Decision replay must be bit-identical to full re-evaluation (the
-/// sequential flat decision, which never replays) on 4–6 racks, including
-/// failure and jitter runs where snapshots go stale mid-queue; debug
-/// builds also shadow every replay hit with a fresh class decision.
-/// Replay must fire somewhere in the matrix.
+/// The decision memo must be bit-identical to full re-evaluation (the
+/// sequential flat decision, which never memoises) on 4–6 racks,
+/// including failure and jitter runs where memoised answers go stale
+/// mid-queue; debug builds also shadow every answer from the memo with a
+/// fresh class decision. The memo must answer somewhere in the matrix.
 #[test]
 fn decision_replay_is_bit_identical_to_full_reeval() {
     let mut replayed = 0;
@@ -579,15 +567,15 @@ fn decision_replay_is_bit_identical_to_full_reeval() {
         let scenario = Scenario::racked_minsky(seed, 4);
         let reference = |c: SimConfig| c.with_eval(EvalParams::sequential());
         let (stats, reference) = assert_matches_reference(kind, seed, &scenario, reference);
-        assert_eq!(reference.replay_hits, 0, "{kind:?} seed {seed}: the reference replayed");
+        assert_eq!(reference.replay_hits, 0, "{kind:?} seed {seed}: the reference memoised");
         replayed += stats.replay_hits;
     });
-    assert!(replayed > 0, "no decision was ever replayed");
+    assert!(replayed > 0, "the memo never answered a job");
 }
 
 /// Every [`SimLoopStats`] counter must repeat exactly between two runs of
 /// the same racked trace: the decision path runs on the caller's thread,
-/// so the eval-cache, replay, reuse and `class_order_fallbacks` counters
+/// so the eval-cache, replay and `class_order_fallbacks` counters
 /// are as deterministic as the results. Only the wall-clock meters
 /// (`phase_*_ns`, `decision_p99_ns`) may differ. Runs use 8–10 racks and
 /// script a machine failure and recovery.
