@@ -22,7 +22,8 @@ pub struct OverheadPoint {
     pub mean_s: f64,
 }
 
-/// Measures mean `decide()` latency against a half-loaded cluster.
+/// Measures mean decision latency on the `params` evaluation path against
+/// a half-loaded cluster.
 ///
 /// The state is loaded once (placing one 2-GPU job on every even machine,
 /// so every machine keeps capacity and the topology-aware search cannot
@@ -31,7 +32,12 @@ pub struct OverheadPoint {
 /// pass over the burst goes first: the first decisions on a thread fill
 /// its DRB split memo and best-case cost tables (DESIGN.md §13), a cost
 /// that would otherwise land on whichever cluster size is measured first.
-pub fn measure(kind: PolicyKind, n_machines: usize, n_decisions: usize) -> OverheadPoint {
+pub fn measure(
+    kind: PolicyKind,
+    n_machines: usize,
+    n_decisions: usize,
+    params: EvalParams,
+) -> OverheadPoint {
     let (cluster, profiles) = minsky_cluster(n_machines);
     let mut state = ClusterState::new(cluster, profiles);
 
@@ -48,24 +54,25 @@ pub fn measure(kind: PolicyKind, n_machines: usize, n_decisions: usize) -> Overh
 
     let policy = Policy::new(kind);
     let burst = gen.generate(n_decisions);
+    let decide = |job: &JobSpec| policy.decide_with(&state, job, params, None, None);
     for job in &burst {
-        std::hint::black_box(policy.decide(&state, job));
+        std::hint::black_box(decide(job));
     }
     let started = Instant::now();
     for job in &burst {
-        let decision = policy.decide(&state, job);
-        std::hint::black_box(&decision);
+        std::hint::black_box(decide(job));
     }
     let elapsed = started.elapsed().as_secs_f64();
     OverheadPoint { kind, n_machines, mean_s: elapsed / n_decisions as f64 }
 }
 
-/// Runs the comparison at several cluster sizes.
+/// Runs the comparison at several cluster sizes, on the evaluation path
+/// the environment selects ([`EvalParams::from_env`]).
 pub fn run(sizes: &[usize], n_decisions: usize) -> Vec<OverheadPoint> {
     let mut points = Vec::new();
     for &n in sizes {
         for kind in PolicyKind::ALL {
-            points.push(measure(kind, n, n_decisions));
+            points.push(measure(kind, n, n_decisions, EvalParams::from_env()));
         }
     }
     points
@@ -106,8 +113,8 @@ mod tests {
 
     #[test]
     fn topology_aware_costs_more_than_greedy() {
-        let ta = measure(PolicyKind::TopoAware, 40, 30);
-        let fcfs = measure(PolicyKind::Fcfs, 40, 30);
+        let ta = measure(PolicyKind::TopoAware, 40, 30, EvalParams::from_env());
+        let fcfs = measure(PolicyKind::Fcfs, 40, 30, EvalParams::from_env());
         assert!(
             ta.mean_s > fcfs.mean_s,
             "TA {:.2e}s should exceed FCFS {:.2e}s",
@@ -118,8 +125,8 @@ mod tests {
 
     #[test]
     fn overhead_grows_with_cluster_size() {
-        let small = measure(PolicyKind::TopoAware, 10, 20);
-        let large = measure(PolicyKind::TopoAware, 80, 20);
+        let small = measure(PolicyKind::TopoAware, 10, 20, EvalParams::from_env());
+        let large = measure(PolicyKind::TopoAware, 80, 20, EvalParams::from_env());
         assert!(
             large.mean_s > small.mean_s,
             "80 machines {:.2e}s vs 10 machines {:.2e}s",

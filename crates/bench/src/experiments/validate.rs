@@ -187,15 +187,29 @@ pub fn run() -> Vec<Check> {
         by(PolicyKind::TopoAwareP).gpu_utilization > by(PolicyKind::Fcfs).gpu_utilization,
     ));
 
-    // §5.5.3 overhead asymmetry.
-    let fcfs = overhead::measure(PolicyKind::Fcfs, 100, 30);
-    let ta = overhead::measure(PolicyKind::TopoAware, 100, 30);
-    let ratio = ta.mean_s / fcfs.mean_s.max(1e-12);
+    // §5.5.3 overhead asymmetry. The claim is about the paper's
+    // per-machine algorithm, which is the sequential reference; the
+    // production class path, whose cost hardly grows with the cluster, is
+    // printed beside it. Each ratio is the median of five bursts of 200
+    // decisions.
+    let ratio = |params: EvalParams| {
+        let mut ratios: Vec<f64> = (0..5)
+            .map(|_| {
+                let fcfs = overhead::measure(PolicyKind::Fcfs, 100, 200, params);
+                let ta = overhead::measure(PolicyKind::TopoAware, 100, 200, params);
+                ta.mean_s / fcfs.mean_s.max(1e-12)
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[2]
+    };
+    let reference = ratio(EvalParams::sequential());
+    let production = ratio(EvalParams::parallel(2));
     checks.push(check(
         "§5.5.3",
         "topology-aware decisions cost more than greedy",
-        format!("{ratio:.0}x at 100 machines"),
-        ratio > 2.0,
+        format!("{reference:.0}x at 100 machines (production path {production:.0}x)"),
+        reference > 2.0,
     ));
 
     // §3.2 PCIe ordering.

@@ -3,7 +3,7 @@
 //! "To avoid starvation and enforce fairness as much as possible, the job
 //! waiting queue is sorted by the job's arrival time. Thus, the oldest jobs
 //! have priority to be placed." The scheduler walks the queue in place
-//! ([`WaitQueue::get`]) and takes out only the jobs it places
+//! ([`WaitQueue::slot`]) and takes out only the jobs it places
 //! ([`WaitQueue::take`]): a postponed job keeps its slot, which is where
 //! Algorithm 1's end-of-iteration `Q.add(postponed_list)` would put it back
 //! (DESIGN.md §14.1).
@@ -16,42 +16,65 @@ fn after(a: &JobSpec, b: &JobSpec) -> bool {
     (a.arrival_s, a.id) > (b.arrival_s, b.id)
 }
 
-/// Arrival-ordered waiting queue.
-#[derive(Debug, Clone, Default)]
-pub struct WaitQueue {
-    queue: VecDeque<JobSpec>,
+/// Arrival-ordered waiting queue. Each slot holds a job and a tag of type
+/// `T` that the owner attaches when it adds the job
+/// ([`WaitQueue::add_tagged`]) and reads back as its walk visits the slot
+/// ([`WaitQueue::slot`]): the scheduler tags each job with the ids it
+/// interned for it at submit.
+#[derive(Debug, Clone)]
+pub struct WaitQueue<T = ()> {
+    queue: VecDeque<(JobSpec, T)>,
+}
+
+impl<T> Default for WaitQueue<T> {
+    fn default() -> Self {
+        Self { queue: VecDeque::new() }
+    }
 }
 
 impl WaitQueue {
-    /// An empty queue.
+    /// An empty, untagged queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Inserts a job keeping the queue sorted by `(arrival_s, id)` —
-    /// stable FIFO for simultaneous arrivals: the job goes after every
-    /// queued job with an equal key. The slot is found by binary search and
-    /// the insert shifts the shorter side, so an arrival (the largest key)
-    /// costs O(log n).
+    /// Inserts an untagged job; see [`WaitQueue::add_tagged`].
     pub fn add(&mut self, job: JobSpec) {
-        let pos = self.queue.partition_point(|j| !after(j, &job));
-        self.queue.insert(pos, job);
+        self.add_tagged(job, ());
+    }
+}
+
+impl<T> WaitQueue<T> {
+    /// Inserts a job with its tag, keeping the queue sorted by
+    /// `(arrival_s, id)` — stable FIFO for simultaneous arrivals: the job
+    /// goes after every queued job with an equal key. The slot is found by
+    /// binary search and the insert shifts the shorter side, so an arrival
+    /// (the largest key) costs O(log n).
+    pub fn add_tagged(&mut self, job: JobSpec, tag: T) {
+        let pos = self.queue.partition_point(|(j, _)| !after(j, &job));
+        self.queue.insert(pos, (job, tag));
     }
 
     /// Pops the oldest job.
     pub fn pop(&mut self) -> Option<JobSpec> {
-        self.queue.pop_front()
+        self.queue.pop_front().map(|(job, _)| job)
     }
 
-    /// The job at position `i` in queue order, if any.
-    pub fn get(&self, i: usize) -> Option<&JobSpec> {
-        self.queue.get(i)
+    /// The job at position `i` in queue order with its tag, if any.
+    pub fn slot(&self, i: usize) -> Option<(&JobSpec, &T)> {
+        self.queue.get(i).map(|(job, tag)| (job, tag))
+    }
+
+    /// The tag of the job at position `i` in queue order, if any, for the
+    /// owner to update in place.
+    pub fn tag_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.queue.get_mut(i).map(|(_, tag)| tag)
     }
 
     /// Removes and returns the job at position `i`, shifting the shorter
     /// side; the jobs behind it move up one slot in order.
     pub fn take(&mut self, i: usize) -> Option<JobSpec> {
-        self.queue.remove(i)
+        self.queue.remove(i).map(|(job, _)| job)
     }
 
     /// Number of jobs waiting.
@@ -66,19 +89,19 @@ impl WaitQueue {
 
     /// Whether a job id is in the queue.
     pub fn contains(&self, id: JobId) -> bool {
-        self.queue.iter().any(|j| j.id == id)
+        self.iter().any(|j| j.id == id)
     }
 
     /// Removes a job by id and returns its spec, if it was queued — the
     /// cancellation path.
     pub fn remove(&mut self, id: JobId) -> Option<JobSpec> {
-        let pos = self.queue.iter().position(|j| j.id == id)?;
-        self.queue.remove(pos)
+        let pos = self.iter().position(|j| j.id == id)?;
+        self.take(pos)
     }
 
     /// Iterates over waiting jobs in priority order.
     pub fn iter(&self) -> impl Iterator<Item = &JobSpec> {
-        self.queue.iter()
+        self.queue.iter().map(|(job, _)| job)
     }
 }
 
@@ -132,34 +155,38 @@ mod tests {
     /// from the front. The property test below holds [`WaitQueue`] to this.
     #[derive(Default)]
     struct FrontScanQueue {
-        queue: VecDeque<JobSpec>,
+        queue: VecDeque<(JobSpec, usize)>,
     }
 
     impl FrontScanQueue {
-        fn add(&mut self, job: JobSpec) {
+        fn add(&mut self, job: JobSpec, tag: usize) {
             let pos = self
                 .queue
                 .iter()
-                .position(|j| (j.arrival_s, j.id) > (job.arrival_s, job.id))
+                .position(|(j, _)| (j.arrival_s, j.id) > (job.arrival_s, job.id))
                 .unwrap_or(self.queue.len());
-            self.queue.insert(pos, job);
+            self.queue.insert(pos, (job, tag));
         }
 
         fn pop(&mut self) -> Option<JobSpec> {
-            self.queue.pop_front()
+            self.queue.pop_front().map(|(j, _)| j)
         }
 
-        fn get(&self, i: usize) -> Option<&JobSpec> {
-            self.queue.get(i)
+        fn slot(&self, i: usize) -> Option<(&JobSpec, &usize)> {
+            self.queue.get(i).map(|(j, t)| (j, t))
+        }
+
+        fn tag_mut(&mut self, i: usize) -> Option<&mut usize> {
+            self.queue.get_mut(i).map(|(_, t)| t)
         }
 
         fn take(&mut self, i: usize) -> Option<JobSpec> {
-            self.queue.remove(i)
+            self.queue.remove(i).map(|(j, _)| j)
         }
 
         fn remove(&mut self, id: JobId) -> Option<JobSpec> {
-            let pos = self.queue.iter().position(|j| j.id == id)?;
-            self.queue.remove(pos)
+            let pos = self.queue.iter().position(|(j, _)| j.id == id)?;
+            self.take(pos)
         }
     }
 
@@ -174,23 +201,26 @@ mod tests {
 
         /// Random interleavings of every queue operation, over few ids and
         /// few arrival times (`-0.0` and `0.0` among them) so that equal
-        /// arrivals and duplicate `(arrival, id)` keys are common; `get` and
-        /// `take` read the id as a position, so some fall past the end.
-        /// Queue order and every `pop`, `get`, `take` and `remove` result
-        /// must match the front-scan queue exactly.
+        /// arrivals and duplicate `(arrival, id)` keys are common; each job
+        /// is tagged with the step that added it, `tag_mut` adds 100 to a
+        /// tag, and `slot`, `tag_mut` and `take` read the id as a position,
+        /// so some fall past the end. Queue order, every slot's tag and
+        /// every `pop`, `slot`, `take` and `remove` result must match the
+        /// front-scan queue exactly.
         #[test]
         fn queue_matches_the_front_scan_oracle(
-            ops in prop::collection::vec((0u8..6, 0u64..8, 0usize..5), 0..120)
+            ops in prop::collection::vec((0u8..7, 0u64..8, 0usize..5), 0..120)
         ) {
             const ARRIVALS: [f64; 5] = [-0.0, 0.0, 1.0, 1.0, 2.5];
-            let mut q = WaitQueue::new();
+            let mut q: WaitQueue<usize> = WaitQueue::default();
             let mut oracle = FrontScanQueue::default();
             for (step, &(op, id, t)) in ops.iter().enumerate() {
                 let i = id as usize;
+                let tagged = |s: Option<(&JobSpec, &usize)>| s.map(|(j, &tag)| (ident(j), tag));
                 match op {
                     0 | 1 => {
-                        q.add(job(id, ARRIVALS[t]));
-                        oracle.add(job(id, ARRIVALS[t]));
+                        q.add_tagged(job(id, ARRIVALS[t]), step);
+                        oracle.add(job(id, ARRIVALS[t]), step);
                     }
                     2 => {
                         prop_assert_eq!(
@@ -201,9 +231,9 @@ mod tests {
                     }
                     3 => {
                         prop_assert_eq!(
-                            q.get(i).map(ident),
-                            oracle.get(i).map(ident),
-                            "get({}) at step {}", i, step
+                            tagged(q.slot(i)),
+                            tagged(oracle.slot(i)),
+                            "slot({}) at step {}", i, step
                         );
                     }
                     4 => {
@@ -213,6 +243,18 @@ mod tests {
                             "take({}) at step {}", i, step
                         );
                     }
+                    5 => {
+                        let (got, want) = (q.tag_mut(i), oracle.tag_mut(i));
+                        prop_assert_eq!(
+                            got.is_some(),
+                            want.is_some(),
+                            "tag_mut({}) at step {}", i, step
+                        );
+                        if let (Some(got), Some(want)) = (got, want) {
+                            *got += 100;
+                            *want += 100;
+                        }
+                    }
                     _ => {
                         prop_assert_eq!(
                             q.remove(JobId(id)).as_ref().map(ident),
@@ -221,9 +263,10 @@ mod tests {
                         );
                     }
                 }
-                let queued: Vec<_> = q.iter().map(ident).collect();
-                let want: Vec<_> = oracle.queue.iter().map(ident).collect();
-                prop_assert_eq!(queued, want, "queue order after step {}", step);
+                let queued: Vec<_> = (0..q.len()).map(|i| tagged(q.slot(i))).collect();
+                let want: Vec<_> =
+                    (0..oracle.queue.len()).map(|i| tagged(oracle.slot(i))).collect();
+                prop_assert_eq!(queued, want, "queue order and tags after step {}", step);
             }
         }
     }

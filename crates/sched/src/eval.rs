@@ -25,14 +25,17 @@
 //! per-candidate scan (DESIGN.md §15.3).
 //!
 //! 3. **Cross-event caching.** Because the class key is a pure function of
-//!    machine state and the job-side inputs reduce to a small *job class*,
-//!    a `(machine class, job class) → outcome` entry never goes stale —
-//!    only cold. [`EvalCache`] therefore persists across arrivals for the
-//!    whole scheduler/simulation run (one LRU, owned by the
-//!    [`crate::Scheduler`]), so steady-state arrivals that revisit known
-//!    keys skip the DRB mapping entirely (DESIGN.md §9). A retry on an
-//!    unchanged state is mostly answered above the cache, by the
-//!    scheduler's decision memo (DESIGN.md §14.2).
+//!    machine state and the job-side inputs reduce to a small *job class*
+//!    (a comm graph's content included), a `(machine class, job class) →
+//!    outcome` entry never goes stale — only cold. [`EvalCache`] therefore
+//!    persists across arrivals for the whole scheduler/simulation run (one
+//!    LRU, owned by the [`crate::Scheduler`]), so steady-state arrivals
+//!    that revisit known keys skip the DRB mapping entirely (DESIGN.md §9).
+//!    The cache interns each job class to a dense id, which the scheduler
+//!    takes once per job, at submit; a lookup then hashes the machine
+//!    class's precomputed hash and that id. A retry on an unchanged state
+//!    is mostly answered above the cache, by the scheduler's decision memo
+//!    (DESIGN.md §14.2).
 
 use crate::classes::ClassId;
 use crate::oracle::{placement_utility, StateOracle};
@@ -42,7 +45,7 @@ use gts_map::{drb_map, PlacementOracle as _, UtilityWeights};
 use gts_topo::{GpuId, MachineId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Evaluation-engine parameters, threaded from the drivers down to
@@ -151,97 +154,70 @@ pub(crate) enum CandidateOutcome {
 }
 
 /// The job-side half of a cross-event cache key: every *job* input the
-/// per-candidate evaluation depends on, floats by bit pattern. `min_utility`,
-/// arrival time and iteration count never enter Eq. 2–5, so jobs differing
-/// only there share entries. Jobs carrying an explicit `comm_graph` are not
-/// keyable (the graph is arbitrary) and bypass the cache.
+/// per-candidate evaluation depends on, floats by bit pattern, including
+/// an explicit comm graph's task count and the bits of every weight.
+/// Equality compares all of it; no hash stands in for the graph.
+/// `min_utility`, arrival time and iteration count never enter Eq. 2–5, so
+/// jobs differing only there share entries. An [`EvalCache`] interns each
+/// key once, to a dense [`JobClassId`], and keys its entries by that id.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct JobClassKey {
+struct JobClassKey {
     model: NnModel,
     batch: BatchClass,
     n_gpus: u32,
     bw_bits: u64,
     weight_bits: [u64; 3],
+    /// The explicit comm graph's task count and weight bits, row-major;
+    /// `None` for the implicit uniform graph of `(n_gpus, batch)`.
+    graph: Option<(usize, Box<[u64]>)>,
 }
 
 impl JobClassKey {
-    /// The job's class, or `None` when the job is not cacheable (explicit
-    /// communication graph).
-    pub(crate) fn of(job: &JobSpec, weights: UtilityWeights) -> Option<Self> {
-        if job.comm_graph.is_some() {
-            return None;
-        }
-        Some(Self {
+    fn of(job: &JobSpec, weights: UtilityWeights) -> Self {
+        let graph = job.comm_graph.as_ref().map(|g| {
+            let n = g.n_tasks();
+            let bits = (0..n).flat_map(|i| (0..n).map(move |j| g.weight(i, j).to_bits()));
+            (n, bits.collect())
+        });
+        Self {
             model: job.model,
             batch: job.batch,
             n_gpus: job.n_gpus,
             bw_bits: job.bw_demand_gbs.to_bits(),
             weight_bits: [weights.cc.to_bits(), weights.b.to_bits(), weights.d.to_bits()],
-        })
-    }
-
-    /// The class's FNV-1a fingerprint, hoisted by callers so building one
-    /// [`CacheKey`] per machine class costs a mix, not a re-hash.
-    pub(crate) fn bits(&self) -> u64 {
-        let mut h = FnvHasher::default();
-        self.hash(&mut h);
-        h.finish()
-    }
-}
-
-/// What the scheduler's decision memo (DESIGN.md §14.2) is keyed by: the
-/// job class, plus the two job inputs that steer a decision's selection
-/// but stay out of [`JobClassKey`] because the per-candidate evaluation
-/// never reads them: `min_utility` (selection window and SLO gate, by bit
-/// pattern) and `single_node` (the spill fallthrough). On one cluster
-/// state, jobs with equal keys get the same decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ReplayKey {
-    class: JobClassKey,
-    min_utility_bits: u64,
-    single_node: bool,
-}
-
-impl ReplayKey {
-    /// `job`'s key, given its job class.
-    pub(crate) fn new(class: JobClassKey, job: &JobSpec) -> Self {
-        Self {
-            class,
-            min_utility_bits: job.min_utility.to_bits(),
-            single_node: job.constraints.single_node,
+            graph,
         }
     }
 }
 
-/// A cross-event cache key: machine equivalence class × job class. Both
-/// halves are pure functions of (state, job-class) — machine ids, job ids
-/// and clock values never enter — so an entry can only be *cold*, never
-/// *stale* (DESIGN.md §9).
-///
-/// The 64-bit `bits` mix is carried inside the key and is all [`Hash`]
-/// ever writes: the machine half's hash is precomputed by `ClusterState`
-/// and the job half's once per evaluation call ([`JobClassKey::bits`]),
-/// so probing the cache never re-hashes key payloads. Equal keys produce
-/// equal mixes by construction, keeping `Eq`/`Hash` consistent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CacheKey {
-    machine: MachineClassKey,
-    job: JobClassKey,
-    bits: u64,
+/// Dense id of a job class interned by an [`EvalCache`].
+pub(crate) type JobClassId = u32;
+
+/// Job classes one [`EvalCache`] interns at most. A job of a class past
+/// the bound is decided uncached (DESIGN.md §9.1).
+pub(crate) const JOB_CLASS_BOUND: usize = 4096;
+
+/// What the LRU map is keyed by: a machine class's precomputed hash and a
+/// job-class id — a probe builds it from the two without cloning either
+/// key. Equal hashes do not prove equal machine classes, so a probe that
+/// finds an entry also compares the entry's machine key in full, and a
+/// different class under the same hash is a miss that its insert then
+/// overwrites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Probe {
+    machine_hash: u64,
+    job: JobClassId,
 }
 
-impl CacheKey {
-    /// Builds a key around the precomputed halves: `job_bits` must be
-    /// `job.bits()` (hoisted out of per-class probe loops by callers).
-    fn new(machine: MachineClassKey, job: JobClassKey, job_bits: u64) -> Self {
-        let bits = machine.hash_bits().rotate_left(32) ^ job_bits;
-        Self { machine, job, bits }
+impl Probe {
+    fn new(machine: &MachineClassKey, job: JobClassId) -> Self {
+        Self { machine_hash: machine.hash_bits(), job }
     }
 }
 
-impl Hash for CacheKey {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        h.write_u64(self.bits);
+impl Hash for Probe {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(self.machine_hash.rotate_left(32) ^ u64::from(self.job));
     }
 }
 
@@ -281,7 +257,7 @@ const NIL: usize = usize::MAX;
 /// list (`head` = most recent, `tail` = eviction victim). All operations
 /// are O(1).
 struct Lru {
-    map: HashMap<CacheKey, usize, std::hash::BuildHasherDefault<FnvHasher>>,
+    map: HashMap<Probe, usize, BuildHasherDefault<FnvHasher>>,
     slab: Vec<Entry>,
     head: usize,
     tail: usize,
@@ -289,7 +265,8 @@ struct Lru {
 }
 
 struct Entry {
-    key: CacheKey,
+    machine: MachineClassKey,
+    job: JobClassId,
     value: CandidateOutcome,
     prev: usize,
     next: usize,
@@ -322,19 +299,29 @@ impl Lru {
         self.head = i;
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<CandidateOutcome> {
-        let &i = self.map.get(key)?;
+    fn get(&mut self, machine: &MachineClassKey, job: JobClassId) -> Option<CandidateOutcome> {
+        let &i = self.map.get(&Probe::new(machine, job))?;
+        if self.slab[i].machine != *machine {
+            return None;
+        }
         self.unlink(i);
         self.push_front(i);
         Some(self.slab[i].value.clone())
     }
 
-    /// Inserts (or refreshes) an entry; returns `true` when an older entry
+    /// Inserts (or overwrites) an entry; returns `true` when an older entry
     /// was evicted to make room.
-    fn insert(&mut self, key: CacheKey, value: CandidateOutcome) -> bool {
-        if let Some(&i) = self.map.get(&key) {
-            self.slab[i].value = value;
+    fn insert(
+        &mut self,
+        machine: &MachineClassKey,
+        job: JobClassId,
+        value: CandidateOutcome,
+    ) -> bool {
+        let probe = Probe::new(machine, job);
+        let entry = Entry { machine: machine.clone(), job, value, prev: NIL, next: NIL };
+        if let Some(&i) = self.map.get(&probe) {
             self.unlink(i);
+            self.slab[i] = entry;
             self.push_front(i);
             return false;
         }
@@ -342,25 +329,25 @@ impl Lru {
             // Reuse the LRU victim's slot in place.
             let lru = self.tail;
             self.unlink(lru);
-            let old_key = self.slab[lru].key.clone();
-            self.map.remove(&old_key);
-            self.slab[lru].key = key.clone();
-            self.slab[lru].value = value;
-            self.map.insert(key, lru);
+            let victim = &self.slab[lru];
+            self.map.remove(&Probe::new(&victim.machine, victim.job));
+            self.slab[lru] = entry;
+            self.map.insert(probe, lru);
             self.push_front(lru);
             return true;
         }
         let i = self.slab.len();
-        self.slab.push(Entry { key: key.clone(), value, prev: NIL, next: NIL });
-        self.map.insert(key, i);
+        self.slab.push(entry);
+        self.map.insert(probe, i);
         self.push_front(i);
         false
     }
 }
 
 /// The cross-event placement cache: a capacity-bounded LRU from
-/// `(machine class, job class)` to the evaluated candidate outcome, owned
-/// by a [`crate::Scheduler`] for the whole run.
+/// `(machine class, job-class id)` to the evaluated candidate outcome,
+/// owned by a [`crate::Scheduler`] for the whole run, with the table that
+/// interns each job class to its id (at most 4,096 of them).
 ///
 /// Both key halves are pure functions of state (DESIGN.md §9), so entries
 /// never go stale — a machine whose occupancy changes simply stops
@@ -372,6 +359,10 @@ impl Lru {
 /// plain single-threaded state: a `RefCell` and `Cell` counters, no locks.
 pub struct EvalCache {
     lru: RefCell<Lru>,
+    /// Every job class interned so far, with its dense id. The keys come
+    /// from job specs, which a trace or manifest supplies, so the map
+    /// keeps the default hasher; it is read once per job, at submit.
+    job_classes: RefCell<HashMap<JobClassKey, JobClassId>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     evictions: Cell<u64>,
@@ -415,6 +406,7 @@ impl EvalCache {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             lru: RefCell::new(Lru::new(capacity.max(1))),
+            job_classes: RefCell::default(),
             hits: Cell::new(0),
             misses: Cell::new(0),
             evictions: Cell::new(0),
@@ -436,14 +428,31 @@ impl EvalCache {
         }
     }
 
-    fn get(&self, key: &CacheKey) -> Option<CandidateOutcome> {
-        let hit = self.lru.borrow_mut().get(key);
+    /// The dense id of `job`'s class under `weights`, interned on first
+    /// sight, or `None` when [`JOB_CLASS_BOUND`] other classes hold every
+    /// id. Ids are handed out in interning order and never change.
+    pub(crate) fn intern(&self, job: &JobSpec, weights: UtilityWeights) -> Option<JobClassId> {
+        let key = JobClassKey::of(job, weights);
+        let mut ids = self.job_classes.borrow_mut();
+        if let Some(&id) = ids.get(&key) {
+            return Some(id);
+        }
+        let id = ids.len();
+        if id >= JOB_CLASS_BOUND {
+            return None;
+        }
+        ids.insert(key, id as JobClassId);
+        Some(id as JobClassId)
+    }
+
+    fn get(&self, machine: &MachineClassKey, job: JobClassId) -> Option<CandidateOutcome> {
+        let hit = self.lru.borrow_mut().get(machine, job);
         bump(if hit.is_some() { &self.hits } else { &self.misses }, 1);
         hit
     }
 
-    fn insert(&self, key: CacheKey, value: CandidateOutcome) {
-        if self.lru.borrow_mut().insert(key, value) {
+    fn insert(&self, machine: &MachineClassKey, job: JobClassId, value: CandidateOutcome) {
+        if self.lru.borrow_mut().insert(machine, job, value) {
             bump(&self.evictions, 1);
         }
     }
@@ -475,19 +484,18 @@ fn evaluate_one(
     CandidateOutcome::Feasible { gpus: gpus.into(), utility, frag_after }
 }
 
-/// Debug check behind every cache hit: re-run the full evaluation and
-/// assert the cached bits are exactly what a miss would have produced —
-/// the PR 4 shadow-recompute discipline applied to the cross-event cache.
+/// Debug check behind every cache hit: re-run the full evaluation, on a
+/// graph of its own, and assert the cached bits are exactly what a miss
+/// would have produced.
 #[cfg(debug_assertions)]
 fn debug_assert_hit_matches(
     state: &ClusterState,
     job: &JobSpec,
-    graph: &JobGraph,
     weights: UtilityWeights,
     machine: MachineId,
     hit: &CandidateOutcome,
 ) {
-    let fresh = evaluate_one(state, job, graph, weights, machine);
+    let fresh = evaluate_one(state, job, &JobGraph::from_spec(job), weights, machine);
     let bits_equal = match (&fresh, hit) {
         (CandidateOutcome::NoMapping, CandidateOutcome::NoMapping) => true,
         (
@@ -521,61 +529,51 @@ pub(crate) fn evaluate_topo_candidates(
 /// One outcome per live machine class in `classes` (`(lowest member,
 /// class)` pairs, ascending by lowest member — the order in which a scan
 /// over the machines first meets each class), evaluated on the lowest
-/// member when the cross-event `cache` does not know it (DESIGN.md §15).
+/// member when the cross-event cache does not know it (DESIGN.md §15).
 /// The per-machine capacity filter, class grouping and per-candidate
 /// fan-out of a flat scan never run: the class table already holds the
 /// grouping.
+///
+/// `cached` names the cache and `job`'s interned class in it; a job
+/// without one (no cache, or a class past [`JOB_CLASS_BOUND`]) is
+/// evaluated uncached. Every class is looked up before any is inserted:
+/// an insert can evict a later class's entry, so this order decides the
+/// hit/miss/eviction counts. The misses then evaluate on their lowest
+/// members, in order, and fill the cache; the job's graph is built only
+/// when some class misses.
 pub(crate) fn evaluate_live_classes(
     state: &ClusterState,
     job: &JobSpec,
-    graph: &JobGraph,
     weights: UtilityWeights,
     classes: &[(MachineId, ClassId)],
-    cache: Option<&EvalCache>,
+    cached: Option<(&EvalCache, JobClassId)>,
 ) -> Vec<CandidateOutcome> {
-    let table = state.classes();
-    let reps: Vec<(MachineId, &MachineClassKey)> =
-        classes.iter().map(|&(lowest, c)| (lowest, table.key(c))).collect();
-    resolve_classes(state, job, graph, weights, &reps, cache)
-}
-
-/// Resolves one outcome per `(representative, key)` class, in order.
-/// Every class is looked up in the cross-event cache before any is
-/// inserted: an insert can evict a later class's entry, so this order
-/// decides the hit/miss/eviction counts. The misses then evaluate on their
-/// representatives, in order, and fill the cache. Jobs without a class
-/// key (explicit comm graph) bypass the cache.
-fn resolve_classes(
-    state: &ClusterState,
-    job: &JobSpec,
-    graph: &JobGraph,
-    weights: UtilityWeights,
-    reps: &[(MachineId, &MachineClassKey)],
-    cache: Option<&EvalCache>,
-) -> Vec<CandidateOutcome> {
-    let job_class = cache.and_then(|_| JobClassKey::of(job, weights));
-    let (Some(cache), Some(jc)) = (cache, job_class) else {
-        return reps.iter().map(|&(m, _)| evaluate_one(state, job, graph, weights, m)).collect();
+    let Some((cache, job_class)) = cached else {
+        let graph = JobGraph::from_spec(job);
+        return classes.iter().map(|&(m, _)| evaluate_one(state, job, &graph, weights, m)).collect();
     };
-    let job_bits = jc.bits();
-    let mut outcomes: Vec<Option<CandidateOutcome>> = Vec::with_capacity(reps.len());
+    let table = state.classes();
+    let mut outcomes: Vec<Option<CandidateOutcome>> = Vec::with_capacity(classes.len());
     let mut pending: Vec<usize> = Vec::new();
-    for (i, &(_m, key)) in reps.iter().enumerate() {
-        let hit = cache.get(&CacheKey::new(key.clone(), jc.clone(), job_bits));
+    for (i, &(_m, c)) in classes.iter().enumerate() {
+        let hit = cache.get(table.key(c), job_class);
         #[cfg(debug_assertions)]
         if let Some(hit) = &hit {
-            debug_assert_hit_matches(state, job, graph, weights, _m, hit);
+            debug_assert_hit_matches(state, job, weights, _m, hit);
         }
         if hit.is_none() {
             pending.push(i);
         }
         outcomes.push(hit);
     }
-    for i in pending {
-        let (m, key) = reps[i];
-        let outcome = evaluate_one(state, job, graph, weights, m);
-        cache.insert(CacheKey::new(key.clone(), jc.clone(), job_bits), outcome.clone());
-        outcomes[i] = Some(outcome);
+    if !pending.is_empty() {
+        let graph = JobGraph::from_spec(job);
+        for i in pending {
+            let (m, c) = classes[i];
+            let outcome = evaluate_one(state, job, &graph, weights, m);
+            cache.insert(table.key(c), job_class, outcome.clone());
+            outcomes[i] = Some(outcome);
+        }
     }
     outcomes.into_iter().map(|o| o.expect("every class resolved")).collect()
 }
@@ -609,17 +607,17 @@ mod tests {
         params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Vec<CandidateOutcome> {
-        let graph = JobGraph::from_spec(j);
         let weights = UtilityWeights::default();
         let candidates = s.machines_with_capacity(j.n_gpus as usize);
         if params.is_sequential() {
-            return evaluate_topo_candidates(s, j, &graph, weights, &candidates);
+            return evaluate_topo_candidates(s, j, &JobGraph::from_spec(j), weights, &candidates);
         }
         // The production form: one outcome per live class, expanded here
         // to the candidates for comparison.
         let mut classes = Vec::new();
         s.classes().with_capacity_into(j.n_gpus as usize, &mut classes);
-        let outcomes = evaluate_live_classes(s, j, &graph, weights, &classes, cache);
+        let cached = cache.and_then(|c| Some((c, c.intern(j, weights)?)));
+        let outcomes = evaluate_live_classes(s, j, weights, &classes, cached);
         candidates
             .iter()
             .map(|&m| {
@@ -763,16 +761,79 @@ mod tests {
         }
     }
 
+    /// Jobs with equal comm graphs intern to one class and share its
+    /// entries; a job whose graph differs from another's in a weight, in
+    /// its shape, or only in being uniform never shares theirs.
     #[test]
-    fn jobs_with_explicit_graphs_bypass_the_cache() {
+    fn comm_graph_jobs_share_entries_only_with_equal_graphs() {
         let s = state(4);
+        let weights = UtilityWeights::default();
+        let on = |id, graph: Option<JobGraph>| {
+            let j = JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, 4);
+            match graph {
+                Some(g) => j.with_comm_graph(g),
+                None => j,
+            }
+        };
+        let pipeline = || Some(JobGraph::pipeline(4, 4.0));
+        let production = EvalParams::parallel(2);
+
         let cache = EvalCache::with_capacity(64);
-        let j = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2)
-            .with_comm_graph(JobGraph::pipeline(2, 4.0));
-        outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
-        outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 0, "graph jobs are not keyable");
+        let (first, twin) = (on(0, pipeline()), on(1, pipeline()).with_min_utility(0.9));
+        assert_eq!(cache.intern(&first, weights), cache.intern(&twin, weights));
+        let cold = outcomes_cached(&s, &first, production, Some(&cache));
+        let after_cold = cache.stats();
+        assert_eq!(after_cold.hits, 0);
+        assert!(after_cold.misses >= 1);
+        let warm = outcomes_cached(&s, &twin, production, Some(&cache));
+        assert_eq!(warm, cold);
+        assert_eq!(cache.stats().misses, after_cold.misses, "the twin evaluates nothing");
+        assert_eq!(cache.stats().hits, after_cold.misses, "the twin hits every class");
+
+        let others = [
+            ("a lighter pipeline", Some(JobGraph::pipeline(4, 3.0))),
+            ("a ring", Some(JobGraph::ring(4, 4.0))),
+            ("the uniform graph", Some(JobGraph::uniform(4, 4.0))),
+            ("no graph", None),
+        ];
+        for (name, graph) in others {
+            let cache = EvalCache::with_capacity(64);
+            let other = on(1, graph);
+            assert_ne!(cache.intern(&first, weights), cache.intern(&other, weights), "{name}");
+            outcomes_cached(&s, &first, production, Some(&cache));
+            let before = cache.stats();
+            let got = outcomes_cached(&s, &other, production, Some(&cache));
+            let after = cache.stats();
+            assert_eq!(after.hits, before.hits, "{name} hit the pipeline's entries");
+            assert_eq!(after.misses, 2 * before.misses, "{name} missed every class");
+            assert_eq!(got, outcomes(&s, &other, EvalParams::sequential()), "{name}");
+        }
+    }
+
+    /// Once the interning table is full, a job of a new class gets no id
+    /// and is decided uncached, equal to the sequential reference; the
+    /// classes interned before it keep their ids.
+    #[test]
+    fn a_job_past_the_interning_bound_decides_uncached() {
+        let mut s = state(3);
+        s.place(job(100, 2), on_machine(MachineId(0), &[GpuId(0), GpuId(1)]), 1.0);
+        let weights = UtilityWeights::default();
+        let cache = EvalCache::with_capacity(64);
+        let filler = |i: usize| job(1000 + i as u64, 1).with_bw_demand(i as f64 * 1e-6);
+        for i in 0..JOB_CLASS_BOUND {
+            assert_eq!(cache.intern(&filler(i), weights), Some(i as JobClassId));
+        }
+        let late = JobSpec::new(0, NnModel::GoogLeNet, BatchClass::Big, 2)
+            .with_comm_graph(JobGraph::pipeline(2, 1.0));
+        assert_eq!(cache.intern(&late, weights), None);
+        assert_eq!(cache.intern(&filler(7), weights), Some(7), "interned ids stay");
+
+        let policy = crate::Policy::new(crate::PolicyKind::TopoAwareP);
+        let got = policy.decide_with(&s, &late, EvalParams::parallel(2), Some(&cache), None);
+        let want = policy.decide_with(&s, &late, EvalParams::sequential(), None, None);
+        let bits = |d: Option<crate::policy::Decision>| d.map(|d| (d.gpus, d.utility.to_bits()));
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(cache.stats(), EvalCacheStats::default(), "no lookup for an uninterned class");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::classes::ClassId;
 use crate::eval::{
     evaluate_live_classes, evaluate_topo_candidates, CandidateOutcome, EvalCache, EvalParams,
-    JobClassKey, ReplayKey,
+    JobClassId,
 };
 use crate::oracle::{placement_components, placement_utility, StateOracle};
 use crate::state::{on_machine, ClusterState};
@@ -139,28 +139,13 @@ impl Policy {
 
     /// Whether `job` takes the production class-level decision (DESIGN.md
     /// §15): the topo policies under production parameters, except
-    /// multi-GPU anti-collocated jobs, which have their own search.
-    fn takes_class_path(&self, job: &JobSpec, params: EvalParams) -> bool {
+    /// multi-GPU anti-collocated jobs, which have their own search. Only
+    /// these jobs read the cross-event cache and the scheduler's decision
+    /// memo.
+    pub(crate) fn takes_class_path(&self, job: &JobSpec, params: EvalParams) -> bool {
         matches!(self.kind, PolicyKind::TopoAware | PolicyKind::TopoAwareP)
             && !params.is_sequential()
             && !(job.constraints.anti_collocate && job.n_gpus > 1)
-    }
-
-    /// The key under which the scheduler's decision memo (DESIGN.md §14.2)
-    /// answers `job`, or `None` when the memo never answers it: it does
-    /// not take the class path, the decision is traced, or it carries a
-    /// comm graph and so has no class key. Two jobs with equal keys get
-    /// the same decision on the same cluster state.
-    pub(crate) fn replay_key(
-        &self,
-        job: &JobSpec,
-        params: EvalParams,
-        traced: bool,
-    ) -> Option<ReplayKey> {
-        if traced || !self.takes_class_path(job, params) {
-            return None;
-        }
-        Some(ReplayKey::new(JobClassKey::of(job, self.weights)?, job))
     }
 
     /// [`Policy::decide`] with explicit evaluation-engine parameters, an
@@ -169,8 +154,9 @@ impl Policy {
     /// * `params`: [`EvalParams::sequential`] selects the reference path
     ///   the engine is proven bit-identical to; that path ignores `cache`.
     /// * `cache`: class evaluations already cached from earlier arrivals
-    ///   are replayed instead of re-running DRB. The scheduler passes the
-    ///   cache it owns on every decision.
+    ///   are replayed instead of re-running DRB. A job on the class path
+    ///   has its class interned in `cache` first; the scheduler interns at
+    ///   submit instead and decides through `Policy::decide_interned`.
     /// * `trace`: receives every candidate machine the search touched,
     ///   with its Eq. 2 utility breakdown, in search order; the winning
     ///   candidate (if any) is marked [`EvalOutcome::Chosen`]. Traced
@@ -182,6 +168,26 @@ impl Policy {
         job: &JobSpec,
         params: EvalParams,
         cache: Option<&EvalCache>,
+        trace: Option<&mut Vec<CandidateEval>>,
+    ) -> Option<Decision> {
+        let cached = match cache {
+            Some(cache) if self.takes_class_path(job, params) => {
+                cache.intern(job, self.weights).map(|class| (cache, class))
+            }
+            _ => None,
+        };
+        self.decide_interned(state, job, params, cached, trace)
+    }
+
+    /// [`Policy::decide_with`] for a job whose class the caller has
+    /// already interned: `cached` names the cache and the job's class id
+    /// in it, and is `None` when the job is to be decided uncached.
+    pub(crate) fn decide_interned(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        params: EvalParams,
+        cached: Option<(&EvalCache, JobClassId)>,
         mut trace: Option<&mut Vec<CandidateEval>>,
     ) -> Option<Decision> {
         if job.constraints.anti_collocate && job.n_gpus > 1 {
@@ -201,7 +207,7 @@ impl Policy {
             return decision;
         }
         if self.takes_class_path(job, params) {
-            return self.decide_topo_classes(state, job, trace, cache, true);
+            return self.decide_topo_classes(state, job, trace, cached, true);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -341,18 +347,18 @@ impl Policy {
     /// The class-level decision for `TOPO-AWARE(-P)` (DESIGN.md §15), racked
     /// or flat, traced or not: one outcome per live machine class with at
     /// least `n` free GPUs (ascending lowest member, looked up in the
-    /// cross-event cache before any miss evaluates), the reference
-    /// selection scan over the classes, and one [`Decision`] on the winning
-    /// class's lowest member. A traced run expands the class outcomes into
-    /// the reference's per-candidate records. `count_fallback` is false
-    /// only for the debug shadow, so that it leaves
-    /// `class_order_fallbacks` as a release build counts it.
+    /// cross-event cache under the job's interned class, `cached`, before
+    /// any miss evaluates), the reference selection scan over the classes,
+    /// and one [`Decision`] on the winning class's lowest member. A traced
+    /// run expands the class outcomes into the reference's per-candidate
+    /// records. `count_fallback` is false only for the debug shadow, so
+    /// that it leaves `class_order_fallbacks` as a release build counts it.
     fn decide_topo_classes(
         &self,
         state: &ClusterState,
         job: &JobSpec,
         trace: Option<&mut Vec<CandidateEval>>,
-        cache: Option<&EvalCache>,
+        cached: Option<(&EvalCache, JobClassId)>,
         count_fallback: bool,
     ) -> Option<Decision> {
         let n = job.n_gpus as usize;
@@ -365,8 +371,7 @@ impl Policy {
             }
             return None;
         }
-        let graph = JobGraph::from_spec(job);
-        let outcomes = evaluate_live_classes(state, job, &graph, self.weights, &classes, cache);
+        let outcomes = evaluate_live_classes(state, job, self.weights, &classes, cached);
         let mut feasible: Vec<FeasibleClass> = Vec::new();
         for (i, outcome) in outcomes.iter().enumerate() {
             if let CandidateOutcome::Feasible { utility, frag_after, .. } = outcome {

@@ -21,15 +21,18 @@
 //! it back, so only placed jobs leave the queue. A TOPO-AWARE(-P) job whose
 //! replay key matches an earlier unplaced job's gets that answer from the
 //! scheduler's decision memo instead of a decision, for as long as the
-//! cluster state's version holds, across iterations too.
+//! cluster state's version holds, across iterations too. Both the key and
+//! the job's class are interned once, at submit, to dense ids that ride in
+//! the job's queue slot.
 
-use crate::eval::{EvalCache, EvalCacheStats, EvalParams, ReplayKey};
+use crate::eval::{EvalCache, EvalCacheStats, EvalParams, JobClassId, JOB_CLASS_BOUND};
 use crate::overhead::DecisionStats;
 use crate::policy::{Decision, Policy};
 use crate::state::{Allocation, ClusterState};
 use crate::trace::TraceEvent;
 use gts_job::{JobId, JobSpec, WaitQueue};
 use gts_topo::{GlobalGpuId, MachineId};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Scheduler construction parameters.
@@ -91,6 +94,25 @@ pub enum CancelOutcome {
     NotFound,
 }
 
+/// Dense id of a replay key: a job class, a `min_utility` bit pattern and
+/// a `single_node` flag (DESIGN.md §14.2).
+type ReplayId = u32;
+
+/// The dense ids the scheduler interned for a queued job, riding in its
+/// queue slot: the job-class id its cache lookups go by and the replay id
+/// its decision-memo answers go by, both interned by
+/// [`Scheduler::submit`], and the index of its postponement count, given
+/// at its first postponement. A job that takes no class-level decision
+/// has no class or replay id; a job whose class or replay key came past
+/// the interning bound lacks that id and is decided uncached or
+/// unmemoised.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Interned {
+    class: Option<JobClassId>,
+    replay: Option<ReplayId>,
+    postponed: Option<u32>,
+}
+
 /// The Algorithm 1 driver.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -101,11 +123,17 @@ pub struct Scheduler {
     /// reference never reads it.
     eval_cache: EvalCache,
     state: ClusterState,
-    queue: WaitQueue,
-    /// The decision memo (DESIGN.md §14.2): the answers of the jobs left
-    /// unplaced since the state last changed, by replay key.
-    memo: Vec<(ReplayKey, Option<Decision>)>,
-    /// The state's version the memo's answers were decided on.
+    queue: WaitQueue<Interned>,
+    /// Replay keys `(job class, min_utility bits, single_node)` interned so
+    /// far, at most [`JOB_CLASS_BOUND`].
+    replay_ids: HashMap<(JobClassId, u64, bool), ReplayId>,
+    /// The decision memo (DESIGN.md §14.2), indexed by replay id: the
+    /// answer of the last unplaced job of that key and the memo epoch it
+    /// was decided in. Only answers of the current epoch count.
+    memo: Vec<(u64, Option<Decision>)>,
+    /// The current memo epoch; advancing it forgets every answer.
+    memo_epoch: u64,
+    /// The state's version the current epoch's answers were decided on.
     memo_version: u64,
     /// Latencies of real decisions; answers from the memo are not
     /// decisions.
@@ -113,7 +141,12 @@ pub struct Scheduler {
     /// Jobs answered from the memo instead of decided.
     replay_hits: u64,
     slo_violations: usize,
-    postpone_counts: std::collections::HashMap<JobId, u32>,
+    /// Postponements so far of every job ever postponed, by postponement
+    /// index: the walk bumps a count through the index in the job's queue
+    /// slot, and the count outlives the job's placement and restarts.
+    postpone_counts: Vec<u32>,
+    /// The postponement index of every job ever postponed, by id.
+    postpone_index: HashMap<JobId, u32>,
     tracing: bool,
     now_s: f64,
     trace: Vec<TraceEvent>,
@@ -129,12 +162,15 @@ impl Scheduler {
             eval_cache,
             memo_version: state.version(),
             state,
-            queue: WaitQueue::new(),
+            queue: WaitQueue::default(),
+            replay_ids: HashMap::new(),
             memo: Vec::new(),
+            memo_epoch: 1,
             stats: DecisionStats::new(),
             replay_hits: 0,
             slo_violations: 0,
-            postpone_counts: std::collections::HashMap::new(),
+            postpone_counts: Vec::new(),
+            postpone_index: HashMap::new(),
             tracing: false,
             now_s: 0.0,
             trace: Vec::new(),
@@ -198,12 +234,12 @@ impl Scheduler {
     /// still go through `place`/`complete`/`cancel`. Clears the decision
     /// memo: the caller may swap in a state whose version is equal.
     pub fn state_mut(&mut self) -> &mut ClusterState {
-        self.memo.clear();
+        self.memo_epoch += 1;
         &mut self.state
     }
 
     /// The waiting queue (arrival-ordered).
-    pub fn queue(&self) -> &WaitQueue {
+    pub fn queue(&self) -> &WaitQueue<Interned> {
         &self.queue
     }
 
@@ -223,12 +259,12 @@ impl Scheduler {
     /// starvation-watch counter ("to avoid starvation ... the job waiting
     /// queue is sorted by the job's arrival time", §4.4).
     pub fn postpone_count(&self, id: JobId) -> u32 {
-        self.postpone_counts.get(&id).copied().unwrap_or(0)
+        self.postpone_index.get(&id).map_or(0, |&k| self.postpone_counts[k as usize])
     }
 
     /// The highest postponement count any job has accumulated.
     pub fn max_postpone_count(&self) -> u32 {
-        self.postpone_counts.values().copied().max().unwrap_or(0)
+        self.postpone_counts.iter().copied().max().unwrap_or(0)
     }
 
     /// Removes and returns the head of the waiting queue without placing
@@ -239,11 +275,38 @@ impl Scheduler {
         self.queue.pop()
     }
 
-    /// Enqueues an arriving job.
+    /// Enqueues an arriving job, with the ids interned for it (DESIGN.md
+    /// §14.2) in its queue slot.
     pub fn submit(&mut self, job: JobSpec) {
         debug_assert!(job.validate().is_ok(), "invalid job submitted");
         self.emit(TraceEvent::Arrived { t_s: self.now_s, job: job.id });
-        self.queue.add(job);
+        let interned = self.intern(&job);
+        self.queue.add_tagged(job, interned);
+    }
+
+    /// Interns `job`'s class in the cross-event cache and its replay key
+    /// in the memo, once per submit, so that no walk step builds a key. A
+    /// job off the class path (FCFS, BF, the sequential reference,
+    /// anti-collocated jobs) gets neither id.
+    fn intern(&mut self, job: &JobSpec) -> Interned {
+        if !self.policy.takes_class_path(job, self.eval) {
+            return Interned::default();
+        }
+        let Some(class) = self.eval_cache.intern(job, self.policy.weights) else {
+            return Interned::default();
+        };
+        let key = (class, job.min_utility.to_bits(), job.constraints.single_node);
+        let next = self.replay_ids.len();
+        let replay = match self.replay_ids.get(&key) {
+            Some(&id) => Some(id),
+            None if next >= JOB_CLASS_BOUND => None,
+            None => {
+                self.replay_ids.insert(key, next as ReplayId);
+                self.memo.push((0, None));
+                Some(next as ReplayId)
+            }
+        };
+        Interned { class: Some(class), replay, postponed: None }
     }
 
     /// Releases a finished job's GPUs (the "a job has finished" wakeup
@@ -308,10 +371,10 @@ impl Scheduler {
         // The walk's position: every job before it stays queued, unplaced.
         let mut i = 0;
         while self.state.has_free_resources() {
-            let Some(job) = self.queue.get(i) else { break };
+            let Some((job, &interned)) = self.queue.slot(i) else { break };
             let id = job.id;
-            let key = self.policy.replay_key(job, self.eval, self.tracing);
-            let memo = key.as_ref().and_then(|k| self.memo.iter().find(|(seen, _)| seen == k));
+            let replay = interned.replay.filter(|_| !self.tracing).map(|r| r as usize);
+            let memo = replay.map(|r| &self.memo[r]).filter(|(epoch, _)| *epoch == self.memo_epoch);
             if let Some((_, answer)) = memo {
                 #[cfg(debug_assertions)]
                 debug_assert_memo_matches(&self.policy, &self.state, job, answer.as_ref());
@@ -324,7 +387,7 @@ impl Scheduler {
                             break;
                         }
                     }
-                    Some(u) => self.postpone_low_utility(id, u, &mut outcomes),
+                    Some(u) => self.postpone_low_utility(i, id, u, &mut outcomes),
                 }
                 i += 1;
                 continue;
@@ -332,11 +395,11 @@ impl Scheduler {
 
             let started = Instant::now();
             let mut evals = Vec::new();
-            let decision = self.policy.decide_with(
+            let decision = self.policy.decide_interned(
                 &self.state,
                 job,
                 self.eval,
-                Some(&self.eval_cache),
+                interned.class.map(|class| (&self.eval_cache, class)),
                 self.tracing.then_some(&mut evals),
             );
             self.stats.record(started.elapsed());
@@ -352,8 +415,8 @@ impl Scheduler {
             match decision {
                 None => {
                     self.wait_for_capacity(id, &mut outcomes);
-                    if let Some(k) = key {
-                        self.memo.push((k, None));
+                    if let Some(r) = replay {
+                        self.memo[r] = (self.memo_epoch, None);
                     }
                     if !postpones {
                         // In-order policies block on the head job.
@@ -365,9 +428,9 @@ impl Scheduler {
                 Some(d) => {
                     let below = d.utility + 1e-9 < min_utility;
                     if below && postpones {
-                        self.postpone_low_utility(id, d.utility, &mut outcomes);
-                        if let Some(k) = key {
-                            self.memo.push((k, Some(d)));
+                        self.postpone_low_utility(i, id, d.utility, &mut outcomes);
+                        if let Some(r) = replay {
+                            self.memo[r] = (self.memo_epoch, Some(d));
                         }
                         i += 1;
                     } else {
@@ -414,12 +477,12 @@ impl Scheduler {
         outcomes
     }
 
-    /// Forgets the memo's answers once the state's version has moved past
-    /// the one they were decided on.
+    /// Forgets the memo's answers, by starting a new epoch, once the
+    /// state's version has moved past the one they were decided on.
     fn refresh_memo(&mut self) {
         let version = self.state.version();
         if self.memo_version != version {
-            self.memo.clear();
+            self.memo_epoch += 1;
             self.memo_version = version;
         }
     }
@@ -430,15 +493,27 @@ impl Scheduler {
         outcomes.push(PlacementOutcome::WaitingForCapacity { id });
     }
 
-    /// Postpones job `id`, whose best placement scored `utility`, below its
-    /// `min_utility`; it stays queued.
+    /// Postpones job `id`, at position `i` of the queue, whose best
+    /// placement scored `utility`, below its `min_utility`; it stays
+    /// queued. Its count is found through its slot's postponement index;
+    /// only a job's first postponement in a slot looks the index up by id.
     fn postpone_low_utility(
         &mut self,
+        i: usize,
         id: JobId,
         utility: f64,
         outcomes: &mut Vec<PlacementOutcome>,
     ) {
-        *self.postpone_counts.entry(id).or_insert(0) += 1;
+        let slot = self.queue.tag_mut(i).expect("the walk reads a queued job");
+        let k = *slot.postponed.get_or_insert_with(|| {
+            let next = u32::try_from(self.postpone_counts.len()).expect("under 2^32 jobs");
+            let k = *self.postpone_index.entry(id).or_insert(next);
+            if k == next {
+                self.postpone_counts.push(0);
+            }
+            k
+        });
+        self.postpone_counts[k as usize] += 1;
         self.emit(TraceEvent::Postponed { t_s: self.now_s, job: id, utility });
         outcomes.push(PlacementOutcome::PostponedLowUtility { id, utility });
     }
@@ -486,7 +561,7 @@ fn debug_assert_memo_matches(
 mod tests {
     use super::*;
     use crate::policy::{Policy, PolicyKind};
-    use gts_job::{BatchClass, NnModel};
+    use gts_job::{BatchClass, JobGraph, NnModel};
     use gts_perf::ProfileLibrary;
     use gts_topo::{power8_minsky, ClusterTopology, GlobalGpuId, GpuId, MachineId};
     use std::sync::Arc;
@@ -692,15 +767,17 @@ mod tests {
     /// machine 1 holding one 1-GPU job per socket: a 2-GPU job there faces
     /// a forced spread.
     fn split_racks() -> Scheduler {
+        split_racks_with(EvalParams::parallel(2))
+    }
+
+    /// [`split_racks`] on the given evaluation path.
+    fn split_racks_with(eval: EvalParams) -> Scheduler {
         let machine = power8_minsky();
         let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
         let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
         let mut s = Scheduler::new(
             ClusterState::new(cluster, profiles),
-            SchedulerConfig {
-                policy: Policy::new(PolicyKind::TopoAwareP),
-                eval: EvalParams::parallel(2),
-            },
+            SchedulerConfig { policy: Policy::new(PolicyKind::TopoAwareP), eval },
         );
         let on = |m: u32, gpus: &[u32]| -> Vec<GlobalGpuId> {
             gpus.iter().map(|&g| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) }).collect()
@@ -760,6 +837,114 @@ mod tests {
         );
         assert_eq!(s.replay_hits(), 0);
         assert_eq!(s.decision_stats().count(), 3);
+    }
+
+    #[test]
+    fn a_postponed_pipeline_job_is_memoised_until_a_placement() {
+        let mut s = split_racks();
+        let pipeline = |id| job(id, 2, 0.5).with_comm_graph(JobGraph::pipeline(2, 4.0));
+        s.submit(pipeline(0));
+        let outcomes = s.run_iteration();
+        assert!(
+            matches!(outcomes[..], [PlacementOutcome::PostponedLowUtility { id: JobId(0), .. }]),
+            "unexpected outcomes {outcomes:?}"
+        );
+        assert_eq!(s.decision_stats().count(), 1);
+
+        // An arrival changes no state: job 0 takes its answer from the
+        // memo, and so does job 1, whose graph equals job 0's.
+        s.submit(pipeline(1));
+        s.run_iteration();
+        assert_eq!(s.replay_hits(), 2);
+        assert_eq!(s.decision_stats().count(), 1);
+        assert_eq!(s.postpone_count(JobId(0)), 2);
+
+        // Job 2 lands behind them, taking one of the two free GPUs, and
+        // its placement clears the memo.
+        s.submit(job(2, 1, 0.0));
+        let outcomes = s.run_iteration();
+        assert_eq!(placed_ids(&outcomes), vec![JobId(2)]);
+        assert_eq!((s.replay_hits(), s.decision_stats().count()), (4, 2));
+
+        // So the next drain decides job 0 afresh: with one GPU left it now
+        // waits, and job 1 takes that answer.
+        let outcomes = s.run_iteration();
+        assert!(
+            matches!(
+                outcomes[..],
+                [
+                    PlacementOutcome::WaitingForCapacity { id: JobId(0) },
+                    PlacementOutcome::WaitingForCapacity { id: JobId(1) },
+                ]
+            ),
+            "unexpected outcomes {outcomes:?}"
+        );
+        assert_eq!((s.replay_hits(), s.decision_stats().count()), (5, 3));
+        assert_eq!(s.postpone_count(JobId(1)), 2, "the count outlives the postponements");
+    }
+
+    /// A job's postponement count keeps counting across iterations, is
+    /// still answered once the job runs, and carries on where it stopped
+    /// when the job is restarted and postponed again.
+    #[test]
+    fn postpone_counts_outlive_placement_and_restarts() {
+        let mut s = split_racks();
+        let on_1 = |gpu| vec![GlobalGpuId { machine: MachineId(1), gpu: GpuId(gpu) }];
+        s.submit(job(0, 2, 0.5));
+        s.run_iteration();
+        s.run_iteration();
+        assert_eq!((s.postpone_count(JobId(0)), s.max_postpone_count()), (2, 2));
+
+        // Freeing GPU 2 opens a packed pair on socket 1: job 0 runs there.
+        s.complete(JobId(102));
+        assert_eq!(placed_ids(&s.run_iteration()), vec![JobId(0)]);
+        assert_eq!(s.postpone_count(JobId(0)), 2, "answered after placement");
+
+        // A restart: the job is stopped and submitted again, and with GPU 2
+        // taken once more it faces the forced spread again.
+        assert!(matches!(s.cancel(JobId(0)), CancelOutcome::Stopped(_)));
+        s.state.place(job(103, 1, 0.0), on_1(2), 1.0);
+        s.submit(job(0, 2, 0.5));
+        s.submit(job(1, 2, 0.5));
+        s.run_iteration();
+        assert_eq!(s.postpone_count(JobId(0)), 3, "the count carries over the restart");
+        assert_eq!(s.postpone_count(JobId(1)), 1);
+        assert_eq!(s.postpone_count(JobId(7)), 0, "never postponed");
+        assert_eq!(s.max_postpone_count(), 3);
+    }
+
+    /// A job whose replay key comes past the interning bound is decided
+    /// every time, with the cache; one whose class comes past it is also
+    /// decided uncached. Both get the reference's outcomes.
+    #[test]
+    fn jobs_past_the_interning_bounds_are_decided_every_time() {
+        let mut s = split_racks();
+        let mut reference = split_racks_with(EvalParams::sequential());
+        let weights = s.policy.weights;
+        for i in 0..JOB_CLASS_BOUND {
+            let interned = s.intern(&job(1000, 2, 0.9 + i as f64 * 1e-6));
+            assert!(interned.class.is_some() && interned.replay.is_some());
+        }
+        let unmemoised = |s: &mut Scheduler| {
+            s.submit(job(0, 2, 0.5));
+            s.submit(job(1, 2, 0.5));
+            s.run_iteration()
+        };
+        assert_eq!(unmemoised(&mut s), unmemoised(&mut reference));
+        assert_eq!((s.replay_hits(), s.decision_stats().count()), (0, 2));
+        let hits = s.eval_cache_stats().hits;
+        assert!(hits >= 1, "the second decision reads the cache");
+
+        for i in 0..JOB_CLASS_BOUND {
+            s.eval_cache.intern(&job(1000, 1, 0.0).with_bw_demand(i as f64 * 1e-6), weights);
+        }
+        let uncached = |s: &mut Scheduler| {
+            s.submit(job(2, 2, 0.5).with_comm_graph(JobGraph::pipeline(2, 4.0)));
+            s.run_iteration()
+        };
+        assert_eq!(uncached(&mut s), uncached(&mut reference));
+        assert_eq!((s.replay_hits(), s.decision_stats().count()), (0, 5));
+        assert_eq!(s.eval_cache_stats().hits, hits + 2, "only jobs 0 and 1 read the cache");
     }
 
     proptest::proptest! {

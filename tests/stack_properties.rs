@@ -193,9 +193,10 @@ impl Scenario {
     /// A small `rack_overload`: 2–4 racks × 2 Minsky machines under 120
     /// jobs arriving at 1,200 a minute, so the queue backs up behind a
     /// full cluster and every wake-up walks the backlog. A fifth of the
-    /// multi-GPU jobs carry a comm graph (no replay key), a fifth of all
-    /// jobs may spill, and every third job asks for a `min_utility` of
-    /// 0.4, so jobs of one class differ in both guards of the replay key.
+    /// multi-GPU jobs carry a pipeline comm graph, which joins their job
+    /// class and so their replay key, a fifth of all jobs may spill, and
+    /// every third job asks for a `min_utility` of 0.4, so jobs of one
+    /// class differ in both guards of the replay key.
     fn rack_backlog(seed: u64) -> Self {
         let n_racks = 2 + (seed as usize % 3);
         let machine = power8_minsky();
@@ -220,8 +221,8 @@ impl Scenario {
 
     /// A heterogeneous fleet of 6–9 machines cycling Minsky, DGX-1 and
     /// PCIe-K80 (plus the 16-GPU DGX-2 on odd seeds). The workload adds
-    /// pipeline comm-graph jobs (which bypass the class cache) and jobs
-    /// allowed to spill across machines; on DGX-2 fleets every second
+    /// pipeline comm-graph jobs (cached under their graph's job class) and
+    /// jobs allowed to spill across machines; on DGX-2 fleets every second
     /// graph-free 4-GPU job is widened to 8 GPUs. `traced` records and
     /// compares the per-candidate decision traces as well.
     fn hetero_fleet(seed: u64, traced: bool) -> Self {
