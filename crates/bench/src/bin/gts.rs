@@ -196,13 +196,14 @@ fn run_scale_curve(args: &[String]) -> ExitCode {
     for p in &report.scale_curve {
         println!(
             "{:>6} machines: mean decision {:>9.1} µs median, {:>9.1} µs min over {} run(s) \
-             of {} jobs ({:.1} ms median wall, {} replay hit(s)){}",
+             of {} jobs ({:.1} ms median wall, {:.1} µs loop per job, {} replay hit(s)){}",
             p.machines,
             p.mean_decision_ns as f64 / 1_000.0,
             p.mean_decision_min_ns as f64 / 1_000.0,
             p.runs,
             p.jobs,
             p.wall_ns as f64 / 1e6,
+            p.loop_ns_per_job as f64 / 1_000.0,
             p.replay_hits,
             if smoke { "  [smoke — not comparable]" } else { "" },
         );

@@ -83,6 +83,12 @@ pub struct ScalePoint {
     /// points (sub-ms) and curve ratios stay meaningful.
     #[serde(default)]
     pub wall_ns: u64,
+    /// Median over the runs of the wall time outside decisions per job,
+    /// `(wall_ns − phase_decision_ns) / jobs`, nanoseconds — the event
+    /// loop's per-job cost, which anchored progress keeps from growing
+    /// with the cluster.
+    #[serde(default)]
+    pub loop_ns_per_job: u64,
     /// Jobs answered from the scheduler's decision memo instead of a
     /// decision in one run (DESIGN.md §14.2). The runs simulate one trace
     /// on one thread, so they agree.
@@ -495,7 +501,7 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
     let (sizes, per_rack, jobs_per_machine): (&[usize], usize, usize) = if smoke {
         (&[16, 32, 64], 4, 4)
     } else {
-        (&[256, 1024, 4096, 10_240], 32, 6)
+        (&[256, 1024, 4096, 10_240, 40_960], 32, 6)
     };
     sizes
         .iter()
@@ -511,6 +517,9 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
                 vals[(vals.len() - 1) / 2]
             };
             let wall_ns = median(|r| r.wall_ns);
+            // Flooring by `jobs` is monotone, so it commutes with the median.
+            let loop_ns_per_job =
+                median(|r| r.wall_ns.saturating_sub(r.stats.phase_decision_ns)) / jobs as u64;
             ScalePoint {
                 machines: machines as u64,
                 jobs: jobs as u64,
@@ -519,6 +528,7 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
                 mean_decision_min_ns: runs.iter().map(|r| r.mean_decision_ns).min().unwrap_or(0),
                 wall_ms: wall_ns / 1_000_000,
                 wall_ns,
+                loop_ns_per_job,
                 replay_hits: runs[0].stats.replay_hits,
             }
         })
@@ -608,6 +618,7 @@ mod tests {
             mean_decision_min_ns: 1,
             wall_ms: 1,
             wall_ns: 1_000_000,
+            loop_ns_per_job: 500,
             replay_hits: 0,
         }];
         let merged = BenchReport::from_json(&back.to_json()).expect("merged round-trips");
@@ -635,7 +646,20 @@ mod tests {
             );
             assert!(p.wall_ns > 0, "wall unmeasured at {}", p.machines);
             assert_eq!(p.wall_ms, p.wall_ns / 1_000_000, "wall_ms must floor wall_ns");
+            assert!(p.loop_ns_per_job > 0, "loop time unmeasured at {}", p.machines);
+            assert!(p.loop_ns_per_job * p.jobs <= p.wall_ns, "loop time exceeds the wall");
         }
+    }
+
+    /// A curve point written before `loop_ns_per_job` existed still parses,
+    /// reading 0 for it.
+    #[test]
+    fn old_scale_points_still_parse() {
+        let old = r#"{"machines": 256, "jobs": 1536, "runs": 3, "mean_decision_ns": 3718,
+            "mean_decision_min_ns": 3640, "wall_ms": 17, "wall_ns": 17947136,
+            "replay_hits": 0, "replay_full_fallbacks": 0}"#;
+        let point: ScalePoint = serde_json::from_str(old).expect("old point parses");
+        assert_eq!((point.machines, point.wall_ns, point.loop_ns_per_job), (256, 17947136, 0));
     }
 
     #[test]

@@ -12,11 +12,11 @@ use crate::result::{BandwidthSample, ProtoResult};
 use crate::worker::{run_worker, WorkerParams};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use gts_job::{JobId, JobSpec};
-use gts_perf::{total_slowdown, PlacementPerf, ProfileLibrary};
+use gts_perf::{PlacementPerf, ProfileLibrary};
 use gts_sched::{
     Allocation, ClusterState, PlacementOutcome, Policy, Scheduler, SchedulerConfig,
 };
-use gts_sim::{ideal_duration_s, JobRecord};
+use gts_sim::{cluster_ideal_duration_s, current_slowdown, solo_iter_time, JobRecord};
 use gts_topo::ClusterTopology;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -293,26 +293,12 @@ impl Prototype {
         cancelled: &Arc<RwLock<HashSet<JobId>>>,
         events: crossbeam::channel::Sender<Event>,
     ) -> JoinHandle<()> {
-        let perf = PlacementPerf::evaluate_cluster(&self.cluster, &alloc.gpus);
-        let iter = match (&alloc.spec.comm_graph, alloc.is_single_node()) {
-            (Some(graph), true) => {
-                let machine = alloc.gpus[0].machine;
-                let local: Vec<_> = alloc.gpus.iter().map(|g| g.gpu).collect();
-                gts_perf::placement::graph_iter_time(
-                    self.cluster.machine(machine),
-                    alloc.spec.model,
-                    alloc.spec.batch.representative_batch(),
-                    graph,
-                    &local,
-                )
-            }
-            _ => perf.iter_time(alloc.spec.model, alloc.spec.batch.representative_batch()),
-        };
+        let iter = solo_iter_time(alloc, &self.cluster);
         let params = WorkerParams {
             job: alloc.spec.id,
             machine: alloc.gpus[0].machine.index(),
             iter,
-            route: perf.route,
+            route: PlacementPerf::evaluate_cluster(&self.cluster, &alloc.gpus).route,
             total_solo_s: f64::from(alloc.spec.iterations) * iter.total_s(),
             dram_demand_gbs: alloc.spec.bw_demand_gbs,
             clock: clock.clone(),
@@ -326,59 +312,26 @@ impl Prototype {
 
     /// Re-derives every running job's slowdown from the Fig. 6 model.
     fn refresh_slowdowns(&self, scheduler: &Scheduler, table: &Arc<RwLock<HashMap<JobId, f64>>>) {
-        let allocs: Vec<&Allocation> = scheduler.state().running().collect();
-        let mut fresh = HashMap::with_capacity(allocs.len());
-        for victim in &allocs {
-            let corunners: Vec<_> = allocs
-                .iter()
-                .filter(|o| o.spec.id != victim.spec.id)
-                .filter_map(|o| {
-                    let factor = max_domain_factor(victim, o, &self.cluster);
-                    (factor > 0.0).then_some((o.spec.model, o.spec.batch, factor))
-                })
-                .collect();
-            fresh.insert(
-                victim.spec.id,
-                total_slowdown((victim.spec.model, victim.spec.batch), &corunners),
-            );
-        }
+        let running = || scheduler.state().running();
+        let fresh = running()
+            .map(|victim| (victim.spec.id, current_slowdown(victim, running(), &self.cluster)))
+            .collect();
         *table.write() = fresh;
     }
 
     fn record_for(&self, alloc: Allocation, placed_at_s: f64, finished_at_s: f64) -> JobRecord {
-        let ideal = self
-            .cluster
-            .machines()
-            .filter(|&m| self.cluster.machine(m).n_gpus() >= alloc.spec.n_gpus as usize)
-            .map(|m| ideal_duration_s(&alloc.spec, self.cluster.machine(m)))
-            .fold(f64::INFINITY, f64::min);
         JobRecord {
             placed_at_s,
             finished_at_s,
+            ideal_duration_s: cluster_ideal_duration_s(&alloc.spec, &self.cluster),
             gpus: alloc.gpus,
             utility: alloc.utility,
             slo_violated: alloc.utility + 1e-9 < alloc.spec.min_utility,
-            ideal_duration_s: ideal,
             postponements: 0, // filled by the daemon loop below when known
             restarts: 0,
             spec: alloc.spec,
         }
     }
-}
-
-/// Strongest bus-domain coupling between two allocations (same logic as the
-/// simulator's, over scheduler allocations).
-fn max_domain_factor(a: &Allocation, b: &Allocation, cluster: &ClusterTopology) -> f64 {
-    let mut factor: f64 = 0.0;
-    for machine in a.machines() {
-        let ga = a.gpus_on(machine);
-        let gb = b.gpus_on(machine);
-        if ga.is_empty() || gb.is_empty() {
-            continue;
-        }
-        factor = factor.max(gts_perf::domain_factor(cluster.machine(machine), &ga, &gb));
-    }
-    factor
 }
 
 #[cfg(test)]
@@ -449,6 +402,31 @@ mod tests {
         ]);
         let r1 = res.record(JobId(1)).unwrap();
         assert!(r1.waiting_s() > 1.0, "got {}", r1.waiting_s());
+    }
+
+    /// A job wider than every machine records the simulator's ideal, the
+    /// multi-node floor, not an infinite one (which would read as a QoS
+    /// slowdown of 0).
+    #[test]
+    fn a_job_wider_than_every_machine_records_the_simulators_ideal() {
+        let machine = power8_minsky();
+        let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
+        let cluster = Arc::new(ClusterTopology::homogeneous(machine, 5));
+        let mut job = quick_job(0, 5, 0.0, 20);
+        job.constraints = gts_job::Constraints { single_node: false, anti_collocate: true };
+        let policy = Policy::new(PolicyKind::TopoAware);
+        let proto = Prototype::new(
+            Arc::clone(&cluster),
+            Arc::clone(&profiles),
+            ProtoConfig::new(policy),
+        )
+        .run(vec![job.clone()]);
+        let sim = gts_sim::engine::simulate(cluster, profiles, policy, vec![job]);
+        assert_eq!(proto.records.len(), 1);
+        let ideal = proto.records[0].ideal_duration_s;
+        assert!(ideal.is_finite(), "prototype ideal {ideal}");
+        assert_eq!(ideal.to_bits(), sim.records[0].ideal_duration_s.to_bits());
+        assert!(proto.records[0].qos_slowdown() > 0.0);
     }
 
     #[test]

@@ -5,39 +5,44 @@
 //! Algorithm 1 iteration ("the scheduler sleeps until a job has finished or
 //! a time interval has expired" — with an analytic progress model the
 //! interval wakeups are unnecessary, every state change is an event).
-//! Between events, running jobs progress at `1/(1+slowdown)`; slowdowns are
-//! re-derived after every placement or completion, so interference couples
-//! job completion times exactly as on the real machine.
+//! Running jobs progress at `1/(1+slowdown)`. A job's progress is an anchor
+//! ([`RunningJob`]): slowdowns are re-derived after every placement or
+//! completion, and a job whose slowdown's bits change is re-anchored at the
+//! event and its completion time re-solved once. Nothing integrates
+//! progress between events, so interference couples completion times
+//! exactly as on the real machine, and an event leaves the completion time
+//! of every job it does not couple to untouched.
 //!
 //! # Incremental event loop
 //!
 //! Production runs the incremental loop. `SimConfig::with_incremental(false)`
 //! selects the reference loop, which together with
-//! [`EvalParams::sequential`] forms the reference oracle:
+//! [`EvalParams::sequential`] forms the reference oracle. Both take the same
+//! arithmetic: the same anchors, co-runner sums in job-id order
+//! ([`current_slowdown`]), completion batches in `(time, job id)` order and
+//! a fixed-point utility sum.
 //!
 //! * **Reference** — after every event, every running job's slowdown is
 //!   re-derived against every other running job (O(J²) pairwise with a
-//!   machine-set intersection per pair), and the next completion is found
-//!   by a full scan over the running set.
+//!   machine-set intersection per pair), and the next completion and the
+//!   completion batch are found by scans over the running set.
 //! * **Incremental** — interference couples jobs solely through shared
-//!   machines ([`crate::runtime::current_slowdown`] takes the max
-//!   `domain_factor` over shared machines and ignores everything else), so
-//!   an event can only change the slowdown of jobs holding GPUs on the
-//!   machines it touched. The loop tracks a *dirty-machine set* fed by
-//!   placements, completions, failures, and running-vector reorders, and
-//!   refreshes only the jobs on dirty machines — bit-identical to the
-//!   reference, at O(affected) instead of O(J²) per event. The next
-//!   completion comes from a lazy min-heap keyed by `(eta bits, job id)`
-//!   that is re-keyed only when a job's rate changes, and the sorted
-//!   failure/recovery schedules pop through cursors instead of
-//!   `Vec::remove(0)`.
+//!   machines, so an event can only change the slowdown of jobs holding
+//!   GPUs on the machines it touched. The loop tracks a *dirty-machine set*
+//!   fed by placements, completions and failures, and refreshes only the
+//!   jobs on dirty machines. Completions come from a lazy min-heap of exact
+//!   `(completion time, job id)` keys, pushed once per anchor; an entry is
+//!   live while its job runs with that completion time. The sorted
+//!   failure/recovery schedules pop through cursors.
 //!
 //! Bit-identity of production and the oracle across policies, seeds,
 //! cluster shapes, failures, and jitter is enforced by the differential
 //! runner in `tests/stack_properties.rs` at the workspace root and, in
-//! debug builds, by a full O(J²) shadow check after every scoped refresh.
+//! debug builds, by a full O(J²) shadow check after every scoped refresh
+//! and an equality check of the heap's next completion and completion batch
+//! against the scans.
 
-use crate::ideal::ideal_duration_s;
+use crate::ideal::cluster_ideal_duration_s;
 use crate::metrics::{JobRecord, SimEvent, SimResult, TimelineSegment, UtilitySample};
 use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
@@ -86,8 +91,6 @@ impl std::error::Error for SimConfigError {}
 pub struct SimConfig {
     /// Placement policy under test.
     pub policy: Policy,
-    /// Record `(t, mean utility)` samples (cheap; on by default).
-    pub sample_utility: bool,
     /// Relative execution-time jitter (±fraction), emulating the run-to-run
     /// variance public clouds exhibit (\[24\], \[27\] in the paper's related
     /// work). Deterministic per `(jitter_seed, job id)`. 0 = exact model.
@@ -122,12 +125,10 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Config with the given policy, utility sampling on, no jitter, no
-    /// failures.
+    /// Config with the given policy, no jitter, no failures.
     pub fn new(policy: Policy) -> Self {
         Self {
             policy,
-            sample_utility: true,
             jitter: 0.0,
             jitter_seed: 0,
             machine_failures: Vec::new(),
@@ -340,17 +341,20 @@ pub struct Simulation {
     /// Position of each running job in `running` — kept exact across
     /// `push`/`swap_remove` so event processing never scans for a job.
     job_pos: HashMap<JobId, usize>,
+    /// Sum of the running jobs' utilities in units of 2⁻³² — an integer, so
+    /// the utility sample is exact whatever order jobs come and go in.
+    utility_sum: u64,
     /// Machines touched since the last refresh (mask + list, so marking is
     /// O(1) and clearing is O(|dirty|)). Only fed in incremental mode.
     dirty_mask: Vec<bool>,
     dirty_list: Vec<MachineId>,
-    /// Lazy min-heap of completion times: `(completion-time bits, job id)`.
-    /// Positive-finite f64 bits order identically to the values, and the
-    /// job id breaks exact ties deterministically. Entries are invalidated
-    /// (not removed) when a job's rate changes or it leaves `running`;
-    /// `heap_key` holds the one live key per job.
+    /// Lazy min-heap of completion times: `(completion-time bits, job id)`,
+    /// one entry pushed per anchor in incremental mode. Non-negative finite
+    /// f64 bits order identically to the values, and the job id breaks
+    /// exact ties. An entry is live while its job runs with exactly that
+    /// completion time; a re-anchor or a departure leaves it stale, to be
+    /// dropped when it reaches the top.
     completion_heap: BinaryHeap<Reverse<(u64, JobId)>>,
-    heap_key: HashMap<JobId, u64>,
     /// Cursors into the sorted failure/recovery schedules — O(1) pops
     /// instead of `Vec::remove(0)`.
     failure_cursor: usize,
@@ -417,10 +421,10 @@ impl Simulation {
             pending: VecDeque::new(),
             running: Vec::new(),
             job_pos: HashMap::new(),
+            utility_sum: 0,
             dirty_mask: vec![false; n_machines],
             dirty_list: Vec::new(),
             completion_heap: BinaryHeap::new(),
-            heap_key: HashMap::new(),
             failure_cursor: 0,
             recovery_cursor: 0,
             records: Vec::new(),
@@ -495,11 +499,6 @@ impl Simulation {
                 }
             };
 
-            // Integrate progress up to the event.
-            let dt = (t - self.now).max(0.0);
-            for r in &mut self.running {
-                r.advance(dt);
-            }
             self.now = t;
             self.scheduler.set_now(t);
 
@@ -521,9 +520,7 @@ impl Simulation {
             if let Some(t0) = t0 {
                 self.stats.phase_refresh_ns += t0.elapsed().as_nanos() as u64;
             }
-            if self.config.sample_utility {
-                self.sample_utility();
-            }
+            self.sample_utility();
 
             if self.pending.is_empty()
                 && self.running.is_empty()
@@ -587,101 +584,66 @@ impl Simulation {
         }
     }
 
-    /// Appends to `running`, keeping the position index exact.
+    /// Appends to `running`, keeping the position index and the utility
+    /// sum exact; the incremental loop also keys the job's first anchor.
     fn push_running(&mut self, job: RunningJob) {
-        self.job_pos.insert(job.alloc.spec.id, self.running.len());
+        let id = job.alloc.spec.id;
+        self.job_pos.insert(id, self.running.len());
+        self.utility_sum += utility_units(job.alloc.utility);
+        if self.config.incremental {
+            self.completion_heap.push(Reverse((job.completion_s().to_bits(), id)));
+        }
         self.running.push(job);
     }
 
-    /// `swap_remove` from `running`, keeping the position index exact and
-    /// invalidating the removed job's completion-heap entry. The relocated
-    /// tail job changes its position in the vector; co-runner lists (and
-    /// therefore the reference loop's f64 summation order) follow vector
-    /// order, so every job sharing a machine with it must be re-summed —
-    /// its machines join the dirty set.
+    /// `swap_remove` from `running`, keeping the position index and the
+    /// utility sum exact. The removed job's heap entries go stale with it.
+    /// The relocated tail job changes only its position: co-runners sum in
+    /// job-id order, so no slowdown depends on the vector order.
     fn remove_running(&mut self, idx: usize) -> RunningJob {
         let job = self.running.swap_remove(idx);
         self.job_pos.remove(&job.alloc.spec.id);
-        self.heap_key.remove(&job.alloc.spec.id);
-        if idx < self.running.len() {
-            let moved = self.running[idx].alloc.spec.id;
-            self.job_pos.insert(moved, idx);
-            if self.config.incremental {
-                for m in self.running[idx].alloc.machines() {
-                    self.mark_dirty(m);
-                }
-            }
+        self.utility_sum -= utility_units(job.alloc.utility);
+        if let Some(moved) = self.running.get(idx) {
+            self.job_pos.insert(moved.alloc.spec.id, idx);
         }
         debug_assert_eq!(self.job_pos.len(), self.running.len());
         job
     }
 
+    /// True while the heap entry `(bits, id)` is the running job's current
+    /// completion time.
+    fn is_live(&self, bits: u64, id: JobId) -> bool {
+        self.job_pos
+            .get(&id)
+            .is_some_and(|&pos| self.running[pos].completion_s().to_bits() == bits)
+    }
+
     /// Earliest completion time across the running set, or `None` if
-    /// nothing runs. The reference mode scans; the incremental mode polls
-    /// the lazy heap.
+    /// nothing runs. The reference mode scans; the incremental mode drops
+    /// stale heads and reads the heap top, which debug builds check against
+    /// the scan.
     fn next_completion(&mut self) -> Option<f64> {
         if !self.config.incremental {
-            return self
-                .running
-                .iter()
-                .map(|r| self.now + r.eta_s())
-                .min_by(|a, b| a.partial_cmp(b).expect("finite"));
+            return self.scan_next_completion();
         }
-        // Discard stale heads (entries whose key was superseded by a rate
-        // change, or whose job left the running set).
-        let top = loop {
-            match self.completion_heap.peek() {
-                None => return None,
-                Some(&Reverse((bits, id))) => {
-                    if self.heap_key.get(&id) == Some(&bits) {
-                        break f64::from_bits(bits);
-                    }
-                    self.completion_heap.pop();
-                }
-            }
-        };
-        // Stored keys are exact samples of `fl(now + eta)` from the moment
-        // each job was last refreshed. For jobs untouched since, the
-        // reference scan re-rounds `now + remaining/rate` after every
-        // `advance`, drifting by a few ulps per event — so the true minimum
-        // can hide an ulp behind the heap top. Re-poll everything within a
-        // band around the top, recompute exactly, and take the min; the
-        // band (relative 1e-9) is orders of magnitude wider than any
-        // accumulated rounding drift. The debug shadow check below pins
-        // this against the full scan on every call.
-        let band = top + 2.0 * (1e-9 + 1e-9 * top.abs());
-        let mut best = f64::INFINITY;
-        let mut polled: Vec<(u64, JobId)> = Vec::new();
         while let Some(&Reverse((bits, id))) = self.completion_heap.peek() {
-            if f64::from_bits(bits) > band {
-                break;
+            if self.is_live(bits, id) {
+                debug_assert_eq!(
+                    self.scan_next_completion().map(f64::to_bits),
+                    Some(bits),
+                    "completion heap diverged from the scan"
+                );
+                return Some(f64::from_bits(bits));
             }
             self.completion_heap.pop();
-            if self.heap_key.get(&id) != Some(&bits) {
-                continue; // stale entry inside the band: drop it
-            }
-            let exact = self.now + self.running[self.job_pos[&id]].eta_s();
-            best = best.min(exact);
-            polled.push((bits, id));
         }
-        for (bits, id) in polled {
-            self.completion_heap.push(Reverse((bits, id)));
-        }
-        debug_assert!(best.is_finite(), "band poll found no live entry");
-        #[cfg(debug_assertions)]
-        {
-            let reference = self
-                .running
-                .iter()
-                .map(|r| self.now + r.eta_s())
-                .min_by(|a, b| a.partial_cmp(b).expect("finite"));
-            assert_eq!(
-                reference.map(f64::to_bits),
-                Some(best.to_bits()),
-                "completion heap diverged from the scan: {reference:?} vs {best}"
-            );
-        }
-        Some(best)
+        debug_assert!(self.running.is_empty(), "a running job has no live heap entry");
+        None
+    }
+
+    fn scan_next_completion(&self) -> Option<f64> {
+        self.running.iter().map(|r| r.completion_s()).min_by(f64::total_cmp)
     }
 
     /// Applies every failure scheduled at or before `now`: the machine's
@@ -696,11 +658,10 @@ impl Simulation {
             if self.scheduler.state().is_machine_down(machine) {
                 continue;
             }
-            // Tear down every running job touching the machine. The
-            // per-machine index hands us the victims directly; sorting by
-            // position reproduces the running-vector order the old full
-            // filter scan produced, so teardown order (and everything
-            // downstream of it) is unchanged.
+            // Tear down every running job touching the machine, in
+            // running-vector order (both loops push and remove in the same
+            // order, so they share it). The per-machine index hands us the
+            // victims directly.
             let mut victims: Vec<JobId> =
                 self.scheduler.state().jobs_on_machine(machine).to_vec();
             victims.sort_unstable_by_key(|id| self.job_pos[id]);
@@ -759,94 +720,56 @@ impl Simulation {
         (job.n_gpus as usize) <= self.max_machine_gpus
     }
 
+    /// Completes every job whose completion time is at or before `now`, in
+    /// `(time, job id)` order.
     fn process_completions(&mut self) {
-        if self.config.incremental {
-            self.process_completions_heap();
-            return;
-        }
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].finished() {
-                self.complete_at(i);
-            } else {
-                i += 1;
-            }
+        for id in self.completion_batch() {
+            self.complete(id);
         }
     }
 
-    /// Heap-assisted completion discovery for the incremental mode: every
-    /// finished job's completion-heap key sits within a rounding hair of
-    /// `now` (keys are exact `fl(refresh_now + eta)` samples; `finished()`
-    /// tolerates `1e-9` of leftover solo-seconds, i.e. `1e-9 × slowdown`
-    /// of wall time, and per-event integration drift adds ulps), so a band
-    /// five orders of magnitude wider than both — and still three orders
-    /// below the event spacing — bounds the candidate set. `finished()`
-    /// on the live job stays the ground truth; the band only proposes.
-    /// Processing order reproduces the reference scan exactly: the scan
-    /// always handles the finished job at the lowest vector position next
-    /// (a `swap_remove` re-examines the vacated slot, which holds the old
-    /// tail — below every other index it could have been checked at), so
-    /// draining by minimum current position is the same order.
-    fn process_completions_heap(&mut self) {
-        let band = self.now + 1e-6 + 1e-9 * self.now.abs();
-        let mut finished: Vec<JobId> = Vec::new();
-        let mut keep: Vec<(u64, JobId)> = Vec::new();
+    /// The jobs due at `now`, in `(time, job id)` order. The reference mode
+    /// scans; the incremental mode pops the heap up to `now`, which debug
+    /// builds check against the scan. A job re-anchored back to an earlier
+    /// completion time holds two equal entries; they pop together and the
+    /// id is claimed once.
+    fn completion_batch(&mut self) -> Vec<JobId> {
+        if !self.config.incremental {
+            return self.scan_completion_batch();
+        }
+        let mut batch: Vec<JobId> = Vec::new();
         while let Some(&Reverse((bits, id))) = self.completion_heap.peek() {
-            if f64::from_bits(bits) > band {
+            if f64::from_bits(bits) > self.now {
                 break;
             }
             self.completion_heap.pop();
-            if self.heap_key.get(&id) != Some(&bits) {
-                continue; // stale entry inside the band: drop it
-            }
-            if self.running[self.job_pos[&id]].finished() {
-                // Claim the id: a re-keyed-and-back job can leave two heap
-                // entries carrying the same live bits — dropping the map
-                // entry makes any duplicate fail the liveness check above
-                // (the job is completing; `remove_running` would drop the
-                // key anyway).
-                self.heap_key.remove(&id);
-                finished.push(id);
-            } else {
-                keep.push((bits, id));
+            if self.is_live(bits, id) && batch.last() != Some(&id) {
+                batch.push(id);
             }
         }
-        for e in keep {
-            self.completion_heap.push(Reverse(e));
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut by_scan: Vec<JobId> = self
-                .running
-                .iter()
-                .filter(|r| r.finished())
-                .map(|r| r.alloc.spec.id)
-                .collect();
-            by_scan.sort_unstable();
-            let mut by_heap = finished.clone();
-            by_heap.sort_unstable();
-            assert_eq!(
-                by_scan, by_heap,
-                "completion-heap band diverged from the reference scan"
-            );
-        }
-        while !finished.is_empty() {
-            let fi = finished
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, id)| self.job_pos[*id])
-                .map(|(fi, _)| fi)
-                .expect("nonempty");
-            let id = finished.swap_remove(fi);
-            let idx = self.job_pos[&id];
-            self.complete_at(idx);
-        }
+        debug_assert_eq!(
+            batch,
+            self.scan_completion_batch(),
+            "completion heap diverged from the scan"
+        );
+        batch
     }
 
-    /// Completes the running job at vector position `idx`: releases it
-    /// from the scheduler and appends its timeline/event/record entries.
-    fn complete_at(&mut self, idx: usize) {
-        let done = self.remove_running(idx);
+    fn scan_completion_batch(&self) -> Vec<JobId> {
+        let mut due: Vec<(f64, JobId)> = self
+            .running
+            .iter()
+            .filter(|r| r.completion_s() <= self.now)
+            .map(|r| (r.completion_s(), r.alloc.spec.id))
+            .collect();
+        due.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        due.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Completes a running job: releases it from the scheduler and appends
+    /// its timeline/event/record entries.
+    fn complete(&mut self, id: JobId) {
+        let done = self.remove_running(self.job_pos[&id]);
         for m in done.alloc.machines() {
             self.mark_dirty(m);
         }
@@ -926,15 +849,10 @@ impl Simulation {
                         assert_eq!(placed.gpus, gpus);
                         assert_eq!(placed.utility.to_bits(), utility.to_bits());
                     }
+                    let (seed, jitter) = (self.config.jitter_seed, self.config.jitter);
+                    let work = jitter_factor(seed, spec.id.0, jitter);
                     let alloc = Allocation { spec, gpus, utility };
-                    let mut job = RunningJob::start(alloc, &self.cluster, self.now);
-                    if self.config.jitter != 0.0 {
-                        job.remaining_solo_s *= jitter_factor(
-                            self.config.jitter_seed,
-                            job.alloc.spec.id.0,
-                            self.config.jitter,
-                        );
-                    }
+                    let job = RunningJob::start(alloc, &self.cluster, self.now, work);
                     for m in job.alloc.machines() {
                         self.mark_dirty(m);
                     }
@@ -945,123 +863,104 @@ impl Simulation {
         }
     }
 
-    fn refresh_slowdowns(&mut self) {
-        if self.config.incremental {
-            self.refresh_dirty_slowdowns();
-            return;
-        }
-        let snapshot: Vec<RunningJob> = self.running.clone();
-        let refs: Vec<&RunningJob> = snapshot.iter().collect();
-        for r in &mut self.running {
-            r.slowdown = current_slowdown(r, &refs, &self.cluster);
-            self.stats.note_eval(r.alloc.spec.id);
-        }
-    }
-
-    /// Machine-scoped refresh: re-derives slowdowns only for jobs holding
-    /// GPUs on machines in the dirty set.
+    /// Re-derives slowdowns and re-anchors every job whose slowdown's bits
+    /// changed. The reference loop refreshes every running job against the
+    /// whole running set; the incremental loop only the jobs holding GPUs
+    /// on dirty machines, against their machines' jobs.
     ///
-    /// **Why this is exact** — a job's slowdown is
+    /// **Why the scoped refresh is exact** — a job's slowdown is
     /// `total_slowdown(victim, corunners)` where the co-runner list holds
     /// `(model, batch, max_domain_factor)` for every *other* running job
-    /// sharing at least one machine, in running-vector order. For a job
-    /// with no GPU on a dirty machine: (1) no allocation on any of its
-    /// machines was created, destroyed, or resized (every such change marks
-    /// the machine dirty), so its co-runner set and every shared-domain
-    /// factor are unchanged; (2) no co-runner changed its position in the
-    /// running vector (`swap_remove` relocations mark the moved job's
-    /// machines dirty), so the summation *order* is unchanged too. The
-    /// reference recomputation would therefore reproduce the stored value
-    /// bit for bit — skipping it changes nothing. Debug builds verify this
+    /// sharing at least one machine, in job-id order. For a job with no GPU
+    /// on a dirty machine, no allocation on any of its machines was created,
+    /// destroyed, or resized (every such change marks the machine dirty),
+    /// so its co-runner set, every shared-domain factor and their id order
+    /// are unchanged. The reference recomputation would reproduce the
+    /// stored bits, and leave the anchor alone. Debug builds verify this
     /// with a full O(J²) shadow recompute after every scoped refresh.
-    fn refresh_dirty_slowdowns(&mut self) {
-        if !self.dirty_list.is_empty() {
+    fn refresh_slowdowns(&mut self) {
+        let incremental = self.config.incremental;
+        let victims: Vec<usize> = if incremental {
             let mut victims: Vec<usize> = Vec::new();
             for &m in &self.dirty_list {
-                for &id in self.scheduler.state().jobs_on_machine(m) {
-                    victims.push(self.job_pos[&id]);
-                }
-            }
-            for &m in &self.dirty_list {
                 self.dirty_mask[m.index()] = false;
+                for id in self.scheduler.state().jobs_on_machine(m) {
+                    victims.push(self.job_pos[id]);
+                }
             }
             self.dirty_list.clear();
             victims.sort_unstable();
             victims.dedup();
-
-            let mut updates: Vec<(usize, f64)> = Vec::with_capacity(victims.len());
-            for &pos in &victims {
-                let victim = &self.running[pos];
-                // Co-runners via the per-machine index, sorted into
-                // running-vector order: the same filtered list (and the
-                // same f64 summation order) the reference full scan builds.
-                let mut co_pos: Vec<usize> = Vec::new();
-                for m in victim.alloc.machines() {
-                    for &id in self.scheduler.state().jobs_on_machine(m) {
-                        let p = self.job_pos[&id];
-                        if p != pos {
-                            co_pos.push(p);
-                        }
-                    }
+            victims
+        } else {
+            (0..self.running.len()).collect()
+        };
+        let state = self.scheduler.state();
+        let updates: Vec<f64> = victims
+            .iter()
+            .map(|&pos| {
+                let victim = &self.running[pos].alloc;
+                if incremental {
+                    let sharers = victim
+                        .machines()
+                        .into_iter()
+                        .flat_map(|m| state.jobs_on_machine(m))
+                        .map(|id| &self.running[self.job_pos[id]].alloc);
+                    current_slowdown(victim, sharers, &self.cluster)
+                } else {
+                    current_slowdown(victim, self.running.iter().map(|r| &r.alloc), &self.cluster)
                 }
-                co_pos.sort_unstable();
-                co_pos.dedup();
-                let refs: Vec<&RunningJob> =
-                    co_pos.iter().map(|&p| &self.running[p]).collect();
-                updates.push((pos, current_slowdown(victim, &refs, &self.cluster)));
+            })
+            .collect();
+        for (pos, slowdown) in victims.into_iter().zip(updates) {
+            let job = &mut self.running[pos];
+            let id = job.alloc.spec.id;
+            if job.set_slowdown(self.now, slowdown) && incremental {
+                self.completion_heap.push(Reverse((job.completion_s().to_bits(), id)));
             }
-            for (pos, slowdown) in updates {
-                let id = self.running[pos].alloc.spec.id;
-                self.stats.note_eval(id);
-                self.running[pos].slowdown = slowdown;
-                // Re-key the completion heap with the exact post-refresh
-                // completion time; the old entry (if any) goes stale and is
-                // skipped at poll time.
-                let t = self.now + self.running[pos].eta_s();
-                debug_assert!(t.is_finite() && t >= 0.0);
-                let bits = t.to_bits();
-                if self.heap_key.insert(id, bits) != Some(bits) {
-                    self.completion_heap.push(Reverse((bits, id)));
-                }
-            }
+            self.stats.note_eval(id);
         }
         #[cfg(debug_assertions)]
-        self.debug_verify_slowdowns();
+        if incremental {
+            self.debug_verify_slowdowns();
+        }
     }
 
     /// Debug shadow check: the scoped refresh must leave every running
     /// job's slowdown bit-identical to a full reference recomputation.
     #[cfg(debug_assertions)]
     fn debug_verify_slowdowns(&self) {
-        let refs: Vec<&RunningJob> = self.running.iter().collect();
         for r in &self.running {
-            let want = current_slowdown(r, &refs, &self.cluster);
+            let want =
+                current_slowdown(&r.alloc, self.running.iter().map(|o| &o.alloc), &self.cluster);
             assert_eq!(
                 want.to_bits(),
-                r.slowdown.to_bits(),
+                r.slowdown().to_bits(),
                 "scoped refresh diverged for {}: want {want}, have {}",
                 r.alloc.spec.id,
-                r.slowdown
+                r.slowdown()
             );
         }
     }
 
+    /// Records the running jobs' mean utility (1 when nothing runs), read
+    /// off the fixed-point sum.
     fn sample_utility(&mut self) {
         let mean = if self.running.is_empty() {
             1.0
         } else {
-            self.running.iter().map(|r| r.alloc.utility).sum::<f64>() / self.running.len() as f64
+            self.utility_sum as f64 / UTILITY_UNIT / self.running.len() as f64
         };
         self.utility_series.push(UtilitySample { t_s: self.now, mean_utility: mean });
     }
 
+    /// [`cluster_ideal_duration_s`], memoised: it depends only on the spec
+    /// shape and the (fixed) machine set. Graph-free jobs key directly on
+    /// the shape tuple; jobs with an explicit communication graph are costed
+    /// per edge, so they key on the tuple plus a structural compare of the
+    /// graph against previously seen ones (generated workloads draw graphs
+    /// from a tiny family, so the list stays short).
     fn ideal_for(&mut self, spec: &JobSpec) -> f64 {
-        // `ideal_duration_s` depends only on the spec shape and the (fixed)
-        // machine set — memoize it. Graph-free jobs key directly on the
-        // shape tuple; jobs with an explicit communication graph are costed
-        // per edge, so they key on the tuple plus a structural compare of
-        // the graph against previously seen ones (generated workloads draw
-        // graphs from a tiny family, so the list stays short).
         let key = (spec.model, spec.batch, spec.n_gpus, spec.iterations);
         match &spec.comm_graph {
             None => {
@@ -1077,32 +976,7 @@ impl Simulation {
                 }
             }
         }
-        // Machines sharing a topology class share the ideal duration, so
-        // evaluate one representative per class (one machine total on the
-        // homogeneous clusters of the paper's setting). For heterogeneous
-        // clusters this still takes the fastest class.
-        let mut seen_classes: Vec<u32> = Vec::new();
-        let best = self
-            .cluster
-            .machines()
-            .filter(|&m| self.cluster.machine(m).n_gpus() >= spec.n_gpus as usize)
-            .filter(|&m| {
-                let c = self.cluster.machine_class(m);
-                if seen_classes.contains(&c) {
-                    false
-                } else {
-                    seen_classes.push(c);
-                    true
-                }
-            })
-            .map(|m| ideal_duration_s(spec, self.cluster.machine(m)))
-            .fold(f64::INFINITY, f64::min);
-        let v = if best.is_finite() {
-            best
-        } else {
-            // Wider than any machine: the floor is a rack-local spill.
-            crate::ideal::ideal_multi_node_duration_s(spec)
-        };
+        let v = cluster_ideal_duration_s(spec, &self.cluster);
         match &spec.comm_graph {
             None => {
                 self.ideal_cache.insert(key, v);
@@ -1113,6 +987,14 @@ impl Simulation {
         }
         v
     }
+}
+
+/// One unit of utility in the fixed-point sum: 2³² units.
+const UTILITY_UNIT: f64 = (1u64 << 32) as f64;
+
+/// A utility in `[0, 1]` as fixed-point units.
+fn utility_units(utility: f64) -> u64 {
+    (utility * UTILITY_UNIT).round() as u64
 }
 
 /// Convenience: run one trace under one policy on a homogeneous cluster.

@@ -4,11 +4,13 @@
 //! scenario, where the job has the fastest execution time": the job alone
 //! on an empty machine with the best possible GPU subset. We brute-force
 //! that subset (machines carry at most a dozen GPUs) and evaluate the solo
-//! iteration time on it.
+//! iteration time on it. [`cluster_ideal_duration_s`] takes the fastest
+//! machine kind of a cluster, or the multi-node floor for a job wider than
+//! every machine; the simulator and the prototype both record it.
 
 use gts_job::JobSpec;
 use gts_perf::PlacementPerf;
-use gts_topo::{GpuId, MachineTopology};
+use gts_topo::{ClusterTopology, GpuId, MachineTopology};
 
 /// The minimum-communication-cost GPU subset of size `n` on an empty
 /// machine.
@@ -67,6 +69,31 @@ pub fn ideal_multi_node_duration_s(spec: &JobSpec) -> f64 {
         comm_s: comm,
     };
     f64::from(spec.iterations) * iter.total_s()
+}
+
+/// Ideal solo duration of `spec` anywhere on `cluster`: the fastest machine
+/// kind wide enough for it (one representative per topology class), or the
+/// multi-node floor when no machine is.
+pub fn cluster_ideal_duration_s(spec: &JobSpec, cluster: &ClusterTopology) -> f64 {
+    let mut seen_classes: Vec<u32> = Vec::new();
+    let best = cluster
+        .machines()
+        .filter(|&m| cluster.machine(m).n_gpus() >= spec.n_gpus as usize)
+        .filter(|&m| {
+            let c = cluster.machine_class(m);
+            let fresh = !seen_classes.contains(&c);
+            if fresh {
+                seen_classes.push(c);
+            }
+            fresh
+        })
+        .map(|m| ideal_duration_s(spec, cluster.machine(m)))
+        .fold(f64::INFINITY, f64::min);
+    if best.is_finite() {
+        best
+    } else {
+        ideal_multi_node_duration_s(spec)
+    }
 }
 
 /// Solo duration of `spec` under its ideal placement on `topo`, seconds.

@@ -94,3 +94,48 @@ fn shared_machine_sharers_are_recomputed_and_bystanders_skipped() {
     assert!(rec(1).qos_slowdown() > 0.01, "sharers did not interfere");
     assert!(rec(0).qos_slowdown() < 1e-9, "bystander interfered");
 }
+
+/// A job's finish time is solved once per change of its slowdown, so
+/// events on machines it does not share cannot move it by even an ulp. Two
+/// co-located AlexNet jobs fill machine 0 of two Minskys under FCFS; one
+/// run has the pair alone, the other adds 400 short 4-GPU GoogLeNet jobs
+/// that churn on machine 1. In both event loops, each of the pair's finish
+/// times must be bit-identical between the two runs.
+#[test]
+fn unrelated_events_leave_a_finish_time_alone() {
+    let pair = [job(0, 2, BatchClass::Tiny, 20_000), job(1, 2, BatchClass::Tiny, 20_000)];
+    let churn = (0..400u64).map(|i| {
+        JobSpec::new(2 + i, NnModel::GoogLeNet, BatchClass::Big, 4)
+            .arriving_at(i as f64 * 3.0)
+            .with_iterations(1)
+            .with_min_utility(0.3)
+    });
+    let machine = power8_minsky();
+    let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
+    let cluster = Arc::new(ClusterTopology::homogeneous(machine, 2));
+    let run = |trace: Vec<JobSpec>, incremental: bool| {
+        let config = SimConfig::new(Policy::new(PolicyKind::Fcfs)).with_incremental(incremental);
+        Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config).run(trace)
+    };
+    for incremental in [true, false] {
+        let alone = run(pair.to_vec(), incremental);
+        let churned = run(pair.iter().cloned().chain(churn.clone()).collect(), incremental);
+        assert_eq!(churned.records.len(), 402);
+        for id in [JobId(0), JobId(1)] {
+            let (a, c) = (alone.record(id).unwrap(), churned.record(id).unwrap());
+            assert!(c.gpus.iter().all(|g| g.machine.0 == 0), "{id} left machine 0");
+            assert!(c.qos_slowdown() > 0.01, "{id}: the pair must interfere");
+            assert_eq!(
+                a.finished_at_s.to_bits(),
+                c.finished_at_s.to_bits(),
+                "{id} (incremental: {incremental}): {} alone vs {} with churn",
+                a.finished_at_s,
+                c.finished_at_s
+            );
+        }
+        let pair_end = churned.record(JobId(0)).unwrap().finished_at_s;
+        let busy = churned.records.iter().filter(|r| r.spec.id.0 >= 2);
+        let busy = busy.filter(|r| r.finished_at_s < pair_end).count();
+        assert_eq!(busy, 400, "the churn must run while the pair does");
+    }
+}
