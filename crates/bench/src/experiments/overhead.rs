@@ -5,19 +5,27 @@
 //! (≈6.7×) — the price of the `Θ(|V_P|)·Θ(|E_A|·log₂|V_P|)` search versus
 //! `Θ(|E_A|+|V_P|)` greediness. Absolute numbers depend on the host; the
 //! *ratio* and its growth with machine count are the reproducible shape.
+//! That shape belongs to the paper's per-machine algorithm, the sequential
+//! reference; the production class path decides over live machine classes
+//! (DESIGN.md §15), so its cost hardly grows with the machines. The table
+//! times both, side by side.
 
 use super::minsky_cluster;
 use crate::table::{f, TextTable};
 use gts_core::prelude::*;
 use std::time::Instant;
 
-/// Mean decision latency of one policy at one cluster size.
+/// Mean decision latency of one policy at one cluster size on one
+/// evaluation path.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadPoint {
     /// Policy measured.
     pub kind: PolicyKind,
     /// Machines in the cluster.
     pub n_machines: usize,
+    /// Timed on the sequential reference ([`EvalParams::sequential`]), not
+    /// on the production class path.
+    pub reference: bool,
     /// Mean decision latency, seconds.
     pub mean_s: f64,
 }
@@ -63,46 +71,70 @@ pub fn measure(
         std::hint::black_box(decide(job));
     }
     let elapsed = started.elapsed().as_secs_f64();
-    OverheadPoint { kind, n_machines, mean_s: elapsed / n_decisions as f64 }
+    OverheadPoint {
+        kind,
+        n_machines,
+        reference: params.is_sequential(),
+        mean_s: elapsed / n_decisions as f64,
+    }
 }
 
-/// Runs the comparison at several cluster sizes, on the evaluation path
-/// the environment selects ([`EvalParams::from_env`]).
+/// Runs the comparison at several cluster sizes: TOPO-AWARE(-P) on the
+/// sequential reference and on the production class path, FCFS and BF
+/// once (their decisions read neither).
 pub fn run(sizes: &[usize], n_decisions: usize) -> Vec<OverheadPoint> {
     let mut points = Vec::new();
     for &n in sizes {
         for kind in PolicyKind::ALL {
-            points.push(measure(kind, n, n_decisions, EvalParams::from_env()));
+            if matches!(kind, PolicyKind::TopoAware | PolicyKind::TopoAwareP) {
+                points.push(measure(kind, n, n_decisions, EvalParams::sequential()));
+            }
+            points.push(measure(kind, n, n_decisions, EvalParams::parallel(2)));
         }
     }
     points
 }
 
-/// Renders the overhead table with the topo/greedy ratio per size.
+/// Renders the overhead table, µs per decision, with the topo/greedy ratio
+/// of each path per size.
 pub fn render(sizes: &[usize], n_decisions: usize) -> String {
     let points = run(sizes, n_decisions);
     let mut t = TextTable::new(
-        "§5.5.3 — mean placement-decision latency",
-        &["machines", "FCFS (ms)", "BF (ms)", "TOPO-AWARE (ms)", "TOPO-AWARE-P (ms)", "topo/greedy ratio"],
+        "§5.5.3 — mean placement-decision latency (µs): the reference and the class path",
+        &[
+            "machines",
+            "FCFS",
+            "BF",
+            "TA ref",
+            "TA-P ref",
+            "ref ratio",
+            "TA class",
+            "TA-P class",
+            "class ratio",
+        ],
     );
     for &n in sizes {
-        let get = |k: PolicyKind| {
+        let get = |k: PolicyKind, reference: bool| {
             points
                 .iter()
-                .find(|p| p.kind == k && p.n_machines == n)
+                .find(|p| p.kind == k && p.n_machines == n && p.reference == reference)
                 .map(|p| p.mean_s)
                 .unwrap_or(0.0)
         };
-        let greedy = 0.5 * (get(PolicyKind::Fcfs) + get(PolicyKind::BestFit));
-        let topo = 0.5 * (get(PolicyKind::TopoAware) + get(PolicyKind::TopoAwareP));
-        t.row(vec![
+        let greedy = 0.5 * (get(PolicyKind::Fcfs, false) + get(PolicyKind::BestFit, false));
+        let mut row = vec![
             n.to_string(),
-            f(get(PolicyKind::Fcfs) * 1e3, 3),
-            f(get(PolicyKind::BestFit) * 1e3, 3),
-            f(get(PolicyKind::TopoAware) * 1e3, 3),
-            f(get(PolicyKind::TopoAwareP) * 1e3, 3),
-            format!("{:.1}x", topo / greedy.max(1e-12)),
-        ]);
+            f(get(PolicyKind::Fcfs, false) * 1e6, 1),
+            f(get(PolicyKind::BestFit, false) * 1e6, 1),
+        ];
+        for reference in [true, false] {
+            let ta = get(PolicyKind::TopoAware, reference);
+            let tap = get(PolicyKind::TopoAwareP, reference);
+            row.push(f(ta * 1e6, 1));
+            row.push(f(tap * 1e6, 1));
+            row.push(format!("{:.1}x", 0.5 * (ta + tap) / greedy.max(1e-12)));
+        }
+        t.row(row);
     }
     t.to_string()
 }
@@ -138,6 +170,6 @@ mod tests {
     #[test]
     fn renders() {
         let s = render(&[5], 5);
-        assert!(s.contains("ratio"));
+        assert!(s.contains("ref ratio") && s.contains("class ratio"));
     }
 }

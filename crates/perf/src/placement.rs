@@ -32,15 +32,17 @@ pub struct PlacementPerf {
     pub n_gpus: u32,
 }
 
-/// Classifies the route of a single GPU pair.
+/// Classifies the route of a single GPU pair: its class and bottleneck
+/// bandwidth (GB/s), read from the machine kind's route table
+/// ([`MachineTopology::route`]).
 pub fn classify_route(machine: &MachineTopology, a: GpuId, b: GpuId) -> (RouteClass, f64) {
-    let path = machine.path(a, b);
-    let route = if path.is_p2p(machine.graph()) {
+    let route = machine.route(a, b);
+    let class = if route.p2p {
         RouteClass::P2p
     } else {
         RouteClass::HostRouted
     };
-    (route, path.bottleneck_bandwidth_gbs())
+    (class, route.bandwidth_gbs)
 }
 
 impl PlacementPerf {

@@ -301,8 +301,15 @@ impl Lru {
 
     fn get(&mut self, machine: &MachineClassKey, job: JobClassId) -> Option<CandidateOutcome> {
         let &i = self.map.get(&Probe::new(machine, job))?;
-        if self.slab[i].machine != *machine {
-            return None;
+        let entry = &mut self.slab[i];
+        if !entry.machine.same_instance(machine) {
+            if entry.machine != *machine {
+                return None;
+            }
+            // The class died and came back under a new key instance: hold
+            // the live one, so later hits compare pointers and the dead
+            // key's allocations are freed.
+            entry.machine = machine.clone();
         }
         self.unlink(i);
         self.push_front(i);
@@ -859,5 +866,41 @@ mod tests {
             EvalCacheStats { hits: 2, misses: 4, evictions: 2 },
             "width 1 survived, width 2 was evicted and now evicts width 3"
         );
+    }
+
+    /// A machine class that dies and comes back holds a new key instance,
+    /// equal by content. The first hit on its entry re-points the entry at
+    /// the live instance and answers and counts as any hit does.
+    #[test]
+    fn a_revived_class_repoints_its_cache_entry() {
+        let mut s = state(1);
+        let j = job(0, 2);
+        let cache = EvalCache::with_capacity(8);
+        let cold = outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
+        let dead = s.machine_class_key(MachineId(0)).clone();
+        // The class's only member leaves it, so it dies, and comes back.
+        s.place(job(100, 1), on_machine(MachineId(0), &[GpuId(3)]), 1.0);
+        s.release(gts_job::JobId(100));
+        let live = s.machine_class_key(MachineId(0)).clone();
+        assert!(live == dead && !live.same_instance(&dead));
+        let id = cache.intern(&j, UtilityWeights::default());
+        let entry_key = |cache: &EvalCache| {
+            let lru = cache.lru.borrow();
+            let probe = Probe::new(&live, id.expect("interned"));
+            lru.slab[lru.map[&probe]].machine.clone()
+        };
+        assert!(entry_key(&cache).same_instance(&dead));
+
+        for hits in 1..=2 {
+            let warm = outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
+            assert_eq!(warm, cold);
+            let stats = EvalCacheStats {
+                hits,
+                misses: 1,
+                evictions: 0,
+            };
+            assert_eq!(cache.stats(), stats);
+            assert!(entry_key(&cache).same_instance(&live));
+        }
     }
 }

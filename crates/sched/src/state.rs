@@ -159,12 +159,17 @@ impl MachineClassKey {
     pub fn inner(&self) -> &KeyInner {
         &self.inner
     }
+
+    /// True when both keys are one instance (one shared payload), not just
+    /// equal.
+    pub(crate) fn same_instance(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
 }
 
 impl PartialEq for MachineClassKey {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash
-            && (Arc::ptr_eq(&self.inner, &other.inner) || self.inner == other.inner)
+        self.hash == other.hash && (self.same_instance(other) || self.inner == other.inner)
     }
 }
 

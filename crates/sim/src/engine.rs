@@ -260,7 +260,10 @@ fn jitter_factor(seed: u64, job: u64, jitter: f64) -> f64 {
 pub struct SimLoopStats {
     /// Total `current_slowdown` derivations across the run.
     pub slowdown_evals: u64,
-    /// Per-job `current_slowdown` derivation counts.
+    /// Per-job `current_slowdown` derivation counts, every placement of
+    /// the job included. A job's count joins the map when it leaves the
+    /// running set (completion or failure), so it is complete once the run
+    /// returns.
     pub evals_by_job: HashMap<JobId, u64>,
     /// Placement-cache lookups answered without running the DRB mapping
     /// (one lookup per machine equivalence class per arrival). 0 on the
@@ -319,11 +322,6 @@ pub struct SimLoopStats {
 }
 
 impl SimLoopStats {
-    fn note_eval(&mut self, id: JobId) {
-        self.slowdown_evals += 1;
-        *self.evals_by_job.entry(id).or_insert(0) += 1;
-    }
-
     /// Derivation count for one job (0 if it never ran).
     pub fn evals_for(&self, id: JobId) -> u64 {
         self.evals_by_job.get(&id).copied().unwrap_or(0)
@@ -597,12 +595,20 @@ impl Simulation {
     }
 
     /// `swap_remove` from `running`, keeping the position index and the
-    /// utility sum exact. The removed job's heap entries go stale with it.
+    /// utility sum exact, and folding the job's slowdown-derivation count
+    /// into the stats. The removed job's heap entries go stale with it.
     /// The relocated tail job changes only its position: co-runners sum in
     /// job-id order, so no slowdown depends on the vector order.
     fn remove_running(&mut self, idx: usize) -> RunningJob {
         let job = self.running.swap_remove(idx);
         self.job_pos.remove(&job.alloc.spec.id);
+        if job.slowdown_evals > 0 {
+            *self
+                .stats
+                .evals_by_job
+                .entry(job.alloc.spec.id)
+                .or_insert(0) += job.slowdown_evals;
+        }
         self.utility_sum -= utility_units(job.alloc.utility);
         if let Some(moved) = self.running.get(idx) {
             self.job_pos.insert(moved.alloc.spec.id, idx);
@@ -918,7 +924,8 @@ impl Simulation {
             if job.set_slowdown(self.now, slowdown) && incremental {
                 self.completion_heap.push(Reverse((job.completion_s().to_bits(), id)));
             }
-            self.stats.note_eval(id);
+            job.slowdown_evals += 1;
+            self.stats.slowdown_evals += 1;
         }
         #[cfg(debug_assertions)]
         if incremental {

@@ -2,56 +2,16 @@
 //!
 //! Fig. 8(e)/(f) measure each job's slowdown "in comparison with the ideal
 //! scenario, where the job has the fastest execution time": the job alone
-//! on an empty machine with the best possible GPU subset. We brute-force
-//! that subset (machines carry at most a dozen GPUs) and evaluate the solo
-//! iteration time on it. [`cluster_ideal_duration_s`] takes the fastest
-//! machine kind of a cluster, or the multi-node floor for a job wider than
-//! every machine; the simulator and the prototype both record it.
+//! on an empty machine with the best possible GPU subset. That subset is
+//! [`MachineTopology::best_subset`], the first of least Eq. 3 cost, which
+//! each machine kind finds once per width; the solo iteration time is
+//! evaluated on it. [`cluster_ideal_duration_s`] takes the fastest machine
+//! kind of a cluster, or the multi-node floor for a job wider than every
+//! machine; the simulator and the prototype both record it.
 
 use gts_job::JobSpec;
 use gts_perf::PlacementPerf;
 use gts_topo::{ClusterTopology, GpuId, MachineTopology};
-
-/// The minimum-communication-cost GPU subset of size `n` on an empty
-/// machine.
-pub fn best_subset(topo: &MachineTopology, n: usize) -> Vec<GpuId> {
-    let gpus: Vec<GpuId> = topo.gpus().collect();
-    assert!(
-        n >= 1 && n <= gpus.len(),
-        "cannot pick {n} GPUs from a {}-GPU machine",
-        gpus.len()
-    );
-    if n == 1 {
-        return vec![gpus[0]];
-    }
-    let mut best: Option<(f64, Vec<GpuId>)> = None;
-    let mut idx: Vec<usize> = (0..n).collect();
-    loop {
-        let subset: Vec<GpuId> = idx.iter().map(|&i| gpus[i]).collect();
-        let cost = topo.pairwise_cost(&subset);
-        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            best = Some((cost, subset));
-        }
-        // Next combination.
-        let mut i = n;
-        let advanced = loop {
-            if i == 0 {
-                break false;
-            }
-            i -= 1;
-            if idx[i] != i + gpus.len() - n {
-                idx[i] += 1;
-                for j in (i + 1)..n {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break true;
-            }
-        };
-        if !advanced {
-            return best.expect("at least one subset was evaluated").1;
-        }
-    }
-}
 
 /// Ideal solo duration of a job *wider than any machine*: the best spill is
 /// rack-local, so the gradient exchange runs at the full top-of-rack line
@@ -101,12 +61,12 @@ pub fn cluster_ideal_duration_s(spec: &JobSpec, cluster: &ClusterTopology) -> f6
 /// Jobs with an explicit communication graph additionally get the best task
 /// permutation over the chosen subset (orientation matters for a pipeline).
 pub fn ideal_duration_s(spec: &JobSpec, topo: &MachineTopology) -> f64 {
-    let subset = best_subset(topo, spec.n_gpus as usize);
+    let subset = topo.best_subset(spec.n_gpus as usize);
     let batch = spec.batch.representative_batch();
     let iter_total = match &spec.comm_graph {
         Some(graph) if subset.len() <= 6 => {
             let mut best = f64::INFINITY;
-            permute(subset.clone(), &mut |perm| {
+            permute(subset.to_vec(), &mut |perm| {
                 let it = gts_perf::placement::graph_iter_time(
                     topo, spec.model, batch, graph, perm,
                 );
@@ -115,10 +75,10 @@ pub fn ideal_duration_s(spec: &JobSpec, topo: &MachineTopology) -> f64 {
             best
         }
         Some(graph) => {
-            gts_perf::placement::graph_iter_time(topo, spec.model, batch, graph, &subset)
+            gts_perf::placement::graph_iter_time(topo, spec.model, batch, graph, subset)
                 .total_s()
         }
-        None => PlacementPerf::evaluate(topo, &subset)
+        None => PlacementPerf::evaluate(topo, subset)
             .iter_time(spec.model, batch)
             .total_s(),
     };
@@ -155,20 +115,6 @@ mod tests {
     use gts_topo::power8_minsky;
 
     #[test]
-    fn best_subset_is_the_nvlink_pair() {
-        let m = power8_minsky();
-        let s = best_subset(&m, 2);
-        assert!(m.is_packed(&s), "got {s:?}");
-        assert_eq!(m.pairwise_cost(&s), 1.0);
-    }
-
-    #[test]
-    fn best_subset_of_four_is_everything() {
-        let m = power8_minsky();
-        assert_eq!(best_subset(&m, 4).len(), 4);
-    }
-
-    #[test]
     fn ideal_duration_beats_spread_duration() {
         let m = power8_minsky();
         let spec = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_iterations(100);
@@ -184,11 +130,5 @@ mod tests {
         let d = ideal_duration_s(&spec, &m);
         let expected = 100.0 * gts_perf::compute_time_s(NnModel::AlexNet, 1);
         assert!((d - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot pick")]
-    fn oversized_request_panics() {
-        best_subset(&power8_minsky(), 5);
     }
 }

@@ -40,6 +40,9 @@ pub struct RunningJob {
     slowdown: f64,
     /// `anchor_s + remaining_solo_s × (1 + slowdown)`.
     completion_s: f64,
+    /// Slowdown derivations the engine made for this placement, folded
+    /// into [`crate::SimLoopStats::evals_by_job`] when the job leaves.
+    pub(crate) slowdown_evals: u64,
 }
 
 impl RunningJob {
@@ -57,6 +60,7 @@ impl RunningJob {
             remaining_solo_s: remaining,
             slowdown: 0.0,
             completion_s: now + remaining,
+            slowdown_evals: 0,
         }
     }
 

@@ -46,6 +46,6 @@ pub use dot::to_dot;
 pub use graph::{EdgeRef, NodeIdx, TopoGraph};
 pub use ids::{GpuId, MachineId, SocketId};
 pub use link::LinkKind;
-pub use machine::MachineTopology;
+pub use machine::{MachineTopology, PairRoute};
 pub use node::NodeKind;
 pub use numa::{NumaInfo, NumaNode, NumaParseError};

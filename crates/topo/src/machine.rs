@@ -2,19 +2,23 @@
 //!
 //! Wraps the raw [`TopoGraph`] with the queries the scheduler actually needs:
 //! GPU enumeration, socket membership, pairwise distances (precomputed),
-//! the best-case Eq. 3 cost per GPU count (filled lazily) and full path
-//! lookups.
+//! each GPU pair's route and the best-case Eq. 3 subset per GPU count (both
+//! filled lazily) and full path lookups.
 
 use crate::graph::{NodeIdx, TopoGraph};
 use crate::ids::{GpuId, SocketId};
-use crate::paths::{shortest_path, GpuDistanceMatrix, PathInfo};
+use crate::paths::{dijkstra, shortest_path, trace_path, GpuDistanceMatrix, PathInfo};
 use std::sync::OnceLock;
 
 /// Immutable physical topology of one machine.
 ///
 /// Built once by the [`crate::builders`] and shared (`Arc`) across the
-/// scheduler, simulator and performance model. All queries are `O(1)` except
-/// [`MachineTopology::path`], which runs Dijkstra on demand.
+/// scheduler, simulator and performance model. Every query but
+/// [`MachineTopology::path`] (Dijkstra on demand) reads a table: the
+/// distances are built with the machine, while the route table and the
+/// best-subset table fill on first use (DESIGN.md §13.6), so the first
+/// [`MachineTopology::route`] pays one Dijkstra per GPU and the first
+/// [`MachineTopology::best_subset`] of a width walks its subsets.
 #[derive(Debug, Clone)]
 pub struct MachineTopology {
     name: String,
@@ -24,9 +28,32 @@ pub struct MachineTopology {
     gpu_nodes: Vec<NodeIdx>,
     socket_of: Vec<SocketId>,
     distances: GpuDistanceMatrix,
-    /// `best_cost[n]`: [`MachineTopology::best_pairwise_cost`], filled on
+    /// `routes[a * n_gpus + b]`: [`MachineTopology::route`], filled whole
+    /// on first use.
+    routes: OnceLock<Box<[PairRoute]>>,
+    /// `best[n]`: [`MachineTopology::best_subset`] and its cost, filled on
     /// first use per `n` (a DGX-2's full table is ~2M distance reads).
-    best_cost: Box<[OnceLock<f64>]>,
+    best: Box<[OnceLock<BestSubset>]>,
+}
+
+/// The physical character of the cheapest route between two GPUs: what the
+/// performance model reads of a [`PathInfo`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairRoute {
+    /// The route supports direct peer-to-peer DMA ([`PathInfo::is_p2p`]).
+    pub p2p: bool,
+    /// Peak bandwidth of its narrowest link, GB/s
+    /// ([`PathInfo::bottleneck_bandwidth_gbs`]; infinite from a GPU to
+    /// itself).
+    pub bandwidth_gbs: f64,
+}
+
+/// The first minimal-cost `n`-subset of an empty machine, in lexicographic
+/// order of GPU indices, and its Eq. 3 cost.
+#[derive(Debug, Clone)]
+struct BestSubset {
+    cost: f64,
+    gpus: Box<[GpuId]>,
 }
 
 impl MachineTopology {
@@ -69,7 +96,7 @@ impl MachineTopology {
                 );
             }
         }
-        let best_cost = (0..=gpu_nodes.len()).map(|_| OnceLock::new()).collect();
+        let best = (0..=gpu_nodes.len()).map(|_| OnceLock::new()).collect();
         Self {
             name: name.into(),
             graph,
@@ -78,7 +105,8 @@ impl MachineTopology {
             gpu_nodes,
             socket_of,
             distances,
-            best_cost,
+            routes: OnceLock::new(),
+            best,
         }
     }
 
@@ -150,34 +178,52 @@ impl MachineTopology {
     }
 
     /// The minimal Eq. 3 cost of any `n`-GPU subset of this machine when
-    /// empty — the normalisation numerator of `u_cc`. The first call for
-    /// each `n` brute-forces the `C(n_gpus, n)` subsets; later calls read
-    /// the stored answer. It depends on the topology alone, and machines of
-    /// one kind share one `Arc`, so each kind pays once per width.
+    /// empty — the normalisation numerator of `u_cc`: the cost of
+    /// [`MachineTopology::best_subset`].
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds the machine's GPU count.
     pub fn best_pairwise_cost(&self, n: usize) -> f64 {
-        assert!(n <= self.n_gpus(), "machine cannot host {n} GPUs");
-        *self.best_cost[n].get_or_init(|| self.min_subset_cost(n))
+        self.best(n).cost
     }
 
-    /// Brute force behind [`MachineTopology::best_pairwise_cost`]: walks the
-    /// `n`-combinations of GPU indices in lexicographic order.
-    fn min_subset_cost(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
+    /// The first `n`-GPU subset of minimal Eq. 3 cost on this machine when
+    /// empty, in lexicographic order of GPU indices (ascending GPU ids) —
+    /// the placement of the ideal solo run. The first call for each `n`
+    /// brute-forces the `C(n_gpus, n)` subsets; later calls read the stored
+    /// answer. It depends on the topology alone, and machines of one kind
+    /// share one `Arc`, so each kind pays once per width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the machine's GPU count.
+    pub fn best_subset(&self, n: usize) -> &[GpuId] {
+        &self.best(n).gpus
+    }
+
+    fn best(&self, n: usize) -> &BestSubset {
+        assert!(n <= self.n_gpus(), "machine cannot host {n} GPUs");
+        self.best[n].get_or_init(|| self.min_cost_subset(n))
+    }
+
+    /// Brute force behind [`MachineTopology::best_subset`]: walks the
+    /// `n`-combinations of GPU indices in lexicographic order and keeps the
+    /// first of minimal cost.
+    fn min_cost_subset(&self, n: usize) -> BestSubset {
         let total = self.n_gpus();
-        let mut best = f64::INFINITY;
         let mut idx: Vec<usize> = (0..n).collect();
+        let mut best = (f64::INFINITY, idx.clone());
         loop {
-            best = best.min(self.distances.pairwise_cost(&idx));
+            let cost = self.distances.pairwise_cost(&idx);
+            if cost < best.0 {
+                best = (cost, idx.clone());
+            }
             // Next combination: bump the last index that has room, then
             // pack the ones after it.
             let Some(i) = (0..n).rev().find(|&i| idx[i] != i + total - n) else {
-                return best;
+                let gpus = best.1.iter().map(|&i| GpuId(i as u32)).collect();
+                return BestSubset { cost: best.0, gpus };
             };
             idx[i] += 1;
             for j in (i + 1)..n {
@@ -218,15 +264,38 @@ impl MachineTopology {
             .expect("machine topologies are connected by construction")
     }
 
+    /// P2P flag and bottleneck bandwidth of [`MachineTopology::path`]`(a,
+    /// b)`, read from a table. The first call fills the table for every
+    /// ordered GPU pair, one Dijkstra per source GPU; machines of one kind
+    /// share one `Arc`, so each kind pays once.
+    pub fn route(&self, a: GpuId, b: GpuId) -> PairRoute {
+        let routes = self.routes.get_or_init(|| {
+            let mut table = Vec::with_capacity(self.n_gpus() * self.n_gpus());
+            for &source in &self.gpu_nodes {
+                let (dist, pred) = dijkstra(&self.graph, source);
+                table.extend(self.gpu_nodes.iter().map(|&target| {
+                    let path = trace_path(&self.graph, &dist, &pred, target)
+                        .expect("machine topologies are connected by construction");
+                    PairRoute {
+                        p2p: path.is_p2p(&self.graph),
+                        bandwidth_gbs: path.bottleneck_bandwidth_gbs(),
+                    }
+                }));
+            }
+            table.into()
+        });
+        routes[a.index() * self.n_gpus() + b.index()]
+    }
+
     /// True when `a` and `b` can talk over direct P2P (NVLink edge or a
     /// switch-only route).
     pub fn is_p2p(&self, a: GpuId, b: GpuId) -> bool {
-        self.path(a, b).is_p2p(&self.graph)
+        self.route(a, b).p2p
     }
 
     /// Bottleneck bandwidth of the cheapest route between two GPUs, GB/s.
     pub fn pair_bandwidth_gbs(&self, a: GpuId, b: GpuId) -> f64 {
-        self.path(a, b).bottleneck_bandwidth_gbs()
+        self.route(a, b).bandwidth_gbs
     }
 
     /// True when the GPU set fits entirely inside one socket.
@@ -252,7 +321,22 @@ impl MachineTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{dgx1, dgx2, power8_minsky, power8_pcie_k80};
+    use crate::builders::{dgx1, dgx2, power8_minsky, power8_pcie_k80, power9_ac922};
+    use crate::discovery::{parse_topo_matrix, to_topo_matrix};
+
+    /// The machine kinds the table guards cover: every built-in kind and a
+    /// DGX-1 parsed back from its `nvidia-smi topo` text.
+    fn table_machines() -> Vec<MachineTopology> {
+        let parsed = parse_topo_matrix(&to_topo_matrix(&dgx1())).expect("round trip parses");
+        vec![
+            power8_minsky(),
+            dgx1(),
+            power8_pcie_k80(),
+            dgx2(),
+            power9_ac922(),
+            parsed,
+        ]
+    }
 
     #[test]
     fn minsky_shape() {
@@ -336,24 +420,27 @@ mod tests {
         assert!(d.distance(GpuId(0), GpuId(5)) > 1.0);
     }
 
-    /// Minimum of `pairwise_cost` over every `n`-subset, enumerated by
+    /// The `n`-subsets of `m`'s GPUs, each ascending, enumerated by
     /// bitmask — independent of the combination walk the method uses.
-    fn bitmask_best_cost(m: &MachineTopology, n: usize) -> f64 {
+    fn bitmask_subsets(m: &MachineTopology, n: usize) -> Vec<Vec<GpuId>> {
         let gpus: Vec<GpuId> = m.gpus().collect();
-        if n <= 1 {
-            return 0.0;
-        }
         (0u32..1 << gpus.len())
             .filter(|mask| mask.count_ones() as usize == n)
             .map(|mask| {
-                let subset: Vec<GpuId> = gpus
-                    .iter()
+                gpus.iter()
                     .enumerate()
                     .filter(|&(i, _)| mask & 1 << i != 0)
                     .map(|(_, &g)| g)
-                    .collect();
-                m.pairwise_cost(&subset)
+                    .collect()
             })
+            .collect()
+    }
+
+    /// Minimum of `pairwise_cost` over every `n`-subset.
+    fn bitmask_best_cost(m: &MachineTopology, n: usize) -> f64 {
+        bitmask_subsets(m, n)
+            .iter()
+            .map(|s| m.pairwise_cost(s))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -391,6 +478,82 @@ mod tests {
     #[should_panic(expected = "cannot host 5 GPUs")]
     fn best_pairwise_cost_rejects_oversized_sets() {
         power8_minsky().best_pairwise_cost(5);
+    }
+
+    /// The best-subset table against an independent enumeration: the
+    /// lexicographically smallest of the bitmask subsets of least cost,
+    /// whose cost bits must equal the cost table's.
+    #[test]
+    fn best_subset_matches_lexicographic_enumeration() {
+        for m in table_machines() {
+            for n in 0..=m.n_gpus() {
+                let subsets = bitmask_subsets(&m, n);
+                let least = bitmask_best_cost(&m, n);
+                let expected = subsets
+                    .iter()
+                    .filter(|s| m.pairwise_cost(s) == least)
+                    .min()
+                    .expect("some subset has the least cost");
+                // Twice: the first call fills the table, the second reads it.
+                for _ in 0..2 {
+                    let got = m.best_subset(n);
+                    assert_eq!(got, expected.as_slice(), "{} n={n}", m.name());
+                    assert_eq!(
+                        m.pairwise_cost(got).to_bits(),
+                        m.best_pairwise_cost(n).to_bits(),
+                        "{} n={n}",
+                        m.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_subset_is_the_nvlink_pair() {
+        let m = power8_minsky();
+        let s = m.best_subset(2);
+        assert!(m.is_packed(s), "got {s:?}");
+        assert_eq!(m.pairwise_cost(s), 1.0);
+    }
+
+    #[test]
+    fn best_subset_of_four_is_everything() {
+        let m = power8_minsky();
+        assert_eq!(m.best_subset(4).len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot host 5 GPUs")]
+    fn oversized_request_panics() {
+        power8_minsky().best_subset(5);
+    }
+
+    /// The route table against a fresh Dijkstra per ordered GPU pair, the
+    /// diagonal included (a GPU reaches itself over no link).
+    #[test]
+    fn route_table_matches_dijkstra_paths() {
+        for m in table_machines() {
+            // Twice: the first pass fills the table, the second reads it.
+            for _ in 0..2 {
+                for a in m.gpus() {
+                    for b in m.gpus() {
+                        let path = m.path(a, b);
+                        let route = m.route(a, b);
+                        assert_eq!(route.p2p, path.is_p2p(m.graph()), "{} {a}-{b}", m.name());
+                        assert_eq!(
+                            route.bandwidth_gbs.to_bits(),
+                            path.bottleneck_bandwidth_gbs().to_bits(),
+                            "{} {a}-{b}",
+                            m.name()
+                        );
+                    }
+                }
+            }
+            let g = GpuId(0);
+            assert!(m.is_p2p(g, g));
+            assert_eq!(m.pair_bandwidth_gbs(g, g), f64::INFINITY);
+        }
     }
 
     #[test]

@@ -65,7 +65,10 @@ impl PathInfo {
     /// route never bounces through a socket, machine or network vertex, and
     /// no traversed link breaks P2P.
     pub fn is_p2p(&self, graph: &TopoGraph) -> bool {
-        let through_host = self.vertices[1..self.vertices.len().saturating_sub(1)]
+        // No transit vertices on a GPU's route to itself.
+        let transit = self.vertices.get(1..self.vertices.len().saturating_sub(1));
+        let through_host = transit
+            .unwrap_or_default()
             .iter()
             .any(|&v| {
                 !matches!(
@@ -116,6 +119,21 @@ pub fn dijkstra(graph: &TopoGraph, source: NodeIdx) -> (Vec<f64>, Vec<Option<Nod
 /// detail. Returns `None` if `target` is unreachable.
 pub fn shortest_path(graph: &TopoGraph, source: NodeIdx, target: NodeIdx) -> Option<PathInfo> {
     let (dist, pred) = dijkstra(graph, source);
+    let path = trace_path(graph, &dist, &pred, target)?;
+    debug_assert_eq!(path.vertices[0], source);
+    Some(path)
+}
+
+/// The cheapest route to `target` from one [`dijkstra`] run's
+/// `(distances, predecessors)`, with full link detail: what
+/// [`shortest_path`] returns, without re-running Dijkstra for each target
+/// of one source. Returns `None` if `target` is unreachable.
+pub(crate) fn trace_path(
+    graph: &TopoGraph,
+    dist: &[f64],
+    pred: &[Option<NodeIdx>],
+    target: NodeIdx,
+) -> Option<PathInfo> {
     if dist[target.index()].is_infinite() {
         return None;
     }
@@ -126,7 +144,6 @@ pub fn shortest_path(graph: &TopoGraph, source: NodeIdx, target: NodeIdx) -> Opt
         cur = p;
     }
     vertices.reverse();
-    debug_assert_eq!(vertices[0], source);
 
     let mut links = Vec::with_capacity(vertices.len().saturating_sub(1));
     for pair in vertices.windows(2) {
