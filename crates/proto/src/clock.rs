@@ -52,7 +52,10 @@ pub struct ScaledClock {
 impl ScaledClock {
     /// Starts the clock now.
     pub fn start(scale: TimeScale) -> Self {
-        Self { start: Instant::now(), scale }
+        Self {
+            start: Instant::now(),
+            scale,
+        }
     }
 
     /// Simulated seconds elapsed since start.

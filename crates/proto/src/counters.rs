@@ -62,7 +62,9 @@ impl LinkCounters {
     /// Counters for `n_machines` machines, all zero.
     pub fn new(n_machines: usize) -> Self {
         Self {
-            machines: (0..n_machines).map(|_| Mutex::new(MachineFlows::default())).collect(),
+            machines: (0..n_machines)
+                .map(|_| Mutex::new(MachineFlows::default()))
+                .collect(),
         }
     }
 
@@ -111,7 +113,10 @@ impl LinkCounters {
     /// Cumulative `(p2p, host)` bytes on one machine, as settled so far.
     pub fn totals(&self, machine: usize) -> (u64, u64) {
         let flows = self.machines[machine].lock();
-        (flows.p2p.total_at(flows.p2p.last_t_s), flows.host.total_at(flows.host.last_t_s))
+        (
+            flows.p2p.total_at(flows.p2p.last_t_s),
+            flows.host.total_at(flows.host.last_t_s),
+        )
     }
 
     /// Cumulative `(p2p, host)` bytes on one machine at simulated time

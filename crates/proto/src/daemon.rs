@@ -13,9 +13,7 @@ use crate::worker::{run_worker, WorkerParams};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use gts_job::{JobId, JobSpec};
 use gts_perf::{PlacementPerf, ProfileLibrary};
-use gts_sched::{
-    Allocation, ClusterState, PlacementOutcome, Policy, Scheduler, SchedulerConfig,
-};
+use gts_sched::{Allocation, ClusterState, PlacementOutcome, Policy, Scheduler, SchedulerConfig};
 use gts_sim::{cluster_ideal_duration_s, current_slowdown, solo_iter_time, JobRecord};
 use gts_topo::ClusterTopology;
 use parking_lot::RwLock;
@@ -59,12 +57,20 @@ pub struct ProtoConfig {
 impl ProtoConfig {
     /// Policy at the default fast scale (1 sim s = 2 wall ms).
     pub fn new(policy: Policy) -> Self {
-        Self { policy, scale: TimeScale::fast(), cancellations: Vec::new() }
+        Self {
+            policy,
+            scale: TimeScale::fast(),
+            cancellations: Vec::new(),
+        }
     }
 
     /// Policy at an explicit scale.
     pub fn with_scale(policy: Policy, scale: TimeScale) -> Self {
-        Self { policy, scale, cancellations: Vec::new() }
+        Self {
+            policy,
+            scale,
+            cancellations: Vec::new(),
+        }
     }
 }
 
@@ -82,7 +88,11 @@ impl Prototype {
         profiles: Arc<ProfileLibrary>,
         config: ProtoConfig,
     ) -> Self {
-        Self { cluster, profiles, config }
+        Self {
+            cluster,
+            profiles,
+            config,
+        }
     }
 
     /// Executes a trace in scaled real time and collects the results.
@@ -154,8 +164,9 @@ impl Prototype {
             std::thread::spawn(move || {
                 let mut samples = Vec::new();
                 let t0 = clock.now_sim();
-                let mut last: Vec<(u64, u64)> =
-                    (0..counters.n_machines()).map(|m| counters.totals_at(m, t0)).collect();
+                let mut last: Vec<(u64, u64)> = (0..counters.n_machines())
+                    .map(|m| counters.totals_at(m, t0))
+                    .collect();
                 let mut last_t = t0;
                 let tick = scale.to_wall(1.0).max(Duration::from_micros(500));
                 while !stop.load(Ordering::Relaxed) {
@@ -314,7 +325,12 @@ impl Prototype {
     fn refresh_slowdowns(&self, scheduler: &Scheduler, table: &Arc<RwLock<HashMap<JobId, f64>>>) {
         let running = || scheduler.state().running();
         let fresh = running()
-            .map(|victim| (victim.spec.id, current_slowdown(victim, running(), &self.cluster)))
+            .map(|victim| {
+                (
+                    victim.spec.id,
+                    current_slowdown(victim, running(), &self.cluster),
+                )
+            })
             .collect();
         *table.write() = fresh;
     }
@@ -374,10 +390,7 @@ mod tests {
     #[test]
     fn two_jobs_share_the_machine_and_both_finish() {
         let p = prototype(PolicyKind::TopoAware);
-        let res = p.run(vec![
-            quick_job(0, 2, 0.0, 150),
-            quick_job(1, 2, 0.0, 150),
-        ]);
+        let res = p.run(vec![quick_job(0, 2, 0.0, 150), quick_job(1, 2, 0.0, 150)]);
         assert_eq!(res.records.len(), 2);
         // They ran concurrently: makespan well under the serial sum.
         let serial: f64 = res.records.iter().map(|r| r.execution_s()).sum();
@@ -396,10 +409,7 @@ mod tests {
     #[test]
     fn queued_job_waits_then_runs() {
         let p = prototype(PolicyKind::Fcfs);
-        let res = p.run(vec![
-            quick_job(0, 4, 0.0, 120),
-            quick_job(1, 4, 1.0, 120),
-        ]);
+        let res = p.run(vec![quick_job(0, 4, 0.0, 120), quick_job(1, 4, 1.0, 120)]);
         let r1 = res.record(JobId(1)).unwrap();
         assert!(r1.waiting_s() > 1.0, "got {}", r1.waiting_s());
     }
@@ -413,7 +423,10 @@ mod tests {
         let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
         let cluster = Arc::new(ClusterTopology::homogeneous(machine, 5));
         let mut job = quick_job(0, 5, 0.0, 20);
-        job.constraints = gts_job::Constraints { single_node: false, anti_collocate: true };
+        job.constraints = gts_job::Constraints {
+            single_node: false,
+            anti_collocate: true,
+        };
         let policy = Policy::new(PolicyKind::TopoAware);
         let proto = Prototype::new(
             Arc::clone(&cluster),

@@ -30,5 +30,5 @@ pub mod worker;
 
 pub use clock::{ScaledClock, TimeScale};
 pub use counters::LinkCounters;
-pub use daemon::{Prototype, ProtoConfig};
+pub use daemon::{ProtoConfig, Prototype};
 pub use result::{BandwidthSample, ProtoResult};

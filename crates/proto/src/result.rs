@@ -49,7 +49,10 @@ impl ProtoResult {
 
     /// Peak host-routed bandwidth observed on any machine.
     pub fn peak_host_gbs(&self) -> f64 {
-        self.bandwidth.iter().map(|b| b.host_gbs).fold(0.0, f64::max)
+        self.bandwidth
+            .iter()
+            .map(|b| b.host_gbs)
+            .fold(0.0, f64::max)
     }
 
     /// Exports the run as a replayable [`Trace`] — §5.3's workflow: "the
@@ -90,8 +93,18 @@ mod tests {
             records: vec![],
             cancelled: vec![],
             bandwidth: vec![
-                BandwidthSample { t_s: 0.0, machine: 0, p2p_gbs: 10.0, host_gbs: 1.0 },
-                BandwidthSample { t_s: 1.0, machine: 0, p2p_gbs: 40.0, host_gbs: 3.0 },
+                BandwidthSample {
+                    t_s: 0.0,
+                    machine: 0,
+                    p2p_gbs: 10.0,
+                    host_gbs: 1.0,
+                },
+                BandwidthSample {
+                    t_s: 1.0,
+                    machine: 0,
+                    p2p_gbs: 40.0,
+                    host_gbs: 3.0,
+                },
             ],
             makespan_s: 2.0,
             slo_violations: 0,

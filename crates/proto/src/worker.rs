@@ -98,7 +98,10 @@ pub fn run_worker(p: WorkerParams) {
     }
     // The daemon may have shut down if it already saw every completion —
     // ignore a closed channel.
-    let _ = p.events.send(Event::Finished { job: p.job, at_sim_s: finished_at });
+    let _ = p.events.send(Event::Finished {
+        job: p.job,
+        at_sim_s: finished_at,
+    });
 }
 
 #[cfg(test)]
@@ -107,7 +110,10 @@ mod tests {
     use crate::clock::TimeScale;
     use crossbeam::channel::unbounded;
 
-    fn params(total_solo_s: f64, slowdown: f64) -> (WorkerParams, crossbeam::channel::Receiver<Event>) {
+    fn params(
+        total_solo_s: f64,
+        slowdown: f64,
+    ) -> (WorkerParams, crossbeam::channel::Receiver<Event>) {
         params_at(total_solo_s, slowdown, TimeScale::new(0.001))
     }
 
@@ -123,7 +129,10 @@ mod tests {
         let p = WorkerParams {
             job: JobId(0),
             machine: 0,
-            iter: IterTime { compute_s: 0.025, comm_s: 0.050 },
+            iter: IterTime {
+                compute_s: 0.025,
+                comm_s: 0.050,
+            },
             route: RouteClass::P2p,
             total_solo_s,
             dram_demand_gbs: 0.0,
@@ -141,7 +150,9 @@ mod tests {
         let (p, rx) = params(20.0, 0.0);
         let counters = Arc::clone(&p.counters);
         let handle = std::thread::spawn(move || run_worker(p));
-        let event = rx.recv_timeout(Duration::from_secs(5)).expect("completion event");
+        let event = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("completion event");
         match event {
             Event::Finished { job, at_sim_s } => {
                 assert_eq!(job, JobId(0));

@@ -39,8 +39,7 @@ fn cancelling_a_running_job_frees_its_gpus_for_the_queue() {
 #[test]
 fn cancelling_a_queued_job_just_removes_it() {
     let (cluster, profiles) = setup();
-    let mut config =
-        ProtoConfig::with_scale(Policy::new(PolicyKind::Fcfs), TimeScale::new(0.002));
+    let mut config = ProtoConfig::with_scale(Policy::new(PolicyKind::Fcfs), TimeScale::new(0.002));
     // Job 5 arrives at 29.89 s and waits in the FCFS queue for a long time;
     // cancel it while it still waits.
     config.cancellations = vec![(35.0, JobId(5))];

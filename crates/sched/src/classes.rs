@@ -164,7 +164,10 @@ impl ClassTable {
         let bucket = &mut self.by_free[free];
         bucket.swap_remove(pos);
         if let Some(&moved) = bucket.get(pos) {
-            self.slots[moved as usize].as_mut().expect("bucketed ids are live").pos = pos;
+            self.slots[moved as usize]
+                .as_mut()
+                .expect("bucketed ids are live")
+                .pos = pos;
         }
     }
 
@@ -191,7 +194,11 @@ impl ClassTable {
 
     /// The class's lowest member id.
     pub(crate) fn lowest(&self, class: ClassId) -> MachineId {
-        *self.slot(class).members.first().expect("live classes have members")
+        *self
+            .slot(class)
+            .members
+            .first()
+            .expect("live classes have members")
     }
 
     /// Free GPUs on each member of the class.
@@ -251,10 +258,15 @@ impl ClassTable {
                 return Err(format!("class table lacks the key of {}", machines[0]));
             };
             let Some(slot) = self.slots.get(id as usize).and_then(Option::as_ref) else {
-                return Err(format!("key of {} interns to dropped class {id}", machines[0]));
+                return Err(format!(
+                    "key of {} interns to dropped class {id}",
+                    machines[0]
+                ));
             };
             if slot.key != **key {
-                return Err(format!("class {id} holds another key than the one interned to it"));
+                return Err(format!(
+                    "class {id} holds another key than the one interned to it"
+                ));
             }
             if !slot.members.iter().eq(machines.iter()) {
                 return Err(format!(
@@ -278,7 +290,10 @@ impl ClassTable {
                 }
             }
             if self.by_free[slot.free].get(slot.pos) != Some(&id) {
-                return Err(format!("class {id} is not at its position in bucket {}", slot.free));
+                return Err(format!(
+                    "class {id} is not at its position in bucket {}",
+                    slot.free
+                ));
             }
         }
         let bucketed: usize = self.by_free.iter().map(Vec::len).sum();

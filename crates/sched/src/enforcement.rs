@@ -26,11 +26,7 @@ pub struct LaunchPlan {
 impl LaunchPlan {
     /// Renders the full shell command line for a training command.
     pub fn command_line(&self, base_cmd: &str) -> String {
-        let mut parts: Vec<String> = self
-            .env
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
+        let mut parts: Vec<String> = self.env.iter().map(|(k, v)| format!("{k}={v}")).collect();
         if let Some(prefix) = &self.numactl_prefix {
             parts.push(prefix.clone());
         }
@@ -83,14 +79,14 @@ pub fn launch_plan(
         let socket = sockets[0];
         match numa {
             Some(info) => info.bind_command(socket),
-            None => format!(
-                "numactl --cpunodebind={id} --membind={id}",
-                id = socket.0
-            ),
+            None => format!("numactl --cpunodebind={id} --membind={id}", id = socket.0),
         }
     });
 
-    LaunchPlan { env, numactl_prefix }
+    LaunchPlan {
+        env,
+        numactl_prefix,
+    }
 }
 
 #[cfg(test)]
@@ -171,8 +167,14 @@ node   0   1
         let a = Allocation {
             spec: JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2),
             gpus: vec![
-                gts_topo::GlobalGpuId { machine: MachineId(0), gpu: GpuId(0) },
-                gts_topo::GlobalGpuId { machine: MachineId(1), gpu: GpuId(0) },
+                gts_topo::GlobalGpuId {
+                    machine: MachineId(0),
+                    gpu: GpuId(0),
+                },
+                gts_topo::GlobalGpuId {
+                    machine: MachineId(1),
+                    gpu: GpuId(0),
+                },
             ],
             utility: 1.0,
         };

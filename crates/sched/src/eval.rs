@@ -94,19 +94,24 @@ impl EvalParams {
     /// hosts.
     pub fn from_env() -> Self {
         static CACHED: OnceLock<usize> = OnceLock::new();
-        Self::with_threads(*CACHED.get_or_init(|| {
-            match std::env::var("GTS_EVAL_THREADS") {
+        Self::with_threads(
+            *CACHED.get_or_init(|| match std::env::var("GTS_EVAL_THREADS") {
                 Ok(v) => match v.trim().parse::<usize>() {
                     Ok(n) if n >= 1 => n,
                     _ => default_threads(),
                 },
                 Err(_) => default_threads(),
-            }
-        }))
+            }),
+        )
     }
 
     fn with_threads(threads: usize) -> Self {
-        Self { threads, shard_par: false, shard_bound: true, decision_replay: true }
+        Self {
+            threads,
+            shard_par: false,
+            shard_bound: true,
+            decision_replay: true,
+        }
     }
 
     /// True when this selects the sequential reference path.
@@ -184,7 +189,11 @@ impl JobClassKey {
             batch: job.batch,
             n_gpus: job.n_gpus,
             bw_bits: job.bw_demand_gbs.to_bits(),
-            weight_bits: [weights.cc.to_bits(), weights.b.to_bits(), weights.d.to_bits()],
+            weight_bits: [
+                weights.cc.to_bits(),
+                weights.b.to_bits(),
+                weights.d.to_bits(),
+            ],
             graph,
         }
     }
@@ -211,7 +220,10 @@ struct Probe {
 
 impl Probe {
     fn new(machine: &MachineClassKey, job: JobClassId) -> Self {
-        Self { machine_hash: machine.hash_bits(), job }
+        Self {
+            machine_hash: machine.hash_bits(),
+            job,
+        }
     }
 }
 
@@ -274,7 +286,13 @@ struct Entry {
 
 impl Lru {
     fn new(capacity: usize) -> Self {
-        Self { map: HashMap::default(), slab: Vec::new(), head: NIL, tail: NIL, capacity }
+        Self {
+            map: HashMap::default(),
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            capacity,
+        }
     }
 
     fn unlink(&mut self, i: usize) {
@@ -325,7 +343,13 @@ impl Lru {
         value: CandidateOutcome,
     ) -> bool {
         let probe = Probe::new(machine, job);
-        let entry = Entry { machine: machine.clone(), job, value, prev: NIL, next: NIL };
+        let entry = Entry {
+            machine: machine.clone(),
+            job,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
         if let Some(&i) = self.map.get(&probe) {
             self.unlink(i);
             self.slab[i] = entry;
@@ -404,7 +428,9 @@ impl std::hash::Hasher for FnvHasher {
 
 impl std::fmt::Debug for EvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvalCache").field("stats", &self.stats()).finish()
+        f.debug_struct("EvalCache")
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -454,7 +480,14 @@ impl EvalCache {
 
     fn get(&self, machine: &MachineClassKey, job: JobClassId) -> Option<CandidateOutcome> {
         let hit = self.lru.borrow_mut().get(machine, job);
-        bump(if hit.is_some() { &self.hits } else { &self.misses }, 1);
+        bump(
+            if hit.is_some() {
+                &self.hits
+            } else {
+                &self.misses
+            },
+            1,
+        );
         hit
     }
 
@@ -488,7 +521,11 @@ fn evaluate_one(
     }
     let frag_after = oracle.fragmentation_after(&gpus);
     let utility = placement_utility(state, machine, job, &gpus, weights);
-    CandidateOutcome::Feasible { gpus: gpus.into(), utility, frag_after }
+    CandidateOutcome::Feasible {
+        gpus: gpus.into(),
+        utility,
+        frag_after,
+    }
 }
 
 /// Debug check behind every cache hit: re-run the full evaluation, on a
@@ -510,8 +547,16 @@ fn debug_assert_hit_matches(
             CandidateOutcome::RejectedBandwidth { gpus: b },
         ) => a == b,
         (
-            CandidateOutcome::Feasible { gpus: ga, utility: ua, frag_after: fa },
-            CandidateOutcome::Feasible { gpus: gb, utility: ub, frag_after: fb },
+            CandidateOutcome::Feasible {
+                gpus: ga,
+                utility: ua,
+                frag_after: fa,
+            },
+            CandidateOutcome::Feasible {
+                gpus: gb,
+                utility: ub,
+                frag_after: fb,
+            },
         ) => ga == gb && ua.to_bits() == ub.to_bits() && fa.to_bits() == fb.to_bits(),
         _ => false,
     };
@@ -530,7 +575,10 @@ pub(crate) fn evaluate_topo_candidates(
     weights: UtilityWeights,
     candidates: &[MachineId],
 ) -> Vec<CandidateOutcome> {
-    candidates.iter().map(|&m| evaluate_one(state, job, graph, weights, m)).collect()
+    candidates
+        .iter()
+        .map(|&m| evaluate_one(state, job, graph, weights, m))
+        .collect()
 }
 
 /// One outcome per live machine class in `classes` (`(lowest member,
@@ -557,7 +605,10 @@ pub(crate) fn evaluate_live_classes(
 ) -> Vec<CandidateOutcome> {
     let Some((cache, job_class)) = cached else {
         let graph = JobGraph::from_spec(job);
-        return classes.iter().map(|&(m, _)| evaluate_one(state, job, &graph, weights, m)).collect();
+        return classes
+            .iter()
+            .map(|&(m, _)| evaluate_one(state, job, &graph, weights, m))
+            .collect();
     };
     let table = state.classes();
     let mut outcomes: Vec<Option<CandidateOutcome>> = Vec::with_capacity(classes.len());
@@ -582,7 +633,10 @@ pub(crate) fn evaluate_live_classes(
             outcomes[i] = Some(outcome);
         }
     }
-    outcomes.into_iter().map(|o| o.expect("every class resolved")).collect()
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every class resolved"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -622,14 +676,18 @@ mod tests {
         // The production form: one outcome per live class, expanded here
         // to the candidates for comparison.
         let mut classes = Vec::new();
-        s.classes().with_capacity_into(j.n_gpus as usize, &mut classes);
+        s.classes()
+            .with_capacity_into(j.n_gpus as usize, &mut classes);
         let cached = cache.and_then(|c| Some((c, c.intern(j, weights)?)));
         let outcomes = evaluate_live_classes(s, j, weights, &classes, cached);
         candidates
             .iter()
             .map(|&m| {
                 let class = s.classes().class_of(m);
-                let i = classes.iter().position(|&(_, c)| c == class).expect("live class");
+                let i = classes
+                    .iter()
+                    .position(|&(_, c)| c == class)
+                    .expect("live class");
                 outcomes[i].clone()
             })
             .collect()
@@ -646,7 +704,11 @@ mod tests {
     fn engine_matches_sequential_reference_bitwise() {
         let mut s = state(12);
         // Differentiate a few machines so several classes exist.
-        s.place(job(100, 2), on_machine(MachineId(0), &[GpuId(0), GpuId(1)]), 1.0);
+        s.place(
+            job(100, 2),
+            on_machine(MachineId(0), &[GpuId(0), GpuId(1)]),
+            1.0,
+        );
         s.place(job(101, 1), on_machine(MachineId(1), &[GpuId(2)]), 1.0);
         s.place(
             JobSpec::new(102, NnModel::GoogLeNet, BatchClass::Big, 1),
@@ -661,8 +723,16 @@ mod tests {
         // Bit-exact utilities, not just PartialEq-equal.
         for (a, b) in seq.iter().zip(&engine) {
             if let (
-                CandidateOutcome::Feasible { utility: ua, frag_after: fa, .. },
-                CandidateOutcome::Feasible { utility: ub, frag_after: fb, .. },
+                CandidateOutcome::Feasible {
+                    utility: ua,
+                    frag_after: fa,
+                    ..
+                },
+                CandidateOutcome::Feasible {
+                    utility: ub,
+                    frag_after: fb,
+                    ..
+                },
             ) = (a, b)
             {
                 assert_eq!(ua.to_bits(), ub.to_bits());
@@ -745,7 +815,11 @@ mod tests {
     #[test]
     fn cache_on_and_off_agree_bitwise() {
         let mut s = state(12);
-        s.place(job(100, 2), on_machine(MachineId(0), &[GpuId(0), GpuId(1)]), 1.0);
+        s.place(
+            job(100, 2),
+            on_machine(MachineId(0), &[GpuId(0), GpuId(1)]),
+            1.0,
+        );
         s.place(job(101, 1), on_machine(MachineId(1), &[GpuId(2)]), 1.0);
         let cache = EvalCache::with_capacity(64);
         let j = job(0, 2);
@@ -756,8 +830,16 @@ mod tests {
         for (a, b) in warm.iter().zip(&uncached) {
             match (a, b) {
                 (
-                    CandidateOutcome::Feasible { gpus: ga, utility: ua, frag_after: fa },
-                    CandidateOutcome::Feasible { gpus: gb, utility: ub, frag_after: fb },
+                    CandidateOutcome::Feasible {
+                        gpus: ga,
+                        utility: ua,
+                        frag_after: fa,
+                    },
+                    CandidateOutcome::Feasible {
+                        gpus: gb,
+                        utility: ub,
+                        frag_after: fb,
+                    },
                 ) => {
                     assert_eq!(ga, gb);
                     assert_eq!(ua.to_bits(), ub.to_bits());
@@ -794,8 +876,16 @@ mod tests {
         assert!(after_cold.misses >= 1);
         let warm = outcomes_cached(&s, &twin, production, Some(&cache));
         assert_eq!(warm, cold);
-        assert_eq!(cache.stats().misses, after_cold.misses, "the twin evaluates nothing");
-        assert_eq!(cache.stats().hits, after_cold.misses, "the twin hits every class");
+        assert_eq!(
+            cache.stats().misses,
+            after_cold.misses,
+            "the twin evaluates nothing"
+        );
+        assert_eq!(
+            cache.stats().hits,
+            after_cold.misses,
+            "the twin hits every class"
+        );
 
         let others = [
             ("a lighter pipeline", Some(JobGraph::pipeline(4, 3.0))),
@@ -806,14 +896,22 @@ mod tests {
         for (name, graph) in others {
             let cache = EvalCache::with_capacity(64);
             let other = on(1, graph);
-            assert_ne!(cache.intern(&first, weights), cache.intern(&other, weights), "{name}");
+            assert_ne!(
+                cache.intern(&first, weights),
+                cache.intern(&other, weights),
+                "{name}"
+            );
             outcomes_cached(&s, &first, production, Some(&cache));
             let before = cache.stats();
             let got = outcomes_cached(&s, &other, production, Some(&cache));
             let after = cache.stats();
             assert_eq!(after.hits, before.hits, "{name} hit the pipeline's entries");
             assert_eq!(after.misses, 2 * before.misses, "{name} missed every class");
-            assert_eq!(got, outcomes(&s, &other, EvalParams::sequential()), "{name}");
+            assert_eq!(
+                got,
+                outcomes(&s, &other, EvalParams::sequential()),
+                "{name}"
+            );
         }
     }
 
@@ -823,7 +921,11 @@ mod tests {
     #[test]
     fn a_job_past_the_interning_bound_decides_uncached() {
         let mut s = state(3);
-        s.place(job(100, 2), on_machine(MachineId(0), &[GpuId(0), GpuId(1)]), 1.0);
+        s.place(
+            job(100, 2),
+            on_machine(MachineId(0), &[GpuId(0), GpuId(1)]),
+            1.0,
+        );
         let weights = UtilityWeights::default();
         let cache = EvalCache::with_capacity(64);
         let filler = |i: usize| job(1000 + i as u64, 1).with_bw_demand(i as f64 * 1e-6);
@@ -833,14 +935,22 @@ mod tests {
         let late = JobSpec::new(0, NnModel::GoogLeNet, BatchClass::Big, 2)
             .with_comm_graph(JobGraph::pipeline(2, 1.0));
         assert_eq!(cache.intern(&late, weights), None);
-        assert_eq!(cache.intern(&filler(7), weights), Some(7), "interned ids stay");
+        assert_eq!(
+            cache.intern(&filler(7), weights),
+            Some(7),
+            "interned ids stay"
+        );
 
         let policy = crate::Policy::new(crate::PolicyKind::TopoAwareP);
         let got = policy.decide_with(&s, &late, EvalParams::parallel(2), Some(&cache), None);
         let want = policy.decide_with(&s, &late, EvalParams::sequential(), None, None);
         let bits = |d: Option<crate::policy::Decision>| d.map(|d| (d.gpus, d.utility.to_bits()));
         assert_eq!(bits(got), bits(want));
-        assert_eq!(cache.stats(), EvalCacheStats::default(), "no lookup for an uninterned class");
+        assert_eq!(
+            cache.stats(),
+            EvalCacheStats::default(),
+            "no lookup for an uninterned class"
+        );
     }
 
     #[test]
@@ -857,13 +967,21 @@ mod tests {
         widths(&[1, 2, 1, 3]);
         assert_eq!(
             cache.stats(),
-            EvalCacheStats { hits: 1, misses: 3, evictions: 1 },
+            EvalCacheStats {
+                hits: 1,
+                misses: 3,
+                evictions: 1
+            },
             "the width-3 class evicts width 2, the least recent"
         );
         widths(&[1, 2]);
         assert_eq!(
             cache.stats(),
-            EvalCacheStats { hits: 2, misses: 4, evictions: 2 },
+            EvalCacheStats {
+                hits: 2,
+                misses: 4,
+                evictions: 2
+            },
             "width 1 survived, width 2 was evicted and now evicts width 3"
         );
     }

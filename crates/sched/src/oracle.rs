@@ -39,7 +39,13 @@ impl<'a> StateOracle<'a> {
         let topo = state.cluster().machine(machine);
         let candidate = state.profiles().get(job.model, job.batch);
         let corunners = Arc::clone(state.corunners(machine));
-        Self { state, machine, topo, candidate, corunners }
+        Self {
+            state,
+            machine,
+            topo,
+            candidate,
+            corunners,
+        }
     }
 
     /// Eq. 4 over the candidate placement: mean of `solo/collocated` ratios
@@ -101,7 +107,11 @@ pub fn placement_components(
     let u_interference = oracle.interference(gpus);
     let u_domains =
         UtilityComponents::u_domains_from_span(topo.sockets_spanned(gpus), topo.n_sockets());
-    UtilityComponents { u_cc, u_interference, u_domains }
+    UtilityComponents {
+        u_cc,
+        u_interference,
+        u_domains,
+    }
 }
 
 /// Final normalized utility of a concrete placement (DESIGN.md §2),
@@ -119,8 +129,8 @@ pub fn placement_utility(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_job::{BatchClass, NnModel};
     use crate::state::on_machine;
+    use gts_job::{BatchClass, NnModel};
     use gts_perf::ProfileLibrary;
     use gts_topo::{power8_minsky, ClusterTopology};
     use std::sync::Arc;
@@ -240,6 +250,9 @@ mod tests {
             &[GpuId(0), GpuId(1)],
             UtilityWeights::default(),
         );
-        assert!(u > 0.95, "GoogLeNet big-batch causes almost no pressure: {u}");
+        assert!(
+            u > 0.95,
+            "GoogLeNet big-batch causes almost no pressure: {u}"
+        );
     }
 }

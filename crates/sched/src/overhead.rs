@@ -110,7 +110,10 @@ impl DecisionStats {
     /// Total time spent deciding.
     pub fn total(&self) -> Duration {
         const NS_PER_S: u128 = 1_000_000_000;
-        Duration::new((self.total_ns / NS_PER_S) as u64, (self.total_ns % NS_PER_S) as u32)
+        Duration::new(
+            (self.total_ns / NS_PER_S) as u64,
+            (self.total_ns % NS_PER_S) as u32,
+        )
     }
 
     /// Mean latency in seconds, for report tables: the exact ratio of the
@@ -203,7 +206,11 @@ mod tests {
             s.record(Duration::from_nanos(ns));
         }
         assert_eq!(s.mean(), Duration::from_nanos(1));
-        assert!((s.mean_s() * 1e9 - 4.0 / 3.0).abs() < 1e-12, "got {} s", s.mean_s());
+        assert!(
+            (s.mean_s() * 1e9 - 4.0 / 3.0).abs() < 1e-12,
+            "got {} s",
+            s.mean_s()
+        );
         let n = s.total().as_nanos() as f64 / (s.mean_s() * 1e9);
         assert_eq!(n.round(), 3.0, "the total over the mean is the count");
     }
@@ -264,9 +271,19 @@ mod tests {
             let floor = bucket_floor(b);
             assert!(b >= last, "buckets must not decrease: {ns} ns");
             assert!(floor <= ns, "{ns} ns: bucket floor {floor} above the value");
-            assert_eq!(bucket_of(floor), b, "{ns} ns: floor {floor} leaves its bucket");
-            assert!(bucket_floor(b + 1) > ns, "{ns} ns: the next bucket starts too low");
-            assert!((ns - floor) << SUB_BITS < ns, "{ns} ns: relative error ≥ 2⁻⁶");
+            assert_eq!(
+                bucket_of(floor),
+                b,
+                "{ns} ns: floor {floor} leaves its bucket"
+            );
+            assert!(
+                bucket_floor(b + 1) > ns,
+                "{ns} ns: the next bucket starts too low"
+            );
+            assert!(
+                (ns - floor) << SUB_BITS < ns,
+                "{ns} ns: relative error ≥ 2⁻⁶"
+            );
             last = b;
             ns += ns / 97 + 1;
         }

@@ -81,7 +81,10 @@ pub struct Policy {
 impl Policy {
     /// Policy with the paper's equal weights.
     pub fn new(kind: PolicyKind) -> Self {
-        Self { kind, weights: UtilityWeights::default() }
+        Self {
+            kind,
+            weights: UtilityWeights::default(),
+        }
     }
 }
 
@@ -226,8 +229,7 @@ impl Policy {
                 // First machine (in id order) whose pick also satisfies the
                 // §4.3 bandwidth constraint.
                 for machine in candidates {
-                    let gpus: Vec<GpuId> =
-                        state.free_gpus(machine).into_iter().take(n).collect();
+                    let gpus: Vec<GpuId> = state.free_gpus(machine).into_iter().take(n).collect();
                     if state.fits_bw(machine, &gpus, job.bw_demand_gbs) {
                         self.record_eval(
                             &mut trace,
@@ -306,7 +308,11 @@ impl Policy {
                                 EvalOutcome::RejectedBandwidth,
                             );
                         }
-                        CandidateOutcome::Feasible { gpus, utility, frag_after } => {
+                        CandidateOutcome::Feasible {
+                            gpus,
+                            utility,
+                            frag_after,
+                        } => {
                             self.record_eval(
                                 &mut trace,
                                 state,
@@ -315,9 +321,11 @@ impl Policy {
                                 &gpus,
                                 EvalOutcome::Outscored,
                             );
-                            let eval_idx =
-                                trace.as_deref().map(|t| t.len() - 1).unwrap_or(0);
-                            let d = Decision { gpus: on_machine(machine, &gpus), utility };
+                            let eval_idx = trace.as_deref().map(|t| t.len() - 1).unwrap_or(0);
+                            let d = Decision {
+                                gpus: on_machine(machine, &gpus),
+                                utility,
+                            };
                             feasible.push((d, frag_after, eval_idx));
                         }
                     }
@@ -374,7 +382,12 @@ impl Policy {
         let outcomes = evaluate_live_classes(state, job, self.weights, &classes, cached);
         let mut feasible: Vec<FeasibleClass> = Vec::new();
         for (i, outcome) in outcomes.iter().enumerate() {
-            if let CandidateOutcome::Feasible { utility, frag_after, .. } = outcome {
+            if let CandidateOutcome::Feasible {
+                utility,
+                frag_after,
+                ..
+            } = outcome
+            {
                 feasible.push(FeasibleClass {
                     lowest: classes[i].0,
                     utility: *utility,
@@ -400,7 +413,10 @@ impl Policy {
         let CandidateOutcome::Feasible { gpus, utility, .. } = &outcomes[feasible[f].index] else {
             unreachable!("feasible classes hold feasible outcomes");
         };
-        Some(Decision { gpus: on_machine(machine, gpus), utility: *utility })
+        Some(Decision {
+            gpus: on_machine(machine, gpus),
+            utility: *utility,
+        })
     }
 
     /// The traced form of a class-level decision: one [`CandidateEval`] per
@@ -474,7 +490,9 @@ impl Policy {
             .into_iter()
             .filter_map(|m| {
                 let first = state.first_free_gpu(m)?;
-                state.fits_bw(m, &[first], per_task_bw).then_some((m, first))
+                state
+                    .fits_bw(m, &[first], per_task_bw)
+                    .then_some((m, first))
             })
             .collect();
         if hosts.len() < n {
@@ -490,9 +508,7 @@ impl Policy {
                 // interference; score each host once, then sort.
                 let mut scored: Vec<(f64, MachineId, GpuId)> = hosts
                     .into_iter()
-                    .map(|(m, g)| {
-                        (StateOracle::new(state, m, job).interference_one(&[g]), m, g)
-                    })
+                    .map(|(m, g)| (StateOracle::new(state, m, job).interference_one(&[g]), m, g))
                     .collect();
                 // total_cmp, not partial_cmp().expect(): a NaN interference
                 // score (however a profile produced it) must degrade to a
@@ -510,14 +526,11 @@ impl Policy {
         // forced spread — the job *asked* for it): score interference only.
         let mean_interference: f64 = gpus
             .iter()
-            .map(|g| {
-                StateOracle::new(state, g.machine, job).interference_one(&[g.gpu])
-            })
+            .map(|g| StateOracle::new(state, g.machine, job).interference_one(&[g.gpu]))
             .sum::<f64>()
             / n as f64;
-        let utility = self.weights.cc * 1.0
-            + self.weights.b * mean_interference
-            + self.weights.d * 1.0;
+        let utility =
+            self.weights.cc * 1.0 + self.weights.b * mean_interference + self.weights.d * 1.0;
         Some(Decision { gpus, utility })
     }
 
@@ -531,7 +544,10 @@ impl Policy {
         gpus: Vec<GpuId>,
     ) -> Decision {
         let utility = placement_utility(state, machine, job, &gpus, self.weights);
-        Decision { gpus: on_machine(machine, &gpus), utility }
+        Decision {
+            gpus: on_machine(machine, &gpus),
+            utility,
+        }
     }
 }
 
@@ -641,17 +657,30 @@ where
     F: Fn(usize) -> I,
     I: IntoIterator<Item = MachineId>,
 {
-    let u_max = feasible.iter().map(|c| c.utility).fold(f64::NEG_INFINITY, f64::max);
+    let u_max = feasible
+        .iter()
+        .map(|c| c.utility)
+        .fold(f64::NEG_INFINITY, f64::max);
     let (floor, gate) = selection_floor_gate(u_max, min_utility);
     let survives = |c: &FeasibleClass| !skip_candidate(c.utility, floor, gate);
     let mut best: Option<usize> = None;
-    if frags_separated(feasible.iter().filter(|c| survives(c)).map(|c| c.frag_after)) {
+    if frags_separated(
+        feasible
+            .iter()
+            .filter(|c| survives(c))
+            .map(|c| c.frag_after),
+    ) {
         for (f, c) in feasible.iter().enumerate() {
             if !survives(c) {
                 continue;
             }
             let better = best.is_none_or(|b| {
-                beats_winner(c.frag_after, c.utility, feasible[b].frag_after, feasible[b].utility)
+                beats_winner(
+                    c.frag_after,
+                    c.utility,
+                    feasible[b].frag_after,
+                    feasible[b].utility,
+                )
             });
             if better {
                 best = Some(f);
@@ -671,7 +700,12 @@ where
     for (m, f) in order {
         let c = &feasible[f];
         let better = best.is_none_or(|b| {
-            beats_winner(c.frag_after, c.utility, feasible[b].frag_after, feasible[b].utility)
+            beats_winner(
+                c.frag_after,
+                c.utility,
+                feasible[b].frag_after,
+                feasible[b].utility,
+            )
         });
         if better {
             best = Some(f);
@@ -694,7 +728,9 @@ fn frags_separated(frags: impl Iterator<Item = f64>) -> bool {
     let mut sorted: Vec<f64> = frags.collect();
     sorted.sort_unstable_by(f64::total_cmp);
     sorted.dedup_by(|a, b| a.to_bits() == b.to_bits());
-    sorted.windows(2).all(|w| w[0] + 1e-12 < w[1] && (w[1] - w[0]).abs() > 1e-12)
+    sorted
+        .windows(2)
+        .all(|w| w[0] + 1e-12 < w[1] && (w[1] - w[0]).abs() > 1e-12)
 }
 
 /// Eq. 5 fragmentation `machine` would be left with after granting `gpus`.
@@ -750,13 +786,18 @@ mod tests {
     }
 
     fn g(m: u32, gpu: u32) -> GlobalGpuId {
-        GlobalGpuId { machine: MachineId(m), gpu: GpuId(gpu) }
+        GlobalGpuId {
+            machine: MachineId(m),
+            gpu: GpuId(gpu),
+        }
     }
 
     #[test]
     fn fcfs_takes_lowest_ids() {
         let s = state(2);
-        let d = Policy::new(PolicyKind::Fcfs).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::Fcfs)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         assert_eq!(d.gpus, vec![g(0, 0), g(0, 1)]);
     }
 
@@ -766,9 +807,15 @@ mod tests {
         // GPUs 1 and 2 free: one per socket.
         s.place(job(10, 1), vec![g(0, 0)], 1.0);
         s.place(job(11, 1), vec![g(0, 3)], 1.0);
-        let d = Policy::new(PolicyKind::Fcfs).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::Fcfs)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         assert_eq!(d.gpus, vec![g(0, 1), g(0, 2)]);
-        assert!(d.utility < 0.5, "cross-socket pick scores low: {}", d.utility);
+        assert!(
+            d.utility < 0.5,
+            "cross-socket pick scores low: {}",
+            d.utility
+        );
     }
 
     #[test]
@@ -776,7 +823,9 @@ mod tests {
         let mut s = state(2);
         s.place(job(10, 2), vec![g(1, 0), g(1, 1)], 1.0);
         // Machine 1 has 2 free, machine 0 has 4 free: BF picks machine 1.
-        let d = Policy::new(PolicyKind::BestFit).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::BestFit)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         assert_eq!(d.gpus[0].machine, MachineId(1));
     }
 
@@ -785,14 +834,18 @@ mod tests {
         let mut s = state(1);
         s.place(job(10, 1), vec![g(0, 0)], 1.0);
         // Socket 0 has 1 free, socket 1 has 2: BF takes GPU1 first.
-        let d = Policy::new(PolicyKind::BestFit).decide(&s, &job(0, 1)).unwrap();
+        let d = Policy::new(PolicyKind::BestFit)
+            .decide(&s, &job(0, 1))
+            .unwrap();
         assert_eq!(d.gpus, vec![g(0, 1)]);
     }
 
     #[test]
     fn topo_aware_packs_a_two_gpu_job() {
         let s = state(1);
-        let d = Policy::new(PolicyKind::TopoAware).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::TopoAware)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         let topo = s.cluster().machine(MachineId(0));
         let local: Vec<GpuId> = d.gpus.iter().map(|x| x.gpu).collect();
         assert!(topo.is_packed(&local), "got {local:?}");
@@ -807,10 +860,11 @@ mod tests {
         // strewing 1–2-GPU jobs across the cluster until no machine could
         // drain for a 4-GPU job (the fig10 seed-1001 waiting-time bug).
         let mut s = state(2);
-        let mild = JobSpec::new(10, NnModel::GoogLeNet, BatchClass::Big, 2)
-            .with_min_utility(0.5);
+        let mild = JobSpec::new(10, NnModel::GoogLeNet, BatchClass::Big, 2).with_min_utility(0.5);
         s.place(mild, vec![g(0, 0), g(0, 1)], 1.0);
-        let d = Policy::new(PolicyKind::TopoAware).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::TopoAware)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         assert_eq!(
             d.gpus[0].machine,
             MachineId(0),
@@ -821,8 +875,14 @@ mod tests {
 
     #[test]
     fn tie_break_never_trades_an_slo_pass_for_a_violation() {
-        let far = Decision { gpus: vec![g(0, 0)], utility: 0.503 };
-        let near = Decision { gpus: vec![g(1, 0)], utility: 0.498 };
+        let far = Decision {
+            gpus: vec![g(0, 0)],
+            utility: 0.503,
+        };
+        let near = Decision {
+            gpus: vec![g(1, 0)],
+            utility: 0.498,
+        };
         // Both within FRAG_TIE_EPS; the lower-fragmentation pick misses the
         // job's min_utility, so the SLO-satisfying candidate must win.
         let feasible = vec![(far, 0.5, 0), (near, 0.0, 1)];
@@ -838,7 +898,9 @@ mod tests {
         let mut s = state(2);
         // Machine 0 hosts a noisy tiny-batch job.
         s.place(job(10, 2), vec![g(0, 0), g(0, 1)], 1.0);
-        let d = Policy::new(PolicyKind::TopoAware).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::TopoAware)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         assert_eq!(d.gpus[0].machine, MachineId(1), "should dodge interference");
     }
 
@@ -856,7 +918,9 @@ mod tests {
         let mut s = state(1);
         s.place(job(10, 1), vec![g(0, 0)], 1.0);
         s.place(job(11, 1), vec![g(0, 2)], 1.0);
-        let d = Policy::new(PolicyKind::TopoAwareP).decide(&s, &job(0, 2)).unwrap();
+        let d = Policy::new(PolicyKind::TopoAwareP)
+            .decide(&s, &job(0, 2))
+            .unwrap();
         assert!(d.utility < 0.5, "got {}", d.utility);
         // The policy itself only *proposes*; postponement is the
         // scheduler's call (Algorithm 1).
@@ -866,7 +930,10 @@ mod tests {
     fn anti_collocated_job_spreads_across_machines() {
         let s = state(3);
         let mut j = job(0, 2);
-        j.constraints = Constraints { single_node: false, anti_collocate: true };
+        j.constraints = Constraints {
+            single_node: false,
+            anti_collocate: true,
+        };
         for kind in PolicyKind::ALL {
             let d = Policy::new(kind).decide(&s, &j).unwrap();
             let machines: Vec<MachineId> = d.gpus.iter().map(|x| x.machine).collect();
@@ -879,7 +946,10 @@ mod tests {
     fn anti_collocated_needs_enough_machines() {
         let s = state(1);
         let mut j = job(0, 2);
-        j.constraints = Constraints { single_node: false, anti_collocate: true };
+        j.constraints = Constraints {
+            single_node: false,
+            anti_collocate: true,
+        };
         assert!(Policy::new(PolicyKind::TopoAware).decide(&s, &j).is_none());
     }
 
@@ -903,7 +973,10 @@ mod tests {
         let feasible: Vec<(Decision, f64, usize)> = members
             .iter()
             .map(|&(m, i)| {
-                let d = Decision { gpus: vec![g(m.0, 0)], utility: classes[i].utility };
+                let d = Decision {
+                    gpus: vec![g(m.0, 0)],
+                    utility: classes[i].utility,
+                };
                 (d, classes[i].frag, 0)
             })
             .collect();
@@ -994,8 +1067,16 @@ mod tests {
         };
         let classes = [class(a, &[0]), class(b, &[1, 3]), class(c, &[2])];
         let want = member_scan(&classes, 0.5);
-        assert_eq!(want, Some(MachineId(3)), "the reference picks B's second member");
-        assert_eq!(class_scan(&classes, 0.5), (want, 1), "one counted fallback, same pick");
+        assert_eq!(
+            want,
+            Some(MachineId(3)),
+            "the reference picks B's second member"
+        );
+        assert_eq!(
+            class_scan(&classes, 0.5),
+            (want, 1),
+            "one counted fallback, same pick"
+        );
     }
 
     /// The class-level decision places on the lowest member of the
@@ -1017,7 +1098,11 @@ mod tests {
             .decide_with(&s, &job(0, 2), EvalParams::parallel(2), None, None)
             .unwrap();
         assert_eq!(got, want);
-        assert_eq!(got.gpus[0].machine, MachineId(1), "lowest member of the winning class");
+        assert_eq!(
+            got.gpus[0].machine,
+            MachineId(1),
+            "lowest member of the winning class"
+        );
         assert_eq!(s.classes().fallbacks(), 0);
     }
 

@@ -49,7 +49,10 @@ impl SchedulerConfig {
     /// Config with the environment-selected evaluation engine
     /// ([`EvalParams::from_env`]).
     pub fn new(policy: Policy) -> Self {
-        Self { policy, eval: EvalParams::from_env() }
+        Self {
+            policy,
+            eval: EvalParams::from_env(),
+        }
     }
 }
 
@@ -259,7 +262,9 @@ impl Scheduler {
     /// starvation-watch counter ("to avoid starvation ... the job waiting
     /// queue is sorted by the job's arrival time", §4.4).
     pub fn postpone_count(&self, id: JobId) -> u32 {
-        self.postpone_index.get(&id).map_or(0, |&k| self.postpone_counts[k as usize])
+        self.postpone_index
+            .get(&id)
+            .map_or(0, |&k| self.postpone_counts[k as usize])
     }
 
     /// The highest postponement count any job has accumulated.
@@ -279,7 +284,10 @@ impl Scheduler {
     /// §14.2) in its queue slot.
     pub fn submit(&mut self, job: JobSpec) {
         debug_assert!(job.validate().is_ok(), "invalid job submitted");
-        self.emit(TraceEvent::Arrived { t_s: self.now_s, job: job.id });
+        self.emit(TraceEvent::Arrived {
+            t_s: self.now_s,
+            job: job.id,
+        });
         let interned = self.intern(&job);
         self.queue.add_tagged(job, interned);
     }
@@ -295,7 +303,11 @@ impl Scheduler {
         let Some(class) = self.eval_cache.intern(job, self.policy.weights) else {
             return Interned::default();
         };
-        let key = (class, job.min_utility.to_bits(), job.constraints.single_node);
+        let key = (
+            class,
+            job.min_utility.to_bits(),
+            job.constraints.single_node,
+        );
         let next = self.replay_ids.len();
         let replay = match self.replay_ids.get(&key) {
             Some(&id) => Some(id),
@@ -306,13 +318,20 @@ impl Scheduler {
                 Some(next as ReplayId)
             }
         };
-        Interned { class: Some(class), replay, postponed: None }
+        Interned {
+            class: Some(class),
+            replay,
+            postponed: None,
+        }
     }
 
     /// Releases a finished job's GPUs (the "a job has finished" wakeup
     /// event feeds this, then calls [`Scheduler::run_iteration`]).
     pub fn complete(&mut self, id: JobId) -> Allocation {
-        self.emit(TraceEvent::Released { t_s: self.now_s, job: id });
+        self.emit(TraceEvent::Released {
+            t_s: self.now_s,
+            job: id,
+        });
         self.state.release(id)
     }
 
@@ -320,13 +339,19 @@ impl Scheduler {
     /// already cancelled (or migrated) the jobs running there. Emits a
     /// trace event, unlike raw `state_mut().set_machine_down`.
     pub fn fail_machine(&mut self, machine: MachineId) {
-        self.emit(TraceEvent::MachineFailed { t_s: self.now_s, machine });
+        self.emit(TraceEvent::MachineFailed {
+            t_s: self.now_s,
+            machine,
+        });
         self.state.set_machine_down(machine, true);
     }
 
     /// Brings a failed machine back into the pool.
     pub fn recover_machine(&mut self, machine: MachineId) {
-        self.emit(TraceEvent::MachineRecovered { t_s: self.now_s, machine });
+        self.emit(TraceEvent::MachineRecovered {
+            t_s: self.now_s,
+            machine,
+        });
         self.state.set_machine_down(machine, false);
     }
 
@@ -340,7 +365,10 @@ impl Scheduler {
             return CancelOutcome::Dequeued;
         }
         if self.state.allocation(id).is_some() {
-            self.emit(TraceEvent::Released { t_s: self.now_s, job: id });
+            self.emit(TraceEvent::Released {
+                t_s: self.now_s,
+                job: id,
+            });
             return CancelOutcome::Stopped(self.state.release(id));
         }
         CancelOutcome::NotFound
@@ -371,10 +399,17 @@ impl Scheduler {
         // The walk's position: every job before it stays queued, unplaced.
         let mut i = 0;
         while self.state.has_free_resources() {
-            let Some((job, &interned)) = self.queue.slot(i) else { break };
+            let Some((job, &interned)) = self.queue.slot(i) else {
+                break;
+            };
             let id = job.id;
-            let replay = interned.replay.filter(|_| !self.tracing).map(|r| r as usize);
-            let memo = replay.map(|r| &self.memo[r]).filter(|(epoch, _)| *epoch == self.memo_epoch);
+            let replay = interned
+                .replay
+                .filter(|_| !self.tracing)
+                .map(|r| r as usize);
+            let memo = replay
+                .map(|r| &self.memo[r])
+                .filter(|(epoch, _)| *epoch == self.memo_epoch);
             if let Some((_, answer)) = memo {
                 #[cfg(debug_assertions)]
                 debug_assert_memo_matches(&self.policy, &self.state, job, answer.as_ref());
@@ -489,7 +524,10 @@ impl Scheduler {
 
     /// Records that no GPUs could be found for job `id`; it stays queued.
     fn wait_for_capacity(&mut self, id: JobId, outcomes: &mut Vec<PlacementOutcome>) {
-        self.emit(TraceEvent::Waiting { t_s: self.now_s, job: id });
+        self.emit(TraceEvent::Waiting {
+            t_s: self.now_s,
+            job: id,
+        });
         outcomes.push(PlacementOutcome::WaitingForCapacity { id });
     }
 
@@ -514,7 +552,11 @@ impl Scheduler {
             k
         });
         self.postpone_counts[k as usize] += 1;
-        self.emit(TraceEvent::Postponed { t_s: self.now_s, job: id, utility });
+        self.emit(TraceEvent::Postponed {
+            t_s: self.now_s,
+            job: id,
+            utility,
+        });
         outcomes.push(PlacementOutcome::PostponedLowUtility { id, utility });
     }
 
@@ -636,7 +678,12 @@ mod tests {
         s.complete(JobId(0));
         let outcomes = s.run_iteration();
         match &outcomes[..] {
-            [PlacementOutcome::Placed { spec, gpus, utility, slo_violated }] => {
+            [PlacementOutcome::Placed {
+                spec,
+                gpus,
+                utility,
+                slo_violated,
+            }] => {
                 assert_eq!(spec.id, JobId(2));
                 let topo = s.state().cluster().machine(MachineId(0));
                 let local: Vec<GpuId> = gpus.iter().map(|g| g.gpu).collect();
@@ -657,7 +704,11 @@ mod tests {
         s.submit(job(2, 2, 0.5));
         let outcomes = s.run_iteration();
         match &outcomes[..] {
-            [PlacementOutcome::Placed { utility, slo_violated, .. }] => {
+            [PlacementOutcome::Placed {
+                utility,
+                slo_violated,
+                ..
+            }] => {
                 assert!(*utility < 0.5);
                 assert!(*slo_violated);
             }
@@ -777,10 +828,18 @@ mod tests {
         let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
         let mut s = Scheduler::new(
             ClusterState::new(cluster, profiles),
-            SchedulerConfig { policy: Policy::new(PolicyKind::TopoAwareP), eval },
+            SchedulerConfig {
+                policy: Policy::new(PolicyKind::TopoAwareP),
+                eval,
+            },
         );
         let on = |m: u32, gpus: &[u32]| -> Vec<GlobalGpuId> {
-            gpus.iter().map(|&g| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) }).collect()
+            gpus.iter()
+                .map(|&g| GlobalGpuId {
+                    machine: MachineId(m),
+                    gpu: GpuId(g),
+                })
+                .collect()
         };
         s.state.place(job(100, 4, 0.0), on(0, &[0, 1, 2, 3]), 1.0);
         s.state.place(job(101, 1, 0.0), on(1, &[0]), 1.0);
@@ -795,15 +854,22 @@ mod tests {
         s.submit(job(1, 2, 0.5));
         let outcomes = s.run_iteration();
         match &outcomes[..] {
-            [
-                PlacementOutcome::PostponedLowUtility { id: JobId(0), utility: first },
-                PlacementOutcome::PostponedLowUtility { id: JobId(1), utility: second },
-            ] => assert_eq!(first.to_bits(), second.to_bits()),
+            [PlacementOutcome::PostponedLowUtility {
+                id: JobId(0),
+                utility: first,
+            }, PlacementOutcome::PostponedLowUtility {
+                id: JobId(1),
+                utility: second,
+            }] => assert_eq!(first.to_bits(), second.to_bits()),
             other => panic!("unexpected outcomes {other:?}"),
         }
         assert_eq!(s.postpone_count(JobId(1)), 1);
         assert_eq!(s.replay_hits(), 1);
-        assert_eq!(s.decision_stats().count(), 1, "an answer from the memo is not a decision");
+        assert_eq!(
+            s.decision_stats().count(),
+            1,
+            "an answer from the memo is not a decision"
+        );
 
         // An arrival changes no state, so the memo carries over: jobs 0
         // and 1 take its answer again. A different min_utility is a
@@ -846,7 +912,10 @@ mod tests {
         s.submit(pipeline(0));
         let outcomes = s.run_iteration();
         assert!(
-            matches!(outcomes[..], [PlacementOutcome::PostponedLowUtility { id: JobId(0), .. }]),
+            matches!(
+                outcomes[..],
+                [PlacementOutcome::PostponedLowUtility { id: JobId(0), .. }]
+            ),
             "unexpected outcomes {outcomes:?}"
         );
         assert_eq!(s.decision_stats().count(), 1);
@@ -880,7 +949,11 @@ mod tests {
             "unexpected outcomes {outcomes:?}"
         );
         assert_eq!((s.replay_hits(), s.decision_stats().count()), (5, 3));
-        assert_eq!(s.postpone_count(JobId(1)), 2, "the count outlives the postponements");
+        assert_eq!(
+            s.postpone_count(JobId(1)),
+            2,
+            "the count outlives the postponements"
+        );
     }
 
     /// A job's postponement count keeps counting across iterations, is
@@ -889,7 +962,12 @@ mod tests {
     #[test]
     fn postpone_counts_outlive_placement_and_restarts() {
         let mut s = split_racks();
-        let on_1 = |gpu| vec![GlobalGpuId { machine: MachineId(1), gpu: GpuId(gpu) }];
+        let on_1 = |gpu| {
+            vec![GlobalGpuId {
+                machine: MachineId(1),
+                gpu: GpuId(gpu),
+            }]
+        };
         s.submit(job(0, 2, 0.5));
         s.run_iteration();
         s.run_iteration();
@@ -907,7 +985,11 @@ mod tests {
         s.submit(job(0, 2, 0.5));
         s.submit(job(1, 2, 0.5));
         s.run_iteration();
-        assert_eq!(s.postpone_count(JobId(0)), 3, "the count carries over the restart");
+        assert_eq!(
+            s.postpone_count(JobId(0)),
+            3,
+            "the count carries over the restart"
+        );
         assert_eq!(s.postpone_count(JobId(1)), 1);
         assert_eq!(s.postpone_count(JobId(7)), 0, "never postponed");
         assert_eq!(s.max_postpone_count(), 3);
@@ -936,7 +1018,8 @@ mod tests {
         assert!(hits >= 1, "the second decision reads the cache");
 
         for i in 0..JOB_CLASS_BOUND {
-            s.eval_cache.intern(&job(1000, 1, 0.0).with_bw_demand(i as f64 * 1e-6), weights);
+            s.eval_cache
+                .intern(&job(1000, 1, 0.0).with_bw_demand(i as f64 * 1e-6), weights);
         }
         let uncached = |s: &mut Scheduler| {
             s.submit(job(2, 2, 0.5).with_comm_graph(JobGraph::pipeline(2, 4.0)));
@@ -944,7 +1027,11 @@ mod tests {
         };
         assert_eq!(uncached(&mut s), uncached(&mut reference));
         assert_eq!((s.replay_hits(), s.decision_stats().count()), (0, 5));
-        assert_eq!(s.eval_cache_stats().hits, hits + 2, "only jobs 0 and 1 read the cache");
+        assert_eq!(
+            s.eval_cache_stats().hits,
+            hits + 2,
+            "only jobs 0 and 1 read the cache"
+        );
     }
 
     proptest::proptest! {

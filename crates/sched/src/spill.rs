@@ -79,8 +79,7 @@ impl PlacementOracle for ClusterOracle<'_> {
                 .running_on(m)
                 .iter()
                 .map(|alloc| {
-                    let factor =
-                        gts_perf::domain_factor(topo, &local, &alloc.gpus_on(m));
+                    let factor = gts_perf::domain_factor(topo, &local, &alloc.gpus_on(m));
                     (*alloc.profile(self.state.profiles()), factor)
                 })
                 .collect();
@@ -149,9 +148,19 @@ pub fn best_possible_cluster_cost(state: &ClusterState, n: usize) -> f64 {
     }
     // Cross-machine pairs all ride the network.
     let cross_pair = {
-        let a = GlobalGpuId { machine: MachineId(0), gpu: GpuId(0) };
-        let b = GlobalGpuId { machine: MachineId(1.min(cluster.n_machines() as u32 - 1)), gpu: GpuId(0) };
-        if cluster.n_machines() > 1 { cluster.distance(a, b) } else { 0.0 }
+        let a = GlobalGpuId {
+            machine: MachineId(0),
+            gpu: GpuId(0),
+        };
+        let b = GlobalGpuId {
+            machine: MachineId(1.min(cluster.n_machines() as u32 - 1)),
+            gpu: GpuId(0),
+        };
+        if cluster.n_machines() > 1 {
+            cluster.distance(a, b)
+        } else {
+            0.0
+        }
     };
     for (i, &(_, a)) in chunks.iter().enumerate() {
         for &(_, b) in &chunks[i + 1..] {
@@ -183,7 +192,10 @@ pub fn decide_spill(
     .ok()?;
     let globals = oracle.resolve(&idx);
     let utility = spill_utility(state, job, &globals, weights);
-    Some(Decision { gpus: globals, utility })
+    Some(Decision {
+        gpus: globals,
+        utility,
+    })
 }
 
 /// The greedy baselines' spill: take the first `n` free GPUs walking
@@ -208,7 +220,10 @@ pub fn greedy_spill(
         return None;
     }
     let utility = spill_utility(state, job, &globals, weights);
-    Some(Decision { gpus: globals, utility })
+    Some(Decision {
+        gpus: globals,
+        utility,
+    })
 }
 
 /// Normalized utility of a concrete spilled placement.
@@ -247,7 +262,11 @@ pub fn spill_utility(
         (min_machines as f64 / machines_spanned as f64).clamp(0.0, 1.0)
     };
     gts_map::utility(
-        UtilityComponents { u_cc, u_interference, u_domains },
+        UtilityComponents {
+            u_cc,
+            u_interference,
+            u_domains,
+        },
         weights,
     )
 }
@@ -270,7 +289,10 @@ mod tests {
 
     fn multi_node_job(id: u64, gpus: u32) -> JobSpec {
         let mut j = JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, gpus);
-        j.constraints = Constraints { single_node: false, anti_collocate: false };
+        j.constraints = Constraints {
+            single_node: false,
+            anti_collocate: false,
+        };
         j
     }
 
@@ -292,7 +314,10 @@ mod tests {
             .filter(|g| g.machine == small_machine)
             .map(|g| g.gpu)
             .collect();
-        assert!(s.cluster().machine(small_machine).is_packed(&local), "{local:?}");
+        assert!(
+            s.cluster().machine(small_machine).is_packed(&local),
+            "{local:?}"
+        );
     }
 
     #[test]
@@ -346,7 +371,12 @@ mod tests {
             .collect();
         racks.sort_unstable();
         racks.dedup();
-        assert_eq!(racks, vec![1], "should stay inside rack 1, got {:?}", d.gpus);
+        assert_eq!(
+            racks,
+            vec![1],
+            "should stay inside rack 1, got {:?}",
+            d.gpus
+        );
     }
 
     #[test]

@@ -147,7 +147,10 @@ impl MachineClassKey {
     fn new(inner: KeyInner) -> Self {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         inner.hash(&mut h);
-        Self { hash: h.finish(), inner: Arc::new(inner) }
+        Self {
+            hash: h.finish(),
+            inner: Arc::new(inner),
+        }
     }
 
     /// The precomputed 64-bit hash (stable for the life of the process).
@@ -269,7 +272,11 @@ impl ClusterState {
         let down = vec![false; cluster.n_machines()];
         let total_free = cluster.n_gpus();
         let n_machines = cluster.n_machines();
-        let max_free = cluster.machines().map(|m| cluster.machine(m).n_gpus()).max().unwrap_or(0);
+        let max_free = cluster
+            .machines()
+            .map(|m| cluster.machine(m).n_gpus())
+            .max()
+            .unwrap_or(0);
         let mut state = Self {
             cluster,
             profiles,
@@ -312,10 +319,7 @@ impl ClusterState {
     /// Re-derives one machine's interned co-runner signature and class key
     /// from the ground truth (`jobs_on` + `running`). Pure read; the eager
     /// rebuild paths and `audit()` check 7 both go through this.
-    fn compute_machine_key(
-        &self,
-        machine: MachineId,
-    ) -> (Arc<Vec<Corunner>>, MachineClassKey) {
+    fn compute_machine_key(&self, machine: MachineId) -> (Arc<Vec<Corunner>>, MachineClassKey) {
         let mi = machine.index();
         let mut list: Vec<Corunner> = self.jobs_on[mi]
             .iter()
@@ -331,7 +335,11 @@ impl ClusterState {
                     gpus.push(GpuId(bits.trailing_zeros()));
                     bits &= bits - 1;
                 }
-                Corunner { profile: *alloc.profile(&self.profiles), mask, gpus }
+                Corunner {
+                    profile: *alloc.profile(&self.profiles),
+                    mask,
+                    gpus,
+                }
             })
             .collect();
         list.sort_by_key(Corunner::sort_key);
@@ -450,9 +458,11 @@ impl ClusterState {
     /// §4.3 capacity check: would placing `demand` GB/s over these GPUs
     /// keep every touched socket within `p_bw`?
     pub fn fits_bw(&self, machine: MachineId, gpus: &[GpuId], demand: f64) -> bool {
-        self.bw_shares(machine, gpus, demand).iter().all(|&(s, share)| {
-            self.bw_used[machine.index()][s] + share <= self.bw_capacity_gbs + 1e-9
-        })
+        self.bw_shares(machine, gpus, demand)
+            .iter()
+            .all(|&(s, share)| {
+                self.bw_used[machine.index()][s] + share <= self.bw_capacity_gbs + 1e-9
+            })
     }
 
     /// The topology this state tracks.
@@ -540,7 +550,10 @@ impl ClusterState {
     /// read it; the production `TOPO-AWARE(-P)` decision reads the live
     /// class table instead (DESIGN.md §15).
     pub fn machines_with_capacity(&self, n: usize) -> Vec<MachineId> {
-        self.cluster.machines().filter(|&m| self.free_count(m) >= n).collect()
+        self.cluster
+            .machines()
+            .filter(|&m| self.free_count(m) >= n)
+            .collect()
     }
 
     /// Ids of the jobs holding at least one GPU on `machine`, in placement
@@ -616,14 +629,20 @@ impl ClusterState {
                 .filter(|g| g.machine == m)
                 .map(|g| g.gpu)
                 .collect();
-            let machine_share =
-                spec.bw_demand_gbs * local.len() as f64 / gpus.len().max(1) as f64;
+            let machine_share = spec.bw_demand_gbs * local.len() as f64 / gpus.len().max(1) as f64;
             for (s, share) in self.bw_shares(m, &local, machine_share) {
                 self.bw_used[m.index()][s] += share;
             }
         }
         let id = spec.id;
-        self.running.insert(id, Allocation { spec, gpus, utility });
+        self.running.insert(
+            id,
+            Allocation {
+                spec,
+                gpus,
+                utility,
+            },
+        );
         for m in machines {
             self.rebuild_machine_key(m);
         }
@@ -650,8 +669,8 @@ impl ClusterState {
         for m in alloc.machines() {
             self.jobs_on[m.index()].retain(|&j| j != id);
             let local = alloc.gpus_on(m);
-            let machine_share = alloc.spec.bw_demand_gbs * local.len() as f64
-                / alloc.gpus.len().max(1) as f64;
+            let machine_share =
+                alloc.spec.bw_demand_gbs * local.len() as f64 / alloc.gpus.len().max(1) as f64;
             for (s, share) in self.bw_shares(m, &local, machine_share) {
                 let used = &mut self.bw_used[m.index()][s];
                 *used = (*used - share).max(0.0);
@@ -683,11 +702,8 @@ impl ClusterState {
     ///    allocation and reports no capacity.
     pub fn audit(&self) -> Result<(), String> {
         // 1 + 2a: walk allocations, claiming each GPU exactly once.
-        let mut owner: Vec<Vec<Option<JobId>>> = self
-            .free
-            .iter()
-            .map(|m| vec![None; m.len()])
-            .collect();
+        let mut owner: Vec<Vec<Option<JobId>>> =
+            self.free.iter().map(|m| vec![None; m.len()]).collect();
         for (id, alloc) in &self.running {
             if alloc.spec.id != *id {
                 return Err(format!("running table key {id} holds {}", alloc.spec.id));
@@ -717,16 +733,12 @@ impl ClusterState {
             }
         }
         // 3: recompute committed bandwidth from scratch.
-        let mut expected: Vec<Vec<f64>> = self
-            .bw_used
-            .iter()
-            .map(|m| vec![0.0; m.len()])
-            .collect();
+        let mut expected: Vec<Vec<f64>> = self.bw_used.iter().map(|m| vec![0.0; m.len()]).collect();
         for alloc in self.running.values() {
             for m in alloc.machines() {
                 let local = alloc.gpus_on(m);
-                let machine_share = alloc.spec.bw_demand_gbs * local.len() as f64
-                    / alloc.gpus.len().max(1) as f64;
+                let machine_share =
+                    alloc.spec.bw_demand_gbs * local.len() as f64 / alloc.gpus.len().max(1) as f64;
                 for (s, share) in self.bw_shares(m, &local, machine_share) {
                     expected[m.index()][s] += share;
                 }
@@ -790,8 +802,7 @@ impl ClusterState {
             }
             for s in topo.sockets() {
                 let gpus = topo.gpus_in_socket(s);
-                let want_free =
-                    gpus.iter().filter(|g| self.free[mi][g.index()]).count() as u32;
+                let want_free = gpus.iter().filter(|g| self.free[mi][g.index()]).count() as u32;
                 if self.socket_free[mi][s.index()] != want_free {
                     return Err(format!(
                         "{m}/{s} socket_free cache {} disagrees with bitmap ({want_free})",
@@ -830,10 +841,7 @@ impl ClusterState {
             let (want_corunners, want_key) = self.compute_machine_key(m);
             let have = &self.corunners[mi];
             let sig_ok = have.len() == want_corunners.len()
-                && have
-                    .iter()
-                    .zip(want_corunners.iter())
-                    .all(|(a, b)| a == b);
+                && have.iter().zip(want_corunners.iter()).all(|(a, b)| a == b);
             if !sig_ok {
                 return Err(format!(
                     "{m} interned co-runner signature {have:?} disagrees with \
@@ -872,7 +880,8 @@ impl ClusterState {
         // 9: the live class table. Re-derive the classes from the
         // per-machine keys (checked against the ground truth by 7); drift
         // means a key rebuild skipped the table update.
-        self.classes.verify(&self.class_keys, |m| self.free_count(m))?;
+        self.classes
+            .verify(&self.class_keys, |m| self.free_count(m))?;
         Ok(())
     }
 
@@ -901,7 +910,9 @@ impl ClusterState {
 
 /// Lifts machine-local GPU ids into the cluster id space.
 pub fn on_machine(machine: MachineId, gpus: &[GpuId]) -> Vec<GlobalGpuId> {
-    gpus.iter().map(|&gpu| GlobalGpuId { machine, gpu }).collect()
+    gpus.iter()
+        .map(|&gpu| GlobalGpuId { machine, gpu })
+        .collect()
 }
 
 /// Bitmask with the low `n` bits set (`n ≤ 128`).
@@ -931,7 +942,10 @@ mod tests {
     }
 
     fn g(m: u32, gpu: u32) -> GlobalGpuId {
-        GlobalGpuId { machine: MachineId(m), gpu: GpuId(gpu) }
+        GlobalGpuId {
+            machine: MachineId(m),
+            gpu: GpuId(gpu),
+        }
     }
 
     #[test]
@@ -975,7 +989,10 @@ mod tests {
     fn multi_machine_allocation_is_tracked_per_machine() {
         let mut s = state(2);
         let mut j = spec(0, 2);
-        j.constraints = gts_job::Constraints { single_node: false, anti_collocate: true };
+        j.constraints = gts_job::Constraints {
+            single_node: false,
+            anti_collocate: true,
+        };
         s.place(j, vec![g(0, 0), g(1, 0)], 0.9);
         let alloc = s.allocation(JobId(0)).unwrap();
         assert!(!alloc.is_single_node());
@@ -1071,13 +1088,19 @@ mod tests {
     fn classes_with(s: &ClusterState, n: usize) -> Vec<(MachineId, usize)> {
         let mut out = Vec::new();
         s.classes().with_capacity_into(n, &mut out);
-        out.into_iter().map(|(m, c)| (m, s.classes().free(c))).collect()
+        out.into_iter()
+            .map(|(m, c)| (m, s.classes().free(c)))
+            .collect()
     }
 
     #[test]
     fn class_table_tracks_place_release_and_failure() {
         let mut s = state(4);
-        assert_eq!(s.classes().n_live(), 1, "a fresh homogeneous cluster is one class");
+        assert_eq!(
+            s.classes().n_live(),
+            1,
+            "a fresh homogeneous cluster is one class"
+        );
         assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4)]);
 
         // Two machines running the same job class on the same GPUs share
@@ -1085,11 +1108,18 @@ mod tests {
         s.place(spec(0, 2), vec![g(0, 0), g(0, 1)], 1.0);
         s.place(spec(1, 2), vec![g(2, 0), g(2, 1)], 1.0);
         assert_eq!(s.classes().n_live(), 2);
-        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 2), (MachineId(1), 4)]);
+        assert_eq!(
+            classes_with(&s, 1),
+            vec![(MachineId(0), 2), (MachineId(1), 4)]
+        );
         assert_eq!(classes_with(&s, 3), vec![(MachineId(1), 4)]);
         let busy = s.classes().class_of(MachineId(0));
         assert_eq!(s.classes().class_of(MachineId(2)), busy);
-        assert!(s.classes().members(busy).iter().eq([MachineId(0), MachineId(2)].iter()));
+        assert!(s
+            .classes()
+            .members(busy)
+            .iter()
+            .eq([MachineId(0), MachineId(2)].iter()));
 
         // The last member leaving drops the class.
         s.release(JobId(0));
@@ -1100,7 +1130,10 @@ mod tests {
         // A down machine is a class of its own with no free GPUs.
         s.set_machine_down(MachineId(0), true);
         assert_eq!(s.classes().n_live(), 2);
-        assert_eq!(classes_with(&s, 0), vec![(MachineId(0), 0), (MachineId(1), 4)]);
+        assert_eq!(
+            classes_with(&s, 0),
+            vec![(MachineId(0), 0), (MachineId(1), 4)]
+        );
         assert_eq!(classes_with(&s, 1), vec![(MachineId(1), 4)]);
         s.set_machine_down(MachineId(0), false);
         assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4)]);
@@ -1116,8 +1149,14 @@ mod tests {
         let profiles = Arc::new(ProfileLibrary::generate(&power8_minsky(), 1));
         let s = ClusterState::new(cluster, profiles);
         assert_eq!(s.classes().n_live(), 2);
-        assert_eq!(s.classes().class_of(MachineId(0)), s.classes().class_of(MachineId(2)));
-        assert_eq!(classes_with(&s, 1), vec![(MachineId(0), 4), (MachineId(1), 4)]);
+        assert_eq!(
+            s.classes().class_of(MachineId(0)),
+            s.classes().class_of(MachineId(2))
+        );
+        assert_eq!(
+            classes_with(&s, 1),
+            vec![(MachineId(0), 4), (MachineId(1), 4)]
+        );
         s.audit().unwrap();
     }
 
@@ -1127,7 +1166,10 @@ mod tests {
         let mut s = state(2);
         let mut version = s.version();
         let mut moved = |s: &ClusterState, what: &str| {
-            assert!(s.version() > version, "{what} left the version at {version}");
+            assert!(
+                s.version() > version,
+                "{what} left the version at {version}"
+            );
             version = s.version();
         };
         s.place(spec(0, 2), vec![g(0, 0), g(0, 1)], 1.0);

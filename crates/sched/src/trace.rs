@@ -198,8 +198,15 @@ mod tests {
     #[test]
     fn accessors_cover_every_variant() {
         let events = [
-            TraceEvent::Arrived { t_s: 1.0, job: JobId(1) },
-            TraceEvent::Evaluated { t_s: 2.0, job: JobId(1), candidates: vec![] },
+            TraceEvent::Arrived {
+                t_s: 1.0,
+                job: JobId(1),
+            },
+            TraceEvent::Evaluated {
+                t_s: 2.0,
+                job: JobId(1),
+                candidates: vec![],
+            },
             TraceEvent::Placed {
                 t_s: 3.0,
                 job: JobId(1),
@@ -207,13 +214,38 @@ mod tests {
                 utility: 1.0,
                 slo_violated: false,
             },
-            TraceEvent::Postponed { t_s: 4.0, job: JobId(2), utility: 0.2 },
-            TraceEvent::Waiting { t_s: 5.0, job: JobId(3) },
-            TraceEvent::Released { t_s: 6.0, job: JobId(1) },
-            TraceEvent::Spilled { t_s: 7.0, job: JobId(4), machines: vec![] },
-            TraceEvent::MachineFailed { t_s: 8.0, machine: MachineId(0) },
-            TraceEvent::MachineRecovered { t_s: 9.0, machine: MachineId(0) },
-            TraceEvent::EvalCacheStats { t_s: 10.0, hits: 5, misses: 2, evictions: 0 },
+            TraceEvent::Postponed {
+                t_s: 4.0,
+                job: JobId(2),
+                utility: 0.2,
+            },
+            TraceEvent::Waiting {
+                t_s: 5.0,
+                job: JobId(3),
+            },
+            TraceEvent::Released {
+                t_s: 6.0,
+                job: JobId(1),
+            },
+            TraceEvent::Spilled {
+                t_s: 7.0,
+                job: JobId(4),
+                machines: vec![],
+            },
+            TraceEvent::MachineFailed {
+                t_s: 8.0,
+                machine: MachineId(0),
+            },
+            TraceEvent::MachineRecovered {
+                t_s: 9.0,
+                machine: MachineId(0),
+            },
+            TraceEvent::EvalCacheStats {
+                t_s: 10.0,
+                hits: 5,
+                misses: 2,
+                evictions: 0,
+            },
         ];
         for (i, e) in events.iter().enumerate() {
             assert!((e.t_s() - (i as f64 + 1.0)).abs() < 1e-12);
@@ -228,7 +260,10 @@ mod tests {
         let e = TraceEvent::Placed {
             t_s: 12.5,
             job: JobId(7),
-            gpus: vec![GlobalGpuId { machine: MachineId(1), gpu: GpuId(2) }],
+            gpus: vec![GlobalGpuId {
+                machine: MachineId(1),
+                gpu: GpuId(2),
+            }],
             utility: 0.875,
             slo_violated: true,
         };

@@ -79,7 +79,11 @@ fn policies_route_around_bandwidth_saturated_machines() {
         let d = Policy::new(kind)
             .decide(&s, &hungry_job(0, 2, 50.0))
             .unwrap_or_else(|| panic!("{kind}: machine 1 has room"));
-        assert_eq!(d.gpus[0].machine, MachineId(1), "{kind} ignored the bw constraint");
+        assert_eq!(
+            d.gpus[0].machine,
+            MachineId(1),
+            "{kind} ignored the bw constraint"
+        );
     }
 }
 
@@ -98,7 +102,9 @@ fn fully_saturated_cluster_defers_the_job() {
     );
     for kind in PolicyKind::ALL {
         assert!(
-            Policy::new(kind).decide(&s, &hungry_job(0, 1, 10.0)).is_none(),
+            Policy::new(kind)
+                .decide(&s, &hungry_job(0, 1, 10.0))
+                .is_none(),
             "{kind} placed into a saturated machine"
         );
     }

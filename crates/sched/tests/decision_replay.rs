@@ -49,7 +49,9 @@ enum Ev {
 fn racked_state(n_racks: usize, per_rack: usize) -> ClusterState {
     let machine = power8_minsky();
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
-    let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, per_rack));
+    let cluster = Arc::new(ClusterTopology::homogeneous_racked(
+        machine, n_racks, per_rack,
+    ));
     ClusterState::new(cluster, profiles)
 }
 
@@ -59,9 +61,12 @@ fn job(id: u64, gpus: u32) -> JobSpec {
 
 /// A job allowed to spill across machines (and racks).
 fn wide_job(id: u64, gpus: u32) -> JobSpec {
-    let mut spec = JobSpec::new(id, NnModel::GoogLeNet, BatchClass::Big, gpus)
-        .with_min_utility(0.3);
-    spec.constraints = Constraints { single_node: false, anti_collocate: false };
+    let mut spec =
+        JobSpec::new(id, NnModel::GoogLeNet, BatchClass::Big, gpus).with_min_utility(0.3);
+    spec.constraints = Constraints {
+        single_node: false,
+        anti_collocate: false,
+    };
     spec
 }
 
@@ -76,7 +81,10 @@ fn run_script(
     script: &[Ev],
 ) -> (Vec<Vec<PlacementOutcome>>, Vec<usize>, Vec<u64>) {
     let n_machines = state.cluster().machines().count();
-    let config = SchedulerConfig { policy: Policy::new(kind), eval };
+    let config = SchedulerConfig {
+        policy: Policy::new(kind),
+        eval,
+    };
     let mut sched = Scheduler::new(state, config);
     let mut drains = Vec::new();
     let mut hits = Vec::new();
@@ -111,8 +119,9 @@ fn run_script(
             }
         }
     }
-    let occupancy: Vec<usize> =
-        (0..n_machines).map(|m| sched.state().free_gpus(MachineId(m as u32)).len()).collect();
+    let occupancy: Vec<usize> = (0..n_machines)
+        .map(|m| sched.state().free_gpus(MachineId(m as u32)).len())
+        .collect();
     (drains, occupancy, hits)
 }
 
@@ -125,12 +134,26 @@ fn assert_outcomes_identical(on: &[Vec<PlacementOutcome>], off: &[Vec<PlacementO
         for (x, y) in a.iter().zip(b) {
             match (x, y) {
                 (
-                    PlacementOutcome::Placed { spec: sa, gpus: ga, utility: ua, slo_violated: va },
-                    PlacementOutcome::Placed { spec: sb, gpus: gb, utility: ub, slo_violated: vb },
+                    PlacementOutcome::Placed {
+                        spec: sa,
+                        gpus: ga,
+                        utility: ua,
+                        slo_violated: va,
+                    },
+                    PlacementOutcome::Placed {
+                        spec: sb,
+                        gpus: gb,
+                        utility: ub,
+                        slo_violated: vb,
+                    },
                 ) => {
                     assert_eq!(sa.id, sb.id, "drain {i} placed a different job");
                     assert_eq!(ga, gb, "drain {i} placed {:?} elsewhere", sa.id);
-                    assert_eq!(ua.to_bits(), ub.to_bits(), "drain {i} utility bits diverged");
+                    assert_eq!(
+                        ua.to_bits(),
+                        ub.to_bits(),
+                        "drain {i} utility bits diverged"
+                    );
                     assert_eq!(va, vb, "drain {i} SLO flag diverged");
                 }
                 _ => assert_eq!(x, y, "drain {i} outcome kind diverged"),
@@ -151,14 +174,20 @@ fn assert_memo_invariant(
     let (off, occ_off, hits_off) = run_script(state, kind, EvalParams::sequential(), script);
     assert_outcomes_identical(&on, &off);
     assert_eq!(occ_on, occ_off, "final occupancy diverged");
-    assert!(hits_off.iter().all(|&h| h == 0), "the reference must not memoise: {hits_off:?}");
+    assert!(
+        hits_off.iter().all(|&h| h == 0),
+        "the reference must not memoise: {hits_off:?}"
+    );
     (on, hits_on)
 }
 
 /// [`assert_memo_invariant`] under TOPO-AWARE, hits summed over the
 /// drains.
 fn assert_replay_invariant(state: ClusterState, script: &[Ev]) -> u64 {
-    assert_memo_invariant(state, PolicyKind::TopoAware, script).1.iter().sum()
+    assert_memo_invariant(state, PolicyKind::TopoAware, script)
+        .1
+        .iter()
+        .sum()
 }
 
 /// The jobs a drain placed, with the number of machines each spans.
@@ -203,7 +232,10 @@ fn failure_and_recovery_mid_queue_invalidate_the_memo() {
     script.push(Ev::Complete(JobId(3)));
     script.push(Ev::Drain);
     let hits = assert_replay_invariant(state, &script);
-    assert_eq!(hits, 2, "exactly the two retries with nothing moved use the memo");
+    assert_eq!(
+        hits, 2,
+        "exactly the two retries with nothing moved use the memo"
+    );
 }
 
 /// Fills machines 0–2 of a 2 × 2 racked cluster with one 4-GPU job each
@@ -248,7 +280,10 @@ fn cancel_of_running_and_memoised_jobs_stays_exact() {
     script.push(Ev::Complete(JobId(2)));
     script.push(Ev::Drain);
     let hits = assert_replay_invariant(state, &script);
-    assert_eq!(hits, 2, "exactly the two retries with nothing moved use the memo");
+    assert_eq!(
+        hits, 2,
+        "exactly the two retries with nothing moved use the memo"
+    );
 }
 
 /// A multi-node teardown releases GPUs on several machines, in several
@@ -290,12 +325,19 @@ fn multi_node_teardown_between_retries_stays_exact() {
 /// Minsky, flat: no machine has eight free GPUs, but the Minsky can fail
 /// and recover without ever fitting an 8-GPU job.
 fn blocked_wide_state() -> ClusterState {
-    let machines = vec![Arc::new(dgx1()), Arc::new(dgx1()), Arc::new(power8_minsky())];
+    let machines = vec![
+        Arc::new(dgx1()),
+        Arc::new(dgx1()),
+        Arc::new(power8_minsky()),
+    ];
     let cluster = Arc::new(ClusterTopology::from_machines(machines));
     let profiles = Arc::new(ProfileLibrary::generate(&power8_minsky(), 1));
     let mut state = ClusterState::new(cluster, profiles);
     for m in 0..2u32 {
-        let gpus = (0..2).map(|g| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) });
+        let gpus = (0..2).map(|g| GlobalGpuId {
+            machine: MachineId(m),
+            gpu: GpuId(g),
+        });
         state.place(job(u64::from(m), 2), gpus.collect(), 1.0);
     }
     state
@@ -324,7 +366,12 @@ fn every_state_change_invalidates_the_memo() {
         vec![Ev::TouchState],
     ];
     // The head is decided; an arrival behind it finds its wait in the memo.
-    let mut script = vec![Ev::Submit(job(50, 8)), Ev::Drain, Ev::Submit(job(51, 8)), Ev::Drain];
+    let mut script = vec![
+        Ev::Submit(job(50, 8)),
+        Ev::Drain,
+        Ev::Submit(job(51, 8)),
+        Ev::Drain,
+    ];
     let mut want = vec![0, 1];
     for (arrival, change) in (52..).zip(changes) {
         script.extend(change);
@@ -334,14 +381,30 @@ fn every_state_change_invalidates_the_memo() {
     // DGX-1 0 empties: the head places, and the next head is decided.
     script.extend([Ev::Complete(JobId(0)), Ev::Drain]);
     want.push(0);
-    let (drains, hits) = assert_memo_invariant(blocked_wide_state(), PolicyKind::TopoAware, &script);
+    let (drains, hits) =
+        assert_memo_invariant(blocked_wide_state(), PolicyKind::TopoAware, &script);
     assert_eq!(hits, want, "per-drain answers from the memo");
     assert_eq!(placed(&drains[2]), [(JobId(20), 1), (JobId(21), 1)]);
     let spill = placed(&drains[8]);
-    assert!(matches!(spill[..], [(JobId(30), n)] if n > 1), "the 8-GPU job spills: {spill:?}");
-    assert_eq!(placed(&drains[18]), [(JobId(50), 1)], "the head places last");
-    for (i, drain) in drains.iter().enumerate().filter(|(i, _)| ![2, 8, 18].contains(i)) {
-        assert!(placed(drain).is_empty(), "drain {i} placed {:?}", placed(drain));
+    assert!(
+        matches!(spill[..], [(JobId(30), n)] if n > 1),
+        "the 8-GPU job spills: {spill:?}"
+    );
+    assert_eq!(
+        placed(&drains[18]),
+        [(JobId(50), 1)],
+        "the head places last"
+    );
+    for (i, drain) in drains
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| ![2, 8, 18].contains(i))
+    {
+        assert!(
+            placed(drain).is_empty(),
+            "drain {i} placed {:?}",
+            placed(drain)
+        );
     }
 }
 
@@ -355,7 +418,12 @@ fn every_state_change_invalidates_the_memo() {
 #[test]
 fn a_swapped_in_state_is_decided_afresh() {
     let gpus = |m: u32, gs: &[u32]| -> Vec<GlobalGpuId> {
-        gs.iter().map(|&g| GlobalGpuId { machine: MachineId(m), gpu: GpuId(g) }).collect()
+        gs.iter()
+            .map(|&g| GlobalGpuId {
+                machine: MachineId(m),
+                gpu: GpuId(g),
+            })
+            .collect()
     };
     let fresh = racked_state(2, 1);
     let occupied = |pair: [u32; 2]| {
@@ -376,9 +444,16 @@ fn a_swapped_in_state_is_decided_afresh() {
         Ev::Drain,
     ];
     let (drains, hits) = assert_memo_invariant(spread, PolicyKind::TopoAwareP, &script);
-    assert_eq!(hits, [0, 1, 0], "the swapped-in state must be decided afresh");
+    assert_eq!(
+        hits,
+        [0, 1, 0],
+        "the swapped-in state must be decided afresh"
+    );
     assert!(
-        matches!(drains[1][..], [PlacementOutcome::PostponedLowUtility { id: JobId(10), .. }]),
+        matches!(
+            drains[1][..],
+            [PlacementOutcome::PostponedLowUtility { id: JobId(10), .. }]
+        ),
         "the head is postponed on the spread state: {:?}",
         drains[1]
     );

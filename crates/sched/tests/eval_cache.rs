@@ -42,7 +42,12 @@ fn job_classes() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     let mut id = 0u64;
     for model in [NnModel::AlexNet, NnModel::CaffeRef, NnModel::GoogLeNet] {
-        for batch in [BatchClass::Tiny, BatchClass::Small, BatchClass::Medium, BatchClass::Big] {
+        for batch in [
+            BatchClass::Tiny,
+            BatchClass::Small,
+            BatchClass::Medium,
+            BatchClass::Big,
+        ] {
             for n_gpus in 1..=2u32 {
                 jobs.push(JobSpec::new(id, model, batch, n_gpus));
                 id += 1;
@@ -191,7 +196,10 @@ fn class_index_tracks_every_mutation_kind() {
     state.release(JobId(1));
     state.audit().expect("drained");
     let mut wide = JobSpec::new(2, NnModel::GoogLeNet, BatchClass::Big, 4);
-    wide.constraints = gts_job::Constraints { single_node: false, anti_collocate: false };
+    wide.constraints = gts_job::Constraints {
+        single_node: false,
+        anti_collocate: false,
+    };
     let mut gpus: Vec<GlobalGpuId> = Vec::new();
     gpus.extend(on_machine(m0, &state.free_gpus(m0)[..2]));
     gpus.extend(on_machine(m1, &state.free_gpus(m1)[..2]));

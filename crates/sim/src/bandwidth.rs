@@ -58,7 +58,12 @@ pub fn bandwidth_series(
         // Per-job expected sample, from its actual placement.
         let perf = PlacementPerf::evaluate_cluster(cluster, &record.gpus);
         let iter = match (&record.spec.comm_graph, record.gpus.len() > 1) {
-            (Some(graph), _) if record.gpus.iter().all(|g| g.machine == record.gpus[0].machine) => {
+            (Some(graph), _)
+                if record
+                    .gpus
+                    .iter()
+                    .all(|g| g.machine == record.gpus[0].machine) =>
+            {
                 let machine = record.gpus[0].machine;
                 let local: Vec<_> = record.gpus.iter().map(|g| g.gpu).collect();
                 gts_perf::placement::graph_iter_time(
@@ -144,7 +149,11 @@ mod tests {
         assert!(!m.is_packed(&local), "setup failed: {local:?}");
 
         let series = bandwidth_series(&res, &cluster, 1.0);
-        assert!(series[0].peak_host() > 10.0, "got {}", series[0].peak_host());
+        assert!(
+            series[0].peak_host() > 10.0,
+            "got {}",
+            series[0].peak_host()
+        );
     }
 
     #[test]

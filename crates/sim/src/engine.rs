@@ -48,8 +48,8 @@ use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome,
-    Policy, Scheduler, SchedulerConfig, TraceEvent,
+    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler,
+    SchedulerConfig, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
@@ -76,7 +76,11 @@ pub enum SimConfigError {
 impl std::fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::NonFiniteTime { schedule, index, time_s } => write!(
+            Self::NonFiniteTime {
+                schedule,
+                index,
+                time_s,
+            } => write!(
                 f,
                 "{schedule} schedule entry {index} has non-finite time {time_s}"
             ),
@@ -175,7 +179,11 @@ impl SimConfig {
     ) -> Result<(), SimConfigError> {
         for (index, &(time_s, _)) in entries.iter().enumerate() {
             if !time_s.is_finite() {
-                return Err(SimConfigError::NonFiniteTime { schedule, index, time_s });
+                return Err(SimConfigError::NonFiniteTime {
+                    schedule,
+                    index,
+                    time_s,
+                });
             }
         }
         Ok(())
@@ -394,8 +402,13 @@ impl Simulation {
         config: SimConfig,
     ) -> Self {
         let state = ClusterState::new(Arc::clone(&cluster), profiles);
-        let mut scheduler =
-            Scheduler::new(state, SchedulerConfig { policy: config.policy, eval: config.eval });
+        let mut scheduler = Scheduler::new(
+            state,
+            SchedulerConfig {
+                policy: config.policy,
+                eval: config.eval,
+            },
+        );
         scheduler.set_tracing(config.trace);
         // Schedule times are validated finite at config construction;
         // `total_cmp` keeps the sort a total order even for a config built
@@ -467,9 +480,14 @@ impl Simulation {
             if let Some(t0) = t0 {
                 self.stats.phase_heap_ns += t0.elapsed().as_nanos() as u64;
             }
-            let next_failure = self.pending_failures.get(self.failure_cursor).map(|&(t, _)| t);
-            let next_recovery =
-                self.pending_recoveries.get(self.recovery_cursor).map(|&(t, _)| t);
+            let next_failure = self
+                .pending_failures
+                .get(self.failure_cursor)
+                .map(|&(t, _)| t);
+            let next_recovery = self
+                .pending_recoveries
+                .get(self.recovery_cursor)
+                .map(|&(t, _)| t);
 
             let timed = [next_arrival, next_completion, next_failure, next_recovery]
                 .into_iter()
@@ -549,10 +567,8 @@ impl Simulation {
         self.stats.replay_hits = self.scheduler.replay_hits();
         self.stats.class_order_fallbacks = self.scheduler.state().classes().fallbacks();
         self.stats.decisions = self.scheduler.decision_stats().count() as u64;
-        self.stats.phase_decision_ns =
-            self.scheduler.decision_stats().total().as_nanos() as u64;
-        self.stats.decision_p99_ns =
-            self.scheduler.decision_stats().p99().as_nanos() as u64;
+        self.stats.phase_decision_ns = self.scheduler.decision_stats().total().as_nanos() as u64;
+        self.stats.decision_p99_ns = self.scheduler.decision_stats().p99().as_nanos() as u64;
         let stats = std::mem::take(&mut self.stats);
         let result = SimResult {
             policy: self.config.policy.kind,
@@ -589,7 +605,8 @@ impl Simulation {
         self.job_pos.insert(id, self.running.len());
         self.utility_sum += utility_units(job.alloc.utility);
         if self.config.incremental {
-            self.completion_heap.push(Reverse((job.completion_s().to_bits(), id)));
+            self.completion_heap
+                .push(Reverse((job.completion_s().to_bits(), id)));
         }
         self.running.push(job);
     }
@@ -644,12 +661,18 @@ impl Simulation {
             }
             self.completion_heap.pop();
         }
-        debug_assert!(self.running.is_empty(), "a running job has no live heap entry");
+        debug_assert!(
+            self.running.is_empty(),
+            "a running job has no live heap entry"
+        );
         None
     }
 
     fn scan_next_completion(&self) -> Option<f64> {
-        self.running.iter().map(|r| r.completion_s()).min_by(f64::total_cmp)
+        self.running
+            .iter()
+            .map(|r| r.completion_s())
+            .min_by(f64::total_cmp)
     }
 
     /// Applies every failure scheduled at or before `now`: the machine's
@@ -668,8 +691,7 @@ impl Simulation {
             // running-vector order (both loops push and remove in the same
             // order, so they share it). The per-machine index hands us the
             // victims directly.
-            let mut victims: Vec<JobId> =
-                self.scheduler.state().jobs_on_machine(machine).to_vec();
+            let mut victims: Vec<JobId> = self.scheduler.state().jobs_on_machine(machine).to_vec();
             victims.sort_unstable_by_key(|id| self.job_pos[id]);
             for id in victims {
                 let idx = self.job_pos[&id];
@@ -823,7 +845,10 @@ impl Simulation {
         while let Some(job) = self.pending.front() {
             if job.arrival_s <= self.now + 1e-9 {
                 let job = self.pending.pop_front().expect("front checked");
-                self.events.push(SimEvent::Arrived { t_s: self.now, job: job.id });
+                self.events.push(SimEvent::Arrived {
+                    t_s: self.now,
+                    job: job.id,
+                });
                 self.scheduler.submit(job);
             } else {
                 break;
@@ -836,9 +861,17 @@ impl Simulation {
         for outcome in outcomes {
             match outcome {
                 PlacementOutcome::PostponedLowUtility { id, .. } => {
-                    self.events.push(SimEvent::Postponed { t_s: self.now, job: id });
+                    self.events.push(SimEvent::Postponed {
+                        t_s: self.now,
+                        job: id,
+                    });
                 }
-                PlacementOutcome::Placed { spec, gpus, utility, .. } => {
+                PlacementOutcome::Placed {
+                    spec,
+                    gpus,
+                    utility,
+                    ..
+                } => {
                     self.events.push(SimEvent::Placed {
                         t_s: self.now,
                         job: spec.id,
@@ -850,14 +883,21 @@ impl Simulation {
                     // clone.
                     #[cfg(debug_assertions)]
                     {
-                        let placed =
-                            self.scheduler.state().allocation(spec.id).expect("just placed");
+                        let placed = self
+                            .scheduler
+                            .state()
+                            .allocation(spec.id)
+                            .expect("just placed");
                         assert_eq!(placed.gpus, gpus);
                         assert_eq!(placed.utility.to_bits(), utility.to_bits());
                     }
                     let (seed, jitter) = (self.config.jitter_seed, self.config.jitter);
                     let work = jitter_factor(seed, spec.id.0, jitter);
-                    let alloc = Allocation { spec, gpus, utility };
+                    let alloc = Allocation {
+                        spec,
+                        gpus,
+                        utility,
+                    };
                     let job = RunningJob::start(alloc, &self.cluster, self.now, work);
                     for m in job.alloc.machines() {
                         self.mark_dirty(m);
@@ -922,7 +962,8 @@ impl Simulation {
             let job = &mut self.running[pos];
             let id = job.alloc.spec.id;
             if job.set_slowdown(self.now, slowdown) && incremental {
-                self.completion_heap.push(Reverse((job.completion_s().to_bits(), id)));
+                self.completion_heap
+                    .push(Reverse((job.completion_s().to_bits(), id)));
             }
             job.slowdown_evals += 1;
             self.stats.slowdown_evals += 1;
@@ -938,8 +979,11 @@ impl Simulation {
     #[cfg(debug_assertions)]
     fn debug_verify_slowdowns(&self) {
         for r in &self.running {
-            let want =
-                current_slowdown(&r.alloc, self.running.iter().map(|o| &o.alloc), &self.cluster);
+            let want = current_slowdown(
+                &r.alloc,
+                self.running.iter().map(|o| &o.alloc),
+                &self.cluster,
+            );
             assert_eq!(
                 want.to_bits(),
                 r.slowdown().to_bits(),
@@ -958,7 +1002,10 @@ impl Simulation {
         } else {
             self.utility_sum as f64 / UTILITY_UNIT / self.running.len() as f64
         };
-        self.utility_series.push(UtilitySample { t_s: self.now, mean_utility: mean });
+        self.utility_series.push(UtilitySample {
+            t_s: self.now,
+            mean_utility: mean,
+        });
     }
 
     /// [`cluster_ideal_duration_s`], memoised: it depends only on the spec
@@ -989,7 +1036,10 @@ impl Simulation {
                 self.ideal_cache.insert(key, v);
             }
             Some(g) => {
-                self.ideal_graph_cache.entry(key).or_default().push((g.clone(), v));
+                self.ideal_graph_cache
+                    .entry(key)
+                    .or_default()
+                    .push((g.clone(), v));
             }
         }
         v
@@ -1144,7 +1194,15 @@ mod tests {
     fn utility_series_is_time_ordered() {
         let (c, p) = setup(1);
         let trace: Vec<JobSpec> = (0..6)
-            .map(|i| job(i, 1 + (i % 2) as u32, BatchClass::Small, i as f64 * 3.0, 100))
+            .map(|i| {
+                job(
+                    i,
+                    1 + (i % 2) as u32,
+                    BatchClass::Small,
+                    i as f64 * 3.0,
+                    100,
+                )
+            })
             .collect();
         let res = simulate(c, p, Policy::new(PolicyKind::TopoAwareP), trace);
         for w in res.utility_series.windows(2) {
@@ -1258,14 +1316,20 @@ mod tests {
             let reference = run(false);
             assert_eq!(inc.records, reference.records, "{kind}");
             assert_eq!(inc.events, reference.events, "{kind}");
-            assert_eq!(inc.makespan_s.to_bits(), reference.makespan_s.to_bits(), "{kind}");
+            assert_eq!(
+                inc.makespan_s.to_bits(),
+                reference.makespan_s.to_bits(),
+                "{kind}"
+            );
         }
     }
 
     /// Switches a production config to the reference oracle: sequential
     /// candidate evaluation and the recompute-everything event loop.
     fn oracle(config: SimConfig) -> SimConfig {
-        config.with_eval(EvalParams::sequential()).with_incremental(false)
+        config
+            .with_eval(EvalParams::sequential())
+            .with_incremental(false)
     }
 
     /// A traced production run must agree bit for bit with the oracle, and
@@ -1298,7 +1362,12 @@ mod tests {
         assert_eq!(off_stats.eval_cache_hits, 0);
         assert_eq!(off_stats.eval_cache_misses, 0);
         match on.trace.pop() {
-            Some(TraceEvent::EvalCacheStats { hits, misses, evictions, .. }) => {
+            Some(TraceEvent::EvalCacheStats {
+                hits,
+                misses,
+                evictions,
+                ..
+            }) => {
                 assert_eq!(hits, on_stats.eval_cache_hits);
                 assert_eq!(misses, on_stats.eval_cache_misses);
                 assert_eq!(evictions, on_stats.eval_cache_evictions);
@@ -1307,7 +1376,12 @@ mod tests {
         }
         assert!(matches!(
             off.trace.pop(),
-            Some(TraceEvent::EvalCacheStats { hits: 0, misses: 0, evictions: 0, .. })
+            Some(TraceEvent::EvalCacheStats {
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                ..
+            })
         ));
         assert_eq!(on.records, off.records, "records diverged");
         assert_eq!(on.events, off.events, "events diverged");
@@ -1354,7 +1428,11 @@ mod tests {
             .unwrap_err();
         // NaN != NaN under the derived PartialEq, so match on shape and
         // check the payload is the NaN we passed in.
-        let SimConfigError::NonFiniteTime { schedule, index, time_s } = &err;
+        let SimConfigError::NonFiniteTime {
+            schedule,
+            index,
+            time_s,
+        } = &err;
         assert_eq!((*schedule, *index), ("failure", 1));
         assert!(time_s.is_nan());
         assert!(err.to_string().contains("failure schedule entry 1"));
@@ -1363,7 +1441,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            SimConfigError::NonFiniteTime { schedule: "recovery", index: 0, .. }
+            SimConfigError::NonFiniteTime {
+                schedule: "recovery",
+                index: 0,
+                ..
+            }
         ));
         // Finite schedules still pass through both the fallible and the
         // panicking builders.
@@ -1397,7 +1479,15 @@ mod tests {
                 ClusterTopology::homogeneous(machine, 8)
             };
             let trace: Vec<JobSpec> = (0..12)
-                .map(|i| job(i, [1u32, 2, 4][(i % 3) as usize], BatchClass::Tiny, i as f64, 60))
+                .map(|i| {
+                    job(
+                        i,
+                        [1u32, 2, 4][(i % 3) as usize],
+                        BatchClass::Tiny,
+                        i as f64,
+                        60,
+                    )
+                })
                 .collect();
             Simulation::new(
                 Arc::new(cluster),
@@ -1409,7 +1499,10 @@ mod tests {
         };
         let (racked_res, racked) = run(true);
         let (flat_res, _) = run(false);
-        assert!(racked.eval_cache_hits + racked.eval_cache_misses > 0, "the class path never ran");
+        assert!(
+            racked.eval_cache_hits + racked.eval_cache_misses > 0,
+            "the class path never ran"
+        );
         let retired = (
             racked.shard_admission_checked,
             racked.shard_bound_checked,
@@ -1418,7 +1511,10 @@ mod tests {
         assert_eq!(retired, (0, 0, 0), "retired counters must read 0");
         assert_eq!(racked_res.records, flat_res.records);
         assert_eq!(racked_res.events, flat_res.events);
-        assert_eq!(racked_res.makespan_s.to_bits(), flat_res.makespan_s.to_bits());
+        assert_eq!(
+            racked_res.makespan_s.to_bits(),
+            flat_res.makespan_s.to_bits()
+        );
     }
 
     /// The decision memo must surface its counter through `SimLoopStats`,
@@ -1436,25 +1532,40 @@ mod tests {
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
             let trace: Vec<JobSpec> = (0..6)
                 .map(|i| {
-                    JobSpec::new(i, NnModel::AlexNet, BatchClass::Tiny, if i == 0 { 2 } else { 4 })
-                        .arriving_at(i as f64 * 0.5)
-                        .with_iterations(500)
-                        .with_min_utility(0.3)
+                    JobSpec::new(
+                        i,
+                        NnModel::AlexNet,
+                        BatchClass::Tiny,
+                        if i == 0 { 2 } else { 4 },
+                    )
+                    .arriving_at(i as f64 * 0.5)
+                    .with_iterations(500)
+                    .with_min_utility(0.3)
                 })
                 .collect();
             let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
                 .with_eval(EvalParams::parallel(2));
-            let config = if reference { oracle(config) } else { config.with_phase_timing(true) };
+            let config = if reference {
+                oracle(config)
+            } else {
+                config.with_phase_timing(true)
+            };
             Simulation::new(cluster, profiles, config).run_with_stats(trace)
         };
         let (off_res, off) = run(true);
         assert_eq!(off.replay_hits, 0, "the oracle must not memoise");
         assert_eq!(off.replay_full_fallbacks, 0);
-        assert_eq!(off.phase_drain_ns, 0, "phase timing off leaves drain unmetered");
+        assert_eq!(
+            off.phase_drain_ns, 0,
+            "phase timing off leaves drain unmetered"
+        );
         let (on_res, on) = run(false);
         assert!(on.replay_hits > 0, "queue retries never replayed");
         assert!(on.phase_decision_ns > 0, "decisions are always metered");
-        assert!(on.phase_drain_ns > 0, "phase timing on must meter the drain");
+        assert!(
+            on.phase_drain_ns > 0,
+            "phase timing on must meter the drain"
+        );
         assert!(
             on.phase_drain_ns >= on.phase_decision_ns / 2,
             "the drain phase contains the decisions"
@@ -1473,12 +1584,9 @@ mod tests {
             job(0, 2, BatchClass::Tiny, 0.0, 100),
             job(1, 2, BatchClass::Tiny, 0.0, 100),
         ];
-        let (res, stats) = Simulation::new(
-            c,
-            p,
-            SimConfig::new(Policy::new(PolicyKind::TopoAware)),
-        )
-        .run_with_stats(trace);
+        let (res, stats) =
+            Simulation::new(c, p, SimConfig::new(Policy::new(PolicyKind::TopoAware)))
+                .run_with_stats(trace);
         assert_eq!(res.records.len(), 2);
         assert!(stats.slowdown_evals >= 2, "got {}", stats.slowdown_evals);
         assert_eq!(

@@ -67,16 +67,13 @@ pub fn ideal_duration_s(spec: &JobSpec, topo: &MachineTopology) -> f64 {
         Some(graph) if subset.len() <= 6 => {
             let mut best = f64::INFINITY;
             permute(subset.to_vec(), &mut |perm| {
-                let it = gts_perf::placement::graph_iter_time(
-                    topo, spec.model, batch, graph, perm,
-                );
+                let it = gts_perf::placement::graph_iter_time(topo, spec.model, batch, graph, perm);
                 best = best.min(it.total_s());
             });
             best
         }
         Some(graph) => {
-            gts_perf::placement::graph_iter_time(topo, spec.model, batch, graph, subset)
-                .total_s()
+            gts_perf::placement::graph_iter_time(topo, spec.model, batch, graph, subset).total_s()
         }
         None => PlacementPerf::evaluate(topo, subset)
             .iter_time(spec.model, batch)

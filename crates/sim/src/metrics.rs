@@ -249,7 +249,11 @@ impl SimResult {
 
     /// The worst postponement count any completed job accumulated.
     pub fn max_postponements(&self) -> u32 {
-        self.records.iter().map(|r| r.postponements).max().unwrap_or(0)
+        self.records
+            .iter()
+            .map(|r| r.postponements)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Serializes the result to pretty JSON.
@@ -270,8 +274,7 @@ impl SimResult {
     /// Loads a result from a file.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        Self::from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Mean waiting time across jobs.
@@ -370,13 +373,18 @@ mod tests {
             // qos slowdown clamps to 0 and sorts last; its wait variant is
             // +inf (50 s wait / 0 ideal) and joins the infinite group — so
             // only assert the invariants common to both accessors.
-            assert!(sorted.windows(2).all(|w| w[0].1 >= w[1].1 || w[0].1.is_nan()));
+            assert!(sorted
+                .windows(2)
+                .all(|w| w[0].1 >= w[1].1 || w[0].1.is_nan()));
             let inf_ids: Vec<u64> = sorted
                 .iter()
                 .filter(|(_, s)| s.is_infinite())
                 .map(|(id, _)| id.0)
                 .collect();
-            assert!(inf_ids.windows(2).all(|w| w[0] < w[1]), "inf ties unsorted: {ids:?}");
+            assert!(
+                inf_ids.windows(2).all(|w| w[0] < w[1]),
+                "inf ties unsorted: {ids:?}"
+            );
             assert!(inf_ids.contains(&2) && inf_ids.contains(&3));
         }
     }
@@ -396,8 +404,14 @@ mod tests {
     fn gpu_utilization_accounting() {
         let mut r1 = record(0, 0.0, 0.0, 100.0, 100.0);
         r1.gpus = vec![
-            gts_topo::GlobalGpuId { machine: gts_topo::MachineId(0), gpu: gts_topo::GpuId(0) },
-            gts_topo::GlobalGpuId { machine: gts_topo::MachineId(0), gpu: gts_topo::GpuId(1) },
+            gts_topo::GlobalGpuId {
+                machine: gts_topo::MachineId(0),
+                gpu: gts_topo::GpuId(0),
+            },
+            gts_topo::GlobalGpuId {
+                machine: gts_topo::MachineId(0),
+                gpu: gts_topo::GpuId(1),
+            },
         ];
         let mut res = result(vec![r1]);
         res.makespan_s = 100.0;

@@ -171,11 +171,13 @@ mod tests {
 
     fn alloc(id: u64, machine: u32, gpus: &[u32], batch: BatchClass) -> Allocation {
         Allocation {
-            spec: JobSpec::new(id, NnModel::AlexNet, batch, gpus.len() as u32)
-                .with_iterations(100),
+            spec: JobSpec::new(id, NnModel::AlexNet, batch, gpus.len() as u32).with_iterations(100),
             gpus: gpus
                 .iter()
-                .map(|&g| GlobalGpuId { machine: MachineId(machine), gpu: GpuId(g) })
+                .map(|&g| GlobalGpuId {
+                    machine: MachineId(machine),
+                    gpu: GpuId(g),
+                })
                 .collect(),
             utility: 1.0,
         }
@@ -268,7 +270,10 @@ mod tests {
             vec![&near, &far],
             vec![&bystander, &near, &victim, &far, &near],
         ] {
-            assert_eq!(current_slowdown(&victim, others, &c).to_bits(), want.to_bits());
+            assert_eq!(
+                current_slowdown(&victim, others, &c).to_bits(),
+                want.to_bits()
+            );
         }
     }
 

@@ -26,9 +26,21 @@ fn log_is_time_ordered_and_complete() {
     // Every job arrives, places and completes exactly once.
     for id in 0..6u64 {
         let job = JobId(id);
-        let arrived = res.events.iter().filter(|e| matches!(e, SimEvent::Arrived { job: j, .. } if *j == job)).count();
-        let placed = res.events.iter().filter(|e| matches!(e, SimEvent::Placed { job: j, .. } if *j == job)).count();
-        let completed = res.events.iter().filter(|e| matches!(e, SimEvent::Completed { job: j, .. } if *j == job)).count();
+        let arrived = res
+            .events
+            .iter()
+            .filter(|e| matches!(e, SimEvent::Arrived { job: j, .. } if *j == job))
+            .count();
+        let placed = res
+            .events
+            .iter()
+            .filter(|e| matches!(e, SimEvent::Placed { job: j, .. } if *j == job))
+            .count();
+        let completed = res
+            .events
+            .iter()
+            .filter(|e| matches!(e, SimEvent::Completed { job: j, .. } if *j == job))
+            .count();
         assert_eq!((arrived, placed, completed), (1, 1, 1), "J{id}");
     }
 }
@@ -42,12 +54,17 @@ fn postponements_show_up_in_the_log() {
         .filter(|e| matches!(e, SimEvent::Postponed { .. }))
         .collect();
     assert!(
-        postponed.iter().any(|e| matches!(e, SimEvent::Postponed { job, .. } if *job == JobId(3))),
+        postponed
+            .iter()
+            .any(|e| matches!(e, SimEvent::Postponed { job, .. } if *job == JobId(3))),
         "Job 3 must be postponed at least once: {postponed:?}"
     );
     // No other policy postpones.
     let fcfs = run(PolicyKind::Fcfs);
-    assert!(fcfs.events.iter().all(|e| !matches!(e, SimEvent::Postponed { .. })));
+    assert!(fcfs
+        .events
+        .iter()
+        .all(|e| !matches!(e, SimEvent::Postponed { .. })));
 }
 
 #[test]

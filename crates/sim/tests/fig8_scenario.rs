@@ -31,7 +31,11 @@ fn job3_is_postponed_but_not_starved() {
     // TOPO-AWARE-P parks Job 3 at least once while it waits for a packed
     // pair, and the arrival-ordered queue keeps the count small.
     assert!(j3.postponements >= 1, "got {}", j3.postponements);
-    assert!(res.max_postponements() <= 10, "got {}", res.max_postponements());
+    assert!(
+        res.max_postponements() <= 10,
+        "got {}",
+        res.max_postponements()
+    );
     // No other policy postpones.
     assert_eq!(run(PolicyKind::Fcfs).max_postponements(), 0);
 }

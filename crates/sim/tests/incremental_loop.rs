@@ -42,7 +42,11 @@ fn disjoint_machines_are_not_recomputed() {
     // Exactly one derivation per job: at placement time. Job 2's completion
     // leaves its machine empty, and jobs 0/1 share nothing with it.
     for id in 0..3 {
-        assert_eq!(inc.evals_for(JobId(id)), 1, "job {id} recomputed needlessly");
+        assert_eq!(
+            inc.evals_for(JobId(id)),
+            1,
+            "job {id} recomputed needlessly"
+        );
     }
     assert_eq!(inc.slowdown_evals, 3);
 
@@ -57,7 +61,12 @@ fn disjoint_machines_are_not_recomputed() {
     assert_eq!(inc_res.makespan_s.to_bits(), ref_res.makespan_s.to_bits());
     // Disjoint machines ⇒ no interference anywhere.
     for r in &inc_res.records {
-        assert!(r.qos_slowdown() < 1e-9, "{}: {}", r.spec.id, r.qos_slowdown());
+        assert!(
+            r.qos_slowdown() < 1e-9,
+            "{}: {}",
+            r.spec.id,
+            r.qos_slowdown()
+        );
     }
 }
 
@@ -103,7 +112,10 @@ fn shared_machine_sharers_are_recomputed_and_bystanders_skipped() {
 /// times must be bit-identical between the two runs.
 #[test]
 fn unrelated_events_leave_a_finish_time_alone() {
-    let pair = [job(0, 2, BatchClass::Tiny, 20_000), job(1, 2, BatchClass::Tiny, 20_000)];
+    let pair = [
+        job(0, 2, BatchClass::Tiny, 20_000),
+        job(1, 2, BatchClass::Tiny, 20_000),
+    ];
     let churn = (0..400u64).map(|i| {
         JobSpec::new(2 + i, NnModel::GoogLeNet, BatchClass::Big, 4)
             .arriving_at(i as f64 * 3.0)
@@ -119,11 +131,17 @@ fn unrelated_events_leave_a_finish_time_alone() {
     };
     for incremental in [true, false] {
         let alone = run(pair.to_vec(), incremental);
-        let churned = run(pair.iter().cloned().chain(churn.clone()).collect(), incremental);
+        let churned = run(
+            pair.iter().cloned().chain(churn.clone()).collect(),
+            incremental,
+        );
         assert_eq!(churned.records.len(), 402);
         for id in [JobId(0), JobId(1)] {
             let (a, c) = (alone.record(id).unwrap(), churned.record(id).unwrap());
-            assert!(c.gpus.iter().all(|g| g.machine.0 == 0), "{id} left machine 0");
+            assert!(
+                c.gpus.iter().all(|g| g.machine.0 == 0),
+                "{id} left machine 0"
+            );
             assert!(c.qos_slowdown() > 0.01, "{id}: the pair must interfere");
             assert_eq!(
                 a.finished_at_s.to_bits(),
