@@ -252,17 +252,13 @@ impl Prototype {
             }
 
             for outcome in scheduler.run_iteration() {
-                if let PlacementOutcome::Placed { spec, .. } = outcome {
-                    let alloc = scheduler
-                        .state()
-                        .allocation(spec.id)
-                        .expect("just placed")
-                        .clone();
+                if let PlacementOutcome::Placed { id, .. } = outcome {
+                    let alloc = scheduler.state().allocation(id).expect("just placed");
                     let now = clock.now_sim();
-                    placed_at.insert(spec.id, now);
-                    slowdowns.write().insert(spec.id, 0.0);
+                    placed_at.insert(id, now);
+                    slowdowns.write().insert(id, 0.0);
                     workers.push(self.spawn_worker(
-                        &alloc,
+                        alloc,
                         &clock,
                         &counters,
                         &slowdowns,

@@ -13,8 +13,9 @@
 //! ```
 //!
 //! The loop is driven by the simulator (`gts-sim`) or the prototype
-//! (`gts-proto`), which call [`Scheduler::run_iteration`] whenever a job
-//! arrives or finishes ("wakeup after an event").
+//! (`gts-proto`), which call [`Scheduler::run_iteration_into`] or
+//! [`Scheduler::run_iteration`] whenever a job arrives or finishes ("wakeup
+//! after an event").
 //!
 //! The drain walks the queue in place (DESIGN.md §14): a job it does not
 //! place keeps its slot, which is where `Q.add(postponed_list)` would put
@@ -31,7 +32,7 @@ use crate::policy::{Decision, Policy};
 use crate::state::{Allocation, ClusterState};
 use crate::trace::TraceEvent;
 use gts_job::{JobId, JobSpec, WaitQueue};
-use gts_topo::{GlobalGpuId, MachineId};
+use gts_topo::MachineId;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -56,15 +57,17 @@ impl SchedulerConfig {
     }
 }
 
-/// What happened to one job during a scheduler iteration.
-#[derive(Debug, Clone, PartialEq)]
+/// What happened to one job during a scheduler iteration: a 24-byte record
+/// the drain writes for every job it walks (DESIGN.md §14.9). A placed
+/// job's spec and GPUs live in its allocation,
+/// `Scheduler::state().allocation(id)`, from the placement until the job
+/// is released.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementOutcome {
-    /// The job was placed on these GPUs with this utility.
+    /// The job was placed with this utility.
     Placed {
         /// The placed job.
-        spec: JobSpec,
-        /// GPUs granted.
-        gpus: Vec<GlobalGpuId>,
+        id: JobId,
         /// Utility at decision time.
         utility: f64,
         /// True when the placement's utility is below the job's
@@ -84,6 +87,8 @@ pub enum PlacementOutcome {
         id: JobId,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<PlacementOutcome>() <= 24);
 
 /// What [`Scheduler::cancel`] found and did.
 #[derive(Debug, Clone, PartialEq)]
@@ -374,8 +379,19 @@ impl Scheduler {
         CancelOutcome::NotFound
     }
 
+    /// One Algorithm 1 iteration into a fresh vector: see
+    /// [`Scheduler::run_iteration_into`]. A driver that drains often keeps
+    /// one buffer and calls that instead.
+    pub fn run_iteration(&mut self) -> Vec<PlacementOutcome> {
+        let mut outcomes = Vec::new();
+        self.run_iteration_into(&mut outcomes);
+        outcomes
+    }
+
     /// One Algorithm 1 iteration: drains the queue as far as resources and
-    /// the policy allow. Returns what happened, in processing order.
+    /// the policy allow. Clears `outcomes`, keeping its capacity, and fills
+    /// it with what happened to every walked job, in processing order; a
+    /// placed job's GPUs are in [`Scheduler::state`]'s allocation of it.
     ///
     /// The drain walks the queue in place: a placed job leaves it, an
     /// unplaced one keeps its slot, and an in-order policy stops at its
@@ -392,8 +408,8 @@ impl Scheduler {
     /// §14.2). The memo outlives the iteration; a placement, any other
     /// state change and [`Scheduler::state_mut`] clear it. Debug builds
     /// decide anyway and assert the two agree.
-    pub fn run_iteration(&mut self) -> Vec<PlacementOutcome> {
-        let mut outcomes = Vec::new();
+    pub fn run_iteration_into(&mut self, outcomes: &mut Vec<PlacementOutcome>) {
+        outcomes.clear();
         let postpones = self.policy.kind.postpones();
         self.refresh_memo();
         // The walk's position: every job before it stays queued, unplaced.
@@ -417,12 +433,12 @@ impl Scheduler {
                 self.replay_hits += 1;
                 match utility {
                     None => {
-                        self.wait_for_capacity(id, &mut outcomes);
+                        self.wait_for_capacity(id, outcomes);
                         if !postpones {
                             break;
                         }
                     }
-                    Some(u) => self.postpone_low_utility(i, id, u, &mut outcomes),
+                    Some(u) => self.postpone_low_utility(i, id, u, outcomes),
                 }
                 i += 1;
                 continue;
@@ -449,7 +465,7 @@ impl Scheduler {
             let min_utility = job.min_utility;
             match decision {
                 None => {
-                    self.wait_for_capacity(id, &mut outcomes);
+                    self.wait_for_capacity(id, outcomes);
                     if let Some(r) = replay {
                         self.memo[r] = (self.memo_epoch, None);
                     }
@@ -463,7 +479,7 @@ impl Scheduler {
                 Some(d) => {
                     let below = d.utility + 1e-9 < min_utility;
                     if below && postpones {
-                        self.postpone_low_utility(i, id, d.utility, &mut outcomes);
+                        self.postpone_low_utility(i, id, d.utility, outcomes);
                         if let Some(r) = replay {
                             self.memo[r] = (self.memo_epoch, Some(d));
                         }
@@ -494,8 +510,7 @@ impl Scheduler {
                         }
                         let job = self.queue.take(i).expect("the walk reads a queued job");
                         outcomes.push(PlacementOutcome::Placed {
-                            spec: job.clone(),
-                            gpus: d.gpus.clone(),
+                            id,
                             utility: d.utility,
                             slo_violated: below,
                         });
@@ -509,7 +524,6 @@ impl Scheduler {
         if let Err(e) = self.audit() {
             panic!("Scheduler::audit failed after iteration: {e}");
         }
-        outcomes
     }
 
     /// Forgets the memo's answers, by starting a new epoch, once the
@@ -628,10 +642,39 @@ mod tests {
         outcomes
             .iter()
             .filter_map(|o| match o {
-                PlacementOutcome::Placed { spec, .. } => Some(spec.id),
+                PlacementOutcome::Placed { id, .. } => Some(*id),
                 _ => None,
             })
             .collect()
+    }
+
+    /// The GPUs of job `id`, read from the state's allocation.
+    fn gpus_of(s: &Scheduler, id: JobId) -> Vec<GlobalGpuId> {
+        s.state()
+            .allocation(id)
+            .expect("a placed job runs")
+            .gpus
+            .clone()
+    }
+
+    /// Each outcome with the GPUs its job holds in `s`: its allocation's
+    /// for a placed job, none otherwise.
+    fn with_gpus(
+        s: &Scheduler,
+        outcomes: &[PlacementOutcome],
+    ) -> Vec<(PlacementOutcome, Vec<GlobalGpuId>)> {
+        let gpus = |o: &PlacementOutcome| match *o {
+            PlacementOutcome::Placed { id, .. } => gpus_of(s, id),
+            _ => Vec::new(),
+        };
+        outcomes.iter().map(|o| (*o, gpus(o))).collect()
+    }
+
+    /// One drain's outcomes, each with the GPUs its job holds right after
+    /// the drain.
+    fn drain(s: &mut Scheduler) -> Vec<(PlacementOutcome, Vec<GlobalGpuId>)> {
+        let outcomes = s.run_iteration();
+        with_gpus(s, &outcomes)
     }
 
     #[test]
@@ -679,14 +722,13 @@ mod tests {
         let outcomes = s.run_iteration();
         match &outcomes[..] {
             [PlacementOutcome::Placed {
-                spec,
-                gpus,
+                id,
                 utility,
                 slo_violated,
             }] => {
-                assert_eq!(spec.id, JobId(2));
+                assert_eq!(*id, JobId(2));
                 let topo = s.state().cluster().machine(MachineId(0));
-                let local: Vec<GpuId> = gpus.iter().map(|g| g.gpu).collect();
+                let local: Vec<GpuId> = gpus_of(&s, *id).iter().map(|g| g.gpu).collect();
                 assert!(topo.is_packed(&local), "got {local:?}");
                 assert!(*utility >= 0.5, "got {utility}");
                 assert!(!slo_violated);
@@ -845,6 +887,60 @@ mod tests {
         s.state.place(job(101, 1, 0.0), on(1, &[0]), 1.0);
         s.state.place(job(102, 1, 0.0), on(1, &[2]), 1.0);
         s
+    }
+
+    /// `run_iteration_into` clears a buffer it is handed, keeps its
+    /// capacity, and fills it with exactly what `run_iteration` returns:
+    /// over a backlog on [`split_racks`] whose drains postpone, answer
+    /// from the memo, place, wait and stop for lack of free GPUs, driven
+    /// side by side on two schedulers.
+    #[test]
+    fn run_iteration_into_refills_a_reused_buffer() {
+        let (mut fresh, mut reused) = (split_racks(), split_racks());
+        let backlog = [
+            job(0, 2, 0.5),
+            job(1, 2, 0.5),
+            job(2, 1, 0.0),
+            job(3, 2, 0.5),
+            job(4, 1, 0.0),
+        ];
+        for spec in backlog {
+            fresh.submit(spec.clone());
+            reused.submit(spec);
+        }
+        let stale = PlacementOutcome::WaitingForCapacity { id: JobId(999) };
+        let mut buffer = vec![stale; 3];
+        buffer.reserve(16);
+        let capacity = buffer.capacity();
+        let mut kinds = Vec::new();
+        for release in [None, Some(JobId(100)), Some(JobId(2)), Some(JobId(101))] {
+            if let Some(id) = release {
+                fresh.complete(id);
+                reused.complete(id);
+            }
+            let want = drain(&mut fresh);
+            reused.run_iteration_into(&mut buffer);
+            assert_eq!(buffer.capacity(), capacity, "the buffer was reallocated");
+            assert_eq!(
+                with_gpus(&reused, &buffer),
+                want,
+                "after releasing {release:?}"
+            );
+            kinds.extend(want.iter().map(|(o, _)| match o {
+                PlacementOutcome::Placed { .. } => "placed",
+                PlacementOutcome::PostponedLowUtility { .. } => "postponed",
+                PlacementOutcome::WaitingForCapacity { .. } => "waiting",
+            }));
+        }
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, ["placed", "postponed", "waiting"]);
+        assert_eq!(reused.replay_hits(), fresh.replay_hits());
+        assert!(
+            reused.replay_hits() > 0,
+            "the backlog never reached the memo"
+        );
+        assert!(reused.queue().is_empty(), "the backlog did not drain");
     }
 
     #[test]
@@ -1010,7 +1106,7 @@ mod tests {
         let unmemoised = |s: &mut Scheduler| {
             s.submit(job(0, 2, 0.5));
             s.submit(job(1, 2, 0.5));
-            s.run_iteration()
+            drain(s)
         };
         assert_eq!(unmemoised(&mut s), unmemoised(&mut reference));
         assert_eq!((s.replay_hits(), s.decision_stats().count()), (0, 2));
@@ -1023,7 +1119,7 @@ mod tests {
         }
         let uncached = |s: &mut Scheduler| {
             s.submit(job(2, 2, 0.5).with_comm_graph(JobGraph::pipeline(2, 4.0)));
-            s.run_iteration()
+            drain(s)
         };
         assert_eq!(uncached(&mut s), uncached(&mut reference));
         assert_eq!((s.replay_hits(), s.decision_stats().count()), (0, 5));
@@ -1109,7 +1205,8 @@ mod tests {
         s.submit(job(1, 2, 0.0));
         let outcomes = s.run_iteration();
         match &outcomes[..] {
-            [PlacementOutcome::Placed { gpus, .. }] => {
+            [PlacementOutcome::Placed { id, .. }] => {
+                let gpus = gpus_of(&s, *id);
                 assert_eq!(gpus[0].machine, MachineId(0), "BF packs machine 0 first");
             }
             other => panic!("unexpected {other:?}"),

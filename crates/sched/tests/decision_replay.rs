@@ -3,14 +3,15 @@
 //!
 //! Every test drives the *public* `Scheduler` surface through an event
 //! script twice — the production path vs the sequential reference — and
-//! asserts the iteration outcomes (placements, GPUs, utility bits) and
-//! final cluster occupancy are identical, while the production run
-//! actually answered from its memo. The scripts target the edges where a
-//! stale memo would be most tempting to trust: a machine failing and
-//! recovering while the queue is blocked, a cancel landing on a job whose
-//! key is memoised, a multi-node teardown between consecutive retries,
-//! every kind of state change one at a time, and a state swapped in
-//! through `Scheduler::state_mut` at an equal version.
+//! asserts the iteration outcomes (placements, the GPUs each placed job
+//! holds right after its drain, utility bits) and final cluster occupancy
+//! are identical, while the production run actually answered from its
+//! memo. The scripts target the edges where a stale memo would be most
+//! tempting to trust: a machine failing and recovering while the queue is
+//! blocked, a cancel landing on a job whose key is memoised, a multi-node
+//! teardown between consecutive retries, every kind of state change one
+//! at a time, and a state swapped in through `Scheduler::state_mut` at an
+//! equal version.
 
 use gts_job::{BatchClass, Constraints, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
@@ -70,6 +71,11 @@ fn wide_job(id: u64, gpus: u32) -> JobSpec {
     spec
 }
 
+/// One drain's outcomes, each with the GPUs its job holds right after the
+/// drain: a placed job's, read from the state's allocation of it, and none
+/// for a job left queued.
+type Drain = Vec<(PlacementOutcome, Vec<GlobalGpuId>)>;
+
 /// Replays the script on a fresh `kind` scheduler running `eval`,
 /// auditing the state after every drain. Returns the per-drain outcomes,
 /// the final per-machine occupancy fingerprint, and the jobs each drain
@@ -79,7 +85,7 @@ fn run_script(
     kind: PolicyKind,
     eval: EvalParams,
     script: &[Ev],
-) -> (Vec<Vec<PlacementOutcome>>, Vec<usize>, Vec<u64>) {
+) -> (Vec<Drain>, Vec<usize>, Vec<u64>) {
     let n_machines = state.cluster().machines().count();
     let config = SchedulerConfig {
         policy: Policy::new(kind),
@@ -113,7 +119,15 @@ fn run_script(
             Ev::SwapState(state) => *sched.state_mut() = ClusterState::clone(state),
             Ev::Drain => {
                 let before = sched.replay_hits();
-                drains.push(sched.run_iteration());
+                let outcomes = sched.run_iteration();
+                let gpus = |o: &PlacementOutcome| match *o {
+                    PlacementOutcome::Placed { id, .. } => {
+                        let alloc = sched.state().allocation(id);
+                        alloc.expect("a placed job runs").gpus.clone()
+                    }
+                    _ => Vec::new(),
+                };
+                drains.push(outcomes.iter().map(|o| (*o, gpus(o))).collect());
                 hits.push(sched.replay_hits() - before);
                 sched.audit().expect("state audits clean after drain");
             }
@@ -125,30 +139,29 @@ fn run_script(
     (drains, occupancy, hits)
 }
 
-/// Outcome streams must agree bit for bit (utilities compared as bits).
+/// Outcome streams must agree bit for bit (utilities compared as bits),
+/// placed jobs GPU for GPU.
 #[track_caller]
-fn assert_outcomes_identical(on: &[Vec<PlacementOutcome>], off: &[Vec<PlacementOutcome>]) {
+fn assert_outcomes_identical(on: &[Drain], off: &[Drain]) {
     assert_eq!(on.len(), off.len(), "drain count diverged");
     for (i, (a, b)) in on.iter().zip(off).enumerate() {
         assert_eq!(a.len(), b.len(), "drain {i} outcome count diverged");
-        for (x, y) in a.iter().zip(b) {
+        for ((x, gx), (y, gy)) in a.iter().zip(b) {
             match (x, y) {
                 (
                     PlacementOutcome::Placed {
-                        spec: sa,
-                        gpus: ga,
+                        id: ia,
                         utility: ua,
                         slo_violated: va,
                     },
                     PlacementOutcome::Placed {
-                        spec: sb,
-                        gpus: gb,
+                        id: ib,
                         utility: ub,
                         slo_violated: vb,
                     },
                 ) => {
-                    assert_eq!(sa.id, sb.id, "drain {i} placed a different job");
-                    assert_eq!(ga, gb, "drain {i} placed {:?} elsewhere", sa.id);
+                    assert_eq!(ia, ib, "drain {i} placed a different job");
+                    assert_eq!(gx, gy, "drain {i} placed {ia:?} elsewhere");
                     assert_eq!(
                         ua.to_bits(),
                         ub.to_bits(),
@@ -169,7 +182,7 @@ fn assert_memo_invariant(
     state: ClusterState,
     kind: PolicyKind,
     script: &[Ev],
-) -> (Vec<Vec<PlacementOutcome>>, Vec<u64>) {
+) -> (Vec<Drain>, Vec<u64>) {
     let (on, occ_on, hits_on) = run_script(state.clone(), kind, EvalParams::parallel(2), script);
     let (off, occ_off, hits_off) = run_script(state, kind, EvalParams::sequential(), script);
     assert_outcomes_identical(&on, &off);
@@ -191,14 +204,14 @@ fn assert_replay_invariant(state: ClusterState, script: &[Ev]) -> u64 {
 }
 
 /// The jobs a drain placed, with the number of machines each spans.
-fn placed(drain: &[PlacementOutcome]) -> Vec<(JobId, usize)> {
+fn placed(drain: &Drain) -> Vec<(JobId, usize)> {
     drain
         .iter()
-        .filter_map(|o| match o {
-            PlacementOutcome::Placed { spec, gpus, .. } => {
+        .filter_map(|(o, gpus)| match o {
+            PlacementOutcome::Placed { id, .. } => {
                 let mut machines: Vec<MachineId> = gpus.iter().map(|g| g.machine).collect();
                 machines.dedup();
-                Some((spec.id, machines.len()))
+                Some((*id, machines.len()))
             }
             _ => None,
         })
@@ -452,13 +465,19 @@ fn a_swapped_in_state_is_decided_afresh() {
     assert!(
         matches!(
             drains[1][..],
-            [PlacementOutcome::PostponedLowUtility { id: JobId(10), .. }]
+            [(
+                PlacementOutcome::PostponedLowUtility { id: JobId(10), .. },
+                _
+            )]
         ),
         "the head is postponed on the spread state: {:?}",
         drains[1]
     );
     assert!(
-        matches!(drains[2][..], [PlacementOutcome::Placed { .. }]),
+        matches!(
+            drains[2][..],
+            [(PlacementOutcome::Placed { id: JobId(10), .. }, _)]
+        ),
         "the head places on the swapped-in state: {:?}",
         drains[2]
     );

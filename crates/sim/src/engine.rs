@@ -48,8 +48,8 @@ use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler,
-    SchedulerConfig, TraceEvent,
+    CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler, SchedulerConfig,
+    TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
@@ -374,6 +374,9 @@ pub struct Simulation {
     restarts: HashMap<JobId, u32>,
     failures_applied: Vec<(f64, MachineId)>,
     events: Vec<SimEvent>,
+    /// The outcome buffer every drain clears and refills, so that no drain
+    /// grows a vector from empty.
+    outcomes: Vec<PlacementOutcome>,
     stats: SimLoopStats,
     /// Largest single-machine GPU count, precomputed so the admission
     /// pre-pass is O(1) per job instead of a cluster scan.
@@ -447,6 +450,7 @@ impl Simulation {
             restarts: HashMap::new(),
             failures_applied: Vec::new(),
             events: Vec::new(),
+            outcomes: Vec::new(),
             stats: SimLoopStats::default(),
             max_machine_gpus,
             ideal_cache: HashMap::new(),
@@ -693,7 +697,7 @@ impl Simulation {
             // victims directly.
             let mut victims: Vec<JobId> = self.scheduler.state().jobs_on_machine(machine).to_vec();
             victims.sort_unstable_by_key(|id| self.job_pos[id]);
-            for id in victims {
+            for &id in &victims {
                 let idx = self.job_pos[&id];
                 let lost = self.remove_running(idx);
                 match self.scheduler.cancel(id) {
@@ -721,18 +725,11 @@ impl Simulation {
             }
             self.scheduler.fail_machine(machine);
             self.failures_applied.push((self.now, machine));
-            let mut interrupted: Vec<JobId> = self
-                .restarts
-                .keys()
-                .copied()
-                .filter(|id| self.scheduler.queue().contains(*id))
-                .collect();
-            // `restarts` is a HashMap; sort so the event log is deterministic.
-            interrupted.sort();
+            victims.sort_unstable();
             self.events.push(SimEvent::MachineFailed {
                 t_s: self.now,
                 machine,
-                interrupted,
+                interrupted: victims,
             });
         }
     }
@@ -856,9 +853,15 @@ impl Simulation {
         }
     }
 
+    /// Runs one Algorithm 1 iteration into the simulation's outcome buffer,
+    /// reused across drains, and consumes its outcomes: a postponement
+    /// becomes an event, and a placed job's running entry is built from a
+    /// clone of its allocation in the scheduler's state, one spec and one
+    /// GPU list per placement.
     fn run_scheduler(&mut self) {
-        let outcomes = self.scheduler.run_iteration();
-        for outcome in outcomes {
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        self.scheduler.run_iteration_into(&mut outcomes);
+        for &outcome in &outcomes {
             match outcome {
                 PlacementOutcome::PostponedLowUtility { id, .. } => {
                     self.events.push(SimEvent::Postponed {
@@ -866,38 +869,20 @@ impl Simulation {
                         job: id,
                     });
                 }
-                PlacementOutcome::Placed {
-                    spec,
-                    gpus,
-                    utility,
-                    ..
-                } => {
+                PlacementOutcome::Placed { id, utility, .. } => {
                     self.events.push(SimEvent::Placed {
                         t_s: self.now,
-                        job: spec.id,
+                        job: id,
                         utility,
                     });
-                    // The outcome owns the same spec/gpus/utility the
-                    // scheduler just committed to its state, so the running
-                    // entry is built directly from it — no state lookup, no
-                    // clone.
-                    #[cfg(debug_assertions)]
-                    {
-                        let placed = self
-                            .scheduler
-                            .state()
-                            .allocation(spec.id)
-                            .expect("just placed");
-                        assert_eq!(placed.gpus, gpus);
-                        assert_eq!(placed.utility.to_bits(), utility.to_bits());
-                    }
+                    let alloc = self
+                        .scheduler
+                        .state()
+                        .allocation(id)
+                        .expect("a placed job runs")
+                        .clone();
                     let (seed, jitter) = (self.config.jitter_seed, self.config.jitter);
-                    let work = jitter_factor(seed, spec.id.0, jitter);
-                    let alloc = Allocation {
-                        spec,
-                        gpus,
-                        utility,
-                    };
+                    let work = jitter_factor(seed, id.0, jitter);
                     let job = RunningJob::start(alloc, &self.cluster, self.now, work);
                     for m in job.alloc.machines() {
                         self.mark_dirty(m);
@@ -907,6 +892,7 @@ impl Simulation {
                 PlacementOutcome::WaitingForCapacity { .. } => {}
             }
         }
+        self.outcomes = outcomes;
     }
 
     /// Re-derives slowdowns and re-anchors every job whose slowdown's bits

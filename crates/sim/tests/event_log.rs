@@ -90,3 +90,57 @@ fn failures_enter_the_log() {
         .count();
     assert_eq!(placed, 2);
 }
+
+/// A failure lists the jobs it tore down, and only those: two machines
+/// failing at one instant each report their own victim, although the
+/// first one's victim is still queued for its restart when the second
+/// fails.
+#[test]
+fn a_failure_lists_only_its_own_victims() {
+    use gts_job::{BatchClass, JobSpec, NnModel};
+    use gts_sim::{SimConfig, Simulation};
+    let machine = power8_minsky();
+    let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
+    let cluster = Arc::new(ClusterTopology::homogeneous(machine, 3));
+    let trace = (0..2)
+        .map(|id| JobSpec::new(id, NnModel::AlexNet, BatchClass::Small, 4).with_iterations(400))
+        .collect();
+    let config = SimConfig::new(Policy::new(PolicyKind::Fcfs))
+        .with_machine_failures(vec![(1.0, MachineId(0)), (1.0, MachineId(1))]);
+    let res = Simulation::new(cluster, profiles, config).run(trace);
+    let first_gpus: Vec<MachineId> = (0..2)
+        .map(|id| {
+            let seg = res
+                .timeline
+                .iter()
+                .find(|s| s.job == JobId(id))
+                .expect("placed");
+            seg.gpus[0].machine
+        })
+        .collect();
+    assert_eq!(
+        first_gpus,
+        [MachineId(0), MachineId(1)],
+        "J0 and J1 start apart"
+    );
+    let failed: Vec<(MachineId, Vec<JobId>)> = res
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            SimEvent::MachineFailed {
+                machine,
+                interrupted,
+                ..
+            } => Some((*machine, interrupted.clone())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        failed,
+        [
+            (MachineId(0), vec![JobId(0)]),
+            (MachineId(1), vec![JobId(1)]),
+        ]
+    );
+    assert_eq!(res.records.len(), 2, "both jobs restart and finish");
+}

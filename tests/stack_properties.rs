@@ -373,23 +373,40 @@ fn production_matches_oracle_on_racked_minsky() {
     });
 }
 
+/// One drain's outcomes, each with the GPUs its job holds right after the
+/// drain: a placed job's, read from the state's allocation of it, and none
+/// for a job left queued.
+type Drain = Vec<(PlacementOutcome, Vec<GlobalGpuId>)>;
+
 /// Drives a TOPO-AWARE-P scheduler over `scenario` by hand: each job is
 /// submitted and drained on arrival, then running jobs retire lowest id
 /// first, one drain each. Returns every drain's outcomes, postponement
-/// utilities included, and the jobs answered from the decision memo.
-fn drive_backlog(scenario: &Scenario, eval: EvalParams) -> (Vec<Vec<PlacementOutcome>>, u64) {
+/// utilities and placed jobs' GPUs included, and the jobs answered from
+/// the decision memo.
+fn drive_backlog(scenario: &Scenario, eval: EvalParams) -> (Vec<Drain>, u64) {
     let state = ClusterState::new(Arc::clone(&scenario.cluster), Arc::clone(&scenario.profiles));
     let policy = Policy::new(PolicyKind::TopoAwareP);
     let mut s = Scheduler::new(state, SchedulerConfig { policy, eval });
+    let drain = |s: &mut Scheduler| -> Drain {
+        let outcomes = s.run_iteration();
+        let gpus = |o: &PlacementOutcome| match *o {
+            PlacementOutcome::Placed { id, .. } => {
+                let alloc = s.state().allocation(id);
+                alloc.expect("a placed job runs").gpus.clone()
+            }
+            _ => Vec::new(),
+        };
+        outcomes.iter().map(|o| (*o, gpus(o))).collect()
+    };
     let mut drains = Vec::new();
     for job in &scenario.trace {
         s.set_now(job.arrival_s);
         s.submit(job.clone());
-        drains.push(s.run_iteration());
+        drains.push(drain(&mut s));
     }
     while let Some(id) = s.state().running().map(|a| a.spec.id).min() {
         s.complete(id);
-        drains.push(s.run_iteration());
+        drains.push(drain(&mut s));
     }
     (drains, s.replay_hits())
 }
