@@ -1084,6 +1084,48 @@ mod tests {
         assert_eq!(s.free_mask_bits(MachineId(1)), 0b1111);
     }
 
+    /// Each index `audit()` checks, corrupted on its own, is caught: the
+    /// free mask both ways, the per-machine job index, the bandwidth
+    /// ledger, the free counter, a class key and the class table.
+    #[test]
+    fn audit_rejects_each_corrupted_index() {
+        let mut s = state(3);
+        let mut single = spec(0, 2);
+        single.bw_demand_gbs = 10.0;
+        s.place(single, vec![g(0, 0), g(0, 1)], 1.0);
+        let mut multi = spec(1, 2);
+        multi.bw_demand_gbs = 8.0;
+        multi.constraints = gts_job::Constraints {
+            single_node: false,
+            anti_collocate: true,
+        };
+        s.place(multi, vec![g(0, 2), g(1, 0)], 0.9);
+        s.audit().unwrap();
+
+        type Corruption = fn(&mut ClusterState, &ClusterState);
+        let other = state(3);
+        let corruptions: [(&str, Corruption); 7] = [
+            ("free bit of a held GPU", |s, _| s.free_mask[0] |= 1 << 1),
+            ("busy bit of an unheld GPU", |s, _| {
+                s.free_mask[1] &= !(1 << 3)
+            }),
+            ("stray job on a machine", |s, _| s.jobs_on[2].push(JobId(0))),
+            ("bandwidth ledger", |s, _| s.bw_used[1][0] += 1.0),
+            ("free counter", |s, _| s.total_free += 1),
+            ("another machine's class key", |s, _| {
+                s.class_keys[0] = s.class_keys[2].clone()
+            }),
+            ("another state's class table", |s, other| {
+                s.classes = other.classes.clone()
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = s.clone();
+            corrupt(&mut bad, &other);
+            assert!(bad.audit().is_err(), "audit missed a corrupted {what}");
+        }
+    }
+
     /// `(lowest member, free GPUs)` of every live class with ≥ `n` free.
     fn classes_with(s: &ClusterState, n: usize) -> Vec<(MachineId, usize)> {
         let mut out = Vec::new();
