@@ -76,8 +76,8 @@ pub mod prelude {
     };
     pub use gts_topo::{
         dgx1, parse_topo_matrix, power8_minsky, power8_pcie_k80, symmetric_machine,
-        ClusterTopology, GlobalGpuId, GpuId, LinkKind, LinkProfile, MachineId,
-        MachineTopology, NumaInfo, SocketId,
+        ClusterTopology, GlobalGpuId, GpuId, LinkKind, LinkProfile, MachineId, MachineTopology,
+        NumaInfo, SocketId,
     };
 }
 
@@ -92,7 +92,12 @@ mod tests {
         let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
         let cluster = Arc::new(ClusterTopology::homogeneous(machine, 2));
         let trace = WorkloadGenerator::with_defaults(7).generate(10);
-        let res = simulate(cluster, profiles, Policy::new(PolicyKind::TopoAwareP), trace);
+        let res = simulate(
+            cluster,
+            profiles,
+            Policy::new(PolicyKind::TopoAwareP),
+            trace,
+        );
         assert_eq!(res.records.len(), 10);
     }
 }

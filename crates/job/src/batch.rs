@@ -156,7 +156,10 @@ mod tests {
 
     #[test]
     fn serde_lowercase() {
-        assert_eq!(serde_json::to_string(&BatchClass::Tiny).unwrap(), "\"tiny\"");
+        assert_eq!(
+            serde_json::to_string(&BatchClass::Tiny).unwrap(),
+            "\"tiny\""
+        );
         let c: BatchClass = serde_json::from_str("\"big\"").unwrap();
         assert_eq!(c, BatchClass::Big);
     }

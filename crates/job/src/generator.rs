@@ -137,7 +137,10 @@ impl WorkloadGenerator {
         let constraints = if self.config.multi_node_fraction > 0.0
             && self.rng.gen_bool(self.config.multi_node_fraction)
         {
-            Constraints { single_node: false, anti_collocate: false }
+            Constraints {
+                single_node: false,
+                anti_collocate: false,
+            }
         } else {
             Constraints::single_node()
         };

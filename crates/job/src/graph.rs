@@ -23,7 +23,10 @@ impl JobGraph {
     /// With `n == 1` the graph has a single vertex and no edges.
     pub fn uniform(n: usize, w: f64) -> Self {
         assert!(n > 0, "a job has at least one task");
-        assert!(w >= 0.0 && w.is_finite(), "weights must be finite and non-negative");
+        assert!(
+            w >= 0.0 && w.is_finite(),
+            "weights must be finite and non-negative"
+        );
         let mut weights = vec![w; n * n];
         for i in 0..n {
             weights[i * n + i] = 0.0;
@@ -60,7 +63,10 @@ impl JobGraph {
     /// ```
     pub fn pipeline(n: usize, w: f64) -> Self {
         assert!(n > 0, "a job has at least one task");
-        assert!(w >= 0.0 && w.is_finite(), "weights must be finite and non-negative");
+        assert!(
+            w >= 0.0 && w.is_finite(),
+            "weights must be finite and non-negative"
+        );
         let mut weights = vec![0.0; n * n];
         for i in 0..n.saturating_sub(1) {
             weights[i * n + (i + 1)] = w;
@@ -73,7 +79,10 @@ impl JobGraph {
     /// shape of a ring allreduce made explicit.
     pub fn ring(n: usize, w: f64) -> Self {
         assert!(n > 0, "a job has at least one task");
-        assert!(w >= 0.0 && w.is_finite(), "weights must be finite and non-negative");
+        assert!(
+            w >= 0.0 && w.is_finite(),
+            "weights must be finite and non-negative"
+        );
         if n <= 2 {
             return Self::uniform(n, w);
         }
@@ -128,7 +137,9 @@ impl JobGraph {
                     ));
                 }
                 if i == j && w != 0.0 {
-                    return Err(format!("communication weight ({i}, {i}) must be 0, got {w}"));
+                    return Err(format!(
+                        "communication weight ({i}, {i}) must be 0, got {w}"
+                    ));
                 }
                 if w != self.weight(j, i) {
                     return Err(format!(
@@ -320,7 +331,9 @@ mod tests {
         assert_eq!(spec, back);
         // Plain jobs serialize without the field at all.
         let plain = JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 2);
-        assert!(!serde_json::to_string(&plain).unwrap().contains("comm_graph"));
+        assert!(!serde_json::to_string(&plain)
+            .unwrap()
+            .contains("comm_graph"));
     }
 
     #[test]
@@ -360,13 +373,37 @@ mod tests {
         let graph = |n: usize, weights: Vec<f64>| JobGraph { n, weights };
         let cases = [
             ("no tasks", graph(0, vec![]), "no tasks"),
-            ("short weights", graph(2, vec![0.0]), "needs 2² weights, got 1"),
-            ("long weights", graph(1, vec![0.0, 1.0]), "needs 1² weights, got 2"),
+            (
+                "short weights",
+                graph(2, vec![0.0]),
+                "needs 2² weights, got 1",
+            ),
+            (
+                "long weights",
+                graph(1, vec![0.0, 1.0]),
+                "needs 1² weights, got 2",
+            ),
             ("overflowing n", graph(usize::MAX, vec![]), "weights, got 0"),
-            ("negative", graph(2, vec![0.0, -1.0, -1.0, 0.0]), "non-negative"),
-            ("NaN", graph(2, vec![0.0, f64::NAN, f64::NAN, 0.0]), "finite"),
-            ("infinite", graph(2, vec![0.0, f64::INFINITY, f64::INFINITY, 0.0]), "finite"),
-            ("diagonal", graph(2, vec![1.0, 2.0, 2.0, 0.0]), "(0, 0) must be 0"),
+            (
+                "negative",
+                graph(2, vec![0.0, -1.0, -1.0, 0.0]),
+                "non-negative",
+            ),
+            (
+                "NaN",
+                graph(2, vec![0.0, f64::NAN, f64::NAN, 0.0]),
+                "finite",
+            ),
+            (
+                "infinite",
+                graph(2, vec![0.0, f64::INFINITY, f64::INFINITY, 0.0]),
+                "finite",
+            ),
+            (
+                "diagonal",
+                graph(2, vec![1.0, 2.0, 2.0, 0.0]),
+                "(0, 0) must be 0",
+            ),
             ("asymmetric", graph(2, vec![0.0, 2.0, 3.0, 0.0]), "differ"),
         ];
         for (name, g, message) in cases {

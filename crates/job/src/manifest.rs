@@ -76,7 +76,10 @@ impl Trace {
     /// Builds a trace, sorting jobs by arrival time for replay.
     pub fn new(source: impl Into<String>, mut jobs: Vec<JobSpec>) -> Self {
         jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-        Self { source: source.into(), jobs }
+        Self {
+            source: source.into(),
+            jobs,
+        }
     }
 
     /// Parses a trace from JSON text.
@@ -145,7 +148,9 @@ mod tests {
 
     #[test]
     fn manifest_round_trip() {
-        let m = JobManifest { jobs: sample_jobs() };
+        let m = JobManifest {
+            jobs: sample_jobs(),
+        };
         let back = JobManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(m, back);
         assert!(m.validate().is_ok());
@@ -176,7 +181,10 @@ mod tests {
         let dir = std::env::temp_dir().join("gts-job-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        let t = Trace::new("generator-seed-42", WorkloadGenerator::with_defaults(42).generate(20));
+        let t = Trace::new(
+            "generator-seed-42",
+            WorkloadGenerator::with_defaults(42).generate(20),
+        );
         t.save(&path).unwrap();
         let back = Trace::load(&path).unwrap();
         assert_eq!(t, back);
@@ -193,7 +201,10 @@ mod tests {
         let mut short_weights = sample_jobs();
         let graph = serde_json::from_str(r#"{"n": 2, "weights": [0.0]}"#).unwrap();
         short_weights[1] = short_weights[1].clone().with_comm_graph(graph);
-        for (jobs, message) in [(zero_gpus, "zero GPUs"), (short_weights, "needs 2² weights")] {
+        for (jobs, message) in [
+            (zero_gpus, "zero GPUs"),
+            (short_weights, "needs 2² weights"),
+        ] {
             Trace::new("invalid", jobs.clone()).save(&path).unwrap();
             let err = Trace::load(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);

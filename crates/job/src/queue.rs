@@ -28,7 +28,9 @@ pub struct WaitQueue<T = ()> {
 
 impl<T> Default for WaitQueue<T> {
     fn default() -> Self {
-        Self { queue: VecDeque::new() }
+        Self {
+            queue: VecDeque::new(),
+        }
     }
 }
 

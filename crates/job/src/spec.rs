@@ -40,7 +40,10 @@ pub struct Constraints {
 impl Constraints {
     /// The default for the paper's experiments: single-node jobs.
     pub fn single_node() -> Self {
-        Self { single_node: true, anti_collocate: false }
+        Self {
+            single_node: true,
+            anti_collocate: false,
+        }
     }
 
     /// Validity check: a job cannot demand both shapes at once.
@@ -223,7 +226,10 @@ mod tests {
         assert!(j.validate().is_err());
 
         let mut j = spec();
-        j.constraints = Constraints { single_node: true, anti_collocate: true };
+        j.constraints = Constraints {
+            single_node: true,
+            anti_collocate: true,
+        };
         assert!(j.validate().is_err());
 
         assert!(spec().validate().is_ok());

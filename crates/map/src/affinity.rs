@@ -32,7 +32,11 @@ impl AffinityGraph {
                 weights[j * n + i] = a;
             }
         }
-        Self { gpus: gpus.to_vec(), n, weights }
+        Self {
+            gpus: gpus.to_vec(),
+            n,
+            weights,
+        }
     }
 
     /// Builds an affinity graph from an explicit distance closure (used for

@@ -121,7 +121,10 @@ pub enum MappingError {
 impl fmt::Display for MappingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MappingError::InsufficientGpus { requested, available } => write!(
+            MappingError::InsufficientGpus {
+                requested,
+                available,
+            } => write!(
                 f,
                 "job requests {requested} GPUs but only {available} are available"
             ),
@@ -385,7 +388,10 @@ fn memoized_split(gpus: &[GpuId], oracle: &dyn PlacementOracle, scratch: &mut Dr
 
 /// Packs a side assignment of at most 32 vertices into a mask.
 fn side_mask(side: &[bool]) -> u32 {
-    side.iter().enumerate().filter(|&(_, &left)| left).fold(0, |m, (i, _)| m | 1 << i)
+    side.iter()
+        .enumerate()
+        .filter(|&(_, &left)| left)
+        .fold(0, |m, (i, _)| m | 1 << i)
 }
 
 /// Splits `gpus` into `(left, right)` by index, keeping their order.
@@ -430,7 +436,16 @@ pub fn drb_map(
     let mut assignment: Vec<Option<GpuId>> = vec![None; n];
     DRB_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut s) => {
-            drb_recurse(job, &tasks, &c, available, oracle, weights, &mut assignment, &mut s);
+            drb_recurse(
+                job,
+                &tasks,
+                &c,
+                available,
+                oracle,
+                weights,
+                &mut assignment,
+                &mut s,
+            );
         }
         // Re-entrant call (an oracle callback mapping again): fall back to
         // a fresh scratch rather than panicking on the RefCell.
@@ -477,9 +492,9 @@ mod tests {
             self.machine.distance(a, b)
         }
         fn interference(&self, gpus: &[GpuId]) -> f64 {
-            let touches_busy = gpus.iter().any(|&g| {
-                self.busy_sockets.contains(&self.machine.socket_of(g))
-            });
+            let touches_busy = gpus
+                .iter()
+                .any(|&g| self.busy_sockets.contains(&self.machine.socket_of(g)));
             if touches_busy {
                 0.7
             } else {
@@ -492,7 +507,10 @@ mod tests {
     }
 
     fn bare(machine: &MachineTopology) -> BareMachine<'_> {
-        BareMachine { machine, busy_sockets: vec![] }
+        BareMachine {
+            machine,
+            busy_sockets: vec![],
+        }
     }
 
     #[test]
@@ -568,7 +586,10 @@ mod tests {
         let err = drb_map(&job, &avail, &oracle, UtilityWeights::default()).unwrap_err();
         assert_eq!(
             err,
-            MappingError::InsufficientGpus { requested: 3, available: 2 }
+            MappingError::InsufficientGpus {
+                requested: 3,
+                available: 2
+            }
         );
     }
 
@@ -602,7 +623,10 @@ mod tests {
                 cross_edges += 1;
             }
         }
-        assert_eq!(cross_edges, 1, "mapping {g:?} cuts {cross_edges} chain edges");
+        assert_eq!(
+            cross_edges, 1,
+            "mapping {g:?} cuts {cross_edges} chain edges"
+        );
     }
 
     #[test]
@@ -616,7 +640,10 @@ mod tests {
             .edges()
             .filter(|&(i, j, _)| m.socket_of(g[i]) != m.socket_of(g[j]))
             .count();
-        assert!(cross <= 2, "a 4-ring over 2 sockets needs at most 2 cuts, got {cross}");
+        assert!(
+            cross <= 2,
+            "a 4-ring over 2 sockets needs at most 2 cuts, got {cross}"
+        );
     }
 
     #[test]

@@ -186,7 +186,10 @@ pub fn fm_bipartition_with(
         }
     }
     assert!(have_best, "at least one seed partition");
-    Bipartition { side: s.winner.clone(), cut: best_cut }
+    Bipartition {
+        side: s.winner.clone(),
+        cut: best_cut,
+    }
 }
 
 /// The classic FM pass loop from seed partition `s.seeds[k]`. Leaves the
@@ -229,7 +232,11 @@ fn fm_from_seed(
                 if s.locked[v] {
                     continue;
                 }
-                let new_left = if s.cur_side[v] { left_count - 1 } else { left_count + 1 };
+                let new_left = if s.cur_side[v] {
+                    left_count - 1
+                } else {
+                    left_count + 1
+                };
                 if new_left + 1 < target_left
                     || new_left > target_left + 1
                     || new_left == 0
@@ -260,13 +267,15 @@ fn fm_from_seed(
             }
             s.cur_side[v] = !s.cur_side[v];
             s.gains[v] = -gv;
-            left_count = if s.cur_side[v] { left_count + 1 } else { left_count - 1 };
+            left_count = if s.cur_side[v] {
+                left_count + 1
+            } else {
+                left_count - 1
+            };
             cur_cut -= gv;
             s.locked[v] = true;
             s.moves.push(v);
-            if left_count == target_left
-                && best_prefix.is_none_or(|(_, c)| cur_cut < c)
-            {
+            if left_count == target_left && best_prefix.is_none_or(|(_, c)| cur_cut < c) {
                 best_prefix = Some((s.moves.len(), cur_cut));
             }
         }
@@ -413,6 +422,9 @@ mod tests {
         }
         // And the big graph again after the small one shrank the buffers.
         let again = fm_bipartition_with(&gb, 8, 4, &mut reused);
-        assert_eq!(again, fm_bipartition_with(&gb, 8, 4, &mut FmScratch::default()));
+        assert_eq!(
+            again,
+            fm_bipartition_with(&gb, 8, 4, &mut FmScratch::default())
+        );
     }
 }

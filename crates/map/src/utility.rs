@@ -44,7 +44,11 @@ impl Default for UtilityWeights {
     /// "We set equal weights (0.33) to the parameters of the utility
     /// function" (§5.2.1).
     fn default() -> Self {
-        Self { cc: 1.0 / 3.0, b: 1.0 / 3.0, d: 1.0 / 3.0 }
+        Self {
+            cc: 1.0 / 3.0,
+            b: 1.0 / 3.0,
+            d: 1.0 / 3.0,
+        }
     }
 }
 
@@ -186,13 +190,20 @@ mod tests {
     fn u_domains_penalizes_spanning() {
         assert_eq!(UtilityComponents::u_domains_from_span(1, 2), 1.0);
         assert_eq!(UtilityComponents::u_domains_from_span(2, 2), 0.0);
-        assert_eq!(UtilityComponents::u_domains_from_span(2, 4), 1.0 - 1.0 / 3.0);
+        assert_eq!(
+            UtilityComponents::u_domains_from_span(2, 4),
+            1.0 - 1.0 / 3.0
+        );
         assert_eq!(UtilityComponents::u_domains_from_span(1, 1), 1.0);
     }
 
     #[test]
     fn ideal_placement_scores_one() {
-        let c = UtilityComponents { u_cc: 1.0, u_interference: 1.0, u_domains: 1.0 };
+        let c = UtilityComponents {
+            u_cc: 1.0,
+            u_interference: 1.0,
+            u_domains: 1.0,
+        };
         assert!((utility(c, UtilityWeights::default()) - 1.0).abs() < 1e-12);
     }
 
@@ -212,7 +223,11 @@ mod tests {
 
     #[test]
     fn weights_shift_the_score() {
-        let c = UtilityComponents { u_cc: 0.0, u_interference: 1.0, u_domains: 1.0 };
+        let c = UtilityComponents {
+            u_cc: 0.0,
+            u_interference: 1.0,
+            u_domains: 1.0,
+        };
         let comm_heavy = UtilityWeights::new(0.8, 0.1, 0.1).unwrap();
         let frag_heavy = UtilityWeights::new(0.1, 0.1, 0.8).unwrap();
         assert!(utility(c, comm_heavy) < utility(c, frag_heavy));

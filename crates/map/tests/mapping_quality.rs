@@ -1,8 +1,8 @@
 //! Quality guarantees for the mapping engine, checked against brute force.
 #![allow(clippy::needless_range_loop)] // symmetric matrix fills read clearer indexed
 
-use gts_map::{drb_map, fm_bipartition, AffinityGraph, PlacementOracle, UtilityWeights};
 use gts_job::JobGraph;
+use gts_map::{drb_map, fm_bipartition, AffinityGraph, PlacementOracle, UtilityWeights};
 use gts_topo::{power8_minsky, symmetric_machine, GpuId, LinkProfile, MachineTopology};
 use proptest::prelude::*;
 
@@ -198,7 +198,11 @@ fn extra_fm_passes_never_worsen_the_cut() {
         let mut prev = f64::INFINITY;
         for passes in [1usize, 2, 4, 8] {
             let cut = fm_bipartition(&g, gpus.len() / 2, passes).cut;
-            assert!(cut <= prev + 1e-12, "{}: {passes} passes worsened the cut", machine.name());
+            assert!(
+                cut <= prev + 1e-12,
+                "{}: {passes} passes worsened the cut",
+                machine.name()
+            );
             prev = cut;
         }
     }

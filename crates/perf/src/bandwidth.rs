@@ -50,7 +50,10 @@ impl BandwidthTrace {
                 (mean * jitter).max(0.0)
             })
             .collect();
-        Self { period_s: 1.0, samples_gbs }
+        Self {
+            period_s: 1.0,
+            samples_gbs,
+        }
     }
 
     /// Mean of the samples (0 for an empty trace).
@@ -114,7 +117,10 @@ mod tests {
 
     #[test]
     fn non_communicating_job_shows_base_traffic() {
-        let it = IterTime { compute_s: 0.025, comm_s: 0.0 };
+        let it = IterTime {
+            compute_s: 0.025,
+            comm_s: 0.0,
+        };
         assert_eq!(sampled_bandwidth_gbs(it, 0.0), 4.0);
     }
 
@@ -135,7 +141,10 @@ mod tests {
 
     #[test]
     fn empty_trace_statistics() {
-        let t = BandwidthTrace { period_s: 1.0, samples_gbs: vec![] };
+        let t = BandwidthTrace {
+            period_s: 1.0,
+            samples_gbs: vec![],
+        };
         assert_eq!(t.mean_gbs(), 0.0);
         assert_eq!(t.peak_gbs(), 0.0);
     }

@@ -56,7 +56,13 @@ mod tests {
 
     fn bd(model: NnModel, batch: BatchClass) -> Breakdown {
         let m = power8_minsky();
-        breakdown(&m, model, batch, &[GpuId(0), GpuId(1)], &[GpuId(0), GpuId(2)])
+        breakdown(
+            &m,
+            model,
+            batch,
+            &[GpuId(0), GpuId(1)],
+            &[GpuId(0), GpuId(2)],
+        )
     }
 
     #[test]

@@ -134,12 +134,18 @@ mod tests {
         let comm = 0.050;
         let duty_b1 = comm / (COMPUTE_BASE_S + COMPUTE_PER_SAMPLE_S + comm);
         let bw_b1 = BW_SAMPLE_BASE_GBS + BW_SAMPLE_PEAK_GBS * duty_b1;
-        assert!((38.0..42.0).contains(&bw_b1), "batch-1 ≈ 40 GB/s, got {bw_b1}");
+        assert!(
+            (38.0..42.0).contains(&bw_b1),
+            "batch-1 ≈ 40 GB/s, got {bw_b1}"
+        );
 
         let comp_128 = COMPUTE_BASE_S + 128.0 * COMPUTE_PER_SAMPLE_S;
         let duty_b128 = comm / (comp_128 + comm);
         let bw_b128 = BW_SAMPLE_BASE_GBS + BW_SAMPLE_PEAK_GBS * duty_b128;
-        assert!((5.0..7.0).contains(&bw_b128), "batch-128 ≈ 6 GB/s, got {bw_b128}");
+        assert!(
+            (5.0..7.0).contains(&bw_b128),
+            "batch-128 ≈ 6 GB/s, got {bw_b128}"
+        );
     }
 
     #[test]

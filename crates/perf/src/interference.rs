@@ -122,10 +122,7 @@ mod tests {
         // Different sockets, same machine.
         assert_eq!(domain_factor(&m, &[GpuId(0)], &[GpuId(2)]), 0.35);
         // Overlapping multi-GPU sets: sharing any socket counts fully.
-        assert_eq!(
-            domain_factor(&m, &[GpuId(0), GpuId(2)], &[GpuId(3)]),
-            1.0
-        );
+        assert_eq!(domain_factor(&m, &[GpuId(0), GpuId(2)], &[GpuId(3)]), 1.0);
         // Empty sets do not interfere.
         assert_eq!(domain_factor(&m, &[], &[GpuId(0)]), 0.0);
     }

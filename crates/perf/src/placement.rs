@@ -338,12 +338,27 @@ mod tests {
         let m = power8_minsky();
         let graph = JobGraph::pipeline(4, 4.0);
         // Chain mapped in socket order: only edge (1,2) crosses the bus.
-        let good = graph_iter_time(&m, NnModel::AlexNet, 1, &graph,
-            &[GpuId(0), GpuId(1), GpuId(2), GpuId(3)]);
+        let good = graph_iter_time(
+            &m,
+            NnModel::AlexNet,
+            1,
+            &graph,
+            &[GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
+        );
         // Chain interleaved across sockets: every edge crosses.
-        let bad = graph_iter_time(&m, NnModel::AlexNet, 1, &graph,
-            &[GpuId(0), GpuId(2), GpuId(1), GpuId(3)]);
-        assert!(good.comm_s < bad.comm_s, "{} !< {}", good.comm_s, bad.comm_s);
+        let bad = graph_iter_time(
+            &m,
+            NnModel::AlexNet,
+            1,
+            &graph,
+            &[GpuId(0), GpuId(2), GpuId(1), GpuId(3)],
+        );
+        assert!(
+            good.comm_s < bad.comm_s,
+            "{} !< {}",
+            good.comm_s,
+            bad.comm_s
+        );
         assert_eq!(good.compute_s, bad.compute_s);
     }
 
@@ -352,10 +367,9 @@ mod tests {
         use gts_job::JobGraph;
         let m = power8_minsky();
         let graph = JobGraph::uniform(2, 4.0);
-        let via_graph =
-            graph_iter_time(&m, NnModel::AlexNet, 1, &graph, &[GpuId(0), GpuId(1)]);
-        let via_ring = PlacementPerf::evaluate(&m, &[GpuId(0), GpuId(1)])
-            .iter_time(NnModel::AlexNet, 1);
+        let via_graph = graph_iter_time(&m, NnModel::AlexNet, 1, &graph, &[GpuId(0), GpuId(1)]);
+        let via_ring =
+            PlacementPerf::evaluate(&m, &[GpuId(0), GpuId(1)]).iter_time(NnModel::AlexNet, 1);
         assert!((via_graph.comm_s - via_ring.comm_s).abs() < 1e-9);
     }
 
@@ -364,8 +378,13 @@ mod tests {
         use gts_job::JobGraph;
         let m = power8_minsky();
         let graph = JobGraph::pipeline(3, 0.0);
-        let it = graph_iter_time(&m, NnModel::AlexNet, 1, &graph,
-            &[GpuId(0), GpuId(1), GpuId(2)]);
+        let it = graph_iter_time(
+            &m,
+            NnModel::AlexNet,
+            1,
+            &graph,
+            &[GpuId(0), GpuId(1), GpuId(2)],
+        );
         assert_eq!(it.comm_s, 0.0);
     }
 
@@ -376,8 +395,8 @@ mod tests {
         let pipeline = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 4)
             .with_iterations(100)
             .with_comm_graph(JobGraph::pipeline(4, 4.0));
-        let dataparallel = JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4)
-            .with_iterations(100);
+        let dataparallel =
+            JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_iterations(100);
         let all: Vec<GpuId> = m.gpus().collect();
         // The pipeline only talks along the chain → cheaper than the
         // all-to-all data-parallel exchange on the same GPUs.
@@ -389,8 +408,14 @@ mod tests {
         use gts_topo::{ClusterTopology, GlobalGpuId, MachineId};
         let c = ClusterTopology::homogeneous(power8_minsky(), 2);
         let gpus = [
-            GlobalGpuId { machine: MachineId(1), gpu: GpuId(0) },
-            GlobalGpuId { machine: MachineId(1), gpu: GpuId(1) },
+            GlobalGpuId {
+                machine: MachineId(1),
+                gpu: GpuId(0),
+            },
+            GlobalGpuId {
+                machine: MachineId(1),
+                gpu: GpuId(1),
+            },
         ];
         let p = PlacementPerf::evaluate_cluster(&c, &gpus);
         assert_eq!(p.route, RouteClass::P2p);
@@ -402,8 +427,14 @@ mod tests {
         use gts_topo::{ClusterTopology, GlobalGpuId, MachineId};
         let c = ClusterTopology::homogeneous(power8_minsky(), 2);
         let gpus = [
-            GlobalGpuId { machine: MachineId(0), gpu: GpuId(0) },
-            GlobalGpuId { machine: MachineId(1), gpu: GpuId(0) },
+            GlobalGpuId {
+                machine: MachineId(0),
+                gpu: GpuId(0),
+            },
+            GlobalGpuId {
+                machine: MachineId(1),
+                gpu: GpuId(0),
+            },
         ];
         let p = PlacementPerf::evaluate_cluster(&c, &gpus);
         assert_eq!(p.route, RouteClass::HostRouted);

@@ -54,7 +54,8 @@ pub fn profile_for(
     batch: BatchClass,
     seed: u64,
 ) -> JobProfile {
-    let mut rng = StdRng::seed_from_u64(seed ^ ((model.index() as u64) << 8 | batch.index() as u64));
+    let mut rng =
+        StdRng::seed_from_u64(seed ^ ((model.index() as u64) << 8 | batch.index() as u64));
     let b = batch.representative_batch();
 
     let measure = |gpus: &[GpuId], rng: &mut StdRng| -> f64 {
@@ -134,7 +135,8 @@ mod tests {
         for model in NnModel::ALL {
             for batch in BatchClass::ALL {
                 let p = lib.get(model, batch);
-                p.validate().unwrap_or_else(|e| panic!("{model}/{batch}: {e}"));
+                p.validate()
+                    .unwrap_or_else(|e| panic!("{model}/{batch}: {e}"));
             }
         }
         let lib2 = ProfileLibrary::generate(&m, 42);
@@ -176,7 +178,10 @@ mod tests {
         for model in NnModel::ALL {
             for batch in BatchClass::ALL {
                 let p = profile_for(&m, model, batch, 99);
-                assert!(p.iter_time_spread_s >= p.iter_time_packed_s, "{model}/{batch}");
+                assert!(
+                    p.iter_time_spread_s >= p.iter_time_packed_s,
+                    "{model}/{batch}"
+                );
             }
         }
     }

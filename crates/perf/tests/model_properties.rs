@@ -107,8 +107,7 @@ proptest! {
 fn googlenet_is_always_the_least_communicative() {
     let m = power8_minsky();
     for b in [1u32, 4, 16, 64] {
-        let g = PlacementPerf::evaluate(&m, &[GpuId(0), GpuId(1)])
-            .iter_time(NnModel::GoogLeNet, b);
+        let g = PlacementPerf::evaluate(&m, &[GpuId(0), GpuId(1)]).iter_time(NnModel::GoogLeNet, b);
         for other in [NnModel::AlexNet, NnModel::CaffeRef] {
             let o = PlacementPerf::evaluate(&m, &[GpuId(0), GpuId(1)]).iter_time(other, b);
             assert!(g.comm_s < o.comm_s, "b={b} {other}");

@@ -76,7 +76,12 @@ impl MachineBuilder {
         }
     }
 
-    pub(crate) fn add_gpu(&mut self, socket: SocketId, attach_to: NodeIdx, link: LinkKind) -> NodeIdx {
+    pub(crate) fn add_gpu(
+        &mut self,
+        socket: SocketId,
+        attach_to: NodeIdx,
+        link: LinkKind,
+    ) -> NodeIdx {
         let id = GpuId(self.gpus.len() as u32);
         let node = self.graph.add_node(NodeKind::Gpu(id));
         self.graph
@@ -180,8 +185,16 @@ pub fn dgx1() -> MachineTopology {
         }
     }
     // NVLink mesh.
-    let quad = |base: usize| [(base, base + 1), (base, base + 2), (base, base + 3),
-                              (base + 1, base + 2), (base + 1, base + 3), (base + 2, base + 3)];
+    let quad = |base: usize| {
+        [
+            (base, base + 1),
+            (base, base + 2),
+            (base, base + 3),
+            (base + 1, base + 2),
+            (base + 1, base + 3),
+            (base + 2, base + 3),
+        ]
+    };
     for (a, bb) in quad(0).into_iter().chain(quad(4)) {
         b.peer_edge(b.gpus[a], b.gpus[bb], nv1);
     }
@@ -201,9 +214,7 @@ pub fn power9_ac922() -> MachineTopology {
     for s in 0..2u32 {
         let socket = SocketId(s);
         let sock_node = b.sockets[s as usize];
-        let local: Vec<NodeIdx> = (0..3)
-            .map(|_| b.add_gpu(socket, sock_node, nv3))
-            .collect();
+        let local: Vec<NodeIdx> = (0..3).map(|_| b.add_gpu(socket, sock_node, nv3)).collect();
         for i in 0..local.len() {
             for j in (i + 1)..local.len() {
                 b.peer_edge(local[i], local[j], nv3);
@@ -249,7 +260,10 @@ pub fn symmetric_machine(
     profile: LinkProfile,
 ) -> MachineTopology {
     assert!(n_sockets > 0, "a machine needs at least one socket");
-    assert!(gpus_per_socket > 0, "a machine needs at least one GPU per socket");
+    assert!(
+        gpus_per_socket > 0,
+        "a machine needs at least one GPU per socket"
+    );
     let mut b = MachineBuilder::new(n_sockets);
     for s in 0..n_sockets {
         let socket = SocketId(s as u32);

@@ -68,10 +68,13 @@ impl ClusterTopology {
     pub fn homogeneous(machine: MachineTopology, n: usize) -> Self {
         assert!(n > 0, "a cluster needs at least one machine");
         let shared = Arc::new(machine);
-        let machines: Vec<Arc<MachineTopology>> =
-            (0..n).map(|_| Arc::clone(&shared)).collect();
+        let machines: Vec<Arc<MachineTopology>> = (0..n).map(|_| Arc::clone(&shared)).collect();
         let class_of = classes_of(&machines);
-        Self { machines, racks: None, class_of }
+        Self {
+            machines,
+            racks: None,
+            class_of,
+        }
     }
 
     /// A cluster of identical machines arranged in racks: `n_racks` racks of
@@ -82,11 +85,13 @@ impl ClusterTopology {
         n_racks: usize,
         machines_per_rack: usize,
     ) -> Self {
-        assert!(n_racks > 0 && machines_per_rack > 0, "racks and machines must be positive");
+        assert!(
+            n_racks > 0 && machines_per_rack > 0,
+            "racks and machines must be positive"
+        );
         let shared = Arc::new(machine);
         let n = n_racks * machines_per_rack;
-        let machines: Vec<Arc<MachineTopology>> =
-            (0..n).map(|_| Arc::clone(&shared)).collect();
+        let machines: Vec<Arc<MachineTopology>> = (0..n).map(|_| Arc::clone(&shared)).collect();
         let class_of = classes_of(&machines);
         Self {
             machines,
@@ -100,7 +105,11 @@ impl ClusterTopology {
     pub fn from_machines(machines: Vec<Arc<MachineTopology>>) -> Self {
         assert!(!machines.is_empty(), "a cluster needs at least one machine");
         let class_of = classes_of(&machines);
-        Self { machines, racks: None, class_of }
+        Self {
+            machines,
+            racks: None,
+            class_of,
+        }
     }
 
     /// The machine's topology class: machines sharing one
@@ -113,15 +122,16 @@ impl ClusterTopology {
 
     /// Number of distinct topology classes (1 for homogeneous clusters).
     pub fn n_machine_classes(&self) -> usize {
-        self.class_of.iter().copied().max().map_or(0, |m| m as usize + 1)
+        self.class_of
+            .iter()
+            .copied()
+            .max()
+            .map_or(0, |m| m as usize + 1)
     }
 
     /// The rack a machine sits in (0 on flat fabrics).
     pub fn rack_of(&self, machine: MachineId) -> u32 {
-        self.racks
-            .as_ref()
-            .map(|r| r[machine.index()])
-            .unwrap_or(0)
+        self.racks.as_ref().map(|r| r[machine.index()]).unwrap_or(0)
     }
 
     /// Number of racks (1 on flat fabrics).
@@ -160,7 +170,9 @@ impl ClusterTopology {
     /// All GPUs in the cluster, machine-major order.
     pub fn gpus(&self) -> impl Iterator<Item = GlobalGpuId> + '_ {
         self.machines().flat_map(move |m| {
-            self.machine(m).gpus().map(move |g| GlobalGpuId { machine: m, gpu: g })
+            self.machine(m)
+                .gpus()
+                .map(move |g| GlobalGpuId { machine: m, gpu: g })
         })
     }
 
@@ -216,16 +228,28 @@ mod tests {
     #[test]
     fn intra_machine_distance_delegates() {
         let c = cluster(2);
-        let a = GlobalGpuId { machine: MachineId(0), gpu: GpuId(0) };
-        let b = GlobalGpuId { machine: MachineId(0), gpu: GpuId(1) };
+        let a = GlobalGpuId {
+            machine: MachineId(0),
+            gpu: GpuId(0),
+        };
+        let b = GlobalGpuId {
+            machine: MachineId(0),
+            gpu: GpuId(1),
+        };
         assert_eq!(c.distance(a, b), 1.0);
     }
 
     #[test]
     fn cross_machine_distance_dominates_everything_intra() {
         let c = cluster(2);
-        let a = GlobalGpuId { machine: MachineId(0), gpu: GpuId(0) };
-        let b = GlobalGpuId { machine: MachineId(1), gpu: GpuId(0) };
+        let a = GlobalGpuId {
+            machine: MachineId(0),
+            gpu: GpuId(0),
+        };
+        let b = GlobalGpuId {
+            machine: MachineId(1),
+            gpu: GpuId(0),
+        };
         let cross = c.distance(a, b);
         assert_eq!(cross, 2.0 * 41.0 + 200.0);
         assert!(cross > c.machine(MachineId(0)).max_pair_distance());
@@ -234,8 +258,14 @@ mod tests {
     #[test]
     fn distance_is_symmetric() {
         let c = cluster(3);
-        let a = GlobalGpuId { machine: MachineId(0), gpu: GpuId(3) };
-        let b = GlobalGpuId { machine: MachineId(2), gpu: GpuId(1) };
+        let a = GlobalGpuId {
+            machine: MachineId(0),
+            gpu: GpuId(3),
+        };
+        let b = GlobalGpuId {
+            machine: MachineId(2),
+            gpu: GpuId(1),
+        };
         assert_eq!(c.distance(a, b), c.distance(b, a));
         assert_eq!(c.distance(a, a), 0.0);
     }
@@ -244,9 +274,18 @@ mod tests {
     fn pairwise_cost_mixes_intra_and_cross() {
         let c = cluster(2);
         let set = [
-            GlobalGpuId { machine: MachineId(0), gpu: GpuId(0) },
-            GlobalGpuId { machine: MachineId(0), gpu: GpuId(1) },
-            GlobalGpuId { machine: MachineId(1), gpu: GpuId(0) },
+            GlobalGpuId {
+                machine: MachineId(0),
+                gpu: GpuId(0),
+            },
+            GlobalGpuId {
+                machine: MachineId(0),
+                gpu: GpuId(1),
+            },
+            GlobalGpuId {
+                machine: MachineId(1),
+                gpu: GpuId(0),
+            },
         ];
         let expected = 1.0 + 282.0 + 282.0;
         assert_eq!(c.pairwise_cost(&set), expected);
@@ -309,7 +348,10 @@ mod tests {
         assert_eq!(c.rack_of(MachineId(1)), 0);
         assert_eq!(c.rack_of(MachineId(2)), 1);
 
-        let g = |m: u32| GlobalGpuId { machine: MachineId(m), gpu: GpuId(0) };
+        let g = |m: u32| GlobalGpuId {
+            machine: MachineId(m),
+            gpu: GpuId(0),
+        };
         let same_rack = c.distance(g(0), g(1));
         let cross_rack = c.distance(g(0), g(2));
         assert_eq!(same_rack, 282.0);

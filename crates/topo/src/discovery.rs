@@ -99,7 +99,9 @@ fn parse_token(tok: &str) -> Result<Relation, DiscoveryError> {
         "PIX" | "PXB" => Ok(Relation::SameSwitch),
         "PHB" | "NODE" => Ok(Relation::SameSocket),
         "SYS" => Ok(Relation::CrossSocket),
-        _ => Err(DiscoveryError::UnknownToken { token: tok.to_string() }),
+        _ => Err(DiscoveryError::UnknownToken {
+            token: tok.to_string(),
+        }),
     }
 }
 
@@ -121,7 +123,11 @@ pub fn parse_topo_matrix(text: &str) -> Result<MachineTopology, DiscoveryError> 
     // Locate the header: the first line whose fields start with GPU names.
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines
-        .find(|l| l.split_whitespace().next().is_some_and(|w| w.starts_with("GPU")))
+        .find(|l| {
+            l.split_whitespace()
+                .next()
+                .is_some_and(|w| w.starts_with("GPU"))
+        })
         .ok_or(DiscoveryError::MissingHeader)?;
     let header_gpus = header
         .split_whitespace()
@@ -142,10 +148,14 @@ pub fn parse_topo_matrix(text: &str) -> Result<MachineTopology, DiscoveryError> 
         }
         let fields: Vec<&str> = fields.collect();
         if fields.len() < header_gpus {
-            return Err(DiscoveryError::RaggedRow { row: label.to_string() });
+            return Err(DiscoveryError::RaggedRow {
+                row: label.to_string(),
+            });
         }
-        let rels: Result<Vec<Relation>, _> =
-            fields[..header_gpus].iter().map(|t| parse_token(t)).collect();
+        let rels: Result<Vec<Relation>, _> = fields[..header_gpus]
+            .iter()
+            .map(|t| parse_token(t))
+            .collect();
         matrix.push(rels?);
         affinities.push(fields.get(header_gpus).map(|s| s.to_string()));
     }
@@ -154,7 +164,9 @@ pub fn parse_topo_matrix(text: &str) -> Result<MachineTopology, DiscoveryError> 
         return Err(DiscoveryError::NoGpus);
     }
     if n != header_gpus {
-        return Err(DiscoveryError::RaggedRow { row: format!("GPU{}", n) });
+        return Err(DiscoveryError::RaggedRow {
+            row: format!("GPU{}", n),
+        });
     }
     for (i, row) in matrix.iter().enumerate() {
         for (j, &rel) in row.iter().enumerate() {
@@ -312,8 +324,7 @@ pub fn to_topo_matrix(machine: &MachineTopology) -> String {
                     .neighbors(machine.gpu_node(a))
                     .iter()
                     .find(|e| {
-                        e.to == machine.gpu_node(b)
-                            && matches!(e.kind, LinkKind::NvLink { .. })
+                        e.to == machine.gpu_node(b) && matches!(e.kind, LinkKind::NvLink { .. })
                     })
                     .map(|e| match e.kind {
                         LinkKind::NvLink { lanes } => lanes,
@@ -474,7 +485,12 @@ GPU0     X      NV2
             let parsed = parse_topo_matrix(&text)
                 .unwrap_or_else(|e| panic!("{}: {e}\n{text}", machine.name()));
             assert_eq!(parsed.n_gpus(), machine.n_gpus(), "{}", machine.name());
-            assert_eq!(parsed.n_sockets(), machine.n_sockets(), "{}", machine.name());
+            assert_eq!(
+                parsed.n_sockets(),
+                machine.n_sockets(),
+                "{}",
+                machine.name()
+            );
             for a in machine.gpus() {
                 for b in machine.gpus() {
                     if a == b {

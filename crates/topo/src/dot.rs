@@ -58,7 +58,10 @@ mod tests {
         assert!(dot.starts_with("graph \"minsky\" {"));
         assert!(dot.trim_end().ends_with('}'));
         for label in ["M0", "S0", "S1", "GPU0", "GPU3"] {
-            assert!(dot.contains(&format!("label=\"{label}\"")), "missing {label}");
+            assert!(
+                dot.contains(&format!("label=\"{label}\"")),
+                "missing {label}"
+            );
         }
         // 9 edges → 9 `--` lines.
         assert_eq!(dot.matches(" -- ").count(), m.graph().edge_count());

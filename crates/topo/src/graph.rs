@@ -77,15 +77,29 @@ impl TopoGraph {
     /// Panics if either endpoint is out of bounds, if `a == b` (the topology
     /// has no self-loops) or if `weight` is not finite and positive.
     pub fn add_edge(&mut self, a: NodeIdx, b: NodeIdx, weight: f64, kind: LinkKind) {
-        assert!(a.index() < self.nodes.len(), "edge endpoint {a:?} out of bounds");
-        assert!(b.index() < self.nodes.len(), "edge endpoint {b:?} out of bounds");
+        assert!(
+            a.index() < self.nodes.len(),
+            "edge endpoint {a:?} out of bounds"
+        );
+        assert!(
+            b.index() < self.nodes.len(),
+            "edge endpoint {b:?} out of bounds"
+        );
         assert_ne!(a, b, "self-loops are not allowed in a physical topology");
         assert!(
             weight.is_finite() && weight > 0.0,
             "edge weight must be finite and positive, got {weight}"
         );
-        self.adjacency[a.index()].push(EdgeRef { to: b, weight, kind });
-        self.adjacency[b.index()].push(EdgeRef { to: a, weight, kind });
+        self.adjacency[a.index()].push(EdgeRef {
+            to: b,
+            weight,
+            kind,
+        });
+        self.adjacency[b.index()].push(EdgeRef {
+            to: a,
+            weight,
+            kind,
+        });
         self.edge_count += 1;
     }
 

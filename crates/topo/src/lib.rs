@@ -39,7 +39,9 @@ pub mod node;
 pub mod numa;
 pub mod paths;
 
-pub use builders::{dgx1, dgx2, power8_minsky, power8_pcie_k80, power9_ac922, symmetric_machine, LinkProfile};
+pub use builders::{
+    dgx1, dgx2, power8_minsky, power8_pcie_k80, power9_ac922, symmetric_machine, LinkProfile,
+};
 pub use cluster::{ClusterTopology, GlobalGpuId};
 pub use discovery::{parse_topo_matrix, to_topo_matrix, DiscoveryError};
 pub use dot::to_dot;

@@ -162,7 +162,9 @@ impl MachineTopology {
 
     /// GPUs attached to `socket`, ascending.
     pub fn gpus_in_socket(&self, socket: SocketId) -> Vec<GpuId> {
-        self.gpus().filter(|&g| self.socket_of(g) == socket).collect()
+        self.gpus()
+            .filter(|&g| self.socket_of(g) == socket)
+            .collect()
     }
 
     /// Qualitative distance between two GPUs (0 for the same GPU).
@@ -468,7 +470,7 @@ mod tests {
         assert_eq!(m.best_pairwise_cost(0), 0.0);
         assert_eq!(m.best_pairwise_cost(1), 0.0);
         assert_eq!(m.best_pairwise_cost(2), 1.0); // NVLink pair
-        // 3 GPUs: best is a pair plus a cross-socket GPU: 1 + 22 + 22.
+                                                  // 3 GPUs: best is a pair plus a cross-socket GPU: 1 + 22 + 22.
         assert_eq!(m.best_pairwise_cost(3), 45.0);
         // All 4: 2 pairs + 4 cross pairs.
         assert_eq!(m.best_pairwise_cost(4), 2.0 + 4.0 * 22.0);

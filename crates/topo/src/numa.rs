@@ -92,14 +92,20 @@ impl NumaInfo {
                 continue;
             }
             let Some(id_str) = parts.next() else { continue };
-            let Ok(id) = id_str.parse::<u32>() else { continue };
+            let Ok(id) = id_str.parse::<u32>() else {
+                continue;
+            };
             match parts.next() {
                 Some("cpus:") => {
                     let cpus: Result<Vec<u32>, _> = parts.map(|t| t.parse()).collect();
                     let cpus = cpus.map_err(|_| NumaParseError::Malformed {
                         line: line.to_string(),
                     })?;
-                    nodes.push(NumaNode { id, cpus, size_mb: 0 });
+                    nodes.push(NumaNode {
+                        id,
+                        cpus,
+                        size_mb: 0,
+                    });
                 }
                 Some("size:") => {
                     if let (Some(v), Some(node)) =
@@ -118,9 +124,7 @@ impl NumaInfo {
             return Err(NumaParseError::NoNodes);
         }
         nodes.sort_by_key(|n| n.id);
-        if distances.len() != nodes.len()
-            || distances.iter().any(|r| r.len() != nodes.len())
-        {
+        if distances.len() != nodes.len() || distances.iter().any(|r| r.len() != nodes.len()) {
             return Err(NumaParseError::BadDistances);
         }
         Ok(Self { nodes, distances })
@@ -138,16 +142,16 @@ impl NumaInfo {
 
     /// CPUs of a node, if it exists.
     pub fn cpus_of(&self, node: u32) -> Option<&[u32]> {
-        self.nodes.iter().find(|n| n.id == node).map(|n| n.cpus.as_slice())
+        self.nodes
+            .iter()
+            .find(|n| n.id == node)
+            .map(|n| n.cpus.as_slice())
     }
 
     /// The §5.1 enforcement command for a job bound to one socket, e.g.
     /// `numactl --cpunodebind=0 --membind=0`.
     pub fn bind_command(&self, socket: SocketId) -> String {
-        format!(
-            "numactl --cpunodebind={id} --membind={id}",
-            id = socket.0
-        )
+        format!("numactl --cpunodebind={id} --membind={id}", id = socket.0)
     }
 }
 

@@ -30,7 +30,9 @@ impl PartialOrd for Cost {
 impl Ord for Cost {
     fn cmp(&self, other: &Self) -> Ordering {
         // Finite, non-NaN by construction.
-        self.0.partial_cmp(&other.0).expect("path costs are never NaN")
+        self.0
+            .partial_cmp(&other.0)
+            .expect("path costs are never NaN")
     }
 }
 
@@ -70,12 +72,7 @@ impl PathInfo {
         let through_host = transit
             .unwrap_or_default()
             .iter()
-            .any(|&v| {
-                !matches!(
-                    graph.node(v),
-                    NodeKind::Switch { .. } | NodeKind::Gpu(_)
-                )
-            });
+            .any(|&v| !matches!(graph.node(v), NodeKind::Switch { .. } | NodeKind::Gpu(_)));
         !through_host && !self.links.iter().any(|l| l.breaks_p2p())
     }
 }

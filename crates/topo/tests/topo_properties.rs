@@ -1,8 +1,6 @@
 //! Property-based invariants of the topology substrate.
 
-use gts_topo::{
-    dgx1, power8_minsky, symmetric_machine, GpuId, LinkProfile, MachineTopology,
-};
+use gts_topo::{dgx1, power8_minsky, symmetric_machine, GpuId, LinkProfile, MachineTopology};
 use proptest::prelude::*;
 
 fn arb_machine() -> impl Strategy<Value = MachineTopology> {
