@@ -60,12 +60,12 @@ pub struct EvalParams {
     /// sweeps.
     pub threads: usize,
     /// Always `false`, and read by nothing: the sharded path it switched
-    /// is retired (DESIGN.md §10). The field stays so that callers
-    /// reporting it keep compiling.
+    /// is deleted. The field stays so that callers reporting it keep
+    /// compiling.
     pub shard_par: bool,
     /// Always `true`, and read by nothing: the shard bound it named is
-    /// retired (DESIGN.md §11). The field stays so that callers reporting
-    /// it keep compiling.
+    /// deleted. The field stays so that callers reporting it keep
+    /// compiling.
     pub shard_bound: bool,
     /// Always `true`, and read by nothing: on the production path the
     /// scheduler always answers a retry on an unchanged state from its
@@ -94,15 +94,10 @@ impl EvalParams {
     /// hosts.
     pub fn from_env() -> Self {
         static CACHED: OnceLock<usize> = OnceLock::new();
-        Self::with_threads(
-            *CACHED.get_or_init(|| match std::env::var("GTS_EVAL_THREADS") {
-                Ok(v) => match v.trim().parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => default_threads(),
-                },
-                Err(_) => default_threads(),
-            }),
-        )
+        Self::with_threads(*CACHED.get_or_init(|| {
+            std::env::var("GTS_EVAL_THREADS")
+                .map_or_else(|_| default_threads(), |v| eval_threads(&v))
+        }))
     }
 
     fn with_threads(threads: usize) -> Self {
@@ -123,6 +118,16 @@ impl EvalParams {
 impl Default for EvalParams {
     fn default() -> Self {
         Self::from_env()
+    }
+}
+
+/// The `threads` value a `GTS_EVAL_THREADS` setting selects: a positive
+/// integer, surrounding whitespace allowed, as given; anything else the
+/// default.
+fn eval_threads(value: &str) -> usize {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => default_threads(),
     }
 }
 
@@ -645,6 +650,7 @@ mod tests {
     use crate::state::on_machine;
     use gts_perf::ProfileLibrary;
     use gts_topo::{power8_minsky, ClusterTopology};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn state(n_machines: usize) -> ClusterState {
@@ -694,10 +700,38 @@ mod tests {
     }
 
     #[test]
-    fn env_knob_parses_and_clamps() {
+    fn parallel_clamps_to_two() {
         assert!(EvalParams::sequential().is_sequential());
         assert!(!EvalParams::parallel(1).is_sequential());
         assert_eq!(EvalParams::parallel(1).threads, 2);
+    }
+
+    #[test]
+    fn eval_threads_selects_the_reference_or_the_default() {
+        for value in ["1", " 1\n"] {
+            let params = EvalParams::with_threads(eval_threads(value));
+            assert!(params.is_sequential(), "{value:?}");
+        }
+        assert!(default_threads() >= 2);
+        for value in ["", "0", "-1", "abc", "18446744073709551616"] {
+            assert_eq!(eval_threads(value), default_threads(), "{value:?}");
+        }
+    }
+
+    /// Strings over the characters the parse branches on (digits, signs,
+    /// whitespace, letters, a multi-byte character), mixed with arbitrary
+    /// Unicode scalar values.
+    fn arb_setting() -> impl Strategy<Value = String> {
+        let alphabet = prop::sample::select("0123456789 +-\t\nxé".chars().collect::<Vec<_>>());
+        let any_char = (0u32..=0x10_FFFF).prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}'));
+        prop::collection::vec(prop_oneof![alphabet, any_char], 0..24).prop_map(String::from_iter)
+    }
+
+    proptest! {
+        #[test]
+        fn eval_threads_never_panics_and_selects_at_least_one(value in arb_setting()) {
+            prop_assert!(eval_threads(&value) >= 1);
+        }
     }
 
     #[test]

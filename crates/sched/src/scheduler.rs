@@ -272,11 +272,6 @@ impl Scheduler {
             .map_or(0, |&k| self.postpone_counts[k as usize])
     }
 
-    /// The highest postponement count any job has accumulated.
-    pub fn max_postpone_count(&self) -> u32 {
-        self.postpone_counts.iter().copied().max().unwrap_or(0)
-    }
-
     /// Removes and returns the head of the waiting queue without placing
     /// it. Drivers use this to evict a job that external analysis proved
     /// permanently unplaceable (it would otherwise block an in-order
@@ -1067,7 +1062,7 @@ mod tests {
         s.submit(job(0, 2, 0.5));
         s.run_iteration();
         s.run_iteration();
-        assert_eq!((s.postpone_count(JobId(0)), s.max_postpone_count()), (2, 2));
+        assert_eq!(s.postpone_count(JobId(0)), 2);
 
         // Freeing GPU 2 opens a packed pair on socket 1: job 0 runs there.
         s.complete(JobId(102));
@@ -1088,7 +1083,6 @@ mod tests {
         );
         assert_eq!(s.postpone_count(JobId(1)), 1);
         assert_eq!(s.postpone_count(JobId(7)), 0, "never postponed");
-        assert_eq!(s.max_postpone_count(), 3);
     }
 
     /// A job whose replay key comes past the interning bound is decided

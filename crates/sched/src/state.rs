@@ -186,29 +186,25 @@ impl Hash for MachineClassKey {
 
 /// Free/busy GPU bookkeeping across the cluster plus the running-job table.
 ///
-/// The boolean bitmap `free` is the ground truth; `free_mask`,
-/// `socket_free` and `jobs_on` are incremental caches maintained on every
-/// `place`/`release` so the per-candidate hot-path queries
-/// ([`ClusterState::free_gpus`], [`ClusterState::free_count`],
-/// [`ClusterState::socket_occupancy`], [`ClusterState::running_on`]) cost
-/// a bitmask read instead of a recomputation. [`ClusterState::audit`]
-/// re-derives every cache from the ground truth.
+/// The running-allocation table is the ground truth. Each other fact is
+/// kept once, as an index over it that every `place`/`release`/failure
+/// updates: one free-GPU bitmask per machine, the job ids per machine, the
+/// committed bandwidth per socket, the free counter and the class keys.
+/// The hot-path queries ([`ClusterState::free_gpus`],
+/// [`ClusterState::free_count`], [`ClusterState::socket_occupancy`],
+/// [`ClusterState::running_on`]) read those indexes instead of
+/// recomputing, and [`ClusterState::audit`] re-derives every index from
+/// the allocation table.
 #[derive(Debug, Clone)]
 pub struct ClusterState {
     cluster: Arc<ClusterTopology>,
     profiles: Arc<ProfileLibrary>,
-    /// `free[machine][gpu]` — GPU availability bitmaps (ground truth).
-    free: Vec<Vec<bool>>,
-    /// Per-machine free-GPU bitmask (bit `g` set ⇔ GPU `g` free); mirrors
-    /// `free` incrementally. Machines are capped at 128 GPUs.
+    /// Per-machine free-GPU bitmask (bit `g` set ⇔ GPU `g` is held by no
+    /// allocation), the one free-GPU index. A down machine keeps its bits;
+    /// [`ClusterState::free_mask_bits`] reads 0 for it. Machines are
+    /// capped at 128 GPUs.
     free_mask: Vec<u128>,
-    /// `socket_free[machine][socket]` — free-GPU counters per socket,
-    /// mirrors `free` incrementally (the Eq. 5 input).
-    socket_free: Vec<Vec<u32>>,
-    /// `socket_total[machine][socket]` — GPUs per socket (immutable).
-    socket_total: Vec<Vec<u32>>,
-    /// Job ids holding at least one GPU on each machine, unordered;
-    /// mirrors `running` incrementally.
+    /// Job ids holding at least one GPU on each machine, unordered.
     jobs_on: Vec<Vec<JobId>>,
     /// `bw_used[machine][socket]` — committed memory bandwidth, GB/s (§4.3's
     /// `t_bw ≤ p_bw` constraint).
@@ -217,12 +213,9 @@ pub struct ClusterState {
     /// query until marked up again.
     down: Vec<bool>,
     /// Per-machine equivalence-class key, rebuilt eagerly for exactly the
-    /// machines a `place`/`release`/failure touches (the PR 4
-    /// dirty-machine discipline applied to keys).
+    /// machines a `place`/`release`/failure touches. Its co-runner
+    /// signature is the one served to every [`crate::StateOracle`].
     class_keys: Vec<MachineClassKey>,
-    /// Per-machine interned co-runner signature — the same `Arc` the class
-    /// key holds, served to every [`crate::StateOracle`].
-    corunners: Vec<Arc<Vec<Corunner>>>,
     /// Per-socket bandwidth capacity, GB/s.
     bw_capacity_gbs: f64,
     running: HashMap<JobId, Allocation>,
@@ -243,27 +236,14 @@ impl ClusterState {
     /// Fresh state: everything free, nothing running, default socket
     /// bandwidth capacity.
     pub fn new(cluster: Arc<ClusterTopology>, profiles: Arc<ProfileLibrary>) -> Self {
-        let free: Vec<Vec<bool>> = cluster
-            .machines()
-            .map(|m| vec![true; cluster.machine(m).n_gpus()])
-            .collect();
-        let free_mask = free
-            .iter()
-            .map(|gpus| {
-                assert!(gpus.len() <= 128, "machines are capped at 128 GPUs");
-                full_mask(gpus.len())
-            })
-            .collect();
-        let socket_total: Vec<Vec<u32>> = cluster
+        let free_mask = cluster
             .machines()
             .map(|m| {
-                let topo = cluster.machine(m);
-                topo.sockets()
-                    .map(|s| topo.gpus_in_socket(s).len() as u32)
-                    .collect()
+                let n = cluster.machine(m).n_gpus();
+                assert!(n <= 128, "machines are capped at 128 GPUs");
+                full_mask(n)
             })
             .collect();
-        let socket_free = socket_total.clone();
         let jobs_on = vec![Vec::new(); cluster.n_machines()];
         let bw_used = cluster
             .machines()
@@ -280,16 +260,12 @@ impl ClusterState {
         let mut state = Self {
             cluster,
             profiles,
-            free,
             free_mask,
-            socket_free,
-            socket_total,
             jobs_on,
             bw_used,
             bw_capacity_gbs: DEFAULT_SOCKET_BW_GBS,
             down,
             class_keys: Vec::with_capacity(n_machines),
-            corunners: Vec::with_capacity(n_machines),
             running: HashMap::new(),
             total_free,
             classes: ClassTable::default(),
@@ -304,11 +280,10 @@ impl ClusterState {
         for m in state.cluster.machines() {
             let class = &mut by_topo[state.cluster.machine_class(m) as usize];
             let (key, _, members) = class.get_or_insert_with(|| {
-                let (_, key) = state.compute_machine_key(m);
+                let key = state.compute_machine_key(m);
                 (key, state.free_count(m), Vec::new())
             });
             members.push(m);
-            state.corunners.push(Arc::clone(&key.inner().corunners));
             state.class_keys.push(key.clone());
         }
         state.classes =
@@ -316,10 +291,10 @@ impl ClusterState {
         state
     }
 
-    /// Re-derives one machine's interned co-runner signature and class key
-    /// from the ground truth (`jobs_on` + `running`). Pure read; the eager
-    /// rebuild paths and `audit()` check 7 both go through this.
-    fn compute_machine_key(&self, machine: MachineId) -> (Arc<Vec<Corunner>>, MachineClassKey) {
+    /// Re-derives one machine's class key, its co-runner signature
+    /// included, from `jobs_on` and `running`. Pure read; the eager rebuild
+    /// paths and `audit()` check 6 both go through this.
+    fn compute_machine_key(&self, machine: MachineId) -> MachineClassKey {
         let mi = machine.index();
         let mut list: Vec<Corunner> = self.jobs_on[mi]
             .iter()
@@ -343,23 +318,20 @@ impl ClusterState {
             })
             .collect();
         list.sort_by_key(Corunner::sort_key);
-        let corunners = Arc::new(list);
-        let key = MachineClassKey::new(KeyInner {
+        MachineClassKey::new(KeyInner {
             topo_class: self.cluster.machine_class(machine),
             free_mask: self.free_mask_bits(machine),
             bw_bits: self.bw_used[mi].iter().map(|b| b.to_bits()).collect(),
-            corunners: Arc::clone(&corunners),
-        });
-        (corunners, key)
+            corunners: Arc::new(list),
+        })
     }
 
-    /// Eagerly rebuilds one machine's key + signature after a mutation.
-    /// O(jobs on that machine) — paid once per touched machine per event,
-    /// never per candidate.
+    /// Eagerly rebuilds one machine's key after a mutation. O(jobs on that
+    /// machine) — paid once per touched machine per event, never per
+    /// candidate.
     fn rebuild_machine_key(&mut self, machine: MachineId) {
-        let (corunners, key) = self.compute_machine_key(machine);
+        let key = self.compute_machine_key(machine);
         self.classes.update(machine, &key, self.free_count(machine));
-        self.corunners[machine.index()] = corunners;
         self.class_keys[machine.index()] = key;
         // Every eval-relevant mutation funnels through this rebuild, so
         // bumping here is what makes an unchanged version prove that the
@@ -384,9 +356,9 @@ impl ClusterState {
     }
 
     /// The machine's interned co-runner signature, canonical
-    /// `(model, batch, mask)` order — shared with the class key.
+    /// `(model, batch, mask)` order — the class key's own.
     pub fn corunners(&self, machine: MachineId) -> &Arc<Vec<Corunner>> {
-        &self.corunners[machine.index()]
+        &self.class_keys[machine.index()].inner().corunners
     }
 
     /// Marks a machine offline (failed) or back online. Offline machines
@@ -470,11 +442,6 @@ impl ClusterState {
         &self.cluster
     }
 
-    /// Shared handle to the topology.
-    pub fn cluster_arc(&self) -> Arc<ClusterTopology> {
-        Arc::clone(&self.cluster)
-    }
-
     /// The profile library in force.
     pub fn profiles(&self) -> &ProfileLibrary {
         &self.profiles
@@ -534,14 +501,19 @@ impl ClusterState {
         self.total_free() > 0
     }
 
-    /// Free GPUs of `machine` grouped per socket as `(free, total)` —
-    /// the Eq. 5 input. Served from the incrementally maintained counters.
+    /// Unallocated GPUs of `machine` grouped per socket as `(free,
+    /// total)` — the Eq. 5 input, counted off the free mask. A down
+    /// machine still counts the GPUs no allocation holds.
     pub fn socket_occupancy(&self, machine: MachineId) -> Vec<(u32, u32)> {
-        self.socket_free[machine.index()]
-            .iter()
-            .zip(&self.socket_total[machine.index()])
-            .map(|(&f, &t)| (f, t))
-            .collect()
+        let topo = self.cluster.machine(machine);
+        let free = self.free_mask[machine.index()];
+        let mut occupancy = vec![(0, 0); topo.n_sockets()];
+        for gpu in topo.gpus() {
+            let (f, t) = &mut occupancy[topo.socket_of(gpu).index()];
+            *f += (free >> gpu.index()) as u32 & 1;
+            *t += 1;
+        }
+        occupancy
     }
 
     /// Machines with at least `n` free GPUs, ascending id — the Algorithm 1
@@ -610,13 +582,11 @@ impl ClusterState {
                 "{} is down; the scheduler must not place there",
                 g.machine
             );
-            let slot = &mut self.free[g.machine.index()][g.gpu.index()];
-            assert!(*slot, "{g} is already allocated");
-            *slot = false;
-            self.free_mask[g.machine.index()] &= !(1u128 << g.gpu.index());
+            let mask = &mut self.free_mask[g.machine.index()];
+            let bit = gpu_bit(g.gpu);
+            assert!(*mask & bit != 0, "{g} is already allocated or absent");
+            *mask &= !bit;
             self.total_free -= 1;
-            let socket = self.cluster.machine(g.machine).socket_of(g.gpu).index();
-            self.socket_free[g.machine.index()][socket] -= 1;
         }
         // Commit the bandwidth demand per machine.
         let mut machines: Vec<MachineId> = gpus.iter().map(|g| g.machine).collect();
@@ -660,11 +630,8 @@ impl ClusterState {
             .remove(&id)
             .unwrap_or_else(|| panic!("{id} is not running"));
         for &g in &alloc.gpus {
-            self.free[g.machine.index()][g.gpu.index()] = true;
-            self.free_mask[g.machine.index()] |= 1u128 << g.gpu.index();
+            self.free_mask[g.machine.index()] |= gpu_bit(g.gpu);
             self.total_free += 1;
-            let socket = self.cluster.machine(g.machine).socket_of(g.gpu).index();
-            self.socket_free[g.machine.index()][socket] += 1;
         }
         for m in alloc.machines() {
             self.jobs_on[m.index()].retain(|&j| j != id);
@@ -683,53 +650,64 @@ impl ClusterState {
         alloc
     }
 
-    /// Exhaustively cross-checks the state's internal invariants against the
-    /// running-allocation table. Cheap enough to run after every mutation in
-    /// debug builds (it is, under `debug_assertions`); release builds call
-    /// it only where a driver explicitly asks.
+    /// Exhaustively cross-checks every index of the state against the
+    /// running-allocation table, the ground truth. Cheap enough to run
+    /// after every mutation in debug builds (it is, under
+    /// `debug_assertions`); release builds call it only where a driver
+    /// explicitly asks.
     ///
     /// Invariants checked:
     ///
     /// 1. **No double-booking** — no GPU appears in two allocations (or
-    ///    twice in one);
-    /// 2. **Conservation** — a GPU is marked busy in the free bitmap *iff*
-    ///    exactly one allocation holds it;
+    ///    twice in one), and every allocated GPU exists;
+    /// 2. **Conservation** — a GPU's free-mask bit is set *iff* no
+    ///    allocation holds it, and no bit past the machine's GPUs is set;
     /// 3. **Bandwidth accounting** — per-socket `bw_used` equals the sum of
-    ///    the running allocations' committed shares;
-    /// 4. **Socket-occupancy totals** — per-socket `(free, total)` readings
-    ///    agree with the free bitmap and the machine topology;
-    /// 5. **Down machines are empty** — an offline machine hosts no
-    ///    allocation and reports no capacity.
+    ///    the running allocations' committed shares, within capacity;
+    /// 4. **Down machines are empty** — an offline machine hosts no
+    ///    allocation and reports no capacity;
+    /// 5. **Job index** — `jobs_on` lists exactly the jobs holding a GPU
+    ///    on each machine;
+    /// 6. **Class keys** — every machine's key, its co-runner signature
+    ///    and its hash equal a re-derivation;
+    /// 7. **Free counter** — `total_free` equals the machines' free GPUs;
+    /// 8. **Class table** — the live classes equal a re-derivation from
+    ///    the keys.
     pub fn audit(&self) -> Result<(), String> {
-        // 1 + 2a: walk allocations, claiming each GPU exactly once.
-        let mut owner: Vec<Vec<Option<JobId>>> =
-            self.free.iter().map(|m| vec![None; m.len()]).collect();
+        // 1, and 4's first half: walk allocations, claiming each GPU
+        // exactly once.
+        let mut held = vec![0u128; self.free_mask.len()];
         for (id, alloc) in &self.running {
             if alloc.spec.id != *id {
                 return Err(format!("running table key {id} holds {}", alloc.spec.id));
             }
             for g in &alloc.gpus {
-                if self.down[g.machine.index()] {
+                let mi = g.machine.index();
+                if self.down[mi] {
                     return Err(format!("{} is down but hosts {id}", g.machine));
                 }
-                let slot = &mut owner[g.machine.index()][g.gpu.index()];
-                if let Some(prev) = slot {
-                    return Err(format!("{g} double-booked by {prev} and {id}"));
+                if g.gpu.index() >= self.cluster.machine(g.machine).n_gpus() {
+                    return Err(format!("{id} holds {g}, which does not exist"));
                 }
-                *slot = Some(*id);
-                if self.free[g.machine.index()][g.gpu.index()] {
-                    return Err(format!("{g} allocated to {id} but marked free"));
+                if held[mi] & gpu_bit(g.gpu) != 0 {
+                    return Err(format!("{g} double-booked, the second time by {id}"));
                 }
+                held[mi] |= gpu_bit(g.gpu);
             }
         }
-        // 2b: every busy GPU belongs to some allocation.
-        for (mi, bitmap) in self.free.iter().enumerate() {
-            for (gi, &is_free) in bitmap.iter().enumerate() {
-                if !is_free && owner[mi][gi].is_none() {
-                    return Err(format!(
-                        "machine{mi}/gpu{gi} is marked busy but no allocation holds it"
-                    ));
-                }
+        // 2 + 4: the free mask is the complement of the claimed GPUs, and a
+        // down machine reports no capacity.
+        for m in self.cluster.machines() {
+            let mi = m.index();
+            let want = full_mask(self.cluster.machine(m).n_gpus()) & !held[mi];
+            if self.free_mask[mi] != want {
+                return Err(format!(
+                    "{m} free mask {:#x} disagrees with the allocations ({want:#x})",
+                    self.free_mask[mi]
+                ));
+            }
+            if self.down[mi] && self.free_count(m) != 0 {
+                return Err(format!("{m} is down but reports free capacity"));
             }
         }
         // 3: recompute committed bandwidth from scratch.
@@ -761,62 +739,8 @@ impl ClusterState {
                 }
             }
         }
-        // 4 + 5: occupancy readings and down-machine capacity.
+        // 5: the per-machine job index. It runs before 6, which reads it.
         for m in self.cluster.machines() {
-            let occ = self.socket_occupancy(m);
-            let topo = self.cluster.machine(m);
-            let free_sum: u32 = occ.iter().map(|&(f, _)| f).sum();
-            let total_sum: u32 = occ.iter().map(|&(_, t)| t).sum();
-            let bitmap_free = self.free[m.index()].iter().filter(|&&f| f).count() as u32;
-            if free_sum != bitmap_free {
-                return Err(format!(
-                    "{m} socket occupancy sums to {free_sum} free, bitmap says {bitmap_free}"
-                ));
-            }
-            if total_sum != topo.n_gpus() as u32 {
-                return Err(format!(
-                    "{m} socket occupancy covers {total_sum} GPUs of {}",
-                    topo.n_gpus()
-                ));
-            }
-            if self.down[m.index()] && self.free_count(m) != 0 {
-                return Err(format!("{m} is down but reports free capacity"));
-            }
-        }
-        // 6: incremental caches re-derived from the ground truth. Any drift
-        // here is a cache-invalidation bug on place/release/failure.
-        for m in self.cluster.machines() {
-            let topo = self.cluster.machine(m);
-            let mi = m.index();
-            let mut want_mask = 0u128;
-            for (gi, &is_free) in self.free[mi].iter().enumerate() {
-                if is_free {
-                    want_mask |= 1u128 << gi;
-                }
-            }
-            if self.free_mask[mi] != want_mask {
-                return Err(format!(
-                    "{m} free_mask cache {:#x} disagrees with bitmap {want_mask:#x}",
-                    self.free_mask[mi]
-                ));
-            }
-            for s in topo.sockets() {
-                let gpus = topo.gpus_in_socket(s);
-                let want_free = gpus.iter().filter(|g| self.free[mi][g.index()]).count() as u32;
-                if self.socket_free[mi][s.index()] != want_free {
-                    return Err(format!(
-                        "{m}/{s} socket_free cache {} disagrees with bitmap ({want_free})",
-                        self.socket_free[mi][s.index()]
-                    ));
-                }
-                if self.socket_total[mi][s.index()] != gpus.len() as u32 {
-                    return Err(format!(
-                        "{m}/{s} socket_total cache {} disagrees with topology ({})",
-                        self.socket_total[mi][s.index()],
-                        gpus.len()
-                    ));
-                }
-            }
             let mut want_jobs: Vec<JobId> = self
                 .running
                 .values()
@@ -824,51 +748,41 @@ impl ClusterState {
                 .map(|a| a.spec.id)
                 .collect();
             want_jobs.sort_unstable();
-            let mut cached = self.jobs_on[mi].clone();
-            cached.sort_unstable();
-            if cached != want_jobs {
+            let mut have = self.jobs_on[m.index()].clone();
+            have.sort_unstable();
+            if have != want_jobs {
                 return Err(format!(
-                    "{m} jobs_on cache {cached:?} disagrees with allocations {want_jobs:?}"
+                    "{m} jobs_on index {have:?} disagrees with allocations {want_jobs:?}"
                 ));
             }
         }
-        // 7: the incremental class index. Re-derive every machine's
-        // co-runner signature and equivalence-class key (including the
-        // precomputed hash) from the ground truth; drift here means a
+        // 6: the class keys. Re-derive every machine's key, co-runner
+        // signature and precomputed hash included; drift here means a
         // place/release/failure path forgot to rebuild a touched machine.
         for m in self.cluster.machines() {
-            let mi = m.index();
-            let (want_corunners, want_key) = self.compute_machine_key(m);
-            let have = &self.corunners[mi];
-            let sig_ok = have.len() == want_corunners.len()
-                && have.iter().zip(want_corunners.iter()).all(|(a, b)| a == b);
-            if !sig_ok {
+            let want = self.compute_machine_key(m);
+            let have = &self.class_keys[m.index()];
+            if have.inner().corunners != want.inner().corunners {
                 return Err(format!(
-                    "{m} interned co-runner signature {have:?} disagrees with \
-                     ground truth {want_corunners:?}"
+                    "{m} co-runner signature {:?} disagrees with the allocations {:?}",
+                    have.inner().corunners,
+                    want.inner().corunners
                 ));
             }
-            if !Arc::ptr_eq(have, &self.class_keys[mi].inner().corunners) {
+            if *have != want {
                 return Err(format!(
-                    "{m} class key holds a different co-runner Arc than the \
-                     interned signature"
+                    "{m} class key {have:?} disagrees with re-derived key {want:?}"
                 ));
             }
-            if self.class_keys[mi] != want_key {
-                return Err(format!(
-                    "{m} class key {:?} disagrees with re-derived key {:?}",
-                    self.class_keys[mi], want_key
-                ));
-            }
-            if self.class_keys[mi].hash_bits() != want_key.hash_bits() {
+            if have.hash_bits() != want.hash_bits() {
                 return Err(format!(
                     "{m} class key hash {:#x} disagrees with re-derived hash {:#x}",
-                    self.class_keys[mi].hash_bits(),
-                    want_key.hash_bits()
+                    have.hash_bits(),
+                    want.hash_bits()
                 ));
             }
         }
-        // 8: the free counter. Re-derive it from the free bitmap and the
+        // 7: the free counter. Re-derive it from the free masks and the
         // down flags; drift means a place/release/failure path skipped it.
         let want_free: usize = self.cluster.machines().map(|m| self.free_count(m)).sum();
         if self.total_free != want_free {
@@ -877,8 +791,8 @@ impl ClusterState {
                 self.total_free
             ));
         }
-        // 9: the live class table. Re-derive the classes from the
-        // per-machine keys (checked against the ground truth by 7); drift
+        // 8: the live class table. Re-derive the classes from the
+        // per-machine keys (checked against the allocations by 6); drift
         // means a key rebuild skipped the table update.
         self.classes
             .verify(&self.class_keys, |m| self.free_count(m))?;
@@ -892,20 +806,6 @@ impl ClusterState {
             panic!("ClusterState::audit failed after mutation: {e}");
         }
     }
-
-    /// Sockets of `machine` touched by running jobs other than `exclude`.
-    pub fn busy_sockets(&self, machine: MachineId, exclude: Option<JobId>) -> Vec<SocketId> {
-        let topo = self.cluster.machine(machine);
-        let mut sockets: Vec<SocketId> = self.jobs_on[machine.index()]
-            .iter()
-            .filter(|&&id| Some(id) != exclude)
-            .flat_map(|id| self.running[id].gpus_on(machine))
-            .map(|g| topo.socket_of(g))
-            .collect();
-        sockets.sort_unstable();
-        sockets.dedup();
-        sockets
-    }
 }
 
 /// Lifts machine-local GPU ids into the cluster id space.
@@ -913,6 +813,11 @@ pub fn on_machine(machine: MachineId, gpus: &[GpuId]) -> Vec<GlobalGpuId> {
     gpus.iter()
         .map(|&gpu| GlobalGpuId { machine, gpu })
         .collect()
+}
+
+/// A GPU's bit in a machine's free mask; 0 for an index past the mask.
+fn gpu_bit(gpu: GpuId) -> u128 {
+    1u128.checked_shl(gpu.0).unwrap_or(0)
 }
 
 /// Bitmask with the low `n` bits set (`n ≤ 128`).
@@ -1005,21 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_sockets_excludes_requested_job() {
-        let mut s = state(1);
-        s.place(spec(0, 1), vec![g(0, 0)], 1.0);
-        s.place(spec(1, 1), vec![g(0, 2)], 1.0);
-        assert_eq!(
-            s.busy_sockets(MachineId(0), None),
-            vec![SocketId(0), SocketId(1)]
-        );
-        assert_eq!(
-            s.busy_sockets(MachineId(0), Some(JobId(0))),
-            vec![SocketId(1)]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "already allocated")]
     fn double_allocation_panics() {
         let mut s = state(1);
@@ -1074,11 +964,13 @@ mod tests {
         assert_eq!(s.free_mask_bits(MachineId(0)), 0b1111);
         s.audit().unwrap();
 
-        // A down machine reports an empty mask but keeps its bookkeeping.
+        // A down machine reports an empty mask but keeps its bookkeeping:
+        // its occupancy still counts the GPUs no allocation holds.
         s.set_machine_down(MachineId(1), true);
         assert_eq!(s.free_mask_bits(MachineId(1)), 0);
         assert_eq!(s.first_free_gpu(MachineId(1)), None);
         assert_eq!(s.free_count(MachineId(1)), 0);
+        assert_eq!(s.socket_occupancy(MachineId(1)), vec![(2, 2), (2, 2)]);
         s.audit().unwrap();
         s.set_machine_down(MachineId(1), false);
         assert_eq!(s.free_mask_bits(MachineId(1)), 0b1111);
@@ -1086,7 +978,8 @@ mod tests {
 
     /// Each index `audit()` checks, corrupted on its own, is caught: the
     /// free mask both ways, the per-machine job index, the bandwidth
-    /// ledger, the free counter, a class key and the class table.
+    /// ledger, the free counter, a class key and the class table; and so
+    /// are a GPU held by two jobs and a down machine hosting one.
     #[test]
     fn audit_rejects_each_corrupted_index() {
         let mut s = state(3);
@@ -1104,7 +997,11 @@ mod tests {
 
         type Corruption = fn(&mut ClusterState, &ClusterState);
         let other = state(3);
-        let corruptions: [(&str, Corruption); 7] = [
+        let corruptions: [(&str, Corruption); 9] = [
+            ("GPU held twice", |s, _| {
+                s.running.get_mut(&JobId(1)).unwrap().gpus.push(g(0, 0))
+            }),
+            ("down flag of a busy machine", |s, _| s.down[1] = true),
             ("free bit of a held GPU", |s, _| s.free_mask[0] |= 1 << 1),
             ("busy bit of an unheld GPU", |s, _| {
                 s.free_mask[1] &= !(1 << 3)

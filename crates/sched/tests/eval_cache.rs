@@ -4,7 +4,7 @@
 //! The unit tests in `eval.rs` cover the cache data structure; these tests
 //! drive the *public* surface: `Policy::decide_with` with a cache under LRU
 //! pressure, and the `ClusterState` class index across every mutation kind
-//! — with `audit()` (whose check 7 re-derives every key from scratch)
+//! — with `audit()` (whose check 6 re-derives every key from scratch)
 //! after each step.
 
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
@@ -139,7 +139,7 @@ fn warm_cache_serves_hits_without_drift() {
 
 /// The incrementally maintained class index must stay equal to a
 /// from-scratch derivation across place, release, failure, recovery, and
-/// multi-node teardown — `audit()` check 7 does the re-derivation.
+/// multi-node teardown — `audit()` check 6 does the re-derivation.
 #[test]
 fn class_index_tracks_every_mutation_kind() {
     let mut state = fresh_state(3);

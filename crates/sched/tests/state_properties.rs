@@ -1,6 +1,8 @@
 //! Property tests over the allocation state: arbitrary interleavings of
 //! place / release / fail / recover operations preserve the bookkeeping
-//! invariants.
+//! invariants, and the readings derived from the free mask and the class
+//! keys agree with the allocations. These run in release builds too,
+//! where `ClusterState::audit` does not run after each mutation.
 
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
@@ -32,6 +34,24 @@ fn fresh_state() -> ClusterState {
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
     let cluster = Arc::new(ClusterTopology::homogeneous(machine, 3));
     ClusterState::new(cluster, profiles)
+}
+
+/// `(unallocated, total)` GPUs per socket of `m`, counted from the
+/// running allocations and the topology.
+fn recount_occupancy(state: &ClusterState, m: MachineId) -> Vec<(u32, u32)> {
+    let topo = state.cluster().machine(m);
+    let mut occupancy = vec![(0, 0); topo.n_sockets()];
+    for gpu in topo.gpus() {
+        let (free, total) = &mut occupancy[topo.socket_of(gpu).index()];
+        *free += 1;
+        *total += 1;
+    }
+    for alloc in state.running_on(m) {
+        for gpu in alloc.gpus_on(m) {
+            occupancy[topo.socket_of(gpu).index()].0 -= 1;
+        }
+    }
+    occupancy
 }
 
 proptest! {
@@ -101,6 +121,14 @@ proptest! {
                     prop_assert!(state.socket_bw_free(m, s) >= -1e-9);
                     prop_assert!(state.socket_bw_free(m, s) <= state.bw_capacity_gbs() + 1e-9);
                 }
+                // Invariant 4: per-socket occupancy is a recount of the
+                // GPUs no allocation holds, down machines included.
+                prop_assert_eq!(state.socket_occupancy(m), recount_occupancy(&state, m));
+                // Invariant 5: the co-runner signature is the class key's.
+                prop_assert!(Arc::ptr_eq(
+                    state.corunners(m),
+                    &state.machine_class_key(m).inner().corunners
+                ));
             }
             // Invariant 3: the running table matches the live set.
             prop_assert_eq!(state.n_running(), live.len());

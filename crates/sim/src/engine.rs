@@ -48,8 +48,8 @@ use crate::runtime::{current_slowdown, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler, SchedulerConfig,
-    TraceEvent,
+    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy, Scheduler,
+    SchedulerConfig, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
@@ -281,13 +281,13 @@ pub struct SimLoopStats {
     pub eval_cache_misses: u64,
     /// Placement-cache entries displaced by LRU capacity pressure.
     pub eval_cache_evictions: u64,
-    /// Always 0: the sharded path that counted admission passes is retired
-    /// (DESIGN.md §10). Kept so that callers reading it keep compiling.
+    /// Always 0: the sharded path that counted admission passes is
+    /// deleted. Kept so that callers reading it keep compiling.
     pub shard_admission_checked: u64,
     /// Always 0, like [`SimLoopStats::shard_admission_checked`].
     pub shard_admission_skipped: u64,
-    /// Always 0: the shard bound is retired (DESIGN.md §11). Kept so that
-    /// callers reading it keep compiling.
+    /// Always 0: the shard bound is deleted. Kept so that callers reading
+    /// it keep compiling.
     pub shard_bound_checked: u64,
     /// Always 0, like [`SimLoopStats::shard_bound_checked`].
     pub shard_bound_pruned: u64,
@@ -296,8 +296,8 @@ pub struct SimLoopStats {
     /// on the same state version (DESIGN.md §14.2). The decision meters do
     /// not count them. 0 on traced runs and on the sequential reference.
     pub replay_hits: u64,
-    /// Always 0: partial replay is retired (DESIGN.md §12). Kept so that
-    /// callers reading it keep compiling.
+    /// Always 0: partial replay is deleted. Kept so that callers reading
+    /// it keep compiling.
     pub replay_shards_reeval: u64,
     /// Always 0: the per-job-class decision snapshots whose unusable
     /// entries it counted are retired (DESIGN.md §15.7). Kept so that
@@ -604,10 +604,10 @@ impl Simulation {
 
     /// Appends to `running`, keeping the position index and the utility
     /// sum exact; the incremental loop also keys the job's first anchor.
-    fn push_running(&mut self, job: RunningJob) {
-        let id = job.alloc.spec.id;
+    fn push_running(&mut self, job: RunningJob, utility: f64) {
+        let id = job.id;
         self.job_pos.insert(id, self.running.len());
-        self.utility_sum += utility_units(job.alloc.utility);
+        self.utility_sum += utility_units(utility);
         if self.config.incremental {
             self.completion_heap
                 .push(Reverse((job.completion_s().to_bits(), id)));
@@ -615,24 +615,22 @@ impl Simulation {
         self.running.push(job);
     }
 
-    /// `swap_remove` from `running`, keeping the position index and the
-    /// utility sum exact, and folding the job's slowdown-derivation count
-    /// into the stats. The removed job's heap entries go stale with it.
-    /// The relocated tail job changes only its position: co-runners sum in
+    /// `swap_remove`s the job the scheduler just released with `alloc`
+    /// from `running`, keeping the position index and the utility sum
+    /// exact, and folding the job's slowdown-derivation count into the
+    /// stats. The removed job's heap entries go stale with it. The
+    /// relocated tail job changes only its position: co-runners sum in
     /// job-id order, so no slowdown depends on the vector order.
-    fn remove_running(&mut self, idx: usize) -> RunningJob {
+    fn remove_running(&mut self, alloc: &Allocation) -> RunningJob {
+        let id = alloc.spec.id;
+        let idx = self.job_pos.remove(&id).expect("a released job runs");
         let job = self.running.swap_remove(idx);
-        self.job_pos.remove(&job.alloc.spec.id);
         if job.slowdown_evals > 0 {
-            *self
-                .stats
-                .evals_by_job
-                .entry(job.alloc.spec.id)
-                .or_insert(0) += job.slowdown_evals;
+            *self.stats.evals_by_job.entry(id).or_insert(0) += job.slowdown_evals;
         }
-        self.utility_sum -= utility_units(job.alloc.utility);
+        self.utility_sum -= utility_units(alloc.utility);
         if let Some(moved) = self.running.get(idx) {
-            self.job_pos.insert(moved.alloc.spec.id, idx);
+            self.job_pos.insert(moved.id, idx);
         }
         debug_assert_eq!(self.job_pos.len(), self.running.len());
         job
@@ -698,30 +696,27 @@ impl Simulation {
             let mut victims: Vec<JobId> = self.scheduler.state().jobs_on_machine(machine).to_vec();
             victims.sort_unstable_by_key(|id| self.job_pos[id]);
             for &id in &victims {
-                let idx = self.job_pos[&id];
-                let lost = self.remove_running(idx);
-                match self.scheduler.cancel(id) {
-                    CancelOutcome::Stopped(alloc) => {
-                        // A multi-node victim's other machines lose a
-                        // co-runner too.
-                        for m in alloc.machines() {
-                            self.mark_dirty(m);
-                        }
-                        // Interrupted segment still shows in the timeline.
-                        self.timeline.push(TimelineSegment {
-                            job: id,
-                            gpus: alloc.gpus,
-                            start_s: lost.started_at,
-                            end_s: self.now,
-                        });
-                    }
+                let alloc = match self.scheduler.cancel(id) {
+                    CancelOutcome::Stopped(alloc) => alloc,
                     other => panic!("cancel of running {id} returned {other:?}"),
+                };
+                let lost = self.remove_running(&alloc);
+                // A multi-node victim's other machines lose a co-runner too.
+                for m in alloc.machines() {
+                    self.mark_dirty(m);
                 }
+                // Interrupted segment still shows in the timeline.
+                self.timeline.push(TimelineSegment {
+                    job: id,
+                    gpus: alloc.gpus,
+                    start_s: lost.started_at,
+                    end_s: self.now,
+                });
                 *self.restarts.entry(id).or_insert(0) += 1;
                 // Resubmit from scratch; arrival time stays the original so
-                // queue fairness is preserved. `lost` is consumed here, so
-                // the spec moves instead of cloning.
-                self.scheduler.submit(lost.alloc.spec);
+                // queue fairness is preserved. The released allocation is
+                // consumed here, so the spec moves instead of cloning.
+                self.scheduler.submit(alloc.spec);
             }
             self.scheduler.fail_machine(machine);
             self.failures_applied.push((self.now, machine));
@@ -785,7 +780,7 @@ impl Simulation {
             .running
             .iter()
             .filter(|r| r.completion_s() <= self.now)
-            .map(|r| (r.completion_s(), r.alloc.spec.id))
+            .map(|r| (r.completion_s(), r.id))
             .collect();
         due.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         due.into_iter().map(|(_, id)| id).collect()
@@ -794,33 +789,32 @@ impl Simulation {
     /// Completes a running job: releases it from the scheduler and appends
     /// its timeline/event/record entries.
     fn complete(&mut self, id: JobId) {
-        let done = self.remove_running(self.job_pos[&id]);
-        for m in done.alloc.machines() {
+        let alloc = self.scheduler.complete(id);
+        let done = self.remove_running(&alloc);
+        for m in alloc.machines() {
             self.mark_dirty(m);
         }
-        let alloc = self.scheduler.complete(done.alloc.spec.id);
-        debug_assert_eq!(alloc.gpus, done.alloc.gpus);
-        let ideal = self.ideal_for(&done.alloc.spec);
+        let ideal = self.ideal_for(&alloc.spec);
         self.timeline.push(TimelineSegment {
-            job: done.alloc.spec.id,
-            gpus: done.alloc.gpus.clone(),
+            job: id,
+            gpus: alloc.gpus.clone(),
             start_s: done.started_at,
             end_s: self.now,
         });
         self.events.push(SimEvent::Completed {
             t_s: self.now,
-            job: done.alloc.spec.id,
+            job: id,
         });
         self.records.push(JobRecord {
             placed_at_s: done.started_at,
             finished_at_s: self.now,
-            gpus: done.alloc.gpus,
-            utility: done.alloc.utility,
-            slo_violated: done.alloc.utility + 1e-9 < done.alloc.spec.min_utility,
+            gpus: alloc.gpus,
+            utility: alloc.utility,
+            slo_violated: alloc.utility + 1e-9 < alloc.spec.min_utility,
             ideal_duration_s: ideal,
-            postponements: self.scheduler.postpone_count(done.alloc.spec.id),
-            restarts: self.restarts.get(&done.alloc.spec.id).copied().unwrap_or(0),
-            spec: done.alloc.spec,
+            postponements: self.scheduler.postpone_count(id),
+            restarts: self.restarts.get(&id).copied().unwrap_or(0),
+            spec: alloc.spec,
         });
     }
 
@@ -855,9 +849,8 @@ impl Simulation {
 
     /// Runs one Algorithm 1 iteration into the simulation's outcome buffer,
     /// reused across drains, and consumes its outcomes: a postponement
-    /// becomes an event, and a placed job's running entry is built from a
-    /// clone of its allocation in the scheduler's state, one spec and one
-    /// GPU list per placement.
+    /// becomes an event, and a placed job's running entry is started from
+    /// its allocation in the scheduler's state, which it does not copy.
     fn run_scheduler(&mut self) {
         let mut outcomes = std::mem::take(&mut self.outcomes);
         self.scheduler.run_iteration_into(&mut outcomes);
@@ -875,19 +868,19 @@ impl Simulation {
                         job: id,
                         utility,
                     });
+                    let (seed, jitter) = (self.config.jitter_seed, self.config.jitter);
+                    let work = jitter_factor(seed, id.0, jitter);
                     let alloc = self
                         .scheduler
                         .state()
                         .allocation(id)
-                        .expect("a placed job runs")
-                        .clone();
-                    let (seed, jitter) = (self.config.jitter_seed, self.config.jitter);
-                    let work = jitter_factor(seed, id.0, jitter);
+                        .expect("a placed job runs");
                     let job = RunningJob::start(alloc, &self.cluster, self.now, work);
-                    for m in job.alloc.machines() {
+                    let (utility, machines) = (alloc.utility, alloc.machines());
+                    for m in machines {
                         self.mark_dirty(m);
                     }
-                    self.push_running(job);
+                    self.push_running(job, utility);
                 }
                 PlacementOutcome::WaitingForCapacity { .. } => {}
             }
@@ -931,25 +924,24 @@ impl Simulation {
         let updates: Vec<f64> = victims
             .iter()
             .map(|&pos| {
-                let victim = &self.running[pos].alloc;
+                let victim = running_alloc(state, self.running[pos].id);
                 if incremental {
                     let sharers = victim
                         .machines()
                         .into_iter()
                         .flat_map(|m| state.jobs_on_machine(m))
-                        .map(|id| &self.running[self.job_pos[id]].alloc);
+                        .map(|&id| running_alloc(state, id));
                     current_slowdown(victim, sharers, &self.cluster)
                 } else {
-                    current_slowdown(victim, self.running.iter().map(|r| &r.alloc), &self.cluster)
+                    current_slowdown(victim, state.running(), &self.cluster)
                 }
             })
             .collect();
         for (pos, slowdown) in victims.into_iter().zip(updates) {
             let job = &mut self.running[pos];
-            let id = job.alloc.spec.id;
             if job.set_slowdown(self.now, slowdown) && incremental {
                 self.completion_heap
-                    .push(Reverse((job.completion_s().to_bits(), id)));
+                    .push(Reverse((job.completion_s().to_bits(), job.id)));
             }
             job.slowdown_evals += 1;
             self.stats.slowdown_evals += 1;
@@ -964,17 +956,14 @@ impl Simulation {
     /// job's slowdown bit-identical to a full reference recomputation.
     #[cfg(debug_assertions)]
     fn debug_verify_slowdowns(&self) {
+        let state = self.scheduler.state();
         for r in &self.running {
-            let want = current_slowdown(
-                &r.alloc,
-                self.running.iter().map(|o| &o.alloc),
-                &self.cluster,
-            );
+            let want = current_slowdown(running_alloc(state, r.id), state.running(), &self.cluster);
             assert_eq!(
                 want.to_bits(),
                 r.slowdown().to_bits(),
                 "scoped refresh diverged for {}: want {want}, have {}",
-                r.alloc.spec.id,
+                r.id,
                 r.slowdown()
             );
         }
@@ -1030,6 +1019,13 @@ impl Simulation {
         }
         v
     }
+}
+
+/// A running job's allocation in the scheduler's state.
+fn running_alloc(state: &ClusterState, id: JobId) -> &Allocation {
+    state
+        .allocation(id)
+        .expect("a running job holds an allocation")
 }
 
 /// One unit of utility in the fixed-point sum: 2³² units.

@@ -1,13 +1,15 @@
 //! Running-job state and the Fig. 6 slowdown model.
 //!
-//! A placed job carries a stock of *work* — its solo duration under the
-//! placement it received — and burns it down at rate `1/(1+slowdown)`,
-//! where the slowdown is the Fig. 6 aggregate over its current co-runners.
-//! Its progress is kept as an *anchor*: the anchor time, the work left at
-//! that time and the slowdown since. Its completion time follows once per
-//! anchor ([`RunningJob::completion_s`]), and the engine re-anchors a job
-//! ([`RunningJob::set_slowdown`]) only when a refresh changes its
-//! slowdown's bits. Nothing integrates progress between events.
+//! A placed job's allocation lives in the scheduler's state; the engine
+//! keeps only its progress. The job carries a stock of *work* — its solo
+//! duration under the placement it received — and burns it down at rate
+//! `1/(1+slowdown)`, where the slowdown is the Fig. 6 aggregate over its
+//! current co-runners. Its progress is kept as an *anchor*: the anchor
+//! time, the work left at that time and the slowdown since. Its completion
+//! time follows once per anchor ([`RunningJob::completion_s`]), and the
+//! engine re-anchors a job ([`RunningJob::set_slowdown`]) only when a
+//! refresh changes its slowdown's bits. Nothing integrates progress
+//! between events.
 //!
 //! The slowdown model is shared with the prototype: [`solo_iter_time`]
 //! costs an allocation's solo iteration, [`max_domain_factor`] couples two
@@ -18,19 +20,19 @@
 //! properties: an event that touches no machine of a job cannot change
 //! that job's slowdown bits.
 
+use gts_job::JobId;
 use gts_perf::{total_slowdown, IterTime, PlacementPerf};
 use gts_sched::Allocation;
 use gts_topo::ClusterTopology;
 
-/// One placed, in-flight job.
+/// One placed, in-flight job: its id and its progress anchor. Its
+/// allocation is the scheduler state's.
 #[derive(Debug, Clone)]
 pub struct RunningJob {
-    /// The allocation the scheduler granted.
-    pub alloc: Allocation,
+    /// The placed job.
+    pub id: JobId,
     /// Wall-clock time the job started executing.
     pub started_at: f64,
-    /// Solo per-iteration profile under this placement.
-    pub iter: IterTime,
     /// Time of the last anchor: the placement, or the last refresh that
     /// changed the slowdown.
     anchor_s: f64,
@@ -49,13 +51,17 @@ impl RunningJob {
     /// Creates the running state for a fresh placement at `now`, anchored
     /// at solo speed. `work_factor` scales the job's solo work (1 = the
     /// exact model; the engine's jitter draws other values).
-    pub fn start(alloc: Allocation, cluster: &ClusterTopology, now: f64, work_factor: f64) -> Self {
-        let iter = solo_iter_time(&alloc, cluster);
+    pub fn start(
+        alloc: &Allocation,
+        cluster: &ClusterTopology,
+        now: f64,
+        work_factor: f64,
+    ) -> Self {
+        let iter = solo_iter_time(alloc, cluster);
         let remaining = f64::from(alloc.spec.iterations) * iter.total_s() * work_factor;
         Self {
-            alloc,
+            id: alloc.spec.id,
             started_at: now,
-            iter,
             anchor_s: now,
             remaining_solo_s: remaining,
             slowdown: 0.0,
@@ -186,10 +192,11 @@ mod tests {
     #[test]
     fn solo_job_runs_at_full_rate() {
         let c = cluster();
-        let r = RunningJob::start(alloc(0, 0, &[0, 1], BatchClass::Tiny), &c, 5.0, 1.0);
+        let a = alloc(0, 0, &[0, 1], BatchClass::Tiny);
+        let r = RunningJob::start(&a, &c, 5.0, 1.0);
         assert_eq!(r.slowdown, 0.0);
         assert_eq!(r.anchor_s, 5.0);
-        let expected = 100.0 * r.iter.total_s();
+        let expected = 100.0 * solo_iter_time(&a, &c).total_s();
         assert!((r.completion_s - 5.0 - expected).abs() < 1e-9);
     }
 
@@ -198,7 +205,7 @@ mod tests {
     #[test]
     fn reanchoring_keeps_the_work_done() {
         let c = cluster();
-        let mut r = RunningJob::start(alloc(0, 0, &[0], BatchClass::Tiny), &c, 0.0, 1.0);
+        let mut r = RunningJob::start(&alloc(0, 0, &[0], BatchClass::Tiny), &c, 0.0, 1.0);
         let total = r.remaining_solo_s;
         assert!(r.set_slowdown(total / 2.0, 0.5));
         assert!((r.remaining_solo_s - total / 2.0).abs() < 1e-9);
@@ -215,7 +222,7 @@ mod tests {
     #[test]
     fn slowdown_stretches_eta() {
         let c = cluster();
-        let mut r = RunningJob::start(alloc(0, 0, &[0, 1], BatchClass::Tiny), &c, 0.0, 1.0);
+        let mut r = RunningJob::start(&alloc(0, 0, &[0, 1], BatchClass::Tiny), &c, 0.0, 1.0);
         let solo = r.completion_s;
         assert!(r.set_slowdown(0.0, 0.30));
         assert!((r.completion_s - solo * 1.3).abs() < 1e-9);
