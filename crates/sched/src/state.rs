@@ -995,32 +995,29 @@ mod tests {
         s.place(multi, vec![g(0, 2), g(1, 0)], 0.9);
         s.audit().unwrap();
 
-        type Corruption = fn(&mut ClusterState, &ClusterState);
-        let other = state(3);
-        let corruptions: [(&str, Corruption); 9] = [
-            ("GPU held twice", |s, _| {
-                s.running.get_mut(&JobId(1)).unwrap().gpus.push(g(0, 0))
-            }),
-            ("down flag of a busy machine", |s, _| s.down[1] = true),
-            ("free bit of a held GPU", |s, _| s.free_mask[0] |= 1 << 1),
-            ("busy bit of an unheld GPU", |s, _| {
-                s.free_mask[1] &= !(1 << 3)
-            }),
-            ("stray job on a machine", |s, _| s.jobs_on[2].push(JobId(0))),
-            ("bandwidth ledger", |s, _| s.bw_used[1][0] += 1.0),
-            ("free counter", |s, _| s.total_free += 1),
-            ("another machine's class key", |s, _| {
-                s.class_keys[0] = s.class_keys[2].clone()
-            }),
-            ("another state's class table", |s, other| {
-                s.classes = other.classes.clone()
-            }),
-        ];
-        for (what, corrupt) in corruptions {
+        let caught = |what: &str, corrupt: &dyn Fn(&mut ClusterState)| {
             let mut bad = s.clone();
-            corrupt(&mut bad, &other);
+            corrupt(&mut bad);
             assert!(bad.audit().is_err(), "audit missed a corrupted {what}");
-        }
+        };
+        caught("GPU held twice", &|s| {
+            s.running.get_mut(&JobId(1)).unwrap().gpus.push(g(0, 0))
+        });
+        caught("down flag of a busy machine", &|s| s.down[1] = true);
+        caught("free bit of a held GPU", &|s| s.free_mask[0] |= 1 << 1);
+        caught("busy bit of an unheld GPU", &|s| {
+            s.free_mask[1] &= !(1 << 3)
+        });
+        caught("stray job on a machine", &|s| s.jobs_on[2].push(JobId(0)));
+        caught("bandwidth ledger", &|s| s.bw_used[1][0] += 1.0);
+        caught("free counter", &|s| s.total_free += 1);
+        caught("another machine's class key", &|s| {
+            s.class_keys[0] = s.class_keys[2].clone()
+        });
+        let other = state(3);
+        caught("another state's class table", &|s| {
+            s.classes = other.classes.clone()
+        });
     }
 
     /// `(lowest member, free GPUs)` of every live class with ≥ `n` free.
