@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which machine model populates the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -198,7 +199,32 @@ impl SysConfig {
         }
     }
 
-    /// Runs every configured algorithm and reports results.
+    /// Rejects a prototype run that would panic a thread: a time scale that
+    /// is not positive and finite, or a simulated time the scaled clock
+    /// cannot sleep until (`TimeScale::to_wall` panics on a wall time no
+    /// `Duration` holds). The clock sleeps until each arrival and
+    /// cancellation, and the bandwidth monitor ticks once per simulated
+    /// second.
+    fn check_prototype_clock(&self, jobs: &[JobSpec]) -> Result<(), ConfigError> {
+        let scale = self.time_scale();
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(ConfigError::Invalid(format!(
+                "time_scale must be positive and finite, got {scale}"
+            )));
+        }
+        let mut times = std::iter::once(1.0)
+            .chain(jobs.iter().map(|j| j.arrival_s))
+            .chain(self.cancellations.iter().map(|&(t, _)| t));
+        match times.find(|&t| Duration::try_from_secs_f64((t * scale).max(0.0)).is_err()) {
+            Some(t) => Err(ConfigError::Invalid(format!(
+                "simulated time {t} s overflows the prototype clock at time_scale {scale}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs every configured algorithm and reports results. A config that
+    /// would panic a run returns [`ConfigError::Invalid`] before any run.
     pub fn run(&self) -> Result<Vec<RunReport>, ConfigError> {
         if self.machines == 0 {
             return Err(ConfigError::Invalid("machines must be positive".into()));
@@ -225,17 +251,30 @@ impl SysConfig {
             None => Arc::new(ClusterTopology::homogeneous(machine, self.machines)),
         };
         let jobs = self.workload()?;
+        if let Some(&(_, m)) =
+            self.machine_failures.iter().find(|&&(_, m)| m as usize >= self.machines)
+        {
+            return Err(ConfigError::Invalid(format!(
+                "machine failure names machine {m}, but the cluster has {} machine(s)",
+                self.machines
+            )));
+        }
+        if !self.simulation {
+            self.check_prototype_clock(&jobs)?;
+        }
 
         let mut reports = Vec::with_capacity(self.algorithms.len());
         for algo in &self.algorithms {
             let policy = algo.resolve()?;
             let report = if self.simulation {
-                let config = SimConfig::new(policy).with_machine_failures(
-                    self.machine_failures
-                        .iter()
-                        .map(|&(t, m)| (t, MachineId(m)))
-                        .collect(),
-                );
+                let config = SimConfig::new(policy)
+                    .try_with_machine_failures(
+                        self.machine_failures
+                            .iter()
+                            .map(|&(t, m)| (t, MachineId(m)))
+                            .collect(),
+                    )
+                    .map_err(|e| ConfigError::Invalid(e.to_string()))?;
                 let res = Simulation::new(
                     Arc::clone(&cluster),
                     Arc::clone(&profiles),
@@ -453,6 +492,24 @@ mod tests {
         cfg.machines = 1;
         cfg.algorithms.clear();
         assert!(matches!(cfg.run(), Err(ConfigError::Invalid(_))));
+
+        // Inputs that used to panic a run, in simulation (`true`) or
+        // prototype mode. The vendored JSON parser reads `1e400` as
+        // infinity.
+        assert_eq!(serde_json::from_str::<f64>("1e400").unwrap(), f64::INFINITY);
+        let invalid = |what: &str, simulation: bool, edit: &dyn Fn(&mut SysConfig)| {
+            let mut cfg = SysConfig::sample();
+            cfg.simulation = simulation;
+            edit(&mut cfg);
+            let err = cfg.run().expect_err(what);
+            assert!(matches!(err, ConfigError::Invalid(_)), "{what}: {err}");
+        };
+        invalid("failure on machine 5 of 1", true, &|c| c.machine_failures = vec![(10.0, 5)]);
+        invalid("failure at 1e400", true, &|c| c.machine_failures = vec![(f64::INFINITY, 0)]);
+        invalid("time_scale 0", false, &|c| c.time_scale = Some(0.0));
+        invalid("time_scale -1", false, &|c| c.time_scale = Some(-1.0));
+        invalid("cancellation at 1e400", false, &|c| c.cancellations = vec![(f64::INFINITY, 0)]);
+        invalid("time_scale 1e300", false, &|c| c.time_scale = Some(1e300));
     }
 
     /// A trace file with an invalid job is a config error, not a panic

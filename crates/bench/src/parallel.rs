@@ -7,6 +7,7 @@
 //! `1` makes every sweep serial again.
 
 use gts_core::prelude::EvalParams;
+use std::sync::Mutex;
 
 /// Maps `f` over `items` on a scoped worker pool, returning results in
 /// input order. Serial when `GTS_EVAL_THREADS=1` or there is at most one
@@ -21,46 +22,34 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let n = items.len();
-    let n_workers = threads.min(n);
-    // Bounded work queue: the producer runs inside the scope and stays at
-    // most 2×workers ahead of the slowest worker, instead of materializing
-    // every (index, item) pair up front before a single worker starts.
-    let (tx_work, rx_work) = crossbeam::channel::bounded::<(usize, T)>(2 * n_workers);
-    let (tx_out, rx_out) = crossbeam::channel::unbounded::<(usize, R)>();
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            let rx_work = rx_work.clone();
-            let tx_out = tx_out.clone();
-            scope.spawn(move || {
-                while let Ok((i, item)) = rx_work.recv() {
-                    if tx_out.send((i, f(item))).is_err() {
-                        break;
+    let n_workers = threads.min(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (queue, f) = (&queue, &f);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n_workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // A statement of its own: the guard drops here, so
+                        // no worker holds the queue while `f` runs.
+                        let next = queue.lock().expect("par_map queue poisoned").next();
+                        let Some((i, item)) = next else { break };
+                        done.push((i, f(item)));
                     }
-                }
-            });
-        }
-        // The producer must not hold a receiver: workers own the only
-        // clones, so if every worker dies the blocked send unblocks with
-        // an error instead of deadlocking.
-        drop(rx_work);
-        for pair in items.into_iter().enumerate() {
-            if tx_work.send(pair).is_err() {
-                break; // all workers gone; nothing left to feed
-            }
-        }
-        drop(tx_work);
+                    done
+                })
+            })
+            .collect();
+        // A worker whose item panicked re-raises that panic in the caller;
+        // the scope still waits for the other workers.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    drop(tx_out);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in rx_out.try_iter() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item mapped"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -81,8 +70,8 @@ mod tests {
 
     #[test]
     fn backpressure_keeps_order_on_large_inputs() {
-        // Far more items than the 2×workers channel capacity, with uneven
-        // per-item cost so workers finish out of order.
+        // Far more items than workers, with uneven per-item cost so
+        // workers finish out of order.
         let out = par_map((0..500).collect::<Vec<u64>>(), |x| {
             if x % 7 == 0 {
                 std::thread::yield_now();
@@ -91,5 +80,18 @@ mod tests {
         });
         let want: Vec<u64> = (0..500).map(|x: u64| x.wrapping_mul(x) ^ 0xABCD).collect();
         assert_eq!(out, want);
+    }
+
+    /// A panicking item panics the caller: the pool neither hangs nor
+    /// returns with that item's result missing.
+    #[test]
+    #[should_panic(expected = "item 13 failed")]
+    fn a_panicking_item_panics_the_pool() {
+        par_map((0..64).collect::<Vec<u64>>(), |x| {
+            if x == 13 {
+                panic!("item 13 failed");
+            }
+            x
+        });
     }
 }

@@ -1,12 +1,14 @@
 //! `gts bench` — microbenchmarks of the placement engine's hot paths.
 //!
-//! Three layers, timed with the vendored criterion harness and serialized
-//! to `BENCH_sched.json` so the perf trajectory is tracked in-repo:
+//! Five groups, each entry timed by a small sampler of its own (one
+//! warm-up call, then a fixed number of timed calls, summarised by
+//! [`summarize`]) and serialized to `BENCH_sched.json` so the perf
+//! trajectory is tracked in-repo:
 //!
 //! 1. **`drb_map`** — one Algorithm 2/3 mapping on an idle Minsky machine
-//!    (2 and 4 GPUs) and an idle DGX-2 (8 GPUs). Criterion repeats the
-//!    call, so these time the warm path: after the first iteration the
-//!    split memo answers every `physicalGraphBiPartition` (DESIGN.md §13);
+//!    (2 and 4 GPUs) and an idle DGX-2 (8 GPUs). The sampler repeats the
+//!    call, so these time the warm path: after the warm-up call the split
+//!    memo answers every `physicalGraphBiPartition` (DESIGN.md §13);
 //! 2. **`arrival`** — a full TOPO-AWARE `decide` on a 64-machine
 //!    mostly-idle cluster, sequential reference vs the memoized engine,
 //!    plus a 256-machine cold-engine vs warm cross-event-cache arrival
@@ -22,14 +24,15 @@
 //!    4 096-machine racked cluster under a sustained Poisson stream.
 
 use crate::experiments::minsky_cluster;
-use criterion::{black_box, Criterion};
 use gts_core::prelude::*;
 use gts_core::sched::state::on_machine;
 use gts_core::sched::StateOracle;
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// One benchmark's timings (mirrors `criterion::BenchRecord`, serializable
-/// with the vendored serde, which caps integers at `u64`).
+/// One benchmark's timings, as [`summarize`] writes them (in `u64`: the
+/// vendored serde caps integers there).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BenchEntry {
     /// `group/name` label.
@@ -49,13 +52,51 @@ pub struct BenchEntry {
     /// `decision/huge` entry qualifies: the worst per-decision tail across
     /// its sample runs — the quantity a mean hides once replay answers
     /// most retries in O(1) — when every run made ≥ 1 000 decisions.
-    /// Criterion-timed entries take far fewer samples.
+    /// Sampled entries take far fewer samples.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub p99_ns: Option<u64>,
 }
 
 /// Samples a p99 needs: ten beyond it.
-const P99_MIN_SAMPLES: u64 = 1_000;
+const P99_MIN_SAMPLES: usize = 1_000;
+
+/// Summarises one sample set in nanoseconds: the mean (floored), the
+/// minimum, the lower median and the count, plus the nearest-rank p99 when
+/// there are at least 1 000 samples, ten of them beyond it.
+pub fn summarize(label: &str, mut samples_ns: Vec<u64>) -> BenchEntry {
+    assert!(!samples_ns.is_empty(), "{label}: no samples to summarize");
+    samples_ns.sort_unstable();
+    let n = samples_ns.len();
+    let sum: u128 = samples_ns.iter().map(|&ns| u128::from(ns)).sum();
+    BenchEntry {
+        label: label.to_string(),
+        mean_ns: (sum / n as u128) as u64,
+        min_ns: samples_ns[0],
+        median_ns: samples_ns[(n - 1) / 2],
+        samples: n as u64,
+        p99_ns: (n >= P99_MIN_SAMPLES).then(|| samples_ns[(99 * n).div_ceil(100) - 1]),
+    }
+}
+
+/// Times `routine`: one warm-up call, then `samples` timed calls.
+fn sample<O>(label: &str, samples: usize, mut routine: impl FnMut() -> O) -> BenchEntry {
+    black_box(routine());
+    let times = (0..samples)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(routine());
+            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+        })
+        .collect();
+    let entry = summarize(label, times);
+    println!(
+        "bench {label}: mean {:?}, min {:?} over {} iterations",
+        Duration::from_nanos(entry.mean_ns),
+        Duration::from_nanos(entry.min_ns),
+        entry.samples
+    );
+    entry
+}
 
 /// One machines-vs-decision-latency point of the production scheduler
 /// (`gts bench scale-curve`): [`SCALE_RUNS`] runs of one trace at one
@@ -229,7 +270,7 @@ fn diverse_state(n_machines: usize) -> ClusterState {
 pub fn run(smoke: bool) -> BenchReport {
     let samples = if smoke { 3 } else { 40 };
     let sim_samples = if smoke { 1 } else { 5 };
-    let mut c = Criterion::default().with_sample_size(samples);
+    let mut results = Vec::new();
 
     // 1. drb_map on an idle machine: 2- and 4-GPU jobs on a Minsky, an
     // 8-GPU job on a DGX-2, whose 16 GPUs make the widest split sweep.
@@ -245,13 +286,9 @@ pub fn run(smoke: bool) -> BenchReport {
         let graph = JobGraph::from_spec(&job);
         let free = idle.free_gpus(MachineId(0));
         let oracle = StateOracle::new(&idle, MachineId(0), &job);
-        c.bench_function(&format!("drb_map/{name}_{width}gpu"), |b| {
-            b.iter(|| {
-                black_box(
-                    drb_map(&graph, &free, &oracle, UtilityWeights::default()).unwrap(),
-                )
-            })
-        });
+        results.push(sample(&format!("drb_map/{name}_{width}gpu"), samples, || {
+            drb_map(&graph, &free, &oracle, UtilityWeights::default()).unwrap()
+        }));
     }
 
     // 2. The headline: one TOPO-AWARE arrival on 64 mostly-idle machines.
@@ -259,12 +296,12 @@ pub fn run(smoke: bool) -> BenchReport {
     let job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
     let policy = Policy::new(PolicyKind::TopoAware);
     let engine = EvalParams::from_env();
-    c.bench_function("arrival/topo64_sequential", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &job, EvalParams::sequential(), None, None)))
-    });
-    c.bench_function("arrival/topo64_engine", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &job, engine, None, None)))
-    });
+    results.push(sample("arrival/topo64_sequential", samples, || {
+        policy.decide_with(&state, &job, EvalParams::sequential(), None, None)
+    }));
+    results.push(sample("arrival/topo64_engine", samples, || {
+        policy.decide_with(&state, &job, engine, None, None)
+    }));
 
     // 2b. The cross-event cache at scale: a 4-GPU arrival on 256
     // diversely occupied 16-GPU machines (~144 distinct classes, so the
@@ -279,31 +316,25 @@ pub fn run(smoke: bool) -> BenchReport {
         JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
     let warm_cache = EvalCache::with_capacity(4096);
     policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None);
-    c.bench_function("arrival/topo256_cold", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine, None, None)))
-    });
-    c.bench_function("arrival/topo256_warm", |b| {
-        b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None)))
-    });
+    results.push(sample("arrival/topo256_cold", samples, || {
+        policy.decide_with(&state, &wide_job, engine, None, None)
+    }));
+    results.push(sample("arrival/topo256_warm", samples, || {
+        policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None)
+    }));
 
     // 3. A whole small simulation (fig10-shaped) under both paths.
-    let mut c_sim = Criterion::default().with_sample_size(sim_samples);
     let (cluster, profiles) = minsky_cluster(5);
     let trace = WorkloadGenerator::with_defaults(1001).generate(if smoke { 20 } else { 60 });
     for (label, eval) in [
         ("fig10_slice_sequential", EvalParams::sequential()),
         ("fig10_slice_engine", engine),
     ] {
-        c_sim.bench_function(&format!("sim/{label}"), |b| {
-            b.iter(|| {
-                let config =
-                    SimConfig::new(Policy::new(PolicyKind::TopoAwareP)).with_eval(eval);
-                black_box(
-                    Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
-                        .run(trace.clone()),
-                )
-            })
-        });
+        results.push(sample(&format!("sim/{label}"), sim_samples, || {
+            let config = SimConfig::new(Policy::new(PolicyKind::TopoAwareP)).with_eval(eval);
+            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
+                .run(trace.clone())
+        }));
     }
 
     // 4. The large-cluster simulation: reference vs incremental event loop.
@@ -312,7 +343,7 @@ pub fn run(smoke: bool) -> BenchReport {
     // refresh dominates; smoke shrinks the cluster and trace but keeps the
     // overlap structure.
     let (large_machines, large_jobs) = if smoke { (16, 96) } else { (256, 2048) };
-    let mut c_large = Criterion::default().with_sample_size(if smoke { 1 } else { 3 });
+    let large_samples = if smoke { 1 } else { 3 };
     let gen = GeneratorConfig {
         arrival_rate_per_min: 90.0,
         iterations: 150,
@@ -321,22 +352,17 @@ pub fn run(smoke: bool) -> BenchReport {
     let (cluster, profiles) = minsky_cluster(large_machines);
     let trace = WorkloadGenerator::new(gen, 2002).generate(large_jobs);
     for (label, incremental) in [("large_reference", false), ("large_cached", true)] {
-        c_large.bench_function(&format!("sim/{label}"), |b| {
-            b.iter(|| {
-                let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(engine)
-                    .with_incremental(incremental);
-                black_box(
-                    Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
-                        .run(trace.clone()),
-                )
-            })
-        });
+        results.push(sample(&format!("sim/{label}"), large_samples, || {
+            let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
+                .with_eval(engine)
+                .with_incremental(incremental);
+            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
+                .run(trace.clone())
+        }));
     }
 
     // One instrumented production run for the hit rate and the phase-time
-    // breakdown (not timed by criterion; its own wall clock normalizes
-    // the shares).
+    // breakdown (not sampled; its own wall clock normalizes the shares).
     let stats_config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
         .with_eval(engine)
         .with_phase_timing(true);
@@ -374,42 +400,19 @@ pub fn run(smoke: bool) -> BenchReport {
         })
         .collect();
 
-    let mut results: Vec<BenchEntry> = c
-        .take_records()
-        .into_iter()
-        .chain(c_sim.take_records())
-        .chain(c_large.take_records())
-        .map(|r| BenchEntry {
-            label: r.label,
-            mean_ns: r.mean_ns.min(u64::MAX as u128) as u64,
-            min_ns: r.min_ns.min(u64::MAX as u128) as u64,
-            median_ns: r.median_ns.min(u64::MAX as u128) as u64,
-            samples: r.samples as u64,
-            p99_ns: None,
-        })
-        .collect();
     let runs: Vec<SimRun> =
         huge_traces.iter().map(|t| production_sim(&huge_cluster, &huge_profiles, t)).collect();
-    let entry = |label: &str, pick: fn(&SimRun) -> u64, p99_ns: Option<u64>| {
-        let mut vals: Vec<u64> = runs.iter().map(pick).collect();
-        vals.sort_unstable();
-        BenchEntry {
-            label: label.to_string(),
-            mean_ns: vals.iter().sum::<u64>() / vals.len() as u64,
-            min_ns: vals[0],
-            median_ns: vals[(vals.len() - 1) / 2],
-            samples: vals.len() as u64,
-            p99_ns,
-        }
-    };
     // Worst per-run p99: the decision-latency tail across every sampled
     // trace, not a tail of means — written only when every run's own p99
     // rests on enough decisions.
     let fewest = runs.iter().map(|r| r.decisions).min().expect("at least one run");
-    let dec_p99 = (fewest >= P99_MIN_SAMPLES)
+    let dec_p99 = (fewest >= P99_MIN_SAMPLES as u64)
         .then(|| runs.iter().map(|r| r.decision_p99_ns).max().expect("at least one run"));
-    results.push(entry("sim/huge", |r| r.wall_ns, None));
-    results.push(entry("decision/huge", |r| r.mean_decision_ns, dec_p99));
+    results.push(summarize("sim/huge", runs.iter().map(|r| r.wall_ns).collect()));
+    results.push(BenchEntry {
+        p99_ns: dec_p99,
+        ..summarize("decision/huge", runs.iter().map(|r| r.mean_decision_ns).collect())
+    });
     results.sort_by(|a, b| a.label.cmp(&b.label));
 
     let report = BenchReport {
@@ -571,7 +574,7 @@ mod tests {
             assert!(entry.min_ns <= entry.mean_ns, "{label} min above mean");
         }
         // Every entry carries a median; a p99 only with ten samples beyond
-        // it, which no criterion-timed entry takes, and which the smoke
+        // it, which no sampled entry takes, and which the smoke
         // suite's small huge runs do not reach either.
         for entry in &report.results {
             let label = &entry.label;
@@ -660,6 +663,20 @@ mod tests {
             "replay_hits": 0, "replay_full_fallbacks": 0}"#;
         let point: ScalePoint = serde_json::from_str(old).expect("old point parses");
         assert_eq!((point.machines, point.wall_ns, point.loop_ns_per_job), (256, 17947136, 0));
+    }
+
+    /// Every entry's statistics on fixed samples: an odd and an even count
+    /// (the lower middle sample is the median, the mean floors), and the
+    /// p99 appearing at exactly 1 000 samples, ten of them beyond it.
+    #[test]
+    fn summarize_reads_fixed_samples() {
+        let stats = |e: BenchEntry| (e.mean_ns, e.min_ns, e.median_ns, e.samples, e.p99_ns);
+        assert_eq!(stats(summarize("odd", vec![30, 10, 20])), (20, 10, 20, 3, None));
+        assert_eq!(stats(summarize("even", vec![40, 10, 31, 20])), (25, 10, 20, 4, None));
+        assert_eq!(summarize("one short", (1..=999).collect()).p99_ns, None);
+        let full = summarize("full", (1..=1000).rev().collect());
+        assert_eq!(full.label, "full");
+        assert_eq!(stats(full), (500, 1, 500, 1000, Some(990)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! worker chunking. One-shot byte adds ([`LinkCounters::add_p2p`] and
 //! friends) remain for instantaneous transfers.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One channel's integrated traffic: settled bytes plus the aggregate rate
 /// all workers are currently driving through it.
@@ -73,20 +73,25 @@ impl LinkCounters {
         self.machines.len()
     }
 
+    /// Locks one machine's flows.
+    fn flows(&self, machine: usize) -> MutexGuard<'_, MachineFlows> {
+        self.machines[machine].lock().expect("counters poisoned")
+    }
+
     /// Adds P2P bytes on one machine as an instantaneous transfer.
     pub fn add_p2p(&self, machine: usize, bytes: u64) {
-        self.machines[machine].lock().p2p.bytes += bytes as f64;
+        self.flows(machine).p2p.bytes += bytes as f64;
     }
 
     /// Adds host-routed bytes on one machine as an instantaneous transfer.
     pub fn add_host(&self, machine: usize, bytes: u64) {
-        self.machines[machine].lock().host.bytes += bytes as f64;
+        self.flows(machine).host.bytes += bytes as f64;
     }
 
     /// Adds DRAM traffic (input pipeline / staging) on one machine as an
     /// instantaneous transfer.
     pub fn add_dram(&self, machine: usize, bytes: u64) {
-        self.machines[machine].lock().dram.bytes += bytes as f64;
+        self.flows(machine).dram.bytes += bytes as f64;
     }
 
     /// Changes a machine's aggregate channel rates by the given deltas at
@@ -102,7 +107,7 @@ impl LinkCounters {
         d_host_gbs: f64,
         d_dram_gbs: f64,
     ) {
-        let mut flows = self.machines[machine].lock();
+        let mut flows = self.flows(machine);
         let MachineFlows { p2p, host, dram } = &mut *flows;
         for (flow, delta) in [(p2p, d_p2p_gbs), (host, d_host_gbs), (dram, d_dram_gbs)] {
             flow.settle(t_s);
@@ -112,7 +117,7 @@ impl LinkCounters {
 
     /// Cumulative `(p2p, host)` bytes on one machine, as settled so far.
     pub fn totals(&self, machine: usize) -> (u64, u64) {
-        let flows = self.machines[machine].lock();
+        let flows = self.flows(machine);
         (
             flows.p2p.total_at(flows.p2p.last_t_s),
             flows.host.total_at(flows.host.last_t_s),
@@ -123,19 +128,19 @@ impl LinkCounters {
     /// `t_s`, including traffic still flowing at the current rates — what
     /// the bandwidth monitor reads each window.
     pub fn totals_at(&self, machine: usize, t_s: f64) -> (u64, u64) {
-        let flows = self.machines[machine].lock();
+        let flows = self.flows(machine);
         (flows.p2p.total_at(t_s), flows.host.total_at(t_s))
     }
 
     /// Cumulative DRAM bytes on one machine, as settled so far.
     pub fn dram_total(&self, machine: usize) -> u64 {
-        let flows = self.machines[machine].lock();
+        let flows = self.flows(machine);
         flows.dram.total_at(flows.dram.last_t_s)
     }
 
     /// Cumulative DRAM bytes on one machine at simulated time `t_s`.
     pub fn dram_total_at(&self, machine: usize, t_s: f64) -> u64 {
-        self.machines[machine].lock().dram.total_at(t_s)
+        self.flows(machine).dram.total_at(t_s)
     }
 }
 

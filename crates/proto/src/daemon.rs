@@ -10,16 +10,15 @@ use crate::clock::{ScaledClock, TimeScale};
 use crate::counters::LinkCounters;
 use crate::result::{BandwidthSample, ProtoResult};
 use crate::worker::{run_worker, WorkerParams};
-use crossbeam::channel::{unbounded, RecvTimeoutError};
 use gts_job::{JobId, JobSpec};
 use gts_perf::{PlacementPerf, ProfileLibrary};
 use gts_sched::{Allocation, ClusterState, PlacementOutcome, Policy, Scheduler, SchedulerConfig};
 use gts_sim::{cluster_ideal_duration_s, current_slowdown, solo_iter_time, JobRecord};
 use gts_topo::ClusterTopology;
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -119,7 +118,7 @@ impl Prototype {
         }
 
         let clock = ScaledClock::start(self.config.scale);
-        let (tx, rx) = unbounded::<Event>();
+        let (tx, rx) = channel::<Event>();
         let counters = Arc::new(LinkCounters::new(self.cluster.n_machines()));
         let slowdowns: Arc<RwLock<HashMap<JobId, f64>>> = Arc::new(RwLock::new(HashMap::new()));
         let cancelled: Arc<RwLock<HashSet<JobId>>> = Arc::new(RwLock::new(HashSet::new()));
@@ -207,7 +206,7 @@ impl Prototype {
                 }
                 Ok(Event::Finished { job, at_sim_s }) => {
                     let alloc = scheduler.complete(job);
-                    slowdowns.write().remove(&job);
+                    slowdowns.write().expect("slowdowns poisoned").remove(&job);
                     let start = placed_at.remove(&job).expect("finished job was placed");
                     let mut record = self.record_for(alloc, start, at_sim_s);
                     record.postponements = scheduler.postpone_count(job);
@@ -218,8 +217,8 @@ impl Prototype {
                     use gts_sched::CancelOutcome;
                     match scheduler.cancel(job) {
                         CancelOutcome::Stopped(_) => {
-                            cancelled.write().insert(job);
-                            slowdowns.write().remove(&job);
+                            cancelled.write().expect("cancelled poisoned").insert(job);
+                            slowdowns.write().expect("slowdowns poisoned").remove(&job);
                             placed_at.remove(&job);
                             cancelled_jobs.push(job);
                             expected -= 1;
@@ -256,7 +255,10 @@ impl Prototype {
                     let alloc = scheduler.state().allocation(id).expect("just placed");
                     let now = clock.now_sim();
                     placed_at.insert(id, now);
-                    slowdowns.write().insert(id, 0.0);
+                    slowdowns
+                        .write()
+                        .expect("slowdowns poisoned")
+                        .insert(id, 0.0);
                     workers.push(self.spawn_worker(
                         alloc,
                         &clock,
@@ -298,7 +300,7 @@ impl Prototype {
         counters: &Arc<LinkCounters>,
         slowdowns: &Arc<RwLock<HashMap<JobId, f64>>>,
         cancelled: &Arc<RwLock<HashSet<JobId>>>,
-        events: crossbeam::channel::Sender<Event>,
+        events: Sender<Event>,
     ) -> JoinHandle<()> {
         let iter = solo_iter_time(alloc, &self.cluster);
         let params = WorkerParams {
@@ -328,7 +330,7 @@ impl Prototype {
                 )
             })
             .collect();
-        *table.write() = fresh;
+        *table.write().expect("slowdowns poisoned") = fresh;
     }
 
     fn record_for(&self, alloc: Allocation, placed_at_s: f64, finished_at_s: f64) -> JobRecord {

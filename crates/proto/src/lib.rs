@@ -7,11 +7,11 @@
 //! crate reproduces that *architecture* with real concurrency:
 //!
 //! * a **scheduler daemon** owns the `gts-sched` scheduler and reacts to
-//!   submission/completion events over crossbeam channels;
+//!   submission/completion events over one `std::sync::mpsc` channel;
 //! * one **worker thread per running job** executes time-scaled training
 //!   iterations (the calibrated `gts-perf` model stands in for Caffe),
 //!   reading its current interference slowdown from shared state and
-//!   publishing transferred bytes to per-machine atomic link counters;
+//!   publishing its link traffic to per-machine counters;
 //! * a **monitor thread** samples those counters once per scaled second,
 //!   yielding the Fig. 5 / Fig. 8 bandwidth traces;
 //! * an **arrival injector** replays a trace in scaled real time.

@@ -13,12 +13,11 @@
 use crate::clock::ScaledClock;
 use crate::counters::LinkCounters;
 use crate::daemon::Event;
-use crossbeam::channel::Sender;
 use gts_job::JobId;
 use gts_perf::{sampled_bandwidth_gbs, IterTime, RouteClass};
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// Everything a worker thread needs to execute one placed job.
@@ -61,12 +60,22 @@ pub fn run_worker(p: WorkerParams) {
     let (mut pub_p2p, mut pub_host, mut pub_dram) = (0.0f64, 0.0f64, 0.0f64);
     let mut torn_down = false;
     while remaining > 0.0 {
-        if p.cancelled.read().contains(&p.job) {
+        if p.cancelled
+            .read()
+            .expect("cancelled poisoned")
+            .contains(&p.job)
+        {
             torn_down = true; // daemon tore it down; no completion event
             break;
         }
         // Publish the bandwidth this job drives at its current slowdown.
-        let slowdown = p.slowdowns.read().get(&p.job).copied().unwrap_or(0.0);
+        let slowdown = p
+            .slowdowns
+            .read()
+            .expect("slowdowns poisoned")
+            .get(&p.job)
+            .copied()
+            .unwrap_or(0.0);
         let bw = sampled_bandwidth_gbs(p.iter, slowdown);
         let (want_p2p, want_host) = if p.iter.comm_s > 0.0 && p.route == RouteClass::P2p {
             (bw, 0.0)
@@ -108,12 +117,9 @@ pub fn run_worker(p: WorkerParams) {
 mod tests {
     use super::*;
     use crate::clock::TimeScale;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::{channel, Receiver};
 
-    fn params(
-        total_solo_s: f64,
-        slowdown: f64,
-    ) -> (WorkerParams, crossbeam::channel::Receiver<Event>) {
+    fn params(total_solo_s: f64, slowdown: f64) -> (WorkerParams, Receiver<Event>) {
         params_at(total_solo_s, slowdown, TimeScale::new(0.001))
     }
 
@@ -122,10 +128,10 @@ mod tests {
         total_solo_s: f64,
         slowdown: f64,
         scale: TimeScale,
-    ) -> (WorkerParams, crossbeam::channel::Receiver<Event>) {
-        let (tx, rx) = unbounded();
+    ) -> (WorkerParams, Receiver<Event>) {
+        let (tx, rx) = channel();
         let slowdowns = Arc::new(RwLock::new(HashMap::new()));
-        slowdowns.write().insert(JobId(0), slowdown);
+        slowdowns.write().unwrap().insert(JobId(0), slowdown);
         let p = WorkerParams {
             job: JobId(0),
             machine: 0,
@@ -199,7 +205,7 @@ mod tests {
         let cancelled = Arc::clone(&p.cancelled);
         let handle = std::thread::spawn(move || run_worker(p));
         std::thread::sleep(Duration::from_millis(5));
-        cancelled.write().insert(JobId(0));
+        cancelled.write().unwrap().insert(JobId(0));
         handle.join().unwrap();
         assert!(
             rx.try_recv().is_err(),
