@@ -88,9 +88,7 @@ impl AlgoConfig {
         };
         let weights = match self.weights {
             None => UtilityWeights::default(),
-            Some([cc, b, d]) => {
-                UtilityWeights::new(cc, b, d).map_err(ConfigError::BadWeights)?
-            }
+            Some([cc, b, d]) => UtilityWeights::new(cc, b, d).map_err(ConfigError::BadWeights)?,
         };
         Ok(Policy { kind, weights })
     }
@@ -156,8 +154,14 @@ impl SysConfig {
             cancellations: Vec::new(),
             machine_failures: Vec::new(),
             algorithms: vec![
-                AlgoConfig { policy: "topo-aware-p".into(), weights: None },
-                AlgoConfig { policy: "fcfs".into(), weights: None },
+                AlgoConfig {
+                    policy: "topo-aware-p".into(),
+                    weights: None,
+                },
+                AlgoConfig {
+                    policy: "fcfs".into(),
+                    weights: None,
+                },
             ],
             workload: WorkloadSource::Table1,
         }
@@ -251,8 +255,10 @@ impl SysConfig {
             None => Arc::new(ClusterTopology::homogeneous(machine, self.machines)),
         };
         let jobs = self.workload()?;
-        if let Some(&(_, m)) =
-            self.machine_failures.iter().find(|&&(_, m)| m as usize >= self.machines)
+        if let Some(&(_, m)) = self
+            .machine_failures
+            .iter()
+            .find(|&&(_, m)| m as usize >= self.machines)
         {
             return Err(ConfigError::Invalid(format!(
                 "machine failure names machine {m}, but the cluster has {} machine(s)",
@@ -275,12 +281,8 @@ impl SysConfig {
                             .collect(),
                     )
                     .map_err(|e| ConfigError::Invalid(e.to_string()))?;
-                let res = Simulation::new(
-                    Arc::clone(&cluster),
-                    Arc::clone(&profiles),
-                    config,
-                )
-                .run(jobs.clone());
+                let res = Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
+                    .run(jobs.clone());
                 RunReport {
                     policy: policy.kind,
                     mode: "simulation".into(),
@@ -293,19 +295,14 @@ impl SysConfig {
                     gpu_utilization: res.gpu_utilization(cluster.n_gpus()),
                 }
             } else {
-                let mut config =
-                    ProtoConfig::with_scale(policy, TimeScale::new(self.time_scale()));
+                let mut config = ProtoConfig::with_scale(policy, TimeScale::new(self.time_scale()));
                 config.cancellations = self
                     .cancellations
                     .iter()
                     .map(|&(t, id)| (t, JobId(id)))
                     .collect();
-                let res = Prototype::new(
-                    Arc::clone(&cluster),
-                    Arc::clone(&profiles),
-                    config,
-                )
-                .run(jobs.clone());
+                let res = Prototype::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
+                    .run(jobs.clone());
                 let mean_wait = if res.records.is_empty() {
                     0.0
                 } else {
@@ -447,7 +444,10 @@ mod tests {
         let mut cfg = SysConfig::sample();
         cfg.machines = 2;
         cfg.workload = WorkloadSource::Generate { jobs: 12, seed: 3 };
-        cfg.algorithms = vec![AlgoConfig { policy: "bf".into(), weights: None }];
+        cfg.algorithms = vec![AlgoConfig {
+            policy: "bf".into(),
+            weights: None,
+        }];
         let reports = cfg.run().unwrap();
         assert_eq!(reports[0].completed, 12);
         assert_eq!(reports[0].policy, PolicyKind::BestFit);
@@ -473,7 +473,10 @@ mod tests {
             SysConfig::from_json("{oops"),
             Err(ConfigError::Parse(_))
         ));
-        let bad_policy = AlgoConfig { policy: "lottery".into(), weights: None };
+        let bad_policy = AlgoConfig {
+            policy: "lottery".into(),
+            weights: None,
+        };
         assert!(matches!(
             bad_policy.resolve(),
             Err(ConfigError::UnknownPolicy(_))
@@ -504,11 +507,17 @@ mod tests {
             let err = cfg.run().expect_err(what);
             assert!(matches!(err, ConfigError::Invalid(_)), "{what}: {err}");
         };
-        invalid("failure on machine 5 of 1", true, &|c| c.machine_failures = vec![(10.0, 5)]);
-        invalid("failure at 1e400", true, &|c| c.machine_failures = vec![(f64::INFINITY, 0)]);
+        invalid("failure on machine 5 of 1", true, &|c| {
+            c.machine_failures = vec![(10.0, 5)]
+        });
+        invalid("failure at 1e400", true, &|c| {
+            c.machine_failures = vec![(f64::INFINITY, 0)]
+        });
         invalid("time_scale 0", false, &|c| c.time_scale = Some(0.0));
         invalid("time_scale -1", false, &|c| c.time_scale = Some(-1.0));
-        invalid("cancellation at 1e400", false, &|c| c.cancellations = vec![(f64::INFINITY, 0)]);
+        invalid("cancellation at 1e400", false, &|c| {
+            c.cancellations = vec![(f64::INFINITY, 0)]
+        });
         invalid("time_scale 1e300", false, &|c| c.time_scale = Some(1e300));
     }
 
@@ -525,7 +534,10 @@ mod tests {
             serde_json::from_str(r#"{"n": 2, "weights": [0.0]}"#).unwrap();
         let cases = [
             ("zero-gpus", job(0, 0)),
-            ("bad-graph", job(1, 2).with_comm_graph(JobGraph::pipeline(3, 4.0))),
+            (
+                "bad-graph",
+                job(1, 2).with_comm_graph(JobGraph::pipeline(3, 4.0)),
+            ),
             ("bad-utility", job(2, 2).with_min_utility(7.0)),
             ("short-weights", job(3, 2).with_comm_graph(short_weights)),
         ];
@@ -533,7 +545,9 @@ mod tests {
             let path = dir.join(format!("{name}.json"));
             Trace::new(name, vec![job]).save(&path).unwrap();
             let mut cfg = SysConfig::sample();
-            cfg.workload = WorkloadSource::TraceFile { path: path.display().to_string() };
+            cfg.workload = WorkloadSource::TraceFile {
+                path: path.display().to_string(),
+            };
             let err = cfg.run().expect_err(name);
             assert!(matches!(err, ConfigError::Invalid(_)), "{name}: {err}");
             std::fs::remove_file(&path).ok();
@@ -544,7 +558,10 @@ mod tests {
     fn dgx1_cluster_config() {
         let mut cfg = SysConfig::sample();
         cfg.machine_kind = MachineKind::Dgx1;
-        cfg.algorithms = vec![AlgoConfig { policy: "topo-aware-p".into(), weights: None }];
+        cfg.algorithms = vec![AlgoConfig {
+            policy: "topo-aware-p".into(),
+            weights: None,
+        }];
         let reports = cfg.run().unwrap();
         assert_eq!(reports[0].completed, 6);
         assert_eq!(reports[0].slo_violations, 0);
@@ -556,7 +573,10 @@ mod tests {
         let mut cfg = SysConfig::sample();
         cfg.machines = 2;
         cfg.machine_failures = vec![(60.0, 0)];
-        cfg.algorithms = vec![AlgoConfig { policy: "topo-aware-p".into(), weights: None }];
+        cfg.algorithms = vec![AlgoConfig {
+            policy: "topo-aware-p".into(),
+            weights: None,
+        }];
         let reports = cfg.run().unwrap();
         assert_eq!(reports[0].completed, 6, "all jobs survive via restarts");
 
@@ -565,7 +585,10 @@ mod tests {
         cfg.simulation = false;
         cfg.time_scale = Some(0.001);
         cfg.cancellations = vec![(40.0, 0)];
-        cfg.algorithms = vec![AlgoConfig { policy: "fcfs".into(), weights: None }];
+        cfg.algorithms = vec![AlgoConfig {
+            policy: "fcfs".into(),
+            weights: None,
+        }];
         let reports = cfg.run().unwrap();
         assert_eq!(reports[0].completed, 5, "J0 was cancelled");
     }
@@ -577,7 +600,10 @@ mod tests {
         cfg.racks = Some(2);
         cfg.machine_kind = MachineKind::Power9Ac922;
         cfg.workload = WorkloadSource::Generate { jobs: 8, seed: 1 };
-        cfg.algorithms = vec![AlgoConfig { policy: "topo-aware".into(), weights: None }];
+        cfg.algorithms = vec![AlgoConfig {
+            policy: "topo-aware".into(),
+            weights: None,
+        }];
         let reports = cfg.run().unwrap();
         assert_eq!(reports[0].completed, 8);
 
@@ -595,7 +621,10 @@ mod tests {
         let mut cfg = SysConfig::sample();
         cfg.simulation = false;
         cfg.time_scale = Some(0.001);
-        cfg.algorithms = vec![AlgoConfig { policy: "topo-aware-p".into(), weights: None }];
+        cfg.algorithms = vec![AlgoConfig {
+            policy: "topo-aware-p".into(),
+            weights: None,
+        }];
         let reports = cfg.run().unwrap();
         assert_eq!(reports[0].mode, "prototype");
         assert_eq!(reports[0].completed, 6);

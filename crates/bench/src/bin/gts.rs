@@ -68,7 +68,11 @@ fn main() -> ExitCode {
     let mut t = TextTable::new(
         format!(
             "gts — {} mode, {} machine(s)",
-            if config.simulation { "simulation" } else { "prototype" },
+            if config.simulation {
+                "simulation"
+            } else {
+                "prototype"
+            },
             config.machines
         ),
         &[
@@ -127,19 +131,31 @@ fn run_bench(args: &[String]) -> ExitCode {
         "arrival/topo64 speedup (sequential/engine, {} thread(s)): {:.2}x{}",
         report.threads,
         report.arrival_speedup,
-        if smoke { "  [smoke — not comparable]" } else { "" },
+        if smoke {
+            "  [smoke — not comparable]"
+        } else {
+            ""
+        },
     );
     println!(
         "sim/large event-loop speedup (reference/incremental): {:.2}x, \
          placement-cache hit rate {:.3}{}",
         report.sim_loop_speedup,
         report.eval_cache_hit_rate,
-        if smoke { "  [smoke — not comparable]" } else { "" },
+        if smoke {
+            "  [smoke — not comparable]"
+        } else {
+            ""
+        },
     );
     println!(
         "arrival/topo256 warm-cache speedup (cold/warm): {:.2}x{}",
         report.warm_arrival_speedup,
-        if smoke { "  [smoke — not comparable]" } else { "" },
+        if smoke {
+            "  [smoke — not comparable]"
+        } else {
+            ""
+        },
     );
     println!(
         "phase shares of instrumented sim/large_cached run: decision {:.1}%, \
@@ -205,7 +221,11 @@ fn run_scale_curve(args: &[String]) -> ExitCode {
             p.wall_ns as f64 / 1e6,
             p.loop_ns_per_job as f64 / 1_000.0,
             p.replay_hits,
-            if smoke { "  [smoke — not comparable]" } else { "" },
+            if smoke {
+                "  [smoke — not comparable]"
+            } else {
+                ""
+            },
         );
     }
     if let Err(e) = std::fs::write(&out, report.to_json() + "\n") {
@@ -234,10 +254,14 @@ fn run_trace(args: &[String]) -> ExitCode {
         };
         let parsed = match arg.as_str() {
             "--seed" => value("--seed").and_then(|v| {
-                v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))
+                v.parse()
+                    .map(|n| seed = n)
+                    .map_err(|e| format!("--seed: {e}"))
             }),
             "--jobs" => value("--jobs").and_then(|v| {
-                v.parse().map(|n| jobs = n).map_err(|e| format!("--jobs: {e}"))
+                v.parse()
+                    .map(|n| jobs = n)
+                    .map_err(|e| format!("--jobs: {e}"))
             }),
             "--machines" => value("--machines").and_then(|v| {
                 v.parse()
@@ -261,7 +285,12 @@ fn run_trace(args: &[String]) -> ExitCode {
         }
     }
 
-    let policy = match (AlgoConfig { policy, weights: None }).resolve() {
+    let policy = match (AlgoConfig {
+        policy,
+        weights: None,
+    })
+    .resolve()
+    {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
@@ -273,8 +302,8 @@ fn run_trace(args: &[String]) -> ExitCode {
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
     let cluster = Arc::new(ClusterTopology::homogeneous(machine, machines));
     let workload = WorkloadGenerator::with_defaults(seed).generate(jobs);
-    let result = Simulation::new(cluster, profiles, SimConfig::new(policy).with_trace())
-        .run(workload);
+    let result =
+        Simulation::new(cluster, profiles, SimConfig::new(policy).with_trace()).run(workload);
 
     if json {
         println!(
@@ -316,8 +345,16 @@ fn print_event(event: &TraceEvent) {
         TraceEvent::Arrived { t_s, job } => {
             println!("[{:>9}s] {job} arrived", f(*t_s, 1));
         }
-        TraceEvent::Evaluated { t_s, job, candidates } => {
-            println!("[{:>9}s] {job} evaluated {} candidate(s):", f(*t_s, 1), candidates.len());
+        TraceEvent::Evaluated {
+            t_s,
+            job,
+            candidates,
+        } => {
+            println!(
+                "[{:>9}s] {job} evaluated {} candidate(s):",
+                f(*t_s, 1),
+                candidates.len()
+            );
             for c in candidates {
                 let gpus: Vec<String> = c.gpus.iter().map(|g| g.to_string()).collect();
                 println!(
@@ -333,14 +370,24 @@ fn print_event(event: &TraceEvent) {
                 );
             }
         }
-        TraceEvent::Placed { t_s, job, gpus, utility, slo_violated } => {
+        TraceEvent::Placed {
+            t_s,
+            job,
+            gpus,
+            utility,
+            slo_violated,
+        } => {
             let gpus: Vec<String> = gpus.iter().map(|g| g.to_string()).collect();
             println!(
                 "[{:>9}s] {job} PLACED on [{}] U={}{}",
                 f(*t_s, 1),
                 gpus.join(","),
                 f(*utility, 3),
-                if *slo_violated { "  ** SLO VIOLATION **" } else { "" },
+                if *slo_violated {
+                    "  ** SLO VIOLATION **"
+                } else {
+                    ""
+                },
             );
         }
         TraceEvent::Postponed { t_s, job, utility } => {
@@ -358,7 +405,11 @@ fn print_event(event: &TraceEvent) {
         }
         TraceEvent::Spilled { t_s, job, machines } => {
             let ms: Vec<String> = machines.iter().map(|m| m.to_string()).collect();
-            println!("[{:>9}s] {job} spilled across [{}]", f(*t_s, 1), ms.join(","));
+            println!(
+                "[{:>9}s] {job} spilled across [{}]",
+                f(*t_s, 1),
+                ms.join(",")
+            );
         }
         TraceEvent::MachineFailed { t_s, machine } => {
             println!("[{:>9}s] {machine} FAILED", f(*t_s, 1));
@@ -366,9 +417,18 @@ fn print_event(event: &TraceEvent) {
         TraceEvent::MachineRecovered { t_s, machine } => {
             println!("[{:>9}s] {machine} recovered", f(*t_s, 1));
         }
-        TraceEvent::EvalCacheStats { t_s, hits, misses, evictions } => {
+        TraceEvent::EvalCacheStats {
+            t_s,
+            hits,
+            misses,
+            evictions,
+        } => {
             let total = hits + misses;
-            let rate = if total == 0 { 0.0 } else { *hits as f64 / total as f64 };
+            let rate = if total == 0 {
+                0.0
+            } else {
+                *hits as f64 / total as f64
+            };
             println!(
                 "[{:>9}s] placement cache: {hits} hit(s), {misses} miss(es), \
                  {evictions} eviction(s) ({} hit rate)",

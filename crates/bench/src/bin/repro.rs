@@ -75,7 +75,11 @@ fn main() -> ExitCode {
         }
         "fig11" => {
             if wants_json(&args) {
-                let s = if scale <= 1 { exp::fig11::run_full() } else { exp::fig11::run_scaled(scale) };
+                let s = if scale <= 1 {
+                    exp::fig11::run_full()
+                } else {
+                    exp::fig11::run_scaled(scale)
+                };
                 println!("{}", serde_json::to_string_pretty(&s).expect("serialize"));
             } else {
                 print!("{}", exp::fig11::render(scale));
@@ -106,7 +110,10 @@ fn main() -> ExitCode {
             println!();
             print!("{}", exp::fig10::render());
             println!();
-            print!("{}", exp::fig11::render(if scale == 1 { 10 } else { scale }));
+            print!(
+                "{}",
+                exp::fig11::render(if scale == 1 { 10 } else { scale })
+            );
             println!();
             print!("{}", exp::overhead::render(&[5, 50, 200], 40));
             println!();

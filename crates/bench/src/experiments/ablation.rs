@@ -30,7 +30,10 @@ pub struct AblationRow {
 /// The sweep grid: each term alone, pairs, and the paper's default.
 pub fn weight_grid() -> Vec<(String, UtilityWeights)> {
     let mk = |l: &str, cc: f64, b: f64, d: f64| {
-        (l.to_string(), UtilityWeights::new(cc, b, d).expect("grid weights sum to 1"))
+        (
+            l.to_string(),
+            UtilityWeights::new(cc, b, d).expect("grid weights sum to 1"),
+        )
     };
     vec![
         mk("comm-only", 1.0, 0.0, 0.0),
@@ -49,7 +52,10 @@ pub fn run(n_jobs: usize, n_machines: usize, seed: u64) -> Vec<AblationRow> {
     weight_grid()
         .into_iter()
         .map(|(label, weights)| {
-            let policy = Policy { kind: PolicyKind::TopoAwareP, weights };
+            let policy = Policy {
+                kind: PolicyKind::TopoAwareP,
+                weights,
+            };
             let res = simulate(
                 Arc::clone(&cluster),
                 Arc::clone(&profiles),
@@ -73,11 +79,20 @@ pub fn run(n_jobs: usize, n_machines: usize, seed: u64) -> Vec<AblationRow> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "A1 — utility-weight ablation (TOPO-AWARE-P, 100 jobs / 5 machines)",
-        &["weights (cc/b/d)", "mean QoS slowdown", "mean wait (s)", "SLO viol.", "makespan (s)"],
+        &[
+            "weights (cc/b/d)",
+            "mean QoS slowdown",
+            "mean wait (s)",
+            "SLO viol.",
+            "makespan (s)",
+        ],
     );
     for r in run(100, 5, 1001) {
         t.row(vec![
-            format!("{} ({:.2}/{:.2}/{:.2})", r.label, r.weights.cc, r.weights.b, r.weights.d),
+            format!(
+                "{} ({:.2}/{:.2}/{:.2})",
+                r.label, r.weights.cc, r.weights.b, r.weights.d
+            ),
             f(r.mean_qos, 3),
             f(r.mean_wait_s, 1),
             r.slo_violations.to_string(),

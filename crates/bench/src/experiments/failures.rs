@@ -52,12 +52,8 @@ pub fn run(n_jobs: usize, seed: u64, fail_at_s: f64) -> Vec<FailureSummary> {
         );
         let config = SimConfig::new(Policy::new(kind))
             .with_machine_failures(vec![(fail_at_s, MachineId(2))]);
-        let failed = Simulation::new(
-            Arc::clone(&cluster),
-            Arc::clone(&profiles),
-            config,
-        )
-        .run(trace.clone());
+        let failed =
+            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config).run(trace.clone());
         let qos: Vec<f64> = failed.records.iter().map(|r| r.qos_slowdown()).collect();
         FailureSummary {
             kind,
@@ -74,7 +70,15 @@ pub fn run(n_jobs: usize, seed: u64, fail_at_s: f64) -> Vec<FailureSummary> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "F1 (ours) — machine 2 fails at t=600 s (100 jobs, 5 machines)",
-        &["policy", "clean makespan (s)", "failed makespan (s)", "overhead", "restarts", "mean QoS", "SLO viol."],
+        &[
+            "policy",
+            "clean makespan (s)",
+            "failed makespan (s)",
+            "overhead",
+            "restarts",
+            "mean QoS",
+            "SLO viol.",
+        ],
     );
     for s in run(100, 1001, 600.0) {
         t.row(vec![

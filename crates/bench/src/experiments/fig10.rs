@@ -39,7 +39,11 @@ pub fn run(n_jobs: usize, n_machines: usize, seed: u64) -> Vec<ScenarioSummary> 
         let gpu_utilization = res.effective_gpu_utilization(cluster.n_gpus());
         ScenarioSummary {
             kind,
-            qos: res.qos_slowdowns_sorted().into_iter().map(|(_, s)| s).collect(),
+            qos: res
+                .qos_slowdowns_sorted()
+                .into_iter()
+                .map(|(_, s)| s)
+                .collect(),
             qos_wait: res
                 .qos_wait_slowdowns_sorted()
                 .into_iter()
@@ -81,7 +85,16 @@ pub fn render_summaries(title: &str, summaries: &[ScenarioSummary]) -> String {
     let mut out = String::new();
     let mut head = TextTable::new(
         format!("{title} — summary"),
-        &["policy", "worst QoS", "mean QoS", "worst QoS+wait", "mean wait (s)", "SLO viol.", "makespan (s)", "eff. util."],
+        &[
+            "policy",
+            "worst QoS",
+            "mean QoS",
+            "worst QoS+wait",
+            "mean wait (s)",
+            "SLO viol.",
+            "makespan (s)",
+            "eff. util.",
+        ],
     );
     for s in summaries {
         head.row(vec![
@@ -104,7 +117,9 @@ pub fn render_summaries(title: &str, summaries: &[ScenarioSummary]) -> String {
     ] {
         let mut t = TextTable::new(
             format!("{title} {label} — slowdown deciles, worst→best"),
-            &["policy", "d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9"],
+            &[
+                "policy", "d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9",
+            ],
         );
         for s in summaries {
             let series = if pick { &s.qos } else { &s.qos_wait };

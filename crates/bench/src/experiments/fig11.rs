@@ -21,7 +21,11 @@ pub fn run_scaled(divisor: usize) -> Vec<ScenarioSummary> {
 
 /// Renders scenario 2; `divisor == 1` is the paper's scale.
 pub fn render(divisor: usize) -> String {
-    let summaries = if divisor <= 1 { run_full() } else { run_scaled(divisor) };
+    let summaries = if divisor <= 1 {
+        run_full()
+    } else {
+        run_scaled(divisor)
+    };
     let title = if divisor <= 1 {
         "Fig. 11 — scenario 2: 10000 jobs, 1000 machines".to_string()
     } else {
@@ -36,8 +40,8 @@ pub fn render(divisor: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::fig10::mean;
+    use super::*;
     use gts_core::prelude::PolicyKind;
 
     #[test]

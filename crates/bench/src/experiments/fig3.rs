@@ -46,7 +46,13 @@ pub fn run() -> Vec<Fig3Row> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "Fig. 3 — execution-time breakdown (2-GPU jobs on Power8/NVLink)",
-        &["NN", "batch", "GPU-compute", "comm (pack=P2P)", "comm (spread=no-P2P)"],
+        &[
+            "NN",
+            "batch",
+            "GPU-compute",
+            "comm (pack=P2P)",
+            "comm (spread=no-P2P)",
+        ],
     );
     for r in run() {
         t.row(vec![

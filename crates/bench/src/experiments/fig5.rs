@@ -82,8 +82,16 @@ mod tests {
         let b1 = traces.iter().find(|t| t.batch == 1).unwrap();
         let b128 = traces.iter().find(|t| t.batch == 128).unwrap();
         // ≈40 GB/s at batch 1, ≈6 GB/s at batch 128.
-        assert!((37.0..43.0).contains(&b1.trace.mean_gbs()), "{}", b1.trace.mean_gbs());
-        assert!((4.5..7.5).contains(&b128.trace.mean_gbs()), "{}", b128.trace.mean_gbs());
+        assert!(
+            (37.0..43.0).contains(&b1.trace.mean_gbs()),
+            "{}",
+            b1.trace.mean_gbs()
+        );
+        assert!(
+            (4.5..7.5).contains(&b128.trace.mean_gbs()),
+            "{}",
+            b128.trace.mean_gbs()
+        );
     }
 
     #[test]

@@ -32,7 +32,10 @@ pub fn run(domain_factor: f64) -> Fig6Matrix {
             );
         }
     }
-    Fig6Matrix { domain_factor, slowdown }
+    Fig6Matrix {
+        domain_factor,
+        slowdown,
+    }
 }
 
 /// Renders both the shared-bus matrix (the paper's measurement) and the

@@ -44,7 +44,12 @@ pub fn render() -> String {
         .makespan_s;
     let mut head = TextTable::new(
         "Fig. 8 — cumulative execution time (Table 1 scenario)",
-        &["policy", "cumulative (s)", "speedup of TOPO-AWARE-P", "SLO violations"],
+        &[
+            "policy",
+            "cumulative (s)",
+            "speedup of TOPO-AWARE-P",
+            "SLO violations",
+        ],
     );
     for r in &runs {
         head.row(vec![
@@ -92,7 +97,9 @@ pub fn render() -> String {
     let (cluster, _) = minsky_cluster(1);
     let mut bw = TextTable::new(
         "Fig. 8 bottom panels — machine link bandwidth (GB/s) at 48 s ticks",
-        &["policy", "channel", "t=48", "t=96", "t=144", "t=192", "t=240", "t=288", "peak"],
+        &[
+            "policy", "channel", "t=48", "t=96", "t=144", "t=192", "t=240", "t=288", "peak",
+        ],
     );
     for r in &runs {
         let series = gts_core::sim::bandwidth_series(&r.result, &cluster, 1.0);

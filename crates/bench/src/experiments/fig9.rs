@@ -62,7 +62,12 @@ pub fn render() -> String {
         rows.sort_by_key(|r| r.job);
         let mut t = TextTable::new(
             format!("Fig. 9 — prototype vs simulation, {kind}"),
-            &["job", "prototype finish (s)", "simulation finish (s)", "rel. error"],
+            &[
+                "job",
+                "prototype finish (s)",
+                "simulation finish (s)",
+                "rel. error",
+            ],
         );
         for r in &rows {
             t.row(vec![

@@ -27,10 +27,7 @@ pub struct HeteroSummary {
     pub wide_on_dgx: f64,
 }
 
-fn mixed_cluster(
-    n_minsky: usize,
-    n_dgx: usize,
-) -> (Arc<ClusterTopology>, Arc<ProfileLibrary>) {
+fn mixed_cluster(n_minsky: usize, n_dgx: usize) -> (Arc<ClusterTopology>, Arc<ProfileLibrary>) {
     let minsky = Arc::new(power8_minsky());
     let dgx = Arc::new(dgx1());
     let mut machines: Vec<Arc<MachineTopology>> = Vec::new();
@@ -77,11 +74,7 @@ pub fn run(n_jobs: usize, seed: u64) -> Vec<HeteroSummary> {
                 trace.clone(),
             );
             let qos: Vec<f64> = res.records.iter().map(|r| r.qos_slowdown()).collect();
-            let wide_jobs: Vec<_> = res
-                .records
-                .iter()
-                .filter(|r| r.spec.n_gpus == 8)
-                .collect();
+            let wide_jobs: Vec<_> = res.records.iter().filter(|r| r.spec.n_gpus == 8).collect();
             let wide_on_dgx = if wide_jobs.is_empty() {
                 1.0
             } else {
@@ -107,7 +100,14 @@ pub fn run(n_jobs: usize, seed: u64) -> Vec<HeteroSummary> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "H1 (ours) — heterogeneous fleet: 3× Minsky + 2× DGX-1, 80 jobs (1–8 GPUs)",
-        &["policy", "completed", "mean QoS", "mean wait (s)", "SLO viol.", "8-GPU jobs on DGX-1"],
+        &[
+            "policy",
+            "completed",
+            "mean QoS",
+            "mean wait (s)",
+            "SLO viol.",
+            "8-GPU jobs on DGX-1",
+        ],
     );
     for s in run(80, 7007) {
         t.row(vec![

@@ -89,7 +89,11 @@ pub fn run() -> Vec<ModelParRow> {
             let mapped_s =
                 graph_iter_time(machine, NnModel::AlexNet, 1, &graph, &mapping).total_s();
             let worst_s = worst_permutation_s(machine, &graph);
-            ModelParRow { shape, mapped_s, worst_s }
+            ModelParRow {
+                shape,
+                mapped_s,
+                worst_s,
+            }
         })
         .collect()
 }
@@ -98,7 +102,12 @@ pub fn run() -> Vec<ModelParRow> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "M1 (ours) — model-parallel placement sensitivity (AlexNet, batch 1, 4 GPUs)",
-        &["shape", "mapped iter (ms)", "worst iter (ms)", "worst/mapped"],
+        &[
+            "shape",
+            "mapped iter (ms)",
+            "worst iter (ms)",
+            "worst/mapped",
+        ],
     );
     for r in run() {
         t.row(vec![

@@ -39,18 +39,31 @@ pub fn run() -> Vec<PciePoint> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "§3.2 — pack speedup: NVLink vs PCIe machine (AlexNet)",
-        &["batch", "NVLink (ours)", "PCIe (ours)", "NVLink (paper)", "PCIe (paper)"],
+        &[
+            "batch",
+            "NVLink (ours)",
+            "PCIe (ours)",
+            "NVLink (paper)",
+            "PCIe (paper)",
+        ],
     );
-    let paper: &[(u32, &str, &str)] =
-        &[(1, "1.27", "1.24"), (2, "1.30", "1.21"), (8, "1.20", "1.10")];
+    let paper: &[(u32, &str, &str)] = &[
+        (1, "1.27", "1.24"),
+        (2, "1.30", "1.21"),
+        (8, "1.20", "1.10"),
+    ];
     for p in run() {
         let quoted = paper.iter().find(|(b, _, _)| *b == p.batch);
         t.row(vec![
             p.batch.to_string(),
             f(p.nvlink, 3),
             f(p.pcie, 3),
-            quoted.map(|(_, n, _)| n.to_string()).unwrap_or_else(|| "-".into()),
-            quoted.map(|(_, _, q)| q.to_string()).unwrap_or_else(|| "-".into()),
+            quoted
+                .map(|(_, n, _)| n.to_string())
+                .unwrap_or_else(|| "-".into()),
+            quoted
+                .map(|(_, _, q)| q.to_string())
+                .unwrap_or_else(|| "-".into()),
         ]);
     }
     t.to_string()
@@ -63,7 +76,12 @@ mod tests {
     #[test]
     fn pcie_still_benefits_but_less_than_nvlink() {
         for p in run().iter().filter(|p| p.batch <= 8) {
-            assert!(p.pcie > 1.05, "batch {}: PCIe gain vanished: {}", p.batch, p.pcie);
+            assert!(
+                p.pcie > 1.05,
+                "batch {}: PCIe gain vanished: {}",
+                p.batch,
+                p.pcie
+            );
             assert!(
                 p.nvlink > p.pcie,
                 "batch {}: NVLink gain {} should exceed PCIe {}",

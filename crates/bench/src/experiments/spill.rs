@@ -35,7 +35,10 @@ fn workload(n: usize, seed: u64) -> Vec<JobSpec> {
     for (i, j) in jobs.iter_mut().enumerate() {
         if i % 5 == 0 {
             j.n_gpus = 6;
-            j.constraints = Constraints { single_node: false, anti_collocate: false };
+            j.constraints = Constraints {
+                single_node: false,
+                anti_collocate: false,
+            };
             j.min_utility = 0.3;
         }
     }
@@ -73,11 +76,8 @@ pub fn run(n_jobs: usize, seed: u64) -> Vec<SpillSummary> {
             let racks: Vec<f64> = wide
                 .iter()
                 .map(|r| {
-                    let mut rs: Vec<u32> = r
-                        .gpus
-                        .iter()
-                        .map(|g| cluster.rack_of(g.machine))
-                        .collect();
+                    let mut rs: Vec<u32> =
+                        r.gpus.iter().map(|g| cluster.rack_of(g.machine)).collect();
                     rs.sort_unstable();
                     rs.dedup();
                     rs.len() as f64
@@ -99,7 +99,14 @@ pub fn run(n_jobs: usize, seed: u64) -> Vec<SpillSummary> {
 pub fn render() -> String {
     let mut t = TextTable::new(
         "D1 (ours) — disaggregated 6-GPU jobs on a 2-rack × 3-Minsky cluster (50 jobs)",
-        &["policy", "completed", "wide QoS", "narrow QoS", "machines/wide job", "racks/wide job"],
+        &[
+            "policy",
+            "completed",
+            "wide QoS",
+            "narrow QoS",
+            "machines/wide job",
+            "racks/wide job",
+        ],
     );
     for s in run(50, 4242) {
         t.row(vec![

@@ -36,7 +36,9 @@ pub fn render() -> String {
     ));
     t.row(row(
         "Arrival Time",
-        jobs.iter().map(|j| format!("{:.2}s", j.arrival_s)).collect(),
+        jobs.iter()
+            .map(|j| format!("{:.2}s", j.arrival_s))
+            .collect(),
     ));
     t.row(row(
         "Iterations*",

@@ -21,13 +21,13 @@ pub struct Check {
     pub pass: bool,
 }
 
-fn check(
-    source: &'static str,
-    claim: &'static str,
-    measured: String,
-    pass: bool,
-) -> Check {
-    Check { source, claim, measured, pass }
+fn check(source: &'static str, claim: &'static str, measured: String, pass: bool) -> Check {
+    Check {
+        source,
+        claim,
+        measured,
+        pass,
+    }
 }
 
 /// Runs the full scorecard. Expensive pieces reuse the standard seeds so

@@ -207,7 +207,10 @@ impl BenchReport {
 
     /// Mean nanoseconds of the entry with this label, if present.
     pub fn mean_ns(&self, label: &str) -> Option<u64> {
-        self.results.iter().find(|e| e.label == label).map(|e| e.mean_ns)
+        self.results
+            .iter()
+            .find(|e| e.label == label)
+            .map(|e| e.mean_ns)
     }
 }
 
@@ -244,8 +247,12 @@ fn diverse_state(n_machines: usize) -> ClusterState {
     let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
     let mut state = ClusterState::new(cluster, profiles);
     let models = [NnModel::AlexNet, NnModel::CaffeRef, NnModel::GoogLeNet];
-    let batches =
-        [BatchClass::Tiny, BatchClass::Small, BatchClass::Medium, BatchClass::Big];
+    let batches = [
+        BatchClass::Tiny,
+        BatchClass::Small,
+        BatchClass::Medium,
+        BatchClass::Big,
+    ];
     let mut id = 10_000u64;
     for m in 0..n_machines {
         if m % 16 == 0 {
@@ -286,9 +293,11 @@ pub fn run(smoke: bool) -> BenchReport {
         let graph = JobGraph::from_spec(&job);
         let free = idle.free_gpus(MachineId(0));
         let oracle = StateOracle::new(&idle, MachineId(0), &job);
-        results.push(sample(&format!("drb_map/{name}_{width}gpu"), samples, || {
-            drb_map(&graph, &free, &oracle, UtilityWeights::default()).unwrap()
-        }));
+        results.push(sample(
+            &format!("drb_map/{name}_{width}gpu"),
+            samples,
+            || drb_map(&graph, &free, &oracle, UtilityWeights::default()).unwrap(),
+        ));
     }
 
     // 2. The headline: one TOPO-AWARE arrival on 64 mostly-idle machines.
@@ -312,8 +321,7 @@ pub fn run(smoke: bool) -> BenchReport {
     // the decision reduces to class lookups and the selection over the
     // classes.
     let state = diverse_state(256);
-    let wide_job =
-        JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
+    let wide_job = JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
     let warm_cache = EvalCache::with_capacity(4096);
     policy.decide_with(&state, &wide_job, engine, Some(&warm_cache), None);
     results.push(sample("arrival/topo256_cold", samples, || {
@@ -332,8 +340,7 @@ pub fn run(smoke: bool) -> BenchReport {
     ] {
         results.push(sample(&format!("sim/{label}"), sim_samples, || {
             let config = SimConfig::new(Policy::new(PolicyKind::TopoAwareP)).with_eval(eval);
-            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
-                .run(trace.clone())
+            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config).run(trace.clone())
         }));
     }
 
@@ -356,8 +363,7 @@ pub fn run(smoke: bool) -> BenchReport {
             let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
                 .with_eval(engine)
                 .with_incremental(incremental);
-            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config)
-                .run(trace.clone())
+            Simulation::new(Arc::clone(&cluster), Arc::clone(&profiles), config).run(trace.clone())
         }));
     }
 
@@ -367,8 +373,7 @@ pub fn run(smoke: bool) -> BenchReport {
         .with_eval(engine)
         .with_phase_timing(true);
     let stats_started = std::time::Instant::now();
-    let (_, loop_stats) = Simulation::new(cluster, profiles, stats_config)
-        .run_with_stats(trace);
+    let (_, loop_stats) = Simulation::new(cluster, profiles, stats_config).run_with_stats(trace);
     let stats_wall_ns = stats_started.elapsed().as_nanos().max(1) as f64;
     let phase_shares = PhaseShares {
         decision: loop_stats.phase_decision_ns as f64 / stats_wall_ns,
@@ -391,27 +396,51 @@ pub fn run(smoke: bool) -> BenchReport {
     // `decision/huge` entry carries `SimResult::mean_decision_s` —
     // per-decision scheduler latency — rather than wall time.
     const HUGE_SAMPLES: usize = 5;
-    let (huge_racks, huge_per_rack, huge_jobs) = if smoke { (8, 4, 256) } else { (128, 32, 50_000) };
+    let (huge_racks, huge_per_rack, huge_jobs) = if smoke {
+        (8, 4, 256)
+    } else {
+        (128, 32, 50_000)
+    };
     let huge_machines = huge_racks * huge_per_rack;
     let (huge_cluster, huge_profiles) = racked_minsky_cluster(huge_racks, huge_per_rack);
     let huge_traces: Vec<Vec<JobSpec>> = (0..HUGE_SAMPLES)
         .map(|i| {
-            poisson_trace(huge_machines, (huge_jobs / HUGE_SAMPLES).max(1), 3003 + i as u64)
+            poisson_trace(
+                huge_machines,
+                (huge_jobs / HUGE_SAMPLES).max(1),
+                3003 + i as u64,
+            )
         })
         .collect();
 
-    let runs: Vec<SimRun> =
-        huge_traces.iter().map(|t| production_sim(&huge_cluster, &huge_profiles, t)).collect();
+    let runs: Vec<SimRun> = huge_traces
+        .iter()
+        .map(|t| production_sim(&huge_cluster, &huge_profiles, t))
+        .collect();
     // Worst per-run p99: the decision-latency tail across every sampled
     // trace, not a tail of means — written only when every run's own p99
     // rests on enough decisions.
-    let fewest = runs.iter().map(|r| r.decisions).min().expect("at least one run");
-    let dec_p99 = (fewest >= P99_MIN_SAMPLES as u64)
-        .then(|| runs.iter().map(|r| r.decision_p99_ns).max().expect("at least one run"));
-    results.push(summarize("sim/huge", runs.iter().map(|r| r.wall_ns).collect()));
+    let fewest = runs
+        .iter()
+        .map(|r| r.decisions)
+        .min()
+        .expect("at least one run");
+    let dec_p99 = (fewest >= P99_MIN_SAMPLES as u64).then(|| {
+        runs.iter()
+            .map(|r| r.decision_p99_ns)
+            .max()
+            .expect("at least one run")
+    });
+    results.push(summarize(
+        "sim/huge",
+        runs.iter().map(|r| r.wall_ns).collect(),
+    ));
     results.push(BenchEntry {
         p99_ns: dec_p99,
-        ..summarize("decision/huge", runs.iter().map(|r| r.mean_decision_ns).collect())
+        ..summarize(
+            "decision/huge",
+            runs.iter().map(|r| r.mean_decision_ns).collect(),
+        )
     });
     results.sort_by(|a, b| a.label.cmp(&b.label));
 
@@ -433,7 +462,12 @@ pub fn run(smoke: bool) -> BenchReport {
     let arrival_speedup = ratio("arrival/topo64_sequential", "arrival/topo64_engine");
     let sim_loop_speedup = ratio("sim/large_reference", "sim/large_cached");
     let warm_arrival_speedup = ratio("arrival/topo256_cold", "arrival/topo256_warm");
-    BenchReport { arrival_speedup, sim_loop_speedup, warm_arrival_speedup, ..report }
+    BenchReport {
+        arrival_speedup,
+        sim_loop_speedup,
+        warm_arrival_speedup,
+        ..report
+    }
 }
 
 /// A racked Minsky cluster (rack-major contiguous machine ids).
@@ -443,7 +477,9 @@ fn racked_minsky_cluster(
 ) -> (Arc<ClusterTopology>, Arc<ProfileLibrary>) {
     let machine = power8_minsky();
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
-    let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, per_rack));
+    let cluster = Arc::new(ClusterTopology::homogeneous_racked(
+        machine, n_racks, per_rack,
+    ));
     (cluster, profiles)
 }
 
@@ -512,8 +548,9 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
             let (cluster, profiles) = racked_minsky_cluster(machines / per_rack, per_rack);
             let jobs = machines * jobs_per_machine;
             let trace = poisson_trace(machines, jobs, 3003);
-            let runs: Vec<SimRun> =
-                (0..SCALE_RUNS).map(|_| production_sim(&cluster, &profiles, &trace)).collect();
+            let runs: Vec<SimRun> = (0..SCALE_RUNS)
+                .map(|_| production_sim(&cluster, &profiles, &trace))
+                .collect();
             let median = |pick: fn(&SimRun) -> u64| {
                 let mut vals: Vec<u64> = runs.iter().map(pick).collect();
                 vals.sort_unstable();
@@ -570,7 +607,11 @@ mod tests {
         // trust one sample.
         for label in ["sim/huge", "decision/huge"] {
             let entry = report.results.iter().find(|e| e.label == label).unwrap();
-            assert!(entry.samples >= 5, "{label} ran {} samples, need ≥ 5", entry.samples);
+            assert!(
+                entry.samples >= 5,
+                "{label} ran {} samples, need ≥ 5",
+                entry.samples
+            );
             assert!(entry.min_ns <= entry.mean_ns, "{label} min above mean");
         }
         // Every entry carries a median; a p99 only with ten samples beyond
@@ -580,15 +621,24 @@ mod tests {
             let label = &entry.label;
             assert!(entry.median_ns > 0, "{label} missing its median");
             assert!(entry.min_ns <= entry.median_ns, "{label} median below min");
-            assert_eq!(entry.p99_ns, None, "{label} wrote a p99 from too few samples");
+            assert_eq!(
+                entry.p99_ns, None,
+                "{label} wrote a p99 from too few samples"
+            );
         }
         // Phase shares come from the instrumented run: decisions happen
         // inside drains, and every share is a fraction of the wall.
         let ps = report.phase_shares;
-        for (name, share) in
-            [("decision", ps.decision), ("refresh", ps.refresh), ("heap", ps.heap), ("drain", ps.drain)]
-        {
-            assert!((0.0..=1.0).contains(&share), "phase share {name} = {share} not a fraction");
+        for (name, share) in [
+            ("decision", ps.decision),
+            ("refresh", ps.refresh),
+            ("heap", ps.heap),
+            ("drain", ps.drain),
+        ] {
+            assert!(
+                (0.0..=1.0).contains(&share),
+                "phase share {name} = {share} not a fraction"
+            );
         }
         assert!(ps.drain > 0.0, "the instrumented run must meter its drains");
         assert!(ps.drain >= ps.decision, "decisions happen inside drains");
@@ -612,7 +662,10 @@ mod tests {
         // trip through JSON, including one with curve points attached.
         let mut back = BenchReport::from_json(&json).expect("report round-trips");
         assert_eq!(back.results.len(), report.results.len());
-        assert!(back.scale_curve.is_empty(), "run() leaves the curve to the subcommand");
+        assert!(
+            back.scale_curve.is_empty(),
+            "run() leaves the curve to the subcommand"
+        );
         back.scale_curve = vec![ScalePoint {
             machines: 16,
             jobs: 64,
@@ -639,18 +692,38 @@ mod tests {
             assert!(w[0].machines < w[1].machines, "sizes must ascend");
         }
         for p in &points {
-            assert!(p.runs >= 3, "{} machines rest on {} run(s)", p.machines, p.runs);
+            assert!(
+                p.runs >= 3,
+                "{} machines rest on {} run(s)",
+                p.machines,
+                p.runs
+            );
             assert!(p.jobs > 0);
-            assert!(p.mean_decision_ns > 0, "decision latency unmeasured at {}", p.machines);
+            assert!(
+                p.mean_decision_ns > 0,
+                "decision latency unmeasured at {}",
+                p.machines
+            );
             assert!(
                 p.mean_decision_min_ns <= p.mean_decision_ns,
                 "the minimum exceeds the median at {}",
                 p.machines
             );
             assert!(p.wall_ns > 0, "wall unmeasured at {}", p.machines);
-            assert_eq!(p.wall_ms, p.wall_ns / 1_000_000, "wall_ms must floor wall_ns");
-            assert!(p.loop_ns_per_job > 0, "loop time unmeasured at {}", p.machines);
-            assert!(p.loop_ns_per_job * p.jobs <= p.wall_ns, "loop time exceeds the wall");
+            assert_eq!(
+                p.wall_ms,
+                p.wall_ns / 1_000_000,
+                "wall_ms must floor wall_ns"
+            );
+            assert!(
+                p.loop_ns_per_job > 0,
+                "loop time unmeasured at {}",
+                p.machines
+            );
+            assert!(
+                p.loop_ns_per_job * p.jobs <= p.wall_ns,
+                "loop time exceeds the wall"
+            );
         }
     }
 
@@ -662,7 +735,10 @@ mod tests {
             "mean_decision_min_ns": 3640, "wall_ms": 17, "wall_ns": 17947136,
             "replay_hits": 0, "replay_full_fallbacks": 0}"#;
         let point: ScalePoint = serde_json::from_str(old).expect("old point parses");
-        assert_eq!((point.machines, point.wall_ns, point.loop_ns_per_job), (256, 17947136, 0));
+        assert_eq!(
+            (point.machines, point.wall_ns, point.loop_ns_per_job),
+            (256, 17947136, 0)
+        );
     }
 
     /// Every entry's statistics on fixed samples: an odd and an even count
@@ -671,8 +747,14 @@ mod tests {
     #[test]
     fn summarize_reads_fixed_samples() {
         let stats = |e: BenchEntry| (e.mean_ns, e.min_ns, e.median_ns, e.samples, e.p99_ns);
-        assert_eq!(stats(summarize("odd", vec![30, 10, 20])), (20, 10, 20, 3, None));
-        assert_eq!(stats(summarize("even", vec![40, 10, 31, 20])), (25, 10, 20, 4, None));
+        assert_eq!(
+            stats(summarize("odd", vec![30, 10, 20])),
+            (20, 10, 20, 3, None)
+        );
+        assert_eq!(
+            stats(summarize("even", vec![40, 10, 31, 20])),
+            (25, 10, 20, 4, None)
+        );
         assert_eq!(summarize("one short", (1..=999).collect()).p99_ns, None);
         let full = summarize("full", (1..=1000).rev().collect());
         assert_eq!(full.label, "full");
@@ -682,8 +764,7 @@ mod tests {
     #[test]
     fn engine_and_sequential_pick_the_same_placement() {
         let state = mostly_idle_state(64);
-        let job =
-            JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
+        let job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
         let policy = Policy::new(PolicyKind::TopoAware);
         let seq = policy.decide_with(&state, &job, EvalParams::sequential(), None, None);
         let eng = policy.decide_with(&state, &job, EvalParams::parallel(4), None, None);
