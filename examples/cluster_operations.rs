@@ -28,7 +28,10 @@ fn main() {
     for (i, j) in jobs.iter_mut().enumerate() {
         if i % 5 == 0 {
             j.n_gpus = 6;
-            j.constraints = Constraints { single_node: false, anti_collocate: false };
+            j.constraints = Constraints {
+                single_node: false,
+                anti_collocate: false,
+            };
             j.min_utility = 0.3;
         }
     }
@@ -53,7 +56,14 @@ fn main() {
         .filter(|r| r.restarts > 0)
         .map(|r| format!("{} (x{})", r.spec.id, r.restarts))
         .collect();
-    println!("restarted jobs: {}", if restarted.is_empty() { "none".into() } else { restarted.join(", ") });
+    println!(
+        "restarted jobs: {}",
+        if restarted.is_empty() {
+            "none".into()
+        } else {
+            restarted.join(", ")
+        }
+    );
 
     println!("\nwide (6-GPU) jobs and where they ran:");
     for r in res.records.iter().filter(|r| r.spec.n_gpus == 6) {

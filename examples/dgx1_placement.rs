@@ -31,8 +31,8 @@ fn main() {
 
     // Place jobs of growing width and watch the mapper respect the quads.
     for (id, n_gpus) in [(0u64, 2u32), (1, 4), (2, 2)] {
-        let job = JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, n_gpus)
-            .with_min_utility(0.5);
+        let job =
+            JobSpec::new(id, NnModel::AlexNet, BatchClass::Tiny, n_gpus).with_min_utility(0.5);
         let d = policy.decide(&state, &job).expect("the DGX-1 has room");
         let local: Vec<GpuId> = d.gpus.iter().map(|g| g.gpu).collect();
         let topo = state.cluster().machine(MachineId(0));

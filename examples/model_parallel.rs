@@ -47,8 +47,7 @@ fn main() {
         bad.comm_s / good.comm_s
     );
 
-    let dp = PlacementPerf::evaluate(&topo, &mapping)
-        .iter_time(NnModel::AlexNet, 1);
+    let dp = PlacementPerf::evaluate(&topo, &mapping).iter_time(NnModel::AlexNet, 1);
     println!(
         "data-parallel on the same GPUs: {:.1} ms comm — the pipeline's sparse graph\n\
          is cheaper, exactly why §2 expects topology awareness to matter more there",

@@ -13,14 +13,23 @@ fn main() {
     //    (Fig. 1 left in the paper). Profiles are the §4.2 measurement
     //    campaign run against the calibrated performance model.
     let machine = power8_minsky();
-    println!("machine: {} ({} GPUs, {} sockets)", machine.name(), machine.n_gpus(), machine.n_sockets());
+    println!(
+        "machine: {} ({} GPUs, {} sockets)",
+        machine.name(),
+        machine.n_gpus(),
+        machine.n_sockets()
+    );
     for a in machine.gpus() {
         for b in machine.gpus() {
             if a < b {
                 println!(
                     "  {a} ↔ {b}: distance {:>4}  {}  {:>4.0} GB/s",
                     machine.distance(a, b),
-                    if machine.is_p2p(a, b) { "P2P       " } else { "host-route" },
+                    if machine.is_p2p(a, b) {
+                        "P2P       "
+                    } else {
+                        "host-route"
+                    },
                     machine.pair_bandwidth_gbs(a, b),
                 );
             }
@@ -36,16 +45,27 @@ fn main() {
 
     // 3. Decide. The DRB mapper packs it onto the NVLink pair.
     let policy = Policy::new(PolicyKind::TopoAwareP);
-    let decision = policy.decide(&state, &job).expect("an idle machine always fits");
-    println!("\njob {} ({} × {} GPUs, batch {}):", job.id, job.model, job.n_gpus, job.batch);
-    println!("  placed on {:?} with utility {:.3}", decision.gpus, decision.utility);
+    let decision = policy
+        .decide(&state, &job)
+        .expect("an idle machine always fits");
+    println!(
+        "\njob {} ({} × {} GPUs, batch {}):",
+        job.id, job.model, job.n_gpus, job.batch
+    );
+    println!(
+        "  placed on {:?} with utility {:.3}",
+        decision.gpus, decision.utility
+    );
     state.place(job.clone(), decision.gpus.clone(), decision.utility);
 
     // 4. A second identical job now faces interference; the mapper steers
     //    it to the other socket.
     let job2 = JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
     let d2 = policy.decide(&state, &job2).expect("two GPUs remain");
-    println!("job {}: placed on {:?} with utility {:.3}", job2.id, d2.gpus, d2.utility);
+    println!(
+        "job {}: placed on {:?} with utility {:.3}",
+        job2.id, d2.gpus, d2.utility
+    );
 
     // 5. What the jobs will actually experience, per the calibrated model.
     let topo = state.cluster().machine(MachineId(0));

@@ -18,12 +18,22 @@ fn main() -> std::io::Result<()> {
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("workload.json");
     trace.save(&path)?;
-    println!("wrote {} jobs spanning {:.0}s to {}", trace.len(), trace.span_s(), path.display());
+    println!(
+        "wrote {} jobs spanning {:.0}s to {}",
+        trace.len(),
+        trace.span_s(),
+        path.display()
+    );
 
     // 2. A manifest for one job, as the prototype's watch directory
     //    would receive it.
-    let manifest = JobManifest { jobs: vec![trace.jobs[0].clone()] };
-    println!("\nfirst job as a submission manifest:\n{}", manifest.to_json());
+    let manifest = JobManifest {
+        jobs: vec![trace.jobs[0].clone()],
+    };
+    println!(
+        "\nfirst job as a submission manifest:\n{}",
+        manifest.to_json()
+    );
 
     // 3. Reload and replay.
     let reloaded = Trace::load(&path)?;

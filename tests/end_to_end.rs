@@ -53,7 +53,11 @@ fn topo_aware_p_never_violates_slos() {
         assert_eq!(res.slo_violations, 0, "seed {seed}");
         for r in &res.records {
             assert!(!r.slo_violated, "seed {seed}: {}", r.spec.id);
-            assert!(r.utility + 1e-9 >= r.spec.min_utility, "seed {seed}: {}", r.spec.id);
+            assert!(
+                r.utility + 1e-9 >= r.spec.min_utility,
+                "seed {seed}: {}",
+                r.spec.id
+            );
         }
     }
 }
@@ -122,7 +126,9 @@ fn heterogeneous_cluster_of_minsky_and_dgx1() {
     let profiles = Arc::new(ProfileLibrary::generate(&minsky, 42));
 
     let jobs = vec![
-        JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 8).arriving_at(0.0).with_iterations(50),
+        JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 8)
+            .arriving_at(0.0)
+            .with_iterations(50),
         JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 2)
             .arriving_at(1.0)
             .with_iterations(50)
@@ -131,9 +137,15 @@ fn heterogeneous_cluster_of_minsky_and_dgx1() {
     let res = simulate(cluster, profiles, Policy::new(PolicyKind::TopoAware), jobs);
     assert_eq!(res.records.len(), 2);
     let j0 = res.record(JobId(0)).unwrap();
-    assert!(j0.gpus.iter().all(|g| g.machine == MachineId(1)), "8-GPU job must use the DGX-1");
+    assert!(
+        j0.gpus.iter().all(|g| g.machine == MachineId(1)),
+        "8-GPU job must use the DGX-1"
+    );
     let j1 = res.record(JobId(1)).unwrap();
-    assert!(j1.gpus.iter().all(|g| g.machine == MachineId(0)), "small job should avoid the busy DGX-1");
+    assert!(
+        j1.gpus.iter().all(|g| g.machine == MachineId(0)),
+        "small job should avoid the busy DGX-1"
+    );
 }
 
 #[test]
@@ -144,7 +156,10 @@ fn oversized_multi_node_job_spills_across_machines() {
     let mut spillable = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 6)
         .arriving_at(0.0)
         .with_iterations(20);
-    spillable.constraints = Constraints { single_node: false, anti_collocate: false };
+    spillable.constraints = Constraints {
+        single_node: false,
+        anti_collocate: false,
+    };
     let pinned = JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 6)
         .arriving_at(0.0)
         .with_iterations(20); // single-node: impossible on 4-GPU machines
@@ -162,7 +177,11 @@ fn oversized_multi_node_job_spills_across_machines() {
     let r = res.record(JobId(0)).unwrap();
     let m0 = r.gpus.iter().filter(|g| g.machine == MachineId(0)).count();
     let m1 = r.gpus.iter().filter(|g| g.machine == MachineId(1)).count();
-    assert_eq!(m0.max(m1), 4, "topology-aware spill fills a whole machine first");
+    assert_eq!(
+        m0.max(m1),
+        4,
+        "topology-aware spill fills a whole machine first"
+    );
     assert_eq!(m0 + m1, 6);
 }
 
@@ -172,8 +191,16 @@ fn anti_collocated_jobs_run_across_machines_end_to_end() {
     let mut job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 3)
         .arriving_at(0.0)
         .with_iterations(20);
-    job.constraints = Constraints { single_node: false, anti_collocate: true };
-    let res = simulate(cluster, profiles, Policy::new(PolicyKind::TopoAware), vec![job]);
+    job.constraints = Constraints {
+        single_node: false,
+        anti_collocate: true,
+    };
+    let res = simulate(
+        cluster,
+        profiles,
+        Policy::new(PolicyKind::TopoAware),
+        vec![job],
+    );
     assert_eq!(res.records.len(), 1);
     let machines: std::collections::HashSet<MachineId> =
         res.records[0].gpus.iter().map(|g| g.machine).collect();

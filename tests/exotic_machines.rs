@@ -23,7 +23,12 @@ fn dgx2_hosts_sixteen_gpu_jobs_and_stays_p2p() {
     for r in &res.records {
         let local: Vec<GpuId> = r.gpus.iter().map(|g| g.gpu).collect();
         let perf = PlacementPerf::evaluate(&topo, &local);
-        assert_eq!(perf.route, RouteClass::P2p, "{}: NVSwitch keeps everything P2P", r.spec.id);
+        assert_eq!(
+            perf.route,
+            RouteClass::P2p,
+            "{}: NVSwitch keeps everything P2P",
+            r.spec.id
+        );
     }
 }
 
@@ -63,7 +68,9 @@ fn ac922_triads_give_a_bigger_pack_win_than_minsky() {
     let cluster = Arc::new(ClusterTopology::homogeneous(power9_ac922(), 1));
     let state = ClusterState::new(cluster, profiles);
     let job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 3).with_min_utility(0.5);
-    let d = Policy::new(PolicyKind::TopoAwareP).decide(&state, &job).unwrap();
+    let d = Policy::new(PolicyKind::TopoAwareP)
+        .decide(&state, &job)
+        .unwrap();
     let local: Vec<GpuId> = d.gpus.iter().map(|g| g.gpu).collect();
     assert!(power9_ac922().is_packed(&local), "got {local:?}");
     assert!((d.utility - 1.0).abs() < 1e-9);
@@ -80,7 +87,12 @@ fn mixed_generation_fleet_schedules_cleanly() {
     let cluster = Arc::new(ClusterTopology::from_machines(machines));
     let profiles = Arc::new(ProfileLibrary::generate(&power8_minsky(), 42));
     let trace = WorkloadGenerator::with_defaults(88).generate(30);
-    let res = simulate(cluster, profiles, Policy::new(PolicyKind::TopoAwareP), trace);
+    let res = simulate(
+        cluster,
+        profiles,
+        Policy::new(PolicyKind::TopoAwareP),
+        trace,
+    );
     assert_eq!(res.records.len(), 30);
     assert_eq!(res.slo_violations, 0);
 }

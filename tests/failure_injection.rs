@@ -38,7 +38,11 @@ fn job_restarts_on_the_surviving_machine() {
     assert_eq!(res.records.len(), 1);
     let r = &res.records[0];
     assert_eq!(r.restarts, 1);
-    assert!(r.gpus.iter().all(|g| g.machine == MachineId(1)), "got {:?}", r.gpus);
+    assert!(
+        r.gpus.iter().all(|g| g.machine == MachineId(1)),
+        "got {:?}",
+        r.gpus
+    );
     // Total time ≈ half a run wasted + a full run.
     assert!(
         res.makespan_s > solo.makespan_s * 1.4,
@@ -102,7 +106,10 @@ fn failures_do_not_break_slo_accounting() {
     assert_eq!(res.slo_violations, 0, "postponement still guards the SLO");
     // At least one job should have been hit by the failure in a 40-job run.
     let restarted: u32 = res.records.iter().map(|r| r.restarts).sum();
-    assert!(restarted >= 1, "failure at t=120 s should interrupt someone");
+    assert!(
+        restarted >= 1,
+        "failure at t=120 s should interrupt someone"
+    );
 }
 
 #[test]
@@ -116,10 +123,18 @@ fn recovered_machine_rejoins_the_pool() {
         .with_machine_recoveries(vec![(50.0, MachineId(0))]);
     let res = Simulation::new(cluster, profiles, config).run(trace);
 
-    assert_eq!(res.records.len(), 2, "both jobs complete after the recovery");
+    assert_eq!(
+        res.records.len(),
+        2,
+        "both jobs complete after the recovery"
+    );
     assert!(res.unplaceable.is_empty());
     for r in &res.records {
-        assert!(r.placed_at_s >= 50.0 - 1e-6, "{} ran before recovery", r.spec.id);
+        assert!(
+            r.placed_at_s >= 50.0 - 1e-6,
+            "{} ran before recovery",
+            r.spec.id
+        );
     }
     // The interrupted job restarted exactly once.
     assert_eq!(res.record(JobId(0)).unwrap().restarts, 1);

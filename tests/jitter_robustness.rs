@@ -71,7 +71,13 @@ fn scenario1_slo_guarantee_survives_jitter() {
     let (cluster, profiles) = setup(3);
     let trace = WorkloadGenerator::with_defaults(77).generate(50);
     for seed in [11u64, 22, 33] {
-        let res = run_jittered(&cluster, &profiles, PolicyKind::TopoAwareP, trace.clone(), seed);
+        let res = run_jittered(
+            &cluster,
+            &profiles,
+            PolicyKind::TopoAwareP,
+            trace.clone(),
+            seed,
+        );
         assert_eq!(res.records.len(), 50, "seed {seed}");
         assert_eq!(res.slo_violations, 0, "seed {seed}");
     }

@@ -43,7 +43,9 @@ fn pipeline_job_simulates_faster_than_data_parallel_twin() {
 fn model_parallel_specs_survive_the_manifest_layer() {
     let spec = JobSpec::new(0, NnModel::GoogLeNet, BatchClass::Small, 4)
         .with_comm_graph(JobGraph::ring(4, 3.0));
-    let manifest = JobManifest { jobs: vec![spec.clone()] };
+    let manifest = JobManifest {
+        jobs: vec![spec.clone()],
+    };
     let back = JobManifest::from_json(&manifest.to_json()).unwrap();
     assert_eq!(back.jobs[0], spec);
     assert!(back.validate().is_ok());
@@ -63,7 +65,12 @@ fn custom_star_graph_places_the_hub_centrally() {
     let job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 4)
         .with_iterations(50)
         .with_comm_graph(star);
-    let res = simulate(cluster, profiles, Policy::new(PolicyKind::TopoAware), vec![job]);
+    let res = simulate(
+        cluster,
+        profiles,
+        Policy::new(PolicyKind::TopoAware),
+        vec![job],
+    );
     assert_eq!(res.records.len(), 1);
     // On a 4-GPU machine the star necessarily spans sockets; the job still
     // completes and is costed via the graph model.

@@ -6,12 +6,7 @@ use gpu_topo_aware::sched::CancelOutcome;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn simulate_random(
-    seed: u64,
-    n_jobs: usize,
-    n_machines: usize,
-    kind: PolicyKind,
-) -> SimResult {
+fn simulate_random(seed: u64, n_jobs: usize, n_machines: usize, kind: PolicyKind) -> SimResult {
     let machine = power8_minsky();
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
     let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
@@ -29,8 +24,12 @@ fn simulate_random_traced(
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
     let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
     let trace = WorkloadGenerator::with_defaults(seed).generate(n_jobs);
-    Simulation::new(cluster, profiles, SimConfig::new(Policy::new(kind)).with_trace())
-        .run(trace)
+    Simulation::new(
+        cluster,
+        profiles,
+        SimConfig::new(Policy::new(kind)).with_trace(),
+    )
+    .run(trace)
 }
 
 fn any_policy() -> impl Strategy<Value = PolicyKind> {
@@ -58,13 +57,15 @@ fn drive_and_audit(kind: PolicyKind, seed: u64) {
         s.set_now(i as f64);
         s.submit(job);
         s.run_iteration();
-        s.audit().unwrap_or_else(|e| panic!("{kind:?}: audit after submit: {e}"));
+        s.audit()
+            .unwrap_or_else(|e| panic!("{kind:?}: audit after submit: {e}"));
     }
     // Retire running jobs lowest-id first until everything drains.
     while let Some(id) = s.state().running().map(|a| a.spec.id).min() {
         s.complete(id);
         s.run_iteration();
-        s.audit().unwrap_or_else(|e| panic!("{kind:?}: audit after completion: {e}"));
+        s.audit()
+            .unwrap_or_else(|e| panic!("{kind:?}: audit after completion: {e}"));
     }
 
     assert_eq!(s.state().n_running(), 0, "{kind:?}: jobs left running");
@@ -110,7 +111,10 @@ fn assert_runs_identical(ctx: &str, reference: &SimResult, run: &SimResult) {
     assert_eq!(reference.records, run.records, "{ctx}: records");
     assert_eq!(reference.unplaceable, run.unplaceable, "{ctx}: unplaceable");
     assert_eq!(reference.timeline, run.timeline, "{ctx}: timeline");
-    assert_eq!(reference.utility_series, run.utility_series, "{ctx}: utility series");
+    assert_eq!(
+        reference.utility_series, run.utility_series,
+        "{ctx}: utility series"
+    );
     assert_eq!(
         reference.makespan_s.to_bits(),
         run.makespan_s.to_bits(),
@@ -118,7 +122,10 @@ fn assert_runs_identical(ctx: &str, reference: &SimResult, run: &SimResult) {
         reference.makespan_s,
         run.makespan_s
     );
-    assert_eq!(reference.slo_violations, run.slo_violations, "{ctx}: SLO violations");
+    assert_eq!(
+        reference.slo_violations, run.slo_violations,
+        "{ctx}: SLO violations"
+    );
     assert_eq!(reference.failures, run.failures, "{ctx}: failures");
     assert_eq!(reference.events, run.events, "{ctx}: events");
     assert_eq!(reference.trace, run.trace, "{ctx}: decision trace");
@@ -180,7 +187,11 @@ impl Scenario {
 
     /// The same machines, jobs and options on one flat fabric.
     fn flattened(&self) -> Self {
-        let machines = self.cluster.machines().map(|m| self.cluster.machine_arc(m)).collect();
+        let machines = self
+            .cluster
+            .machines()
+            .map(|m| self.cluster.machine_arc(m))
+            .collect();
         Self {
             cluster: Arc::new(ClusterTopology::from_machines(machines)),
             profiles: Arc::clone(&self.profiles),
@@ -227,13 +238,19 @@ impl Scenario {
     /// compares the per-candidate decision traces as well.
     fn hetero_fleet(seed: u64, traced: bool) -> Self {
         let minsky = Arc::new(power8_minsky());
-        let mut cycle = vec![Arc::clone(&minsky), Arc::new(dgx1()), Arc::new(power8_pcie_k80())];
+        let mut cycle = vec![
+            Arc::clone(&minsky),
+            Arc::new(dgx1()),
+            Arc::new(power8_pcie_k80()),
+        ];
         let n_machines = 6 + (seed as usize % 4);
         let with_dgx2 = !seed.is_multiple_of(2);
         if with_dgx2 {
             cycle.push(Arc::new(gpu_topo_aware::topo::dgx2()));
         }
-        let machines = (0..n_machines).map(|i| Arc::clone(&cycle[i % cycle.len()])).collect();
+        let machines = (0..n_machines)
+            .map(|i| Arc::clone(&cycle[i % cycle.len()]))
+            .collect();
         let gen = GeneratorConfig {
             model_parallel_fraction: 0.3,
             multi_node_fraction: 0.15,
@@ -241,7 +258,9 @@ impl Scenario {
         };
         let mut trace = WorkloadGenerator::new(gen, seed).generate(24);
         if with_dgx2 {
-            let narrow = trace.iter_mut().filter(|j| j.n_gpus == 4 && j.comm_graph.is_none());
+            let narrow = trace
+                .iter_mut()
+                .filter(|j| j.n_gpus == 4 && j.comm_graph.is_none());
             for job in narrow.skip(1).step_by(2) {
                 job.n_gpus = 8;
             }
@@ -259,14 +278,18 @@ impl Scenario {
 /// Drops the end-of-run counter footer, the only trace event in which
 /// production and the oracle legitimately differ.
 fn strip_footers(mut result: SimResult) -> SimResult {
-    result.trace.retain(|e| !matches!(e, TraceEvent::EvalCacheStats { .. }));
+    result
+        .trace
+        .retain(|e| !matches!(e, TraceEvent::EvalCacheStats { .. }));
     result
 }
 
 /// The reference oracle: sequential flat decisions plus the
 /// recompute-everything event loop.
 fn oracle(config: SimConfig) -> SimConfig {
-    config.with_eval(EvalParams::sequential()).with_incremental(false)
+    config
+        .with_eval(EvalParams::sequential())
+        .with_incremental(false)
 }
 
 /// The production config of the differential runner for `scenario` under
@@ -295,8 +318,12 @@ fn production_config(kind: PolicyKind, seed: u64, scenario: &Scenario) -> SimCon
 
 /// Simulates `scenario` under `config`.
 fn run_scenario(scenario: &Scenario, config: SimConfig) -> (SimResult, SimLoopStats) {
-    Simulation::new(Arc::clone(&scenario.cluster), Arc::clone(&scenario.profiles), config)
-        .run_with_stats(scenario.trace.clone())
+    Simulation::new(
+        Arc::clone(&scenario.cluster),
+        Arc::clone(&scenario.profiles),
+        config,
+    )
+    .run_with_stats(scenario.trace.clone())
 }
 
 /// The differential runner: runs `scenario` under `kind` on the production
@@ -384,7 +411,10 @@ type Drain = Vec<(PlacementOutcome, Vec<GlobalGpuId>)>;
 /// utilities and placed jobs' GPUs included, and the jobs answered from
 /// the decision memo.
 fn drive_backlog(scenario: &Scenario, eval: EvalParams) -> (Vec<Drain>, u64) {
-    let state = ClusterState::new(Arc::clone(&scenario.cluster), Arc::clone(&scenario.profiles));
+    let state = ClusterState::new(
+        Arc::clone(&scenario.cluster),
+        Arc::clone(&scenario.profiles),
+    );
     let policy = Policy::new(PolicyKind::TopoAwareP);
     let mut s = Scheduler::new(state, SchedulerConfig { policy, eval });
     let drain = |s: &mut Scheduler| -> Drain {
@@ -427,14 +457,26 @@ fn production_matches_oracle_on_rack_backlog() {
         let ctx = format!("seed {seed} ({})", scenario.label);
         let (stats, reference) = assert_matches_reference(kind, seed, &scenario, oracle);
         assert_class_path_ran(kind, seed, &scenario, &stats);
-        assert!(stats.replay_hits > 0, "{ctx}: production never answered from the memo");
-        assert_eq!(reference.replay_hits, 0, "{ctx}: the oracle answered from a memo");
+        assert!(
+            stats.replay_hits > 0,
+            "{ctx}: production never answered from the memo"
+        );
+        assert_eq!(
+            reference.replay_hits, 0,
+            "{ctx}: the oracle answered from a memo"
+        );
 
         let (got, hits) = drive_backlog(&scenario, EvalParams::parallel(4));
         let (want, reference) = drive_backlog(&scenario, EvalParams::sequential());
         assert_eq!(got, want, "{ctx}: hand-driven drains diverged");
-        assert!(hits > 0, "{ctx}: hand-driven production never answered from the memo");
-        assert_eq!(reference, 0, "{ctx}: the hand-driven oracle answered from a memo");
+        assert!(
+            hits > 0,
+            "{ctx}: hand-driven production never answered from the memo"
+        );
+        assert_eq!(
+            reference, 0,
+            "{ctx}: the hand-driven oracle answered from a memo"
+        );
     }
 }
 
@@ -500,7 +542,13 @@ fn incremental_event_loop_is_bit_identical_to_reference() {
 fn eval_cache_is_bit_identical_to_uncached_runs() {
     let params = EvalParams::parallel(4);
     for_each_case(|kind, seed| {
-        let Scenario { cluster, profiles, trace, label, .. } = Scenario::flat_minsky(seed);
+        let Scenario {
+            cluster,
+            profiles,
+            trace,
+            label,
+            ..
+        } = Scenario::flat_minsky(seed);
         let policy = Policy::new(kind);
         let state = ClusterState::new(cluster, profiles);
         let mut s = Scheduler::new(state, SchedulerConfig::new(policy));
@@ -544,7 +592,10 @@ fn eval_cache_is_bit_identical_to_uncached_runs() {
             s.run_iteration();
         }
         if is_topo_aware(kind) {
-            assert!(cache.stats().hits > 0, "{ctx}: the cache never served a hit");
+            assert!(
+                cache.stats().hits > 0,
+                "{ctx}: the cache never served a hit"
+            );
         }
     });
 }
@@ -585,7 +636,10 @@ fn decision_replay_is_bit_identical_to_full_reeval() {
         let scenario = Scenario::racked_minsky(seed, 4);
         let reference = |c: SimConfig| c.with_eval(EvalParams::sequential());
         let (stats, reference) = assert_matches_reference(kind, seed, &scenario, reference);
-        assert_eq!(reference.replay_hits, 0, "{kind:?} seed {seed}: the reference memoised");
+        assert_eq!(
+            reference.replay_hits, 0,
+            "{kind:?} seed {seed}: the reference memoised"
+        );
         replayed += stats.replay_hits;
     });
     assert!(replayed > 0, "the memo never answered a job");
@@ -613,8 +667,7 @@ fn racked_run_counters_repeat_exactly() {
             let run = || {
                 let machine = power8_minsky();
                 let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
-                let cluster =
-                    Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2));
+                let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2));
                 let trace = WorkloadGenerator::with_defaults(seed).generate(60);
                 let config = SimConfig::new(Policy::new(kind))
                     .with_eval(EvalParams::parallel(4))
@@ -627,7 +680,10 @@ fn racked_run_counters_repeat_exactly() {
             let (second_res, second) = run();
             let ctx = format!("{kind:?} seed {seed} ({n_racks} racks)");
             assert_runs_identical(&ctx, &first_res, &second_res);
-            assert!(first.eval_cache_misses > 0, "{ctx}: the class path never read the cache");
+            assert!(
+                first.eval_cache_misses > 0,
+                "{ctx}: the class path never read the cache"
+            );
             assert_eq!(counters(first), counters(second), "{ctx}: counters drifted");
         }
     }
