@@ -221,7 +221,7 @@ impl SysConfig {
             .chain(self.cancellations.iter().map(|&(t, _)| t));
         match times.find(|&t| Duration::try_from_secs_f64((t * scale).max(0.0)).is_err()) {
             Some(t) => Err(ConfigError::Invalid(format!(
-                "simulated time {t} s overflows the prototype clock at time_scale {scale}"
+                "simulated time {t} s overflows the prototype clock at time_scale {scale:e}"
             ))),
             None => Ok(()),
         }
