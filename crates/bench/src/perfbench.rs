@@ -2,7 +2,7 @@
 //!
 //! Five groups, each entry timed by a small sampler of its own (one
 //! warm-up call, then a fixed number of timed calls, summarised by
-//! [`summarize`]) and serialized to `BENCH_sched.json` so the perf
+//! `summarize`) and serialized to `BENCH_sched.json` so the perf
 //! trajectory is tracked in-repo:
 //!
 //! 1. **`drb_map`** — one Algorithm 2/3 mapping on an idle Minsky machine
@@ -31,7 +31,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One benchmark's timings, as [`summarize`] writes them (in `u64`: the
+/// One benchmark's timings, as `summarize` writes them (in `u64`: the
 /// vendored serde caps integers there).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BenchEntry {
@@ -63,7 +63,7 @@ const P99_MIN_SAMPLES: usize = 1_000;
 /// Summarises one sample set in nanoseconds: the mean (floored), the
 /// minimum, the lower median and the count, plus the nearest-rank p99 when
 /// there are at least 1 000 samples, ten of them beyond it.
-pub fn summarize(label: &str, mut samples_ns: Vec<u64>) -> BenchEntry {
+fn summarize(label: &str, mut samples_ns: Vec<u64>) -> BenchEntry {
     assert!(!samples_ns.is_empty(), "{label}: no samples to summarize");
     samples_ns.sort_unstable();
     let n = samples_ns.len();
@@ -372,7 +372,7 @@ pub fn run(smoke: bool) -> BenchReport {
     let stats_config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
         .with_eval(engine)
         .with_phase_timing(true);
-    let stats_started = std::time::Instant::now();
+    let stats_started = Instant::now();
     let (_, loop_stats) = Simulation::new(cluster, profiles, stats_config).run_with_stats(trace);
     let stats_wall_ns = stats_started.elapsed().as_nanos().max(1) as f64;
     let phase_shares = PhaseShares {
@@ -516,7 +516,7 @@ fn production_sim(
     trace: &[JobSpec],
 ) -> SimRun {
     let config = SimConfig::new(Policy::new(PolicyKind::TopoAware));
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let (result, stats) = Simulation::new(Arc::clone(cluster), Arc::clone(profiles), config)
         .run_with_stats(trace.to_vec());
     let wall_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
