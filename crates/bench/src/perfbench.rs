@@ -78,14 +78,17 @@ fn summarize(label: &str, mut samples_ns: Vec<u64>) -> BenchEntry {
     }
 }
 
-/// Times `routine`: one warm-up call, then `samples` timed calls.
+/// Times `routine`: one warm-up call, then `samples` timed calls. Each
+/// call's result is dropped after its clock stops.
 fn sample<O>(label: &str, samples: usize, mut routine: impl FnMut() -> O) -> BenchEntry {
     black_box(routine());
     let times = (0..samples)
         .map(|_| {
             let started = Instant::now();
-            black_box(routine());
-            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+            let out = black_box(routine());
+            let elapsed = started.elapsed();
+            drop(out);
+            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
         })
         .collect();
     let entry = summarize(label, times);
