@@ -496,9 +496,9 @@ mod tests {
         cfg.algorithms.clear();
         assert!(matches!(cfg.run(), Err(ConfigError::Invalid(_))));
 
-        // Inputs that used to panic a run, in simulation (`true`) or
-        // prototype mode. The vendored JSON parser reads `1e400` as
-        // infinity.
+        // Inputs that would panic a thread of the run, in simulation
+        // (`true`) or prototype mode. The vendored JSON parser reads
+        // `1e400` as infinity.
         assert_eq!(serde_json::from_str::<f64>("1e400").unwrap(), f64::INFINITY);
         let invalid = |what: &str, simulation: bool, edit: &dyn Fn(&mut SysConfig)| {
             let mut cfg = SysConfig::sample();
