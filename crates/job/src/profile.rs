@@ -52,20 +52,34 @@ impl JobProfile {
     /// The Eq. 4 mean interference over a set of co-runners: the average of
     /// `solo_time / collocation_time` over this job and all running jobs,
     /// where `collocation_time = solo_time · (1 + slowdown)`. A value of 1.0
-    /// means no interference; smaller is worse.
+    /// means no interference; smaller is worse. Each co-runner is its
+    /// profile and the domain factor between it and this job.
     pub fn eq4_interference(&self, corunners: &[(JobProfile, f64)]) -> f64 {
+        self.eq4_interference_iter(corunners.iter().map(|(p, factor)| (p, *factor)))
+    }
+
+    /// [`JobProfile::eq4_interference`] over an iterator of co-runners,
+    /// which it walks twice (cloned), so a caller can derive each domain
+    /// factor on the fly instead of collecting them. Both walks add in
+    /// iteration order, so equal co-runner sequences give equal bits.
+    pub fn eq4_interference_iter<'a, I>(&self, corunners: I) -> f64
+    where
+        I: Iterator<Item = (&'a JobProfile, f64)> + Clone,
+    {
         // Contribution of this job (suffering) plus each co-runner (caused).
         let mut sum = 0.0;
         let mut suffered = 0.0;
-        for (p, factor) in corunners {
-            suffered += self.slowdown_from(p, *factor);
+        let mut n = 0usize;
+        for (p, factor) in corunners.clone() {
+            suffered += self.slowdown_from(p, factor);
+            n += 1;
         }
         sum += 1.0 / (1.0 + suffered.min(0.75));
         for (p, factor) in corunners {
-            let caused = p.slowdown_from(self, *factor);
+            let caused = p.slowdown_from(self, factor);
             sum += 1.0 / (1.0 + caused.min(0.75));
         }
-        sum / (corunners.len() + 1) as f64
+        sum / (n + 1) as f64
     }
 
     /// Checks internal coherence of a profile.

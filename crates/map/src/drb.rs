@@ -20,9 +20,15 @@
 //! bits of the matrix's upper triangle, so a machine shape seen before
 //! skips the whole FM sweep (DESIGN.md §13). Debug builds re-run the sweep
 //! on every memo hit and assert the same side.
+//!
+//! The recursion works on index ranges of a per-thread arena: each level
+//! pushes its two GPU sides and two task sides onto stacks and truncates
+//! them when it returns. Once a thread's first mappings have grown the
+//! buffers, a mapping allocates only the `Vec` it returns (DESIGN.md
+//! §13.7).
 
 use crate::affinity::AffinityGraph;
-use crate::fm::{fm_bipartition_with, Bipartition, FmScratch};
+use crate::fm::{fm_cut_with, FmScratch};
 use crate::utility::UtilityWeights;
 use gts_job::JobGraph;
 use gts_topo::GpuId;
@@ -30,6 +36,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Largest GPU set whose split is memoized: its side fits a `u32` mask.
 /// Larger sets (cluster-wide spill) run the sweep every time.
@@ -71,15 +78,78 @@ impl Hasher for WordHasher {
     }
 }
 
-/// Reusable buffers for one thread's [`drb_map`] calls: the FM scratch,
-/// pools of affinity-graph buffers (one set per live recursion level —
-/// each level returns its buffers before recursing, so the pools stay at
-/// depth-of-recursion size), and the split memo.
+/// Reusable buffers for one thread's [`drb_map`] calls: the recursion's
+/// arena, Algorithm 3's slot buffers, the task assignment and the
+/// bipartition sweep with its split memo. Every buffer keeps its capacity
+/// between calls.
 #[derive(Debug, Default)]
 struct DrbScratch {
+    arena: Arena,
+    /// Algorithm 3's routing at the current level: the slots (offsets into
+    /// the level's task range) sent to each side. A level is done with
+    /// them before it recurses.
+    slots: [Vec<usize>; 2],
+    /// `assignment[task]`: the GPU the recursion gave the task.
+    assignment: Vec<Option<GpuId>>,
+    sweep: SweepScratch,
+}
+
+/// The stacks the recursion's sets live on. A level's GPU set is a range
+/// of `gpus` and its task set a range of `tasks`, with each task's
+/// accumulated external cost (Algorithm 2's `C`) at the same index of
+/// `costs`. A level pushes its children's sets above its own and
+/// truncates them when it returns.
+#[derive(Debug, Default)]
+struct Arena {
+    gpus: Vec<GpuId>,
+    tasks: Vec<usize>,
+    costs: Vec<f64>,
+}
+
+impl Arena {
+    /// Pushes the GPUs of `range` for which `left(offset)` holds, then the
+    /// rest, each side in its order; returns the two new ranges.
+    fn partition_gpus(
+        &mut self,
+        range: Range<usize>,
+        left: impl Fn(usize) -> bool,
+    ) -> (Range<usize>, Range<usize>) {
+        let base = self.gpus.len();
+        for i in range.clone() {
+            if left(i - range.start) {
+                let g = self.gpus[i];
+                self.gpus.push(g);
+            }
+        }
+        let mid = self.gpus.len();
+        for i in range.clone() {
+            if !left(i - range.start) {
+                let g = self.gpus[i];
+                self.gpus.push(g);
+            }
+        }
+        (base..mid, mid..self.gpus.len())
+    }
+
+    /// Pushes a copy of the tasks of `range` with their costs; returns the
+    /// new range.
+    fn copy_tasks(&mut self, range: Range<usize>) -> Range<usize> {
+        let base = self.tasks.len();
+        self.tasks.extend_from_within(range.clone());
+        self.costs.extend_from_within(range);
+        base..self.tasks.len()
+    }
+}
+
+/// The bipartition sweep's buffers and the split memo.
+#[derive(Debug, Default)]
+struct SweepScratch {
     fm: FmScratch,
-    gpu_bufs: Vec<Vec<GpuId>>,
-    weight_bufs: Vec<Vec<f64>>,
+    /// The affinity graph's vertex and weight buffers, lent to each sweep.
+    graph_gpus: Vec<GpuId>,
+    graph_weights: Vec<f64>,
+    /// The left side of the last sweep's best split, per vertex.
+    side: Vec<bool>,
     /// `[n, affinity bits of the upper triangle row by row]` → mask of the
     /// GPUs (by index into the set) on the left side of the best split.
     split_memo: HashMap<Box<[u64]>, u32, BuildHasherDefault<WordHasher>>,
@@ -166,56 +236,59 @@ fn mean_internal_distance(oracle: &dyn PlacementOracle, gpus: &[GpuId]) -> f64 {
     sum / pairs as f64
 }
 
-/// Algorithm 3: split the tasks in `tasks` between sub-partitions `p0` /
-/// `p1`, choosing per task the side with the higher utility, under the
-/// capacity constraint. Returns `(tasks0, tasks1, c0, c1)` where the `c`
-/// vectors carry each task's accumulated external communication cost.
-#[allow(clippy::too_many_arguments)]
+/// Algorithm 3: split the tasks of the range `tasks` between the
+/// sub-partitions `p0` / `p1` (ranges of the arena's GPUs), choosing per
+/// task the side with the higher utility, under the capacity constraint.
+/// Pushes tasks0 and then tasks1, each task with its accumulated external
+/// communication cost, and returns their ranges.
 fn job_graph_bipartition(
     job: &JobGraph,
-    tasks: &[usize],
-    c: &[f64],
-    p0: &[GpuId],
-    p1: &[GpuId],
+    tasks: Range<usize>,
+    p0: Range<usize>,
+    p1: Range<usize>,
     oracle: &dyn PlacementOracle,
     weights: UtilityWeights,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>) {
+    s: &mut DrbScratch,
+) -> (Range<usize>, Range<usize>) {
+    let arena = &mut s.arena;
+    let n = tasks.len();
+    let cap0 = p0.len();
+    let cap1 = p1.len();
     // When the whole task set fits one side but not the other, splitting it
     // would push job edges across the *current* boundary — the most
     // expensive cut of the whole recursion — for no capacity reason. Route
     // it wholesale and let the deeper levels arrange it.
-    if tasks.len() > p0.len() && tasks.len() <= p1.len() {
-        let a1: Vec<usize> = (0..tasks.len()).collect();
-        let costs1: Vec<f64> = a1.iter().map(|&s| c[s]).collect();
-        return (Vec::new(), tasks.to_vec(), Vec::new(), costs1);
+    if n > cap0 && n <= cap1 {
+        let t1 = arena.copy_tasks(tasks);
+        return (t1.start..t1.start, t1);
     }
-    if tasks.len() > p1.len() && tasks.len() <= p0.len() {
-        let a0: Vec<usize> = (0..tasks.len()).collect();
-        let costs0: Vec<f64> = a0.iter().map(|&s| c[s]).collect();
-        return (tasks.to_vec(), Vec::new(), costs0, Vec::new());
+    if n > cap1 && n <= cap0 {
+        let t0 = arena.copy_tasks(tasks);
+        return (t0.clone(), t0.end..t0.end);
     }
 
-    let d_within0 = mean_internal_distance(oracle, p0).max(1.0);
-    let d_within1 = mean_internal_distance(oracle, p1).max(1.0);
-    let d_cross = mean_cross_distance(oracle, p0, p1).max(1.0);
+    let (gpus0, gpus1) = (&arena.gpus[p0], &arena.gpus[p1]);
+    let d_within0 = mean_internal_distance(oracle, gpus0).max(1.0);
+    let d_within1 = mean_internal_distance(oracle, gpus1).max(1.0);
+    let d_cross = mean_cross_distance(oracle, gpus0, gpus1).max(1.0);
 
     // Per-side placement factors are evaluated once per call (they do not
     // depend on the task): Algorithm 3's getInter()/getFragmentation().
-    let i0 = oracle.interference(p0);
-    let i1 = oracle.interference(p1);
-    let w0 = oracle.fragmentation_after(p0);
-    let w1 = oracle.fragmentation_after(p1);
+    let i0 = oracle.interference(gpus0);
+    let i1 = oracle.interference(gpus1);
+    let w0 = oracle.fragmentation_after(gpus0);
+    let w1 = oracle.fragmentation_after(gpus1);
 
-    let mut a0: Vec<usize> = Vec::new();
-    let mut a1: Vec<usize> = Vec::new();
-    let mut c0 = vec![0.0; tasks.len()];
-    let mut c1 = vec![0.0; tasks.len()];
-
-    for (slot, &task) in tasks.iter().enumerate() {
+    let [a0, a1] = &mut s.slots;
+    a0.clear();
+    a1.clear();
+    let level = &arena.tasks[tasks.clone()];
+    let c = &arena.costs[tasks.clone()];
+    for (slot, &task) in level.iter().enumerate() {
         // getCommCost(): cost of joining each side given the partners
         // already routed.
-        let to_a0: f64 = a0.iter().map(|&s| job.weight(task, tasks[s])).sum();
-        let to_a1: f64 = a1.iter().map(|&s| job.weight(task, tasks[s])).sum();
+        let to_a0: f64 = a0.iter().map(|&s| job.weight(task, level[s])).sum();
+        let to_a1: f64 = a1.iter().map(|&s| job.weight(task, level[s])).sum();
         let external = c[slot];
         let tcc0 = to_a0 * d_within0 + to_a1 * d_cross + external;
         let tcc1 = to_a1 * d_within1 + to_a0 * d_cross + external;
@@ -226,8 +299,6 @@ fn job_graph_bipartition(
         let u0 = weights.cc * (1.0 / (1.0 + tcc0)) + weights.b * i0 + weights.d * (1.0 - w0);
         let u1 = weights.cc * (1.0 / (1.0 + tcc1)) + weights.b * i1 + weights.d * (1.0 - w1);
 
-        let cap0 = p0.len();
-        let cap1 = p1.len();
         let prefer0 = u0 >= u1;
         if (prefer0 && a0.len() < cap0) || a1.len() >= cap1 {
             a0.push(slot);
@@ -236,100 +307,107 @@ fn job_graph_bipartition(
         }
     }
 
-    // Accumulate external costs for the recursion: a task in A0 keeps
-    // feeling its edges to tasks now fixed in A1 at the cross distance.
-    for &s in &a0 {
-        let cross: f64 = a1.iter().map(|&t| job.weight(tasks[s], tasks[t])).sum();
-        c0[s] = c[s] + cross * d_cross;
+    // Push each side with its external costs for the recursion: a task in
+    // A0 keeps feeling its edges to tasks now fixed in A1 at the cross
+    // distance, and the other way round.
+    let base = arena.tasks.len();
+    for (routed, other) in [(&*a0, &*a1), (&*a1, &*a0)] {
+        for &x in routed {
+            let task = arena.tasks[tasks.start + x];
+            let cross: f64 = other
+                .iter()
+                .map(|&y| job.weight(task, arena.tasks[tasks.start + y]))
+                .sum();
+            let cost = arena.costs[tasks.start + x] + cross * d_cross;
+            arena.tasks.push(task);
+            arena.costs.push(cost);
+        }
     }
-    for &s in &a1 {
-        let cross: f64 = a0.iter().map(|&t| job.weight(tasks[s], tasks[t])).sum();
-        c1[s] = c[s] + cross * d_cross;
-    }
-
-    let tasks0: Vec<usize> = a0.iter().map(|&s| tasks[s]).collect();
-    let tasks1: Vec<usize> = a1.iter().map(|&s| tasks[s]).collect();
-    let costs0: Vec<f64> = a0.iter().map(|&s| c0[s]).collect();
-    let costs1: Vec<f64> = a1.iter().map(|&s| c1[s]).collect();
-    (tasks0, tasks1, costs0, costs1)
+    let mid = base + a0.len();
+    (base..mid, mid..arena.tasks.len())
 }
 
-/// Algorithm 2: recursive mapping step. `assignment[task] = gpu`.
-#[allow(clippy::too_many_arguments)]
+/// Algorithm 2: recursive mapping step over the arena's `tasks` and
+/// `gpus` ranges. Sets `s.assignment[task] = gpu`.
 fn drb_recurse(
     job: &JobGraph,
-    tasks: &[usize],
-    c: &[f64],
-    gpus: &[GpuId],
+    tasks: Range<usize>,
+    gpus: Range<usize>,
     oracle: &dyn PlacementOracle,
     weights: UtilityWeights,
-    assignment: &mut [Option<GpuId>],
-    scratch: &mut DrbScratch,
+    s: &mut DrbScratch,
 ) {
     if tasks.is_empty() {
         return; // this partition is not a candidate
     }
     if gpus.len() == 1 {
         debug_assert_eq!(tasks.len(), 1, "capacity was enforced on the way down");
-        assignment[tasks[0]] = Some(gpus[0]);
+        s.assignment[s.arena.tasks[tasks.start]] = Some(s.arena.gpus[gpus.start]);
         return;
     }
     if tasks.len() == gpus.len() && tasks.len() <= 2 {
         // Both orderings are equivalent for a 2-clique on 2 GPUs; skip the
         // partitioner for the trivial base case.
-        for (&t, &g) in tasks.iter().zip(gpus.iter()) {
-            assignment[t] = Some(g);
+        for (t, g) in tasks.zip(gpus) {
+            s.assignment[s.arena.tasks[t]] = Some(s.arena.gpus[g]);
         }
         return;
     }
 
-    let (p0, p1) = if gpus.len() <= SPLIT_MEMO_MAX_N {
-        let mask = memoized_split(gpus, oracle, scratch);
-        partition_gpus(gpus, |i| mask & (1 << i) != 0)
+    let task_top = s.arena.tasks.len();
+    let gpu_top = s.arena.gpus.len();
+    let set = &s.arena.gpus[gpus.clone()];
+    let (p0, p1) = if set.len() <= SPLIT_MEMO_MAX_N {
+        let mask = memoized_split(set, oracle, &mut s.sweep);
+        s.arena.partition_gpus(gpus, |i| mask & (1 << i) != 0)
     } else {
-        let side = ratio_cut_sweep(gpus, oracle, scratch);
-        partition_gpus(gpus, |i| side[i])
+        ratio_cut_sweep(set, oracle, &mut s.sweep);
+        let side = &s.sweep.side;
+        s.arena.partition_gpus(gpus, |i| side[i])
     };
 
-    let (t0, t1, c0, c1) = job_graph_bipartition(job, tasks, c, &p0, &p1, oracle, weights);
-    drb_recurse(job, &t0, &c0, &p0, oracle, weights, assignment, scratch);
-    drb_recurse(job, &t1, &c1, &p1, oracle, weights, assignment, scratch);
+    let (t0, t1) = job_graph_bipartition(job, tasks, p0.clone(), p1.clone(), oracle, weights, s);
+    drb_recurse(job, t0, p0, oracle, weights, s);
+    drb_recurse(job, t1, p1, oracle, weights, s);
+    s.arena.tasks.truncate(task_top);
+    s.arena.costs.truncate(task_top);
+    s.arena.gpus.truncate(gpu_top);
 }
 
 /// physicalGraphBiPartition(P): FM over the affinity graph of `gpus`.
-/// Returns the left side of the best split. The natural topology boundary
-/// rarely sits exactly at the midpoint (a busy machine may leave 4 free
-/// GPUs next to two idle 4-GPU machines), so several split ratios are
-/// tried and compared by *ratio cut* — cut / (|left|·|right|) — which is
-/// scale-free across imbalances.
-fn ratio_cut_sweep(
-    gpus: &[GpuId],
-    oracle: &dyn PlacementOracle,
-    scratch: &mut DrbScratch,
-) -> Vec<bool> {
+/// Leaves the left side of the best split in `sweep.side`. The natural
+/// topology boundary rarely sits exactly at the midpoint (a busy machine
+/// may leave 4 free GPUs next to two idle 4-GPU machines), so several
+/// split ratios are tried and compared by *ratio cut* — cut /
+/// (|left|·|right|) — which is scale-free across imbalances.
+fn ratio_cut_sweep(gpus: &[GpuId], oracle: &dyn PlacementOracle, sweep: &mut SweepScratch) {
     let n = gpus.len();
-    let gpu_buf = scratch.gpu_bufs.pop().unwrap_or_default();
-    let weight_buf = scratch.weight_bufs.pop().unwrap_or_default();
-    let affinity = AffinityGraph::from_distances_reusing(gpus, gpu_buf, weight_buf, |i, j| {
-        oracle.distance(gpus[i], gpus[j])
-    });
+    let affinity = AffinityGraph::from_distances_reusing(
+        gpus,
+        std::mem::take(&mut sweep.graph_gpus),
+        std::mem::take(&mut sweep.graph_weights),
+        |i, j| oracle.distance(gpus[i], gpus[j]),
+    );
     // Sweep targets and keep the best ratio cut; on ties the later target
     // wins, matching what `Iterator::min_by` over the collected sweep did.
-    let mut best: Option<Bipartition> = None;
+    let mut have_best = false;
     let mut best_ratio = f64::INFINITY;
-    let mut try_target = |t: usize, fm: &mut FmScratch| {
-        let candidate = fm_bipartition_with(&affinity, t, 3, fm);
-        let left = candidate.side.iter().filter(|&&s| s).count();
-        let ratio = candidate.cut / (left * (n - left)) as f64;
+    let mut try_target = |t: usize| {
+        let cut = fm_cut_with(&affinity, t, 3, &mut sweep.fm);
+        let side = sweep.fm.side();
+        let left = side.iter().filter(|&&s| s).count();
+        let ratio = cut / (left * (n - left)) as f64;
         assert!(ratio.is_finite(), "finite ratio cuts");
-        if best.is_none() || ratio <= best_ratio {
+        if !have_best || ratio <= best_ratio {
             best_ratio = ratio;
-            best = Some(candidate);
+            sweep.side.clear();
+            sweep.side.extend_from_slice(side);
+            have_best = true;
         }
     };
     if n <= 32 {
         for t in 1..n {
-            try_target(t, &mut scratch.fm);
+            try_target(t);
         }
     } else {
         // A 15-point sweep keeps large (cluster-wide spill) instances
@@ -337,23 +415,22 @@ fn ratio_cut_sweep(
         // n > 32 the points are strictly increasing and interior, so no
         // dedup or range filter is needed.
         for k in 1..16 {
-            try_target(k * n / 16, &mut scratch.fm);
+            try_target(k * n / 16);
         }
     }
-    // The graph is done before the recursion goes on: hand its buffers
-    // back so the child levels (and the next drb_map call) reuse them.
-    let (gpu_buf, weight_buf) = affinity.into_buffers();
-    scratch.gpu_bufs.push(gpu_buf);
-    scratch.weight_bufs.push(weight_buf);
-    best.expect("at least one target is valid for n ≥ 2").side
+    assert!(have_best, "at least one target is valid for n ≥ 2");
+    // Hand the graph's buffers back for the next sweep.
+    let (graph_gpus, graph_weights) = affinity.into_buffers();
+    sweep.graph_gpus = graph_gpus;
+    sweep.graph_weights = graph_weights;
 }
 
 /// [`ratio_cut_sweep`] through the thread's split memo, for sets of at most
 /// [`SPLIT_MEMO_MAX_N`] GPUs. Returns the left side as a mask over indices
 /// into `gpus`.
-fn memoized_split(gpus: &[GpuId], oracle: &dyn PlacementOracle, scratch: &mut DrbScratch) -> u32 {
+fn memoized_split(gpus: &[GpuId], oracle: &dyn PlacementOracle, sweep: &mut SweepScratch) -> u32 {
     let n = gpus.len();
-    let mut key = std::mem::take(&mut scratch.split_key);
+    let key = &mut sweep.split_key;
     key.clear();
     key.push(n as u64);
     for (i, &a) in gpus.iter().enumerate() {
@@ -363,26 +440,26 @@ fn memoized_split(gpus: &[GpuId], oracle: &dyn PlacementOracle, scratch: &mut Dr
             key.push((1.0 / d).to_bits());
         }
     }
-    let mask = match scratch.split_memo.get(key.as_slice()) {
-        Some(&mask) => {
-            #[cfg(debug_assertions)]
+    if let Some(&mask) = sweep.split_memo.get(sweep.split_key.as_slice()) {
+        #[cfg(debug_assertions)]
+        {
+            ratio_cut_sweep(gpus, oracle, sweep);
             assert_eq!(
                 mask,
-                side_mask(&ratio_cut_sweep(gpus, oracle, scratch)),
+                side_mask(&sweep.side),
                 "stale split memo entry for {gpus:?}"
             );
-            mask
         }
-        None => {
-            let mask = side_mask(&ratio_cut_sweep(gpus, oracle, scratch));
-            if scratch.split_memo.len() >= SPLIT_MEMO_CAP {
-                scratch.split_memo.clear();
-            }
-            scratch.split_memo.insert(key.as_slice().into(), mask);
-            mask
-        }
-    };
-    scratch.split_key = key;
+        return mask;
+    }
+    ratio_cut_sweep(gpus, oracle, sweep);
+    let mask = side_mask(&sweep.side);
+    if sweep.split_memo.len() >= SPLIT_MEMO_CAP {
+        sweep.split_memo.clear();
+    }
+    sweep
+        .split_memo
+        .insert(sweep.split_key.as_slice().into(), mask);
     mask
 }
 
@@ -394,24 +471,10 @@ fn side_mask(side: &[bool]) -> u32 {
         .fold(0, |m, (i, _)| m | 1 << i)
 }
 
-/// Splits `gpus` into `(left, right)` by index, keeping their order.
-fn partition_gpus(gpus: &[GpuId], left: impl Fn(usize) -> bool) -> (Vec<GpuId>, Vec<GpuId>) {
-    let mut p0 = Vec::new();
-    let mut p1 = Vec::new();
-    for (i, &g) in gpus.iter().enumerate() {
-        if left(i) {
-            p0.push(g);
-        } else {
-            p1.push(g);
-        }
-    }
-    (p0, p1)
-}
-
 /// Entries in the calling thread's split memo (0 while a mapping runs on
 /// it). Exposed for tests that check the memo warms and wraps.
 pub fn split_memo_len() -> usize {
-    DRB_SCRATCH.with(|cell| cell.try_borrow().map_or(0, |s| s.split_memo.len()))
+    DRB_SCRATCH.with(|cell| cell.try_borrow().map_or(0, |s| s.sweep.split_memo.len()))
 }
 
 /// Maps a job's communication graph onto the available GPUs.
@@ -431,48 +494,43 @@ pub fn drb_map(
             available: available.len(),
         });
     }
-    let tasks: Vec<usize> = (0..n).collect();
-    let c = vec![0.0; n];
-    let mut assignment: Vec<Option<GpuId>> = vec![None; n];
-    DRB_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut s) => {
-            drb_recurse(
-                job,
-                &tasks,
-                &c,
-                available,
-                oracle,
-                weights,
-                &mut assignment,
-                &mut s,
-            );
-        }
+    Ok(DRB_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut s) => map_with(job, available, oracle, weights, &mut s),
         // Re-entrant call (an oracle callback mapping again): fall back to
         // a fresh scratch rather than panicking on the RefCell.
-        Err(_) => drb_recurse(
-            job,
-            &tasks,
-            &c,
-            available,
-            oracle,
-            weights,
-            &mut assignment,
-            &mut DrbScratch::default(),
-        ),
-    });
-    let out: Vec<GpuId> = assignment
-        .into_iter()
+        Err(_) => map_with(job, available, oracle, weights, &mut DrbScratch::default()),
+    }))
+}
+
+/// [`drb_map`] on one scratch, capacity already checked.
+fn map_with(
+    job: &JobGraph,
+    available: &[GpuId],
+    oracle: &dyn PlacementOracle,
+    weights: UtilityWeights,
+    s: &mut DrbScratch,
+) -> Vec<GpuId> {
+    let n = job.n_tasks();
+    let arena = &mut s.arena;
+    arena.gpus.clear();
+    arena.gpus.extend_from_slice(available);
+    arena.tasks.clear();
+    arena.tasks.extend(0..n);
+    arena.costs.clear();
+    arena.costs.resize(n, 0.0);
+    s.assignment.clear();
+    s.assignment.resize(n, None);
+    drb_recurse(job, 0..n, 0..available.len(), oracle, weights, s);
+    let out: Vec<GpuId> = s
+        .assignment
+        .iter()
         .map(|a| a.expect("every task is assigned by the recursion"))
         .collect();
     debug_assert!(
-        {
-            let mut sorted = out.clone();
-            sorted.sort_unstable();
-            sorted.windows(2).all(|w| w[0] != w[1])
-        },
+        out.iter().enumerate().all(|(i, g)| !out[..i].contains(g)),
         "assignments must be distinct"
     );
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

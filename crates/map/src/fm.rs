@@ -63,6 +63,11 @@ pub struct FmScratch {
 }
 
 impl FmScratch {
+    /// The side assignment the last [`fm_cut_with`] left: `true` = left.
+    pub(crate) fn side(&self) -> &[bool] {
+        &self.winner
+    }
+
     /// Writes the four deterministic seed partitions (prefix, suffix,
     /// interleaved, greedy-affinity) into `self.seeds`, reusing their
     /// buffers.
@@ -167,6 +172,21 @@ pub fn fm_bipartition_with(
     max_passes: usize,
     s: &mut FmScratch,
 ) -> Bipartition {
+    let cut = fm_cut_with(g, target_left, max_passes, s);
+    Bipartition {
+        side: s.winner.clone(),
+        cut,
+    }
+}
+
+/// [`fm_bipartition_with`] without allocating its result: returns the cut
+/// and leaves the side assignment in the scratch ([`FmScratch::side`]).
+pub(crate) fn fm_cut_with(
+    g: &AffinityGraph,
+    target_left: usize,
+    max_passes: usize,
+    s: &mut FmScratch,
+) -> f64 {
     let n = g.len();
     assert!(
         target_left > 0 && target_left < n,
@@ -186,10 +206,7 @@ pub fn fm_bipartition_with(
         }
     }
     assert!(have_best, "at least one seed partition");
-    Bipartition {
-        side: s.winner.clone(),
-        cut: best_cut,
-    }
+    best_cut
 }
 
 /// The classic FM pass loop from seed partition `s.seeds[k]`. Leaves the

@@ -29,5 +29,6 @@ pub use affinity::AffinityGraph;
 pub use drb::{drb_map, split_memo_len, MappingError, PlacementOracle};
 pub use fm::{fm_bipartition, fm_bipartition_with, Bipartition, FmScratch};
 pub use utility::{
-    eq3_comm_cost, eq4_interference, eq5_fragmentation, utility, UtilityComponents, UtilityWeights,
+    eq3_comm_cost, eq4_interference, eq5_fragmentation, eq5_fragmentation_iter, utility,
+    UtilityComponents, UtilityWeights,
 };

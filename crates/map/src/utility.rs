@@ -80,20 +80,30 @@ pub fn eq4_interference(ratios: &[f64]) -> f64 {
 }
 
 /// Eq. 5: system fragmentation — the mean over sockets of
-/// `free_gpus / total_gpus`. 0 when every GPU is allocated, 1 when all are
-/// free.
+/// `free_gpus / total_gpus`, each socket given as `(free, total)`. 0 when
+/// every GPU is allocated, 1 when all are free.
 pub fn eq5_fragmentation(sockets: &[(u32, u32)]) -> f64 {
-    if sockets.is_empty() {
+    eq5_fragmentation_iter(sockets.iter().copied())
+}
+
+/// [`eq5_fragmentation`] over an iterator of `(free, total)` sockets, so a
+/// caller can count each socket on the fly instead of collecting them.
+/// The sum runs in iteration order.
+pub fn eq5_fragmentation_iter<I>(sockets: I) -> f64
+where
+    I: ExactSizeIterator<Item = (u32, u32)>,
+{
+    let n = sockets.len();
+    if n == 0 {
         return 0.0;
     }
     let sum: f64 = sockets
-        .iter()
-        .map(|&(free, total)| {
+        .map(|(free, total)| {
             debug_assert!(free <= total && total > 0);
             f64::from(free) / f64::from(total)
         })
         .sum();
-    sum / sockets.len() as f64
+    sum / n as f64
 }
 
 /// The normalized components of a placement's utility.

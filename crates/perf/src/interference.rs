@@ -45,6 +45,29 @@ pub fn domain_factor(machine: &MachineTopology, gpus_a: &[GpuId], gpus_b: &[GpuI
     }
 }
 
+/// [`domain_factor`] over GPU sets given as bitmasks (bit `g` ⇔
+/// `GpuId(g)`): the sets share a socket when some socket's GPU mask meets
+/// both. O(sockets), allocation-free.
+///
+/// # Panics
+///
+/// Panics if the machine has more than 128 GPUs
+/// ([`MachineTopology::socket_masks`]).
+pub fn domain_factor_of_masks(machine: &MachineTopology, gpus_a: u128, gpus_b: u128) -> f64 {
+    if gpus_a == 0 || gpus_b == 0 {
+        return 0.0;
+    }
+    let shares_socket = machine
+        .socket_masks()
+        .iter()
+        .any(|&socket| socket & gpus_a != 0 && socket & gpus_b != 0);
+    if shares_socket {
+        DOMAIN_SAME_SOCKET
+    } else {
+        DOMAIN_SAME_MACHINE
+    }
+}
+
 /// Slowdown job A suffers from job B through a bus domain with the given
 /// factor, before capping.
 pub fn pairwise_slowdown(
@@ -125,6 +148,28 @@ mod tests {
         assert_eq!(domain_factor(&m, &[GpuId(0), GpuId(2)], &[GpuId(3)]), 1.0);
         // Empty sets do not interfere.
         assert_eq!(domain_factor(&m, &[], &[GpuId(0)]), 0.0);
+    }
+
+    #[test]
+    fn mask_domain_factor_matches_the_set_form() {
+        let machine = gts_topo::dgx1();
+        let n = machine.n_gpus();
+        let set = |mask: u128| -> Vec<GpuId> {
+            (0..n as u32)
+                .filter(|&g| mask >> g & 1 == 1)
+                .map(GpuId)
+                .collect()
+        };
+        // Every pair of subsets of an 8-GPU machine.
+        for a in 0..1u128 << n {
+            for b in (0..1u128 << n).step_by(7) {
+                assert_eq!(
+                    domain_factor_of_masks(&machine, a, b),
+                    domain_factor(&machine, &set(a), &set(b)),
+                    "{a:#x} {b:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub use bandwidth::{sampled_bandwidth_gbs, BandwidthTrace};
 pub use breakdown::{breakdown, Breakdown};
 pub use comm::{comm_time_s, ring_volume_gb};
 pub use compute::compute_time_s;
-pub use interference::{domain_factor, pairwise_slowdown, total_slowdown};
+pub use interference::{domain_factor, domain_factor_of_masks, pairwise_slowdown, total_slowdown};
 pub use placement::{classify_route, IterTime, PlacementPerf, RouteClass};
 pub use profiler::{profile_for, ProfileLibrary};

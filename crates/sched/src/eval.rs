@@ -38,8 +38,8 @@
 //!    (DESIGN.md §14.2).
 
 use crate::classes::ClassId;
-use crate::oracle::{placement_utility, StateOracle};
-use crate::state::{ClusterState, MachineClassKey};
+use crate::oracle::StateOracle;
+use crate::state::{mask_gpus, ClusterState, MachineClassKey};
 use gts_job::{BatchClass, JobGraph, JobSpec, NnModel};
 use gts_map::{drb_map, PlacementOracle as _, UtilityWeights};
 use gts_topo::{GpuId, MachineId};
@@ -508,7 +508,8 @@ fn bump(counter: &Cell<u64>, n: u64) {
 }
 
 /// Evaluates one candidate machine for `job`: DRB mapping, bandwidth
-/// check, utility and fragmentation-after. Pure in the cluster state.
+/// check, utility and fragmentation-after, all through one oracle. Pure in
+/// the cluster state; allocates only the mapping it returns.
 fn evaluate_one(
     state: &ClusterState,
     job: &JobSpec,
@@ -516,16 +517,17 @@ fn evaluate_one(
     weights: UtilityWeights,
     machine: MachineId,
 ) -> CandidateOutcome {
-    let free = state.free_gpus(machine);
+    let mut buf = [GpuId(0); 128];
+    let free = mask_gpus(state.free_mask_bits(machine), &mut buf);
     let oracle = StateOracle::new(state, machine, job);
-    let Ok(gpus) = drb_map(graph, &free, &oracle, weights) else {
+    let Ok(gpus) = drb_map(graph, free, &oracle, weights) else {
         return CandidateOutcome::NoMapping;
     };
     if !state.fits_bw(machine, &gpus, job.bw_demand_gbs) {
         return CandidateOutcome::RejectedBandwidth { gpus: gpus.into() };
     }
     let frag_after = oracle.fragmentation_after(&gpus);
-    let utility = placement_utility(state, machine, job, &gpus, weights);
+    let utility = oracle.utility(&gpus, weights);
     CandidateOutcome::Feasible {
         gpus: gpus.into(),
         utility,

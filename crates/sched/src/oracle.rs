@@ -3,14 +3,14 @@
 //! Bridges the pure mapping engine to the cluster: distances come from the
 //! machine topology, interference predictions from the §4.2 profiles of the
 //! jobs currently running on the candidate machine (Eq. 4), and
-//! fragmentation from socket occupancy (Eq. 5).
+//! fragmentation from socket occupancy (Eq. 5). Both read GPU masks, so
+//! neither allocates (DESIGN.md §13.7).
 
-use crate::state::{ClusterState, Corunner};
+use crate::state::{gpu_bit, ClusterState, Corunner};
 use gts_job::{JobProfile, JobSpec};
 use gts_map::{PlacementOracle, UtilityComponents, UtilityWeights};
-use gts_perf::domain_factor;
+use gts_perf::domain_factor_of_masks;
 use gts_topo::{GpuId, MachineId, MachineTopology};
-use std::sync::Arc;
 
 /// Oracle for one candidate machine, carrying the job being placed.
 ///
@@ -18,47 +18,65 @@ use std::sync::Arc;
 /// ([`ClusterState::corunners`]) — `drb_map` probes `interference` many
 /// times per candidate, and re-walking the running-job table (let alone
 /// cloning profiles and GPU lists) per candidate dominated the old
-/// per-arrival cost; now construction is one `Arc` clone. The signature is
-/// held in *canonical* order (sorted by `(model, batch, local GPU mask)`
-/// rather than job id) so that machines in the same evaluation-engine
-/// equivalence class sum the Eq. 4 terms in exactly the same order and
-/// produce bit-identical utilities regardless of which job ids happen to
-/// run there. The same `Arc` backs the cross-event placement cache's keys
-/// (DESIGN.md §9).
+/// per-arrival cost; now construction borrows the signature. The signature
+/// is held in *canonical* order (sorted by `(model, batch, local GPU
+/// mask)` rather than job id) so that machines in the same
+/// evaluation-engine equivalence class sum the Eq. 4 terms in exactly the
+/// same order and produce bit-identical utilities regardless of which job
+/// ids happen to run there. The same signature backs the cross-event
+/// placement cache's keys (DESIGN.md §9).
 pub struct StateOracle<'a> {
-    state: &'a ClusterState,
-    machine: MachineId,
     topo: &'a MachineTopology,
     candidate: &'a JobProfile,
-    corunners: Arc<Vec<Corunner>>,
+    /// The job requests more than one GPU (Eq. 3 applies).
+    communicates: bool,
+    corunners: &'a [Corunner],
+    /// GPUs no allocation holds, the Eq. 5 reading's input.
+    unallocated: u128,
 }
 
 impl<'a> StateOracle<'a> {
     /// Builds the oracle for placing `job` on `machine`.
     pub fn new(state: &'a ClusterState, machine: MachineId, job: &JobSpec) -> Self {
-        let topo = state.cluster().machine(machine);
-        let candidate = state.profiles().get(job.model, job.batch);
-        let corunners = Arc::clone(state.corunners(machine));
         Self {
-            state,
-            machine,
-            topo,
-            candidate,
-            corunners,
+            topo: state.cluster().machine(machine),
+            candidate: state.profiles().get(job.model, job.batch),
+            communicates: job.communicates(),
+            corunners: state.corunners(machine),
+            unallocated: state.unallocated_mask(machine),
         }
     }
 
-    /// Eq. 4 over the candidate placement: mean of `solo/collocated` ratios
-    /// of this job and every running job on the machine, with domain
-    /// factors derived from actual GPU sets.
-    fn eq4(&self, gpus: &[GpuId]) -> f64 {
-        let corunners: Vec<(JobProfile, f64)> = self
-            .corunners
-            .iter()
-            .map(|c| (c.profile, domain_factor(self.topo, gpus, &c.gpus)))
-            .collect();
-        self.candidate.eq4_interference(&corunners)
+    /// The Eq. 2 component breakdown of placing the job on `gpus`
+    /// (DESIGN.md §2).
+    pub fn components(&self, gpus: &[GpuId]) -> UtilityComponents {
+        let u_cc = if self.communicates {
+            let actual = self.topo.pairwise_cost(gpus);
+            let best = self.topo.best_pairwise_cost(gpus.len());
+            UtilityComponents::u_cc_from_costs(best, actual)
+        } else {
+            1.0
+        };
+        UtilityComponents {
+            u_cc,
+            u_interference: self.interference(gpus),
+            u_domains: UtilityComponents::u_domains_from_span(
+                self.topo.sockets_spanned(gpus),
+                self.topo.n_sockets(),
+            ),
+        }
     }
+
+    /// Final normalized utility of placing the job on `gpus` (DESIGN.md
+    /// §2).
+    pub fn utility(&self, gpus: &[GpuId], weights: UtilityWeights) -> f64 {
+        gts_map::utility(self.components(gpus), weights)
+    }
+}
+
+/// The mask of a machine-local GPU set.
+fn mask_of(gpus: &[GpuId]) -> u128 {
+    gpus.iter().fold(0, |mask, &g| mask | gpu_bit(g))
 }
 
 impl PlacementOracle for StateOracle<'_> {
@@ -66,23 +84,35 @@ impl PlacementOracle for StateOracle<'_> {
         self.topo.distance(a, b)
     }
 
+    /// Eq. 4 over the candidate placement: mean of `solo/collocated`
+    /// ratios of this job and every running job on the machine, each
+    /// co-runner's domain factor read off the two GPU masks.
     fn interference(&self, gpus: &[GpuId]) -> f64 {
         if gpus.is_empty() {
             return 1.0;
         }
-        self.eq4(gpus)
+        let mask = mask_of(gpus);
+        self.candidate.eq4_interference_iter(
+            self.corunners
+                .iter()
+                .map(|c| (&c.profile, domain_factor_of_masks(self.topo, mask, c.mask))),
+        )
     }
 
+    /// Eq. 5 after granting `gpus` (distinct GPUs): each socket's free
+    /// GPUs less the granted ones on it, in socket order.
     fn fragmentation_after(&self, gpus: &[GpuId]) -> f64 {
-        let mut occupancy = self.state.socket_occupancy(self.machine);
-        for &g in gpus {
-            let socket = self.topo.socket_of(g).index();
-            let (free, _) = &mut occupancy[socket];
-            if *free > 0 {
-                *free -= 1;
-            }
-        }
-        gts_map::eq5_fragmentation(&occupancy)
+        let taken = mask_of(gpus);
+        debug_assert_eq!(
+            taken.count_ones() as usize,
+            gpus.len(),
+            "a placement names each GPU once: {gpus:?}"
+        );
+        gts_map::eq5_fragmentation_iter(self.topo.socket_masks().iter().map(|&socket| {
+            let free = (self.unallocated & socket).count_ones();
+            let granted = (taken & socket).count_ones();
+            (free.saturating_sub(granted), socket.count_ones())
+        }))
     }
 }
 
@@ -94,24 +124,7 @@ pub fn placement_components(
     job: &JobSpec,
     gpus: &[GpuId],
 ) -> UtilityComponents {
-    let topo = state.cluster().machine(machine);
-    let oracle = StateOracle::new(state, machine, job);
-
-    let u_cc = if job.communicates() {
-        let actual = topo.pairwise_cost(gpus);
-        let best = topo.best_pairwise_cost(gpus.len());
-        UtilityComponents::u_cc_from_costs(best, actual)
-    } else {
-        1.0
-    };
-    let u_interference = oracle.interference(gpus);
-    let u_domains =
-        UtilityComponents::u_domains_from_span(topo.sockets_spanned(gpus), topo.n_sockets());
-    UtilityComponents {
-        u_cc,
-        u_interference,
-        u_domains,
-    }
+    StateOracle::new(state, machine, job).components(gpus)
 }
 
 /// Final normalized utility of a concrete placement (DESIGN.md §2),
@@ -123,7 +136,7 @@ pub fn placement_utility(
     gpus: &[GpuId],
     weights: UtilityWeights,
 ) -> f64 {
-    gts_map::utility(placement_components(state, machine, job, gpus), weights)
+    StateOracle::new(state, machine, job).utility(gpus, weights)
 }
 
 #[cfg(test)]

@@ -60,11 +60,12 @@ impl Allocation {
 pub const DEFAULT_SOCKET_BW_GBS: f64 = 115.0;
 
 /// One running job's contribution to a machine's co-runner signature: the
-/// §4.2 profile plus the local GPU set it holds there. Entries are interned
-/// per machine in canonical `(model, batch, mask)` order and shared (behind
-/// one `Arc`) between the evaluation engine's class keys and every
-/// [`crate::StateOracle`] Eq. 4 sum, so neither clones profiles or GPU
-/// lists per candidate.
+/// §4.2 profile plus the local GPU set it holds there, as a mask. Entries
+/// are interned per machine in canonical `(model, batch, mask)` order and
+/// shared (behind one `Arc`) between the evaluation engine's class keys and
+/// every [`crate::StateOracle`] Eq. 4 sum, which reads each domain factor
+/// off the masks ([`gts_perf::domain_factor_of_masks`]), so neither clones
+/// profiles or GPU lists per candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Corunner {
     /// Profile of the running job (model + batch resolved once at
@@ -72,8 +73,6 @@ pub struct Corunner {
     pub profile: JobProfile,
     /// Local GPUs held on this machine, as a bitmask.
     pub mask: u128,
-    /// Local GPUs, ascending (derived from `mask`).
-    pub gpus: Vec<GpuId>,
 }
 
 impl Corunner {
@@ -300,20 +299,14 @@ impl ClusterState {
             .iter()
             .map(|id| {
                 let alloc = &self.running[id];
-                let mut mask = 0u128;
-                for g in alloc.gpus_on(machine) {
-                    mask |= 1u128 << g.index();
-                }
-                let mut bits = mask;
-                let mut gpus = Vec::with_capacity(bits.count_ones() as usize);
-                while bits != 0 {
-                    gpus.push(GpuId(bits.trailing_zeros()));
-                    bits &= bits - 1;
-                }
+                let mask = alloc
+                    .gpus
+                    .iter()
+                    .filter(|g| g.machine == machine)
+                    .fold(0, |mask, g| mask | gpu_bit(g.gpu));
                 Corunner {
                     profile: *alloc.profile(&self.profiles),
                     mask,
-                    gpus,
                 }
             })
             .collect();
@@ -454,14 +447,7 @@ impl ClusterState {
 
     /// Free GPUs on `machine`, ascending (none when the machine is down).
     pub fn free_gpus(&self, machine: MachineId) -> Vec<GpuId> {
-        let mut mask = self.free_mask_bits(machine);
-        let mut gpus = Vec::with_capacity(mask.count_ones() as usize);
-        while mask != 0 {
-            let g = mask.trailing_zeros();
-            gpus.push(GpuId(g));
-            mask &= mask - 1;
-        }
-        gpus
+        mask_gpus(self.free_mask_bits(machine), &mut [GpuId(0); 128]).to_vec()
     }
 
     /// Lowest-id free GPU on `machine`, if any.
@@ -502,18 +488,23 @@ impl ClusterState {
     }
 
     /// Unallocated GPUs of `machine` grouped per socket as `(free,
-    /// total)` — the Eq. 5 input, counted off the free mask. A down
-    /// machine still counts the GPUs no allocation holds.
+    /// total)` — the Eq. 5 input, one popcount of the free mask per
+    /// socket mask. A down machine still counts the GPUs no allocation
+    /// holds.
     pub fn socket_occupancy(&self, machine: MachineId) -> Vec<(u32, u32)> {
-        let topo = self.cluster.machine(machine);
-        let free = self.free_mask[machine.index()];
-        let mut occupancy = vec![(0, 0); topo.n_sockets()];
-        for gpu in topo.gpus() {
-            let (f, t) = &mut occupancy[topo.socket_of(gpu).index()];
-            *f += (free >> gpu.index()) as u32 & 1;
-            *t += 1;
-        }
-        occupancy
+        let free = self.unallocated_mask(machine);
+        self.cluster
+            .machine(machine)
+            .socket_masks()
+            .iter()
+            .map(|&socket| ((free & socket).count_ones(), socket.count_ones()))
+            .collect()
+    }
+
+    /// The GPUs of `machine` no allocation holds, as a mask: the free mask,
+    /// which a down machine keeps.
+    pub(crate) fn unallocated_mask(&self, machine: MachineId) -> u128 {
+        self.free_mask[machine.index()]
     }
 
     /// Machines with at least `n` free GPUs, ascending id — the Algorithm 1
@@ -816,8 +807,20 @@ pub fn on_machine(machine: MachineId, gpus: &[GpuId]) -> Vec<GlobalGpuId> {
 }
 
 /// A GPU's bit in a machine's free mask; 0 for an index past the mask.
-fn gpu_bit(gpu: GpuId) -> u128 {
+pub(crate) fn gpu_bit(gpu: GpuId) -> u128 {
     1u128.checked_shl(gpu.0).unwrap_or(0)
+}
+
+/// The GPUs of `mask`, ascending, written into `buf`: a GPU list without a
+/// heap allocation.
+pub(crate) fn mask_gpus(mut mask: u128, buf: &mut [GpuId; 128]) -> &[GpuId] {
+    let mut n = 0;
+    while mask != 0 {
+        buf[n] = GpuId(mask.trailing_zeros());
+        n += 1;
+        mask &= mask - 1;
+    }
+    &buf[..n]
 }
 
 /// Bitmask with the low `n` bits set (`n ≤ 128`).

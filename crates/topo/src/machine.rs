@@ -2,8 +2,8 @@
 //!
 //! Wraps the raw [`TopoGraph`] with the queries the scheduler actually needs:
 //! GPU enumeration, socket membership, pairwise distances (precomputed),
-//! each GPU pair's route and the best-case Eq. 3 subset per GPU count (both
-//! filled lazily) and full path lookups.
+//! each GPU pair's route, the best-case Eq. 3 subset per GPU count and each
+//! socket's GPU mask (all filled lazily) and full path lookups.
 
 use crate::graph::{NodeIdx, TopoGraph};
 use crate::ids::{GpuId, SocketId};
@@ -15,10 +15,11 @@ use std::sync::OnceLock;
 /// Built once by the [`crate::builders`] and shared (`Arc`) across the
 /// scheduler, simulator and performance model. Every query but
 /// [`MachineTopology::path`] (Dijkstra on demand) reads a table: the
-/// distances are built with the machine, while the route table and the
-/// best-subset table fill on first use (DESIGN.md §13.6), so the first
-/// [`MachineTopology::route`] pays one Dijkstra per GPU and the first
-/// [`MachineTopology::best_subset`] of a width walks its subsets.
+/// distances are built with the machine, while the route table, the
+/// best-subset table and the socket masks fill on first use (DESIGN.md
+/// §13.6, §13.7), so the first [`MachineTopology::route`] pays one
+/// Dijkstra per GPU and the first [`MachineTopology::best_subset`] of a
+/// width walks its subsets.
 #[derive(Debug, Clone)]
 pub struct MachineTopology {
     name: String,
@@ -34,6 +35,9 @@ pub struct MachineTopology {
     /// `best[n]`: [`MachineTopology::best_subset`] and its cost, filled on
     /// first use per `n` (a DGX-2's full table is ~2M distance reads).
     best: Box<[OnceLock<BestSubset>]>,
+    /// `socket_masks[s]`: [`MachineTopology::socket_masks`], filled on
+    /// first use.
+    socket_masks: OnceLock<Box<[u128]>>,
 }
 
 /// The physical character of the cheapest route between two GPUs: what the
@@ -107,6 +111,7 @@ impl MachineTopology {
             distances,
             routes: OnceLock::new(),
             best,
+            socket_masks: OnceLock::new(),
         }
     }
 
@@ -167,6 +172,25 @@ impl MachineTopology {
             .collect()
     }
 
+    /// Each socket's GPUs as a bitmask (bit `g` set ⇔ `GpuId(g)` hangs off
+    /// the socket), in socket order. The first call fills the table;
+    /// machines of one kind share one `Arc`, so each kind pays once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has more than 128 GPUs, the width of a mask
+    /// (the scheduler's cap as well).
+    pub fn socket_masks(&self) -> &[u128] {
+        self.socket_masks.get_or_init(|| {
+            assert!(self.n_gpus() <= 128, "socket masks cover at most 128 GPUs");
+            let mut masks = vec![0u128; self.n_sockets()];
+            for g in self.gpus() {
+                masks[self.socket_of(g).index()] |= 1 << g.index();
+            }
+            masks.into()
+        })
+    }
+
     /// Qualitative distance between two GPUs (0 for the same GPU).
     pub fn distance(&self, a: GpuId, b: GpuId) -> f64 {
         self.distances.distance(a.index(), b.index())
@@ -175,8 +199,15 @@ impl MachineTopology {
     /// Eq. 3 communication cost for a candidate GPU set: sum of pairwise
     /// distances over all unordered pairs.
     pub fn pairwise_cost(&self, gpus: &[GpuId]) -> f64 {
-        let idx: Vec<usize> = gpus.iter().map(|g| g.index()).collect();
-        self.distances.pairwise_cost(&idx)
+        // The pairs in `GpuDistanceMatrix::pairwise_cost`'s order, so the
+        // sum is the same bits.
+        let mut total = 0.0;
+        for (a, i) in gpus.iter().enumerate() {
+            for j in &gpus[a + 1..] {
+                total += self.distances.distance(i.index(), j.index());
+            }
+        }
+        total
     }
 
     /// The minimal Eq. 3 cost of any `n`-GPU subset of this machine when
@@ -311,12 +342,16 @@ impl MachineTopology {
         }
     }
 
-    /// Number of distinct sockets a GPU set spans.
+    /// Number of distinct sockets a GPU set spans: the GPUs whose socket
+    /// no earlier GPU of the set hangs off.
     pub fn sockets_spanned(&self, gpus: &[GpuId]) -> usize {
-        let mut seen: Vec<SocketId> = gpus.iter().map(|&g| self.socket_of(g)).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
+        gpus.iter()
+            .enumerate()
+            .filter(|&(i, &g)| {
+                let socket = self.socket_of(g);
+                gpus[..i].iter().all(|&h| self.socket_of(h) != socket)
+            })
+            .count()
     }
 }
 
@@ -555,6 +590,21 @@ mod tests {
             let g = GpuId(0);
             assert!(m.is_p2p(g, g));
             assert_eq!(m.pair_bandwidth_gbs(g, g), f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn socket_masks_match_socket_membership() {
+        for m in table_machines() {
+            let masks = m.socket_masks();
+            assert_eq!(masks.len(), m.n_sockets(), "{}", m.name());
+            for s in m.sockets() {
+                let want = m
+                    .gpus_in_socket(s)
+                    .iter()
+                    .fold(0u128, |mask, g| mask | 1 << g.index());
+                assert_eq!(masks[s.index()], want, "{} {s:?}", m.name());
+            }
         }
     }
 
