@@ -116,10 +116,14 @@ pub struct SysConfig {
     /// (top-of-rack vs aggregation network tiers).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub racks: Option<usize>,
-    /// Scripted operator cancellations, `(time_s, job_id)` pairs.
+    /// Scripted operator cancellations, `(time_s, job_id)` pairs. Only
+    /// prototype mode reads them; a simulation-mode config that sets them
+    /// is rejected.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub cancellations: Vec<(f64, u64)>,
-    /// Scripted machine failures (simulation mode), `(time_s, machine)`.
+    /// Scripted machine failures, `(time_s, machine)` pairs. Only
+    /// simulation mode reads them; a prototype-mode config that sets them
+    /// is rejected.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub machine_failures: Vec<(f64, u32)>,
     /// Algorithms to run, one system execution each ("if many are
@@ -228,13 +232,24 @@ impl SysConfig {
     }
 
     /// Runs every configured algorithm and reports results. A config that
-    /// would panic a run returns [`ConfigError::Invalid`] before any run.
+    /// would panic a run, or that scripts events the chosen mode would
+    /// ignore, returns [`ConfigError::Invalid`] before any run.
     pub fn run(&self) -> Result<Vec<RunReport>, ConfigError> {
         if self.machines == 0 {
             return Err(ConfigError::Invalid("machines must be positive".into()));
         }
         if self.algorithms.is_empty() {
             return Err(ConfigError::Invalid("no algorithms configured".into()));
+        }
+        let ignored = if self.simulation {
+            (!self.cancellations.is_empty()).then_some(("cancellations", "simulation"))
+        } else {
+            (!self.machine_failures.is_empty()).then_some(("machine_failures", "prototype"))
+        };
+        if let Some((field, mode)) = ignored {
+            return Err(ConfigError::Invalid(format!(
+                "{field} are not read in {mode} mode; remove them or switch modes"
+            )));
         }
         let machine = self.machine_kind.build();
         let profiles = Arc::new(ProfileLibrary::generate(&machine, self.profile_seed()));
@@ -506,6 +521,7 @@ mod tests {
             edit(&mut cfg);
             let err = cfg.run().expect_err(what);
             assert!(matches!(err, ConfigError::Invalid(_)), "{what}: {err}");
+            err.to_string()
         };
         invalid("failure on machine 5 of 1", true, &|c| {
             c.machine_failures = vec![(10.0, 5)]
@@ -519,6 +535,24 @@ mod tests {
             c.cancellations = vec![(f64::INFINITY, 0)]
         });
         invalid("time_scale 1e300", false, &|c| c.time_scale = Some(1e300));
+
+        // Scripted events the chosen mode would drop without a word: the
+        // simulator has no cancellation script, the prototype no failure
+        // script.
+        let err = invalid("cancellation in simulation mode", true, &|c| {
+            c.cancellations = vec![(1.0, 0)]
+        });
+        assert!(
+            err.contains("cancellations") && err.contains("simulation mode"),
+            "{err}"
+        );
+        let err = invalid("machine failure in prototype mode", false, &|c| {
+            c.machine_failures = vec![(10.0, 0)]
+        });
+        assert!(
+            err.contains("machine_failures") && err.contains("prototype mode"),
+            "{err}"
+        );
     }
 
     /// A trace file with an invalid job is a config error, not a panic
