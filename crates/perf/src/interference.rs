@@ -28,21 +28,16 @@ pub fn model_bus_scale(model: NnModel) -> f64 {
 
 /// Domain factor between two GPU allocations on the same machine: 1.0 when
 /// they touch a common socket, 0.35 otherwise (same machine, different
-/// sockets still share the X-Bus and memory controllers).
+/// sockets still share the X-Bus and memory controllers), 0 when either is
+/// empty.
+///
+/// # Panics
+///
+/// Panics if the machine has more than 128 GPUs
+/// ([`MachineTopology::socket_masks`]).
 pub fn domain_factor(machine: &MachineTopology, gpus_a: &[GpuId], gpus_b: &[GpuId]) -> f64 {
-    if gpus_a.is_empty() || gpus_b.is_empty() {
-        return 0.0;
-    }
-    let shares_socket = gpus_a.iter().any(|&a| {
-        gpus_b
-            .iter()
-            .any(|&b| machine.socket_of(a) == machine.socket_of(b))
-    });
-    if shares_socket {
-        DOMAIN_SAME_SOCKET
-    } else {
-        DOMAIN_SAME_MACHINE
-    }
+    let mask = |gpus: &[GpuId]| gpus.iter().fold(0u128, |m, g| m | 1 << g.index());
+    domain_factor_of_masks(machine, mask(gpus_a), mask(gpus_b))
 }
 
 /// [`domain_factor`] over GPU sets given as bitmasks (bit `g` ⇔
@@ -148,28 +143,10 @@ mod tests {
         assert_eq!(domain_factor(&m, &[GpuId(0), GpuId(2)], &[GpuId(3)]), 1.0);
         // Empty sets do not interfere.
         assert_eq!(domain_factor(&m, &[], &[GpuId(0)]), 0.0);
-    }
-
-    #[test]
-    fn mask_domain_factor_matches_the_set_form() {
-        let machine = gts_topo::dgx1();
-        let n = machine.n_gpus();
-        let set = |mask: u128| -> Vec<GpuId> {
-            (0..n as u32)
-                .filter(|&g| mask >> g & 1 == 1)
-                .map(GpuId)
-                .collect()
-        };
-        // Every pair of subsets of an 8-GPU machine.
-        for a in 0..1u128 << n {
-            for b in (0..1u128 << n).step_by(7) {
-                assert_eq!(
-                    domain_factor_of_masks(&machine, a, b),
-                    domain_factor(&machine, &set(a), &set(b)),
-                    "{a:#x} {b:#x}"
-                );
-            }
-        }
+        // The mask form: bit g stands for GPU g.
+        assert_eq!(domain_factor_of_masks(&m, 0b0101, 0b1000), 1.0);
+        assert_eq!(domain_factor_of_masks(&m, 0b0001, 0b1100), 0.35);
+        assert_eq!(domain_factor_of_masks(&m, 0, 0b0001), 0.0);
     }
 
     #[test]
